@@ -1,0 +1,511 @@
+//! Cross-commit digest pins: small scripted scenarios, each asserting a
+//! committed `(elapsed_ns, trace digest, trace len)` triple.
+//!
+//! The goldens in `trace_golden.rs` compare event *sequences* inside one
+//! build, and the property tests compare two runs of the same build; nothing
+//! else pins a number across commits. These pins are what "same seed ⇒ same
+//! digest, across refactors" is checked against: a change that claims to
+//! leave modeled behaviour alone must pass them unedited, and a change that
+//! moves virtual time on purpose updates the constant in the same commit and
+//! says why.
+//!
+//! Every seed here is a literal (never `TELEPORT_FAULT_SEED`), so the pins
+//! are independent of the CI seed sweep. Each scenario covers a different
+//! charge path: compute faults and dirty write-backs, pool-side storage
+//! recursion, prefetch, every coherence hook, fan-out settlement, both
+//! failover flavours, both restart lives, repair from SSD and replica, the
+//! health tick, and the serve plane's credit accounting.
+
+use ddc_os::Pattern;
+use ddc_sim::{
+    ArrivalProcess, DdcConfig, FaultPlan, MonolithicConfig, PlacementPolicy, ReplicationMode,
+    SimDuration, SimTime, FOREVER, PAGE_SIZE, QOS_CLASSES,
+};
+use teleport::{
+    AdmissionPolicy, CoherenceMode, HedgePolicy, Mem, PlatformKind, PushdownOpts, Region,
+    ResiliencePolicy, Runtime, ServeConfig, ServePlane, SyncStrategy,
+};
+
+/// `(elapsed_ns, trace digest, trace len)`.
+type Pin = (u64, u64, u64);
+
+fn pin_of(rt: &Runtime) -> Pin {
+    (
+        rt.elapsed().as_nanos(),
+        rt.trace().digest(),
+        rt.trace().len(),
+    )
+}
+
+fn check(name: &str, rt: &Runtime, want: Pin) {
+    let got = pin_of(rt);
+    assert_eq!(
+        got, want,
+        "{name}: virtual time / trace moved; pin is (0x{:x}, 0x{:016x}, {})",
+        got.0, got.1, got.2
+    );
+}
+
+fn column_vals(n: usize, tag: u64) -> Vec<u64> {
+    (0..n as u64)
+        .map(|i| {
+            (i ^ tag)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .rotate_left(17)
+        })
+        .collect()
+}
+
+fn wrapping_sum(vals: &[u64]) -> u64 {
+    vals.iter().fold(0u64, |a, &v| a.wrapping_add(v))
+}
+
+fn sum_region(m: &mut impl Mem, col: &Region<u64>) -> u64 {
+    let mut buf = Vec::new();
+    m.read_range(col, 0, col.len(), &mut buf);
+    wrapping_sum(&buf)
+}
+
+fn platform(kind: PlatformKind, ddc: DdcConfig, ws: usize) -> Runtime {
+    let rt = match kind {
+        PlatformKind::Local => Runtime::local(MonolithicConfig {
+            dram_bytes: ws * 4 + (32 << 20),
+            ..Default::default()
+        }),
+        PlatformKind::BaseDdc => Runtime::base_ddc(ddc),
+        PlatformKind::Teleport => Runtime::teleport(ddc),
+    };
+    rt.enable_tracing();
+    rt
+}
+
+fn cold_start(rt: &mut Runtime) {
+    if rt.kind() != PlatformKind::Local {
+        rt.drop_cache();
+    }
+    rt.begin_timing();
+}
+
+#[test]
+fn q6_scan_on_every_platform() {
+    use memdb::queries::ops;
+    use memdb::{oracle, q6, Database, PushdownPlan, QueryParams, TpchData};
+
+    const PINS: [(PlatformKind, Pin); 3] = [
+        (PlatformKind::Local, (0x4ee71, 0x5d12003294c1cd5d, 7)),
+        (PlatformKind::BaseDdc, (0xad426, 0x2cf7eefa0eeffb84, 347)),
+        (PlatformKind::Teleport, (0x88a4a, 0x76970b0b52b0f865, 60)),
+    ];
+    let data = TpchData::generate(0.002, 5);
+    let params = QueryParams::default();
+    let ws = data.working_set_bytes();
+    let expected = oracle::q6(&data, &params);
+    for (kind, want) in PINS {
+        let mut rt = platform(kind, DdcConfig::with_cache_ratio(ws, 0.02), ws);
+        let db = Database::load(&mut rt, &data);
+        cold_start(&mut rt);
+        let plan = if kind == PlatformKind::Teleport {
+            PushdownPlan::of(ops::Q6)
+        } else {
+            PushdownPlan::none()
+        };
+        let (r, _) = q6(&mut rt, &db, &plan, &params);
+        assert!((r - expected).abs() < 1e-6 * expected.abs());
+        check(&format!("q6/{kind:?}"), &rt, want);
+    }
+}
+
+#[test]
+fn sssp_on_a_spilling_pool() {
+    use graphproc::algos::sssp;
+    use graphproc::{social_graph, GasEngine, GasPlan, Sssp};
+
+    const PINS: [(PlatformKind, Pin); 2] = [
+        (
+            PlatformKind::BaseDdc,
+            (0x24ea634, 0x069ba74b4c56db56, 23827),
+        ),
+        (PlatformKind::Teleport, (0xa3c3ec, 0x71990e12a0aff6a9, 365)),
+    ];
+    let g = social_graph(1_500, 4, 11);
+    let ws = g.bytes() + g.n() * 16;
+    let expected = sssp::oracle(&g, 0);
+    for (kind, want) in PINS {
+        // A pool a third of the working set: pool-side faults recurse to
+        // storage, with dirty victims written back first.
+        let mut ddc = DdcConfig::with_cache_ratio(ws, 0.02);
+        ddc.memory_pool_bytes = (ws / 3).max(16 * PAGE_SIZE);
+        let mut rt = platform(kind, ddc, ws);
+        let eng = GasEngine::load(&mut rt, &g);
+        cold_start(&mut rt);
+        let plan = if kind == PlatformKind::Teleport {
+            GasPlan::paper()
+        } else {
+            GasPlan::none()
+        };
+        let (d, _) = eng.run(&mut rt, &Sssp { source: 0 }, &plan);
+        assert_eq!(d, expected);
+        let s = rt.paging_stats();
+        assert!(
+            s.storage_page_in > 0 && s.storage_page_out > 0,
+            "{kind:?}: the pool must spill both ways for this pin to mean anything"
+        );
+        check(&format!("sssp-spill/{kind:?}"), &rt, want);
+    }
+}
+
+/// Compute-side dirty pages meet memory-side readers and writers under each
+/// coherence mode, with a hinted pre-sync, an eager-sync call, explicit
+/// `syncmem`s and sequential prefetch on — every coherence hook and the
+/// stale-view byte paths in one script.
+#[test]
+fn coherence_hooks_syncmem_and_prefetch() {
+    const PIN: Pin = (0x6cc1a, 0xfda0740a5adaff8d, 243);
+    const PAGES: usize = 24;
+    let elems = PAGES * PAGE_SIZE / 8;
+    let mut ddc = DdcConfig::with_cache_ratio(PAGES * PAGE_SIZE, 0.25);
+    ddc.prefetch_pages = 4;
+    let mut rt = platform(PlatformKind::Teleport, ddc, PAGES * PAGE_SIZE);
+    let col = rt.alloc_region::<u64>(elems);
+    let mut oracle = column_vals(elems, 3);
+    rt.write_range(&col, 0, &oracle);
+    cold_start(&mut rt);
+
+    for (round, mode) in [
+        CoherenceMode::WriteInvalidate,
+        CoherenceMode::Pso,
+        CoherenceMode::WeakOrdering,
+        CoherenceMode::Disabled,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        // Dirty a few compute-side pages, straddling a page boundary.
+        for i in 0..600 {
+            let idx = (round * 700 + i) % elems;
+            oracle[idx] ^= 0xA5A5;
+            rt.set(&col, idx, oracle[idx], Pattern::Seq);
+        }
+        let opts = PushdownOpts {
+            coherence: mode,
+            ..PushdownOpts::new()
+        };
+        let base = round * 512;
+        rt.pushdown(opts, |m| {
+            for i in base..base + 1024 {
+                let v = m.get(&col, i % elems, Pattern::Seq) ^ 0x0F0F;
+                m.set(&col, i % elems, v, Pattern::Seq);
+            }
+        })
+        .expect("healthy pushdown");
+        for i in base..base + 1024 {
+            oracle[i % elems] ^= 0x0F0F;
+        }
+        // Compute-side accesses through a possibly stale view, then the
+        // reconciliation point.
+        let _ = rt.get(&col, base % elems, Pattern::Rand);
+        // A raw span straddling three pages, read then rewritten with the
+        // true values (the read itself may be served from a stale view).
+        let e0 = (base + 300) % (elems / 2);
+        let _ = rt.read_raw(col.at(e0), 2 * PAGE_SIZE, Pattern::Seq);
+        let truth: Vec<u8> = oracle[e0..e0 + PAGE_SIZE / 4]
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
+        rt.write_raw(col.at(e0), &truth, Pattern::Seq);
+        rt.set(&col, elems - 1, round as u64, Pattern::Rand);
+        oracle[elems - 1] = round as u64;
+        if round % 2 == 0 {
+            rt.syncmem();
+        } else {
+            rt.syncmem_range(col.addr(), col.byte_len());
+        }
+    }
+    let hinted = rt
+        .pushdown_with_hint(PushdownOpts::new(), &[(col.at(100), 3 * PAGE_SIZE)], |m| {
+            sum_region(m, &col)
+        })
+        .expect("hinted pushdown");
+    assert_eq!(hinted, wrapping_sum(&oracle));
+    let eager = rt
+        .pushdown(
+            PushdownOpts {
+                sync: SyncStrategy::Eager,
+                ..PushdownOpts::new()
+            },
+            |m| sum_region(m, &col),
+        )
+        .expect("eager pushdown");
+    assert_eq!(eager, wrapping_sum(&oracle));
+    let mut back = Vec::new();
+    rt.read_range(&col, 0, elems, &mut back);
+    assert_eq!(back, oracle);
+    check("coherence-hooks", &rt, PIN);
+}
+
+#[test]
+fn two_pool_loadbalance_fanout() {
+    const PIN: Pin = (0x1e716, 0xa1f6c176c868883a, 51);
+    const PAGES: usize = 8;
+    let cfg = DdcConfig {
+        pools: 2,
+        placement: PlacementPolicy::LoadBalance,
+        ..DdcConfig::with_cache_ratio(PAGES * PAGE_SIZE, 0.25)
+    };
+    let mut rt = platform(PlatformKind::Teleport, cfg, PAGES * PAGE_SIZE);
+    let col = rt.alloc_region::<u64>(PAGES * PAGE_SIZE / 8);
+    cold_start(&mut rt);
+    for p in 0..PAGES {
+        rt.set(&col, p * PAGE_SIZE / 8, p as u64 + 1, Pattern::Rand);
+    }
+    let sum = rt
+        .pushdown(PushdownOpts::new(), |m| sum_region(m, &col))
+        .expect("fan-out pushdown");
+    assert_eq!(sum, (1..=PAGES as u64).sum::<u64>());
+    assert_eq!(rt.metrics().get("topology.fanout_pushdowns"), Some(1));
+    check("fanout", &rt, PIN);
+}
+
+#[test]
+fn replicated_pool_death_fails_over() {
+    const PINS: [(ReplicationMode, Pin); 2] = [
+        (
+            ReplicationMode::Synchronous,
+            (0x190e64d, 0xb97861cfa63fad4f, 8282),
+        ),
+        (
+            ReplicationMode::LogShipped { batch_pages: 3 },
+            (0x15ec54c, 0x688d5f1ee8754ce0, 2810),
+        ),
+    ];
+    const ELEMS: usize = 4096;
+    for (mode, want) in PINS {
+        let cfg = DdcConfig {
+            replication: mode,
+            ..Default::default()
+        };
+        let mut rt = platform(PlatformKind::Teleport, cfg, ELEMS * 8);
+        let mut oracle = column_vals(ELEMS, 0);
+        let col = rt.alloc_region::<u64>(ELEMS);
+        rt.write_range(&col, 0, &oracle);
+        rt.begin_timing();
+        rt.pushdown(PushdownOpts::new(), |m| {
+            for i in 0..ELEMS / 2 {
+                let v = m.get(&col, i, Pattern::Seq) ^ 0x5555_5555;
+                m.set(&col, i, v, Pattern::Seq);
+            }
+        })
+        .expect("healthy pushdown");
+        for v in oracle.iter_mut().take(ELEMS / 2) {
+            *v ^= 0x5555_5555;
+        }
+        rt.install_fault_plan(FaultPlan::new(7).memory_pool_death(SimTime(0)));
+        let out = rt
+            .pushdown_resilient(PushdownOpts::new(), &ResiliencePolicy::retry_only(), |m| {
+                sum_region(m, &col)
+            })
+            .expect("retry reaches the promoted pool");
+        assert_eq!(out.attempts, 1);
+        assert_eq!(rt.failovers(), 1);
+        if mode == ReplicationMode::Synchronous {
+            assert_eq!(out.value, wrapping_sum(&oracle));
+        }
+        check(&format!("failover/{mode:?}"), &rt, want);
+    }
+}
+
+#[test]
+fn crash_restart_both_lives() {
+    // (replicated, torn): the unreplicated torn row replays a journal with
+    // a discarded tail as primary; the replicated row fails over and the
+    // zombie rejoins as a re-silvered standby.
+    const PINS: [(bool, bool, Pin); 2] = [
+        (false, true, (0x3619f, 0x880dda5972688a69, 30)),
+        (true, false, (0x17899, 0xd8857e84791197a4, 36)),
+    ];
+    const ELEMS: usize = 2048;
+    for (replicated, torn, want) in PINS {
+        let mut cfg = DdcConfig::with_cache_ratio(ELEMS * 8, 0.25);
+        if replicated {
+            cfg.replication = ReplicationMode::Synchronous;
+        }
+        let mut rt = platform(PlatformKind::Teleport, cfg, ELEMS * 8);
+        let vals = column_vals(ELEMS, 9);
+        let col = rt.alloc_region::<u64>(ELEMS);
+        rt.write_range(&col, 0, &vals);
+        rt.begin_timing();
+        let mut plan =
+            FaultPlan::new(9).pool_crash_restart(0, SimTime(0), SimDuration::from_nanos(200));
+        if torn {
+            plan = plan.torn_journal_write(0, SimTime(0));
+        }
+        rt.install_fault_plan(plan);
+        // Write-backs land in the recovery journal before the crash polls.
+        rt.drop_cache();
+        let out = rt
+            .pushdown_resilient(PushdownOpts::new(), &ResiliencePolicy::retry_only(), |m| {
+                sum_region(m, &col)
+            })
+            .expect("retry rides out the crash");
+        assert_eq!(out.value, wrapping_sum(&vals));
+        let again = rt
+            .pushdown(PushdownOpts::new(), |m| sum_region(m, &col))
+            .expect("steady state after recovery");
+        assert_eq!(again, wrapping_sum(&vals));
+        let m = rt.metrics();
+        assert_eq!(m.get("recovery.crashes"), Some(1));
+        assert_eq!(m.get("recovery.restarts"), Some(1));
+        assert_eq!(m.get("recovery.fenced_writes"), Some(replicated as u64));
+        check(
+            &format!("crash-restart/replicated={replicated},torn={torn}"),
+            &rt,
+            want,
+        );
+    }
+}
+
+#[test]
+fn corruption_repair_and_scrub() {
+    const PIN_REPLICA: Pin = (0x1524f, 0x6af557576c0bada9, 83);
+    const PIN_SCRUB: Pin = (0x1b840a, 0xd33ef6a0a773de29, 80);
+    const ELEMS: usize = 4096;
+    let vals = column_vals(ELEMS, 5);
+
+    // Scribbles on dirty pool copies repair from the replica; bit flips in
+    // flight on clean pages repair from storage.
+    let cfg = DdcConfig {
+        replication: ReplicationMode::Synchronous,
+        ..Default::default()
+    };
+    let mut rt = platform(PlatformKind::Teleport, cfg, ELEMS * 8);
+    let col = rt.alloc_region::<u64>(ELEMS);
+    rt.write_range(&col, 0, &vals);
+    rt.begin_timing();
+    rt.install_fault_plan(
+        FaultPlan::new(21)
+            .pool_scribbles(SimTime(0), FOREVER, 0.7)
+            .fabric_bit_flips(SimTime(0), FOREVER, 0.5),
+    );
+    rt.drop_cache();
+    let sum = rt
+        .pushdown(PushdownOpts::new(), |m| sum_region(m, &col))
+        .expect("a synchronous replica repairs every corruption");
+    assert_eq!(sum, wrapping_sum(&vals));
+    assert!(rt.metrics().get("integrity.repaired").unwrap_or(0) > 0);
+    check("corruption/replica", &rt, PIN_REPLICA);
+
+    // A pool squeezed to 4 pages spills the column; latent sector rot is
+    // found and repaired by one scrubber pass before any reader sees it.
+    let cfg = DdcConfig {
+        memory_pool_bytes: 4 * PAGE_SIZE,
+        ..DdcConfig::with_cache_ratio(ELEMS * 8, 0.25)
+    };
+    let mut rt = platform(PlatformKind::Teleport, cfg, ELEMS * 8);
+    let col = rt.alloc_region::<u64>(ELEMS);
+    rt.write_range(&col, 0, &vals);
+    rt.drop_cache();
+    rt.begin_timing();
+    rt.install_fault_plan(FaultPlan::new(21).ssd_latent_sectors(SimTime(0), FOREVER, 0.5));
+    let (scanned, detected) = rt.scrub_now();
+    assert_eq!(scanned, 8);
+    assert!(detected > 0, "the scrubber must find rot for this pin");
+    let mut back = Vec::new();
+    rt.read_range(&col, 0, ELEMS, &mut back);
+    assert_eq!(back, vals);
+    assert_eq!(rt.data_loss(), 0);
+    check("corruption/scrub", &rt, PIN_SCRUB);
+}
+
+/// Baseline → brownout (hedged calls walk shard 0 to quarantine) → recovery
+/// (traffic on the healthy shard drives the probe streak that reintegrates
+/// it): the whole health tick, probe credit included.
+#[test]
+fn degraded_pool_with_hedged_calls() {
+    use ddc_sim::PoolHealthState;
+
+    const PIN: Pin = (0xc1064e, 0x4a39d23ccafeeea5, 666);
+    const FROM: SimTime = SimTime(500_000);
+    const UNTIL: SimTime = SimTime(12_000_000);
+    const ELEMS: usize = PAGE_SIZE / 8;
+    let cfg = DdcConfig {
+        pools: 2,
+        // Allocation 0 lands whole on shard 0, allocation 1 on shard 1.
+        placement: PlacementPolicy::Locality,
+        ..DdcConfig::default()
+    };
+    let mut rt = platform(PlatformKind::Teleport, cfg, 2 * PAGE_SIZE);
+    rt.install_fault_plan(FaultPlan::new(7).degraded_pool(0, FROM, UNTIL, 50));
+    let a = rt.alloc_region::<u64>(ELEMS);
+    let b = rt.alloc_region::<u64>(ELEMS);
+    rt.write_range(&a, 0, &vec![1u64; ELEMS]);
+    rt.write_range(&b, 0, &vec![2u64; ELEMS]);
+    cold_start(&mut rt);
+
+    while rt.elapsed() < FROM.since(SimTime::ZERO) {
+        rt.pushdown(PushdownOpts::new(), |m| sum_region(m, &a))
+            .expect("healthy call");
+    }
+    let hedge = HedgePolicy {
+        delay: SimDuration::from_micros(100),
+        jitter: SimDuration::from_micros(20),
+    };
+    let state = |rt: &Runtime| rt.health().expect("armed").state(0);
+    while state(&rt) != PoolHealthState::Quarantined {
+        let h = rt
+            .pushdown_hedged(PushdownOpts::new(), &hedge, |m| {
+                (0..100).map(|_| sum_region(m, &a)).last().unwrap_or(0)
+            })
+            .expect("fail-slow is benign to correctness");
+        assert_eq!(h.value, ELEMS as u64);
+        rt.drop_cache();
+    }
+    let mut guard = 0u32;
+    while state(&rt) != PoolHealthState::Healthy {
+        rt.pushdown(PushdownOpts::new(), |m| sum_region(m, &b))
+            .expect("healthy-shard call");
+        guard += 1;
+        assert!(guard < 10_000, "shard 0 never reintegrated");
+    }
+    let m = rt.metrics();
+    assert!(m.get("hedge.won").unwrap_or(0) > 0, "hedges won");
+    assert_eq!(m.get("health.reintegrations"), Some(1));
+    assert!(m.get("health.probe_ns").unwrap_or(0) > 0, "probe credit");
+    check("grayfail-hedged", &rt, PIN);
+}
+
+#[test]
+fn two_tenant_serve_run() {
+    const PIN: Pin = (0x77fbc8, 0xb0ef0d84e3d3ee94, 2822);
+    const KEYS: usize = 256;
+    const SESSIONS: usize = 128;
+    let data = kvapp::KvData::generate(KEYS, 7);
+    let mut rt = platform(
+        PlatformKind::Teleport,
+        DdcConfig::with_cache_ratio(data.working_set_bytes(), 0.25),
+        data.working_set_bytes(),
+    );
+    let store = kvapp::KvStore::load(&mut rt, &data);
+    cold_start(&mut rt);
+    let mut plane = ServePlane::new(ServeConfig {
+        seed: 42,
+        admission: AdmissionPolicy {
+            max_queue_depth: 8,
+            max_backlog: SimDuration::from_micros(400),
+        },
+        contexts: None,
+    });
+    for t in 0..2usize {
+        let ks = kvapp::keys(42 ^ (t as u64 + 1), SESSIONS, KEYS);
+        plane.tenant(
+            format!("t{t}"),
+            QOS_CLASSES[t * 2],
+            ArrivalProcess::poisson(SimDuration::from_micros(60)),
+            SESSIONS,
+            move |rt, s| kvapp::get(rt, &store, ks[s as usize]),
+        );
+    }
+    let rep = plane.run(&mut rt);
+    assert_eq!(rep.arrived(), 2 * SESSIONS as u64);
+    assert!(rep.ledger_balances());
+    check("serve-256", &rt, PIN);
+}
