@@ -30,8 +30,8 @@
 
 use std::collections::BTreeMap;
 
-use ddc_os::{pages_spanned, Dos, PageId, Pattern, VAddr};
-use ddc_sim::{CoherenceTransition, Lane, MsgClass, SimDuration, TraceEvent, PAGE_SIZE};
+use ddc_os::{page_chunks, pages_spanned, Dos, PageId, Pattern, VAddr};
+use ddc_sim::{CoherenceTransition, Lane, MsgClass, SimDuration, TraceEvent};
 
 use crate::flags::CoherenceMode;
 
@@ -441,17 +441,11 @@ impl PushdownSession {
         if self.stale.is_empty() {
             return;
         }
-        let mut cursor = addr;
-        let mut remaining = len;
-        for pid in pages_spanned(addr, len) {
-            let in_page = (PAGE_SIZE - cursor.page_offset()).min(remaining);
+        for (pid, off, n) in page_chunks(addr, len) {
             if let Some(snap) = self.stale.get_mut(&pid) {
-                let off = cursor.page_offset();
-                let fresh = dos.space().bytes(cursor, in_page);
-                snap[off..off + in_page].copy_from_slice(fresh);
+                let fresh = dos.space().bytes(pid.base().offset(off as u64), n);
+                snap[off..off + n].copy_from_slice(fresh);
             }
-            cursor = cursor.offset(in_page as u64);
-            remaining -= in_page;
         }
     }
 
@@ -509,7 +503,7 @@ impl PushdownSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddc_sim::DdcConfig;
+    use ddc_sim::{DdcConfig, PAGE_SIZE};
 
     fn dos_with(cache_pages: usize) -> Dos {
         Dos::new_disaggregated(DdcConfig {

@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use ddc_os::{pages_spanned, Dos, PageId, Pattern, VAddr};
+use ddc_os::{page_chunks, pages_spanned, Dos, FailoverReport, PageId, Pattern, VAddr};
 use ddc_sim::{
     CpuConfig, DdcConfig, EventKind, FaultInjector, FaultPlan, FaultSpec, Lane, MetricsRegistry,
     MonolithicConfig, MsgClass, NetLedger, PushdownDisruption, RecoveryAction, SimDuration,
@@ -346,15 +346,36 @@ pub struct Arm<'a> {
     race_log: SyncLog,
 }
 
+/// Log a compute-side access to every page of `[addr, addr+len)` for the
+/// race checker (free while detection is off).
+fn record_host_access(log: &SyncLog, addr: VAddr, len: usize, write: bool) {
+    if log.is_enabled() {
+        for pid in pages_spanned(addr, len) {
+            log.record(SyncOp::Access {
+                actor: Actor::Host,
+                page: pid.0,
+                write,
+            });
+        }
+    }
+}
+
 impl Arm<'_> {
-    fn record_host_access(&self, addr: VAddr, len: usize, write: bool) {
-        if self.side == Side::Compute && self.race_log.is_enabled() {
-            for pid in pages_spanned(addr, len) {
-                self.race_log.record(SyncOp::Access {
-                    actor: Actor::Host,
-                    page: pid.0,
-                    write,
-                });
+    /// Charge one access with this side's cost model (memory-side accesses
+    /// also drive the coherence protocol and log themselves for the race
+    /// checker).
+    fn touch(&mut self, addr: VAddr, len: usize, write: bool, pat: Pattern) {
+        match self.side {
+            Side::Compute => {
+                record_host_access(&self.race_log, addr, len, write);
+                self.dos.touch_range(addr, len, write, pat);
+            }
+            Side::MemoryPool => {
+                let s = self
+                    .session
+                    .as_mut()
+                    .expect("memory-side arm has a session");
+                s.mem_access(self.dos, addr, len, write, pat);
             }
         }
     }
@@ -366,36 +387,12 @@ impl Mem for Arm<'_> {
     }
 
     fn read_raw(&mut self, addr: VAddr, len: usize, pat: Pattern) -> &[u8] {
-        self.record_host_access(addr, len, false);
-        match self.side {
-            Side::Compute => {
-                self.dos.touch_range(addr, len, false, pat);
-            }
-            Side::MemoryPool => {
-                let s = self
-                    .session
-                    .as_mut()
-                    .expect("memory-side arm has a session");
-                s.mem_access(self.dos, addr, len, false, pat);
-            }
-        }
+        self.touch(addr, len, false, pat);
         self.dos.space().bytes(addr, len)
     }
 
     fn write_raw(&mut self, addr: VAddr, data: &[u8], pat: Pattern) {
-        self.record_host_access(addr, data.len(), true);
-        match self.side {
-            Side::Compute => {
-                self.dos.touch_range(addr, data.len(), true, pat);
-            }
-            Side::MemoryPool => {
-                let s = self
-                    .session
-                    .as_mut()
-                    .expect("memory-side arm has a session");
-                s.mem_access(self.dos, addr, data.len(), true, pat);
-            }
-        }
+        self.touch(addr, data.len(), true, pat);
         self.dos.space_mut().write(addr, data);
     }
 
@@ -418,6 +415,53 @@ impl Mem for Arm<'_> {
     }
 }
 
+/// Everything the runtime counts or remembers about the current timed
+/// window. `begin_timing` replaces it wholesale, so a counter added here
+/// can never be forgotten there.
+#[derive(Default)]
+struct WindowLedger {
+    /// Pushdown calls entered on *any* platform, used to address
+    /// call-indexed fault specs (unlike `pushdown_calls`, which counts
+    /// only Teleport lifecycle runs).
+    fault_call_idx: u64,
+    pushdown_calls: u64,
+    resilience_retries: u64,
+    resilience_fallbacks: u64,
+    last_breakdown: Option<Breakdown>,
+    breakdown_acc: Breakdown,
+    last_coherence: Option<CoherenceStats>,
+    /// Pushdowns shed by admission control.
+    admission_sheds: u64,
+    /// Primary→backup pool promotions.
+    failovers: u64,
+    /// The epoch each failover promoted *to*, in order.
+    failover_epochs: Vec<u64>,
+    /// Crashed shards awaiting their scheduled restart: `(shard, at)`.
+    /// Serviced at the top of every pushdown's gate.
+    pending_restarts: Vec<(usize, SimTime)>,
+    /// Pushdowns routed to a shard on a multi-pool rack.
+    routed_pushdowns: u64,
+    /// Of those, how many spanned more than one shard (fan-out).
+    fanout_pushdowns: u64,
+    /// Hedges fired / won and deadline budgets blown.
+    hedges_fired: u64,
+    hedges_won: u64,
+    deadline_misses: u64,
+    /// Virtual time the sequential charge-out billed beyond what hedged
+    /// callers actually observed (wall cost minus the modeled race's
+    /// latency). A serving tier subtracts this from its slot timeline: the
+    /// rack paid for both legs, but the client-visible completion is the
+    /// race.
+    hedge_credit: SimDuration,
+    /// Same idea for synthetic health probes: their cost rides whichever
+    /// pushdown triggered the probe driver, but the probing is the health
+    /// plane's own background work, not that session's.
+    probe_credit: SimDuration,
+    /// The workqueue id of the most recent pushdown to enqueue, so a
+    /// winning hedge can `try_cancel` the losing primary.
+    last_req_id: Option<u64>,
+}
+
 /// A simulated process on one of the three platforms.
 pub struct Runtime {
     dos: Dos,
@@ -431,16 +475,8 @@ pub struct Runtime {
     /// The installed fault plan's executor, if any. Shared with the
     /// kernel's fabric and SSD.
     faults: Option<FaultInjector>,
-    /// Pushdown calls entered on *any* platform, used to address
-    /// call-indexed fault specs (unlike `pushdown_calls`, which counts
-    /// only Teleport lifecycle runs).
-    fault_call_idx: u64,
-    resilience_retries: u64,
-    resilience_fallbacks: u64,
-    last_breakdown: Option<Breakdown>,
-    breakdown_acc: Breakdown,
-    last_coherence: Option<CoherenceStats>,
-    pushdown_calls: u64,
+    /// Counters and per-window state, reset by `begin_timing`.
+    ledger: WindowLedger,
     /// Compute-visible stale page snapshots left behind by
     /// disabled-coherence pushdowns, until `syncmem` reconciles them.
     /// `BTreeMap` so reconciliation walks pages in seed-stable order.
@@ -457,37 +493,6 @@ pub struct Runtime {
     /// too deep a workqueue is shed with [`PushdownError::Rejected`]
     /// before it queues.
     admission: Option<AdmissionPolicy>,
-    /// Pushdowns shed by admission control since `begin_timing`.
-    admission_sheds: u64,
-    /// Primary→backup pool promotions since `begin_timing`.
-    failovers: u64,
-    /// The epoch each failover promoted *to*, in order.
-    failover_epochs: Vec<u64>,
-    /// Crashed shards awaiting their scheduled restart: `(shard, at)`.
-    /// Serviced at the top of every pushdown's heartbeat section.
-    pending_restarts: Vec<(usize, SimTime)>,
-    /// Pushdowns routed to a shard on a multi-pool rack since
-    /// `begin_timing`.
-    routed_pushdowns: u64,
-    /// Of those, how many spanned more than one shard (fan-out).
-    fanout_pushdowns: u64,
-    /// Hedges fired / won and deadline budgets blown since `begin_timing`.
-    hedges_fired: u64,
-    hedges_won: u64,
-    deadline_misses: u64,
-    /// Virtual time the sequential charge-out billed beyond what hedged
-    /// callers actually observed (wall cost minus the modeled race's
-    /// latency), accumulated since `begin_timing`. A serving tier
-    /// subtracts this from its slot timeline: the rack paid for both
-    /// legs, but the client-visible completion is the race.
-    hedge_credit: SimDuration,
-    /// Same idea for synthetic health probes: their cost rides whichever
-    /// pushdown triggered the probe driver, but the probing is the health
-    /// plane's own background work, not that session's.
-    probe_credit: SimDuration,
-    /// The workqueue id of the most recent pushdown to enqueue, so a
-    /// winning hedge can `try_cancel` the losing primary.
-    last_req_id: Option<u64>,
     scratch: Vec<u8>,
 }
 
@@ -521,12 +526,9 @@ impl Runtime {
         };
         let heartbeats = match kind {
             PlatformKind::Local => vec![HeartbeatMonitor::default()],
-            _ => {
-                let hb = dos.ddc_config().heartbeat;
-                (0..dos.pool_count().max(1))
-                    .map(|_| HeartbeatMonitor::new(hb.interval, hb.missed_threshold))
-                    .collect()
-            }
+            _ => (0..dos.pool_count().max(1))
+                .map(|_| fresh_heartbeat(&dos))
+                .collect(),
         };
         let tcfg = TeleportConfig::default();
         Runtime {
@@ -537,30 +539,12 @@ impl Runtime {
             heartbeats,
             alive: true,
             faults: None,
-            fault_call_idx: 0,
-            resilience_retries: 0,
-            resilience_fallbacks: 0,
-            last_breakdown: None,
-            breakdown_acc: Breakdown::default(),
-            last_coherence: None,
-            pushdown_calls: 0,
+            ledger: WindowLedger::default(),
             stale: BTreeMap::new(),
             race_log: SyncLog::default(),
             eager_refetch: Vec::new(),
             queue_backlog: SimDuration::ZERO,
             admission: None,
-            admission_sheds: 0,
-            failovers: 0,
-            failover_epochs: Vec::new(),
-            pending_restarts: Vec::new(),
-            routed_pushdowns: 0,
-            fanout_pushdowns: 0,
-            hedges_fired: 0,
-            hedges_won: 0,
-            deadline_misses: 0,
-            hedge_credit: SimDuration::ZERO,
-            probe_credit: SimDuration::ZERO,
-            last_req_id: None,
             scratch: Vec::new(),
         }
     }
@@ -590,25 +574,7 @@ impl Runtime {
     /// run).
     pub fn begin_timing(&mut self) {
         self.dos.begin_timing();
-        self.last_breakdown = None;
-        self.breakdown_acc = Breakdown::default();
-        self.last_coherence = None;
-        self.pushdown_calls = 0;
-        self.fault_call_idx = 0;
-        self.resilience_retries = 0;
-        self.resilience_fallbacks = 0;
-        self.admission_sheds = 0;
-        self.failovers = 0;
-        self.failover_epochs.clear();
-        self.pending_restarts.clear();
-        self.routed_pushdowns = 0;
-        self.fanout_pushdowns = 0;
-        self.hedges_fired = 0;
-        self.hedges_won = 0;
-        self.deadline_misses = 0;
-        self.hedge_credit = SimDuration::ZERO;
-        self.probe_credit = SimDuration::ZERO;
-        self.last_req_id = None;
+        self.ledger = WindowLedger::default();
     }
 
     /// Flush and drop the compute cache for a deterministic cold start.
@@ -630,19 +596,19 @@ impl Runtime {
     }
 
     pub fn last_breakdown(&self) -> Option<Breakdown> {
-        self.last_breakdown
+        self.ledger.last_breakdown
     }
 
     pub fn total_breakdown(&self) -> Breakdown {
-        self.breakdown_acc
+        self.ledger.breakdown_acc
     }
 
     pub fn last_coherence_stats(&self) -> Option<CoherenceStats> {
-        self.last_coherence
+        self.ledger.last_coherence
     }
 
     pub fn pushdown_calls(&self) -> u64 {
-        self.pushdown_calls
+        self.ledger.pushdown_calls
     }
 
     /// The process-wide event-trace handle (shared with the kernel, fabric,
@@ -664,9 +630,9 @@ impl Runtime {
     /// per-kind event counts.
     pub fn metrics(&self) -> MetricsRegistry {
         let mut m = self.dos.metrics();
-        m.set("pushdown.calls", self.pushdown_calls);
+        m.set("pushdown.calls", self.ledger.pushdown_calls);
         m.set("rpc.wakeups", self.server.wakeups());
-        if let Some(c) = self.last_coherence {
+        if let Some(c) = self.ledger.last_coherence {
             m.set("coherence.round_trips", c.round_trips);
             m.set("coherence.backoffs", c.backoffs);
             m.set("coherence.pages_written_memside", c.pages_written_memside);
@@ -717,26 +683,26 @@ impl Runtime {
         ] {
             m.set(name, t.count(kind));
         }
-        m.set("pushdown.deadline_misses", self.deadline_misses);
-        m.set("hedge.fired", self.hedges_fired);
-        m.set("hedge.won", self.hedges_won);
-        m.set("hedge.credit_ns", self.hedge_credit.as_nanos());
-        m.set("health.probe_ns", self.probe_credit.as_nanos());
-        m.set("resilience.retries", self.resilience_retries);
-        m.set("resilience.fallbacks", self.resilience_fallbacks);
-        m.set("admission.sheds", self.admission_sheds);
+        m.set("pushdown.deadline_misses", self.ledger.deadline_misses);
+        m.set("hedge.fired", self.ledger.hedges_fired);
+        m.set("hedge.won", self.ledger.hedges_won);
+        m.set("hedge.credit_ns", self.ledger.hedge_credit.as_nanos());
+        m.set("health.probe_ns", self.ledger.probe_credit.as_nanos());
+        m.set("resilience.retries", self.ledger.resilience_retries);
+        m.set("resilience.fallbacks", self.ledger.resilience_fallbacks);
+        m.set("admission.sheds", self.ledger.admission_sheds);
         m.set("topology.pools", self.dos.pool_count() as u64);
-        m.set("topology.routed_pushdowns", self.routed_pushdowns);
-        m.set("topology.fanout_pushdowns", self.fanout_pushdowns);
+        m.set("topology.routed_pushdowns", self.ledger.routed_pushdowns);
+        m.set("topology.fanout_pushdowns", self.ledger.fanout_pushdowns);
         if self.dos.pool_count() > 1 {
             // Admission control runs on the rack's front-end shard (pool
             // 0), so multi-pool racks attribute sheds there.
             m.set(
                 format!("admission.pool{p}.sheds", p = 0),
-                self.admission_sheds,
+                self.ledger.admission_sheds,
             );
         }
-        m.set("failover.promotions", self.failovers);
+        m.set("failover.promotions", self.ledger.failovers);
         if let Some(inj) = &self.faults {
             m.set("faults.injected", inj.injected_count());
         }
@@ -799,12 +765,12 @@ impl Runtime {
 
     /// Retries consumed by `pushdown_resilient` since `begin_timing`.
     pub fn resilience_retries(&self) -> u64 {
-        self.resilience_retries
+        self.ledger.resilience_retries
     }
 
     /// Local fallbacks taken by `pushdown_resilient` since `begin_timing`.
     pub fn resilience_fallbacks(&self) -> u64 {
-        self.resilience_fallbacks
+        self.ledger.resilience_fallbacks
     }
 
     /// Install (or clear) memory-side admission control for subsequent
@@ -820,28 +786,28 @@ impl Runtime {
 
     /// Pushdowns shed by admission control since `begin_timing`.
     pub fn admission_sheds(&self) -> u64 {
-        self.admission_sheds
+        self.ledger.admission_sheds
     }
 
     /// Primary→backup pool promotions since `begin_timing`.
     pub fn failovers(&self) -> u64 {
-        self.failovers
+        self.ledger.failovers
     }
 
     /// Hedges fired by `pushdown_hedged` since `begin_timing`.
     pub fn hedges_fired(&self) -> u64 {
-        self.hedges_fired
+        self.ledger.hedges_fired
     }
 
     /// Hedges whose clone beat the primary since `begin_timing`.
     pub fn hedges_won(&self) -> u64 {
-        self.hedges_won
+        self.ledger.hedges_won
     }
 
     /// Pushdowns that completed past their deadline budget since
     /// `begin_timing`.
     pub fn deadline_misses(&self) -> u64 {
-        self.deadline_misses
+        self.ledger.deadline_misses
     }
 
     /// Wall cost the sequential hedge charge-out billed beyond what the
@@ -850,7 +816,7 @@ impl Runtime {
     /// tail percentiles are built from the modeled race, while the raw
     /// virtual clock keeps billing both legs.
     pub fn hedge_credit(&self) -> SimDuration {
-        self.hedge_credit
+        self.ledger.hedge_credit
     }
 
     /// Virtual time spent on synthetic health probes since
@@ -858,7 +824,7 @@ impl Runtime {
     /// driver; a serving tier subtracts the per-call delta so background
     /// probing never inflates a victim session's observed latency.
     pub fn probe_credit(&self) -> SimDuration {
-        self.probe_credit
+        self.ledger.probe_credit
     }
 
     /// The rack's gray-failure monitor, if the installed fault plan armed
@@ -884,7 +850,7 @@ impl Runtime {
     /// for a given seed + config: two runs of the same scenario produce the
     /// same sequence.
     pub fn failover_epochs(&self) -> &[u64] {
-        &self.failover_epochs
+        &self.ledger.failover_epochs
     }
 
     pub fn is_alive(&self) -> bool {
@@ -894,19 +860,19 @@ impl Runtime {
     /// Restarts still scheduled (crashed shards whose `down_for` window
     /// has not elapsed yet).
     pub fn pending_restarts(&self) -> usize {
-        self.pending_restarts.len()
+        self.ledger.pending_restarts.len()
     }
 
     /// Bring back every crashed shard whose scheduled restart time has
     /// passed, in `(restart time, shard)` order so recovery traffic stays
     /// seed-stable when several shards come back in the same window.
     fn service_pool_restarts(&mut self) {
-        if self.pending_restarts.is_empty() {
+        if self.ledger.pending_restarts.is_empty() {
             return;
         }
         let now = self.dos.clock().now();
         let mut due: Vec<(usize, SimTime)> = Vec::new();
-        self.pending_restarts.retain(|&(p, at)| {
+        self.ledger.pending_restarts.retain(|&(p, at)| {
             if at <= now {
                 due.push((p, at));
                 false
@@ -939,17 +905,9 @@ impl Runtime {
             };
             let stale = self.dos.crash_pool(p);
             if self.dos.has_replica_for(p) {
-                let report = self
-                    .dos
-                    .failover_to_replica_for(p)
-                    .expect("has_replica implies a promotable backup");
-                // The promoted shard starts with a fresh heartbeat monitor,
-                // like any other failover.
-                let hb = self.dos.ddc_config().heartbeat;
-                self.heartbeats[p] = HeartbeatMonitor::new(hb.interval, hb.missed_threshold);
-                self.failovers += 1;
-                self.failover_epochs.push(report.new_epoch);
-                self.pending_restarts
+                self.promote_shard(p);
+                self.ledger
+                    .pending_restarts
                     .push((p, self.dos.clock().now() + down_for));
                 fenced.get_or_insert(PushdownError::Fenced { stale_epoch: stale });
             } else {
@@ -958,6 +916,67 @@ impl Runtime {
             }
         }
         fenced
+    }
+
+    /// Promote shard `p`'s standing backup after its primary died, and
+    /// book the failover. The promoted shard starts with a clean bill of
+    /// health, so its heartbeat monitor starts fresh too.
+    fn promote_shard(&mut self, p: usize) -> FailoverReport {
+        let report = self
+            .dos
+            .failover_to_replica_for(p)
+            .expect("has_replica implies a promotable backup");
+        self.heartbeats[p] = fresh_heartbeat(&self.dos);
+        self.ledger.failovers += 1;
+        self.ledger.failover_epochs.push(report.new_epoch);
+        report
+    }
+
+    /// One fabric message of `bytes` payload, charged to virtual time.
+    fn wire(&mut self, class: MsgClass, bytes: usize) {
+        let d = self.dos.fabric().send(class, bytes);
+        self.dos.charge(d);
+    }
+
+    /// The compute side's `try_cancel` (§3.2): one control message, then
+    /// the pool's answer checked against the only outcome the protocol
+    /// allows at this point (`Cancelled` while the request is still queued,
+    /// `Declined` once it ran). Any other answer means the workqueue
+    /// protocol is broken: what the pool actually did is traced, and the
+    /// caller gets a typed violation instead of a routine error it might
+    /// back off and retry on.
+    fn cancel_expecting(&mut self, req: u64, want: CancelOutcome) -> Result<(), PushdownError> {
+        self.wire(MsgClass::Control, 16);
+        let event = match self.server.try_cancel(req) {
+            got if got == want => return Ok(()),
+            CancelOutcome::Cancelled => TraceEvent::Cancel { req },
+            CancelOutcome::Declined => TraceEvent::CancelDeclined { req },
+        };
+        self.dos.tracer().emit(Lane::Memory, event);
+        Err(PushdownError::ProtocolViolation { req })
+    }
+
+    /// Poll the fault plan for a disruption targeting pushdown `call`.
+    fn poll_disruption(&self, call: u64) -> Option<PushdownDisruption> {
+        self.faults
+            .as_ref()
+            .and_then(|i| i.pushdown_disruption(call))
+    }
+
+    fn emit_recovery(&self, action: RecoveryAction, attempt: u32) {
+        self.dos
+            .tracer()
+            .emit(Lane::Compute, TraceEvent::Recovery { action, attempt });
+    }
+
+    /// Unrepairable corruption observed since `loss_before` poisons the
+    /// call: the caller gets a typed loss, never a wrong answer.
+    fn check_data_loss(&self, loss_before: u64) -> Result<(), PushdownError> {
+        if self.dos.data_loss_count() > loss_before {
+            let page = self.dos.last_data_loss().map(|p| p.0).unwrap_or(0);
+            return Err(PushdownError::DataLoss { page });
+        }
+        Ok(())
     }
 
     /// The `syncmem` syscall (§4.2): flush dirty compute pages to the
@@ -1081,7 +1100,7 @@ impl Runtime {
         // heartbeat waits, queueing, execution, and fan-out settlement all
         // spend it.
         let entered = self.dos.clock().now();
-        self.last_req_id = None;
+        self.ledger.last_req_id = None;
         // Any unrepairable corruption observed while this call runs poisons
         // its result: the caller gets a typed loss, never a wrong answer.
         // The baseline is taken before the scheduled scrub so a loss the
@@ -1091,18 +1110,14 @@ impl Runtime {
         // configured interval elapsed since the last pass, run one before
         // this call touches any data.
         self.dos.scrub_if_due();
-        let call = self.fault_call_idx;
-        self.fault_call_idx += 1;
+        let call = self.ledger.fault_call_idx;
+        self.ledger.fault_call_idx += 1;
         if self.kind != PlatformKind::Teleport {
             // Injected call disruptions apply on every platform so a chaos
             // scenario is comparable across Local/BaseDdc/Teleport: an
             // exception aborts the local run, a hang burns until the same
             // conservative timeout an application watchdog would use.
-            let disruption = self
-                .faults
-                .as_ref()
-                .and_then(|i| i.pushdown_disruption(call));
-            match disruption {
+            match self.poll_disruption(call) {
                 Some(PushdownDisruption::Exception) => {
                     return Err(PushdownError::Exception(
                         "injected fault: pushdown exception".to_string(),
@@ -1119,126 +1134,15 @@ impl Runtime {
             // Loss first: a function that crashed *because* it consumed
             // unrepairable bytes should surface the root cause, not the
             // secondary panic.
-            if self.dos.data_loss_count() > loss_before {
-                let page = self.dos.last_data_loss().map(|p| p.0).unwrap_or(0);
-                return Err(PushdownError::DataLoss { page });
-            }
+            self.check_data_loss(loss_before)?;
             let value = r.map_err(|p| PushdownError::Exception(panic_message(p)))?;
             self.judge_deadline(opts, call, entered)?;
             return Ok(value);
         }
-        // Crash-restart plane: bring back any shard whose scheduled
-        // restart has come due, then poll the plan for a fresh pool crash.
-        // A crash with a standing replica fails over immediately and this
-        // call surfaces `Fenced` — its write raced the crash, and the
-        // promoted primary's epoch fence rejected the dead life's
-        // acknowledgement, so nothing landed (at-most-once) and a retry
-        // reaches the new epoch. Without a replica the shard simply stays
-        // down; this call waits out the outage, then the restart replays
-        // the journal and the call proceeds.
-        self.service_pool_restarts();
-        if let Some(e) = self.poll_pool_crashes() {
-            return Err(e);
-        }
-        // Heartbeat check, one monitor per shard: a dead shard is a kernel
-        // panic — unless that shard has a replica, in which case its backup
-        // is promoted and the in-flight call surfaces a recoverable
-        // failover error. Beats repeat every interval until every shard
-        // either answers (a transient flap, possibly after several missed
-        // beats) or one misses enough consecutive beats to be declared
-        // permanently dead. Shards are probed in index order so the wire
-        // and trace sequences stay seed-stable.
-        loop {
-            let mut all_alive = true;
-            for p in 0..self.heartbeats.len() {
-                let down = self.faults.as_ref().is_some_and(|i| i.pool_down_now_for(p));
-                if down {
-                    self.heartbeats[p].inject_failure();
-                } else {
-                    self.heartbeats[p].restore();
-                }
-                let missed_before = self.heartbeats[p].missed();
-                if let Err(e) = self.heartbeats[p].beat() {
-                    if self.dos.has_replica_for(p) {
-                        let report = self
-                            .dos
-                            .failover_to_replica_for(p)
-                            .expect("has_replica implies a promotable backup");
-                        // The fault that killed the primary is consumed by
-                        // the promotion; the new shard starts with a clean
-                        // bill of health, as does its heartbeat monitor.
-                        if let Some(inj) = &self.faults {
-                            inj.retire_pool_faults_for(p);
-                        }
-                        let hb = self.dos.ddc_config().heartbeat;
-                        self.heartbeats[p] =
-                            HeartbeatMonitor::new(hb.interval, hb.missed_threshold);
-                        self.failovers += 1;
-                        self.failover_epochs.push(report.new_epoch);
-                        return Err(PushdownError::PoolFailedOver {
-                            lost_epoch: report.old_epoch,
-                        });
-                    }
-                    self.alive = false;
-                    return Err(e);
-                }
-                if self.heartbeats[p].is_pool_alive() {
-                    if missed_before > 0 {
-                        self.dos.tracer().emit(
-                            Lane::Compute,
-                            TraceEvent::Recovery {
-                                action: RecoveryAction::HeartbeatRecovered,
-                                attempt: missed_before,
-                            },
-                        );
-                    }
-                } else {
-                    all_alive = false;
-                }
-            }
-            if all_alive {
-                break;
-            }
-            // Some shard missed this beat; wait one interval and probe
-            // every shard again.
-            self.dos.charge(self.heartbeats[0].interval());
-        }
+        self.pushdown_gate()?;
 
-        // Gray-failure plane (armed only when the fault plan carries
-        // fail-slow specs): feed this beat's modeled control round trip to
-        // every shard's RTT estimator — a lame fabric link inflates it long
-        // before service times move — and fire any synthetic probe a
-        // quarantined or probationary shard is due for.
-        if self.dos.health().is_some() {
-            let rtt = self.dos.control_rtt();
-            if let Some(h) = self.dos.health_mut() {
-                for p in 0..h.pool_count() {
-                    h.observe_rtt(p, rtt);
-                }
-            }
-            let pools = self.dos.pool_count();
-            for p in 0..pools {
-                let now = self.dos.clock().now();
-                if !self.dos.health().is_some_and(|h| h.should_probe(p, now)) {
-                    continue;
-                }
-                let probe_start = self.dos.clock().now();
-                let measured = self.dos.probe_pool(p);
-                let healthy = self.dos.healthy_probe_cost();
-                let at = self.dos.clock().now();
-                if let Some(h) = self.dos.health_mut() {
-                    h.record_probe(p, at, measured, healthy);
-                }
-                // Probing is the health plane's background work; it rides
-                // this call's charge-out but must not bill the victim
-                // session on a serving tier's slot timeline.
-                self.probe_credit += at.since(probe_start);
-            }
-        }
-
-        self.pushdown_calls += 1;
+        self.ledger.pushdown_calls += 1;
         let mut bd = Breakdown::default();
-        let cfg = self.dos.ddc_config().clone();
         let tracer = self.dos.tracer().clone();
 
         // ❶ Pre-pushdown synchronization.
@@ -1269,13 +1173,14 @@ impl Runtime {
         // violation instead of shipping a malformed request.
         let rle = ResidentList::try_encode(&resident)
             .map_err(|_| PushdownError::ProtocolViolation { req: call })?;
-        let wire = REQUEST_HEADER_BYTES + rle.encoded_bytes();
-        let d = self.dos.fabric().send(MsgClass::RpcRequest, wire);
-        self.dos.charge(d);
+        self.wire(
+            MsgClass::RpcRequest,
+            REQUEST_HEADER_BYTES + rle.encoded_bytes(),
+        );
         // ❸ Enqueue on the memory-side workqueue; wake an instance.
         tracer.emit(Lane::Memory, TraceEvent::PushdownStep { step: 3 });
         let (req_id, wake) = self.server.enqueue();
-        self.last_req_id = Some(req_id);
+        self.ledger.last_req_id = Some(req_id);
         self.dos.charge(wake);
         bd.request = self.dos.clock().now().since(t0);
 
@@ -1298,17 +1203,10 @@ impl Runtime {
                         backlog_ns: backlog.as_nanos(),
                     },
                 );
-                self.admission_sheds += 1;
-                let d = self.dos.fabric().send(MsgClass::Control, 16);
-                self.dos.charge(d);
+                self.ledger.admission_sheds += 1;
                 // A shed request has never been dequeued, so the cancel
-                // must succeed; a decline means the workqueue protocol is
-                // broken and the caller must not treat this as a routine
-                // rejection it can back off and retry.
-                if self.server.try_cancel(req_id) != crate::fault::CancelOutcome::Cancelled {
-                    tracer.emit(Lane::Memory, TraceEvent::CancelDeclined { req: req_id });
-                    return Err(PushdownError::ProtocolViolation { req: req_id });
-                }
+                // must succeed.
+                self.cancel_expecting(req_id, CancelOutcome::Cancelled)?;
                 return Err(PushdownError::Rejected { backlog });
             }
         }
@@ -1316,22 +1214,15 @@ impl Runtime {
         // timeout elapses while still queued, try_cancel succeeds (§3.2)
         // and the application may run the function locally instead.
         if self.queue_backlog > SimDuration::ZERO {
-            if let Some(timeout) = opts.timeout {
-                if timeout < self.queue_backlog {
-                    self.dos.charge(timeout);
-                    tracer.emit(Lane::Compute, TraceEvent::Timeout { req: req_id });
-                    let d = self.dos.fabric().send(MsgClass::Control, 16);
-                    self.dos.charge(d);
-                    // Still queued behind the backlog, so the cancel must
-                    // succeed; a decline would mean the request started
-                    // executing while we believed it was waiting.
-                    if self.server.try_cancel(req_id) != crate::fault::CancelOutcome::Cancelled {
-                        tracer.emit(Lane::Memory, TraceEvent::CancelDeclined { req: req_id });
-                        return Err(PushdownError::ProtocolViolation { req: req_id });
-                    }
-                    tracer.emit(Lane::Memory, TraceEvent::Cancel { req: req_id });
-                    return Err(PushdownError::CancelledBeforeStart);
-                }
+            if let Some(timeout) = opts.timeout.filter(|&t| t < self.queue_backlog) {
+                self.dos.charge(timeout);
+                tracer.emit(Lane::Compute, TraceEvent::Timeout { req: req_id });
+                // Still queued behind the backlog, so the cancel must
+                // succeed; a decline would mean the request started
+                // executing while we believed it was waiting.
+                self.cancel_expecting(req_id, CancelOutcome::Cancelled)?;
+                tracer.emit(Lane::Memory, TraceEvent::Cancel { req: req_id });
+                return Err(PushdownError::CancelledBeforeStart);
             }
             let wait = self.queue_backlog;
             self.dos.charge(wait);
@@ -1344,7 +1235,7 @@ impl Runtime {
         let _ = self.server.dequeue();
         self.dos.charge(self.tcfg.ctx_create);
         let total_pages = self.dos.space().allocated_pages() as u64;
-        let mem_cpu = cfg.memory_cpu;
+        let mem_cpu = self.dos.ddc_config().memory_cpu;
         self.dos
             .charge(mem_cpu.cycles(self.tcfg.cycles_per_pte_clone * total_pages));
         if opts.sync == SyncStrategy::OnDemand {
@@ -1364,11 +1255,7 @@ impl Runtime {
         // An injected disruption replaces the function body: an exception
         // surfaces as if the pushed code panicked in the temporary context,
         // a hang burns past the kill timeout so the kernel's watchdog fires.
-        let result: std::thread::Result<R> = match self
-            .faults
-            .as_ref()
-            .and_then(|i| i.pushdown_disruption(call))
-        {
+        let result: std::thread::Result<R> = match self.poll_disruption(call) {
             Some(PushdownDisruption::Exception) => {
                 Err(Box::new("injected fault: pushdown exception".to_string()))
             }
@@ -1398,7 +1285,7 @@ impl Runtime {
         let (cstats, online_sync, stale) = session.finish(&mut self.dos);
         let finish_sync = self.dos.clock().now().since(t_finish);
         self.stale.extend(stale);
-        self.last_coherence = Some(cstats);
+        self.ledger.last_coherence = Some(cstats);
         bd.online_sync = online_sync + finish_sync;
         bd.exec = exec_window.saturating_sub(online_sync);
 
@@ -1407,83 +1294,24 @@ impl Runtime {
         // compute side issues try_cancel anyway, the memory pool declines
         // (the request left the queue long ago), and the application waits
         // for the completion it was going to get regardless.
-        if let Some(timeout) = opts.timeout {
-            if self.dos.clock().now().since(call_start) > timeout {
-                tracer.emit(Lane::Compute, TraceEvent::Timeout { req: req_id });
-                let d = self.dos.fabric().send(MsgClass::Control, 16);
-                self.dos.charge(d);
-                // The function already ran to completion, so the pool must
-                // decline; a successful cancel here would discard a result
-                // the application is about to receive.
-                if self.server.try_cancel(req_id) != crate::fault::CancelOutcome::Declined {
-                    tracer.emit(Lane::Memory, TraceEvent::Cancel { req: req_id });
-                    return Err(PushdownError::ProtocolViolation { req: req_id });
-                }
-                tracer.emit(Lane::Memory, TraceEvent::CancelDeclined { req: req_id });
-            }
+        if opts
+            .timeout
+            .is_some_and(|t| self.dos.clock().now().since(call_start) > t)
+        {
+            tracer.emit(Lane::Compute, TraceEvent::Timeout { req: req_id });
+            // The function already ran to completion, so the pool must
+            // decline; a successful cancel here would discard a result
+            // the application is about to receive.
+            self.cancel_expecting(req_id, CancelOutcome::Declined)?;
+            tracer.emit(Lane::Memory, TraceEvent::CancelDeclined { req: req_id });
         }
 
-        // ❼ Response transfer. On a multi-pool rack, settle the fan-out
-        // first: the call is attributed to its primary shard, each extra
-        // shard it spanned pays a per-shard sub-call (request header, an
-        // instance wake, a context clone) and ships its sub-result back,
-        // and the sub-results merge in pool-index order — a deterministic
-        // merge independent of sub-call completion order, since every
-        // charge lands on the one virtual clock in this fixed sequence.
+        // ❼ Response transfer, after settling any cross-shard fan-out.
         let t0 = self.dos.clock().now();
-        let mut primary_pool = 0usize;
-        if self.dos.pool_count() > 1 {
-            let (touched, pages) = self.dos.take_touched_pools();
-            let primary = touched.first().copied().unwrap_or(0);
-            primary_pool = primary;
-            self.routed_pushdowns += 1;
-            tracer.emit(
-                Lane::Memory,
-                TraceEvent::PoolRouted {
-                    pool: primary as u64,
-                    pages,
-                },
-            );
-            if touched.len() > 1 {
-                self.fanout_pushdowns += 1;
-                tracer.emit(
-                    Lane::Memory,
-                    TraceEvent::PushdownFanout {
-                        pools: touched.len() as u64,
-                        pages,
-                    },
-                );
-                for _ in 1..touched.len() {
-                    let d = self
-                        .dos
-                        .fabric()
-                        .send(MsgClass::RpcRequest, REQUEST_HEADER_BYTES);
-                    self.dos.charge(d);
-                    self.dos.charge(self.tcfg.wakeup);
-                    self.dos.charge(self.tcfg.ctx_create);
-                }
-                for _ in 1..touched.len() {
-                    let d = self
-                        .dos
-                        .fabric()
-                        .send(MsgClass::RpcResponse, RESPONSE_BYTES);
-                    self.dos.charge(d);
-                }
-                tracer.emit(
-                    Lane::Memory,
-                    TraceEvent::FanoutMerge {
-                        pools: touched.len() as u64,
-                    },
-                );
-            }
-        }
+        let primary_pool = self.settle_fanout();
         tracer.emit(Lane::Net, TraceEvent::PushdownStep { step: 7 });
         self.server.complete(req_id);
-        let d = self
-            .dos
-            .fabric()
-            .send(MsgClass::RpcResponse, RESPONSE_BYTES);
-        self.dos.charge(d);
+        self.wire(MsgClass::RpcResponse, RESPONSE_BYTES);
         bd.response = self.dos.clock().now().since(t0);
 
         // Gray-failure detection signal: this call's memory-side execution
@@ -1503,16 +1331,13 @@ impl Runtime {
         tracer.emit(Lane::Compute, TraceEvent::PushdownStep { step: 8 });
         bd.post_sync = self.dos.clock().now().since(t0);
 
-        self.last_breakdown = Some(bd);
-        self.breakdown_acc += bd;
+        self.ledger.last_breakdown = Some(bd);
+        self.ledger.breakdown_acc += bd;
 
-        // Unrepairable corruption during the call trumps every other
-        // outcome: the bytes the function read (or the caller would read
-        // back) are gone, so no value computed from them may escape.
-        if self.dos.data_loss_count() > loss_before {
-            let page = self.dos.last_data_loss().map(|p| p.0).unwrap_or(0);
-            return Err(PushdownError::DataLoss { page });
-        }
+        // Verdict. Unrepairable corruption during the call trumps every
+        // other outcome: the bytes the function read (or the caller would
+        // read back) are gone, so no value computed from them may escape.
+        self.check_data_loss(loss_before)?;
         // A function that overran the kill timeout was killed; the compute
         // side receives an abort instead of a result.
         if exec_window > self.tcfg.kill_timeout {
@@ -1520,15 +1345,131 @@ impl Runtime {
                 ran_for: exec_window,
             });
         }
-        let value = match result {
-            Ok(r) => r,
-            Err(p) => return Err(PushdownError::Exception(panic_message(p))),
-        };
+        let value = result.map_err(|p| PushdownError::Exception(panic_message(p)))?;
         // Last: judge the completed call against its deadline budget. The
         // side effects stand (the pool ran the function to completion);
         // only the caller-visible outcome turns into a typed SLO miss.
         self.judge_deadline(opts, call, entered)?;
         Ok(value)
+    }
+
+    /// The gate every Teleport pushdown passes before step ❶, in this
+    /// order: scheduled restarts, the crash poll, the heartbeat round, the
+    /// health tick. An `Err` is the typed outcome of the rack changing
+    /// under the call (`Fenced`, `PoolFailedOver`, `KernelPanic`).
+    fn pushdown_gate(&mut self) -> Result<(), PushdownError> {
+        // Crash-restart plane: bring back any shard whose scheduled
+        // restart has come due, then poll the plan for a fresh pool crash.
+        // A crash with a standing replica fails over immediately and this
+        // call surfaces `Fenced` — its write raced the crash, and the
+        // promoted primary's epoch fence rejected the dead life's
+        // acknowledgement, so nothing landed (at-most-once) and a retry
+        // reaches the new epoch. Without a replica the shard simply stays
+        // down; this call waits out the outage, then the restart replays
+        // the journal and the call proceeds.
+        self.service_pool_restarts();
+        if let Some(e) = self.poll_pool_crashes() {
+            return Err(e);
+        }
+        self.heartbeat_round()?;
+        // Gray-failure plane (a no-op unless armed). Probing is the health
+        // plane's background work; it rides this call's charge-out but
+        // must not bill the victim session on a serving tier's slot
+        // timeline.
+        self.ledger.probe_credit += self.dos.health_tick();
+        Ok(())
+    }
+
+    /// Heartbeat check, one monitor per shard: a dead shard is a kernel
+    /// panic — unless that shard has a replica, in which case its backup
+    /// is promoted and the in-flight call surfaces a recoverable failover
+    /// error. Beats repeat every interval until every shard either answers
+    /// (a transient flap, possibly after several missed beats) or one
+    /// misses enough consecutive beats to be declared permanently dead.
+    /// Shards are probed in index order so the wire and trace sequences
+    /// stay seed-stable.
+    fn heartbeat_round(&mut self) -> Result<(), PushdownError> {
+        loop {
+            let mut all_alive = true;
+            for p in 0..self.heartbeats.len() {
+                let down = self.faults.as_ref().is_some_and(|i| i.pool_down_now_for(p));
+                if down {
+                    self.heartbeats[p].inject_failure();
+                } else {
+                    self.heartbeats[p].restore();
+                }
+                let missed_before = self.heartbeats[p].missed();
+                if let Err(e) = self.heartbeats[p].beat() {
+                    if self.dos.has_replica_for(p) {
+                        let report = self.promote_shard(p);
+                        // The fault that killed the primary is consumed by
+                        // the promotion.
+                        if let Some(inj) = &self.faults {
+                            inj.retire_pool_faults_for(p);
+                        }
+                        return Err(PushdownError::PoolFailedOver {
+                            lost_epoch: report.old_epoch,
+                        });
+                    }
+                    self.alive = false;
+                    return Err(e);
+                }
+                if !self.heartbeats[p].is_pool_alive() {
+                    all_alive = false;
+                } else if missed_before > 0 {
+                    self.emit_recovery(RecoveryAction::HeartbeatRecovered, missed_before);
+                }
+            }
+            if all_alive {
+                return Ok(());
+            }
+            // Some shard missed this beat; wait one interval and probe
+            // every shard again.
+            self.dos.charge(self.heartbeats[0].interval());
+        }
+    }
+
+    /// Settle a multi-pool call's fan-out before its response ships: the
+    /// call is attributed to its primary shard (returned; shard 0 on a
+    /// single-pool rack), each extra shard it spanned pays a per-shard
+    /// sub-call (request header, an instance wake, a context clone) and
+    /// ships its sub-result back, and the sub-results merge in pool-index
+    /// order — a deterministic merge independent of sub-call completion
+    /// order, since every charge lands on the one virtual clock in this
+    /// fixed sequence.
+    fn settle_fanout(&mut self) -> usize {
+        if self.dos.pool_count() <= 1 {
+            return 0;
+        }
+        let (touched, pages) = self.dos.take_touched_pools();
+        let primary = touched.first().copied().unwrap_or(0);
+        let pools = touched.len() as u64;
+        self.ledger.routed_pushdowns += 1;
+        self.dos.tracer().emit(
+            Lane::Memory,
+            TraceEvent::PoolRouted {
+                pool: primary as u64,
+                pages,
+            },
+        );
+        if pools > 1 {
+            self.ledger.fanout_pushdowns += 1;
+            self.dos
+                .tracer()
+                .emit(Lane::Memory, TraceEvent::PushdownFanout { pools, pages });
+            for _ in 1..pools {
+                self.wire(MsgClass::RpcRequest, REQUEST_HEADER_BYTES);
+                self.dos.charge(self.tcfg.wakeup);
+                self.dos.charge(self.tcfg.ctx_create);
+            }
+            for _ in 1..pools {
+                self.wire(MsgClass::RpcResponse, RESPONSE_BYTES);
+            }
+            self.dos
+                .tracer()
+                .emit(Lane::Memory, TraceEvent::FanoutMerge { pools });
+        }
+        primary
     }
 
     /// Judge a completed call against its deadline budget, measured from
@@ -1548,7 +1489,7 @@ impl Runtime {
             return Ok(());
         }
         let over = took.saturating_sub(deadline);
-        self.deadline_misses += 1;
+        self.ledger.deadline_misses += 1;
         self.dos.tracer().emit(
             Lane::Compute,
             TraceEvent::DeadlineExceeded {
@@ -1596,13 +1537,7 @@ impl Runtime {
             let err = match self.pushdown(attempt_opts, &mut f) {
                 Ok(value) => {
                     if attempts > 0 {
-                        self.dos.tracer().emit(
-                            Lane::Compute,
-                            TraceEvent::Recovery {
-                                action: RecoveryAction::RetrySuccess,
-                                attempt: attempts,
-                            },
-                        );
+                        self.emit_recovery(RecoveryAction::RetrySuccess, attempts);
                     }
                     return Ok(Recovered {
                         value,
@@ -1619,14 +1554,8 @@ impl Runtime {
                     let affordable = retry.budget.is_none_or(|b| backoff_spent + delay <= b);
                     if affordable {
                         attempts += 1;
-                        self.resilience_retries += 1;
-                        self.dos.tracer().emit(
-                            Lane::Compute,
-                            TraceEvent::Recovery {
-                                action: RecoveryAction::RetryBackoff,
-                                attempt: attempts,
-                            },
-                        );
+                        self.ledger.resilience_retries += 1;
+                        self.emit_recovery(RecoveryAction::RetryBackoff, attempts);
                         self.dos.charge(delay);
                         backoff_spent += delay;
                         continue;
@@ -1634,14 +1563,8 @@ impl Runtime {
                 }
             }
             if policy.fallback.as_ref().is_some_and(|fb| fb.covers(&err)) {
-                self.resilience_fallbacks += 1;
-                self.dos.tracer().emit(
-                    Lane::Compute,
-                    TraceEvent::Recovery {
-                        action: RecoveryAction::LocalFallback,
-                        attempt: attempts,
-                    },
-                );
+                self.ledger.resilience_fallbacks += 1;
+                self.emit_recovery(RecoveryAction::LocalFallback, attempts);
                 // Hygiene first: flush dirty compute pages and reconcile
                 // stale views, so the local re-execution reads whatever
                 // state earlier attempts left in the memory pool. (A
@@ -1653,7 +1576,7 @@ impl Runtime {
                 // The fallback run still answers to the caller's budget:
                 // a local re-execution that lands past the total deadline
                 // is a miss like any other.
-                let last_call = self.fault_call_idx.saturating_sub(1);
+                let last_call = self.ledger.fault_call_idx.saturating_sub(1);
                 self.judge_deadline(opts, last_call, start)?;
                 return Ok(Recovered {
                     value,
@@ -1689,7 +1612,7 @@ impl Runtime {
         policy: &HedgePolicy,
         mut f: impl FnMut(&mut Arm<'_>) -> R,
     ) -> Result<Hedged<R>, PushdownError> {
-        let call = self.fault_call_idx;
+        let call = self.ledger.fault_call_idx;
         let t0 = self.dos.clock().now();
         let primary = self.pushdown(opts, &mut f);
         let d_primary = self.dos.clock().now().since(t0);
@@ -1705,7 +1628,7 @@ impl Runtime {
                 latency: d_primary,
             });
         }
-        self.hedges_fired += 1;
+        self.ledger.hedges_fired += 1;
         self.dos
             .tracer()
             .emit(Lane::Compute, TraceEvent::HedgeFired { call });
@@ -1730,41 +1653,41 @@ impl Runtime {
         if !hedge_wins {
             // The clone's charge-out was pure overhead to this caller: the
             // race completed when the primary did.
-            self.hedge_credit += self.dos.clock().now().since(t0).saturating_sub(d_primary);
+            self.ledger.hedge_credit += self.dos.clock().now().since(t0).saturating_sub(d_primary);
             return primary.map(|value| Hedged {
                 value,
                 outcome: HedgeOutcome::PrimaryWon,
                 latency: d_primary,
             });
         }
-        self.hedges_won += 1;
+        self.ledger.hedges_won += 1;
         self.dos
             .tracer()
             .emit(Lane::Compute, TraceEvent::HedgeWon { call });
         // Cancel the losing leg. The primary already ran to completion in
         // virtual time, so the pool must decline — a `Cancelled` here
         // would mean the workqueue forgot a completed request.
-        if let Some(req) = self.last_req_id {
-            let d = self.dos.fabric().send(MsgClass::Control, 16);
-            self.dos.charge(d);
-            if self.server.try_cancel(req) != CancelOutcome::Declined {
-                self.dos
-                    .tracer()
-                    .emit(Lane::Memory, TraceEvent::Cancel { req });
-                return Err(PushdownError::ProtocolViolation { req });
-            }
+        if let Some(req) = self.ledger.last_req_id {
+            self.cancel_expecting(req, CancelOutcome::Declined)?;
             self.dos
                 .tracer()
                 .emit(Lane::Memory, TraceEvent::CancelDeclined { req });
         }
         let latency = clone_done.min(d_primary);
-        self.hedge_credit += self.dos.clock().now().since(t0).saturating_sub(latency);
+        self.ledger.hedge_credit += self.dos.clock().now().since(t0).saturating_sub(latency);
         Ok(Hedged {
             value,
             outcome: HedgeOutcome::HedgeWon,
             latency,
         })
     }
+}
+
+/// A heartbeat monitor at the deployment's configured cadence, with no
+/// missed beats on record.
+fn fresh_heartbeat(dos: &Dos) -> HeartbeatMonitor {
+    let hb = dos.ddc_config().heartbeat;
+    HeartbeatMonitor::new(hb.interval, hb.missed_threshold)
 }
 
 fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
@@ -1783,72 +1706,36 @@ impl Mem for Runtime {
     }
 
     fn read_raw(&mut self, addr: VAddr, len: usize, pat: Pattern) -> &[u8] {
-        if self.race_log.is_enabled() {
-            for pid in pages_spanned(addr, len) {
-                self.race_log.record(SyncOp::Access {
-                    actor: Actor::Host,
-                    page: pid.0,
-                    write: false,
-                });
-            }
-        }
+        record_host_access(&self.race_log, addr, len, false);
         self.dos.touch_range(addr, len, false, pat);
         // Serve stale snapshots where disabled-coherence pushdowns left the
         // compute view behind.
-        if !self.stale.is_empty() {
-            let touches_stale = pages_spanned(addr, len).any(|p| self.stale.contains_key(&p));
-            if touches_stale {
-                self.scratch.clear();
-                self.scratch.resize(len, 0);
-                let mut cursor = addr;
-                let mut off = 0usize;
-                let mut remaining = len;
-                for pid in pages_spanned(addr, len) {
-                    let in_page = (PAGE_SIZE - cursor.page_offset()).min(remaining);
-                    let src: &[u8] = match self.stale.get(&pid) {
-                        Some(snap) => {
-                            let po = cursor.page_offset();
-                            &snap[po..po + in_page]
-                        }
-                        None => self.dos.space().bytes(cursor, in_page),
-                    };
-                    self.scratch[off..off + in_page].copy_from_slice(src);
-                    cursor = cursor.offset(in_page as u64);
-                    off += in_page;
-                    remaining -= in_page;
-                }
-                return &self.scratch;
+        if !self.stale.is_empty() && pages_spanned(addr, len).any(|p| self.stale.contains_key(&p)) {
+            self.scratch.clear();
+            for (pid, off, n) in page_chunks(addr, len) {
+                let src: &[u8] = match self.stale.get(&pid) {
+                    Some(snap) => &snap[off..off + n],
+                    None => self.dos.space().bytes(pid.base().offset(off as u64), n),
+                };
+                self.scratch.extend_from_slice(src);
             }
+            return &self.scratch;
         }
         self.dos.space().bytes(addr, len)
     }
 
     fn write_raw(&mut self, addr: VAddr, data: &[u8], pat: Pattern) {
-        if self.race_log.is_enabled() {
-            for pid in pages_spanned(addr, data.len()) {
-                self.race_log.record(SyncOp::Access {
-                    actor: Actor::Host,
-                    page: pid.0,
-                    write: true,
-                });
-            }
-        }
+        record_host_access(&self.race_log, addr, data.len(), true);
         self.dos.touch_range(addr, data.len(), true, pat);
         self.dos.space_mut().write(addr, data);
         // Keep the compute's own writes visible in its stale view.
         if !self.stale.is_empty() {
-            let mut cursor = addr;
-            let mut off = 0usize;
-            let mut remaining = data.len();
-            for pid in pages_spanned(addr, data.len()) {
-                let in_page = (PAGE_SIZE - cursor.page_offset()).min(remaining);
+            let mut done = 0usize;
+            for (pid, off, n) in page_chunks(addr, data.len()) {
                 if let Some(snap) = self.stale.get_mut(&pid) {
-                    let po = cursor.page_offset();
-                    snap[po..po + in_page].copy_from_slice(&data[off..off + in_page]);
+                    snap[off..off + n].copy_from_slice(&data[done..done + n]);
                 }
-                cursor = cursor.offset(in_page as u64);
-                off += in_page;
-                remaining -= in_page;
+                done += n;
             }
         }
     }

@@ -149,6 +149,16 @@ impl PageCache {
         self.entries.iter().map(|(p, e)| (*p, *e))
     }
 
+    /// All resident pages in address order. Walks that flush, evict or
+    /// re-pin the whole cache use this order because their side effects
+    /// feed the replication journal and the corruption injector's PRNG, so
+    /// it must be run-to-run deterministic.
+    pub fn resident_sorted(&self) -> Vec<PageId> {
+        let mut v: Vec<PageId> = self.resident().map(|(p, _)| p).collect();
+        v.sort_unstable();
+        v
+    }
+
     /// All dirty pages, sorted by page id.
     pub fn dirty_pages(&self) -> Vec<PageId> {
         // analyze:allow(unordered-iter) collected then sorted below, so the returned order is deterministic
@@ -272,5 +282,17 @@ mod tests {
         let e = c.probe(PageId(1)).unwrap();
         assert!(e.writable && !e.dirty);
         assert!(c.dirty_pages().is_empty());
+    }
+
+    #[test]
+    fn resident_sorted_is_address_order_not_insertion_order() {
+        let mut c = PageCache::new(4);
+        for p in [9, 2, 7, 4] {
+            c.insert(PageId(p), false);
+        }
+        assert_eq!(
+            c.resident_sorted(),
+            [PageId(2), PageId(4), PageId(7), PageId(9)]
+        );
     }
 }

@@ -26,8 +26,8 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use crate::addrspace::AddressSpace;
 use crate::cache::{CacheEntry, PageCache};
 use crate::health::{HealthConfig, HealthMonitor};
-use crate::page::{pages_spanned, PageChecksum, PageId, VAddr};
-use crate::pool::MemoryPool;
+use crate::page::{page_chunks, pages_spanned, PageChecksum, PageId, VAddr};
+use crate::pool::{MemoryPool, PoolFault};
 use crate::recovery::{RecoveryCounters, RecoveryJournal, ReplaySet, RestartReport};
 use crate::replica::{FailoverReport, ReplOp, ReplicatedPool, ReplicationCounters};
 use crate::stats::PagingStats;
@@ -105,6 +105,53 @@ struct PoolIntegrity {
     data_loss: u64,
 }
 
+/// One memory-pool shard: the pool-side unit that owns its page table,
+/// together with everything whose lifetime is tied to that one failure
+/// domain — its replication companion, crash-recovery journal, epoch and
+/// per-shard ledgers. Keeping them in one struct makes a misaligned
+/// per-pool vector unrepresentable.
+struct PoolShard {
+    pool: MemoryPool,
+    /// Replication companion, when configured and not yet consumed by a
+    /// failover.
+    replica: Option<ReplicatedPool>,
+    /// Epoch of the shard's current primary; bumped by its promotions and
+    /// restarts.
+    epoch: u64,
+    /// Report + final replication counters of a completed failover.
+    failover: Option<(FailoverReport, ReplicationCounters)>,
+    /// Integrity counters (multi-pool reporting).
+    integrity: PoolIntegrity,
+    /// Crash-recovery journal, armed when the plan carries crash-restart
+    /// specs (`None` otherwise — crash-free runs stay bit-identical with
+    /// journaling disarmed).
+    journal: Option<RecoveryJournal>,
+    /// True while the shard is crashed (volatile state wiped, restart or
+    /// failover pending).
+    down: bool,
+    /// Epoch the shard held at death — the fencing baseline its zombie
+    /// carries when it wakes.
+    crash_epoch: Option<u64>,
+}
+
+impl PoolShard {
+    fn new(capacity_pages: usize, replication: ReplicationMode) -> Self {
+        PoolShard {
+            pool: MemoryPool::new(capacity_pages),
+            replica: match replication {
+                ReplicationMode::Off => None,
+                mode => Some(ReplicatedPool::new(capacity_pages, mode)),
+            },
+            epoch: 0,
+            failover: None,
+            integrity: PoolIntegrity::default(),
+            journal: None,
+            down: false,
+            crash_epoch: None,
+        }
+    }
+}
+
 /// The disaggregated (or monolithic) OS kernel for one process.
 pub struct Dos {
     topo: Topology,
@@ -117,15 +164,7 @@ pub struct Dos {
     /// The rack's memory-pool set: empty on a monolithic server, one shard
     /// per pool on a DDC. Single-pool deployments behave bit-for-bit like
     /// the pre-pool-set kernel.
-    pools: Vec<MemoryPool>,
-    /// Each shard's replication companion, when configured (index-aligned
-    /// with `pools`).
-    replicas: Vec<Option<ReplicatedPool>>,
-    /// Epoch of each shard's current primary; bumped by that shard's
-    /// promotions.
-    pool_epochs: Vec<u64>,
-    /// Per-shard report + final counters of a completed failover.
-    failovers: Vec<Option<(FailoverReport, ReplicationCounters)>>,
+    shards: Vec<PoolShard>,
     /// Page → owning shard. Populated only on multi-pool deployments
     /// (single-pool ownership is the identity); lookups only, never
     /// iterated.
@@ -140,8 +179,6 @@ pub struct Dos {
     touched_pools: BTreeSet<usize>,
     /// Memory-side page touches in the same routing window.
     touched_pages: u64,
-    /// Per-shard integrity counters (multi-pool reporting).
-    pool_integrity: Vec<PoolIntegrity>,
     /// Pages that have a copy on the swap device (monolithic only).
     swapped: HashSet<PageId>,
     stats: PagingStats,
@@ -162,15 +199,6 @@ pub struct Dos {
     /// carries fail-slow specs (`None` otherwise — fault-free and
     /// fail-stop runs stay bit-identical).
     health: Option<HealthMonitor>,
-    /// Per-shard crash-recovery journal, armed when the plan carries
-    /// crash-restart specs (`None` otherwise — crash-free runs stay
-    /// bit-identical with journaling disarmed).
-    journals: Vec<Option<RecoveryJournal>>,
-    /// Shards currently crashed (volatile state wiped, restart pending).
-    pool_down: Vec<bool>,
-    /// Epoch each crashed shard held at death — the fencing baseline its
-    /// zombie carries when it wakes.
-    crash_epochs: Vec<Option<u64>>,
     /// Recovery-plane activity, surfaced as the `recovery.*` metrics.
     recovery: RecoveryCounters,
 }
@@ -188,16 +216,12 @@ impl Dos {
             tracer,
             space: AddressSpace::new(),
             cache: PageCache::new(cache_pages),
-            pools: Vec::new(),
-            replicas: Vec::new(),
-            pool_epochs: Vec::new(),
-            failovers: Vec::new(),
+            shards: Vec::new(),
             owner: HashMap::new(),
             placement: PlacementPolicy::default(),
             alloc_seq: 0,
             touched_pools: BTreeSet::new(),
             touched_pages: 0,
-            pool_integrity: Vec::new(),
             swapped: HashSet::new(),
             stats: PagingStats::default(),
             dram: cfg.dram_cost,
@@ -208,9 +232,6 @@ impl Dos {
             integrity: Integrity::default(),
             scrub: ScrubConfig::default(),
             health: None,
-            journals: Vec::new(),
-            pool_down: Vec::new(),
-            crash_epochs: Vec::new(),
             recovery: RecoveryCounters::default(),
             topo: Topology::Monolithic(cfg),
         }
@@ -236,15 +257,6 @@ impl Dos {
         // Each shard owns an equal slice of the pool's page budget; a
         // single-pool deployment gets the whole budget, exactly as before.
         let shard_pages = cfg.pool_shard_pages();
-        let pools: Vec<MemoryPool> = (0..cfg.pools)
-            .map(|_| MemoryPool::new(shard_pages))
-            .collect();
-        let replicas: Vec<Option<ReplicatedPool>> = (0..cfg.pools)
-            .map(|_| match cfg.replication {
-                ReplicationMode::Off => None,
-                mode => Some(ReplicatedPool::new(shard_pages, mode)),
-            })
-            .collect();
         Ok(Dos {
             clock,
             fabric: Fabric::with_tracer(cfg.net, tracer.clone()),
@@ -252,11 +264,9 @@ impl Dos {
             tracer,
             space: AddressSpace::new(),
             cache: PageCache::new(cfg.cache_pages().max(1)),
-            pool_epochs: vec![0; cfg.pools],
-            failovers: vec![None; cfg.pools],
-            pool_integrity: vec![PoolIntegrity::default(); cfg.pools],
-            pools,
-            replicas,
+            shards: (0..cfg.pools)
+                .map(|_| PoolShard::new(shard_pages, cfg.replication))
+                .collect(),
             owner: HashMap::new(),
             placement: cfg.placement,
             alloc_seq: 0,
@@ -275,9 +285,6 @@ impl Dos {
             },
             scrub: cfg.scrub,
             health: None,
-            journals: (0..cfg.pools).map(|_| None).collect(),
-            pool_down: vec![false; cfg.pools],
-            crash_epochs: vec![None; cfg.pools],
             recovery: RecoveryCounters::default(),
             topo: Topology::Disaggregated(cfg),
         })
@@ -285,7 +292,7 @@ impl Dos {
 
     /// Number of memory-pool shards (0 on a monolithic server).
     pub fn pool_count(&self) -> usize {
-        self.pools.len()
+        self.shards.len()
     }
 
     /// The placement policy sharding allocations across pools.
@@ -297,7 +304,7 @@ impl Dos {
     /// multi-pool rack unmapped pages default to shard 0.
     #[inline]
     fn owner_of(&self, pid: PageId) -> usize {
-        if self.pools.len() <= 1 {
+        if self.shards.len() <= 1 {
             0
         } else {
             self.owner.get(&pid).copied().unwrap_or(0)
@@ -306,17 +313,17 @@ impl Dos {
 
     /// Read-only view of one memory-pool shard, for tests and tooling.
     pub fn pool_at(&self, p: usize) -> &MemoryPool {
-        &self.pools[p]
+        &self.shards[p].pool
     }
 
     /// The shard owning `pid`, for tests and tooling. `None` on a
     /// monolithic server or for a page no pool has registered.
     pub fn pool_owner(&self, pid: PageId) -> Option<usize> {
-        if self.pools.is_empty() {
+        if self.shards.is_empty() {
             return None;
         }
         let p = self.owner_of(pid);
-        self.pools[p].is_mapped(pid).then_some(p)
+        self.shards[p].pool.is_mapped(pid).then_some(p)
     }
 
     /// Start a fresh routing window: subsequent memory-side accesses record
@@ -378,24 +385,17 @@ impl Dos {
         if inj.has_corruption_specs() {
             self.enable_integrity();
         }
-        if inj.has_fail_slow_specs() {
+        if inj.has_crash_restart_specs() {
+            self.enable_recovery_journal();
+        }
+        // A restarted pool rejoins placement through the probation probe
+        // streak, so crash plans arm the health plane too.
+        if inj.has_fail_slow_specs() || (inj.has_crash_restart_specs() && self.health.is_none()) {
             self.health = Some(HealthMonitor::new(
-                self.pools.len().max(1),
+                self.shards.len().max(1),
                 HealthConfig::default(),
                 self.tracer.clone(),
             ));
-        }
-        if inj.has_crash_restart_specs() {
-            self.enable_recovery_journal();
-            // A restarted pool rejoins placement through the probation
-            // probe streak, so crash plans arm the health plane too.
-            if self.health.is_none() {
-                self.health = Some(HealthMonitor::new(
-                    self.pools.len().max(1),
-                    HealthConfig::default(),
-                    self.tracer.clone(),
-                ));
-            }
         }
     }
 
@@ -408,10 +408,46 @@ impl Dos {
         self.health.as_mut()
     }
 
+    /// One tick of the gray-failure plane, run once per pushdown after the
+    /// heartbeat round (a no-op returning zero while the plane is
+    /// disarmed): feed this beat's modeled control round trip to every
+    /// shard's RTT estimator — a lame fabric link inflates it long before
+    /// service times move — then fire the synthetic probe any quarantined
+    /// or probationary shard is due for, judging each against the
+    /// fault-free cost model. Returns the virtual time the probes charged:
+    /// background work of the health plane that rides the calling pushdown's
+    /// charge-out but is not that caller's latency.
+    pub fn health_tick(&mut self) -> SimDuration {
+        let mut probing = SimDuration::ZERO;
+        if self.health.is_none() {
+            return probing;
+        }
+        let rtt = self.control_rtt();
+        let healthy = self.healthy_probe_cost();
+        if let Some(h) = &mut self.health {
+            for p in 0..h.pool_count() {
+                h.observe_rtt(p, rtt);
+            }
+        }
+        for p in 0..self.shards.len() {
+            let now = self.clock.now();
+            if !self.health.as_ref().is_some_and(|h| h.should_probe(p, now)) {
+                continue;
+            }
+            let measured = self.probe_pool(p);
+            let at = self.clock.now();
+            if let Some(h) = &mut self.health {
+                h.record_probe(p, at, measured, healthy);
+            }
+            probing += measured;
+        }
+        probing
+    }
+
     /// Cost-model prediction of one fault-free synthetic health probe: a
     /// control round trip plus a burst of pool-side random DRAM touches.
     /// The health plane compares measured probes against this.
-    pub fn healthy_probe_cost(&self) -> SimDuration {
+    fn healthy_probe_cost(&self) -> SimDuration {
         self.fabric.config().transfer_time(HEALTH_PROBE_BYTES) * 2
             + self.dram.random_access * HEALTH_PROBE_TOUCHES
     }
@@ -420,15 +456,13 @@ impl Dos {
     /// (possibly fail-slow-inflated) cost to virtual time: a control round
     /// trip over the fabric plus a burst of pool-side DRAM touches. Returns
     /// the measured duration for [`HealthMonitor::record_probe`] to judge.
-    pub fn probe_pool(&mut self, p: usize) -> SimDuration {
+    fn probe_pool(&mut self, p: usize) -> SimDuration {
         let start = self.clock.now();
-        let d = self.fabric.send(MsgClass::Control, HEALTH_PROBE_BYTES);
-        self.clock.advance(d);
+        self.wire(MsgClass::Control, HEALTH_PROBE_BYTES);
         self.clock.advance(
             self.dram.random_access * (HEALTH_PROBE_TOUCHES * self.pool_slowdown(p) as u64),
         );
-        let d = self.fabric.send(MsgClass::Control, HEALTH_PROBE_BYTES);
-        self.clock.advance(d);
+        self.wire(MsgClass::Control, HEALTH_PROBE_BYTES);
         self.clock.now().since(start)
     }
 
@@ -436,7 +470,7 @@ impl Dos {
     /// plane's RTT estimator — *observed*, never charged (the heartbeat
     /// budget is already part of the runtime's cost model). An active lame
     /// link inflates it, so fabric gray failures surface here first.
-    pub fn control_rtt(&self) -> SimDuration {
+    fn control_rtt(&self) -> SimDuration {
         let base = self.fabric.config().transfer_time(HEALTH_PROBE_BYTES) * 2;
         match &self.injector {
             Some(inj) => base * inj.fabric_slowdown() as u64,
@@ -475,6 +509,77 @@ impl Dos {
     }
 
     // ------------------------------------------------------------------
+    // Device charges — the one place each device cost is billed
+    // ------------------------------------------------------------------
+
+    /// One page read from the storage pool on the paging path: the device
+    /// call (which traces the I/O), its time, and the paging ledger.
+    #[inline]
+    fn ssd_page_in(&mut self) {
+        let d = self.ssd.read_page();
+        self.clock.advance(d);
+        self.stats.storage_page_in += 1;
+    }
+
+    /// One page written to the storage pool on the paging path.
+    #[inline]
+    fn ssd_page_out(&mut self) {
+        let d = self.ssd.write_page();
+        self.clock.advance(d);
+        self.stats.storage_page_out += 1;
+    }
+
+    /// The recovery journal's own page I/O on the shard's durable media:
+    /// charged like any device access, but not paging traffic.
+    #[inline]
+    fn journal_io(&mut self, write: bool) {
+        let d = if write {
+            self.ssd.write_page()
+        } else {
+            self.ssd.read_page()
+        };
+        self.clock.advance(d);
+    }
+
+    /// One fabric message of `bytes` payload: the send (which traces and
+    /// ledgers it) and its wire time.
+    #[inline]
+    fn wire(&mut self, class: MsgClass, bytes: usize) {
+        let d = self.fabric.send(class, bytes);
+        self.clock.advance(d);
+    }
+
+    /// Bill the storage traffic one memory-pool fault caused — the
+    /// recursive half of §2.1's fault path: the victim's write-back first,
+    /// then the read of the faulting page.
+    #[inline]
+    fn charge_pool_fault(&mut self, fault: PoolFault) {
+        if fault.storage_writeback {
+            self.ssd_page_out();
+        }
+        if fault.storage_read {
+            self.ssd_page_in();
+        }
+    }
+
+    /// A dirty compute-cache page's image flows back to its owning shard:
+    /// the page-out crosses the fabric and lands dirty in the pool; its
+    /// checksum is sealed (the write-back travels checksummed, so the
+    /// journal records a good image), the write is journaled to the
+    /// replica, and the landed copy is polled for a scribble — latent until
+    /// the next read or scrub pass.
+    #[inline]
+    fn flush_dirty_to_pool(&mut self, pid: PageId) {
+        self.wire(MsgClass::PageOut, PAGE_SIZE);
+        self.stats.remote_page_out += 1;
+        let p = self.owner_of(pid);
+        self.shards[p].pool.mark_dirty(pid);
+        self.seal_checksum(pid);
+        self.replicate_for(p, ReplOp::PageWrite(pid));
+        self.poll_corruption(CorruptionPoint::Pool, pid);
+    }
+
+    // ------------------------------------------------------------------
     // Allocation and experiment setup
     // ------------------------------------------------------------------
 
@@ -484,42 +589,32 @@ impl Dos {
     /// cache until first touch.
     pub fn alloc(&mut self, bytes: usize) -> VAddr {
         let addr = self.space.alloc(bytes);
-        if !self.pools.is_empty() {
-            let pages: Vec<PageId> = self.space.pages_of(addr).collect();
+        let pages: Vec<PageId> = self.space.pages_of(addr).collect();
+        if !self.shards.is_empty() {
             let owners = self.place_allocation(&pages);
             self.alloc_seq += 1;
             for (&pid, &p) in pages.iter().zip(&owners) {
-                if self.pools.len() > 1 {
+                if self.shards.len() > 1 {
                     self.owner.insert(pid, p);
                 }
-                let fault = self.pools[p].register(pid);
-                if fault.storage_writeback {
-                    let d = self.ssd.write_page();
-                    self.clock.advance(d);
-                    self.stats.storage_page_out += 1;
-                }
+                let fault = self.shards[p].pool.register(pid);
+                self.charge_pool_fault(fault);
             }
             // One journal entry per maximal same-owner run (a single-pool
             // deployment journals the whole contiguous range, as before).
             let mut i = 0;
-            while i < pages.len() {
-                let p = owners[i];
-                let mut j = i + 1;
-                while j < pages.len() && owners[j] == p {
-                    j += 1;
-                }
+            for run in owners.chunk_by(|a, b| a == b) {
                 self.replicate_for(
-                    p,
+                    run[0],
                     ReplOp::RegisterRange {
                         first: pages[i],
-                        count: (j - i) as u64,
+                        count: run.len() as u64,
                     },
                 );
-                i = j;
+                i += run.len();
             }
         }
         if self.integrity.enabled {
-            let pages: Vec<PageId> = self.space.pages_of(addr).collect();
             for pid in pages {
                 self.seal_checksum(pid);
             }
@@ -545,7 +640,7 @@ impl Dos {
     /// strands an allocation). With the plane disarmed the subset is the
     /// identity, so placement stays bit-for-bit as before.
     fn place_allocation(&self, pages: &[PageId]) -> Vec<usize> {
-        let n = self.pools.len();
+        let n = self.shards.len();
         if n <= 1 {
             return vec![0; pages.len()];
         }
@@ -563,17 +658,17 @@ impl Dos {
         let k = allowed.len();
         match self.placement {
             PlacementPolicy::FirstFit => {
-                let fits = allowed.iter().copied().find(|&p| {
-                    self.pools[p].mapped_len() + pages.len() <= self.pools[p].capacity()
-                });
+                let pool = |p: usize| &self.shards[p].pool;
+                let fits = allowed
+                    .iter()
+                    .copied()
+                    .find(|&p| pool(p).mapped_len() + pages.len() <= pool(p).capacity());
                 let p = fits.unwrap_or_else(|| {
                     allowed
                         .iter()
                         .copied()
                         .max_by_key(|&p| {
-                            let free = self.pools[p]
-                                .capacity()
-                                .saturating_sub(self.pools[p].mapped_len());
+                            let free = pool(p).capacity().saturating_sub(pool(p).mapped_len());
                             // Ties break toward the lowest index.
                             (free, n - p)
                         })
@@ -597,14 +692,12 @@ impl Dos {
         self.fabric.reset_ledger();
         self.ssd.reset_counters();
         self.tracer.reset();
-        for rep in self.replicas.iter_mut().flatten() {
-            rep.reset_counters();
-        }
-        for f in &mut self.failovers {
-            *f = None;
-        }
-        for pi in &mut self.pool_integrity {
-            *pi = PoolIntegrity::default();
+        for shard in &mut self.shards {
+            if let Some(rep) = &mut shard.replica {
+                rep.reset_counters();
+            }
+            shard.failover = None;
+            shard.integrity = PoolIntegrity::default();
         }
         // Integrity counters cover the timed window; the seals, pending
         // corruption, and lost-page set describe residency state and stay.
@@ -623,17 +716,7 @@ impl Dos {
     /// Flush and drop the whole compute cache (dirty pages are written
     /// back). Gives experiments a deterministic cold start.
     pub fn drop_cache(&mut self) {
-        // Address order, not map order: the flush sequence feeds the
-        // replication journal and the corruption injector's PRNG, so it
-        // must be run-to-run deterministic.
-        let resident: Vec<PageId> = {
-            let mut v: Vec<PageId> = self.cache.resident().map(|(p, _)| p).collect();
-            v.sort_unstable();
-            v
-        };
-        for pid in resident {
-            self.evict_one(pid);
-        }
+        self.flush_and_clear_cache();
     }
 
     // ------------------------------------------------------------------
@@ -693,10 +776,7 @@ impl Dos {
     pub fn touch_range(&mut self, addr: VAddr, len: usize, write: bool, pat: Pattern) {
         // analyze:allow(debug-assert) application-level addressing bug on the hot access path, not cross-pool protocol state
         debug_assert!(self.space.is_mapped(addr), "touch of unmapped {addr}");
-        let mut remaining = len;
-        let mut cursor = addr;
-        for pid in pages_spanned(addr, len) {
-            let in_page = (PAGE_SIZE - cursor.page_offset()).min(remaining);
+        for (pid, _, in_page) in page_chunks(addr, len) {
             if self.cache.access(pid, write) {
                 self.stats.cache_hits += 1;
                 if self.integrity.enabled {
@@ -715,8 +795,6 @@ impl Dos {
                 self.mark_stale(pid);
             }
             self.clock.advance(self.dram_cost(pat, in_page));
-            cursor = cursor.offset(in_page as u64);
-            remaining -= in_page;
         }
     }
 
@@ -724,7 +802,7 @@ impl Dos {
     /// on `pid`, pull the next few mapped pages in one batched transfer
     /// (single message latency, streaming the pages' bytes).
     fn prefetch_ahead(&mut self, pid: PageId) {
-        if self.pools.is_empty() {
+        if self.shards.is_empty() {
             return; // swap readahead is already folded into the SSD model
         }
         let mut fetched = 0usize;
@@ -737,18 +815,9 @@ impl Dos {
                 continue;
             }
             let p = self.owner_of(next);
-            let fault = self.pools[p].ensure_resident(next);
-            if fault.storage_writeback {
-                let d = self.ssd.write_page();
-                self.clock.advance(d);
-                self.stats.storage_page_out += 1;
-            }
-            if fault.storage_read {
-                let d = self.ssd.read_page();
-                self.clock.advance(d);
-                self.stats.storage_page_in += 1;
-            }
-            self.pools[p].pin(next);
+            let fault = self.shards[p].pool.ensure_resident(next);
+            self.charge_pool_fault(fault);
+            self.shards[p].pool.pin(next);
             if let Some(victim) = self.cache.insert(next, false) {
                 self.write_back_evicted(victim.page, victim.dirty);
             }
@@ -757,8 +826,7 @@ impl Dos {
         }
         if fetched > 0 {
             // One batched wire transfer for the whole prefetch window.
-            let d = self.fabric.send(MsgClass::PageIn, fetched * PAGE_SIZE);
-            self.clock.advance(d);
+            self.wire(MsgClass::PageIn, fetched * PAGE_SIZE);
         }
     }
 
@@ -778,13 +846,13 @@ impl Dos {
         self.stats.cache_misses += 1;
         if self.tracer.is_enabled() {
             // Classify before `ensure_resident` pulls the page up a level.
-            let level = if self.pools.is_empty() {
+            let level = if self.shards.is_empty() {
                 if self.swapped.contains(&pid) {
                     FaultLevel::Storage
                 } else {
                     FaultLevel::Cache
                 }
-            } else if self.pools[self.owner_of(pid)].is_resident(pid) {
+            } else if self.shards[self.owner_of(pid)].pool.is_resident(pid) {
                 FaultLevel::Remote
             } else {
                 FaultLevel::Storage
@@ -798,26 +866,16 @@ impl Dos {
             );
         }
         self.clock.advance(self.fault_overhead);
-        if !self.pools.is_empty() {
+        if !self.shards.is_empty() {
             // Recursive fault: the owning memory pool pulls the page from
             // storage if it was swapped out.
             let p = self.owner_of(pid);
-            let fault = self.pools[p].ensure_resident(pid);
-            if fault.storage_writeback {
-                let d = self.ssd.write_page();
-                self.clock.advance(d);
-                self.stats.storage_page_out += 1;
-            }
-            if fault.storage_read {
-                let d = self.ssd.read_page();
-                self.clock.advance(d);
-                self.stats.storage_page_in += 1;
-            }
+            let fault = self.shards[p].pool.ensure_resident(pid);
+            self.charge_pool_fault(fault);
             // Page travels memory pool -> compute cache.
-            let d = self.fabric.send(MsgClass::PageIn, PAGE_SIZE);
-            self.clock.advance(d);
+            self.wire(MsgClass::PageIn, PAGE_SIZE);
             self.stats.remote_page_in += 1;
-            self.pools[p].pin(pid);
+            self.shards[p].pool.pin(pid);
             if self.integrity.enabled {
                 self.reseal_if_stale(pid);
                 if fault.storage_read {
@@ -833,9 +891,7 @@ impl Dos {
             // Monolithic: first touch materializes a zero page for
             // free; a refault reads the swap copy.
             if self.swapped.contains(&pid) {
-                let d = self.ssd.read_page();
-                self.clock.advance(d);
-                self.stats.storage_page_in += 1;
+                self.ssd_page_in();
                 if self.integrity.enabled {
                     self.reseal_if_stale(pid);
                     self.poll_corruption(CorruptionPoint::Ssd, pid);
@@ -858,33 +914,16 @@ impl Dos {
                 dirty,
             },
         );
-        if !self.pools.is_empty() {
+        if !self.shards.is_empty() {
             let p = self.owner_of(page);
-            self.pools[p].unpin(page);
+            self.shards[p].pool.unpin(page);
             if dirty {
-                let d = self.fabric.send(MsgClass::PageOut, PAGE_SIZE);
-                self.clock.advance(d);
-                self.stats.remote_page_out += 1;
-                self.pools[p].mark_dirty(page);
+                self.flush_dirty_to_pool(page);
             }
         } else if dirty {
-            let d = self.ssd.write_page();
-            self.clock.advance(d);
-            self.stats.storage_page_out += 1;
+            self.ssd_page_out();
             self.swapped.insert(page);
-        }
-        if dirty {
-            if !self.pools.is_empty() {
-                self.page_out_to_pool(page);
-            } else {
-                self.seal_checksum(page);
-            }
-        }
-    }
-
-    fn evict_one(&mut self, pid: PageId) {
-        if let Some(e) = self.cache.evict(pid) {
-            self.write_back_evicted(pid, e.dirty);
+            self.seal_checksum(page);
         }
     }
 
@@ -902,19 +941,16 @@ impl Dos {
         // surfaced as a confusing `expect` on the pool handle below, so
         // check it up front in every build.
         assert!(self.is_disaggregated(), "mem-side access on monolithic");
-        let mut remaining = len;
-        let mut cursor = addr;
-        for pid in pages_spanned(addr, len) {
-            let in_page = (PAGE_SIZE - cursor.page_offset()).min(remaining);
+        for (pid, _, in_page) in page_chunks(addr, len) {
             self.stats.mem_side_accesses += 1;
             let p = self.owner_of(pid);
-            if self.pools.len() > 1 {
+            if self.shards.len() > 1 {
                 // Record the routing decision for the runtime's fan-out
                 // accounting (free on single-pool deployments).
                 self.touched_pools.insert(p);
                 self.touched_pages += 1;
             }
-            let fault = self.pools[p].ensure_resident(pid);
+            let fault = self.shards[p].pool.ensure_resident(pid);
             if fault.storage_read {
                 // A memory-side fault never crosses the fabric: it either
                 // hits pool DRAM (no event) or recurses to storage.
@@ -926,16 +962,7 @@ impl Dos {
                     },
                 );
             }
-            if fault.storage_writeback {
-                let d = self.ssd.write_page();
-                self.clock.advance(d);
-                self.stats.storage_page_out += 1;
-            }
-            if fault.storage_read {
-                let d = self.ssd.read_page();
-                self.clock.advance(d);
-                self.stats.storage_page_in += 1;
-            }
+            self.charge_pool_fault(fault);
             if self.integrity.enabled {
                 self.reseal_if_stale(pid);
                 if fault.storage_read {
@@ -947,14 +974,12 @@ impl Dos {
                 }
             }
             if write {
-                self.pools[p].mark_dirty(pid);
+                self.shards[p].pool.mark_dirty(pid);
                 self.replicate_for(p, ReplOp::PageWrite(pid));
                 self.mark_stale(pid);
             }
             self.clock
                 .advance(self.dram_cost(pat, in_page) * self.pool_slowdown(p) as u64);
-            cursor = cursor.offset(in_page as u64);
-            remaining -= in_page;
         }
     }
 
@@ -1005,8 +1030,7 @@ impl Dos {
         self.clock.advance(d);
         self.stats.storage_page_in += len.div_ceil(PAGE_SIZE) as u64;
         if self.is_disaggregated() && !memory_side {
-            let d = self.fabric.send(MsgClass::PageIn, len);
-            self.clock.advance(d);
+            self.wire(MsgClass::PageIn, len);
             self.stats.remote_page_in += len.div_ceil(PAGE_SIZE) as u64;
         }
         &self.files[file.0 as usize][offset..offset + len]
@@ -1019,8 +1043,7 @@ impl Dos {
         self.clock.advance(d);
         self.stats.storage_page_out += data.len().div_ceil(PAGE_SIZE) as u64;
         if self.is_disaggregated() && !memory_side {
-            let d = self.fabric.send(MsgClass::PageOut, data.len());
-            self.clock.advance(d);
+            self.wire(MsgClass::PageOut, data.len());
             self.stats.remote_page_out += data.len().div_ceil(PAGE_SIZE) as u64;
         }
         self.files[file.0 as usize].extend_from_slice(data);
@@ -1071,24 +1094,8 @@ impl Dos {
     /// entry if the page was resident.
     pub fn coherence_evict(&mut self, pid: PageId) -> Option<CacheEntry> {
         let e = self.cache.evict(pid)?;
-        self.stats.evictions += 1;
-        self.tracer.emit(
-            Lane::Compute,
-            TraceEvent::Evict {
-                page: pid.0,
-                dirty: e.dirty,
-            },
-        );
-        assert!(!self.pools.is_empty(), "coherence on disaggregated only");
-        let p = self.owner_of(pid);
-        self.pools[p].unpin(pid);
-        if e.dirty {
-            let d = self.fabric.send(MsgClass::PageOut, PAGE_SIZE);
-            self.clock.advance(d);
-            self.stats.remote_page_out += 1;
-            self.pools[p].mark_dirty(pid);
-            self.page_out_to_pool(pid);
-        }
+        assert!(!self.shards.is_empty(), "coherence on disaggregated only");
+        self.write_back_evicted(pid, e.dirty);
         Some(e)
     }
 
@@ -1098,12 +1105,7 @@ impl Dos {
     pub fn coherence_downgrade(&mut self, pid: PageId) -> Option<CacheEntry> {
         let e = self.cache.downgrade(pid)?;
         if e.dirty {
-            let d = self.fabric.send(MsgClass::PageOut, PAGE_SIZE);
-            self.clock.advance(d);
-            self.stats.remote_page_out += 1;
-            let p = self.owner_of(pid);
-            self.pools[p].mark_dirty(pid);
-            self.page_out_to_pool(pid);
+            self.flush_dirty_to_pool(pid);
         }
         Some(e)
     }
@@ -1113,14 +1115,23 @@ impl Dos {
     /// pages were flushed.
     pub fn syncmem(&mut self) -> usize {
         let dirty = self.cache.dirty_pages();
+        self.sync_pages(dirty)
+    }
+
+    /// `syncmem` restricted to the pages spanned by `[addr, addr+len)`.
+    pub fn syncmem_range(&mut self, addr: VAddr, len: usize) -> usize {
+        let dirty = pages_spanned(addr, len)
+            .filter(|&pid| self.cache.probe(pid).is_some_and(|e| e.dirty))
+            .collect();
+        self.sync_pages(dirty)
+    }
+
+    /// Flush the given dirty cached pages (address order) and trace the
+    /// synchronization point.
+    fn sync_pages(&mut self, dirty: Vec<PageId>) -> usize {
         for &pid in &dirty {
-            let d = self.fabric.send(MsgClass::PageOut, PAGE_SIZE);
-            self.clock.advance(d);
-            self.stats.remote_page_out += 1;
             self.cache.mark_clean(pid);
-            let p = self.owner_of(pid);
-            self.pools[p].mark_dirty(pid);
-            self.page_out_to_pool(pid);
+            self.flush_dirty_to_pool(pid);
         }
         self.tracer.emit(
             Lane::Compute,
@@ -1131,41 +1142,15 @@ impl Dos {
         dirty.len()
     }
 
-    /// `syncmem` restricted to the pages spanned by `[addr, addr+len)`.
-    pub fn syncmem_range(&mut self, addr: VAddr, len: usize) -> usize {
-        let mut flushed = 0;
-        for pid in pages_spanned(addr, len) {
-            if self.cache.probe(pid).is_some_and(|e| e.dirty) {
-                let d = self.fabric.send(MsgClass::PageOut, PAGE_SIZE);
-                self.clock.advance(d);
-                self.stats.remote_page_out += 1;
-                self.cache.mark_clean(pid);
-                let p = self.owner_of(pid);
-                self.pools[p].mark_dirty(pid);
-                self.page_out_to_pool(pid);
-                flushed += 1;
-            }
-        }
-        self.tracer.emit(
-            Lane::Compute,
-            TraceEvent::Syncmem {
-                pages: flushed as u64,
-            },
-        );
-        flushed
-    }
-
     /// Eager-sync strawman support: flush and drop every cached page,
     /// returning the list of pages that were resident (so they can be
     /// re-fetched after pushdown).
     pub fn flush_and_clear_cache(&mut self) -> Vec<PageId> {
-        let resident: Vec<PageId> = {
-            let mut v: Vec<PageId> = self.cache.resident().map(|(p, _)| p).collect();
-            v.sort_unstable();
-            v
-        };
+        let resident = self.cache.resident_sorted();
         for &pid in &resident {
-            self.evict_one(pid);
+            if let Some(e) = self.cache.evict(pid) {
+                self.write_back_evicted(pid, e.dirty);
+            }
         }
         resident
     }
@@ -1188,49 +1173,27 @@ impl Dos {
     /// without a replica). Shipping discipline is the configured
     /// `ReplicationMode`.
     fn replicate_for(&mut self, p: usize, op: ReplOp) {
-        if let Some(rep) = self.replicas.get_mut(p).and_then(|r| r.as_mut()) {
+        let shard = &mut self.shards[p];
+        if let Some(rep) = &mut shard.replica {
             rep.record(op, &self.fabric, &self.ssd, &self.clock, &self.tracer);
         }
-        if let Some(j) = self.journals.get_mut(p).and_then(|j| j.as_mut()) {
-            if j.append(op) {
-                // Sync point: the batch lands on the shard's durable media.
-                let d = self.ssd.write_page();
-                self.clock.advance(d);
-            }
+        if shard.journal.as_mut().is_some_and(|j| j.append(op)) {
+            // Sync point: the batch lands on the shard's durable media.
+            self.journal_io(true);
         }
     }
 
-    /// True if any shard still has a backup pool standing by (i.e. at
-    /// least one pool death is survivable). Becomes false once every
-    /// backup has been consumed by a failover.
-    pub fn has_replica(&self) -> bool {
-        self.replicas.iter().any(|r| r.is_some())
-    }
-
-    /// True if shard `p` has a backup pool standing by.
+    /// True if shard `p` has a backup pool standing by (i.e. that shard's
+    /// death is survivable). Becomes false once the backup has been
+    /// consumed by a failover.
     pub fn has_replica_for(&self, p: usize) -> bool {
-        self.replicas.get(p).is_some_and(|r| r.is_some())
+        self.shards.get(p).is_some_and(|s| s.replica.is_some())
     }
 
-    /// Epoch of shard 0's current primary (0 until a promotion happens).
-    /// The historical single-pool accessor; see [`Dos::pool_epoch_for`].
-    pub fn pool_epoch(&self) -> u64 {
-        self.pool_epoch_for(0)
-    }
-
-    /// Epoch of shard `p`'s current primary.
+    /// Epoch of shard `p`'s current primary (0 until a promotion or
+    /// restart happens).
     pub fn pool_epoch_for(&self, p: usize) -> u64 {
-        self.pool_epochs.get(p).copied().unwrap_or(0)
-    }
-
-    /// Ship any journal tail that log-shipping has not flushed yet, on
-    /// every shard (shard-index order keeps the wire sequence seed-stable).
-    pub fn replication_flush(&mut self) {
-        for p in 0..self.replicas.len() {
-            if let Some(rep) = self.replicas[p].as_mut() {
-                rep.flush(&self.fabric, &self.ssd, &self.clock, &self.tracer);
-            }
-        }
+        self.shards.get(p).map_or(0, |s| s.epoch)
     }
 
     /// Replication activity so far, summed across shards: live counters
@@ -1238,8 +1201,8 @@ impl Dos {
     /// failover. `None` when replication was never configured.
     pub fn replication_counters(&self) -> Option<ReplicationCounters> {
         let mut total: Option<ReplicationCounters> = None;
-        for p in 0..self.replicas.len() {
-            let c = match (&self.replicas[p], &self.failovers[p]) {
+        for shard in &self.shards {
+            let c = match (&shard.replica, &shard.failover) {
                 (Some(rep), _) => rep.counters(),
                 (None, Some((_, c))) => *c,
                 (None, None) => continue,
@@ -1254,17 +1217,14 @@ impl Dos {
     }
 
     /// What the first completed failover did, once one has happened (the
-    /// lowest-index failed-over shard; see [`Dos::failover_report_for`]).
+    /// lowest-index failed-over shard).
     pub fn failover_report(&self) -> Option<FailoverReport> {
-        self.failovers.iter().find_map(|f| f.map(|(r, _)| r))
+        self.shards.iter().find_map(|s| s.failover.map(|(r, _)| r))
     }
 
-    /// What shard `p`'s failover did, once one has happened.
-    pub fn failover_report_for(&self, p: usize) -> Option<FailoverReport> {
-        self.failovers.get(p).and_then(|f| f.map(|(r, _)| r))
-    }
-
-    /// Promote the backup pool after the primary died. Crash-consistency
+    /// Promote shard `p`'s backup after that shard's primary died. Pages
+    /// owned by other shards (and their cache copies) are untouched: a
+    /// rack-scale deployment loses one shard at a time. Crash-consistency
     /// rules:
     ///
     /// - every page named by a still-pending (un-acked) journal entry is
@@ -1276,101 +1236,79 @@ impl Dos {
     /// - surviving cache pages are re-pinned in the promoted pool, so the
     ///   coherence session continues against a consistent page table.
     ///
-    /// Consumes the backup: a second pool death is fatal again until a new
-    /// deployment configures a new replica. Returns `None` when no replica
-    /// is standing by.
-    pub fn failover_to_replica(&mut self) -> Option<FailoverReport> {
-        self.failover_to_replica_for(0)
-    }
-
-    /// Promote shard `p`'s backup after that shard's primary died. Pages
-    /// owned by other shards (and their cache copies) are untouched: a
-    /// rack-scale deployment loses one shard at a time.
+    /// Consumes the backup: a second death of the shard is fatal again
+    /// until a restart re-silvers a new standby. Returns `None` when no
+    /// replica is standing by.
     pub fn failover_to_replica_for(&mut self, p: usize) -> Option<FailoverReport> {
-        let rep = self.replicas.get_mut(p)?.take()?;
-        let old_epoch = self.pool_epochs[p];
-        let (mut promoted, lost_list, counters) = rep.promote();
-        let mut refetched = 0u64;
+        let shard = self.shards.get_mut(p)?;
+        let (promoted, lost_list, counters) = shard.replica.take()?.promote();
+        shard.pool = promoted;
         for &pid in &lost_list {
-            let fault = if promoted.is_mapped(pid) {
-                promoted.ensure_resident(pid)
+            let pool = &mut self.shards[p].pool;
+            let fault = if pool.is_mapped(pid) {
+                pool.ensure_resident(pid)
             } else {
                 // The page's registration itself was still in flight.
-                promoted.register(pid)
+                pool.register(pid)
             };
-            if fault.storage_writeback {
-                let d = self.ssd.write_page();
-                self.clock.advance(d);
-                self.stats.storage_page_out += 1;
-            }
             // Exactly one authoritative storage read per lost page (it
             // subsumes any residency fault the pool reported).
-            let d = self.ssd.read_page();
-            self.clock.advance(d);
-            self.stats.storage_page_in += 1;
-            refetched += 1;
+            self.charge_pool_fault(PoolFault {
+                storage_read: true,
+                ..fault
+            });
         }
-        // Reconcile the compute cache against the promoted page table —
-        // only this shard's pages; other shards' primaries are healthy.
-        let lost_set: HashSet<PageId> = lost_list.iter().copied().collect();
-        let cached: Vec<PageId> = {
-            let mut v: Vec<PageId> = self
-                .cache
-                .resident()
-                .map(|(pid, _)| pid)
-                .filter(|&pid| self.owner_of(pid) == p)
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        let mut invalidations = 0u64;
-        for pid in cached {
-            if lost_set.contains(&pid) {
-                // Stale epoch: the cached copy's write-back lineage died
-                // with the primary. Drop it silently (no write-back); the
-                // next touch refaults the authoritative storage copy.
-                let _ = self.cache.evict(pid);
-                invalidations += 1;
-            } else {
-                let fault = promoted.ensure_resident(pid);
-                if fault.storage_writeback {
-                    let d = self.ssd.write_page();
-                    self.clock.advance(d);
-                    self.stats.storage_page_out += 1;
-                }
-                if fault.storage_read {
-                    let d = self.ssd.read_page();
-                    self.clock.advance(d);
-                    self.stats.storage_page_in += 1;
-                }
-                promoted.pin(pid);
-            }
-        }
-        self.pools[p] = promoted;
-        self.pool_epochs[p] += 1;
+        // Only this shard's cache pages reconcile; other shards' primaries
+        // are healthy.
+        let invalidations = self.reconcile_cache(p, &lost_list);
+        let shard = &mut self.shards[p];
+        shard.epoch += 1;
         let report = FailoverReport {
-            old_epoch,
-            new_epoch: self.pool_epochs[p],
+            old_epoch: shard.epoch - 1,
+            new_epoch: shard.epoch,
             lost_pages: lost_list.len() as u64,
-            refetched_pages: refetched,
+            refetched_pages: lost_list.len() as u64,
             cache_invalidations: invalidations,
         };
-        self.failovers[p] = Some((report, counters));
+        shard.failover = Some((report, counters));
+        // The shard is serving again (the dead primary's eventual wake-up
+        // is fenced by the epoch bump above).
+        shard.down = false;
         self.tracer.emit(
             Lane::Memory,
             TraceEvent::PoolPromoted {
-                epoch: self.pool_epochs[p],
+                epoch: report.new_epoch,
                 lost_pages: report.lost_pages,
             },
         );
-        // The promoted primary starts a fresh journal life at the new
-        // epoch, and the shard is serving again (the dead primary's
-        // eventual wake-up is fenced by the epoch bump above).
-        if let Some(d) = self.pool_down.get_mut(p) {
-            *d = false;
-        }
+        // The promoted primary starts a fresh journal life at the new epoch.
         self.reseed_journal(p);
         Some(report)
+    }
+
+    /// Reconcile the compute cache against shard `p`'s rebuilt or promoted
+    /// page table. Cached copies of `lost_list` pages carry a stale epoch:
+    /// their write-back lineage died with the old primary, so they are
+    /// dropped silently (no write-back) and the next touch refaults the
+    /// authoritative storage copy. Surviving copies re-pin. Returns the
+    /// number of copies dropped.
+    fn reconcile_cache(&mut self, p: usize, lost_list: &[PageId]) -> u64 {
+        let lost_set: HashSet<PageId> = lost_list.iter().copied().collect();
+        let mut invalidations = 0u64;
+        for pid in self.cache.resident_sorted() {
+            if self.owner_of(pid) != p {
+                continue;
+            }
+            if lost_set.contains(&pid) {
+                let _ = self.cache.evict(pid);
+                invalidations += 1;
+            } else {
+                let fault = self.shards[p].pool.ensure_resident(pid);
+                self.charge_pool_fault(fault);
+                self.shards[p].pool.pin(pid);
+            }
+        }
+        invalidations
     }
 
     // ------------------------------------------------------------------
@@ -1382,23 +1320,19 @@ impl Dos {
     /// Idempotent; armed automatically by `install_faults` when the plan
     /// carries crash-restart specs.
     pub fn enable_recovery_journal(&mut self) {
-        if self.pools.is_empty() || self.journal_armed() {
+        if self.journal_armed() {
             return;
         }
-        for p in 0..self.pools.len() {
-            self.journals[p] = Some(RecoveryJournal::new(self.pool_epochs[p]));
+        for p in 0..self.shards.len() {
+            let shard = &mut self.shards[p];
+            shard.journal = Some(RecoveryJournal::new(shard.epoch));
             self.reseed_journal(p);
         }
     }
 
     /// True once the recovery journals are armed.
     pub fn journal_armed(&self) -> bool {
-        self.journals.iter().any(|j| j.is_some())
-    }
-
-    /// Shard `p`'s recovery journal, when armed (tests and tooling).
-    pub fn journal_for(&self, p: usize) -> Option<&RecoveryJournal> {
-        self.journals.get(p).and_then(|j| j.as_ref())
+        self.shards.iter().any(|s| s.journal.is_some())
     }
 
     /// Recovery-plane activity so far (crashes, restarts, replays,
@@ -1410,14 +1344,14 @@ impl Dos {
     /// False while shard `p` is crashed (volatile state wiped, restart or
     /// failover pending).
     pub fn pool_available_for(&self, p: usize) -> bool {
-        !self.pool_down.get(p).copied().unwrap_or(false)
+        !self.shards.get(p).is_some_and(|s| s.down)
     }
 
     /// Corrupt the first un-synced entry of shard `p`'s journal, as a torn
     /// write would. Public so tests can model a tear without an injector;
     /// `FaultSpec::TornJournalWrite` routes here via `crash_pool`.
     pub fn tear_journal_tail(&mut self, p: usize) {
-        if let Some(j) = self.journals.get_mut(p).and_then(|j| j.as_mut()) {
+        if let Some(j) = self.shards.get_mut(p).and_then(|s| s.journal.as_mut()) {
             j.tear_tail();
         }
     }
@@ -1435,7 +1369,7 @@ impl Dos {
             self.pool_available_for(p),
             "shard {p} is already down; restart it before crashing it again"
         );
-        let epoch = self.pool_epochs[p];
+        let epoch = self.shards[p].epoch;
         self.recovery.crashes += 1;
         self.tracer.emit(
             Lane::Memory,
@@ -1449,10 +1383,10 @@ impl Dos {
                 self.tear_journal_tail(p);
             }
         }
-        let cap = self.pools[p].capacity();
-        self.pools[p] = MemoryPool::new(cap);
-        self.pool_down[p] = true;
-        self.crash_epochs[p] = Some(epoch);
+        let shard = &mut self.shards[p];
+        shard.pool = MemoryPool::new(shard.pool.capacity());
+        shard.down = true;
+        shard.crash_epoch = Some(epoch);
         epoch
     }
 
@@ -1470,21 +1404,22 @@ impl Dos {
     /// Either way the shard re-enters placement through the health plane's
     /// Probation→Healthy probe streak when that plane is armed.
     pub fn restart_pool(&mut self, p: usize) -> RestartReport {
-        let stale = self.crash_epochs[p]
+        let stale = self.shards[p]
+            .crash_epoch
             .take()
             .unwrap_or_else(|| panic!("shard {p} has no crash to restart from"));
-        let report = if self.pool_epochs[p] > stale {
+        let report = if self.shards[p].epoch > stale {
             self.rejoin_as_standby(p, stale)
         } else {
             self.recover_primary(p)
         };
-        self.pool_down[p] = false;
+        self.shards[p].down = false;
         self.recovery.restarts += 1;
         self.tracer.emit(
             Lane::Memory,
             TraceEvent::PoolRestarted {
                 pool: p as u64,
-                epoch: self.pool_epochs[p],
+                epoch: report.epoch,
             },
         );
         if let Some(h) = self.health.as_mut() {
@@ -1509,24 +1444,17 @@ impl Dos {
         );
         let mode = self.ddc_config().replication;
         let mut resilvered = 0u64;
-        if mode != ReplicationMode::Off && self.replicas[p].is_none() {
-            let mut rep = ReplicatedPool::new(self.pools[p].capacity(), mode);
+        if mode != ReplicationMode::Off && self.shards[p].replica.is_none() {
+            let mut rep = ReplicatedPool::new(self.shards[p].pool.capacity(), mode);
             let pages = self.owned_pages(p);
             rep.resilver_from(&pages, &self.fabric, &self.ssd, &self.clock);
             resilvered = pages.len() as u64;
-            self.replicas[p] = Some(rep);
-            self.recovery.resilvered_pages += resilvered;
-            self.tracer.emit(
-                Lane::Memory,
-                TraceEvent::ResilverComplete {
-                    pool: p as u64,
-                    pages: resilvered,
-                },
-            );
+            self.shards[p].replica = Some(rep);
+            self.note_resilvered(p, resilvered);
         }
         RestartReport {
             pool: p,
-            epoch: self.pool_epochs[p],
+            epoch: self.shards[p].epoch,
             replay: ReplaySet::default(),
             resilvered_pages: resilvered,
             rejoined_as_standby: true,
@@ -1537,7 +1465,7 @@ impl Dos {
     /// The resume-as-primary path of [`Dos::restart_pool`]: base rebuild
     /// plus idempotent journal replay, then an epoch bump.
     fn recover_primary(&mut self, p: usize) -> RestartReport {
-        let (ops, replay, discarded) = match self.journals.get(p).and_then(|j| j.as_ref()) {
+        let (ops, replay, discarded) = match &self.shards[p].journal {
             Some(j) => {
                 let (ops, set) = j.replayable();
                 (ops, set, j.discarded_ops())
@@ -1558,23 +1486,14 @@ impl Dos {
         // entry examined. The torn suffix is read too — verifying (and
         // failing) its checksums is how the tear is detected.
         for _ in 0..(replay.applied_entries + replay.discarded_entries) {
-            let d = self.ssd.read_page();
-            self.clock.advance(d);
+            self.journal_io(false);
         }
         // Base rebuild: every owned page re-registers over the
         // SSD-authoritative base, so replay's residency ops always land on
         // a mapped page table — even when the page's own registration
         // entry died in the torn tail.
-        let pages = self.owned_pages(p);
-        for &pid in &pages {
-            if !self.pools[p].is_mapped(pid) {
-                let fault = self.pools[p].register(pid);
-                if fault.storage_writeback {
-                    let d = self.ssd.write_page();
-                    self.clock.advance(d);
-                    self.stats.storage_page_out += 1;
-                }
-            }
+        for pid in self.owned_pages(p) {
+            self.register_if_unmapped(p, pid);
         }
         // Replay, idempotent by construction: registration skips mapped
         // pages and residency ops skip resident ones, so replaying twice
@@ -1582,33 +1501,15 @@ impl Dos {
         let mut replayed_writes: Vec<PageId> = Vec::new();
         for op in ops {
             match op {
-                ReplOp::RegisterRange { first, count } => {
-                    for i in 0..count {
-                        let pid = first.offset(i);
-                        if self.pools[p].is_mapped(pid) {
-                            continue;
-                        }
-                        let fault = self.pools[p].register(pid);
-                        if fault.storage_writeback {
-                            let d = self.ssd.write_page();
-                            self.clock.advance(d);
-                            self.stats.storage_page_out += 1;
-                        }
+                ReplOp::RegisterRange { .. } => {
+                    for pid in op.pages() {
+                        self.register_if_unmapped(p, pid);
                     }
                 }
                 ReplOp::PageWrite(pid) => {
-                    let fault = self.pools[p].ensure_resident(pid);
-                    if fault.storage_writeback {
-                        let d = self.ssd.write_page();
-                        self.clock.advance(d);
-                        self.stats.storage_page_out += 1;
-                    }
-                    if fault.storage_read {
-                        let d = self.ssd.read_page();
-                        self.clock.advance(d);
-                        self.stats.storage_page_in += 1;
-                    }
-                    self.pools[p].mark_dirty(pid);
+                    let fault = self.shards[p].pool.ensure_resident(pid);
+                    self.charge_pool_fault(fault);
+                    self.shards[p].pool.mark_dirty(pid);
                     replayed_writes.push(pid);
                 }
             }
@@ -1621,80 +1522,52 @@ impl Dos {
                 pages: replay.applied_pages,
             },
         );
-        // Cache reconcile mirrors failover: copies of pages named only by
-        // the torn tail lost their write-back lineage with the crash and
-        // are dropped without write-back (next touch refaults the
-        // authoritative storage copy); surviving copies re-pin in the
-        // rebuilt page table.
-        let mut lost_list: Vec<PageId> = Vec::new();
-        for op in &discarded {
-            match *op {
-                ReplOp::RegisterRange { first, count } => {
-                    for i in 0..count {
-                        lost_list.push(first.offset(i));
-                    }
-                }
-                ReplOp::PageWrite(pid) => lost_list.push(pid),
-            }
-        }
-        let lost_set: HashSet<PageId> = lost_list.iter().copied().collect();
-        let cached: Vec<PageId> = {
-            let mut v: Vec<PageId> = self
-                .cache
-                .resident()
-                .map(|(pid, _)| pid)
-                .filter(|&pid| self.owner_of(pid) == p)
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        for pid in cached {
-            if lost_set.contains(&pid) {
-                let _ = self.cache.evict(pid);
-            } else {
-                let fault = self.pools[p].ensure_resident(pid);
-                if fault.storage_writeback {
-                    let d = self.ssd.write_page();
-                    self.clock.advance(d);
-                    self.stats.storage_page_out += 1;
-                }
-                if fault.storage_read {
-                    let d = self.ssd.read_page();
-                    self.clock.advance(d);
-                    self.stats.storage_page_in += 1;
-                }
-                self.pools[p].pin(pid);
-            }
-        }
+        // Same reconcile as a failover: pages named only by the torn tail
+        // are the lost set.
+        let lost_list: Vec<PageId> = discarded.iter().flat_map(|op| op.pages()).collect();
+        self.reconcile_cache(p, &lost_list);
         // A standing replica's un-acked shipping queue lived in the dead
         // primary's memory: drop it, then re-silver every page the replay
         // re-wrote so the backup's acked image tracks the rebuilt primary.
-        if let Some(rep) = self.replicas.get_mut(p).and_then(|r| r.as_mut()) {
+        if let Some(rep) = &mut self.shards[p].replica {
             rep.drop_pending();
             replayed_writes.sort_unstable();
             replayed_writes.dedup();
             rep.resilver_from(&replayed_writes, &self.fabric, &self.ssd, &self.clock);
-            let n = replayed_writes.len() as u64;
-            self.recovery.resilvered_pages += n;
-            self.tracer.emit(
-                Lane::Memory,
-                TraceEvent::ResilverComplete {
-                    pool: p as u64,
-                    pages: n,
-                },
-            );
+            self.note_resilvered(p, replayed_writes.len() as u64);
         }
         // Restart bumps the epoch: every later life of the shard is
         // recognizably newer than any write or ack the dead one produced.
-        self.pool_epochs[p] += 1;
+        self.shards[p].epoch += 1;
         RestartReport {
             pool: p,
-            epoch: self.pool_epochs[p],
+            epoch: self.shards[p].epoch,
             replay,
             resilvered_pages: 0,
             rejoined_as_standby: false,
             fenced_stale_epoch: None,
         }
+    }
+
+    /// Register `pid` in shard `p`'s page table unless it is already
+    /// mapped there, billing any spill the registration caused.
+    fn register_if_unmapped(&mut self, p: usize, pid: PageId) {
+        if !self.shards[p].pool.is_mapped(pid) {
+            let fault = self.shards[p].pool.register(pid);
+            self.charge_pool_fault(fault);
+        }
+    }
+
+    /// Account for `pages` re-silvered onto shard `p`'s standby.
+    fn note_resilvered(&mut self, p: usize, pages: u64) {
+        self.recovery.resilvered_pages += pages;
+        self.tracer.emit(
+            Lane::Memory,
+            TraceEvent::ResilverComplete {
+                pool: p as u64,
+                pages,
+            },
+        );
     }
 
     /// Pages shard `p` currently owns, in address order (the base set a
@@ -1712,24 +1585,18 @@ impl Dos {
     /// appended as maximal contiguous ranges (already on storage, so
     /// synced immediately). No-op while the journal is disarmed.
     fn reseed_journal(&mut self, p: usize) {
-        if self.journals.get(p).is_none_or(|j| j.is_none()) {
+        if self.shards[p].journal.is_none() {
             return;
         }
         let pages = self.owned_pages(p);
-        let epoch = self.pool_epochs[p];
-        let j = self.journals[p].as_mut().expect("checked above");
-        j.restart(epoch);
-        let mut i = 0;
-        while i < pages.len() {
-            let mut n = 1;
-            while i + n < pages.len() && pages[i + n].0 == pages[i].0 + n as u64 {
-                n += 1;
-            }
+        let shard = &mut self.shards[p];
+        let j = shard.journal.as_mut().expect("checked above");
+        j.restart(shard.epoch);
+        for run in pages.chunk_by(|a, b| b.0 == a.0 + 1) {
             j.append_synced(ReplOp::RegisterRange {
-                first: pages[i],
-                count: n as u64,
+                first: run[0],
+                count: run.len() as u64,
             });
-            i += n;
         }
     }
 
@@ -1827,18 +1694,6 @@ impl Dos {
         }
     }
 
-    /// A dirty page's image just landed in the memory pool: seal its
-    /// checksum (the write-back travels checksummed, so the journal records
-    /// a good image), journal the write to the replica, then poll for a
-    /// scribble corrupting the landed copy — latent until the next read or
-    /// scrub pass.
-    fn page_out_to_pool(&mut self, pid: PageId) {
-        self.seal_checksum(pid);
-        let p = self.owner_of(pid);
-        self.replicate_for(p, ReplOp::PageWrite(pid));
-        self.poll_corruption(CorruptionPoint::Pool, pid);
-    }
-
     /// Verify `pid` against its sealed checksum at a pool boundary (`via`
     /// selects the device that reports the mismatch) and repair on failure.
     /// Pages without pending corruption are skipped: all corruption in the
@@ -1876,9 +1731,9 @@ impl Dos {
             return;
         }
         self.integrity.detected += 1;
-        if !self.pools.is_empty() {
-            let p = self.owner_of(pid);
-            self.pool_integrity[p].detected += 1;
+        let p = self.owner_of(pid);
+        if let Some(shard) = self.shards.get_mut(p) {
+            shard.integrity.detected += 1;
         }
         self.repair_or_lose(pid);
     }
@@ -1888,25 +1743,21 @@ impl Dos {
     /// with neither, the page is unrecoverable — the loss is surfaced as a
     /// typed error by the runtime, never as a wrong answer.
     fn repair_or_lose(&mut self, pid: PageId) {
-        let shard = self.owner_of(pid);
-        let dirty = self.pools.get(shard).is_some_and(|pool| pool.is_dirty(pid));
+        let p = self.owner_of(pid);
+        let shard = self.shards.get(p);
+        let dirty = shard.is_some_and(|s| s.pool.is_dirty(pid));
+        let acked = shard
+            .and_then(|s| s.replica.as_ref())
+            .is_some_and(|r| r.has_acked_copy(pid));
         let source = if !dirty {
-            let d = self.ssd.read_page();
-            self.clock.advance(d);
-            self.stats.storage_page_in += 1;
+            self.ssd_page_in();
             Some(RepairSource::Ssd)
-        } else if self
-            .replicas
-            .get(shard)
-            .and_then(|r| r.as_ref())
-            .is_some_and(|r| r.has_acked_copy(pid))
-        {
+        } else if acked {
             // Re-fetch the acked page image from the backup pool.
-            let d = self.fabric.send(
+            self.wire(
                 MsgClass::Replication,
                 PAGE_SIZE + crate::replica::PAGE_WRITE_HEADER_BYTES,
             );
-            self.clock.advance(d);
             Some(RepairSource::Replica)
         } else {
             None
@@ -1922,8 +1773,8 @@ impl Dos {
                     }
                 }
                 self.integrity.repaired += 1;
-                if !self.pools.is_empty() {
-                    self.pool_integrity[shard].repaired += 1;
+                if let Some(shard) = self.shards.get_mut(p) {
+                    shard.integrity.repaired += 1;
                 }
                 match source {
                     RepairSource::Ssd => self.integrity.repaired_ssd += 1,
@@ -1942,8 +1793,8 @@ impl Dos {
                 // from); the lost set stops re-detection so the loss is
                 // counted exactly once.
                 self.integrity.data_loss += 1;
-                if !self.pools.is_empty() {
-                    self.pool_integrity[shard].data_loss += 1;
+                if let Some(shard) = self.shards.get_mut(p) {
+                    shard.integrity.data_loss += 1;
                 }
                 self.integrity.pending.remove(&pid);
                 self.integrity.lost.insert(pid);
@@ -1965,24 +1816,21 @@ impl Dos {
         let before = self.integrity.detected;
         if self.is_disaggregated() {
             // The compute side kicks the pass off with one control message.
-            let d = self.fabric.send(MsgClass::Control, 16);
-            self.clock.advance(d);
+            self.wire(MsgClass::Control, 16);
         }
         let floor_ns =
             (PAGE_SIZE as u128 * 1_000_000_000 / self.scrub.bytes_per_sec.max(1) as u128) as u64;
         for pid in pages.iter().copied() {
             let start = self.clock.now();
-            let on_storage = if self.pools.is_empty() {
+            let on_storage = if self.shards.is_empty() {
                 self.swapped.contains(&pid) && self.cache.probe(pid).is_none()
             } else {
-                let pool = &self.pools[self.owner_of(pid)];
+                let pool = &self.shards[self.owner_of(pid)].pool;
                 pool.is_mapped(pid) && !pool.is_resident(pid)
             };
             self.reseal_if_stale(pid);
             if on_storage {
-                let d = self.ssd.read_page();
-                self.clock.advance(d);
-                self.stats.storage_page_in += 1;
+                self.ssd_page_in();
                 self.poll_corruption(CorruptionPoint::Ssd, pid);
                 self.check_page(pid, CorruptionPoint::Ssd);
             } else {
@@ -2089,15 +1937,15 @@ impl Dos {
             m.set("replication.acks", c.acks);
             m.set(
                 "replication.pending_entries",
-                self.replicas
+                self.shards
                     .iter()
-                    .flatten()
+                    .filter_map(|s| s.replica.as_ref())
                     .map(|r| r.pending_entries() as u64)
                     .sum::<u64>(),
             );
             m.set(
                 "failover.count",
-                self.failovers.iter().filter(|f| f.is_some()).count() as u64,
+                self.shards.iter().filter(|s| s.failover.is_some()).count() as u64,
             );
         }
         if let Some(r) = self.failover_report() {
@@ -2106,11 +1954,11 @@ impl Dos {
             m.set("failover.pages_refetched", r.refetched_pages);
             m.set("failover.cache_invalidations", r.cache_invalidations);
         }
-        if self.pools.len() > 1 {
+        if self.shards.len() > 1 {
             // Per-shard instances, named dynamically so the registry stays
             // shard-count agnostic.
-            for (p, f) in self.failovers.iter().enumerate() {
-                if let Some((r, _)) = f {
+            for (p, shard) in self.shards.iter().enumerate() {
+                if let Some((r, _)) = &shard.failover {
                     m.set(format!("failover.pool{p}.epoch"), r.new_epoch);
                     m.set(format!("failover.pool{p}.lost_pages"), r.lost_pages);
                 }
@@ -2147,8 +1995,8 @@ impl Dos {
             m.set("scrub.passes", i.scrub_passes);
             m.set("scrub.pages_scanned", i.scrub_pages);
             m.set("scrub.detected", i.scrub_detected);
-            if self.pools.len() > 1 {
-                for (p, pi) in self.pool_integrity.iter().enumerate() {
+            if self.shards.len() > 1 {
+                for (p, pi) in self.shards.iter().map(|s| &s.integrity).enumerate() {
                     m.set(format!("integrity.pool{p}.detected"), pi.detected);
                     m.set(format!("integrity.pool{p}.repaired"), pi.repaired);
                     m.set(format!("integrity.pool{p}.data_loss"), pi.data_loss);
@@ -2430,6 +2278,61 @@ mod tests {
         assert_eq!(ledger.total_messages(), 0, "in-pool access, no network");
         assert_eq!(dos.stats().mem_side_accesses, 4);
         assert_eq!(dos.stats().cache_misses, 0);
+    }
+
+    #[test]
+    fn the_three_fault_paths_share_one_charge() {
+        // Pages [X, T, V] in a 2-page pool: X resident and clean, T swapped
+        // out, V resident, dirty and least recently used — so making T
+        // resident costs exactly one victim write-back plus one read,
+        // whichever path asks for it.
+        let scene = || {
+            let mut dos = Dos::new_disaggregated(DdcConfig {
+                compute_cache_bytes: 4 * PAGE_SIZE,
+                memory_pool_bytes: 2 * PAGE_SIZE,
+                prefetch_pages: 1,
+                ..Default::default()
+            });
+            let x = dos.alloc(3 * PAGE_SIZE);
+            let (t, v) = (x.offset(PAGE_SIZE as u64), x.offset(2 * PAGE_SIZE as u64));
+            dos.mem_touch_range(v, 8, true, Pattern::Rand);
+            dos.mem_touch_range(x, 8, false, Pattern::Rand); // spills T, clean
+            let pool = dos.pool_at(0);
+            assert!(pool.is_resident(x.page()) && !pool.is_resident(t.page()));
+            assert!(pool.is_dirty(v.page()));
+            dos.begin_timing();
+            (dos, x, t)
+        };
+        type Path = fn(&mut Dos, VAddr, VAddr);
+        let paths: [(&str, Path); 3] = [
+            ("compute fault", |dos, _, t| {
+                let _ = dos.read_u64(t, Pattern::Rand);
+            }),
+            ("sequential prefetch", |dos, x, _| {
+                let _ = dos.read_u64(x, Pattern::Seq);
+            }),
+            ("memory-side touch", |dos, _, t| {
+                dos.mem_touch_range(t, 8, false, Pattern::Rand)
+            }),
+        ];
+        let mut deltas = Vec::new();
+        for (name, path) in paths {
+            let (mut dos, x, t) = scene();
+            path(&mut dos, x, t);
+            assert!(dos.pool_at(0).is_resident(t.page()), "{name}: T came in");
+            let s = dos.stats();
+            deltas.push((
+                name,
+                (s.storage_page_out, s.storage_page_in),
+                dos.ssd().counters(),
+            ));
+        }
+        let (_, paging, device) = deltas[0];
+        assert_eq!(paging, (1, 1), "one write-back, one read on the ledger");
+        assert_eq!((device.page_writes, device.page_reads), (1, 1));
+        for (name, p, d) in deltas {
+            assert_eq!((p, d), (paging, device), "{name} billed differently");
+        }
     }
 
     fn injector_for(dos: &Dos, plan: ddc_sim::FaultPlan) -> FaultInjector {
@@ -2717,7 +2620,7 @@ mod tests {
             dos.write_u64(a.offset(i * PAGE_SIZE as u64), 100 + i, Pattern::Rand);
         }
         dos.drop_cache(); // the write-backs land in the journal
-        let epoch_before = dos.pool_epoch();
+        let epoch_before = dos.pool_epoch_for(0);
         let stale = dos.crash_pool(0);
         assert_eq!(stale, epoch_before);
         assert!(!dos.pool_available_for(0), "down until restarted");
@@ -2748,7 +2651,11 @@ mod tests {
             dos.write_u64(a.offset(i * PAGE_SIZE as u64), i, Pattern::Rand);
         }
         dos.drop_cache();
-        let unsynced = dos.journal_for(0).expect("armed").unsynced_len();
+        let unsynced = dos.shards[0]
+            .journal
+            .as_ref()
+            .expect("armed")
+            .unsynced_len();
         assert!(unsynced > 0, "test needs an un-synced tail to tear");
         dos.tear_journal_tail(0);
         dos.crash_pool(0);
@@ -2825,7 +2732,7 @@ mod tests {
         let a = dos.alloc(4 * PAGE_SIZE);
         dos.write_u64(a, 1, Pattern::Rand);
         dos.drop_cache();
-        let mut last = dos.pool_epoch();
+        let mut last = dos.pool_epoch_for(0);
         for round in 0..2u64 {
             dos.crash_pool(0);
             let r = dos.restart_pool(0);
@@ -2838,7 +2745,7 @@ mod tests {
             dos.write_u64(a, 2 + round, Pattern::Rand);
             dos.drop_cache();
         }
-        assert_eq!(dos.pool_epoch(), 2, "two restarts, two bumps");
+        assert_eq!(dos.pool_epoch_for(0), 2, "two restarts, two bumps");
         assert_eq!(dos.read_u64(a, Pattern::Rand), 3);
         let m = dos.metrics();
         assert_eq!(m.get("recovery.crashes"), Some(2));

@@ -46,7 +46,7 @@ pub use cache::{CacheEntry, Evicted, PageCache};
 pub use fair::DrrQueue;
 pub use health::{HealthConfig, HealthMonitor};
 pub use kernel::{Dos, FileId, Pattern, Topology};
-pub use page::{pages_spanned, PageChecksum, PageId, VAddr};
+pub use page::{page_chunks, pages_spanned, PageChecksum, PageId, VAddr};
 pub use pool::{MemoryPool, PoolFault};
 pub use recovery::{JournalEntry, RecoveryCounters, RecoveryJournal, RestartReport};
 pub use replica::{FailoverReport, ReplOp, ReplicatedPool, ReplicationCounters};

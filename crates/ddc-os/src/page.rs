@@ -99,6 +99,26 @@ pub fn pages_spanned(addr: VAddr, len: usize) -> impl Iterator<Item = PageId> {
     (first..=last).map(PageId)
 }
 
+/// Walk `[addr, addr + len)` one page at a time, yielding each page with
+/// the byte offset the span starts at inside it and how many of the span's
+/// bytes fall on it: `(page, offset_in_page, len_in_page)`. The lengths sum
+/// to `len`; a zero-length span yields nothing.
+pub fn page_chunks(addr: VAddr, len: usize) -> impl Iterator<Item = (PageId, usize, usize)> {
+    let mut cursor = addr;
+    let mut remaining = len;
+    std::iter::from_fn(move || {
+        if remaining == 0 {
+            return None;
+        }
+        let off = cursor.page_offset();
+        let n = (PAGE_SIZE - off).min(remaining);
+        let chunk = (cursor.page(), off, n);
+        cursor = cursor.offset(n as u64);
+        remaining -= n;
+        Some(chunk)
+    })
+}
+
 impl fmt::Display for VAddr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "0x{:x}", self.0)
@@ -153,5 +173,25 @@ mod tests {
         assert_eq!(pages_spanned(a, 0).count(), 0);
         assert_eq!(pages_spanned(VAddr(0), PAGE_SIZE).count(), 1);
         assert_eq!(pages_spanned(VAddr(0), PAGE_SIZE + 1).count(), 2);
+    }
+
+    #[test]
+    fn page_chunks_split_a_span_at_page_boundaries() {
+        let a = VAddr(PAGE_SIZE as u64 - 3);
+        let chunks: Vec<_> = page_chunks(a, PAGE_SIZE + 10).collect();
+        assert_eq!(
+            chunks,
+            vec![
+                (PageId(0), PAGE_SIZE - 3, 3),
+                (PageId(1), 0, PAGE_SIZE),
+                (PageId(2), 0, 7),
+            ]
+        );
+        assert_eq!(page_chunks(a, 0).count(), 0);
+        for (addr, len) in [(a, 1), (a, 3), (a, 4), (VAddr(0), 3 * PAGE_SIZE)] {
+            let pages: Vec<_> = page_chunks(addr, len).map(|(p, _, _)| p).collect();
+            assert_eq!(pages, pages_spanned(addr, len).collect::<Vec<_>>());
+            assert_eq!(page_chunks(addr, len).map(|c| c.2).sum::<usize>(), len);
+        }
     }
 }

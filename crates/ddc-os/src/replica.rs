@@ -24,7 +24,7 @@
 use ddc_sim::{Clock, Fabric, Lane, MsgClass, ReplicationMode, Ssd, TraceEvent, Tracer, PAGE_SIZE};
 
 use crate::page::PageId;
-use crate::pool::MemoryPool;
+use crate::pool::{MemoryPool, PoolFault};
 
 /// Wire size of one `RegisterRange` journal entry (header + range).
 pub const REGISTER_ENTRY_BYTES: usize = 24;
@@ -47,6 +47,15 @@ pub enum ReplOp {
 }
 
 impl ReplOp {
+    /// The pages this entry names, in address order.
+    pub fn pages(self) -> impl Iterator<Item = PageId> {
+        let (first, count) = match self {
+            ReplOp::RegisterRange { first, count } => (first, count),
+            ReplOp::PageWrite(pid) => (pid, 1),
+        };
+        (0..count).map(move |i| first.offset(i))
+    }
+
     fn wire_bytes(&self) -> usize {
         match self {
             ReplOp::RegisterRange { .. } => REGISTER_ENTRY_BYTES,
@@ -226,37 +235,48 @@ impl ReplicatedPool {
         tracer.emit(Lane::Memory, TraceEvent::ReplicaAck { seq: last_seq });
     }
 
+    /// Bill the storage traffic one backup-pool fault caused (backup spills
+    /// and refaults hit the same storage pool as the primary's): the
+    /// victim's write-back first, then the read.
+    #[inline]
+    fn charge_backup_fault(&mut self, fault: PoolFault, ssd: &Ssd, clock: &Clock) {
+        if fault.storage_writeback {
+            clock.advance(ssd.write_page());
+            self.counters.backup_storage_writes += 1;
+        }
+        if fault.storage_read {
+            clock.advance(ssd.read_page());
+            self.counters.backup_storage_reads += 1;
+        }
+    }
+
     /// Replay one journal entry on the backup pool, charging any storage
-    /// traffic it causes (backup spills and refaults hit the same storage
-    /// pool as the primary's).
+    /// traffic it causes.
     fn apply(&mut self, op: ReplOp, ssd: &Ssd, clock: &Clock) {
         match op {
-            ReplOp::RegisterRange { first, count } => {
-                for i in 0..count {
-                    let pid = first.offset(i);
-                    if self.backup.is_mapped(pid) {
-                        continue; // replayed range (idempotent)
-                    }
-                    let fault = self.backup.register(pid);
-                    if fault.storage_writeback {
-                        clock.advance(ssd.write_page());
-                        self.counters.backup_storage_writes += 1;
-                    }
+            ReplOp::RegisterRange { .. } => {
+                // Already-mapped pages are a replayed range (idempotent).
+                for pid in op.pages() {
+                    self.register_on_backup(pid, ssd, clock);
                 }
             }
-            ReplOp::PageWrite(pid) => {
-                let fault = self.backup.ensure_resident(pid);
-                if fault.storage_writeback {
-                    clock.advance(ssd.write_page());
-                    self.counters.backup_storage_writes += 1;
-                }
-                if fault.storage_read {
-                    clock.advance(ssd.read_page());
-                    self.counters.backup_storage_reads += 1;
-                }
-                self.backup.mark_dirty(pid);
-            }
+            ReplOp::PageWrite(pid) => self.land_on_backup(pid, ssd, clock),
         }
+    }
+
+    /// Register `pid` on the backup unless it is already mapped there.
+    fn register_on_backup(&mut self, pid: PageId, ssd: &Ssd, clock: &Clock) {
+        if !self.backup.is_mapped(pid) {
+            let fault = self.backup.register(pid);
+            self.charge_backup_fault(fault, ssd, clock);
+        }
+    }
+
+    /// A page image arrived: make the backup's copy resident and dirty.
+    fn land_on_backup(&mut self, pid: PageId, ssd: &Ssd, clock: &Clock) {
+        let fault = self.backup.ensure_resident(pid);
+        self.charge_backup_fault(fault, ssd, clock);
+        self.backup.mark_dirty(pid);
     }
 
     /// Whether the backup holds an *acknowledged* copy of `page` — one the
@@ -267,10 +287,10 @@ impl ReplicatedPool {
         if !self.backup.is_mapped(page) {
             return false;
         }
-        !self.pending.iter().any(|&(_, op)| match op {
-            ReplOp::RegisterRange { first, count } => (first.0..first.0 + count).contains(&page.0),
-            ReplOp::PageWrite(pid) => pid == page,
-        })
+        !self
+            .pending
+            .iter()
+            .any(|&(_, op)| op.pages().any(|named| named == page))
     }
 
     /// Re-silver the backup from the primary's live image: bulk catch-up
@@ -288,23 +308,8 @@ impl ReplicatedPool {
             clock.advance(d);
             self.counters.ship_messages += 1;
             for &pid in chunk {
-                if !self.backup.is_mapped(pid) {
-                    let fault = self.backup.register(pid);
-                    if fault.storage_writeback {
-                        clock.advance(ssd.write_page());
-                        self.counters.backup_storage_writes += 1;
-                    }
-                }
-                let fault = self.backup.ensure_resident(pid);
-                if fault.storage_writeback {
-                    clock.advance(ssd.write_page());
-                    self.counters.backup_storage_writes += 1;
-                }
-                if fault.storage_read {
-                    clock.advance(ssd.read_page());
-                    self.counters.backup_storage_reads += 1;
-                }
-                self.backup.mark_dirty(pid);
+                self.register_on_backup(pid, ssd, clock);
+                self.land_on_backup(pid, ssd, clock);
                 self.counters.pages_shipped += 1;
             }
             let d = fabric.send(MsgClass::Replication, REPLICA_ACK_BYTES);
@@ -319,17 +324,11 @@ impl ReplicatedPool {
     /// must re-fetch each from storage rather than trust the backup's
     /// stale copy.
     pub fn promote(self) -> (MemoryPool, Vec<PageId>, ReplicationCounters) {
-        let mut lost: Vec<PageId> = Vec::new();
-        for &(_, op) in &self.pending {
-            match op {
-                ReplOp::RegisterRange { first, count } => {
-                    for i in 0..count {
-                        lost.push(first.offset(i));
-                    }
-                }
-                ReplOp::PageWrite(pid) => lost.push(pid),
-            }
-        }
+        let mut lost: Vec<PageId> = self
+            .pending
+            .iter()
+            .flat_map(|&(_, op)| op.pages())
+            .collect();
         lost.sort_unstable();
         lost.dedup();
         (self.backup, lost, self.counters)
@@ -348,6 +347,22 @@ mod tests {
         let fabric = Fabric::with_tracer(NetConfig::default(), tracer.clone());
         let ssd = Ssd::with_tracer(SsdConfig::default(), tracer.clone());
         (clock, tracer, fabric, ssd)
+    }
+
+    #[test]
+    fn an_op_names_its_pages_in_address_order() {
+        let range = ReplOp::RegisterRange {
+            first: PageId(7),
+            count: 3,
+        };
+        assert_eq!(
+            range.pages().collect::<Vec<_>>(),
+            [PageId(7), PageId(8), PageId(9)]
+        );
+        assert_eq!(
+            ReplOp::PageWrite(PageId(4)).pages().collect::<Vec<_>>(),
+            [PageId(4)]
+        );
     }
 
     #[test]

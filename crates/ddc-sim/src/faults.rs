@@ -468,6 +468,17 @@ impl FaultInjector {
         st.fired.push(false);
     }
 
+    /// Walk the running plan as `(index, spec)`, copying each spec out
+    /// under a borrow that ends before the caller's loop body runs — so the
+    /// body is free to draw the PRNG or note a hit — instead of cloning the
+    /// whole spec vector on every poll.
+    fn specs(&self) -> impl Iterator<Item = (usize, FaultSpec)> + '_ {
+        (0..).map_while(|i| {
+            let spec = self.inner.borrow().plan.specs.get(i).copied();
+            spec.map(|s| (i, s))
+        })
+    }
+
     fn note(&self, lane: Lane, fault: InjectedFault, magnitude: u64) {
         self.inner.borrow_mut().injected += 1;
         self.tracer
@@ -501,8 +512,7 @@ impl FaultInjector {
     pub fn fabric_penalty(&self) -> SimDuration {
         let now = self.clock.now();
         let mut penalty = SimDuration::ZERO;
-        let specs = self.inner.borrow().plan.specs.clone();
-        for spec in specs {
+        for (_, spec) in self.specs() {
             match spec {
                 FaultSpec::FabricLatencySpike { from, until, extra }
                     if FaultSpec::window_active(from, until, now) =>
@@ -535,9 +545,8 @@ impl FaultInjector {
     pub fn ssd_disruption(&self) -> SsdDisruption {
         let now = self.clock.now();
         let mut d = SsdDisruption::default();
-        let specs = self.inner.borrow().plan.specs.clone();
-        for (i, spec) in specs.iter().enumerate() {
-            match *spec {
+        for (i, spec) in self.specs() {
+            match spec {
                 FaultSpec::SsdTransientError { from, until, p }
                     if FaultSpec::window_active(from, until, now) =>
                 {
@@ -575,14 +584,13 @@ impl FaultInjector {
     pub fn pool_slowdown_for(&self, pool: usize) -> u32 {
         let now = self.clock.now();
         let mut slow: u32 = 1;
-        let specs = self.inner.borrow().plan.specs.clone();
-        for (i, spec) in specs.iter().enumerate() {
+        for (i, spec) in self.specs() {
             if let FaultSpec::DegradedPool {
                 pool: p,
                 from,
                 until,
                 factor,
-            } = *spec
+            } = spec
             {
                 if p == pool && FaultSpec::window_active(from, until, now) {
                     slow = slow.saturating_mul(factor);
@@ -599,13 +607,12 @@ impl FaultInjector {
     pub fn fabric_slowdown(&self) -> u32 {
         let now = self.clock.now();
         let mut slow: u32 = 1;
-        let specs = self.inner.borrow().plan.specs.clone();
-        for (i, spec) in specs.iter().enumerate() {
+        for (i, spec) in self.specs() {
             if let FaultSpec::LameFabricLink {
                 from,
                 until,
                 factor,
-            } = *spec
+            } = spec
             {
                 if FaultSpec::window_active(from, until, now) {
                     slow = slow.saturating_mul(factor);
@@ -783,13 +790,12 @@ impl FaultInjector {
     pub fn queue_burst(&self) -> Option<SimDuration> {
         let now = self.clock.now();
         let mut burst: Option<SimDuration> = None;
-        let specs = self.inner.borrow().plan.specs.clone();
-        for (i, spec) in specs.iter().enumerate() {
+        for (i, spec) in self.specs() {
             if let FaultSpec::QueueBacklogBurst {
                 from,
                 until,
                 backlog,
-            } = *spec
+            } = spec
             {
                 if FaultSpec::window_active(from, until, now) && !self.inner.borrow().fired[i] {
                     self.inner.borrow_mut().fired[i] = true;
@@ -838,8 +844,7 @@ impl FaultInjector {
     /// bytes — the injector only decides and records.
     pub fn corruption(&self, point: CorruptionPoint, page: u64) -> Option<Corruption> {
         let now = self.clock.now();
-        let specs = self.inner.borrow().plan.specs.clone();
-        for spec in specs {
+        for (_, spec) in self.specs() {
             let (active_p, lane, fault) = match (point, spec) {
                 (CorruptionPoint::Fabric, FaultSpec::FabricBitFlip { from, until, p })
                     if FaultSpec::window_active(from, until, now) =>
@@ -885,8 +890,7 @@ impl FaultInjector {
     pub fn pushdown_disruption(&self, call: u64) -> Option<PushdownDisruption> {
         let now = self.clock.now();
         let mut d: Option<PushdownDisruption> = None;
-        let specs = self.inner.borrow().plan.specs.clone();
-        for spec in specs {
+        for (_, spec) in self.specs() {
             match spec {
                 FaultSpec::PushdownException { call: c } if c == call => {
                     d = d.or(Some(PushdownDisruption::Exception));
