@@ -896,8 +896,10 @@ impl Runtime {
     /// - without one, the outage is waited out in place (`down_for` of
     ///   virtual time), the shard restarts by journal replay, and the call
     ///   proceeds against the recovered primary.
-    fn poll_pool_crashes(&mut self) -> Option<PushdownError> {
-        let inj = self.faults.clone()?;
+    fn poll_pool_crashes(&mut self) -> Result<(), PushdownError> {
+        let Some(inj) = self.faults.clone() else {
+            return Ok(());
+        };
         let mut fenced: Option<PushdownError> = None;
         for p in 0..self.dos.pool_count() {
             let Some(down_for) = inj.pool_crash_now_for(p) else {
@@ -915,7 +917,7 @@ impl Runtime {
                 let _ = self.dos.restart_pool(p);
             }
         }
-        fenced
+        fenced.map_or(Ok(()), Err)
     }
 
     /// Promote shard `p`'s standing backup after its primary died, and
@@ -1368,9 +1370,7 @@ impl Runtime {
         // down; this call waits out the outage, then the restart replays
         // the journal and the call proceeds.
         self.service_pool_restarts();
-        if let Some(e) = self.poll_pool_crashes() {
-            return Err(e);
-        }
+        self.poll_pool_crashes()?;
         self.heartbeat_round()?;
         // Gray-failure plane (a no-op unless armed). Probing is the health
         // plane's background work; it rides this call's charge-out but

@@ -1262,9 +1262,10 @@ impl Dos {
         // are healthy.
         let invalidations = self.reconcile_cache(p, &lost_list);
         let shard = &mut self.shards[p];
+        let old_epoch = shard.epoch;
         shard.epoch += 1;
         let report = FailoverReport {
-            old_epoch: shard.epoch - 1,
+            old_epoch,
             new_epoch: shard.epoch,
             lost_pages: lost_list.len() as u64,
             refetched_pages: lost_list.len() as u64,
@@ -1746,13 +1747,13 @@ impl Dos {
         let p = self.owner_of(pid);
         let shard = self.shards.get(p);
         let dirty = shard.is_some_and(|s| s.pool.is_dirty(pid));
-        let acked = shard
-            .and_then(|s| s.replica.as_ref())
-            .is_some_and(|r| r.has_acked_copy(pid));
         let source = if !dirty {
             self.ssd_page_in();
             Some(RepairSource::Ssd)
-        } else if acked {
+        } else if shard
+            .and_then(|s| s.replica.as_ref())
+            .is_some_and(|r| r.has_acked_copy(pid))
+        {
             // Re-fetch the acked page image from the backup pool.
             self.wire(
                 MsgClass::Replication,
