@@ -1,4 +1,7 @@
 //! Criterion microbenchmarks of the disaggregated OS's paging fast paths.
+//!
+//! `BENCH_paging.json` at the repo root is this file's report:
+//! `TELEPORT_BENCH_JSON=BENCH_paging.json cargo bench --bench paging`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -47,6 +50,41 @@ fn bench_fault_path(c: &mut Criterion) {
             black_box(dos.read_u64(a.offset(p * PAGE_SIZE as u64), Pattern::Rand))
         });
     });
+    // The same thrash over a 256 MB address space: the per-page tables no
+    // longer fit in cache, so their footprint shows. The stride is coprime
+    // with the page count and longer than the cache, so every read misses.
+    g.bench_function("read_u64_64_of_65536", |b| {
+        let pages = 65_536u64;
+        let (mut dos, a) = warm_dos(64, pages as usize);
+        let mut p = 0u64;
+        b.iter(|| {
+            p = (p + 4099) % pages;
+            black_box(dos.read_u64(a.offset(p * PAGE_SIZE as u64), Pattern::Rand))
+        });
+    });
+    g.finish();
+}
+
+fn bench_memside(c: &mut Criterion) {
+    // Pool-side touches of a fully resident pool: what pushed-down code
+    // pays per access (no fabric, no storage).
+    let mut g = c.benchmark_group("paging/memside");
+    g.throughput(Throughput::Elements(1));
+    g.bench_function("touch_u64_resident", |b| {
+        let pages = 4096u64;
+        let (mut dos, a) = warm_dos(64, pages as usize);
+        dos.drop_cache();
+        let mut p = 0u64;
+        b.iter(|| {
+            p = (p + 61) % pages;
+            dos.mem_touch_range(
+                black_box(a.offset(p * PAGE_SIZE as u64)),
+                8,
+                false,
+                Pattern::Rand,
+            )
+        });
+    });
     g.finish();
 }
 
@@ -83,6 +121,7 @@ criterion_group!(
     benches,
     bench_cache_hit,
     bench_fault_path,
+    bench_memside,
     bench_sequential_scan,
     bench_resident_list
 );

@@ -36,6 +36,8 @@ impl Segment {
 pub struct AddressSpace {
     segments: Vec<Segment>,
     next_page: u64,
+    /// Pages across all segments, kept as a running count.
+    allocated_pages: usize,
 }
 
 impl AddressSpace {
@@ -44,6 +46,7 @@ impl AddressSpace {
             segments: Vec::new(),
             // Page 0 is never mapped: VAddr::NULL stays invalid.
             next_page: 1,
+            allocated_pages: 0,
         }
     }
 
@@ -54,6 +57,7 @@ impl AddressSpace {
         let start = PageId(self.next_page).base();
         // +1 leaves an unmapped guard page after the allocation.
         self.next_page += pages as u64 + 1;
+        self.allocated_pages += pages;
         self.segments.push(Segment {
             start,
             len: bytes,
@@ -64,7 +68,7 @@ impl AddressSpace {
 
     /// Number of pages across all allocations (guard pages excluded).
     pub fn allocated_pages(&self) -> usize {
-        self.segments.iter().map(|s| s.data.len() / PAGE_SIZE).sum()
+        self.allocated_pages
     }
 
     /// Total allocated bytes (as requested by callers).
@@ -80,9 +84,9 @@ impl AddressSpace {
     /// The pages of the allocation starting at `start`.
     pub fn pages_of(&self, start: VAddr) -> impl Iterator<Item = PageId> + '_ {
         let seg = self
-            .segments
-            .iter()
-            .find(|s| s.start == start)
+            .find(start)
+            .map(|idx| &self.segments[idx])
+            .filter(|s| s.start == start)
             .expect("pages_of: not an allocation start");
         let first = seg.start.page().0;
         let count = (seg.data.len() / PAGE_SIZE) as u64;
@@ -295,6 +299,19 @@ mod tests {
         let pages: Vec<_> = space.pages_of(a).collect();
         assert_eq!(pages.len(), 3);
         assert_eq!(pages[0], a.page());
+        // Found by address, whichever allocation it is.
+        let b = space.alloc(1);
+        assert_eq!(space.pages_of(b).collect::<Vec<_>>(), [b.page()]);
+        assert_eq!(space.pages_of(a).count(), 3);
+        assert_eq!(space.allocated_pages(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "not an allocation start")]
+    fn pages_of_rejects_an_interior_address() {
+        let mut space = AddressSpace::new();
+        let a = space.alloc(PAGE_SIZE * 2);
+        let _ = space.pages_of(a.offset(PAGE_SIZE as u64));
     }
 
     #[test]

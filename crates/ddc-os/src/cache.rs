@@ -7,10 +7,8 @@
 //! monolithic ("Linux") topology, where eviction targets the swap device
 //! instead of the memory pool.
 
-use std::collections::HashMap;
-
-use crate::lru::LruList;
-use crate::page::PageId;
+use crate::lru::{SlotList, NIL};
+use crate::page::{PageId, PageTable};
 
 /// Per-page cache metadata.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,12 +28,15 @@ pub struct Evicted {
     pub dirty: bool,
 }
 
-/// Fixed-capacity LRU page cache.
+/// Fixed-capacity LRU page cache: one page-indexed table in front of one
+/// slab whose nodes hold the LRU links and the [`CacheEntry`] together.
 #[derive(Debug, Clone)]
 pub struct PageCache {
     capacity: usize,
-    lru: LruList,
-    entries: HashMap<PageId, CacheEntry>,
+    /// Resident pages in recency order, with their metadata.
+    lru: SlotList<CacheEntry>,
+    /// Page → slot in `lru`; `NIL` for a page that is not resident.
+    index: PageTable<u32>,
 }
 
 impl PageCache {
@@ -44,8 +45,8 @@ impl PageCache {
     pub fn new(capacity: usize) -> Self {
         PageCache {
             capacity,
-            lru: LruList::new(),
-            entries: HashMap::with_capacity(capacity.min(1 << 20)),
+            lru: SlotList::new(),
+            index: PageTable::new(NIL),
         }
     }
 
@@ -54,33 +55,40 @@ impl PageCache {
     }
 
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.lru.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Metadata for `page` if resident. Does not refresh LRU position.
     pub fn probe(&self, page: PageId) -> Option<CacheEntry> {
-        self.entries.get(&page).copied()
+        self.slot(page).map(|slot| self.lru.data(slot))
+    }
+
+    /// The slab slot of `page` if it is resident: the one table read every
+    /// by-page operation starts with.
+    #[inline]
+    fn slot(&self, page: PageId) -> Option<u32> {
+        Some(self.index.get(page)).filter(|&slot| slot != NIL)
     }
 
     /// Record an access to a resident page: refreshes its LRU position and,
     /// for writes, upgrades it to writable + dirty. Returns `false` if the
     /// page is not resident (the caller must fault it in).
+    #[inline]
     pub fn access(&mut self, page: PageId, write: bool) -> bool {
-        match self.entries.get_mut(&page) {
-            Some(e) => {
-                if write {
-                    e.writable = true;
-                    e.dirty = true;
-                }
-                self.lru.touch(page);
-                true
-            }
-            None => false,
+        let Some(slot) = self.slot(page) else {
+            return false;
+        };
+        self.lru.move_to_front(slot);
+        if write {
+            let e = self.lru.data_mut(slot);
+            e.writable = true;
+            e.dirty = true;
         }
+        true
     }
 
     /// Insert a just-faulted page, evicting the LRU victim if full.
@@ -89,28 +97,22 @@ impl PageCache {
     /// most once) or if capacity is zero.
     pub fn insert(&mut self, page: PageId, write: bool) -> Option<Evicted> {
         assert!(self.capacity > 0, "insert into zero-capacity cache");
-        assert!(
-            !self.entries.contains_key(&page),
-            "page {page} already cached"
-        );
-        let victim = if self.entries.len() == self.capacity {
-            let v = self.lru.pop_lru().expect("full cache has an LRU page");
-            let e = self.entries.remove(&v).expect("LRU page has an entry");
+        assert!(self.slot(page).is_none(), "page {page} already cached");
+        let victim = if self.lru.len() == self.capacity {
+            let (page, e) = self.lru.pop_back().expect("full cache has an LRU page");
+            *self.index.entry(page) = NIL;
             Some(Evicted {
-                page: v,
+                page,
                 dirty: e.dirty,
             })
         } else {
             None
         };
-        self.entries.insert(
-            page,
-            CacheEntry {
-                writable: write,
-                dirty: write,
-            },
-        );
-        self.lru.touch(page);
+        let entry = CacheEntry {
+            writable: write,
+            dirty: write,
+        };
+        *self.index.entry(page) = self.lru.push_front(page, entry);
         victim
     }
 
@@ -118,9 +120,9 @@ impl PageCache {
     /// its entry if it was resident; a dirty entry means the caller must
     /// account for the write-back transfer.
     pub fn evict(&mut self, page: PageId) -> Option<CacheEntry> {
-        let e = self.entries.remove(&page)?;
-        self.lru.remove(page);
-        Some(e)
+        let slot = self.slot(page)?;
+        *self.index.entry(page) = NIL;
+        Some(self.lru.remove(slot).1)
     }
 
     /// Downgrade `page` to read-only (coherence: the memory pool asked for
@@ -128,7 +130,8 @@ impl PageCache {
     /// caller must account for flushing it. No-op returning `None` if the
     /// page is not resident.
     pub fn downgrade(&mut self, page: PageId) -> Option<CacheEntry> {
-        let e = self.entries.get_mut(&page)?;
+        let slot = self.slot(page)?;
+        let e = self.lru.data_mut(slot);
         let before = *e;
         e.writable = false;
         e.dirty = false;
@@ -137,16 +140,18 @@ impl PageCache {
 
     /// Mark a dirty page as flushed (kept resident and writable).
     pub fn mark_clean(&mut self, page: PageId) {
-        if let Some(e) = self.entries.get_mut(&page) {
-            e.dirty = false;
+        if let Some(slot) = self.slot(page) {
+            self.lru.data_mut(slot).dirty = false;
         }
     }
 
     /// All resident pages with their metadata, in unspecified order.
     /// Callers that expose the result must sort it themselves (and do).
+    /// Walks the slab, so the cost is bounded by the cache's capacity however
+    /// large the address space is — the pushdown path calls this on every
+    /// request.
     pub fn resident(&self) -> impl Iterator<Item = (PageId, CacheEntry)> + '_ {
-        // analyze:allow(unordered-iter) order is documented as unspecified and every caller sorts before the result becomes observable
-        self.entries.iter().map(|(p, e)| (*p, *e))
+        self.lru.iter_slab()
     }
 
     /// All resident pages in address order. Walks that flush, evict or
@@ -161,23 +166,23 @@ impl PageCache {
 
     /// All dirty pages, sorted by page id.
     pub fn dirty_pages(&self) -> Vec<PageId> {
-        // analyze:allow(unordered-iter) collected then sorted below, so the returned order is deterministic
         let mut v: Vec<PageId> = self
-            .entries
-            .iter()
+            .resident()
             .filter(|(_, e)| e.dirty)
-            .map(|(p, _)| *p)
+            .map(|(p, _)| p)
             .collect();
         v.sort_unstable();
         v
     }
 
     /// Drop everything, returning the pages that were dirty (the caller
-    /// accounts for their write-back).
+    /// accounts for their write-back). Pops page by page, so table and slab
+    /// keep their allocations for the refill.
     pub fn clear(&mut self) -> Vec<PageId> {
         let dirty = self.dirty_pages();
-        self.entries.clear();
-        self.lru = LruList::new();
+        while let Some((page, _)) = self.lru.pop_back() {
+            *self.index.entry(page) = NIL;
+        }
         dirty
     }
 }
@@ -282,6 +287,42 @@ mod tests {
         let e = c.probe(PageId(1)).unwrap();
         assert!(e.writable && !e.dirty);
         assert!(c.dirty_pages().is_empty());
+    }
+
+    #[test]
+    fn probe_far_past_the_table_is_a_miss() {
+        let far = PageId(u64::MAX >> 12);
+        let mut c = PageCache::new(2);
+        c.insert(PageId(1), true);
+        assert_eq!(c.probe(far), None);
+        assert!(!c.access(far, false));
+        assert!(c.evict(far).is_none() && c.downgrade(far).is_none());
+        c.mark_clean(far);
+        assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn cleared_cache_refills_like_a_fresh_one() {
+        let trace = [5u64, 100_003, 2, 5, 9, 100_001, 2, 7, 100_003, 1];
+        let victims = |c: &mut PageCache| -> Vec<Option<Evicted>> {
+            trace
+                .iter()
+                .map(|&p| {
+                    if c.access(PageId(p), p % 2 == 1) {
+                        None
+                    } else {
+                        c.insert(PageId(p), p % 2 == 1)
+                    }
+                })
+                .collect()
+        };
+        let mut used = PageCache::new(3);
+        for p in [3u64, 100_002, 8, 4] {
+            used.insert(PageId(p), true);
+        }
+        assert_eq!(used.clear(), [PageId(4), PageId(8), PageId(100_002)]);
+        assert!(used.is_empty() && used.probe(PageId(8)).is_none());
+        assert_eq!(victims(&mut used), victims(&mut PageCache::new(3)));
     }
 
     #[test]

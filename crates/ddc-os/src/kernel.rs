@@ -26,7 +26,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use crate::addrspace::AddressSpace;
 use crate::cache::{CacheEntry, PageCache};
 use crate::health::{HealthConfig, HealthMonitor};
-use crate::page::{page_chunks, pages_spanned, PageChecksum, PageId, VAddr};
+use crate::page::{for_each_page, pages_spanned, PageChecksum, PageId, PageTable, VAddr};
 use crate::pool::{MemoryPool, PoolFault};
 use crate::recovery::{RecoveryCounters, RecoveryJournal, ReplaySet, RestartReport};
 use crate::replica::{FailoverReport, ReplOp, ReplicatedPool, ReplicationCounters};
@@ -165,10 +165,11 @@ pub struct Dos {
     /// per pool on a DDC. Single-pool deployments behave bit-for-bit like
     /// the pre-pool-set kernel.
     shards: Vec<PoolShard>,
-    /// Page → owning shard. Populated only on multi-pool deployments
-    /// (single-pool ownership is the identity); lookups only, never
-    /// iterated.
-    owner: HashMap<PageId, usize>,
+    /// Page → owning shard, per page because `LoadBalance` stripes an
+    /// allocation across shards. Populated only on multi-pool deployments
+    /// (single-pool ownership is the identity); unmapped pages read as
+    /// shard 0.
+    owner: PageTable<u16>,
     /// Placement policy applied at allocation time.
     placement: PlacementPolicy,
     /// Allocations made so far (drives `PlacementPolicy::Locality`'s
@@ -179,8 +180,8 @@ pub struct Dos {
     touched_pools: BTreeSet<usize>,
     /// Memory-side page touches in the same routing window.
     touched_pages: u64,
-    /// Pages that have a copy on the swap device (monolithic only).
-    swapped: HashSet<PageId>,
+    /// Whether the page has a copy on the swap device (monolithic only).
+    swapped: PageTable<bool>,
     stats: PagingStats,
     dram: ddc_sim::DramConfig,
     fault_overhead: SimDuration,
@@ -217,12 +218,12 @@ impl Dos {
             space: AddressSpace::new(),
             cache: PageCache::new(cache_pages),
             shards: Vec::new(),
-            owner: HashMap::new(),
+            owner: PageTable::new(0),
             placement: PlacementPolicy::default(),
             alloc_seq: 0,
             touched_pools: BTreeSet::new(),
             touched_pages: 0,
-            swapped: HashSet::new(),
+            swapped: PageTable::new(false),
             stats: PagingStats::default(),
             dram: cfg.dram_cost,
             fault_overhead: cfg.fault_overhead,
@@ -267,12 +268,12 @@ impl Dos {
             shards: (0..cfg.pools)
                 .map(|_| PoolShard::new(shard_pages, cfg.replication))
                 .collect(),
-            owner: HashMap::new(),
+            owner: PageTable::new(0),
             placement: cfg.placement,
             alloc_seq: 0,
             touched_pools: BTreeSet::new(),
             touched_pages: 0,
-            swapped: HashSet::new(),
+            swapped: PageTable::new(false),
             stats: PagingStats::default(),
             dram: cfg.dram,
             fault_overhead: cfg.fault_overhead,
@@ -307,7 +308,7 @@ impl Dos {
         if self.shards.len() <= 1 {
             0
         } else {
-            self.owner.get(&pid).copied().unwrap_or(0)
+            self.owner.get(pid) as usize
         }
     }
 
@@ -595,7 +596,8 @@ impl Dos {
             self.alloc_seq += 1;
             for (&pid, &p) in pages.iter().zip(&owners) {
                 if self.shards.len() > 1 {
-                    self.owner.insert(pid, p);
+                    *self.owner.entry(pid) =
+                        u16::try_from(p).expect("the owner table holds shard indices below 65536");
                 }
                 let fault = self.shards[p].pool.register(pid);
                 self.charge_pool_fault(fault);
@@ -776,26 +778,32 @@ impl Dos {
     pub fn touch_range(&mut self, addr: VAddr, len: usize, write: bool, pat: Pattern) {
         // analyze:allow(debug-assert) application-level addressing bug on the hot access path, not cross-pool protocol state
         debug_assert!(self.space.is_mapped(addr), "touch of unmapped {addr}");
-        for (pid, _, in_page) in page_chunks(addr, len) {
-            if self.cache.access(pid, write) {
-                self.stats.cache_hits += 1;
-                if self.integrity.enabled {
-                    // The authoritative bytes are shared across pools, so a
-                    // latent scribble is observable even through a cache
-                    // hit; detect it before the access reads the page.
-                    self.check_page(pid, CorruptionPoint::Pool);
-                }
-            } else {
-                self.fault_in(pid, write);
-                if pat == Pattern::Seq && self.prefetch > 0 {
-                    self.prefetch_ahead(pid);
-                }
+        for_each_page(addr, len, |pid, in_page| {
+            self.touch_page(pid, in_page, write, pat)
+        });
+    }
+
+    /// One page's share of [`Dos::touch_range`]: `in_page` bytes of `pid`.
+    #[inline]
+    fn touch_page(&mut self, pid: PageId, in_page: usize, write: bool, pat: Pattern) {
+        if self.cache.access(pid, write) {
+            self.stats.cache_hits += 1;
+            if self.integrity.enabled {
+                // The authoritative bytes are shared across pools, so a
+                // latent scribble is observable even through a cache
+                // hit; detect it before the access reads the page.
+                self.check_page(pid, CorruptionPoint::Pool);
             }
-            if write {
-                self.mark_stale(pid);
+        } else {
+            self.fault_in(pid, write);
+            if pat == Pattern::Seq && self.prefetch > 0 {
+                self.prefetch_ahead(pid);
             }
-            self.clock.advance(self.dram_cost(pat, in_page));
         }
+        if write {
+            self.mark_stale(pid);
+        }
+        self.clock.advance(self.dram_cost(pat, in_page));
     }
 
     /// LegoOS-style sequential prefetch: after a sequential-pattern fault
@@ -847,7 +855,7 @@ impl Dos {
         if self.tracer.is_enabled() {
             // Classify before `ensure_resident` pulls the page up a level.
             let level = if self.shards.is_empty() {
-                if self.swapped.contains(&pid) {
+                if self.swapped.get(pid) {
                     FaultLevel::Storage
                 } else {
                     FaultLevel::Cache
@@ -890,7 +898,7 @@ impl Dos {
         } else {
             // Monolithic: first touch materializes a zero page for
             // free; a refault reads the swap copy.
-            if self.swapped.contains(&pid) {
+            if self.swapped.get(pid) {
                 self.ssd_page_in();
                 if self.integrity.enabled {
                     self.reseal_if_stale(pid);
@@ -922,7 +930,7 @@ impl Dos {
             }
         } else if dirty {
             self.ssd_page_out();
-            self.swapped.insert(page);
+            *self.swapped.entry(page) = true;
             self.seal_checksum(page);
         }
     }
@@ -941,46 +949,52 @@ impl Dos {
         // surfaced as a confusing `expect` on the pool handle below, so
         // check it up front in every build.
         assert!(self.is_disaggregated(), "mem-side access on monolithic");
-        for (pid, _, in_page) in page_chunks(addr, len) {
-            self.stats.mem_side_accesses += 1;
-            let p = self.owner_of(pid);
-            if self.shards.len() > 1 {
-                // Record the routing decision for the runtime's fan-out
-                // accounting (free on single-pool deployments).
-                self.touched_pools.insert(p);
-                self.touched_pages += 1;
-            }
-            let fault = self.shards[p].pool.ensure_resident(pid);
-            if fault.storage_read {
-                // A memory-side fault never crosses the fabric: it either
-                // hits pool DRAM (no event) or recurses to storage.
-                self.tracer.emit(
-                    Lane::Memory,
-                    TraceEvent::PageFault {
-                        vaddr: pid.base().0,
-                        level: FaultLevel::Storage,
-                    },
-                );
-            }
-            self.charge_pool_fault(fault);
-            if self.integrity.enabled {
-                self.reseal_if_stale(pid);
-                if fault.storage_read {
-                    self.poll_corruption(CorruptionPoint::Ssd, pid);
-                    self.check_page(pid, CorruptionPoint::Ssd);
-                } else {
-                    // Latent scribbles surface at the next in-pool access.
-                    self.check_page(pid, CorruptionPoint::Pool);
-                }
-            }
-            if write {
-                self.shards[p].pool.mark_dirty(pid);
-                self.replicate_for(p, ReplOp::PageWrite(pid));
-                self.mark_stale(pid);
-            }
-            self.clock
-                .advance(self.dram_cost(pat, in_page) * self.pool_slowdown(p) as u64);
+        for_each_page(addr, len, |pid, in_page| {
+            self.mem_touch_page(pid, in_page, write, pat)
+        });
+    }
+
+    /// One page's share of [`Dos::mem_touch_range`].
+    #[inline]
+    fn mem_touch_page(&mut self, pid: PageId, in_page: usize, write: bool, pat: Pattern) {
+        self.stats.mem_side_accesses += 1;
+        let p = self.owner_of(pid);
+        if self.shards.len() > 1 {
+            // Record the routing decision for the runtime's fan-out
+            // accounting (free on single-pool deployments).
+            self.touched_pools.insert(p);
+            self.touched_pages += 1;
         }
+        let fault = self.shards[p].pool.ensure_resident(pid);
+        if fault.storage_read {
+            // A memory-side fault never crosses the fabric: it either
+            // hits pool DRAM (no event) or recurses to storage.
+            self.tracer.emit(
+                Lane::Memory,
+                TraceEvent::PageFault {
+                    vaddr: pid.base().0,
+                    level: FaultLevel::Storage,
+                },
+            );
+        }
+        self.charge_pool_fault(fault);
+        if self.integrity.enabled {
+            self.reseal_if_stale(pid);
+            if fault.storage_read {
+                self.poll_corruption(CorruptionPoint::Ssd, pid);
+                self.check_page(pid, CorruptionPoint::Ssd);
+            } else {
+                // Latent scribbles surface at the next in-pool access.
+                self.check_page(pid, CorruptionPoint::Pool);
+            }
+        }
+        if write {
+            self.shards[p].pool.mark_dirty(pid);
+            self.replicate_for(p, ReplOp::PageWrite(pid));
+            self.mark_stale(pid);
+        }
+        self.clock
+            .advance(self.dram_cost(pat, in_page) * self.pool_slowdown(p) as u64);
     }
 
     /// Fail-slow multiplier for memory-side service on shard `p` (1 when
@@ -1824,7 +1838,7 @@ impl Dos {
         for pid in pages.iter().copied() {
             let start = self.clock.now();
             let on_storage = if self.shards.is_empty() {
-                self.swapped.contains(&pid) && self.cache.probe(pid).is_none()
+                self.swapped.get(pid) && self.cache.probe(pid).is_none()
             } else {
                 let pool = &self.shards[self.owner_of(pid)].pool;
                 pool.is_mapped(pid) && !pool.is_resident(pid)
@@ -2193,6 +2207,27 @@ mod tests {
         assert!(!after.writable);
 
         assert!(dos.coherence_evict(PageId(999_999)).is_none());
+    }
+
+    #[test]
+    fn page_far_past_every_table_is_absent() {
+        // Tables grown to cover this id would need 2^52 slots each.
+        let far = PageId(u64::MAX >> 12);
+        for pools in [1, 2] {
+            let mut dos = Dos::new_disaggregated(DdcConfig {
+                compute_cache_bytes: 8 * PAGE_SIZE,
+                memory_pool_bytes: 64 * PAGE_SIZE,
+                pools,
+                ..Default::default()
+            });
+            let a = dos.alloc(PAGE_SIZE);
+            assert_eq!(dos.cache_probe(far), None);
+            assert_eq!(dos.pool_owner(far), None);
+            assert!(dos.pool_owner(a.page()).is_some());
+        }
+        let mono = Dos::new_monolithic(MonolithicConfig::default());
+        assert_eq!(mono.cache_probe(far), None);
+        assert_eq!(mono.pool_owner(far), None);
     }
 
     #[test]

@@ -54,6 +54,83 @@ impl PageId {
     }
 }
 
+/// A page table: per-page state in a flat `Vec` indexed by `PageId.0`.
+///
+/// Every slot starts out holding the `vacant` value the table was built
+/// with, and a page past the end of the `Vec` reads as `vacant` too, so a
+/// lookup never grows, allocates or panics. Only [`PageTable::entry`] grows
+/// the table, by doubling.
+///
+/// **Density invariant.** [`AddressSpace`](crate::AddressSpace) hands page
+/// ids out by bumping a counter from 1 and skips one guard page per
+/// allocation, so a table covering every mapped page has at most
+/// `allocated pages + allocations` slots (rounded up to a power of two):
+/// direct indexing costs memory proportional to the address space, not to
+/// the largest id a caller can name. [`MAX_PAGES`](Self::MAX_PAGES) turns a
+/// write that breaks the invariant into a named panic.
+#[derive(Debug, Clone)]
+pub struct PageTable<T> {
+    slots: Vec<T>,
+    vacant: T,
+}
+
+impl<T: Copy> PageTable<T> {
+    /// Writes at or past this page id are refused: 2^28 pages is 1 TB of
+    /// simulated memory, far more than one host can back byte for byte.
+    pub const MAX_PAGES: u64 = 1 << 28;
+
+    /// An empty table whose every page reads as `vacant`.
+    pub fn new(vacant: T) -> Self {
+        PageTable {
+            slots: Vec::new(),
+            vacant,
+        }
+    }
+
+    /// Slot of `page`; an id too wide for the host indexes past any table.
+    #[inline]
+    fn index(page: PageId) -> usize {
+        usize::try_from(page.0).unwrap_or(usize::MAX)
+    }
+
+    /// The state of `page`; `vacant` if it was never written.
+    #[inline]
+    pub fn get(&self, page: PageId) -> T {
+        match self.slots.get(Self::index(page)) {
+            Some(&v) => v,
+            None => self.vacant,
+        }
+    }
+
+    /// Mutable state of `page` if the table already covers it (a covered
+    /// page that was never written holds `vacant`). Never grows the table.
+    #[inline]
+    pub fn get_mut(&mut self, page: PageId) -> Option<&mut T> {
+        self.slots.get_mut(Self::index(page))
+    }
+
+    /// Mutable state of `page`, growing the table to cover it.
+    #[inline]
+    pub fn entry(&mut self, page: PageId) -> &mut T {
+        let i = Self::index(page);
+        if i >= self.slots.len() {
+            self.grow(page);
+        }
+        &mut self.slots[i]
+    }
+
+    #[cold]
+    fn grow(&mut self, page: PageId) {
+        assert!(
+            page.0 < Self::MAX_PAGES,
+            "page table: {page} is past the {}-page limit; page ids are dense from 1",
+            Self::MAX_PAGES
+        );
+        let len = (Self::index(page) + 1).next_power_of_two().max(64);
+        self.slots.resize(len, self.vacant);
+    }
+}
+
 /// The integrity checksum of one 4 KB page image: FNV-1a-64 over all
 /// `PAGE_SIZE` backing bytes, sealed at write/registration time and
 /// re-verified whenever the page crosses a pool boundary (fabric delivery,
@@ -119,6 +196,18 @@ pub fn page_chunks(addr: VAddr, len: usize) -> impl Iterator<Item = (PageId, usi
     })
 }
 
+/// Call `f(page, len_in_page)` for each page of `[addr, addr + len)`, as
+/// [`page_chunks`] would yield them. A span inside one page — the 4- and
+/// 8-byte accessors are most calls — skips the iterator.
+#[inline]
+pub(crate) fn for_each_page(addr: VAddr, len: usize, mut f: impl FnMut(PageId, usize)) {
+    if !addr.fits_in_page(len) {
+        page_chunks(addr, len).for_each(|(page, _, n)| f(page, n));
+    } else if len > 0 {
+        f(addr.page(), len);
+    }
+}
+
 impl fmt::Display for VAddr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "0x{:x}", self.0)
@@ -155,6 +244,29 @@ mod tests {
     }
 
     #[test]
+    fn page_table_reads_never_grow_and_writes_double() {
+        let mut t = PageTable::new(7u32);
+        assert_eq!(t.get(PageId(u64::MAX >> 12)), 7, "absent reads as vacant");
+        assert!(t.get_mut(PageId(u64::MAX >> 12)).is_none());
+        assert_eq!(t.slots.capacity(), 0, "reads allocate nothing");
+        *t.entry(PageId(3)) = 1;
+        assert_eq!(t.slots.len(), 64);
+        *t.entry(PageId(100_000)) = 2;
+        assert_eq!(t.slots.len(), 1 << 17, "grown to the next power of two");
+        assert_eq!(t.get(PageId(3)), 1);
+        assert_eq!(t.get(PageId(100_000)), 2);
+        assert_eq!(t.get(PageId(99_999)), 7, "covered but never written");
+        assert_eq!(t.get(PageId(1 << 17)), 7, "one past the end");
+    }
+
+    #[test]
+    #[should_panic(expected = "page table: pg268435456 is past the")]
+    fn page_table_refuses_an_absurd_write_by_name() {
+        let mut t = PageTable::new(false);
+        *t.entry(PageId(PageTable::<bool>::MAX_PAGES)) = true;
+    }
+
+    #[test]
     fn page_checksum_seals_and_detects() {
         let mut img = vec![0u8; PAGE_SIZE];
         let sum = PageChecksum::of(&img);
@@ -188,10 +300,15 @@ mod tests {
             ]
         );
         assert_eq!(page_chunks(a, 0).count(), 0);
-        for (addr, len) in [(a, 1), (a, 3), (a, 4), (VAddr(0), 3 * PAGE_SIZE)] {
+        for (addr, len) in [(a, 0), (a, 1), (a, 3), (a, 4), (VAddr(0), 3 * PAGE_SIZE)] {
             let pages: Vec<_> = page_chunks(addr, len).map(|(p, _, _)| p).collect();
             assert_eq!(pages, pages_spanned(addr, len).collect::<Vec<_>>());
             assert_eq!(page_chunks(addr, len).map(|c| c.2).sum::<usize>(), len);
+            // The single-page fast path visits exactly what the iterator yields.
+            let mut visited = Vec::new();
+            for_each_page(addr, len, |p, n| visited.push((p, n)));
+            let chunks: Vec<_> = page_chunks(addr, len).map(|(p, _, n)| (p, n)).collect();
+            assert_eq!(visited, chunks);
         }
     }
 }

@@ -7,19 +7,36 @@
 //! compute-local cache are pinned: evicting the backing copy of a cached
 //! page would create a coherence hazard the real OS also avoids.
 
-use std::collections::HashMap;
-
-use crate::lru::LruList;
-use crate::page::PageId;
+use crate::lru::{SlotList, NIL};
+use crate::page::{PageId, PageTable};
 
 /// Residency of one page in the memory pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Residency {
+    /// Not known to this pool.
+    Unmapped,
     /// In pool DRAM. `dirty` = newer than the storage copy.
     InPool { dirty: bool },
     /// Swapped out to the storage pool.
     InStorage,
 }
+
+/// One page-table record: everything the pool knows about a page, so each
+/// operation reads and writes a single slot.
+#[derive(Debug, Clone, Copy)]
+struct PageRecord {
+    state: Residency,
+    /// Nested pins held by the compute cache.
+    pins: u32,
+    /// Slot on the LRU list; `NIL` unless the page is resident and unpinned.
+    lru_slot: u32,
+}
+
+const UNMAPPED: PageRecord = PageRecord {
+    state: Residency::Unmapped,
+    pins: 0,
+    lru_slot: NIL,
+};
 
 /// What `ensure_resident` had to do to make a page pool-resident.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -41,9 +58,10 @@ impl PoolFault {
 #[derive(Debug, Clone)]
 pub struct MemoryPool {
     capacity: usize,
-    pages: HashMap<PageId, Residency>,
-    lru: LruList,
-    pinned: HashMap<PageId, u32>,
+    table: PageTable<PageRecord>,
+    /// Resident, unpinned pages in recency order (the spill candidates).
+    lru: SlotList<()>,
+    mapped_count: usize,
     resident_count: usize,
 }
 
@@ -52,9 +70,9 @@ impl MemoryPool {
         assert!(capacity_pages > 0, "memory pool needs at least one page");
         MemoryPool {
             capacity: capacity_pages,
-            pages: HashMap::new(),
-            lru: LruList::new(),
-            pinned: HashMap::new(),
+            table: PageTable::new(UNMAPPED),
+            lru: SlotList::new(),
+            mapped_count: 0,
             resident_count: 0,
         }
     }
@@ -70,27 +88,24 @@ impl MemoryPool {
     /// Pages known to this pool (resident or swapped). Placement policies
     /// use it as the shard's occupancy measure.
     pub fn mapped_len(&self) -> usize {
-        self.pages.len()
+        self.mapped_count
     }
 
     /// True if the page is known to the pool (resident or swapped).
     pub fn is_mapped(&self, page: PageId) -> bool {
-        self.pages.contains_key(&page)
+        self.table.get(page).state != Residency::Unmapped
     }
 
     /// True if the page is resident in pool DRAM.
     pub fn is_resident(&self, page: PageId) -> bool {
-        matches!(self.pages.get(&page), Some(Residency::InPool { .. }))
+        matches!(self.table.get(page).state, Residency::InPool { .. })
     }
 
     /// True if the resident copy is newer than the storage copy. The repair
     /// lattice branches on this: a clean page can always be re-read from
     /// storage, a dirty page only from a surviving replica copy.
     pub fn is_dirty(&self, page: PageId) -> bool {
-        matches!(
-            self.pages.get(&page),
-            Some(Residency::InPool { dirty: true })
-        )
+        self.table.get(page).state == Residency::InPool { dirty: true }
     }
 
     /// Register a freshly allocated page. It starts pool-resident and clean
@@ -102,44 +117,41 @@ impl MemoryPool {
     ///
     /// Returns a victim that had to spill to storage, if any.
     pub fn register(&mut self, page: PageId) -> PoolFault {
-        assert!(
-            !self.pages.contains_key(&page),
-            "page {page} already mapped"
-        );
+        assert!(!self.is_mapped(page), "page {page} already mapped");
         let fault = self.make_room();
-        self.pages.insert(page, Residency::InPool { dirty: false });
-        self.lru.touch(page);
-        self.resident_count += 1;
+        self.page_in(page);
+        self.mapped_count += 1;
         fault
     }
 
     /// Make `page` pool-resident (faulting from storage if needed) and
     /// refresh its LRU position. Reports any storage traffic incurred.
     pub fn ensure_resident(&mut self, page: PageId) -> PoolFault {
-        let mut fault = PoolFault::default();
-        match self.pages.get(&page) {
-            Some(Residency::InPool { .. }) => {
+        let rec = self.table.get(page);
+        match rec.state {
+            Residency::InPool { .. } => {
                 // Pinned pages live outside the LRU list; do not re-add.
-                if !self.pinned.contains_key(&page) {
-                    self.lru.touch(page);
+                if rec.pins == 0 {
+                    self.lru.move_to_front(rec.lru_slot);
+                }
+                PoolFault::default()
+            }
+            Residency::InStorage => {
+                let fault = self.make_room();
+                self.page_in(page);
+                PoolFault {
+                    storage_read: true,
+                    ..fault
                 }
             }
-            Some(Residency::InStorage) => {
-                fault = self.make_room();
-                fault.storage_read = true;
-                self.pages.insert(page, Residency::InPool { dirty: false });
-                self.lru.touch(page);
-                self.resident_count += 1;
-            }
-            None => panic!("page {page} not mapped in the memory pool"),
+            Residency::Unmapped => panic!("page {page} not mapped in the memory pool"),
         }
-        fault
     }
 
     /// Mark a resident page dirty (a write-back arrived from the compute
     /// pool, or pushdown code wrote it in place).
     pub fn mark_dirty(&mut self, page: PageId) {
-        match self.pages.get_mut(&page) {
+        match self.table.get_mut(page).map(|rec| &mut rec.state) {
             Some(Residency::InPool { dirty }) => *dirty = true,
             other => panic!("mark_dirty on non-resident page {page}: {other:?}"),
         }
@@ -149,25 +161,39 @@ impl MemoryPool {
     /// pages are never chosen as spill victims. Pins nest. Pinned pages are
     /// held outside the LRU list so victim selection stays O(1).
     pub fn pin(&mut self, page: PageId) {
-        assert!(self.is_resident(page), "pin of non-resident page {page}");
-        let n = self.pinned.entry(page).or_insert(0);
-        *n += 1;
-        if *n == 1 {
-            self.lru.remove(page);
+        match self.table.get_mut(page) {
+            Some(rec) if matches!(rec.state, Residency::InPool { .. }) => {
+                rec.pins += 1;
+                if rec.pins == 1 {
+                    self.lru.remove(std::mem::replace(&mut rec.lru_slot, NIL));
+                }
+            }
+            _ => panic!("pin of non-resident page {page}"),
         }
     }
 
     /// Release one pin; the page rejoins the LRU list as most-recently-used
     /// once fully unpinned.
     pub fn unpin(&mut self, page: PageId) {
-        match self.pinned.get_mut(&page) {
-            Some(n) if *n > 1 => *n -= 1,
-            Some(_) => {
-                self.pinned.remove(&page);
-                self.lru.touch(page);
+        match self.table.get_mut(page) {
+            Some(rec) if rec.pins > 0 => {
+                rec.pins -= 1;
+                if rec.pins == 0 {
+                    rec.lru_slot = self.lru.push_front(page, ());
+                }
             }
-            None => panic!("unpin of unpinned page {page}"),
+            _ => panic!("unpin of unpinned page {page}"),
         }
+    }
+
+    /// `page` enters pool DRAM clean, unpinned and most-recently-used.
+    fn page_in(&mut self, page: PageId) {
+        *self.table.entry(page) = PageRecord {
+            state: Residency::InPool { dirty: false },
+            pins: 0,
+            lru_slot: self.lru.push_front(page, ()),
+        };
+        self.resident_count += 1;
     }
 
     fn make_room(&mut self) -> PoolFault {
@@ -175,17 +201,15 @@ impl MemoryPool {
         if self.resident_count < self.capacity {
             return fault;
         }
-        let victim = self
+        let (victim, ()) = self
             .lru
-            .pop_lru()
+            .pop_back()
             .expect("memory pool exhausted: all resident pages are pinned");
-        let dirty = matches!(
-            self.pages.get(&victim),
-            Some(Residency::InPool { dirty: true })
-        );
-        self.pages.insert(victim, Residency::InStorage);
+        let rec = self.table.entry(victim);
+        fault.storage_writeback = rec.state == Residency::InPool { dirty: true };
+        rec.state = Residency::InStorage;
+        rec.lru_slot = NIL;
         self.resident_count -= 1;
-        fault.storage_writeback = dirty;
         fault
     }
 }
@@ -270,6 +294,15 @@ mod tests {
             pool.register(PageId(2));
         }));
         assert!(r.is_err(), "all pages pinned should panic");
+    }
+
+    #[test]
+    fn page_far_past_the_table_is_unmapped() {
+        let far = PageId(u64::MAX >> 12);
+        let mut pool = MemoryPool::new(2);
+        pool.register(PageId(1));
+        assert!(!pool.is_mapped(far) && !pool.is_resident(far) && !pool.is_dirty(far));
+        assert_eq!(pool.mapped_len(), 1);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Property tests for the disaggregated OS: data integrity under arbitrary
 //! access traces, residency invariants, and platform transparency.
 
-use ddc_os::{Dos, PageCache, PageId, Pattern};
+use ddc_os::lru::LruList;
+use ddc_os::{Dos, MemoryPool, PageCache, PageId, Pattern, PoolFault};
 use ddc_sim::{DdcConfig, MonolithicConfig, PAGE_SIZE};
 use proptest::prelude::*;
 
@@ -20,6 +21,58 @@ fn op_strategy(alloc_bytes: usize) -> impl Strategy<Value = Op> {
 }
 
 const ALLOC: usize = 16 * PAGE_SIZE;
+
+/// Page ids in two bands, one low and one around 100 000, so the page
+/// tables grow mid-trace and freed slab slots are reused across bands.
+fn page_id() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..24, 100_000u64..100_012]
+}
+
+/// One page of the naive memory-pool model.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct ModelPage {
+    id: u64,
+    resident: bool,
+    dirty: bool,
+    pins: u32,
+}
+
+/// The naive memory pool: every page it knows, plus the resident unpinned
+/// ones MRU-first.
+#[derive(Debug, Default)]
+struct ModelPool {
+    pages: Vec<ModelPage>,
+    lru: Vec<u64>,
+}
+
+impl ModelPool {
+    fn page(&mut self, id: u64) -> Option<&mut ModelPage> {
+        self.pages.iter_mut().find(|p| p.id == id)
+    }
+
+    fn resident(&self) -> usize {
+        self.pages.iter().filter(|p| p.resident).count()
+    }
+
+    /// Spill the LRU page if the pool is full; `None` if it is full of
+    /// pinned pages (the real pool would panic, so the op is skipped).
+    fn make_room(&mut self, capacity: usize) -> Option<PoolFault> {
+        let mut fault = PoolFault::default();
+        if self.resident() == capacity {
+            let victim = self.lru.pop()?;
+            let v = self.page(victim).expect("LRU page is mapped");
+            fault.storage_writeback = v.dirty;
+            v.resident = false;
+            v.dirty = false;
+        }
+        Some(fault)
+    }
+
+    fn refresh(&mut self, id: u64) {
+        self.lru.retain(|&p| p != id);
+        self.lru.insert(0, id);
+    }
+}
 
 fn run_trace(dos: &mut Dos, ops: &[Op]) -> Vec<u8> {
     let a = dos.alloc(ALLOC);
@@ -84,47 +137,193 @@ proptest! {
         prop_assert!(ddc.clock().now() >= mono.clock().now());
     }
 
-    /// The page cache never exceeds capacity and eviction victims are
-    /// exactly the least-recently-used pages (model-based check).
+    /// The page cache never exceeds capacity, eviction victims are exactly
+    /// the least-recently-used pages, and evict / downgrade / mark_clean /
+    /// clear leave the same entries behind as a vector ordered MRU-first.
     #[test]
     fn page_cache_matches_reference_model(
-        accesses in prop::collection::vec((0u64..40, any::<bool>()), 1..200),
+        ops in prop::collection::vec((0u8..12, page_id(), any::<bool>()), 1..300),
         capacity in 1usize..8,
     ) {
         let mut cache = PageCache::new(capacity);
-        // Reference: a vector ordered MRU-first.
-        let mut model: Vec<(u64, bool)> = Vec::new();
-        for &(page, write) in &accesses {
+        // Reference: (page, writable, dirty), MRU first.
+        let mut model: Vec<(u64, bool, bool)> = Vec::new();
+        for &(kind, page, write) in &ops {
             let pid = PageId(page);
-            let hit = cache.access(pid, write);
-            let model_pos = model.iter().position(|&(p, _)| p == page);
-            prop_assert_eq!(hit, model_pos.is_some(), "hit/miss divergence");
-            match model_pos {
-                Some(i) => {
-                    let (p, d) = model.remove(i);
-                    model.insert(0, (p, d || write));
-                }
-                None => {
-                    let victim = cache.insert(pid, write);
-                    if model.len() == capacity {
-                        let (vp, vd) = model.pop().unwrap();
-                        let v = victim.expect("model expected eviction");
-                        prop_assert_eq!(v.page, PageId(vp));
-                        prop_assert_eq!(v.dirty, vd);
-                    } else {
-                        prop_assert!(victim.is_none());
+            let model_pos = model.iter().position(|&(p, _, _)| p == page);
+            let model_entry = model_pos.map(|i| (model[i].1, model[i].2));
+            match kind {
+                // Accesses dominate, as they do in the kernel.
+                0..=7 => {
+                    let hit = cache.access(pid, write);
+                    prop_assert_eq!(hit, model_pos.is_some(), "hit/miss divergence");
+                    match model_pos {
+                        Some(i) => {
+                            let (p, w, d) = model.remove(i);
+                            model.insert(0, (p, w || write, d || write));
+                        }
+                        None => {
+                            let victim = cache.insert(pid, write);
+                            if model.len() == capacity {
+                                let (vp, _, vd) = model.pop().unwrap();
+                                let v = victim.expect("model expected eviction");
+                                prop_assert_eq!(v.page, PageId(vp));
+                                prop_assert_eq!(v.dirty, vd);
+                            } else {
+                                prop_assert!(victim.is_none());
+                            }
+                            model.insert(0, (page, write, write));
+                        }
                     }
-                    model.insert(0, (page, write));
+                }
+                8 => {
+                    let got = cache.evict(pid).map(|e| (e.writable, e.dirty));
+                    prop_assert_eq!(got, model_entry, "evict divergence");
+                    if let Some(i) = model_pos {
+                        model.remove(i);
+                    }
+                }
+                9 => {
+                    let got = cache.downgrade(pid).map(|e| (e.writable, e.dirty));
+                    prop_assert_eq!(got, model_entry, "downgrade divergence");
+                    if let Some(i) = model_pos {
+                        model[i] = (page, false, false);
+                    }
+                }
+                10 => {
+                    cache.mark_clean(pid);
+                    if let Some(i) = model_pos {
+                        model[i].2 = false;
+                    }
+                }
+                _ => {
+                    // Rare enough (the flag halves it) that traces still
+                    // fill the cache between clears.
+                    if write {
+                        let mut dirty: Vec<PageId> =
+                            model.iter().filter(|e| e.2).map(|e| PageId(e.0)).collect();
+                        dirty.sort_unstable();
+                        prop_assert_eq!(cache.clear(), dirty);
+                        model.clear();
+                    }
                 }
             }
             prop_assert!(cache.len() <= capacity);
             prop_assert_eq!(cache.len(), model.len());
+            let probed = cache.probe(pid).map(|e| (e.writable, e.dirty));
+            let expected = model.iter().find(|e| e.0 == page).map(|e| (e.1, e.2));
+            prop_assert_eq!(probed, expected, "probe divergence");
         }
-        // Dirty sets agree.
+        // Resident and dirty sets agree.
+        let mut model_pages: Vec<PageId> = model.iter().map(|e| PageId(e.0)).collect();
+        model_pages.sort_unstable();
+        prop_assert_eq!(cache.resident_sorted(), model_pages);
         let mut model_dirty: Vec<PageId> =
-            model.iter().filter(|&&(_, d)| d).map(|&(p, _)| PageId(p)).collect();
+            model.iter().filter(|e| e.2).map(|e| PageId(e.0)).collect();
         model_dirty.sort_unstable();
         prop_assert_eq!(cache.dirty_pages(), model_dirty);
+    }
+
+    /// `LruList` keeps exactly the order a vector kept MRU-first does under
+    /// touch / remove / pop_lru.
+    #[test]
+    fn lru_iter_mru_matches_model(
+        ops in prop::collection::vec((0u8..6, page_id()), 1..300),
+    ) {
+        let mut lru = LruList::new();
+        let mut model: Vec<u64> = Vec::new();
+        for &(kind, page) in &ops {
+            let pos = model.iter().position(|&p| p == page);
+            match kind {
+                0..=3 => {
+                    prop_assert_eq!(lru.touch(PageId(page)), pos.is_none());
+                    if let Some(i) = pos {
+                        model.remove(i);
+                    }
+                    model.insert(0, page);
+                }
+                4 => {
+                    prop_assert_eq!(lru.remove(PageId(page)), pos.is_some());
+                    if let Some(i) = pos {
+                        model.remove(i);
+                    }
+                }
+                _ => {
+                    prop_assert_eq!(lru.peek_lru(), model.last().map(|&p| PageId(p)));
+                    prop_assert_eq!(lru.pop_lru(), model.pop().map(PageId));
+                }
+            }
+            prop_assert_eq!(lru.len(), model.len());
+            prop_assert_eq!(lru.contains(PageId(page)), model.contains(&page));
+            let order: Vec<u64> = lru.iter_mru().map(|p| p.0).collect();
+            prop_assert_eq!(&order, &model);
+        }
+    }
+
+    /// The memory pool spills the victims, reports the storage traffic and
+    /// keeps the residency a naive vector model does, and never spills a
+    /// pinned page.
+    #[test]
+    fn memory_pool_matches_reference_model(
+        ops in prop::collection::vec((0u8..8, page_id()), 1..300),
+        capacity in 1usize..8,
+    ) {
+        let mut pool = MemoryPool::new(capacity);
+        let mut model = ModelPool::default();
+        for &(kind, id) in &ops {
+            let pid = PageId(id);
+            let known = model.page(id).map(|p| *p);
+            match (kind, known) {
+                // Unknown pages register whatever the op; known ones never
+                // do (the pool would panic on a double registration).
+                (_, None) => {
+                    let Some(fault) = model.make_room(capacity) else { continue };
+                    prop_assert_eq!(pool.register(pid), fault, "register divergence");
+                    model.pages.push(ModelPage { id, resident: true, dirty: false, pins: 0 });
+                    model.refresh(id);
+                }
+                (0..=3, Some(p)) => {
+                    let fault = if p.resident {
+                        PoolFault::default()
+                    } else {
+                        let Some(fault) = model.make_room(capacity) else { continue };
+                        model.page(id).unwrap().resident = true;
+                        PoolFault { storage_read: true, ..fault }
+                    };
+                    prop_assert_eq!(pool.ensure_resident(pid), fault, "fault divergence");
+                    if p.pins == 0 {
+                        model.refresh(id);
+                    }
+                }
+                (4, Some(p)) if p.resident => {
+                    pool.pin(pid);
+                    model.page(id).unwrap().pins += 1;
+                    model.lru.retain(|&q| q != id);
+                }
+                (5, Some(p)) if p.pins > 0 => {
+                    pool.unpin(pid);
+                    model.page(id).unwrap().pins -= 1;
+                    if p.pins == 1 {
+                        model.refresh(id);
+                    }
+                }
+                (6, Some(p)) if p.resident => {
+                    pool.mark_dirty(pid);
+                    model.page(id).unwrap().dirty = true;
+                }
+                _ => continue,
+            }
+            prop_assert_eq!(pool.resident_pages(), model.resident());
+            prop_assert_eq!(pool.mapped_len(), model.pages.len());
+            prop_assert!(pool.resident_pages() <= capacity);
+            for p in &model.pages {
+                let pid = PageId(p.id);
+                prop_assert!(pool.is_mapped(pid));
+                prop_assert_eq!(pool.is_resident(pid), p.resident, "residency of {}", p.id);
+                prop_assert_eq!(pool.is_dirty(pid), p.dirty, "dirtiness of {}", p.id);
+                prop_assert!(p.pins == 0 || p.resident, "pinned page {} was spilled", p.id);
+            }
+        }
     }
 
     /// Allocations never overlap and are all independently addressable.
