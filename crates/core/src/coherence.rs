@@ -11,7 +11,9 @@
 //! - **Fig 8 (`MemorySetup`)** is [`PushdownSession::new`]: the temporary
 //!   context clones the full page table and, for every page the compute
 //!   cache holds, removes it (compute-writable) or downgrades it to
-//!   read-only (compute-read-only).
+//!   read-only (compute-read-only). The session keeps the shipped list as
+//!   it arrived and looks pages up in it; only pages the protocol acts on
+//!   mid-call get an entry of their own.
 //! - **Fig 9 (fault handling)** is [`PushdownSession::mem_access`] and
 //!   [`PushdownSession::compute_access`]: permission faults on either side
 //!   message the other side to invalidate or downgrade.
@@ -76,13 +78,17 @@ pub struct CoherenceStats {
 #[derive(Debug)]
 pub struct PushdownSession {
     mode: CoherenceMode,
-    /// What the temporary context is *allowed* to use without signalling,
-    /// per Fig 8. Only pages restricted below `Write` are stored. Kept in
-    /// a `BTreeMap` so any walk over protocol state is seed-stable.
-    allowed: BTreeMap<PageId, Perm>,
-    /// What the temporary context actually *holds* right now. Only pages
-    /// above `None` are stored.
-    held: BTreeMap<PageId, Perm>,
+    /// The resident list shipped with the request, strictly sorted by
+    /// page: per Fig 8 the temporary context holds nothing at first and is
+    /// allowed `None` on a compute-writable page, `Read` on a
+    /// compute-read-only one and `Write` on an unlisted one. Never modified
+    /// after set-up.
+    shipped: Vec<(PageId, bool)>,
+    /// Pages either side has acquired during the call: what the temporary
+    /// context *holds* on each right now and what it is *allowed* without
+    /// signalling, in that order. An entry shadows `shipped`; the map starts
+    /// empty, so set-up costs nothing per resident page.
+    touched: BTreeMap<PageId, (Perm, Perm)>,
     /// Compute-side stale page snapshots (propagation-relaxed modes only).
     stale: BTreeMap<PageId, Vec<u8>>,
     backoff_t: SimDuration,
@@ -102,6 +108,11 @@ pub struct PushdownSession {
 impl PushdownSession {
     /// Build the temporary context's page-table view from the resident-page
     /// list shipped with the pushdown request (Fig 8).
+    ///
+    /// `resident` is expected strictly sorted by page, as
+    /// `Dos::resident_list` produces it; set-up is then one copy of the
+    /// list. Any other order is accepted too and normalised, the last entry
+    /// of a duplicated page winning.
     pub fn new(mode: CoherenceMode, resident: &[(PageId, bool)], backoff_t: SimDuration) -> Self {
         Self::with_tiebreak(mode, resident, backoff_t, TieBreak::FavorMemory)
     }
@@ -114,16 +125,24 @@ impl PushdownSession {
         backoff_t: SimDuration,
         tiebreak: TieBreak,
     ) -> Self {
-        let mut allowed = BTreeMap::new();
-        for &(pid, writable) in resident {
-            // Writable in compute -> excluded from the temporary context;
-            // read-only in compute -> read-only in the temporary context.
-            allowed.insert(pid, if writable { Perm::None } else { Perm::Read });
+        let mut shipped = resident.to_vec();
+        if !shipped.windows(2).all(|w| w[0].0 < w[1].0) {
+            // Cold path (no in-tree caller): the stable sort keeps
+            // duplicates in input order, then each later one overwrites
+            // the entry kept before it.
+            shipped.sort_by_key(|e| e.0);
+            shipped.dedup_by(|later, kept| {
+                let dup = later.0 == kept.0;
+                if dup {
+                    *kept = *later;
+                }
+                dup
+            });
         }
         PushdownSession {
             mode,
-            allowed,
-            held: BTreeMap::new(),
+            shipped,
+            touched: BTreeMap::new(),
             stale: BTreeMap::new(),
             backoff_t,
             tiebreak,
@@ -146,18 +165,36 @@ impl PushdownSession {
         self.mode
     }
 
-    fn allowed(&self, pid: PageId) -> Perm {
-        self.allowed.get(&pid).copied().unwrap_or(Perm::Write)
+    /// `(held, allowed)` of `pid`: as the protocol last left it, or else
+    /// nothing held and allowed what the shipped list says.
+    fn state(&self, pid: PageId) -> (Perm, Perm) {
+        if let Some(&state) = self.touched.get(&pid) {
+            return state;
+        }
+        match self.shipped.binary_search_by_key(&pid, |e| e.0) {
+            // Writable in compute -> excluded from the temporary context;
+            // read-only in compute -> read-only in the temporary context.
+            Ok(i) if self.shipped[i].1 => (Perm::None, Perm::None),
+            Ok(_) => (Perm::None, Perm::Read),
+            Err(_) => (Perm::None, Perm::Write),
+        }
     }
 
-    fn held(&self, pid: PageId) -> Perm {
-        self.held.get(&pid).copied().unwrap_or(Perm::None)
+    /// Record where the protocol left `pid` on the temporary context's side.
+    fn settle(&mut self, pid: PageId, held: Perm, allowed: Perm) {
+        self.touched.insert(pid, (held, allowed));
     }
 
     /// The permission the temporary context currently holds on `pid`
     /// (observability for tests and invariant checks).
     pub fn mem_perm(&self, pid: PageId) -> Perm {
-        self.held(pid)
+        self.state(pid).0
+    }
+
+    /// The most the temporary context may take on `pid` without signalling
+    /// the compute pool (observability, as [`PushdownSession::mem_perm`]).
+    pub fn mem_allowed(&self, pid: PageId) -> Perm {
+        self.state(pid).1
     }
 
     /// One coherence round trip (request + response), charged to the
@@ -226,7 +263,8 @@ impl PushdownSession {
     /// Resolve the temporary context's permission on one page.
     fn mem_acquire(&mut self, dos: &mut Dos, pid: PageId, write: bool) {
         let need = if write { Perm::Write } else { Perm::Read };
-        if write && self.mem_owes_backoff && self.held(pid) < need {
+        let (held, allowed) = self.state(pid);
+        if write && self.mem_owes_backoff && held < need {
             // Compute won a recent tie: the memory side reissues after the
             // wait instead.
             self.round_trip(dos, pid, CoherenceTransition::TieBreakReissue, Lane::Memory);
@@ -234,7 +272,7 @@ impl PushdownSession {
             self.stats.backoffs += 1;
             self.mem_owes_backoff = false;
         }
-        if self.held(pid) >= need {
+        if held >= need {
             // For propagation-relaxed modes, a write to a page the compute
             // side still caches must keep the compute view stale.
             if write && !self.mode.signals_on_write() {
@@ -242,7 +280,7 @@ impl PushdownSession {
             }
             return;
         }
-        if self.allowed(pid) < need {
+        if allowed < need {
             // The compute pool holds this page with a conflicting
             // permission; apply Fig 9's memory-side fault path.
             match dos.cache_probe(pid) {
@@ -252,32 +290,30 @@ impl PushdownSession {
                 }
                 Some(_entry) => {
                     if write {
-                        if self.mode.signals_on_write() {
-                            match self.mode {
-                                CoherenceMode::WriteInvalidate => {
-                                    self.round_trip(
-                                        dos,
-                                        pid,
-                                        CoherenceTransition::InvalidateCompute,
-                                        Lane::Memory,
-                                    );
-                                    dos.coherence_evict(pid);
-                                }
-                                CoherenceMode::Pso => {
-                                    self.round_trip(
-                                        dos,
-                                        pid,
-                                        CoherenceTransition::DowngradeCompute,
-                                        Lane::Memory,
-                                    );
-                                    dos.coherence_downgrade(pid);
-                                }
-                                _ => unreachable!("signals_on_write covers these"),
+                        match self.mode {
+                            CoherenceMode::WriteInvalidate => {
+                                self.round_trip(
+                                    dos,
+                                    pid,
+                                    CoherenceTransition::InvalidateCompute,
+                                    Lane::Memory,
+                                );
+                                dos.coherence_evict(pid);
                             }
-                        } else {
-                            // Weak Ordering / disabled: write locally; the
-                            // compute copy silently goes stale.
-                            self.snapshot_if_computed_cached(dos, pid);
+                            CoherenceMode::Pso => {
+                                self.round_trip(
+                                    dos,
+                                    pid,
+                                    CoherenceTransition::DowngradeCompute,
+                                    Lane::Memory,
+                                );
+                                dos.coherence_downgrade(pid);
+                            }
+                            CoherenceMode::WeakOrdering | CoherenceMode::Disabled => {
+                                // Write locally; the compute copy silently
+                                // goes stale.
+                                self.snapshot_if_computed_cached(dos, pid);
+                            }
                         }
                     } else {
                         // Read request over a compute-writable page.
@@ -297,19 +333,9 @@ impl PushdownSession {
                 }
             }
         }
-        // Permission acquired.
-        if write {
-            self.allowed.remove(&pid);
-            self.held.insert(pid, Perm::Write);
-        } else {
-            if self.allowed(pid) < Perm::Read {
-                self.allowed.insert(pid, Perm::Read);
-            }
-            let h = self.held.entry(pid).or_insert(Perm::Read);
-            if *h < Perm::Read {
-                *h = Perm::Read;
-            }
-        }
+        // Permission acquired: the context held less than `need` (anything
+        // else returned above) and may now keep at least that much.
+        self.settle(pid, need, allowed.max(need));
     }
 
     /// Preserve the compute pool's current view of a page about to be
@@ -358,7 +384,7 @@ impl PushdownSession {
 
     fn compute_acquire(&mut self, dos: &mut Dos, pid: PageId, write: bool) {
         let need = if write { Perm::Write } else { Perm::Read };
-        let mem_held = self.held(pid);
+        let (mem_held, mem_allowed) = self.state(pid);
         let probe = dos.cache_probe(pid);
         let compute_has = match probe {
             Some(e) if e.writable => Perm::Write,
@@ -403,13 +429,8 @@ impl PushdownSession {
             // The fault is forwarded to the memory controller anyway (the
             // page-in path below); the controller invalidates or downgrades
             // the temporary context locally per Fig 9's `Invalidate`.
-            if write {
-                self.held.remove(&pid);
-                self.allowed.insert(pid, Perm::None);
-            } else {
-                self.held.insert(pid, Perm::Read);
-                self.allowed.insert(pid, Perm::Read);
-            }
+            let left = if write { Perm::None } else { Perm::Read };
+            self.settle(pid, left, left);
             if compute_has != Perm::None {
                 // Permission upgrade with the page already cached: a
                 // dedicated round trip (no page data moves).
@@ -429,11 +450,11 @@ impl PushdownSession {
                 CoherenceTransition::UpgradeExclusive,
                 Lane::Compute,
             );
-            self.allowed.insert(pid, Perm::None);
+            self.settle(pid, mem_held, Perm::None);
         } else if write {
-            self.allowed.insert(pid, Perm::None);
-        } else if self.allowed(pid) > Perm::Read {
-            self.allowed.insert(pid, Perm::Read);
+            self.settle(pid, mem_held, Perm::None);
+        } else if mem_allowed > Perm::Read {
+            self.settle(pid, mem_held, Perm::Read);
         }
     }
 
@@ -524,9 +545,47 @@ mod tests {
             &[(PageId(1), true), (PageId(2), false)],
             SimDuration::from_micros(10),
         );
-        assert_eq!(s.allowed(PageId(1)), Perm::None);
-        assert_eq!(s.allowed(PageId(2)), Perm::Read);
-        assert_eq!(s.allowed(PageId(3)), Perm::Write, "unlisted pages are free");
+        assert_eq!(s.mem_allowed(PageId(1)), Perm::None);
+        assert_eq!(s.mem_allowed(PageId(2)), Perm::Read);
+        assert_eq!(
+            s.mem_allowed(PageId(3)),
+            Perm::Write,
+            "unlisted pages are free"
+        );
+    }
+
+    #[test]
+    fn setup_accepts_any_order_and_the_last_duplicate_wins() {
+        let perms = |list: &[(PageId, bool)]| {
+            let s = PushdownSession::new(
+                CoherenceMode::WriteInvalidate,
+                list,
+                SimDuration::from_micros(10),
+            );
+            [1, 2, 3, 4, 5].map(|p| s.mem_allowed(PageId(p)))
+        };
+        let sorted = [(PageId(1), true), (PageId(3), false), (PageId(5), true)];
+        let want = [Perm::None, Perm::Write, Perm::Read, Perm::Write, Perm::None];
+        assert_eq!(perms(&sorted), want);
+        let unsorted = [(PageId(5), true), (PageId(1), true), (PageId(3), false)];
+        assert_eq!(perms(&unsorted), want);
+        let duplicated = [
+            (PageId(3), true),
+            (PageId(1), false),
+            (PageId(5), true),
+            (PageId(1), true),
+            (PageId(3), true),
+            (PageId(3), false),
+        ];
+        assert_eq!(perms(&duplicated), want);
+        // Sorted but not strictly: the duplicate still resolves to the last.
+        let adjacent = [
+            (PageId(1), false),
+            (PageId(1), true),
+            (PageId(3), false),
+            (PageId(5), true),
+        ];
+        assert_eq!(perms(&adjacent), want);
     }
 
     #[test]
@@ -686,13 +745,13 @@ mod tests {
         );
         // Memory side takes the page exclusively.
         s.mem_access(&mut dos, a, 8, true, Pattern::Rand);
-        assert_eq!(s.held(a.page()), Perm::Write);
+        assert_eq!(s.mem_perm(a.page()), Perm::Write);
         // Compute thread writes it back: pays a backoff (memory pool is
         // favored) and the memory side loses the page.
         let backoffs_before = s.stats.backoffs;
         s.compute_access(&mut dos, a, 8, true, Pattern::Rand);
         assert_eq!(s.stats.backoffs, backoffs_before + 1);
-        assert_eq!(s.held(a.page()), Perm::None);
+        assert_eq!(s.mem_perm(a.page()), Perm::None);
         assert!(
             dos.cache_probe(a.page()).is_some(),
             "compute holds it again"
@@ -713,8 +772,12 @@ mod tests {
         );
         s.mem_access(&mut dos, a, 8, true, Pattern::Rand);
         s.compute_access(&mut dos, a, 8, false, Pattern::Rand);
-        assert_eq!(s.held(a.page()), Perm::Read, "memory downgraded to reader");
-        assert_eq!(s.allowed(a.page()), Perm::Read);
+        assert_eq!(
+            s.mem_perm(a.page()),
+            Perm::Read,
+            "memory downgraded to reader"
+        );
+        assert_eq!(s.mem_allowed(a.page()), Perm::Read);
     }
 
     #[test]
@@ -750,7 +813,7 @@ mod tests {
             for i in 0..8u64 {
                 let pid = page_addr(a, i).page();
                 let compute_writable = dos.cache_probe(pid).map(|e| e.writable).unwrap_or(false);
-                let mem_write = s.held(pid) == Perm::Write;
+                let mem_write = s.mem_perm(pid) == Perm::Write;
                 assert!(
                     !(compute_writable && mem_write),
                     "SWMR violated on page {i} at step {step}"

@@ -1,12 +1,15 @@
 //! Property tests for the TELEPORT core: SWMR under arbitrary schedules,
-//! no lost writes under coherent modes, RLE round-trips, and pushdown
-//! transparency.
+//! no lost writes under coherent modes, RLE round-trips, pushdown
+//! transparency, and the coherence session against its map-based reference.
 
-use ddc_os::{Dos, PageId, Pattern};
-use ddc_sim::{DdcConfig, SimDuration, PAGE_SIZE};
+use std::collections::{BTreeMap, BTreeSet};
+
+use ddc_os::{pages_spanned, Dos, PageId, Pattern, VAddr};
+use ddc_sim::{CoherenceTransition, DdcConfig, Lane, MsgClass, SimDuration, TraceEvent, PAGE_SIZE};
 use proptest::prelude::*;
 use teleport::{
-    CoherenceMode, Mem, Perm, PushdownOpts, PushdownSession, Region, ResidentList, Runtime,
+    CoherenceMode, CoherenceStats, Mem, Perm, PushdownOpts, PushdownSession, Region, ResidentList,
+    Runtime, TieBreak,
 };
 
 #[derive(Debug, Clone)]
@@ -194,5 +197,336 @@ proptest! {
             buf.iter().fold(0u64, |a, &b| a.wrapping_add(b))
         }).unwrap();
         prop_assert_eq!(got, expected);
+    }
+}
+
+// ----------------------------------------------------------------------
+// The coherence session against a reference model
+// ----------------------------------------------------------------------
+
+/// The temporary context as one `BTreeMap` entry per restricted page, built
+/// by inserting every shipped entry in turn — what `PushdownSession` was
+/// before it kept the shipped list and looked pages up in it. It drives a
+/// `Dos` of its own through the same public calls, so a twin world run in
+/// lockstep must stay identical down to the clock and the trace digest.
+struct RefSession {
+    mode: CoherenceMode,
+    tiebreak: TieBreak,
+    backoff_t: SimDuration,
+    allowed: BTreeMap<PageId, Perm>,
+    held: BTreeMap<PageId, Perm>,
+    stale: BTreeSet<PageId>,
+    mem_owes_backoff: bool,
+    online_sync: SimDuration,
+    stats: CoherenceStats,
+}
+
+impl RefSession {
+    fn new(
+        mode: CoherenceMode,
+        resident: &[(PageId, bool)],
+        backoff_t: SimDuration,
+        tiebreak: TieBreak,
+    ) -> Self {
+        let allowed = resident
+            .iter()
+            .map(|&(pid, writable)| (pid, if writable { Perm::None } else { Perm::Read }))
+            .collect();
+        RefSession {
+            mode,
+            tiebreak,
+            backoff_t,
+            allowed,
+            held: BTreeMap::new(),
+            stale: BTreeSet::new(),
+            mem_owes_backoff: false,
+            online_sync: SimDuration::ZERO,
+            stats: CoherenceStats::default(),
+        }
+    }
+
+    fn allowed(&self, pid: PageId) -> Perm {
+        self.allowed.get(&pid).copied().unwrap_or(Perm::Write)
+    }
+
+    fn held(&self, pid: PageId) -> Perm {
+        self.held.get(&pid).copied().unwrap_or(Perm::None)
+    }
+
+    fn round_trip(
+        &mut self,
+        dos: &mut Dos,
+        pid: PageId,
+        transition: CoherenceTransition,
+        lane: Lane,
+    ) {
+        dos.tracer().emit(
+            lane,
+            TraceEvent::CoherenceMsg {
+                page: pid.0,
+                transition,
+            },
+        );
+        let d1 = dos.fabric().send(MsgClass::Coherence, 64);
+        let d2 = dos.fabric().send(MsgClass::Coherence, 64);
+        dos.charge(d1 + d2);
+        self.stats.round_trips += 1;
+    }
+
+    fn snapshot(&mut self, dos: &Dos, pid: PageId) {
+        if dos.cache_probe(pid).is_some() {
+            self.stale.insert(pid);
+        }
+    }
+
+    fn mem_access(&mut self, dos: &mut Dos, addr: VAddr, len: usize, write: bool) {
+        for pid in pages_spanned(addr, len) {
+            let t0 = dos.clock().now();
+            self.mem_acquire(dos, pid, write);
+            self.online_sync += dos.clock().now().since(t0);
+        }
+        dos.mem_touch_range(addr, len, write, Pattern::Rand);
+        if write {
+            self.stats.pages_written_memside += pages_spanned(addr, len).count() as u64;
+        }
+    }
+
+    fn mem_acquire(&mut self, dos: &mut Dos, pid: PageId, write: bool) {
+        use CoherenceMode::{Pso, WriteInvalidate};
+        let need = if write { Perm::Write } else { Perm::Read };
+        if write && self.mem_owes_backoff && self.held(pid) < need {
+            self.round_trip(dos, pid, CoherenceTransition::TieBreakReissue, Lane::Memory);
+            dos.charge(self.backoff_t);
+            self.stats.backoffs += 1;
+            self.mem_owes_backoff = false;
+        }
+        if self.held(pid) >= need {
+            if write && !self.mode.signals_on_write() {
+                self.snapshot(dos, pid);
+            }
+            return;
+        }
+        if self.allowed(pid) < need {
+            if let Some(entry) = dos.cache_probe(pid) {
+                match (write, self.mode) {
+                    (true, WriteInvalidate) => {
+                        self.round_trip(
+                            dos,
+                            pid,
+                            CoherenceTransition::InvalidateCompute,
+                            Lane::Memory,
+                        );
+                        dos.coherence_evict(pid);
+                    }
+                    (true, Pso) => {
+                        self.round_trip(
+                            dos,
+                            pid,
+                            CoherenceTransition::DowngradeCompute,
+                            Lane::Memory,
+                        );
+                        dos.coherence_downgrade(pid);
+                    }
+                    (true, _) => self.snapshot(dos, pid),
+                    (false, mode) if entry.writable && mode.signals_on_read() => {
+                        self.round_trip(
+                            dos,
+                            pid,
+                            CoherenceTransition::DowngradeCompute,
+                            Lane::Memory,
+                        );
+                        dos.coherence_downgrade(pid);
+                    }
+                    (false, _) => {}
+                }
+            }
+        }
+        if write {
+            self.allowed.remove(&pid);
+            self.held.insert(pid, Perm::Write);
+        } else {
+            if self.allowed(pid) < Perm::Read {
+                self.allowed.insert(pid, Perm::Read);
+            }
+            self.held.insert(pid, Perm::Read);
+        }
+    }
+
+    fn compute_access(&mut self, dos: &mut Dos, addr: VAddr, len: usize, write: bool) {
+        for pid in pages_spanned(addr, len) {
+            self.compute_acquire(dos, pid, write);
+        }
+        dos.touch_range(addr, len, write, Pattern::Rand);
+    }
+
+    fn compute_acquire(&mut self, dos: &mut Dos, pid: PageId, write: bool) {
+        let need = if write { Perm::Write } else { Perm::Read };
+        let mem_held = self.held(pid);
+        let compute_has = match dos.cache_probe(pid) {
+            Some(e) if e.writable => Perm::Write,
+            Some(_) => Perm::Read,
+            None => Perm::None,
+        };
+        let signals = if write {
+            self.mode.signals_on_write()
+        } else {
+            self.mode.signals_on_read()
+        };
+        if compute_has >= need || !signals {
+            return;
+        }
+        if mem_held == Perm::Write && write {
+            match self.tiebreak {
+                TieBreak::FavorMemory => {
+                    self.round_trip(
+                        dos,
+                        pid,
+                        CoherenceTransition::TieBreakBackoff,
+                        Lane::Compute,
+                    );
+                    dos.charge(self.backoff_t);
+                    self.stats.backoffs += 1;
+                }
+                TieBreak::FavorCompute => self.mem_owes_backoff = true,
+            }
+        }
+        if mem_held != Perm::None {
+            if write {
+                self.held.remove(&pid);
+                self.allowed.insert(pid, Perm::None);
+            } else {
+                self.held.insert(pid, Perm::Read);
+                self.allowed.insert(pid, Perm::Read);
+            }
+            if compute_has != Perm::None {
+                let transition = if write {
+                    CoherenceTransition::InvalidateMem
+                } else {
+                    CoherenceTransition::DowngradeMem
+                };
+                self.round_trip(dos, pid, transition, Lane::Compute);
+            }
+        } else if write {
+            if compute_has != Perm::None {
+                self.round_trip(
+                    dos,
+                    pid,
+                    CoherenceTransition::UpgradeExclusive,
+                    Lane::Compute,
+                );
+            }
+            self.allowed.insert(pid, Perm::None);
+        } else if self.allowed(pid) > Perm::Read {
+            self.allowed.insert(pid, Perm::Read);
+        }
+    }
+
+    fn finish(mut self, dos: &mut Dos) -> (CoherenceStats, SimDuration, Vec<PageId>) {
+        if self.mode.syncs_at_completion() && !self.stale.is_empty() {
+            let pages = std::mem::take(&mut self.stale);
+            let first = *pages.iter().next().expect("checked non-empty");
+            self.round_trip(
+                dos,
+                first,
+                CoherenceTransition::CompletionSync,
+                Lane::Compute,
+            );
+            for pid in pages {
+                dos.coherence_evict(pid);
+            }
+        }
+        (
+            self.stats,
+            self.online_sync,
+            self.stale.into_iter().collect(),
+        )
+    }
+}
+
+/// Pages in the reference-model world: twice the cache, so every warm-up
+/// leaves some pages out of the shipped list and compute-side accesses keep
+/// faulting pages in (and others out) while the session runs.
+const MODEL_PAGES: u64 = 8;
+
+/// A traced four-page-cache world warmed by `warm` (page, write) touches.
+fn model_world(warm: &[(u64, bool)]) -> (Dos, VAddr) {
+    let mut dos = Dos::new_disaggregated(DdcConfig {
+        compute_cache_bytes: 4 * PAGE_SIZE,
+        memory_pool_bytes: 64 * PAGE_SIZE,
+        ..Default::default()
+    });
+    let a = dos.alloc(MODEL_PAGES as usize * PAGE_SIZE);
+    for &(page, write) in warm {
+        dos.touch_range(a.offset(page * PAGE_SIZE as u64), 8, write, Pattern::Rand);
+    }
+    dos.begin_timing();
+    dos.tracer().enable();
+    (dos, a)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Under every coherence mode and both tie-breaks, the session and the
+    /// map-based reference agree after every step of any interleaved
+    /// schedule: on what the temporary context holds and may take for every
+    /// page (shipped or not, cached or not), on the statistics and the
+    /// online-sync time, and — each driving its own world — on the clock
+    /// and the trace digest.
+    #[test]
+    fn session_matches_the_map_reference(
+        warm in prop::collection::vec((0..MODEL_PAGES, any::<bool>()), 0..12),
+        steps in prop::collection::vec((access_strategy(MODEL_PAGES), 0u8..4), 1..80),
+    ) {
+        let modes = [
+            CoherenceMode::WriteInvalidate,
+            CoherenceMode::Pso,
+            CoherenceMode::WeakOrdering,
+            CoherenceMode::Disabled,
+        ];
+        for mode in modes {
+            for tiebreak in [TieBreak::FavorMemory, TieBreak::FavorCompute] {
+                let backoff = SimDuration::from_micros(10);
+                let (mut dos, a) = model_world(&warm);
+                let (mut ref_dos, _) = model_world(&warm);
+                let resident = dos.resident_list();
+                let mut s = PushdownSession::with_tiebreak(mode, &resident, backoff, tiebreak);
+                let mut r = RefSession::new(mode, &resident, backoff, tiebreak);
+                for (i, (acc, roll)) in steps.iter().enumerate() {
+                    // One access in four reaches over into the next page.
+                    let straddle = *roll == 0 && acc.page + 1 < MODEL_PAGES;
+                    let offset = if straddle { PAGE_SIZE as u64 - 4 } else { 16 };
+                    let addr = a.offset(acc.page * PAGE_SIZE as u64 + offset);
+                    if acc.mem_side {
+                        s.mem_access(&mut dos, addr, 8, acc.write, Pattern::Rand);
+                        r.mem_access(&mut ref_dos, addr, 8, acc.write);
+                    } else {
+                        s.compute_access(&mut dos, addr, 8, acc.write, Pattern::Rand);
+                        r.compute_access(&mut ref_dos, addr, 8, acc.write);
+                    }
+                    let at = format!("{mode:?}/{tiebreak:?} step {i} {acc:?} straddle {straddle}");
+                    // One page past the allocation on each side rides along.
+                    for pid in (a.page().0.saturating_sub(1)..=a.page().0 + MODEL_PAGES).map(PageId) {
+                        prop_assert_eq!(s.mem_perm(pid), r.held(pid), "held {:?} {}", pid, at);
+                        prop_assert_eq!(
+                            s.mem_allowed(pid), r.allowed(pid), "allowed {:?} {}", pid, at
+                        );
+                    }
+                    prop_assert_eq!(s.stats, r.stats, "stats {}", at);
+                    prop_assert_eq!(s.online_sync, r.online_sync, "online_sync {}", at);
+                    prop_assert_eq!(dos.clock().now(), ref_dos.clock().now(), "clock {}", at);
+                    prop_assert_eq!(
+                        dos.tracer().digest(), ref_dos.tracer().digest(), "digest {}", at
+                    );
+                }
+                let (stats, sync, stale) = s.finish(&mut dos);
+                let (ref_stats, ref_sync, ref_stale) = r.finish(&mut ref_dos);
+                prop_assert_eq!(stats, ref_stats);
+                prop_assert_eq!(sync, ref_sync);
+                prop_assert_eq!(stale.into_keys().collect::<Vec<_>>(), ref_stale);
+                prop_assert_eq!(dos.tracer().digest(), ref_dos.tracer().digest());
+                prop_assert_eq!(dos.tracer().len(), ref_dos.tracer().len());
+            }
+        }
     }
 }
