@@ -117,12 +117,54 @@ fn bench_resident_list(c: &mut Criterion) {
     g.finish();
 }
 
+/// The `i`-th page of a fixed walk over `span` pages (a power of two): it
+/// visits every page once before it repeats, never two in address order for
+/// long, so a cache filled along it is scattered and its slab unsorted, and
+/// a cache of `span / 2` pages misses on every further step of it.
+fn walk(i: usize, span: usize) -> usize {
+    i * 193 % span
+}
+
+/// What the pushdown path asks of the cache, over residency as compute-side
+/// misses leave it (the `*_cached_pages` rows above fill in address order,
+/// which a collect-and-sort of the slab gets for nothing).
+fn bench_resident_list_shuffled(c: &mut Criterion) {
+    let mut g = c.benchmark_group("paging/resident_list");
+    for pages in [512usize, 4096] {
+        let span = 2 * pages;
+        let shuffled = || {
+            let (mut dos, a) = warm_dos(pages, span);
+            for i in 0..pages {
+                dos.read_u64(a.offset((walk(i, span) * PAGE_SIZE) as u64), Pattern::Rand);
+            }
+            assert_eq!(dos.cache_len(), pages);
+            (dos, a)
+        };
+        g.throughput(Throughput::Elements(pages as u64));
+        g.bench_function(format!("{pages}_shuffled_unchanged"), |b| {
+            let (dos, _a) = shuffled();
+            b.iter(|| black_box(dos.resident_list().len()));
+        });
+        g.bench_function(format!("{pages}_shuffled_one_miss_between_calls"), |b| {
+            let (mut dos, a) = shuffled();
+            let mut i = pages;
+            b.iter(|| {
+                dos.read_u64(a.offset((walk(i, span) * PAGE_SIZE) as u64), Pattern::Rand);
+                i += 1;
+                black_box(dos.resident_list().len())
+            });
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_cache_hit,
     bench_fault_path,
     bench_memside,
     bench_sequential_scan,
-    bench_resident_list
+    bench_resident_list,
+    bench_resident_list_shuffled
 );
 criterion_main!(benches);

@@ -30,6 +30,34 @@ fn bench_noop_pushdown(c: &mut Criterion) {
     });
 }
 
+fn bench_noop_pushdown_shuffled(c: &mut Criterion) {
+    // The fixed path over a full 512-page cache whose residency is scattered
+    // and whose slab is unsorted, as compute-side misses leave it
+    // (`warm_runtime` fills in address order).
+    c.bench_function("pushdown/noop_call_512_shuffled", |b| {
+        let (pages, span) = (512, 1024);
+        let mut rt = Runtime::teleport(DdcConfig {
+            compute_cache_bytes: pages * PAGE_SIZE,
+            memory_pool_bytes: span * PAGE_SIZE * 2,
+            ..Default::default()
+        });
+        let region = rt.alloc_region::<u64>(span * PAGE_SIZE / 8);
+        for i in 0..pages {
+            rt.get(
+                &region,
+                i * 193 % span * PAGE_SIZE / 8,
+                ddc_os::Pattern::Rand,
+            );
+        }
+        assert_eq!(rt.dos().cache_len(), pages);
+        rt.begin_timing();
+        b.iter(|| {
+            rt.pushdown(PushdownOpts::new(), |_m| black_box(0u64))
+                .expect("ok")
+        });
+    });
+}
+
 fn bench_pushdown_with_scan(c: &mut Criterion) {
     c.bench_function("pushdown/scan_64KB", |b| {
         let (mut rt, region) = warm_runtime(256);
@@ -70,6 +98,7 @@ fn bench_eager_vs_ondemand_real_cost(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_noop_pushdown,
+    bench_noop_pushdown_shuffled,
     bench_pushdown_with_scan,
     bench_eager_vs_ondemand_real_cost
 );

@@ -31,6 +31,7 @@
 //! is what makes the paper's false-sharing scenario (Fig 7) testable.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use ddc_os::{page_chunks, pages_spanned, Dos, PageId, Pattern, VAddr};
 use ddc_sim::{CoherenceTransition, Lane, MsgClass, SimDuration, TraceEvent};
@@ -81,9 +82,10 @@ pub struct PushdownSession {
     /// The resident list shipped with the request, strictly sorted by
     /// page: per Fig 8 the temporary context holds nothing at first and is
     /// allowed `None` on a compute-writable page, `Read` on a
-    /// compute-read-only one and `Write` on an unlisted one. Never modified
-    /// after set-up.
-    shipped: Vec<(PageId, bool)>,
+    /// compute-read-only one and `Write` on an unlisted one. Shared with the
+    /// compute cache that produced it, which copies before it writes while
+    /// the session lives, so the list stays as shipped.
+    shipped: Rc<Vec<(PageId, bool)>>,
     /// Pages either side has acquired during the call: what the temporary
     /// context *holds* on each right now and what it is *allowed* without
     /// signalling, in that order. An entry shadows `shipped`; the map starts
@@ -111,7 +113,8 @@ impl PushdownSession {
     ///
     /// `resident` is expected strictly sorted by page, as
     /// `Dos::resident_list` produces it; set-up is then one copy of the
-    /// list. Any other order is accepted too and normalised, the last entry
+    /// list ([`PushdownSession::over_shipped`] takes a shared list without
+    /// one). Any other order is accepted too and normalised, the last entry
     /// of a duplicated page winning.
     pub fn new(mode: CoherenceMode, resident: &[(PageId, bool)], backoff_t: SimDuration) -> Self {
         Self::with_tiebreak(mode, resident, backoff_t, TieBreak::FavorMemory)
@@ -139,6 +142,18 @@ impl PushdownSession {
                 dup
             });
         }
+        Self::over_shipped(mode, Rc::new(shipped), backoff_t, tiebreak)
+    }
+
+    /// The temporary context over a list that is already strictly sorted by
+    /// page and shared, as `Dos::resident_view` hands it out: set-up is a
+    /// pointer copy, whatever the list's length.
+    pub fn over_shipped(
+        mode: CoherenceMode,
+        shipped: Rc<Vec<(PageId, bool)>>,
+        backoff_t: SimDuration,
+        tiebreak: TieBreak,
+    ) -> Self {
         PushdownSession {
             mode,
             shipped,

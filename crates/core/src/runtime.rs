@@ -29,11 +29,11 @@ use ddc_sim::{
 
 use crate::breakdown::Breakdown;
 use crate::coherence::race::{Actor, Race, SyncLog, SyncOp};
-use crate::coherence::{CoherenceStats, PushdownSession};
+use crate::coherence::{CoherenceStats, PushdownSession, TieBreak};
 use crate::fault::{CancelOutcome, HeartbeatMonitor, PushdownError};
 use crate::flags::{PushdownOpts, SyncStrategy};
 use crate::resilience::{ExecutionVia, FallbackPolicy, Recovered, ResiliencePolicy};
-use crate::rle::ResidentList;
+use crate::rle::RUN_WIRE_BYTES;
 use crate::rpc::{AdmissionPolicy, RpcServer, REQUEST_HEADER_BYTES, RESPONSE_BYTES};
 
 /// Tunable constants of the TELEPORT kernel implementation (§6).
@@ -1151,20 +1151,19 @@ impl Runtime {
         let call_start = self.dos.clock().now();
         let t0 = call_start;
         tracer.emit(Lane::Compute, TraceEvent::PushdownStep { step: 1 });
-        let resident = match opts.sync {
-            SyncStrategy::OnDemand => {
-                let list = self.dos.resident_list();
-                self.dos
-                    .charge_compute_cycles(self.tcfg.cycles_per_list_entry * list.len() as u64);
-                list
-            }
-            SyncStrategy::Eager => {
-                // Strawman: flush + drop everything up front, remembering
-                // what to re-fetch afterwards.
-                self.eager_refetch = self.dos.flush_and_clear_cache();
-                Vec::new()
-            }
-        };
+        if opts.sync == SyncStrategy::Eager {
+            // Strawman: flush + drop everything up front, remembering what
+            // to re-fetch afterwards; the list it then ships is empty.
+            self.eager_refetch = self.dos.flush_and_clear_cache();
+        }
+        // The cache's own address-ordered view, shared with it: nothing is
+        // collected, sorted or copied here.
+        let resident = self.dos.resident_view();
+        if opts.sync == SyncStrategy::OnDemand {
+            self.dos.charge_compute_cycles(
+                self.tcfg.cycles_per_list_entry * resident.list.len() as u64,
+            );
+        }
         bd.pre_sync = self.dos.clock().now().since(t0);
 
         // ❷ Request transfer (RLE'd resident list rides along).
@@ -1172,12 +1171,15 @@ impl Runtime {
         tracer.emit(Lane::Net, TraceEvent::PushdownStep { step: 2 });
         // An unsorted resident list would corrupt the temporary context's
         // page table on the far side: surface it as a typed protocol
-        // violation instead of shipping a malformed request.
-        let rle = ResidentList::try_encode(&resident)
-            .map_err(|_| PushdownError::ProtocolViolation { req: call })?;
+        // violation instead of shipping a malformed request. The cache
+        // verified the order as it built and patched the list.
+        if !resident.sorted {
+            return Err(PushdownError::ProtocolViolation { req: call });
+        }
+        // One wire run per run of the list: its RLE size, not re-encoded.
         self.wire(
             MsgClass::RpcRequest,
-            REQUEST_HEADER_BYTES + rle.encoded_bytes(),
+            REQUEST_HEADER_BYTES + resident.runs * RUN_WIRE_BYTES,
         );
         // ❸ Enqueue on the memory-side workqueue; wake an instance.
         tracer.emit(Lane::Memory, TraceEvent::PushdownStep { step: 3 });
@@ -1241,8 +1243,9 @@ impl Runtime {
         self.dos
             .charge(mem_cpu.cycles(self.tcfg.cycles_per_pte_clone * total_pages));
         if opts.sync == SyncStrategy::OnDemand {
-            self.dos
-                .charge(mem_cpu.cycles(self.tcfg.cycles_per_pte_check * resident.len() as u64));
+            self.dos.charge(
+                mem_cpu.cycles(self.tcfg.cycles_per_pte_check * resident.list.len() as u64),
+            );
         }
         bd.ctx_setup = self.dos.clock().now().since(t0);
 
@@ -1252,7 +1255,12 @@ impl Runtime {
         // Open the routing window: memory-side accesses record which
         // shards they land on (free on single-pool deployments).
         self.dos.begin_pushdown_routing();
-        let mut session = PushdownSession::new(opts.coherence, &resident, self.tcfg.backoff_t);
+        let mut session = PushdownSession::over_shipped(
+            opts.coherence,
+            resident.list,
+            self.tcfg.backoff_t,
+            TieBreak::FavorMemory,
+        );
         session.set_race_log(self.race_log.clone());
         // An injected disruption replaces the function body: an exception
         // surfaces as if the pushed code panicked in the temporary context,

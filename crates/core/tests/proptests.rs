@@ -1,12 +1,15 @@
 //! Property tests for the TELEPORT core: SWMR under arbitrary schedules,
 //! no lost writes under coherent modes, RLE round-trips, pushdown
-//! transparency, and the coherence session against its map-based reference.
+//! transparency, the coherence session against its map-based reference, and
+//! the run count a pushdown bills against the RLE codec.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use ddc_os::{pages_spanned, Dos, PageId, Pattern, VAddr};
 use ddc_sim::{CoherenceTransition, DdcConfig, Lane, MsgClass, SimDuration, TraceEvent, PAGE_SIZE};
 use proptest::prelude::*;
+use teleport::rle::RUN_WIRE_BYTES;
+use teleport::rpc::REQUEST_HEADER_BYTES;
 use teleport::{
     CoherenceMode, CoherenceStats, Mem, Perm, PushdownOpts, PushdownSession, Region, ResidentList,
     Runtime, TieBreak,
@@ -526,6 +529,86 @@ proptest! {
                 prop_assert_eq!(stale.into_keys().collect::<Vec<_>>(), ref_stale);
                 prop_assert_eq!(dos.tracer().digest(), ref_dos.tracer().digest());
                 prop_assert_eq!(dos.tracer().len(), ref_dos.tracer().len());
+            }
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
+// The billed run count against the RLE codec
+// ----------------------------------------------------------------------
+
+/// Pages in the run-count world: twice its cache, so compute-side accesses
+/// keep evicting and the list's runs keep splitting and merging.
+const RUN_PAGES: usize = 12;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A pushdown bills the resident list by the run count the compute cache
+    /// keeps beside its address-ordered view, never encoding it. After any
+    /// mix of compute-side reads and writes, pool-side reads and writes
+    /// under every coherence mode, and cache drops, that count is the one
+    /// the RLE codec gives for the same list, the list is the cache's pages
+    /// in address order, and the request that crossed the fabric was exactly
+    /// that long.
+    #[test]
+    fn billed_runs_are_the_rle_size_of_the_shipped_list(
+        steps in prop::collection::vec((0u8..8, 0..RUN_PAGES, any::<bool>()), 1..100),
+    ) {
+        let modes = [
+            CoherenceMode::WriteInvalidate,
+            CoherenceMode::Pso,
+            CoherenceMode::WeakOrdering,
+            CoherenceMode::Disabled,
+        ];
+        for mode in modes {
+            let mut rt = Runtime::teleport(DdcConfig {
+                compute_cache_bytes: RUN_PAGES / 2 * PAGE_SIZE,
+                memory_pool_bytes: 64 * PAGE_SIZE,
+                ..Default::default()
+            });
+            let region: Region<u64> = rt.alloc_region::<u64>(RUN_PAGES * PAGE_SIZE / 8);
+            rt.begin_timing();
+            for (i, &(kind, page, write)) in steps.iter().enumerate() {
+                let at = page * PAGE_SIZE / 8;
+                match kind {
+                    0..=3 if write => rt.set(&region, at, i as u64, Pattern::Rand),
+                    0..=3 => drop(rt.get(&region, at, Pattern::Rand)),
+                    4..=6 => {
+                        let shipped = ResidentList::try_encode(&rt.dos().resident_list())
+                            .expect("the resident list is sorted");
+                        let sent_before = rt.dos().fabric().ledger().rpc_request.bytes;
+                        rt.pushdown(PushdownOpts::new().coherence(mode), |m| {
+                            if write {
+                                m.set(&region, at, i as u64, Pattern::Rand);
+                            } else {
+                                m.get(&region, at, Pattern::Rand);
+                            }
+                        })
+                        .unwrap();
+                        prop_assert_eq!(
+                            rt.dos().fabric().ledger().rpc_request.bytes - sent_before,
+                            (REQUEST_HEADER_BYTES + shipped.encoded_bytes()) as u64,
+                            "request bytes, {:?} step {}", mode, i
+                        );
+                    }
+                    _ => rt.drop_cache(),
+                }
+                let view = rt.dos().resident_view();
+                // The list is what probing every page in turn finds.
+                let probed: Vec<(PageId, bool)> = pages_spanned(region.addr(), region.byte_len())
+                    .filter_map(|pid| Some((pid, rt.dos().cache_probe(pid)?.writable)))
+                    .collect();
+                prop_assert_eq!(&*view.list, &probed, "{:?} step {} {:?}", mode, i, steps[i]);
+                let encoded = ResidentList::try_encode(&view.list)
+                    .expect("the resident view is sorted");
+                prop_assert!(view.sorted);
+                prop_assert_eq!(
+                    view.runs * RUN_WIRE_BYTES,
+                    encoded.encoded_bytes(),
+                    "{:?} step {} {:?}", mode, i, steps[i]
+                );
             }
         }
     }

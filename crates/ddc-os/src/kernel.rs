@@ -24,7 +24,7 @@ use ddc_sim::{
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 use crate::addrspace::AddressSpace;
-use crate::cache::{CacheEntry, PageCache};
+use crate::cache::{CacheEntry, PageCache, ResidentView};
 use crate::health::{HealthConfig, HealthMonitor};
 use crate::page::{for_each_page, pages_spanned, PageChecksum, PageId, PageTable, VAddr};
 use crate::pool::{MemoryPool, PoolFault};
@@ -1081,15 +1081,15 @@ impl Dos {
 
     /// Pages currently resident in the compute cache together with their
     /// write permission, sorted by page id (the pushdown request ships this
-    /// list, RLE-compressed).
+    /// list, RLE-compressed): a copy of [`Dos::resident_view`]'s list.
     pub fn resident_list(&self) -> Vec<(PageId, bool)> {
-        let mut v: Vec<(PageId, bool)> = self
-            .cache
-            .resident()
-            .map(|(p, e)| (p, e.writable))
-            .collect();
-        v.sort_unstable_by_key(|(p, _)| *p);
-        v
+        self.cache.resident_view().list.to_vec()
+    }
+
+    /// The compute cache's address-ordered view of itself, shared rather
+    /// than copied, with the run count its RLE encoding would have.
+    pub fn resident_view(&self) -> ResidentView {
+        self.cache.resident_view()
     }
 
     /// Cache metadata for one page.

@@ -42,7 +42,7 @@ pub mod replica;
 pub mod stats;
 
 pub use addrspace::AddressSpace;
-pub use cache::{CacheEntry, Evicted, PageCache};
+pub use cache::{CacheEntry, Evicted, PageCache, ResidentView};
 pub use fair::DrrQueue;
 pub use health::{HealthConfig, HealthMonitor};
 pub use kernel::{Dos, FileId, Pattern, Topology};

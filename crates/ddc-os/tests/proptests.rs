@@ -2,7 +2,7 @@
 //! access traces, residency invariants, and platform transparency.
 
 use ddc_os::lru::LruList;
-use ddc_os::{Dos, MemoryPool, PageCache, PageId, Pattern, PoolFault};
+use ddc_os::{Dos, MemoryPool, PageCache, PageId, Pattern, PoolFault, ResidentView};
 use ddc_sim::{DdcConfig, MonolithicConfig, PAGE_SIZE};
 use proptest::prelude::*;
 
@@ -74,6 +74,27 @@ impl ModelPool {
     }
 }
 
+/// The address-ordered `(page, writable)` list of a cache model kept as
+/// `(page, writable, dirty)` rows.
+fn model_list(model: &[(u64, bool, bool)]) -> Vec<(PageId, bool)> {
+    let mut list: Vec<(PageId, bool)> = model.iter().map(|e| (PageId(e.0), e.1)).collect();
+    list.sort_unstable();
+    list
+}
+
+/// Runs of consecutive pages with one permission, counted the long way.
+fn count_runs(list: &[(PageId, bool)]) -> usize {
+    let mut runs = 0;
+    let mut prev: Option<(PageId, bool)> = None;
+    for &(page, writable) in list {
+        if !prev.is_some_and(|(p, w)| p.0 + 1 == page.0 && w == writable) {
+            runs += 1;
+        }
+        prev = Some((page, writable));
+    }
+    runs
+}
+
 fn run_trace(dos: &mut Dos, ops: &[Op]) -> Vec<u8> {
     let a = dos.alloc(ALLOC);
     let mut shadow = vec![0u8; ALLOC];
@@ -140,15 +161,42 @@ proptest! {
     /// The page cache never exceeds capacity, eviction victims are exactly
     /// the least-recently-used pages, and evict / downgrade / mark_clean /
     /// clear leave the same entries behind as a vector ordered MRU-first.
+    /// Its address-ordered view, asked for at random points, is the model
+    /// sorted, with the run count a plain walk gives; a view taken earlier
+    /// (or a cloned cache) is unmoved by what the cache did afterwards.
     #[test]
     fn page_cache_matches_reference_model(
-        ops in prop::collection::vec((0u8..12, page_id(), any::<bool>()), 1..300),
-        capacity in 1usize..8,
+        ops in prop::collection::vec((0u8..12, page_id(), any::<bool>(), any::<u8>()), 1..700),
+        capacity in 1usize..12,
+        view_gap in 1u8..6,
     ) {
         let mut cache = PageCache::new(capacity);
         // Reference: (page, writable, dirty), MRU first.
         let mut model: Vec<(u64, bool, bool)> = Vec::new();
-        for &(kind, page, write) in &ops {
+        // Views kept while the cache moves on, with what each showed.
+        let mut kept: Vec<(ResidentView, Vec<(PageId, bool)>)> = Vec::new();
+        let mut twin: Option<(PageCache, Vec<(PageId, bool)>)> = None;
+        for (i, &(kind, page, write, roll)) in ops.iter().enumerate() {
+            // The view is asked for every few ops in the first and the last
+            // stretch of a long script and never in between: short scripts
+            // stay under the cache's journal bound (patch), longer ones run
+            // a few hundred notes past it (rebuild), the longest come back
+            // under it (patch again, over a rebuilt list).
+            if !(150..500).contains(&i) && roll % view_gap == 0 {
+                let view = cache.resident_view();
+                let want = model_list(&model);
+                prop_assert_eq!(&*view.list, &want, "view at op {}", i);
+                prop_assert_eq!(view.runs, count_runs(&want), "run count at op {}", i);
+                prop_assert!(view.sorted);
+                // Keep one view in two: the cache patches an unshared list
+                // in place and must copy a shared one first.
+                if roll & 0x80 != 0 {
+                    if twin.is_none() {
+                        twin = Some((cache.clone(), want.clone()));
+                    }
+                    kept.push((view, want));
+                }
+            }
             let pid = PageId(page);
             let model_pos = model.iter().position(|&(p, _, _)| p == page);
             let model_entry = model_pos.map(|i| (model[i].1, model[i].2));
@@ -197,9 +245,10 @@ proptest! {
                     }
                 }
                 _ => {
-                    // Rare enough (the flag halves it) that traces still
-                    // fill the cache between clears.
-                    if write {
+                    // Rare enough (a few per thousand ops) that traces fill
+                    // the cache, and overflow its view journal, between
+                    // clears.
+                    if write && roll % 16 == 0 {
                         let mut dirty: Vec<PageId> =
                             model.iter().filter(|e| e.2).map(|e| PageId(e.0)).collect();
                         dirty.sort_unstable();
@@ -214,10 +263,20 @@ proptest! {
             let expected = model.iter().find(|e| e.0 == page).map(|e| (e.1, e.2));
             prop_assert_eq!(probed, expected, "probe divergence");
         }
-        // Resident and dirty sets agree.
-        let mut model_pages: Vec<PageId> = model.iter().map(|e| PageId(e.0)).collect();
-        model_pages.sort_unstable();
+        // Resident and dirty sets agree, wherever the script stopped.
+        let want = model_list(&model);
+        let view = cache.resident_view();
+        prop_assert_eq!(&*view.list, &want);
+        prop_assert_eq!((view.runs, view.sorted), (count_runs(&want), true));
+        let model_pages: Vec<PageId> = want.iter().map(|e| e.0).collect();
         prop_assert_eq!(cache.resident_sorted(), model_pages);
+        for (view, showed) in &kept {
+            prop_assert_eq!(&*view.list, showed, "a kept view moved");
+            prop_assert_eq!(view.runs, count_runs(showed));
+        }
+        if let Some((twin, showed)) = &twin {
+            prop_assert_eq!(&*twin.resident_view().list, showed, "a cloned cache moved");
+        }
         let mut model_dirty: Vec<PageId> =
             model.iter().filter(|e| e.2).map(|e| PageId(e.0)).collect();
         model_dirty.sort_unstable();
