@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-use ddc_os::{Dos, Pattern};
+use ddc_os::{Dos, PageChecksum, Pattern};
 use ddc_sim::{DdcConfig, PAGE_SIZE};
 
 fn warm_dos(cache_pages: usize, data_pages: usize) -> (Dos, ddc_os::VAddr) {
@@ -158,6 +158,33 @@ fn bench_resident_list_shuffled(c: &mut Criterion) {
     g.finish();
 }
 
+/// The page seal: what every reseal after a pool-side write, every verified
+/// fabric delivery or SSD read, and every scrubbed page pays. `warm` seals
+/// one page that stays in L1; `cold_page_of_16MB` walks a 16 MB image with
+/// a stride, as a scrub pass or scattered reseals meet their pages.
+fn bench_seal_page(c: &mut Criterion) {
+    let mut g = c.benchmark_group("integrity/seal_page_4k");
+    g.throughput(Throughput::Bytes(PAGE_SIZE as u64));
+    let pages = 4096usize;
+    let image: Vec<u8> = (0..pages * PAGE_SIZE)
+        .map(|i| ((i * 31) >> 3) as u8)
+        .collect();
+    g.bench_function("warm", |b| {
+        let page = &image[..PAGE_SIZE];
+        b.iter(|| black_box(PageChecksum::of(black_box(page))));
+    });
+    g.bench_function("cold_page_of_16MB", |b| {
+        let mut p = 0usize;
+        b.iter(|| {
+            p = (p + 61) % pages;
+            black_box(PageChecksum::of(black_box(
+                &image[p * PAGE_SIZE..][..PAGE_SIZE],
+            )))
+        });
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_cache_hit,
@@ -165,6 +192,7 @@ criterion_group!(
     bench_memside,
     bench_sequential_scan,
     bench_resident_list,
-    bench_resident_list_shuffled
+    bench_resident_list_shuffled,
+    bench_seal_page
 );
 criterion_main!(benches);

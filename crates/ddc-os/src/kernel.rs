@@ -21,7 +21,7 @@ use ddc_sim::{
     SimDuration, SimTime, Ssd, TraceEvent, Tracer, PAGE_SIZE,
 };
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use crate::addrspace::AddressSpace;
 use crate::cache::{CacheEntry, PageCache, ResidentView};
@@ -72,16 +72,14 @@ const HEALTH_PROBE_TOUCHES: u64 = 64;
 #[derive(Debug, Default)]
 struct Integrity {
     enabled: bool,
-    /// Checksum sealed over each page's full 4 KB image, at registration
-    /// and at every dirty write-back.
-    sums: HashMap<PageId, PageChecksum>,
-    /// Pages legitimately written since their last seal; resealed lazily at
-    /// the next verification point (checksums are O(page), writes are not).
-    stale: HashSet<PageId>,
-    /// Injected corruption not yet detected, as invertible XOR edits.
-    pending: HashMap<PageId, Vec<Corruption>>,
-    /// Pages declared unrecoverable; never re-detected, never re-polled.
-    lost: HashSet<PageId>,
+    /// Seal and state of every page the plane has seen.
+    pages: PageTable<PageSeal>,
+    /// Pages holding a seal (`integrity.pages_sealed`).
+    sealed: u64,
+    /// Injected corruption not yet detected, as invertible XOR edits: one
+    /// list per page whose [`PageSeal::pending`] is set, consulted only
+    /// then (corruption is rare; the flag keeps this map off clean pages).
+    edits: BTreeMap<PageId, Vec<Corruption>>,
     /// Most recent unrecoverable page (for the typed error).
     last_loss: Option<PageId>,
     detected: u64,
@@ -94,6 +92,43 @@ struct Integrity {
     scrub_passes: u64,
     scrub_pages: u64,
     scrub_detected: u64,
+}
+
+/// What the integrity plane knows about one page.
+#[derive(Debug, Clone, Copy, Default)]
+struct PageSeal {
+    /// Checksum over the page's full 4 KB image, taken at registration and
+    /// at every dirty write-back; meaningful only once `sealed`.
+    sum: PageChecksum,
+    sealed: bool,
+    /// Legitimately written since `sum` was taken; resealed lazily at the
+    /// next verification point (checksums are O(page), writes are not).
+    stale: bool,
+    /// Has undetected injected corruption (its edits are in
+    /// [`Integrity::edits`]).
+    pending: bool,
+    /// Declared unrecoverable; never re-detected, never re-polled.
+    lost: bool,
+}
+
+impl Integrity {
+    /// Seal `pid` over `image`, its current authoritative bytes, clearing
+    /// any stale mark.
+    fn seal(&mut self, pid: PageId, image: &[u8]) {
+        let page = self.pages.entry(pid);
+        page.sum = PageChecksum::of(image);
+        page.stale = false;
+        if !page.sealed {
+            page.sealed = true;
+            self.sealed += 1;
+        }
+    }
+
+    /// Forget `pid`'s pending corruption, handing back its edit list.
+    fn take_edits(&mut self, pid: PageId) -> Option<Vec<Corruption>> {
+        self.pages.get_mut(pid)?.pending = false;
+        self.edits.remove(&pid)
+    }
 }
 
 /// Per-pool integrity activity, reported as `integrity.pool{p}.*` metric
@@ -1635,14 +1670,14 @@ impl Dos {
         }
         self.integrity.enabled = true;
         for pid in self.space.mapped_pages() {
-            let sum = PageChecksum::of(self.space.page_view(pid));
-            self.integrity.sums.insert(pid, sum);
+            self.integrity.seal(pid, self.space.page_view(pid));
         }
     }
 
     /// The sealed checksum of one page, if the integrity plane holds one.
     pub fn page_checksum(&self, pid: PageId) -> Option<PageChecksum> {
-        self.integrity.sums.get(&pid).copied()
+        let page = self.integrity.pages.get(pid);
+        page.sealed.then_some(page.sum)
     }
 
     /// Unrecoverable-corruption events in the current timed window.
@@ -1659,12 +1694,9 @@ impl Dos {
     /// mark. Called wherever a page image becomes authoritative: at
     /// registration and at every dirty write-back.
     fn seal_checksum(&mut self, pid: PageId) {
-        if !self.integrity.enabled {
-            return;
+        if self.integrity.enabled {
+            self.integrity.seal(pid, self.space.page_view(pid));
         }
-        let sum = PageChecksum::of(self.space.page_view(pid));
-        self.integrity.sums.insert(pid, sum);
-        self.integrity.stale.remove(&pid);
     }
 
     /// Record that a legitimate write invalidated `pid`'s sealed checksum.
@@ -1672,7 +1704,7 @@ impl Dos {
     /// verification point.
     fn mark_stale(&mut self, pid: PageId) {
         if self.integrity.enabled {
-            self.integrity.stale.insert(pid);
+            self.integrity.pages.entry(pid).stale = true;
         }
     }
 
@@ -1682,22 +1714,17 @@ impl Dos {
     /// writes, so corruption is always detected before a write could mark
     /// the page stale — blessing corrupt bytes is impossible.
     fn reseal_if_stale(&mut self, pid: PageId) {
-        if !self.integrity.enabled
-            || !self.integrity.stale.contains(&pid)
-            || self.integrity.pending.contains_key(&pid)
-        {
-            return;
+        let page = self.integrity.pages.get(pid);
+        if self.integrity.enabled && page.stale && !page.pending {
+            self.integrity.seal(pid, self.space.page_view(pid));
         }
-        let sum = PageChecksum::of(self.space.page_view(pid));
-        self.integrity.sums.insert(pid, sum);
-        self.integrity.stale.remove(&pid);
     }
 
     /// Poll the fault plan for corruption of `pid` at `point`; on a hit,
     /// XOR the drawn mask into the authoritative image and record the edit
     /// so a repair can invert it exactly.
     fn poll_corruption(&mut self, point: CorruptionPoint, pid: PageId) {
-        if !self.integrity.enabled || self.integrity.lost.contains(&pid) {
+        if !self.integrity.enabled || self.integrity.pages.get(pid).lost {
             return;
         }
         let Some(inj) = self.injector.clone() else {
@@ -1705,7 +1732,8 @@ impl Dos {
         };
         if let Some(c) = inj.corruption(point, pid.0) {
             self.space.page_view_mut(pid)[c.offset] ^= c.mask;
-            self.integrity.pending.entry(pid).or_default().push(c);
+            self.integrity.pages.entry(pid).pending = true;
+            self.integrity.edits.entry(pid).or_default().push(c);
         }
     }
 
@@ -1716,15 +1744,11 @@ impl Dos {
     /// map is the ground truth the checksum mechanism is validated against
     /// — and skipping clean pages keeps the plane cheap.
     fn check_page(&mut self, pid: PageId, via: CorruptionPoint) {
-        if !self.integrity.enabled
-            || self.integrity.lost.contains(&pid)
-            || !self.integrity.pending.contains_key(&pid)
-        {
+        let page = self.integrity.pages.get(pid);
+        if !self.integrity.enabled || page.lost || !page.pending || !page.sealed {
             return;
         }
-        let Some(&sum) = self.integrity.sums.get(&pid) else {
-            return;
-        };
+        let sum = page.sum;
         let mismatch = {
             let view = self.space.page_view(pid);
             match via {
@@ -1742,7 +1766,7 @@ impl Dos {
         };
         if !mismatch {
             // Self-cancelling XOR edits left the image intact.
-            self.integrity.pending.remove(&pid);
+            self.integrity.take_edits(pid);
             return;
         }
         self.integrity.detected += 1;
@@ -1781,7 +1805,7 @@ impl Dos {
             Some(source) => {
                 // Invert every recorded XOR edit: the image is restored
                 // bit-exactly and matches its sealed checksum again.
-                if let Some(edits) = self.integrity.pending.remove(&pid) {
+                if let Some(edits) = self.integrity.take_edits(pid) {
                     let view = self.space.page_view_mut(pid);
                     for c in edits {
                         view[c.offset] ^= c.mask;
@@ -1811,8 +1835,8 @@ impl Dos {
                 if let Some(shard) = self.shards.get_mut(p) {
                     shard.integrity.data_loss += 1;
                 }
-                self.integrity.pending.remove(&pid);
-                self.integrity.lost.insert(pid);
+                self.integrity.take_edits(pid);
+                self.integrity.pages.entry(pid).lost = true;
                 self.integrity.last_loss = Some(pid);
                 self.tracer
                     .emit(Lane::Memory, TraceEvent::DataLoss { page: pid.0 });
@@ -2006,7 +2030,7 @@ impl Dos {
             m.set("integrity.repaired_from_ssd", i.repaired_ssd);
             m.set("integrity.repaired_from_replica", i.repaired_replica);
             m.set("integrity.data_loss", i.data_loss);
-            m.set("integrity.pages_sealed", i.sums.len() as u64);
+            m.set("integrity.pages_sealed", i.sealed);
             m.set("scrub.passes", i.scrub_passes);
             m.set("scrub.pages_scanned", i.scrub_pages);
             m.set("scrub.detected", i.scrub_detected);

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use ddc_sim::{fnv1a, PAGE_SIZE};
+use ddc_sim::{page_seal, PAGE_SIZE};
 
 /// A virtual address within a simulated process address space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -131,11 +131,19 @@ impl<T: Copy> PageTable<T> {
     }
 }
 
-/// The integrity checksum of one 4 KB page image: FNV-1a-64 over all
-/// `PAGE_SIZE` backing bytes, sealed at write/registration time and
-/// re-verified whenever the page crosses a pool boundary (fabric delivery,
-/// SSD read) or a scrub pass reaches it. The same FNV helpers back the
-/// trace-stream digest, so the two can never drift.
+impl<T: Copy + Default> Default for PageTable<T> {
+    /// An empty table whose every page reads as `T::default()`.
+    fn default() -> Self {
+        PageTable::new(T::default())
+    }
+}
+
+/// The integrity checksum of one 4 KB page image: [`ddc_sim::page_seal`]
+/// over all `PAGE_SIZE` backing bytes, sealed at write/registration time
+/// and re-verified whenever the page crosses a pool boundary (fabric
+/// delivery, SSD read) or a scrub pass reaches it. The fabric and the SSD
+/// verify with the same function, and a change confined to one byte — what
+/// the fault plane injects — always changes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct PageChecksum(pub u64);
 
@@ -149,13 +157,13 @@ impl PageChecksum {
         // every later integrity check into a false mismatch — guard it in
         // release builds too (the length compare is two words).
         assert_eq!(bytes.len(), PAGE_SIZE, "checksum over a partial page");
-        PageChecksum(fnv1a(bytes))
+        PageChecksum(page_seal(bytes))
     }
 
     /// Whether `bytes` still matches this sealed checksum.
     #[inline]
     pub fn matches(self, bytes: &[u8]) -> bool {
-        fnv1a(bytes) == self.0
+        page_seal(bytes) == self.0
     }
 }
 
@@ -275,6 +283,12 @@ mod tests {
         assert!(!sum.matches(&img), "one flipped bit breaks the seal");
         img[17] ^= 0x40;
         assert!(sum.matches(&img), "XOR-ing the mask back restores it");
+    }
+
+    #[test]
+    #[should_panic(expected = "checksum over a partial page")]
+    fn page_checksum_refuses_a_partial_page() {
+        let _ = PageChecksum::of(&[0u8; PAGE_SIZE - 1]);
     }
 
     #[test]

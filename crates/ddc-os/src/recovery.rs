@@ -7,8 +7,8 @@
 //! durable media so a crashed pool can rebuild itself. Every entry is
 //! stamped with the epoch the pool held when it appended (a zombie's
 //! entries are recognizably stale) and sealed with an FNV-1a-64 checksum
-//! over its header and payload words — the same FNV the trace digest and
-//! the page-integrity plane fold through, so the three can never drift.
+//! over its header and payload words — folded through the same
+//! `ddc_sim::fnv_fold` as the trace digest, so the two can never drift.
 //!
 //! Durability is batched: entries accumulate in an un-synced tail and a
 //! sync point every [`JOURNAL_SYNC_BATCH`] entries makes the prefix
@@ -27,20 +27,11 @@
 
 use crate::page::PageId;
 use crate::replica::ReplOp;
-use ddc_sim::{FNV_OFFSET, FNV_PRIME};
+use ddc_sim::{fnv_fold, FNV_OFFSET};
 
 /// Journal entries per durable sync point. The un-synced tail — the most
 /// a torn write can destroy — is always shorter than this.
 pub const JOURNAL_SYNC_BATCH: usize = 4;
-
-/// Fold one word into an FNV-1a-64 accumulator, byte by byte.
-fn fnv_word(mut h: u64, w: u64) -> u64 {
-    for b in w.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Stable payload words of one journal op (kind tag + operands).
 fn op_words(op: ReplOp) -> [u64; 3] {
@@ -53,12 +44,10 @@ fn op_words(op: ReplOp) -> [u64; 3] {
 /// The checksum sealed over one journal entry: FNV-1a-64 across the
 /// sequence number, the epoch, and the op's payload words.
 pub fn entry_checksum(seq: u64, epoch: u64, op: ReplOp) -> u64 {
-    let mut h = fnv_word(FNV_OFFSET, seq);
-    h = fnv_word(h, epoch);
-    for w in op_words(op) {
-        h = fnv_word(h, w);
-    }
-    h
+    let [tag, a, b] = op_words(op);
+    [seq, epoch, tag, a, b]
+        .into_iter()
+        .fold(FNV_OFFSET, fnv_fold)
 }
 
 /// One epoch-stamped, checksummed journal record.

@@ -220,17 +220,20 @@ impl ReplicatedPool {
         clock.advance(d);
         self.counters.ship_messages += 1;
         self.counters.pages_shipped += pages;
-        let ops: Vec<ReplOp> = self.pending.iter().map(|&(_, op)| op).collect();
-        for op in ops {
+        // Replaying needs `&mut self`; lend the buffer out and put it back
+        // empty so its allocation is kept for the next batch.
+        let mut shipped = std::mem::take(&mut self.pending);
+        for &(_, op) in &shipped {
             self.apply(op, ssd, clock);
         }
+        shipped.clear();
+        self.pending = shipped;
         // The backup's acknowledgement is a small fabric message back; its
         // arrival truncates the journal up to `last_seq`.
         let d = fabric.send(MsgClass::Replication, REPLICA_ACK_BYTES);
         clock.advance(d);
         self.counters.acks += 1;
         self.acked_seq = last_seq;
-        self.pending.clear();
         self.pending_page_writes = 0;
         tracer.emit(Lane::Memory, TraceEvent::ReplicaAck { seq: last_seq });
     }

@@ -163,7 +163,55 @@ impl FaultSpec {
     fn window_active(from: SimTime, until: SimTime, now: SimTime) -> bool {
         from <= now && now < until
     }
+
+    /// The one injector poll that reads this spec.
+    fn poll(&self) -> Poll {
+        match *self {
+            FaultSpec::FabricLatencySpike { .. } => Poll::FabricPenalty,
+            // A partition that heals stalls sends; one that never does is
+            // pool death, judged by the heartbeat path.
+            FaultSpec::FabricPartition { until, .. } if until != FOREVER => Poll::FabricPenalty,
+            FaultSpec::FabricPartition { .. }
+            | FaultSpec::HeartbeatFlap { .. }
+            | FaultSpec::PoolDeath { .. } => Poll::PoolDown,
+            FaultSpec::SsdTransientError { .. }
+            | FaultSpec::SsdLatencyStorm { .. }
+            | FaultSpec::GrindingSsd { .. } => Poll::Ssd,
+            FaultSpec::QueueBacklogBurst { .. } => Poll::QueueBurst,
+            FaultSpec::PushdownException { .. }
+            | FaultSpec::PushdownExceptionProb { .. }
+            | FaultSpec::PushdownHang { .. } => Poll::Pushdown,
+            FaultSpec::FabricBitFlip { .. } => Poll::CorruptFabric,
+            FaultSpec::SsdLatentSector { .. } => Poll::CorruptSsd,
+            FaultSpec::PoolScribble { .. } => Poll::CorruptPool,
+            FaultSpec::DegradedPool { .. } => Poll::PoolSlowdown,
+            FaultSpec::LameFabricLink { .. } => Poll::FabricSlowdown,
+            FaultSpec::PoolCrashRestart { .. } => Poll::PoolCrash,
+            FaultSpec::TornJournalWrite { .. } => Poll::TornTail,
+        }
+    }
 }
+
+/// The injector's poll families, one per decision point that walks the
+/// plan. Each spec is read by exactly one ([`FaultSpec::poll`]), so a poll
+/// visits only its own specs instead of the whole plan.
+#[derive(Debug, Clone, Copy)]
+enum Poll {
+    FabricPenalty,
+    FabricSlowdown,
+    Ssd,
+    PoolSlowdown,
+    PoolDown,
+    PoolCrash,
+    TornTail,
+    QueueBurst,
+    CorruptFabric,
+    CorruptSsd,
+    CorruptPool,
+    Pushdown,
+}
+
+const POLLS: usize = Poll::Pushdown as usize + 1;
 
 /// A seeded, declarative schedule of faults.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -420,7 +468,19 @@ struct InjectorState {
     /// by a failover (they killed the old pool, not the promoted one),
     /// and fail-slow specs whose onset event was already emitted.
     fired: Vec<bool>,
+    /// Per [`Poll`], the indices of the specs it reads — ascending, so a
+    /// poll meets its specs in plan order and PRNG draws, `note` order and
+    /// the trace digest are those of a walk over the whole plan.
+    by_poll: [Vec<usize>; POLLS],
     injected: u64,
+}
+
+impl InjectorState {
+    fn push_spec(&mut self, spec: FaultSpec) {
+        self.by_poll[spec.poll() as usize].push(self.plan.specs.len());
+        self.plan.specs.push(spec);
+        self.fired.push(false);
+    }
 }
 
 /// A cloneable executor of one [`FaultPlan`]. The fabric, the SSD, and the
@@ -436,17 +496,20 @@ pub struct FaultInjector {
 
 impl FaultInjector {
     pub fn new(plan: FaultPlan, clock: Clock, tracer: Tracer) -> Self {
-        let fired = vec![false; plan.specs.len()];
-        let rng = StdRng::seed_from_u64(plan.seed);
+        let mut st = InjectorState {
+            plan: FaultPlan::new(plan.seed),
+            rng: StdRng::seed_from_u64(plan.seed),
+            fired: Vec::new(),
+            by_poll: Default::default(),
+            injected: 0,
+        };
+        for spec in plan.specs {
+            st.push_spec(spec);
+        }
         FaultInjector {
             clock,
             tracer,
-            inner: Rc::new(RefCell::new(InjectorState {
-                plan,
-                rng,
-                fired,
-                injected: 0,
-            })),
+            inner: Rc::new(RefCell::new(st)),
         }
     }
 
@@ -463,19 +526,18 @@ impl FaultInjector {
     /// Append a spec to the running plan (used by the runtime's legacy
     /// one-shot `inject_*` helpers).
     pub fn add_spec(&self, spec: FaultSpec) {
-        let mut st = self.inner.borrow_mut();
-        st.plan.specs.push(spec);
-        st.fired.push(false);
+        self.inner.borrow_mut().push_spec(spec);
     }
 
-    /// Walk the running plan as `(index, spec)`, copying each spec out
-    /// under a borrow that ends before the caller's loop body runs — so the
-    /// body is free to draw the PRNG or note a hit — instead of cloning the
-    /// whole spec vector on every poll.
-    fn specs(&self) -> impl Iterator<Item = (usize, FaultSpec)> + '_ {
-        (0..).map_while(|i| {
-            let spec = self.inner.borrow().plan.specs.get(i).copied();
-            spec.map(|s| (i, s))
+    /// Walk the specs `poll` reads as `(plan index, spec)`, in plan order,
+    /// copying each out under a borrow that ends before the caller's loop
+    /// body runs — so the body is free to draw the PRNG or note a hit. A
+    /// poll nothing in the plan feeds ends after one length test.
+    fn specs(&self, poll: Poll) -> impl Iterator<Item = (usize, FaultSpec)> + '_ {
+        (0..).map_while(move |k| {
+            let st = self.inner.borrow();
+            let &i = st.by_poll[poll as usize].get(k)?;
+            Some((i, st.plan.specs[i]))
         })
     }
 
@@ -512,7 +574,7 @@ impl FaultInjector {
     pub fn fabric_penalty(&self) -> SimDuration {
         let now = self.clock.now();
         let mut penalty = SimDuration::ZERO;
-        for (_, spec) in self.specs() {
+        for (_, spec) in self.specs(Poll::FabricPenalty) {
             match spec {
                 FaultSpec::FabricLatencySpike { from, until, extra }
                     if FaultSpec::window_active(from, until, now) =>
@@ -545,7 +607,7 @@ impl FaultInjector {
     pub fn ssd_disruption(&self) -> SsdDisruption {
         let now = self.clock.now();
         let mut d = SsdDisruption::default();
-        for (i, spec) in self.specs() {
+        for (i, spec) in self.specs(Poll::Ssd) {
             match spec {
                 FaultSpec::SsdTransientError { from, until, p }
                     if FaultSpec::window_active(from, until, now) =>
@@ -584,7 +646,7 @@ impl FaultInjector {
     pub fn pool_slowdown_for(&self, pool: usize) -> u32 {
         let now = self.clock.now();
         let mut slow: u32 = 1;
-        for (i, spec) in self.specs() {
+        for (i, spec) in self.specs(Poll::PoolSlowdown) {
             if let FaultSpec::DegradedPool {
                 pool: p,
                 from,
@@ -607,7 +669,7 @@ impl FaultInjector {
     pub fn fabric_slowdown(&self) -> u32 {
         let now = self.clock.now();
         let mut slow: u32 = 1;
-        for (i, spec) in self.specs() {
+        for (i, spec) in self.specs(Poll::FabricSlowdown) {
             if let FaultSpec::LameFabricLink {
                 from,
                 until,
@@ -641,11 +703,11 @@ impl FaultInjector {
         let mut hit: Option<(InjectedFault, u64)> = None;
         {
             let st = self.inner.borrow();
-            for (i, spec) in st.plan.specs.iter().enumerate() {
+            for &i in &st.by_poll[Poll::PoolDown as usize] {
                 if st.fired[i] {
                     continue;
                 }
-                match *spec {
+                match st.plan.specs[i] {
                     FaultSpec::HeartbeatFlap { from, until }
                         if pool == 0 && FaultSpec::window_active(from, until, now) =>
                     {
@@ -695,8 +757,8 @@ impl FaultInjector {
     /// promoted the shard's backup. Legacy single-pool specs count as
     /// pool 0; other shards' `PoolDeath` specs stay armed.
     pub fn retire_pool_faults_for(&self, pool: usize) {
-        let mut st = self.inner.borrow_mut();
-        for i in 0..st.plan.specs.len() {
+        let st = &mut *self.inner.borrow_mut();
+        for &i in &st.by_poll[Poll::PoolDown as usize] {
             match st.plan.specs[i] {
                 FaultSpec::HeartbeatFlap { .. } if pool == 0 => st.fired[i] = true,
                 FaultSpec::FabricPartition { until, .. } if pool == 0 && until == FOREVER => {
@@ -717,8 +779,8 @@ impl FaultInjector {
         let now = self.clock.now();
         let mut hit: Option<SimDuration> = None;
         {
-            let mut st = self.inner.borrow_mut();
-            for i in 0..st.plan.specs.len() {
+            let st = &mut *self.inner.borrow_mut();
+            for &i in &st.by_poll[Poll::PoolCrash as usize] {
                 if st.fired[i] {
                     continue;
                 }
@@ -753,8 +815,8 @@ impl FaultInjector {
         let now = self.clock.now();
         let mut hit = false;
         {
-            let mut st = self.inner.borrow_mut();
-            for i in 0..st.plan.specs.len() {
+            let st = &mut *self.inner.borrow_mut();
+            for &i in &st.by_poll[Poll::TornTail as usize] {
                 if st.fired[i] {
                     continue;
                 }
@@ -790,7 +852,7 @@ impl FaultInjector {
     pub fn queue_burst(&self) -> Option<SimDuration> {
         let now = self.clock.now();
         let mut burst: Option<SimDuration> = None;
-        for (i, spec) in self.specs() {
+        for (i, spec) in self.specs(Poll::QueueBurst) {
             if let FaultSpec::QueueBacklogBurst {
                 from,
                 until,
@@ -844,7 +906,12 @@ impl FaultInjector {
     /// bytes — the injector only decides and records.
     pub fn corruption(&self, point: CorruptionPoint, page: u64) -> Option<Corruption> {
         let now = self.clock.now();
-        for (_, spec) in self.specs() {
+        let poll = match point {
+            CorruptionPoint::Fabric => Poll::CorruptFabric,
+            CorruptionPoint::Ssd => Poll::CorruptSsd,
+            CorruptionPoint::Pool => Poll::CorruptPool,
+        };
+        for (_, spec) in self.specs(poll) {
             let (active_p, lane, fault) = match (point, spec) {
                 (CorruptionPoint::Fabric, FaultSpec::FabricBitFlip { from, until, p })
                     if FaultSpec::window_active(from, until, now) =>
@@ -890,7 +957,7 @@ impl FaultInjector {
     pub fn pushdown_disruption(&self, call: u64) -> Option<PushdownDisruption> {
         let now = self.clock.now();
         let mut d: Option<PushdownDisruption> = None;
-        for (_, spec) in self.specs() {
+        for (_, spec) in self.specs(Poll::Pushdown) {
             match spec {
                 FaultSpec::PushdownException { call: c } if c == call => {
                     d = d.or(Some(PushdownDisruption::Exception));

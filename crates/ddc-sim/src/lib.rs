@@ -55,7 +55,8 @@ pub use ssd::Ssd;
 pub use stats::{geometric_mean, DurationStats};
 pub use time::{SimDuration, SimTime};
 pub use trace::{
-    fault_label, fnv1a, fnv_fold, health_label, recovery_label, repair_label, CoherenceTransition,
-    EventKind, FaultLevel, InjectedFault, Lane, MetricsRegistry, PoolHealthState, RecoveryAction,
-    RepairSource, TraceEvent, TraceRecord, TraceSink, Tracer, FNV_OFFSET, FNV_PRIME,
+    fault_label, fnv1a, fnv_fold, health_label, page_seal, recovery_label, repair_label,
+    CoherenceTransition, EventKind, FaultLevel, InjectedFault, Lane, MetricsRegistry,
+    PoolHealthState, RecoveryAction, RepairSource, TraceEvent, TraceRecord, TraceSink, Tracer,
+    FNV_OFFSET, FNV_PRIME,
 };

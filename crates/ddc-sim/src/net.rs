@@ -12,7 +12,7 @@ use std::rc::Rc;
 use crate::config::NetConfig;
 use crate::faults::{FaultInjector, IntegrityError};
 use crate::time::SimDuration;
-use crate::trace::{fnv1a, Lane, TraceEvent, Tracer};
+use crate::trace::{page_seal, Lane, TraceEvent, Tracer};
 
 /// Classification of fabric traffic, mirroring the message types the paper
 /// distinguishes in its evaluation.
@@ -176,7 +176,7 @@ impl Fabric {
         bytes: &[u8],
         expected: u64,
     ) -> Result<(), IntegrityError> {
-        if fnv1a(bytes) == expected {
+        if page_seal(bytes) == expected {
             return Ok(());
         }
         self.tracer

@@ -11,7 +11,7 @@ use std::rc::Rc;
 use crate::config::{SsdConfig, PAGE_SIZE};
 use crate::faults::{FaultInjector, IntegrityError};
 use crate::time::SimDuration;
-use crate::trace::{fnv1a, Lane, TraceEvent, Tracer};
+use crate::trace::{page_seal, Lane, TraceEvent, Tracer};
 
 /// Operation counters for one device.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -134,7 +134,7 @@ impl Ssd {
         bytes: &[u8],
         expected: u64,
     ) -> Result<(), IntegrityError> {
-        if fnv1a(bytes) == expected {
+        if page_seal(bytes) == expected {
             return Ok(());
         }
         self.tracer

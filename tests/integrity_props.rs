@@ -13,11 +13,19 @@
 //! 3. **Exactly-once repair** — every corrupted page is detected once and
 //!    repaired once; re-reading the same data detects nothing new and
 //!    repairs nothing twice.
+//! 4. **Per-page bookkeeping** — through a random script of compute-side
+//!    and pushed-down writes, reads, cache drops and scrubs under three
+//!    corruption kinds, the detection ledger balances after every step and
+//!    every scrub leaves each page that was not lost sealed over exactly
+//!    the bytes it holds.
 
+use ddc_os::{PageChecksum, Pattern};
 use ddc_sim::{
     DdcConfig, EventKind, FaultPlan, ReplicationMode, SimTime, TraceEvent, FOREVER, PAGE_SIZE,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use teleport::{Mem, PushdownOpts, Region, Runtime};
 
 const ELEMS: usize = 4096; // 8 pages of u64
@@ -166,6 +174,128 @@ proptest! {
         prop_assert_eq!(rt.trace().count(EventKind::ChecksumMismatch), detected);
         prop_assert_eq!(rt.trace().count(EventKind::PageRepaired), repaired);
         prop_assert_eq!(rt.data_loss(), 0);
+    }
+}
+
+/// `integrity.detected`, `.repaired` and `.data_loss`, which must balance
+/// whenever no access is in flight.
+fn balanced_ledger(rt: &Runtime) -> (u64, u64, u64) {
+    let m = rt.metrics();
+    let get = |name| m.get(name).expect("the integrity plane is armed");
+    let ledger = (
+        get("integrity.detected"),
+        get("integrity.repaired"),
+        get("integrity.data_loss"),
+    );
+    assert_eq!(ledger.0, ledger.1 + ledger.2, "the ledger must balance");
+    ledger
+}
+
+/// After a scrub pass nothing is stale or pending: every page that was
+/// never declared lost must carry a seal equal to a fresh seal of the
+/// bytes it holds now (a lost page keeps its corrupt bytes on purpose).
+fn assert_seals_are_fresh(rt: &Runtime) {
+    let lost: Vec<u64> = rt
+        .trace()
+        .events()
+        .iter()
+        .filter_map(|rec| match rec.event {
+            TraceEvent::DataLoss { page } => Some(page),
+            _ => None,
+        })
+        .collect();
+    let dos = rt.dos();
+    for pid in dos.space().mapped_pages() {
+        if lost.contains(&pid.0) {
+            continue;
+        }
+        assert_eq!(
+            dos.page_checksum(pid),
+            Some(PageChecksum::of(dos.space().page_view(pid))),
+            "{pid} is sealed over bytes it no longer holds"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A random script over a column three times the compute cache and
+    /// larger than the pool, so pages keep crossing the fabric and the SSD
+    /// while scribbles, bit flips and latent sectors strike. With a
+    /// synchronous replica everything is repairable and the column must
+    /// end oracle-exact; without one, dirty pages are lost and the losses
+    /// must be counted, never hidden.
+    #[test]
+    fn scripted_accesses_keep_the_ledger_balanced_and_the_seals_fresh(
+        seed in any::<u64>(),
+        replicated in any::<bool>(),
+    ) {
+        let cfg = DdcConfig {
+            compute_cache_bytes: 4 * PAGE_SIZE,
+            memory_pool_bytes: 16 * PAGE_SIZE,
+            replication: if replicated {
+                ReplicationMode::Synchronous
+            } else {
+                ReplicationMode::Off
+            },
+            ..Default::default()
+        };
+        let mut rt = Runtime::teleport(cfg);
+        rt.enable_tracing();
+        let mut shadow = column_vals();
+        shadow.extend(column_vals());
+        shadow.extend(column_vals());
+        let col: Region<u64> = rt.alloc_region(shadow.len());
+        rt.write_range(&col, 0, &shadow);
+        rt.begin_timing(); // before the plan: keep every DataLoss event
+        rt.install_fault_plan(
+            FaultPlan::new(seed)
+                .pool_scribbles(SimTime(0), FOREVER, 0.2)
+                .fabric_bit_flips(SimTime(0), FOREVER, 0.2)
+                .ssd_latent_sectors(SimTime(0), FOREVER, 0.2),
+        );
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..120 {
+            let i = rng.random_range(0..shadow.len());
+            let v: u64 = rng.random();
+            match rng.random_range(0..10u32) {
+                0..=2 => {
+                    rt.set(&col, i, v, Pattern::Rand);
+                    shadow[i] = v;
+                }
+                3..=4 => {
+                    // A pushed-down write lands (and marks its page stale)
+                    // even when the call then reports a loss elsewhere.
+                    let _ = rt.pushdown(PushdownOpts::new(), move |m| {
+                        m.set(&col, i, v, Pattern::Rand)
+                    });
+                    shadow[i] = v;
+                }
+                5..=6 => {
+                    let _ = rt.get(&col, i, Pattern::Rand);
+                }
+                7 => rt.drop_cache(),
+                _ => {
+                    let (scanned, _) = rt.scrub_now();
+                    prop_assert!(scanned as usize >= shadow.len() * 8 / PAGE_SIZE);
+                    assert_seals_are_fresh(&rt);
+                }
+            }
+            balanced_ledger(&rt);
+        }
+        rt.drop_cache();
+        rt.scrub_now();
+        assert_seals_are_fresh(&rt);
+        let (detected, _, lost) = balanced_ledger(&rt);
+        prop_assert!(detected > 0, "the plan must corrupt something that is then found");
+        prop_assert_eq!(lost, rt.trace().count(EventKind::DataLoss));
+        if replicated {
+            prop_assert_eq!(lost, 0, "a synchronous replica repairs every dirty page");
+            let mut back = Vec::new();
+            rt.read_range(&col, 0, shadow.len(), &mut back);
+            prop_assert_eq!(&back, &shadow, "repaired data must be oracle-exact");
+        }
     }
 }
 
