@@ -20,7 +20,9 @@ use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use ddc_os::{page_chunks, pages_spanned, Dos, FailoverReport, PageId, Pattern, VAddr};
+use ddc_os::{
+    page_chunks, pages_spanned, Dos, FailoverReport, PageId, Pattern, RoutingWindow, VAddr,
+};
 use ddc_sim::{
     CpuConfig, DdcConfig, EventKind, FaultInjector, FaultPlan, FaultSpec, Lane, MetricsRegistry,
     MonolithicConfig, MsgClass, NetLedger, PushdownDisruption, RecoveryAction, SimDuration,
@@ -638,50 +640,8 @@ impl Runtime {
             m.set("coherence.pages_written_memside", c.pages_written_memside);
         }
         let t = self.dos.tracer();
-        for (name, kind) in [
-            ("trace.page_faults", EventKind::PageFault),
-            ("trace.evicts", EventKind::Evict),
-            ("trace.net_msgs", EventKind::NetMsg),
-            ("trace.ssd_ios", EventKind::SsdIo),
-            ("trace.coherence_msgs", EventKind::CoherenceMsg),
-            ("trace.pushdown_steps", EventKind::PushdownStep),
-            ("trace.syncmems", EventKind::Syncmem),
-            ("trace.cancels", EventKind::Cancel),
-            ("trace.timeouts", EventKind::Timeout),
-            ("trace.faults_injected", EventKind::FaultInjected),
-            ("trace.recoveries", EventKind::Recovery),
-            ("trace.cancels_declined", EventKind::CancelDeclined),
-            ("trace.replica_ships", EventKind::ReplicaShip),
-            ("trace.replica_acks", EventKind::ReplicaAck),
-            ("trace.pool_promotions", EventKind::PoolPromoted),
-            ("trace.admission_sheds", EventKind::AdmissionShed),
-            ("trace.corruptions_injected", EventKind::CorruptionInjected),
-            ("trace.checksum_mismatches", EventKind::ChecksumMismatch),
-            ("trace.pages_repaired", EventKind::PageRepaired),
-            ("trace.data_losses", EventKind::DataLoss),
-            ("trace.scrub_passes", EventKind::ScrubPass),
-            ("trace.races_detected", EventKind::RaceDetected),
-            ("trace.pool_routeds", EventKind::PoolRouted),
-            ("trace.pushdown_fanouts", EventKind::PushdownFanout),
-            ("trace.fanout_merges", EventKind::FanoutMerge),
-            ("trace.session_arrives", EventKind::SessionArrive),
-            ("trace.session_admits", EventKind::SessionAdmit),
-            ("trace.session_completes", EventKind::SessionComplete),
-            ("trace.tenant_throttleds", EventKind::TenantThrottled),
-            ("trace.fail_slows", EventKind::FailSlowInjected),
-            ("trace.health_transitions", EventKind::HealthTransition),
-            ("trace.hedges_fired", EventKind::HedgeFired),
-            ("trace.hedges_won", EventKind::HedgeWon),
-            ("trace.deadline_exceededs", EventKind::DeadlineExceeded),
-            ("trace.pool_reintegrations", EventKind::PoolReintegrated),
-            ("trace.pool_crashes", EventKind::PoolCrashed),
-            ("trace.journal_replays", EventKind::JournalReplayed),
-            ("trace.torn_tails", EventKind::TornTailDiscarded),
-            ("trace.pool_restarts", EventKind::PoolRestarted),
-            ("trace.fenced_writes", EventKind::FencedWrite),
-            ("trace.resilver_completes", EventKind::ResilverComplete),
-        ] {
-            m.set(name, t.count(kind));
+        for kind in EventKind::ALL {
+            m.set(kind.metric_name(), t.count(kind));
         }
         m.set("pushdown.deadline_misses", self.ledger.deadline_misses);
         m.set("hedge.fired", self.ledger.hedges_fired);
@@ -694,14 +654,6 @@ impl Runtime {
         m.set("topology.pools", self.dos.pool_count() as u64);
         m.set("topology.routed_pushdowns", self.ledger.routed_pushdowns);
         m.set("topology.fanout_pushdowns", self.ledger.fanout_pushdowns);
-        if self.dos.pool_count() > 1 {
-            // Admission control runs on the rack's front-end shard (pool
-            // 0), so multi-pool racks attribute sheds there.
-            m.set(
-                format!("admission.pool{p}.sheds", p = 0),
-                self.ledger.admission_sheds,
-            );
-        }
         m.set("failover.promotions", self.ledger.failovers);
         if let Some(inj) = &self.faults {
             m.set("faults.injected", inj.injected_count());
@@ -1449,9 +1401,11 @@ impl Runtime {
         if self.dos.pool_count() <= 1 {
             return 0;
         }
-        let (touched, pages) = self.dos.take_touched_pools();
-        let primary = touched.first().copied().unwrap_or(0);
-        let pools = touched.len() as u64;
+        let RoutingWindow {
+            primary,
+            pools,
+            pages,
+        } = self.dos.end_pushdown_routing();
         self.ledger.routed_pushdowns += 1;
         self.dos.tracer().emit(
             Lane::Memory,

@@ -3,8 +3,8 @@
 
 use ddc_os::Pattern;
 use ddc_sim::{
-    DdcConfig, FaultPlan, HeartbeatConfig, MonolithicConfig, SimDuration, SimTime, FOREVER,
-    PAGE_SIZE,
+    DdcConfig, EventKind, FaultPlan, HeartbeatConfig, MonolithicConfig, SimDuration, SimTime,
+    FOREVER, PAGE_SIZE,
 };
 use teleport::{
     CoherenceMode, HedgeOutcome, HedgePolicy, Mem, PlatformKind, PushdownError, PushdownOpts,
@@ -712,4 +712,69 @@ fn resilient_deadline_covers_the_whole_call_including_fallback() {
         )
         .expect("recovered within budget");
     assert_eq!(rec.value, 5 * 1024);
+}
+
+#[test]
+fn metrics_carry_one_trace_row_per_event_kind() {
+    // Pinned as literals, in `EventKind` order: the names are generated
+    // from the event table in `ddc_sim::trace`, and readers of the registry
+    // key on them, so a row edit that renames one has to show up here.
+    const NAMES: [&str; ddc_sim::trace::EVENT_KINDS] = [
+        "trace.page_faults",
+        "trace.evicts",
+        "trace.net_msgs",
+        "trace.ssd_ios",
+        "trace.coherence_msgs",
+        "trace.pushdown_steps",
+        "trace.syncmems",
+        "trace.cancels",
+        "trace.timeouts",
+        "trace.faults_injected",
+        "trace.recoveries",
+        "trace.cancels_declined",
+        "trace.replica_ships",
+        "trace.replica_acks",
+        "trace.pool_promotions",
+        "trace.admission_sheds",
+        "trace.corruptions_injected",
+        "trace.checksum_mismatches",
+        "trace.pages_repaired",
+        "trace.data_losses",
+        "trace.scrub_passes",
+        "trace.races_detected",
+        "trace.pool_routeds",
+        "trace.pushdown_fanouts",
+        "trace.fanout_merges",
+        "trace.session_arrives",
+        "trace.session_admits",
+        "trace.session_completes",
+        "trace.tenant_throttleds",
+        "trace.fail_slows",
+        "trace.health_transitions",
+        "trace.hedges_fired",
+        "trace.hedges_won",
+        "trace.deadline_exceededs",
+        "trace.pool_reintegrations",
+        "trace.pool_crashes",
+        "trace.journal_replays",
+        "trace.torn_tails",
+        "trace.pool_restarts",
+        "trace.fenced_writes",
+        "trace.resilver_completes",
+    ];
+    let mut rt = Runtime::teleport(small_ddc());
+    rt.enable_tracing();
+    sum_workload(&mut rt, 50_000, true);
+    let metrics = rt.metrics();
+    let mut reported: Vec<&str> = metrics.iter().map(|(name, _)| name).collect();
+    reported.retain(|name| name.starts_with("trace."));
+    let mut expected = NAMES;
+    expected.sort_unstable();
+    assert_eq!(reported, expected, "exactly one row per kind");
+    for (kind, name) in EventKind::ALL.into_iter().zip(NAMES) {
+        assert_eq!(kind.metric_name(), name);
+        assert_eq!(metrics.get(name), Some(rt.trace().count(kind)), "{name}");
+    }
+    assert_eq!(metrics.get("trace.pushdown_steps"), Some(8));
+    assert!(metrics.get("trace.net_msgs") > Some(0));
 }

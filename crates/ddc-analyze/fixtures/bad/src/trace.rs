@@ -1,34 +1,20 @@
-// Fixture: a broken trace-event registry. Seeded violations:
-//   - digest tag 0 assigned to both Alpha and Beta (duplicate)
-//   - tags {0, 2} not contiguous from 0
-//   - Gamma never matched in kind()
-//   - EVENT_KINDS says 5 but the enum has 3 variants
-// Plus a fault_label() whose "beta-fault" never appears in the matrix.
+// Fixture: the trace schema in table form (never compiled, only lexed).
+// Seeded violations, both caught by trace-tag-emission:
+//   - Beta is emitted by src/emit.rs but asserted in no test
+//   - Gamma is asserted by tests/trace_golden.rs but never emitted
+// Alpha is emitted and asserted and stays silent. Every row reports under
+// the one registered, documented fixture metric so the metric rules stay
+// out of this file. Plus a fault_label() whose "beta-fault" never appears
+// in the matrix.
 
-pub enum TraceEvent {
-    Alpha { x: u64 },
-    Beta,
-    Gamma { y: u64 },
-}
-
-pub const EVENT_KINDS: usize = 5;
-
-impl TraceEvent {
-    pub fn kind(&self) -> usize {
-        match self {
-            TraceEvent::Alpha { .. } => 0,
-            TraceEvent::Beta => 1,
-            _ => 2,
-        }
-    }
-
-    fn digest_words(&self) -> [u64; 3] {
-        match self {
-            TraceEvent::Alpha { x } => [0, *x, 0],
-            TraceEvent::Beta => [0, 0, 0],
-            TraceEvent::Gamma { y } => [2, *y, 0],
-        }
-    }
+trace_events! {
+    /// Emitted and asserted.
+    0 Alpha { x: u64 } => "fixture.good_metric",
+    /// Emitted, never asserted.
+    1 Beta { n: u64 } => "fixture.good_metric",
+    /// Asserted, never emitted; a row may break before its metric.
+    2 Gamma { y: u64, wide: bool }
+        => "fixture.good_metric",
 }
 
 pub fn fault_label(k: usize) -> &'static str {

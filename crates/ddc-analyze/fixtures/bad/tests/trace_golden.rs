@@ -5,6 +5,9 @@
 #[test]
 fn golden_digest() {
     let a = TraceEvent::Alpha { x: 7 };
-    let g = TraceEvent::Gamma { y: 9 };
+    let g = TraceEvent::Gamma {
+        y: 9,
+        wide: true,
+    };
     assert_digest(&[a, g]);
 }

@@ -4,23 +4,26 @@
 //! event trace and digest — and on the pushdown protocol's cross-pool
 //! invariants. Both are easy to break silently: a stray `Instant::now`
 //! ties a result to wall time, a `HashMap` iteration makes observable
-//! order hasher-dependent, a duplicated trace digest tag makes two
-//! different histories fold to the same digest, an unclassified
-//! `PushdownError` variant falls into a wildcard arm and silently picks
-//! a retry decision nobody reviewed. This crate is a line-based lint
-//! engine (no syn, no proc macros — the source conventions of this repo
-//! are regular enough for lexical analysis) plus cross-file registry
-//! checks, wired into `cargo run -p ddc-analyze` and the CI `analyze`
-//! job, which uploads the SARIF report and gates on any finding.
+//! order hasher-dependent, a trace event nobody emits or asserts guards
+//! nothing, an unclassified `PushdownError` variant falls into a wildcard
+//! arm and silently picks a retry decision nobody reviewed. This crate is
+//! a line-based lint engine (no syn, no proc macros — the source
+//! conventions of this repo are regular enough for lexical analysis) plus
+//! cross-file registry checks, wired into `cargo run -p ddc-analyze` and
+//! the CI `analyze` job, which uploads the SARIF report and gates on any
+//! finding.
 //!
-//! Every workspace file is read **once** into a shared [`Scan`]; all
-//! rules are fed from that scan, so analysis cost is one tree walk plus
+//! Every workspace file is read **once** into one shared scan; all
+//! rules are fed from it, so analysis cost is one tree walk plus
 //! pure in-memory passes (see the `analyze` bench group).
 //!
 //! ## Rules
 //!
 //! Each rule has a stable ID (`DDC001`..`DDC011`) used in finding IDs,
-//! JSON/SARIF output, and the fixture regression gate in CI.
+//! JSON/SARIF output, and the fixture regression gate in CI. `DDC004`
+//! (digest-tag registry) is retired and its number is not reused: the
+//! `trace_events!` table in `trace.rs` generates everything that rule
+//! compared, so a duplicate tag, a gap or a missing arm no longer compiles.
 //!
 //! - `DDC001` [`Rule::WallClock`] — no `Instant::now` / `SystemTime` /
 //!   `thread_rng` outside the `bench` crate. Simulated results must
@@ -33,10 +36,6 @@
 //!   on protocol files: a check that guards cross-pool protocol state
 //!   must hold in release builds too (promote it to a real check with a
 //!   typed error), or carry `// analyze:allow(debug-assert) <reason>`.
-//! - `DDC004` [`Rule::DigestTag`] — `trace.rs` registry check: digest
-//!   tags unique and contiguous from 0, `EVENT_KINDS` equal to the
-//!   variant count, and every `TraceEvent` variant matched in both
-//!   `kind()` and `digest_words()`.
 //! - `DDC005` [`Rule::MetricName`] — every metric-shaped string literal
 //!   (`component.counter` with lowercase snake segments) in non-test
 //!   source must appear in the central `metric_names.rs` registry.
@@ -49,10 +48,11 @@
 //!   and `FallbackPolicy::covers`; a wildcard `_ =>` arm in a
 //!   classification match is itself a finding, because it decides the
 //!   fate of future error variants without review.
-//! - `DDC008` [`Rule::TraceTagEmission`] — every `TraceEvent` variant
-//!   must be emitted from non-test source and asserted in at least one
-//!   golden/matrix test; a tag that exists only in the registry protects
-//!   nothing.
+//! - `DDC008` [`Rule::TraceTagEmission`] — every row of the
+//!   `trace_events!` table must be emitted from non-test source and
+//!   asserted in at least one golden/matrix test; an event that exists
+//!   only in the table protects nothing. A table with no readable row is
+//!   itself a finding.
 //! - `DDC009` [`Rule::ClockAccounting`] — no literal latency constant
 //!   charged straight into the virtual clock (`.advance(SimDuration::
 //!   from_nanos(500))`) outside the costed `ddc-sim` charge APIs; all
@@ -86,7 +86,6 @@ pub enum Rule {
     WallClock,
     UnorderedIter,
     DebugAssertProtocol,
-    DigestTag,
     MetricName,
     FaultKindCoverage,
     ErrorClassification,
@@ -98,11 +97,10 @@ pub enum Rule {
 
 /// Every rule, in stable-ID order. The length of this array is the
 /// "rules" element count of the `analyze` bench group.
-pub const RULES: [Rule; 11] = [
+pub const RULES: [Rule; 10] = [
     Rule::WallClock,
     Rule::UnorderedIter,
     Rule::DebugAssertProtocol,
-    Rule::DigestTag,
     Rule::MetricName,
     Rule::FaultKindCoverage,
     Rule::ErrorClassification,
@@ -118,7 +116,6 @@ impl Rule {
             Rule::WallClock => "wall-clock",
             Rule::UnorderedIter => "unordered-iter",
             Rule::DebugAssertProtocol => "debug-assert-protocol",
-            Rule::DigestTag => "digest-tag",
             Rule::MetricName => "metric-name",
             Rule::FaultKindCoverage => "fault-kind-coverage",
             Rule::ErrorClassification => "error-classification",
@@ -135,7 +132,6 @@ impl Rule {
             Rule::WallClock => "DDC001",
             Rule::UnorderedIter => "DDC002",
             Rule::DebugAssertProtocol => "DDC003",
-            Rule::DigestTag => "DDC004",
             Rule::MetricName => "DDC005",
             Rule::FaultKindCoverage => "DDC006",
             Rule::ErrorClassification => "DDC007",
@@ -159,9 +155,6 @@ impl Rule {
             Rule::DebugAssertProtocol => {
                 "no debug_assert on protocol files; protocol checks must hold in release builds"
             }
-            Rule::DigestTag => {
-                "trace digest tags unique, contiguous from 0, EVENT_KINDS exact, every variant in kind() and digest_words()"
-            }
             Rule::MetricName => {
                 "every metric-shaped literal in non-test source appears in the metric_names registry"
             }
@@ -172,7 +165,7 @@ impl Rule {
                 "every PushdownError variant explicitly classified in RetryPolicy and FallbackPolicy; no wildcard arms"
             }
             Rule::TraceTagEmission => {
-                "every TraceEvent variant emitted from non-test source and asserted in at least one test"
+                "every trace_events! row emitted from non-test source and asserted in at least one test; the table readable"
             }
             Rule::ClockAccounting => {
                 "no literal latency constant charged into the virtual clock outside the ddc-sim cost models"
@@ -238,8 +231,8 @@ pub struct AnalyzeConfig {
     /// Files carrying cross-pool protocol state, where `debug_assert!` is
     /// forbidden without an allow annotation.
     pub protocol_files: Vec<PathBuf>,
-    /// The trace-event registry (`trace.rs`) for the digest-tag and
-    /// tag-emission checks, or `None` to skip them.
+    /// The trace schema (`trace.rs`) for the tag-emission and fault-label
+    /// checks, or `None` to skip them.
     pub trace_file: Option<PathBuf>,
     /// The central metric-name registry module, or `None` to skip the
     /// metric checks.
@@ -388,7 +381,6 @@ pub fn analyze_with_stats(cfg: &AnalyzeConfig) -> io::Result<(Vec<Finding>, Scan
     check_unordered_iter(cfg, &scan, &mut findings);
     check_debug_asserts(cfg, &scan, &mut findings);
     if let Some(trace) = &cfg.trace_file {
-        check_digest_tags(trace, &scan, &mut findings);
         if let Some(matrix) = &cfg.fault_matrix {
             check_fault_coverage(trace, matrix, &scan, &mut findings);
         }
@@ -902,154 +894,6 @@ fn check_debug_asserts(cfg: &AnalyzeConfig, scan: &Scan, findings: &mut Vec<Find
 }
 
 // ---------------------------------------------------------------------
-// Rule DDC004: trace digest tags
-// ---------------------------------------------------------------------
-
-/// Everything the digest-tag check extracts from `trace.rs`.
-struct TraceRegistry {
-    /// `(line, variant)` in declaration order.
-    variants: Vec<(usize, String)>,
-    /// variant → digest tag, in `digest_words()` arm order.
-    tags: Vec<(String, u64)>,
-    kind_matched: BTreeSet<String>,
-    event_kinds_const: Option<usize>,
-}
-
-fn parse_trace_registry(file: &SrcFile) -> TraceRegistry {
-    let variants = enum_variants(file, "TraceEvent");
-    let mut tags = Vec::new();
-    let mut kind_matched = BTreeSet::new();
-    let mut event_kinds_const = None;
-
-    // `kind()` and `digest_words()` bodies, delimited by brace depth from
-    // the `fn` line.
-    for fname in ["fn kind", "fn digest_words"] {
-        let mut depth = 0i32;
-        let mut inside = false;
-        let mut pending: Option<String> = None;
-        for line in &file.lines {
-            let code = &line.code;
-            if !inside {
-                if code.contains(fname) {
-                    inside = true;
-                } else {
-                    continue;
-                }
-            }
-            for c in code.chars() {
-                match c {
-                    '{' => depth += 1,
-                    '}' => depth -= 1,
-                    _ => {}
-                }
-            }
-            for ident in path_idents(code, "TraceEvent::") {
-                if fname == "fn kind" {
-                    kind_matched.insert(ident);
-                } else {
-                    pending = Some(ident);
-                }
-            }
-            if fname == "fn digest_words" {
-                // `... => [N, ...]` — the tag is the integer after the arm's
-                // opening bracket.
-                if let Some(pos) = code.find("=> [").map(|p| p + 4).or_else(|| {
-                    // arm body on its own line
-                    let t = code.trim_start();
-                    t.starts_with('[').then(|| code.len() - t.len() + 1)
-                }) {
-                    let digits: String = code[pos..]
-                        .chars()
-                        .take_while(|c| c.is_ascii_digit())
-                        .collect();
-                    if let (Some(v), Ok(tag)) = (pending.take(), digits.parse::<u64>()) {
-                        tags.push((v, tag));
-                    }
-                }
-            }
-            if inside && depth <= 0 && code.contains('}') {
-                break;
-            }
-        }
-    }
-
-    for line in &file.lines {
-        if let Some(pos) = line.code.find("EVENT_KINDS: usize =") {
-            let rest = line.code[pos + "EVENT_KINDS: usize =".len()..].trim();
-            let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-            event_kinds_const = digits.parse().ok();
-        }
-    }
-
-    TraceRegistry {
-        variants,
-        tags,
-        kind_matched,
-        event_kinds_const,
-    }
-}
-
-fn check_digest_tags(rel: &Path, scan: &Scan, findings: &mut Vec<Finding>) {
-    let Some(file) = scan.file(rel) else { return };
-    let reg = parse_trace_registry(file);
-    let mut push = |message: String| {
-        findings.push(Finding {
-            rule: Rule::DigestTag,
-            file: rel.to_path_buf(),
-            line: 0,
-            message,
-        });
-    };
-
-    if reg.variants.is_empty() {
-        push("no `enum TraceEvent` variants found — trace registry unparseable".to_string());
-        return;
-    }
-
-    // Tag uniqueness.
-    let mut by_tag: BTreeMap<u64, Vec<&str>> = BTreeMap::new();
-    for (v, t) in &reg.tags {
-        by_tag.entry(*t).or_default().push(v);
-    }
-    for (tag, vs) in &by_tag {
-        if vs.len() > 1 {
-            push(format!(
-                "digest tag {tag} assigned to more than one event: {}",
-                vs.join(", ")
-            ));
-        }
-    }
-    // Contiguity from 0.
-    for (want, have) in by_tag.keys().enumerate() {
-        if want as u64 != *have {
-            push(format!(
-                "digest tags must be contiguous from 0: expected {want}, found {have}"
-            ));
-            break;
-        }
-    }
-    // Exhaustive matching.
-    let tagged: BTreeSet<&str> = reg.tags.iter().map(|(v, _)| v.as_str()).collect();
-    for (_, v) in &reg.variants {
-        if !tagged.contains(v.as_str()) {
-            push(format!("variant {v} has no digest_words() arm"));
-        }
-        if !reg.kind_matched.contains(v) {
-            push(format!("variant {v} is not matched in kind()"));
-        }
-    }
-    // EVENT_KINDS consistency.
-    match reg.event_kinds_const {
-        Some(n) if n == reg.variants.len() => {}
-        Some(n) => push(format!(
-            "EVENT_KINDS is {n} but TraceEvent has {} variants",
-            reg.variants.len()
-        )),
-        None => push("EVENT_KINDS const not found".to_string()),
-    }
-}
-
-// ---------------------------------------------------------------------
 // Rule DDC006: fault-kind coverage
 // ---------------------------------------------------------------------
 
@@ -1440,6 +1284,45 @@ fn check_error_classification(cfg: &AnalyzeConfig, scan: &Scan, findings: &mut V
 // Rule DDC008: trace-tag emission
 // ---------------------------------------------------------------------
 
+/// The rows of the `trace_events!` table in `trace.rs` — `(line, variant,
+/// digest tag)` in table order. A row opens, at depth 1 of the
+/// invocation's braces, with its tag and its variant name:
+/// `5 PushdownStep { step: u8 } => "trace.pushdown_steps",`.
+fn trace_table_rows(file: &SrcFile) -> Vec<(usize, String, u64)> {
+    let mut rows = Vec::new();
+    let mut depth = 0i32;
+    let mut inside = false;
+    for line in &file.lines {
+        let code = line.code.trim();
+        if !inside {
+            if !code.starts_with("trace_events! {") {
+                continue;
+            }
+            inside = true;
+        } else if depth == 1 {
+            let mut words = code.split_whitespace();
+            let tag = words.next().and_then(|w| w.parse().ok());
+            let variant: String = words
+                .next()
+                .unwrap_or_default()
+                .chars()
+                .take_while(|&c| is_ident_char(c))
+                .collect();
+            match tag {
+                Some(tag) if variant.starts_with(|c: char| c.is_ascii_uppercase()) => {
+                    rows.push((line.num, variant, tag))
+                }
+                _ => {}
+            }
+        }
+        depth += code.matches('{').count() as i32 - code.matches('}').count() as i32;
+        if depth <= 0 {
+            break;
+        }
+    }
+    rows
+}
+
 fn check_trace_tag_emission(
     cfg: &AnalyzeConfig,
     trace_rel: &Path,
@@ -1449,12 +1332,16 @@ fn check_trace_tag_emission(
     let Some(trace) = scan.file(trace_rel) else {
         return;
     };
-    let reg = parse_trace_registry(trace);
-    if reg.variants.is_empty() {
-        return; // DDC004 already reports the unparseable registry.
+    let rows = trace_table_rows(trace);
+    if rows.is_empty() {
+        findings.push(Finding {
+            rule: Rule::TraceTagEmission,
+            file: trace_rel.to_path_buf(),
+            line: 0,
+            message: "no `trace_events!` table row found — trace schema unparseable, so no event's emission or assertion was checked".to_string(),
+        });
     }
-    let tags: BTreeMap<&str, u64> = reg.tags.iter().map(|(v, t)| (v.as_str(), *t)).collect();
-    for (line, v) in &reg.variants {
+    for (line, v, tag) in &rows {
         let event_token = format!("TraceEvent::{v}");
         let kind_token = format!("EventKind::{v}");
         let emitted = scan
@@ -1472,17 +1359,13 @@ fn check_trace_tag_emission(
             .any(|(_, text)| {
                 contains_token(text, &event_token) || contains_token(text, &kind_token)
             });
-        let tag = tags
-            .get(v.as_str())
-            .map(|t| format!(" (digest tag {t})"))
-            .unwrap_or_default();
         if !emitted {
             findings.push(Finding {
                 rule: Rule::TraceTagEmission,
                 file: trace_rel.to_path_buf(),
                 line: *line,
                 message: format!(
-                    "TraceEvent::{v}{tag} is never emitted from non-test source; a tag nobody emits protects nothing"
+                    "TraceEvent::{v} (digest tag {tag}) is never emitted from non-test source; a tag nobody emits protects nothing"
                 ),
             });
         }
@@ -1492,7 +1375,7 @@ fn check_trace_tag_emission(
                 file: trace_rel.to_path_buf(),
                 line: *line,
                 message: format!(
-                    "TraceEvent::{v}{tag} is never asserted in any golden/matrix test"
+                    "TraceEvent::{v} (digest tag {tag}) is never asserted in any golden/matrix test"
                 ),
             });
         }
@@ -2077,8 +1960,52 @@ mod tests {
         assert_eq!(ids.len(), RULES.len());
         assert_eq!(Rule::WallClock.id(), "DDC001");
         assert_eq!(Rule::FaultPollCoverage.id(), "DDC011");
+        // DDC004 (digest-tag) is retired, not reused: its neighbours keep
+        // their numbers.
+        assert!(!ids.contains("DDC004"));
+        assert_eq!(Rule::MetricName.id(), "DDC005");
+        assert_eq!(Rule::TraceTagEmission.id(), "DDC008");
         let labels: BTreeSet<&str> = RULES.iter().map(|r| r.label()).collect();
         assert_eq!(labels.len(), RULES.len());
+    }
+
+    fn rows_of(text: &str) -> Vec<(usize, String, u64)> {
+        trace_table_rows(&SrcFile::parse(Path::new("trace.rs"), text))
+    }
+
+    #[test]
+    fn table_rows_are_read_past_docs_breaks_and_the_macro_definition() {
+        let text = "\
+macro_rules! trace_events {
+    ($($tag:literal $name:ident { $($f:ident: $t:ty),* } => $m:literal,)+) => {
+        pub enum TraceEvent { $($name { $($f: $t),* },)+ }
+    };
+}
+trace_events! {
+    /// 9 Lives { of: Cat } in a doc comment is not a row.
+    0 Alpha { x: u64 } => \"trace.alphas\",
+    1 Beta{ n: u64, flag: bool }
+        => \"trace.betas\",
+}
+const AFTER: [u64; 1] = [2];
+";
+        assert_eq!(
+            rows_of(text),
+            vec![(8, "Alpha".to_string(), 0), (9, "Beta".to_string(), 1)]
+        );
+        assert!(rows_of("pub enum TraceEvent {\n    Alpha { x: u64 },\n}\n").is_empty());
+    }
+
+    #[test]
+    fn every_row_of_the_workspace_trace_table_is_read() {
+        // DDC008 passing on the workspace means nothing if the reader
+        // skipped rows: tags count up from 0 and no metric is left over.
+        let text = include_str!("../../ddc-sim/src/trace.rs");
+        let rows = rows_of(text);
+        let tags: Vec<u64> = rows.iter().map(|r| r.2).collect();
+        assert_eq!(tags, (0..rows.len() as u64).collect::<Vec<_>>());
+        assert!(!rows.is_empty());
+        assert_eq!(rows.len(), text.matches("=> \"trace.").count());
     }
 
     #[test]

@@ -255,7 +255,7 @@ impl PageCache {
     /// The resident pages in address order, brought up to date first: a
     /// pointer copy when nothing was noted since the last request, one
     /// binary search and splice per noted page otherwise, a collect-and-sort
-    /// when more than [`VIEW_JOURNAL_BOUND`] were.
+    /// when more than `VIEW_JOURNAL_BOUND` (128) were.
     pub fn resident_view(&self) -> ResidentView {
         let mut state = self.view.borrow_mut();
         let ViewState {

@@ -21,7 +21,7 @@ use ddc_sim::{
     SimDuration, SimTime, Ssd, TraceEvent, Tracer, PAGE_SIZE,
 };
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 use crate::addrspace::AddressSpace;
 use crate::cache::{CacheEntry, PageCache, ResidentView};
@@ -30,7 +30,7 @@ use crate::page::{for_each_page, pages_spanned, PageChecksum, PageId, PageTable,
 use crate::pool::{MemoryPool, PoolFault};
 use crate::recovery::{RecoveryCounters, RecoveryJournal, ReplaySet, RestartReport};
 use crate::replica::{FailoverReport, ReplOp, ReplicatedPool, ReplicationCounters};
-use crate::stats::PagingStats;
+use crate::stats::{PagingStats, RoutingWindow};
 
 /// Spatial locality of an access, which selects the DRAM cost model:
 /// sequential streaming amortizes row hits and prefetching, random access
@@ -167,6 +167,9 @@ struct PoolShard {
     /// Epoch the shard held at death — the fencing baseline its zombie
     /// carries when it wakes.
     crash_epoch: Option<u64>,
+    /// Memory-side page touches that landed here in the open routing
+    /// window (multi-pool only).
+    touched_pages: u64,
 }
 
 impl PoolShard {
@@ -183,6 +186,7 @@ impl PoolShard {
             journal: None,
             down: false,
             crash_epoch: None,
+            touched_pages: 0,
         }
     }
 }
@@ -210,11 +214,6 @@ pub struct Dos {
     /// Allocations made so far (drives `PlacementPolicy::Locality`'s
     /// round-robin).
     alloc_seq: u64,
-    /// Shards touched by memory-side accesses since the last
-    /// [`Dos::begin_pushdown_routing`] (multi-pool only; pool-index order).
-    touched_pools: BTreeSet<usize>,
-    /// Memory-side page touches in the same routing window.
-    touched_pages: u64,
     /// Whether the page has a copy on the swap device (monolithic only).
     swapped: PageTable<bool>,
     stats: PagingStats,
@@ -256,8 +255,6 @@ impl Dos {
             owner: PageTable::new(0),
             placement: PlacementPolicy::default(),
             alloc_seq: 0,
-            touched_pools: BTreeSet::new(),
-            touched_pages: 0,
             swapped: PageTable::new(false),
             stats: PagingStats::default(),
             dram: cfg.dram_cost,
@@ -306,8 +303,6 @@ impl Dos {
             owner: PageTable::new(0),
             placement: cfg.placement,
             alloc_seq: 0,
-            touched_pools: BTreeSet::new(),
-            touched_pages: 0,
             swapped: PageTable::new(false),
             stats: PagingStats::default(),
             dram: cfg.dram,
@@ -362,22 +357,26 @@ impl Dos {
         self.shards[p].pool.is_mapped(pid).then_some(p)
     }
 
-    /// Start a fresh routing window: subsequent memory-side accesses record
-    /// which shards they land on (multi-pool only; free otherwise).
+    /// Start a fresh routing window: subsequent memory-side accesses count
+    /// on the shard they land on (multi-pool only; free otherwise).
     pub fn begin_pushdown_routing(&mut self) {
-        self.touched_pools.clear();
-        self.touched_pages = 0;
+        self.end_pushdown_routing();
     }
 
-    /// End the routing window: the shards touched since
-    /// [`Dos::begin_pushdown_routing`], in pool-index order, plus the
-    /// number of memory-side page touches routed.
-    pub fn take_touched_pools(&mut self) -> (Vec<usize>, u64) {
-        let pools: Vec<usize> = self.touched_pools.iter().copied().collect();
-        let pages = self.touched_pages;
-        self.touched_pools.clear();
-        self.touched_pages = 0;
-        (pools, pages)
+    /// End the routing window, zeroing the shards' counts: what was touched
+    /// since [`Dos::begin_pushdown_routing`]. One walk of the shards, last
+    /// to first, so `primary` ends on the lowest-index shard touched.
+    pub fn end_pushdown_routing(&mut self) -> RoutingWindow {
+        let mut window = RoutingWindow::default();
+        for (p, shard) in self.shards.iter_mut().enumerate().rev() {
+            let pages = std::mem::take(&mut shard.touched_pages);
+            if pages > 0 {
+                window.primary = p;
+                window.pools += 1;
+                window.pages += pages;
+            }
+        }
+        window
     }
 
     pub fn topology(&self) -> &Topology {
@@ -997,8 +996,7 @@ impl Dos {
         if self.shards.len() > 1 {
             // Record the routing decision for the runtime's fan-out
             // accounting (free on single-pool deployments).
-            self.touched_pools.insert(p);
-            self.touched_pages += 1;
+            self.shards[p].touched_pages += 1;
         }
         let fault = self.shards[p].pool.ensure_resident(pid);
         if fault.storage_read {

@@ -50,4 +50,4 @@ pub use page::{page_chunks, pages_spanned, PageChecksum, PageId, VAddr};
 pub use pool::{MemoryPool, PoolFault};
 pub use recovery::{JournalEntry, RecoveryCounters, RecoveryJournal, RestartReport};
 pub use replica::{FailoverReport, ReplOp, ReplicatedPool, ReplicationCounters};
-pub use stats::PagingStats;
+pub use stats::{PagingStats, RoutingWindow};

@@ -1,7 +1,7 @@
 //! An intrusive-list LRU tracker over page identities.
 //!
 //! Both the compute-local cache and the memory pool use LRU replacement,
-//! matching LegoOS's eviction policy. [`SlotList`] is the slab-backed doubly
+//! matching LegoOS's eviction policy. `SlotList` is the slab-backed doubly
 //! linked list, addressed by slab slot; each user pairs it with a
 //! [`PageTable`] that finds a page's slot: [`LruList`] and the compute
 //! cache with a bare page → slot index, the memory pool with the slot held

@@ -1,4 +1,5 @@
-//! Paging statistics for one simulated run.
+//! Paging statistics for one simulated run, and what one pushdown's routing
+//! window saw.
 
 /// Counters accumulated by the kernel's access paths. These regenerate the
 /// paper's per-phase "remote memory accesses" annotations (Fig 10) and the
@@ -55,6 +56,18 @@ impl PagingStats {
             mem_side_accesses: self.mem_side_accesses - earlier.mem_side_accesses,
         }
     }
+}
+
+/// What one pushdown's routing window saw (`Dos::end_pushdown_routing`;
+/// multi-pool racks only): which shards its memory-side accesses landed on.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RoutingWindow {
+    /// The lowest-index shard touched; 0 when none was.
+    pub primary: usize,
+    /// How many shards were touched.
+    pub pools: u64,
+    /// Memory-side page touches routed.
+    pub pages: u64,
 }
 
 #[cfg(test)]

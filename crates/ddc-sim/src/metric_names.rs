@@ -1,6 +1,6 @@
 //! Central registry of every metric name used across the workspace.
 //!
-//! Counters in a [`crate::MetricsRegistry`](crate::metrics::MetricsRegistry)
+//! Counters in a [`MetricsRegistry`](crate::MetricsRegistry)
 //! are addressed by `&'static str` literals scattered across `ddc-os`,
 //! `core`, and the workloads. A typo in one of those literals silently
 //! forks a new counter instead of updating the intended one, so

@@ -12,6 +12,12 @@
 //! assert would flake. The cache is filled in scrambled page order so that
 //! neither the slab nor a sort of it is in address order already.
 //!
+//! Nor may it grow with the rack: a pushdown whose two pages stripe over both
+//! shards of a 2-pool `LoadBalance` rack settles its fan-out from a `Copy`
+//! routing window read off the shards, and allocates what the same call
+//! does on one pool. (When the window was a `BTreeSet` refilled per call
+//! and collected into a `Vec`, the 2-pool call made two allocations more.)
+//!
 //! One test in this file: the counting allocator is process-global, and the
 //! counter is thread-local so the harness's own threads do not show in it.
 
@@ -19,8 +25,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use ddc_os::Pattern;
-use ddc_sim::{DdcConfig, PAGE_SIZE};
-use teleport::{Mem, PushdownOpts, Runtime};
+use ddc_sim::{DdcConfig, PlacementPolicy, PAGE_SIZE};
+use teleport::{Arm, Mem, PushdownOpts, Runtime};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -54,6 +60,13 @@ static GLOBAL: Counting = Counting;
 /// Misses tried one at a time, a pushdown after each.
 const MISSES: usize = 4;
 
+/// Heap allocations (and reallocations) one pushdown of `f` makes.
+fn counted_pushdown(rt: &mut Runtime, f: impl FnOnce(&mut Arm<'_>) -> u64) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    rt.pushdown(PushdownOpts::new(), f).expect("pushdown");
+    ALLOCS.with(Cell::get) - before
+}
+
 /// Heap allocations (and reallocations) of one steady-state no-op pushdown
 /// with `resident` pages in the compute cache: over a cache unchanged since
 /// the previous call, and the most seen right after a single miss.
@@ -76,12 +89,7 @@ fn allocations_per_pushdown(resident: usize) -> (u64, u64) {
     }
     assert_eq!(rt.dos().resident_list().len(), resident);
     rt.begin_timing();
-    let call = |rt: &mut Runtime| {
-        let before = ALLOCS.with(Cell::get);
-        rt.pushdown(PushdownOpts::new(), |_| 0u64)
-            .expect("no-op pushdown");
-        ALLOCS.with(Cell::get) - before
-    };
+    let call = |rt: &mut Runtime| counted_pushdown(rt, |_| 0u64);
     // The first calls grow the runtime's own long-lived buffers.
     call(&mut rt);
     call(&mut rt);
@@ -95,6 +103,34 @@ fn allocations_per_pushdown(resident: usize) -> (u64, u64) {
         after_miss = after_miss.max(call(&mut rt));
     }
     (unchanged, after_miss)
+}
+
+/// Heap allocations of one steady-state pushdown that reads a word on each
+/// of two neighbouring pages, on a rack of `pools` shards striped page by
+/// page — so with two shards every call fans out over both.
+fn allocations_per_two_page_pushdown(pools: usize) -> u64 {
+    let mut rt = Runtime::teleport(DdcConfig {
+        pools,
+        placement: PlacementPolicy::LoadBalance,
+        ..Default::default()
+    });
+    let region = rt.alloc_region::<u64>(2 * PAGE_SIZE / 8);
+    rt.begin_timing();
+    let call = |rt: &mut Runtime| {
+        counted_pushdown(rt, |m| {
+            m.get(&region, 0, Pattern::Rand) + m.get(&region, PAGE_SIZE / 8, Pattern::Rand)
+        })
+    };
+    call(&mut rt);
+    call(&mut rt);
+    let steady = call(&mut rt);
+    assert_eq!(call(&mut rt), steady, "the count repeats call to call");
+    let fanned_out = if pools > 1 { 4 } else { 0 };
+    assert_eq!(
+        rt.metrics().get("topology.fanout_pushdowns"),
+        Some(fanned_out)
+    );
+    steady
 }
 
 #[test]
@@ -113,4 +149,13 @@ fn pushdown_allocation_count_does_not_grow_with_the_resident_set() {
              {resident} resident pages ({empty} over an empty cache): the miss was not patched in"
         );
     }
+    let (one_pool, two_pools) = (
+        allocations_per_two_page_pushdown(1),
+        allocations_per_two_page_pushdown(2),
+    );
+    assert!(
+        two_pools <= one_pool,
+        "a pushdown over both shards of a 2-pool rack made {two_pools} allocations, \
+         {one_pool} on one pool: the routing window allocates"
+    );
 }
