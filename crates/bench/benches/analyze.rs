@@ -1,6 +1,6 @@
 //! Criterion benchmarks of the static-analysis pass itself: how many
 //! source files and rule evaluations per wall-clock second the
-//! ten-rule `ddc-analyze` engine sustains over the real workspace.
+//! six-rule `ddc-analyze` engine sustains over the real workspace.
 //! The single-pass `Scan` reads every file from disk exactly once, so
 //! `files` meters the full scan-plus-all-rules pipeline and `rules`
 //! the same run denominated in (file × rule) evaluations. Run with

@@ -81,7 +81,7 @@ pub use fault::{CancelOutcome, HeartbeatMonitor, PushdownError};
 pub use flags::{CoherenceMode, PushdownOpts, SyncStrategy};
 pub use resilience::{ExecutionVia, FallbackPolicy, Recovered, ResiliencePolicy, RetryPolicy};
 pub use rle::{ResidentList, UnsortedResidentList};
-pub use rpc::{AdmissionPolicy, PushdownRequest, RpcServer};
+pub use rpc::{AdmissionPolicy, RpcServer};
 pub use runtime::{
     Arm, HedgeOutcome, HedgePolicy, Hedged, Mem, PlatformKind, Region, Runtime, Scalar,
     TeleportConfig,

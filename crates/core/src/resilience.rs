@@ -73,6 +73,18 @@ impl RetryPolicy {
     }
 
     /// Whether this policy retries after `err`.
+    ///
+    /// Every [`PushdownError`] variant is classified by name: a new variant
+    /// does not compile until it has an arm here (`E0004`), and the `deny`
+    /// makes a `_ =>` arm — which would pick a retry decision for future
+    /// variants that nobody reviewed — an error under the `cargo clippy` CI
+    /// runs. Two lints, because clippy reports a wildcard that stands for
+    /// exactly one variant under the second name (and one that stands for
+    /// none is rustc's `unreachable_patterns`).
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn covers(&self, err: &PushdownError) -> bool {
         match err {
             PushdownError::Exception(_) | PushdownError::CancelledBeforeStart => true,
@@ -124,6 +136,13 @@ impl Default for FallbackPolicy {
 
 impl FallbackPolicy {
     /// Whether this policy falls back to local execution after `err`.
+    ///
+    /// Classified variant by variant and closed to `_ =>` arms, exactly as
+    /// [`RetryPolicy::covers`] is and for the same reason.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn covers(&self, err: &PushdownError) -> bool {
         match err {
             PushdownError::Exception(_) => self.on_exception,

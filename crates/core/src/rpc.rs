@@ -7,15 +7,14 @@
 //! server enqueues it on the workqueue of a TELEPORT instance, waking the
 //! instance if it was sleeping to save the pool's scarce compute.
 //!
-//! Wire sizes here are real (computed from the encoded payload), so the
-//! request-transfer component of the Fig 20 breakdown reflects the actual
-//! message the protocol would send.
+//! Wire sizes are real: the runtime bills [`REQUEST_HEADER_BYTES`] plus
+//! [`crate::rle::RUN_WIRE_BYTES`] per run of the resident list it ships, so
+//! the request-transfer component of the Fig 20 breakdown reflects the
+//! actual message the protocol would send.
 
 use std::collections::VecDeque;
 
 use ddc_sim::{QosClass, SimDuration};
-
-use crate::rle::ResidentList;
 
 /// Fixed header of a pushdown request: fn pointer (8) + arg pointer (8) +
 /// flags (4) + payload length (4).
@@ -82,23 +81,6 @@ impl AdmissionPolicy {
     pub fn admits_class(&self, class: QosClass, waiting: usize, backlog: SimDuration) -> bool {
         let (depth, backlog_cap) = self.class_limits(class);
         waiting <= depth && backlog <= backlog_cap
-    }
-}
-
-/// A pushdown request as it crosses the wire.
-#[derive(Debug, Clone)]
-pub struct PushdownRequest {
-    pub id: u64,
-    pub fn_ptr: u64,
-    pub arg_ptr: u64,
-    pub flags: u32,
-    pub resident: ResidentList,
-}
-
-impl PushdownRequest {
-    /// Total wire size of this request.
-    pub fn wire_bytes(&self) -> usize {
-        REQUEST_HEADER_BYTES + self.resident.encoded_bytes()
     }
 }
 
@@ -212,18 +194,6 @@ impl RpcServer {
 mod tests {
     use super::*;
     use crate::fault::CancelOutcome;
-    use ddc_os::PageId;
-
-    fn req(pages: u64) -> PushdownRequest {
-        let resident: Vec<(PageId, bool)> = (0..pages).map(|i| (PageId(i), false)).collect();
-        PushdownRequest {
-            id: 0,
-            fn_ptr: 0x4000_1000,
-            arg_ptr: 0x7fff_0000,
-            flags: 0,
-            resident: ResidentList::encode(&resident),
-        }
-    }
 
     #[test]
     fn admission_policy_sheds_only_past_both_limits() {
@@ -270,14 +240,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn wire_size_reflects_rle_payload() {
-        let r = req(1000); // one contiguous run
-        assert_eq!(r.wire_bytes(), REQUEST_HEADER_BYTES + 13);
-        let empty = req(0);
-        assert_eq!(empty.wire_bytes(), REQUEST_HEADER_BYTES);
     }
 
     #[test]

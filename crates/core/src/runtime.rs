@@ -1279,9 +1279,7 @@ impl Runtime {
         // Gray-failure detection signal: this call's memory-side execution
         // window, attributed to its primary shard. A degraded shard's
         // recursion into slow DRAM shows up here.
-        if let Some(h) = self.dos.health_mut() {
-            h.observe_service(primary_pool, exec_window);
-        }
+        self.dos.observe_service(primary_pool, exec_window);
 
         // ❽ Post-pushdown synchronization.
         let t0 = self.dos.clock().now();

@@ -2,10 +2,10 @@
 // Seeded violations, both caught by trace-tag-emission:
 //   - Beta is emitted by src/emit.rs but asserted in no test
 //   - Gamma is asserted by tests/trace_golden.rs but never emitted
-// Alpha is emitted and asserted and stays silent. Every row reports under
-// the one registered, documented fixture metric so the metric rules stay
-// out of this file. Plus a fault_label() whose "beta-fault" never appears
-// in the matrix.
+// Alpha is emitted and asserted and stays silent. The metric name on each
+// row is a placeholder (no rule reads it; the real table's names are
+// checked by tests/digest_pins.rs). Plus a fault_label() whose
+// "beta-fault" never appears in the matrix.
 
 trace_events! {
     /// Emitted and asserted.

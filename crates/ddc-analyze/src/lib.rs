@@ -2,16 +2,18 @@
 //!
 //! The whole workspace rests on one invariant — same seed ⇒ identical
 //! event trace and digest — and on the pushdown protocol's cross-pool
-//! invariants. Both are easy to break silently: a stray `Instant::now`
-//! ties a result to wall time, a `HashMap` iteration makes observable
-//! order hasher-dependent, a trace event nobody emits or asserts guards
-//! nothing, an unclassified `PushdownError` variant falls into a wildcard
-//! arm and silently picks a retry decision nobody reviewed. This crate is
-//! a line-based lint engine (no syn, no proc macros — the source
-//! conventions of this repo are regular enough for lexical analysis) plus
-//! cross-file registry checks, wired into `cargo run -p ddc-analyze` and
-//! the CI `analyze` job, which uploads the SARIF report and gates on any
-//! finding.
+//! invariants. Both are easy to break silently: a `HashMap` iteration
+//! makes observable order hasher-dependent, a trace event nobody emits or
+//! asserts guards nothing, a fault spec no poll site reaches is dead
+//! fault logic. This crate is a line-based lint engine (no syn, no proc
+//! macros — the source conventions of this repo are regular enough for
+//! lexical analysis) plus cross-file coverage checks, wired into
+//! `cargo run -p ddc-analyze` and the CI `analyze` job, which uploads the
+//! SARIF report and gates on any finding.
+//!
+//! It holds only the rules that need a lexer with a cross-file view. What
+//! the toolchain can decide from types, or the program can be asked, is
+//! not re-derived here (see *Retired rules*).
 //!
 //! Every workspace file is read **once** into one shared scan; all
 //! rules are fed from it, so analysis cost is one tree walk plus
@@ -19,35 +21,23 @@
 //!
 //! ## Rules
 //!
-//! Each rule has a stable ID (`DDC001`..`DDC011`) used in finding IDs,
-//! JSON/SARIF output, and the fixture regression gate in CI. `DDC004`
-//! (digest-tag registry) is retired and its number is not reused: the
-//! `trace_events!` table in `trace.rs` generates everything that rule
-//! compared, so a duplicate tag, a gap or a missing arm no longer compiles.
+//! Each rule has a stable ID used in finding IDs, JSON/SARIF output, and
+//! the fixture regression gate in CI.
 //!
-//! - `DDC001` [`Rule::WallClock`] — no `Instant::now` / `SystemTime` /
-//!   `thread_rng` outside the `bench` crate. Simulated results must
-//!   depend only on the seed and the virtual clock.
 //! - `DDC002` [`Rule::UnorderedIter`] — no iteration over `HashMap` /
 //!   `HashSet` state in the sim-critical crates (`ddc-sim`, `ddc-os`,
 //!   `core`, `memdb::oracle`) unless the site carries an explicit
-//!   `// analyze:allow(unordered-iter) <reason>` annotation.
+//!   `// analyze:allow(unordered-iter) <reason>` annotation. Lexical on
+//!   purpose: `clippy::iter_over_hash_type` sees only `for` loops, this
+//!   rule also sees `.keys()` / `.drain(` chains.
 //! - `DDC003` [`Rule::DebugAssertProtocol`] — no `debug_assert!` family
 //!   on protocol files: a check that guards cross-pool protocol state
 //!   must hold in release builds too (promote it to a real check with a
 //!   typed error), or carry `// analyze:allow(debug-assert) <reason>`.
-//! - `DDC005` [`Rule::MetricName`] — every metric-shaped string literal
-//!   (`component.counter` with lowercase snake segments) in non-test
-//!   source must appear in the central `metric_names.rs` registry.
 //! - `DDC006` [`Rule::FaultKindCoverage`] — every fault label returned
 //!   by `fault_label()`, and every `FaultSpec` variant in the injector
 //!   (kebab-cased), must appear in `tests/fault_matrix.rs`. A fault kind
 //!   nobody sweeps is a fault kind that silently rots.
-//! - `DDC007` [`Rule::ErrorClassification`] — every `PushdownError`
-//!   variant must be explicitly classified in both `RetryPolicy::covers`
-//!   and `FallbackPolicy::covers`; a wildcard `_ =>` arm in a
-//!   classification match is itself a finding, because it decides the
-//!   fate of future error variants without review.
 //! - `DDC008` [`Rule::TraceTagEmission`] — every row of the
 //!   `trace_events!` table must be emitted from non-test source and
 //!   asserted in at least one golden/matrix test; an event that exists
@@ -58,16 +48,31 @@
 //!   from_nanos(500))`) outside the costed `ddc-sim` charge APIs; all
 //!   simulated time must flow through cost models so device parameters
 //!   stay tunable in one place.
-//! - `DDC010` [`Rule::MetricDocSync`] — the `metric_names.rs` registry,
-//!   the generated DESIGN.md metric table, and the actual emission sites
-//!   must agree in both directions: registered ⇒ documented and emitted,
-//!   documented ⇒ registered. Metric families emitted via `format!`
-//!   patterns (`integrity.pool{p}.…`) count as emission sites for every
-//!   registered name they can produce.
 //! - `DDC011` [`Rule::FaultPollCoverage`] — every `FaultSpec` variant
 //!   must be handled by a `FaultInjector` poll method that is actually
 //!   called from a poll site (net/ssd/kernel/runtime); an injector arm
 //!   nobody polls is dead fault logic.
+//!
+//! ## Retired rules
+//!
+//! Five IDs are retired and never reused; each guarantee now lives where
+//! it is decided from types or from the running program, not from how
+//! the source is spelled:
+//!
+//! - `DDC001` (wall clock) — the root `clippy.toml` disallows
+//!   `Instant::now`, `SystemTime::now` and `SystemTime`; the empty
+//!   `clippy.toml` files in `crates/bench` and `vendor` are the exemption.
+//! - `DDC004` (digest-tag registry) — the `trace_events!` table in
+//!   `trace.rs` generates everything that rule compared, so a duplicate
+//!   tag, a gap or a missing arm no longer compiles.
+//! - `DDC005` / `DDC010` (metric names, metric-doc sync) — the
+//!   `metric_table_matches_what_the_scenarios_emit` test in
+//!   `tests/digest_pins.rs` asserts that the names the pinned scenarios
+//!   emit *equal* the DESIGN.md §6 table; there is no registry module.
+//! - `DDC007` (error classification) — `RetryPolicy::covers` and
+//!   `FallbackPolicy::covers` deny `clippy::wildcard_enum_match_arm` and
+//!   `clippy::match_wildcard_for_single_variants`, so a `_ =>` arm is a
+//!   clippy error and an unclassified `PushdownError` variant is `E0004`.
 //!
 //! Lines after a `#[cfg(test)]` attribute are not scanned (the repo
 //! convention keeps test modules last in a file), and string-literal
@@ -83,45 +88,33 @@ use std::path::{Path, PathBuf};
 /// Which check produced a finding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    WallClock,
     UnorderedIter,
     DebugAssertProtocol,
-    MetricName,
     FaultKindCoverage,
-    ErrorClassification,
     TraceTagEmission,
     ClockAccounting,
-    MetricDocSync,
     FaultPollCoverage,
 }
 
 /// Every rule, in stable-ID order. The length of this array is the
 /// "rules" element count of the `analyze` bench group.
-pub const RULES: [Rule; 10] = [
-    Rule::WallClock,
+pub const RULES: [Rule; 6] = [
     Rule::UnorderedIter,
     Rule::DebugAssertProtocol,
-    Rule::MetricName,
     Rule::FaultKindCoverage,
-    Rule::ErrorClassification,
     Rule::TraceTagEmission,
     Rule::ClockAccounting,
-    Rule::MetricDocSync,
     Rule::FaultPollCoverage,
 ];
 
 impl Rule {
     pub fn label(self) -> &'static str {
         match self {
-            Rule::WallClock => "wall-clock",
             Rule::UnorderedIter => "unordered-iter",
             Rule::DebugAssertProtocol => "debug-assert-protocol",
-            Rule::MetricName => "metric-name",
             Rule::FaultKindCoverage => "fault-kind-coverage",
-            Rule::ErrorClassification => "error-classification",
             Rule::TraceTagEmission => "trace-tag-emission",
             Rule::ClockAccounting => "clock-accounting",
-            Rule::MetricDocSync => "metric-doc-sync",
             Rule::FaultPollCoverage => "fault-poll-coverage",
         }
     }
@@ -129,15 +122,11 @@ impl Rule {
     /// Stable rule ID used in finding IDs, JSON, and SARIF output.
     pub fn id(self) -> &'static str {
         match self {
-            Rule::WallClock => "DDC001",
             Rule::UnorderedIter => "DDC002",
             Rule::DebugAssertProtocol => "DDC003",
-            Rule::MetricName => "DDC005",
             Rule::FaultKindCoverage => "DDC006",
-            Rule::ErrorClassification => "DDC007",
             Rule::TraceTagEmission => "DDC008",
             Rule::ClockAccounting => "DDC009",
-            Rule::MetricDocSync => "DDC010",
             Rule::FaultPollCoverage => "DDC011",
         }
     }
@@ -146,32 +135,20 @@ impl Rule {
     /// the DESIGN.md rule table.
     pub fn invariant(self) -> &'static str {
         match self {
-            Rule::WallClock => {
-                "no wall-clock or OS-entropy call outside the bench crate; results depend only on seed and virtual clock"
-            }
             Rule::UnorderedIter => {
                 "no HashMap/HashSet iteration in sim-critical code without an allow annotation"
             }
             Rule::DebugAssertProtocol => {
                 "no debug_assert on protocol files; protocol checks must hold in release builds"
             }
-            Rule::MetricName => {
-                "every metric-shaped literal in non-test source appears in the metric_names registry"
-            }
             Rule::FaultKindCoverage => {
                 "every fault label and kebab-cased FaultSpec variant appears in the fault matrix"
-            }
-            Rule::ErrorClassification => {
-                "every PushdownError variant explicitly classified in RetryPolicy and FallbackPolicy; no wildcard arms"
             }
             Rule::TraceTagEmission => {
                 "every trace_events! row emitted from non-test source and asserted in at least one test; the table readable"
             }
             Rule::ClockAccounting => {
                 "no literal latency constant charged into the virtual clock outside the ddc-sim cost models"
-            }
-            Rule::MetricDocSync => {
-                "metric registry, DESIGN.md metric table, and emission sites agree in both directions"
             }
             Rule::FaultPollCoverage => {
                 "every FaultSpec variant handled by an injector poll method called from a net/ssd/kernel/runtime poll site"
@@ -186,7 +163,7 @@ pub struct Finding {
     pub rule: Rule,
     /// Path relative to the analysis root.
     pub file: PathBuf,
-    /// 1-based line, or 0 for whole-file registry findings.
+    /// 1-based line, or 0 for a whole-file finding (an unreadable table).
     pub line: usize,
     pub message: String,
 }
@@ -220,11 +197,8 @@ impl fmt::Display for Finding {
 pub struct AnalyzeConfig {
     /// Root all other paths are relative to.
     pub root: PathBuf,
-    /// Directories scanned for the wall-clock and clock-accounting rules.
+    /// Directories scanned for the clock-accounting rule.
     pub scan_dirs: Vec<PathBuf>,
-    /// Path prefixes exempt from the wall-clock rule (the bench crate
-    /// measures real machines and may read real clocks).
-    pub wallclock_exempt: Vec<PathBuf>,
     /// Directories or files where `HashMap`/`HashSet` iteration is
     /// forbidden without an allow annotation.
     pub sim_critical: Vec<PathBuf>,
@@ -234,23 +208,12 @@ pub struct AnalyzeConfig {
     /// The trace schema (`trace.rs`) for the tag-emission and fault-label
     /// checks, or `None` to skip them.
     pub trace_file: Option<PathBuf>,
-    /// The central metric-name registry module, or `None` to skip the
-    /// metric checks.
-    pub metric_registry: Option<PathBuf>,
-    /// Directories scanned for metric-shaped string literals.
-    pub metric_scan: Vec<PathBuf>,
     /// The fault-matrix test file every fault label must appear in, or
     /// `None` to skip the coverage check.
     pub fault_matrix: Option<PathBuf>,
     /// The injector source defining `enum FaultSpec` and
     /// `impl FaultInjector`, or `None` to skip the fault rules.
     pub fault_specs: Option<PathBuf>,
-    /// The file defining `enum PushdownError`, or `None` to skip the
-    /// error-classification rule.
-    pub error_enum: Option<PathBuf>,
-    /// The file holding `RetryPolicy::covers` and
-    /// `FallbackPolicy::covers`, or `None` to skip the rule.
-    pub resilience: Option<PathBuf>,
     /// Directories whose `src` files count as trace-event emission sites.
     pub emit_scan: Vec<PathBuf>,
     /// Directories holding tests whose raw text counts as trace-event
@@ -259,9 +222,6 @@ pub struct AnalyzeConfig {
     /// Path prefixes exempt from the clock-accounting rule (the costed
     /// charge APIs themselves, and bench setup).
     pub clock_exempt: Vec<PathBuf>,
-    /// The design document carrying the generated metric table, or
-    /// `None` to skip the metric-doc-sync rule.
-    pub doc_file: Option<PathBuf>,
     /// Source files that poll the fault injector (net/ssd/kernel/
     /// runtime); every `FaultSpec` variant must be reachable from one.
     pub fault_poll_files: Vec<PathBuf>,
@@ -276,7 +236,6 @@ impl AnalyzeConfig {
         AnalyzeConfig {
             root,
             scan_dirs: vec![p("crates")],
-            wallclock_exempt: vec![p("crates/bench")],
             sim_critical: vec![
                 p("crates/ddc-sim/src"),
                 p("crates/ddc-os/src"),
@@ -301,20 +260,11 @@ impl AnalyzeConfig {
                 p("crates/ddc-os/src/recovery.rs"),
             ],
             trace_file: Some(p("crates/ddc-sim/src/trace.rs")),
-            metric_registry: Some(p("crates/ddc-sim/src/metric_names.rs")),
-            metric_scan: vec![
-                p("crates/ddc-sim/src"),
-                p("crates/ddc-os/src"),
-                p("crates/core/src"),
-            ],
             fault_matrix: Some(p("tests/fault_matrix.rs")),
             fault_specs: Some(p("crates/ddc-sim/src/faults.rs")),
-            error_enum: Some(p("crates/core/src/fault.rs")),
-            resilience: Some(p("crates/core/src/resilience.rs")),
             emit_scan: vec![p("crates")],
             test_scan: vec![p("tests"), p("crates")],
             clock_exempt: vec![p("crates/ddc-sim/src"), p("crates/bench")],
-            doc_file: Some(p("DESIGN.md")),
             fault_poll_files: vec![
                 p("crates/ddc-sim/src/net.rs"),
                 p("crates/ddc-sim/src/ssd.rs"),
@@ -326,29 +276,23 @@ impl AnalyzeConfig {
 
     /// The configuration for a fixture tree shaped like
     /// `crates/ddc-analyze/fixtures/bad` (sources under `src/`, tests
-    /// under `tests/`, docs under `docs/`). Shared by the analyzer's own
-    /// tests and the CLI `--fixture` flag so the CI regression gate and
-    /// the test suite see identical findings.
+    /// under `tests/`). Shared by the analyzer's own tests and the CLI
+    /// `--fixture` flag so the CI regression gate and the test suite see
+    /// identical findings.
     pub fn fixture(root: impl Into<PathBuf>) -> Self {
         let root = root.into();
         let p = |s: &str| PathBuf::from(s);
         AnalyzeConfig {
             root,
             scan_dirs: vec![p("src")],
-            wallclock_exempt: vec![],
             sim_critical: vec![p("src")],
             protocol_files: vec![p("src/protocol.rs")],
             trace_file: Some(p("src/trace.rs")),
-            metric_registry: Some(p("src/metric_names.rs")),
-            metric_scan: vec![p("src")],
             fault_matrix: Some(p("tests/fault_matrix.rs")),
             fault_specs: Some(p("src/faults.rs")),
-            error_enum: Some(p("src/errors.rs")),
-            resilience: Some(p("src/resilience.rs")),
             emit_scan: vec![p("src")],
             test_scan: vec![p("tests")],
             clock_exempt: vec![],
-            doc_file: Some(p("docs/DESIGN.md")),
             fault_poll_files: vec![p("src/net.rs")],
         }
     }
@@ -377,7 +321,6 @@ pub fn analyze_with_stats(cfg: &AnalyzeConfig) -> io::Result<(Vec<Finding>, Scan
         lines: scan.files.values().map(|f| f.lines.len()).sum(),
     };
     let mut findings = Vec::new();
-    check_wall_clock(cfg, &scan, &mut findings);
     check_unordered_iter(cfg, &scan, &mut findings);
     check_debug_asserts(cfg, &scan, &mut findings);
     if let Some(trace) = &cfg.trace_file {
@@ -392,11 +335,6 @@ pub fn analyze_with_stats(cfg: &AnalyzeConfig) -> io::Result<(Vec<Finding>, Scan
     if let Some(specs) = &cfg.fault_specs {
         check_fault_poll_coverage(cfg, specs, &scan, &mut findings);
     }
-    if let Some(reg) = &cfg.metric_registry {
-        check_metric_names(cfg, reg, &scan, &mut findings);
-        check_metric_doc_sync(cfg, reg, &scan, &mut findings);
-    }
-    check_error_classification(cfg, &scan, &mut findings);
     check_clock_accounting(cfg, &scan, &mut findings);
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok((findings, stats))
@@ -453,8 +391,7 @@ struct Scan {
     /// (deterministic) order.
     files: BTreeMap<PathBuf, SrcFile>,
     /// Raw text of every loaded file (tests are matched on raw text so a
-    /// coverage assertion inside a test module still counts), plus any
-    /// non-Rust documents such as the design doc.
+    /// coverage assertion inside a test module still counts).
     raw: BTreeMap<PathBuf, String>,
 }
 
@@ -465,23 +402,15 @@ impl Scan {
             &cfg.scan_dirs,
             &cfg.sim_critical,
             &cfg.protocol_files,
-            &cfg.metric_scan,
             &cfg.emit_scan,
             &cfg.test_scan,
             &cfg.fault_poll_files,
         ] {
             roots.extend(group.iter().cloned());
         }
-        for single in [
-            &cfg.trace_file,
-            &cfg.metric_registry,
-            &cfg.fault_matrix,
-            &cfg.fault_specs,
-            &cfg.error_enum,
-            &cfg.resilience,
-        ]
-        .into_iter()
-        .flatten()
+        for single in [&cfg.trace_file, &cfg.fault_matrix, &cfg.fault_specs]
+            .into_iter()
+            .flatten()
         {
             roots.insert(single.clone());
         }
@@ -500,11 +429,6 @@ impl Scan {
                 let text = fs::read_to_string(cfg.root.join(&rel))?;
                 scan.files.insert(rel.clone(), SrcFile::parse(&rel, &text));
                 scan.raw.insert(rel, text);
-            }
-        }
-        if let Some(doc) = &cfg.doc_file {
-            if let Ok(text) = fs::read_to_string(cfg.root.join(doc)) {
-                scan.raw.insert(doc.clone(), text);
             }
         }
         Ok(scan)
@@ -724,42 +648,6 @@ fn enum_variants(file: &SrcFile, enum_name: &str) -> Vec<(usize, String)> {
 }
 
 // ---------------------------------------------------------------------
-// Rule DDC001: wall clock
-// ---------------------------------------------------------------------
-
-const WALLCLOCK_PATTERNS: &[&str] = &["Instant::now", "SystemTime", "thread_rng"];
-
-fn check_wall_clock(cfg: &AnalyzeConfig, scan: &Scan, findings: &mut Vec<Finding>) {
-    for file in scan.under(&cfg.scan_dirs) {
-        if cfg
-            .wallclock_exempt
-            .iter()
-            .any(|ex| file.rel.starts_with(ex))
-        {
-            continue;
-        }
-        // Only library/binary source is load-bearing for determinism.
-        if !is_src_path(&file.rel) {
-            continue;
-        }
-        for line in &file.lines {
-            for pat in WALLCLOCK_PATTERNS {
-                if line.code.contains(pat) {
-                    findings.push(Finding {
-                        rule: Rule::WallClock,
-                        file: file.rel.clone(),
-                        line: line.num,
-                        message: format!(
-                            "`{pat}` ties simulated results to wall time; use the virtual clock (or move this into crates/bench)"
-                        ),
-                    });
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Rule DDC002: unordered iteration
 // ---------------------------------------------------------------------
 
@@ -897,6 +785,42 @@ fn check_debug_asserts(cfg: &AnalyzeConfig, scan: &Scan, findings: &mut Vec<Find
 // Rule DDC006: fault-kind coverage
 // ---------------------------------------------------------------------
 
+/// The double-quoted string literals of one raw line (escapes honored).
+fn string_literals(raw: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let chars: Vec<char> = raw.chars().collect();
+    let mut i = 0;
+    let mut current: Option<String> = None;
+    while i < chars.len() {
+        let c = chars[i];
+        match &mut current {
+            Some(s) => {
+                if c == '\\' {
+                    if let Some(&n) = chars.get(i + 1) {
+                        s.push(n);
+                    }
+                    i += 2;
+                    continue;
+                }
+                if c == '"' {
+                    out.push(current.take().unwrap());
+                } else {
+                    s.push(c);
+                }
+            }
+            None => {
+                if c == '"' {
+                    current = Some(String::new());
+                } else if c == '/' && chars.get(i + 1) == Some(&'/') {
+                    break;
+                }
+            }
+        }
+        i += 1;
+    }
+    out
+}
+
 /// The kebab-case labels returned by `fault_label()` in `trace.rs`.
 fn parse_fault_labels(file: &SrcFile) -> Vec<(usize, String)> {
     let mut labels = Vec::new();
@@ -1006,276 +930,6 @@ fn check_fault_spec_coverage(
                     matrix_rel.display()
                 ),
             });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Rule DDC005: metric names
-// ---------------------------------------------------------------------
-
-/// The double-quoted string literals of one raw line (escapes honored).
-fn string_literals(raw: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let chars: Vec<char> = raw.chars().collect();
-    let mut i = 0;
-    let mut current: Option<String> = None;
-    while i < chars.len() {
-        let c = chars[i];
-        match &mut current {
-            Some(s) => {
-                if c == '\\' {
-                    if let Some(&n) = chars.get(i + 1) {
-                        s.push(n);
-                    }
-                    i += 2;
-                    continue;
-                }
-                if c == '"' {
-                    out.push(current.take().unwrap());
-                } else {
-                    s.push(c);
-                }
-            }
-            None => {
-                if c == '"' {
-                    current = Some(String::new());
-                } else if c == '/' && chars.get(i + 1) == Some(&'/') {
-                    break;
-                }
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
-/// `component.counter[.sub]`: at least two non-empty lowercase snake-case
-/// segments, first character alphabetic.
-fn is_metric_shaped(s: &str) -> bool {
-    let segments: Vec<&str> = s.split('.').collect();
-    if segments.len() < 2 {
-        return false;
-    }
-    if !s
-        .chars()
-        .next()
-        .is_some_and(|c| c.is_ascii_lowercase() && c.is_ascii_alphabetic())
-    {
-        return false;
-    }
-    segments.iter().all(|seg| {
-        !seg.is_empty()
-            && seg
-                .chars()
-                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
-    })
-}
-
-/// The registry's metric names, with the line each first appears on.
-fn registered_metrics(registry: &SrcFile) -> BTreeMap<String, usize> {
-    let mut registered = BTreeMap::new();
-    for line in &registry.lines {
-        for lit in string_literals(&line.raw) {
-            if is_metric_shaped(&lit) {
-                registered.entry(lit).or_insert(line.num);
-            }
-        }
-    }
-    registered
-}
-
-fn check_metric_names(
-    cfg: &AnalyzeConfig,
-    registry_rel: &Path,
-    scan: &Scan,
-    findings: &mut Vec<Finding>,
-) {
-    let Some(registry_file) = scan.file(registry_rel) else {
-        return;
-    };
-    let registered = registered_metrics(registry_file);
-    if registered.is_empty() {
-        findings.push(Finding {
-            rule: Rule::MetricName,
-            file: registry_rel.to_path_buf(),
-            line: 0,
-            message: "metric registry contains no metric names".to_string(),
-        });
-        return;
-    }
-    for file in scan.under(&cfg.metric_scan) {
-        if file.rel == *registry_rel {
-            continue;
-        }
-        for line in &file.lines {
-            // Literal extraction works on the raw line, but only for
-            // lines that still are code (comments stripped out).
-            if line.code.trim().is_empty() {
-                continue;
-            }
-            for lit in string_literals(&line.raw) {
-                if is_metric_shaped(&lit) && !registered.contains_key(&lit) {
-                    findings.push(Finding {
-                        rule: Rule::MetricName,
-                        file: file.rel.clone(),
-                        line: line.num,
-                        message: format!(
-                            "metric name \"{lit}\" is not in the central registry ({})",
-                            registry_rel.display()
-                        ),
-                    });
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Rule DDC007: error classification
-// ---------------------------------------------------------------------
-
-/// One `fn covers` body found in the resilience file, attributed to the
-/// enclosing `impl` target.
-struct CoversBody {
-    policy: String,
-    /// Line of the `fn covers` signature.
-    line: usize,
-    /// Error-enum variants explicitly named in the body.
-    matched: BTreeSet<String>,
-    /// Lines carrying a wildcard `_ =>` arm.
-    wildcards: Vec<usize>,
-}
-
-/// `impl RetryPolicy {` → `RetryPolicy`; `impl Foo for Bar {` → `Bar`.
-fn impl_target(trimmed: &str) -> String {
-    let mut rest = trimmed.trim_start_matches("impl").trim_start();
-    if rest.starts_with('<') {
-        if let Some(end) = rest.find('>') {
-            rest = rest[end + 1..].trim_start();
-        }
-    }
-    if let Some(p) = rest.find(" for ") {
-        rest = rest[p + 5..].trim_start();
-    }
-    rest.chars().take_while(|&c| is_ident_char(c)).collect()
-}
-
-/// Does `code` contain a standalone `_ =>` match arm (not a `(_)` or
-/// struct-field underscore)?
-fn is_wildcard_arm(code: &str) -> bool {
-    let mut from = 0;
-    while let Some(off) = code[from..].find("_ =>") {
-        let pos = from + off;
-        from = pos + 4;
-        let prev = code[..pos].chars().next_back();
-        if prev.is_none_or(|c| c.is_whitespace() || c == '|') {
-            return true;
-        }
-    }
-    false
-}
-
-fn parse_covers_bodies(file: &SrcFile, error_enum: &str) -> Vec<CoversBody> {
-    let prefix = format!("{error_enum}::");
-    let mut out = Vec::new();
-    let mut current_impl = String::new();
-    let mut depth = 0i32;
-    let mut body: Option<(i32, CoversBody)> = None;
-    for line in &file.lines {
-        let code = &line.code;
-        let trimmed = code.trim_start();
-        if body.is_none() && trimmed.starts_with("impl ") {
-            current_impl = impl_target(trimmed);
-        }
-        if body.is_none() && contains_token(code, "fn covers") {
-            body = Some((
-                depth,
-                CoversBody {
-                    policy: current_impl.clone(),
-                    line: line.num,
-                    matched: BTreeSet::new(),
-                    wildcards: Vec::new(),
-                },
-            ));
-        }
-        if let Some((_, b)) = &mut body {
-            for v in path_idents(code, &prefix) {
-                b.matched.insert(v);
-            }
-            if is_wildcard_arm(code) {
-                b.wildcards.push(line.num);
-            }
-        }
-        for c in code.chars() {
-            match c {
-                '{' => depth += 1,
-                '}' => depth -= 1,
-                _ => {}
-            }
-        }
-        if let Some((entry, _)) = &body {
-            if depth <= *entry && code.contains('}') {
-                out.push(body.take().unwrap().1);
-            }
-        }
-    }
-    out
-}
-
-fn check_error_classification(cfg: &AnalyzeConfig, scan: &Scan, findings: &mut Vec<Finding>) {
-    let (Some(enum_rel), Some(res_rel)) = (&cfg.error_enum, &cfg.resilience) else {
-        return;
-    };
-    let (Some(enum_file), Some(res_file)) = (scan.file(enum_rel), scan.file(res_rel)) else {
-        return;
-    };
-    let variants = enum_variants(enum_file, "PushdownError");
-    if variants.is_empty() {
-        findings.push(Finding {
-            rule: Rule::ErrorClassification,
-            file: enum_rel.to_path_buf(),
-            line: 0,
-            message: "no `enum PushdownError` variants found — error taxonomy unparseable"
-                .to_string(),
-        });
-        return;
-    }
-    let bodies = parse_covers_bodies(res_file, "PushdownError");
-    for expected in ["RetryPolicy", "FallbackPolicy"] {
-        if !bodies.iter().any(|b| b.policy == expected) {
-            findings.push(Finding {
-                rule: Rule::ErrorClassification,
-                file: res_rel.to_path_buf(),
-                line: 0,
-                message: format!("no `fn covers` body found in `impl {expected}`"),
-            });
-        }
-    }
-    for body in &bodies {
-        for &w in &body.wildcards {
-            findings.push(Finding {
-                rule: Rule::ErrorClassification,
-                file: res_rel.to_path_buf(),
-                line: w,
-                message: format!(
-                    "wildcard `_ =>` arm in {}::covers silently classifies future PushdownError variants; spell each variant out",
-                    body.policy
-                ),
-            });
-        }
-        for (_, v) in &variants {
-            if !body.matched.contains(v) {
-                findings.push(Finding {
-                    rule: Rule::ErrorClassification,
-                    file: res_rel.to_path_buf(),
-                    line: body.line,
-                    message: format!(
-                        "PushdownError::{v} is not explicitly classified in {}::covers",
-                        body.policy
-                    ),
-                });
-            }
         }
     }
 }
@@ -1438,215 +1092,6 @@ fn check_clock_accounting(cfg: &AnalyzeConfig, scan: &Scan, findings: &mut Vec<F
                     message: "literal latency charged straight into the virtual clock; route it through a ddc-sim cost model (or annotate `// analyze:allow(clock-accounting) <reason>`)".to_string(),
                 });
             }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Rule DDC010: metric-doc sync
-// ---------------------------------------------------------------------
-
-/// Markers delimiting the generated metric table in the design doc.
-pub const METRIC_TABLE_BEGIN: &str = "<!-- ddc-analyze:metric-table:begin -->";
-pub const METRIC_TABLE_END: &str = "<!-- ddc-analyze:metric-table:end -->";
-
-/// Replace each `{...}` hole with `x`; `None` if braces are unbalanced.
-fn flatten_pattern(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut rest = s;
-    while let Some(start) = rest.find('{') {
-        out.push_str(&rest[..start]);
-        let end = rest[start..].find('}')?;
-        out.push('x');
-        rest = &rest[start + end + 1..];
-        if rest.starts_with('{') && out.ends_with('x') {
-            // adjacent holes collapse into one segment wildcard
-            continue;
-        }
-    }
-    if rest.contains('}') {
-        return None;
-    }
-    out.push_str(rest);
-    Some(out)
-}
-
-/// Is `s` a `format!`-style metric pattern — braces whose flattened form
-/// is metric-shaped (`integrity.pool{p}.scrub_rounds`)?
-fn is_metric_pattern(s: &str) -> bool {
-    s.contains('{') && flatten_pattern(s).is_some_and(|f| is_metric_shaped(&f))
-}
-
-/// Does one dot-segment of a metric pattern match a concrete segment?
-/// `{hole}`s match one or more metric characters.
-fn seg_matches(pat: &str, actual: &str) -> bool {
-    match pat.find('{') {
-        None => pat == actual,
-        Some(start) => {
-            let Some(end_rel) = pat[start..].find('}') else {
-                return false;
-            };
-            let end = start + end_rel;
-            let pre = &pat[..start];
-            let Some(rest_actual) = actual.strip_prefix(pre) else {
-                return false;
-            };
-            let rest_pat = &pat[end + 1..];
-            for take in 1..=rest_actual.len() {
-                if !rest_actual[..take]
-                    .chars()
-                    .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
-                {
-                    break;
-                }
-                if seg_matches(rest_pat, &rest_actual[take..]) {
-                    return true;
-                }
-            }
-            false
-        }
-    }
-}
-
-/// Can the `format!` pattern produce the concrete metric name?
-fn pattern_matches(pat: &str, name: &str) -> bool {
-    let ps: Vec<&str> = pat.split('.').collect();
-    let ns: Vec<&str> = name.split('.').collect();
-    ps.len() == ns.len() && ps.iter().zip(&ns).all(|(p, n)| seg_matches(p, n))
-}
-
-fn check_metric_doc_sync(
-    cfg: &AnalyzeConfig,
-    registry_rel: &Path,
-    scan: &Scan,
-    findings: &mut Vec<Finding>,
-) {
-    let Some(registry_file) = scan.file(registry_rel) else {
-        return;
-    };
-    let registered = registered_metrics(registry_file);
-    if registered.is_empty() {
-        return; // DDC005 already reports the empty registry.
-    }
-
-    // Direction 1+2: registry ↔ design-doc table.
-    if let Some(doc_rel) = &cfg.doc_file {
-        match scan.raw.get(doc_rel) {
-            None => findings.push(Finding {
-                rule: Rule::MetricDocSync,
-                file: doc_rel.clone(),
-                line: 0,
-                message: "design doc not found; the metric table cannot be checked".to_string(),
-            }),
-            Some(text) => {
-                let mut in_table = false;
-                let mut saw_markers = false;
-                let mut documented: BTreeMap<String, usize> = BTreeMap::new();
-                for (i, raw) in text.lines().enumerate() {
-                    if raw.contains(METRIC_TABLE_BEGIN) {
-                        in_table = true;
-                        saw_markers = true;
-                        continue;
-                    }
-                    if raw.contains(METRIC_TABLE_END) {
-                        in_table = false;
-                        continue;
-                    }
-                    if !in_table {
-                        continue;
-                    }
-                    // Backticked tokens in the table rows.
-                    let mut rest = raw;
-                    while let Some(start) = rest.find('`') {
-                        let Some(end_rel) = rest[start + 1..].find('`') else {
-                            break;
-                        };
-                        let token = &rest[start + 1..start + 1 + end_rel];
-                        if is_metric_shaped(token) {
-                            documented.entry(token.to_string()).or_insert(i + 1);
-                        }
-                        rest = &rest[start + 1 + end_rel + 1..];
-                    }
-                }
-                if !saw_markers {
-                    findings.push(Finding {
-                        rule: Rule::MetricDocSync,
-                        file: doc_rel.clone(),
-                        line: 0,
-                        message: format!(
-                            "no generated metric table found (markers `{METRIC_TABLE_BEGIN}` / `{METRIC_TABLE_END}` missing)"
-                        ),
-                    });
-                } else {
-                    for (name, &line) in &registered {
-                        if !documented.contains_key(name) {
-                            findings.push(Finding {
-                                rule: Rule::MetricDocSync,
-                                file: registry_rel.to_path_buf(),
-                                line,
-                                message: format!(
-                                    "metric \"{name}\" is registered but missing from the {} metric table",
-                                    doc_rel.display()
-                                ),
-                            });
-                        }
-                    }
-                    for (name, &line) in &documented {
-                        if !registered.contains_key(name) {
-                            findings.push(Finding {
-                                rule: Rule::MetricDocSync,
-                                file: doc_rel.clone(),
-                                line,
-                                message: format!(
-                                    "metric \"{name}\" is documented in the metric table but not registered in {}",
-                                    registry_rel.display()
-                                ),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // Direction 3: every registered name has an emission site. Literal
-    // names count directly; `format!` patterns count for every name they
-    // can produce.
-    let mut plain: BTreeSet<String> = BTreeSet::new();
-    let mut patterns: BTreeSet<String> = BTreeSet::new();
-    for file in scan.under(&cfg.metric_scan) {
-        if file.rel == *registry_rel {
-            continue;
-        }
-        for line in &file.lines {
-            if line.code.trim().is_empty() {
-                continue;
-            }
-            for lit in string_literals(&line.raw) {
-                if is_metric_shaped(&lit) {
-                    plain.insert(lit);
-                } else if is_metric_pattern(&lit) {
-                    patterns.insert(lit);
-                }
-            }
-        }
-    }
-    for (name, &line) in &registered {
-        let emitted = plain.contains(name) || patterns.iter().any(|p| pattern_matches(p, name));
-        if !emitted {
-            findings.push(Finding {
-                rule: Rule::MetricDocSync,
-                file: registry_rel.to_path_buf(),
-                line,
-                message: format!(
-                    "metric \"{name}\" is registered but never emitted from {}",
-                    cfg.metric_scan
-                        .iter()
-                        .map(|p| p.display().to_string())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ),
-            });
         }
     }
 }
@@ -1834,8 +1279,8 @@ pub fn render_json(findings: &[Finding]) -> String {
     out
 }
 
-/// SARIF 2.1.0 report for CI annotation upload. Line 0 (whole-file
-/// registry findings) is clamped to 1, the SARIF minimum.
+/// SARIF 2.1.0 report for CI annotation upload. Line 0 (a whole-file
+/// finding) is clamped to 1, the SARIF minimum.
 pub fn render_sarif(findings: &[Finding]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
@@ -1905,17 +1350,6 @@ mod tests {
     }
 
     #[test]
-    fn metric_shape_matches_names_only() {
-        assert!(is_metric_shaped("paging.cache_hits"));
-        assert!(is_metric_shaped("net.page_in.bytes"));
-        assert!(!is_metric_shaped("no_dots"));
-        assert!(!is_metric_shaped("Paging.cache"));
-        assert!(!is_metric_shaped("paging."));
-        assert!(!is_metric_shaped("2fast.2furious"));
-        assert!(!is_metric_shaped("has space.x"));
-    }
-
-    #[test]
     fn iteration_detection_respects_boundaries() {
         assert!(iterates("for (k, v) in &self.held {", "held"));
         assert!(iterates("self.entries.iter().map(|x| x)", "entries"));
@@ -1956,15 +1390,12 @@ mod tests {
 
     #[test]
     fn rule_ids_are_stable_and_unique() {
-        let ids: BTreeSet<&str> = RULES.iter().map(|r| r.id()).collect();
-        assert_eq!(ids.len(), RULES.len());
-        assert_eq!(Rule::WallClock.id(), "DDC001");
-        assert_eq!(Rule::FaultPollCoverage.id(), "DDC011");
-        // DDC004 (digest-tag) is retired, not reused: its neighbours keep
-        // their numbers.
-        assert!(!ids.contains("DDC004"));
-        assert_eq!(Rule::MetricName.id(), "DDC005");
-        assert_eq!(Rule::TraceTagEmission.id(), "DDC008");
+        // DDC001 / 004 / 005 / 007 / 010 are retired, not reused: the six
+        // rules left keep the numbers they were given.
+        assert_eq!(
+            RULES.map(Rule::id),
+            ["DDC002", "DDC003", "DDC006", "DDC008", "DDC009", "DDC011"]
+        );
         let labels: BTreeSet<&str> = RULES.iter().map(|r| r.label()).collect();
         assert_eq!(labels.len(), RULES.len());
     }
@@ -2032,27 +1463,6 @@ const AFTER: [u64; 1] = [2];
     }
 
     #[test]
-    fn wildcard_arm_detection() {
-        assert!(is_wildcard_arm("            _ => true,"));
-        assert!(is_wildcard_arm(
-            "PushdownError::Killed { .. } | _ => false,"
-        ));
-        assert!(!is_wildcard_arm("PushdownError::Exception(_) => true,"));
-        assert!(!is_wildcard_arm("Killed { ran_for: _ } => false,"));
-        assert!(!is_wildcard_arm("let x_ => nope"));
-    }
-
-    #[test]
-    fn impl_target_parsing() {
-        assert_eq!(impl_target("impl RetryPolicy {"), "RetryPolicy");
-        assert_eq!(
-            impl_target("impl Default for FallbackPolicy {"),
-            "FallbackPolicy"
-        );
-        assert_eq!(impl_target("impl<T> Wrapper<T> {"), "Wrapper");
-    }
-
-    #[test]
     fn literal_clock_charges_only() {
         assert!(literal_clock_charge(
             "clock.advance(SimDuration::from_nanos(500));"
@@ -2066,41 +1476,20 @@ const AFTER: [u64; 1] = [2];
     }
 
     #[test]
-    fn metric_patterns_match_families() {
-        assert!(is_metric_pattern("integrity.pool{p}.scrub_rounds"));
-        assert!(is_metric_pattern("serve.{seg}.completed"));
-        assert!(!is_metric_pattern("paging.cache_hits"));
-        assert!(!is_metric_pattern("{p} pages lost"));
-        assert!(pattern_matches(
-            "serve.{seg}.completed",
-            "serve.guaranteed.completed"
-        ));
-        assert!(pattern_matches(
-            "integrity.pool{p}.scrub_rounds",
-            "integrity.pool3.scrub_rounds"
-        ));
-        assert!(!pattern_matches("serve.{seg}.completed", "serve.shed"));
-        assert!(!pattern_matches(
-            "serve.tenant{t}.completed",
-            "serve.guaranteed.completed"
-        ));
-    }
-
-    #[test]
     fn json_escaping_and_rendering() {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         let f = Finding {
-            rule: Rule::MetricName,
+            rule: Rule::ClockAccounting,
             file: PathBuf::from("src/x.rs"),
             line: 3,
-            message: "metric \"a.b\" unknown".to_string(),
+            message: "charge \"500ns\" is a literal".to_string(),
         };
-        assert_eq!(f.id(), "DDC005:src/x.rs:3");
+        assert_eq!(f.id(), "DDC009:src/x.rs:3");
         let json = render_json(std::slice::from_ref(&f));
-        assert!(json.contains("\"id\":\"DDC005:src/x.rs:3\""));
-        assert!(json.contains("\"label\":\"metric-name\""));
+        assert!(json.contains("\"id\":\"DDC009:src/x.rs:3\""));
+        assert!(json.contains("\"label\":\"clock-accounting\""));
         let sarif = render_sarif(std::slice::from_ref(&f));
-        assert!(sarif.contains("\"ruleId\": \"DDC005\""));
+        assert!(sarif.contains("\"ruleId\": \"DDC009\""));
         assert!(sarif.contains("\"startLine\": 3"));
         assert!(render_json(&[]).starts_with("[]"));
     }

@@ -82,6 +82,15 @@ struct Integrity {
     edits: BTreeMap<PageId, Vec<Corruption>>,
     /// Most recent unrecoverable page (for the typed error).
     last_loss: Option<PageId>,
+    /// Everything [`Dos::begin_timing`] zeroes; the fields above describe
+    /// residency state and survive it.
+    window: IntegrityWindow,
+}
+
+/// The integrity plane's per-timed-window state, grouped so that resetting
+/// it is one assignment that cannot miss a field (or hit a seal).
+#[derive(Debug, Default)]
+struct IntegrityWindow {
     detected: u64,
     repaired: u64,
     repaired_ssd: u64,
@@ -439,8 +448,13 @@ impl Dos {
         self.health.as_ref()
     }
 
-    pub fn health_mut(&mut self) -> Option<&mut HealthMonitor> {
-        self.health.as_mut()
+    /// Feed one pushdown's memory-side execution `window`, attributed to
+    /// shard `pool`, to the gray-failure detector (a no-op while the plane
+    /// is disarmed).
+    pub fn observe_service(&mut self, pool: usize, window: SimDuration) {
+        if let Some(h) = &mut self.health {
+            h.observe_service(pool, window);
+        }
     }
 
     /// One tick of the gray-failure plane, run once per pushdown after the
@@ -737,15 +751,7 @@ impl Dos {
         }
         // Integrity counters cover the timed window; the seals, pending
         // corruption, and lost-page set describe residency state and stay.
-        self.integrity.detected = 0;
-        self.integrity.repaired = 0;
-        self.integrity.repaired_ssd = 0;
-        self.integrity.repaired_replica = 0;
-        self.integrity.data_loss = 0;
-        self.integrity.scrub_passes = 0;
-        self.integrity.scrub_pages = 0;
-        self.integrity.scrub_detected = 0;
-        self.integrity.next_scrub = None;
+        self.integrity.window = IntegrityWindow::default();
         self.recovery = RecoveryCounters::default();
     }
 
@@ -1680,7 +1686,7 @@ impl Dos {
 
     /// Unrecoverable-corruption events in the current timed window.
     pub fn data_loss_count(&self) -> u64 {
-        self.integrity.data_loss
+        self.integrity.window.data_loss
     }
 
     /// The page most recently declared unrecoverable, if any.
@@ -1767,7 +1773,7 @@ impl Dos {
             self.integrity.take_edits(pid);
             return;
         }
-        self.integrity.detected += 1;
+        self.integrity.window.detected += 1;
         let p = self.owner_of(pid);
         if let Some(shard) = self.shards.get_mut(p) {
             shard.integrity.detected += 1;
@@ -1809,13 +1815,13 @@ impl Dos {
                         view[c.offset] ^= c.mask;
                     }
                 }
-                self.integrity.repaired += 1;
+                self.integrity.window.repaired += 1;
                 if let Some(shard) = self.shards.get_mut(p) {
                     shard.integrity.repaired += 1;
                 }
                 match source {
-                    RepairSource::Ssd => self.integrity.repaired_ssd += 1,
-                    RepairSource::Replica => self.integrity.repaired_replica += 1,
+                    RepairSource::Ssd => self.integrity.window.repaired_ssd += 1,
+                    RepairSource::Replica => self.integrity.window.repaired_replica += 1,
                 }
                 self.tracer.emit(
                     Lane::Memory,
@@ -1829,7 +1835,7 @@ impl Dos {
                 // The bytes stay corrupt (there is nothing to restore them
                 // from); the lost set stops re-detection so the loss is
                 // counted exactly once.
-                self.integrity.data_loss += 1;
+                self.integrity.window.data_loss += 1;
                 if let Some(shard) = self.shards.get_mut(p) {
                     shard.integrity.data_loss += 1;
                 }
@@ -1850,7 +1856,7 @@ impl Dos {
     pub fn scrub_pass(&mut self) -> (u64, u64) {
         self.enable_integrity();
         let pages = self.space.mapped_pages();
-        let before = self.integrity.detected;
+        let before = self.integrity.window.detected;
         if self.is_disaggregated() {
             // The compute side kicks the pass off with one control message.
             self.wire(MsgClass::Control, 16);
@@ -1882,10 +1888,10 @@ impl Dos {
             }
         }
         let scanned = pages.len() as u64;
-        let detected = self.integrity.detected - before;
-        self.integrity.scrub_passes += 1;
-        self.integrity.scrub_pages += scanned;
-        self.integrity.scrub_detected += detected;
+        let detected = self.integrity.window.detected - before;
+        self.integrity.window.scrub_passes += 1;
+        self.integrity.window.scrub_pages += scanned;
+        self.integrity.window.scrub_detected += detected;
         self.tracer.emit(
             Lane::Memory,
             TraceEvent::ScrubPass {
@@ -1905,14 +1911,16 @@ impl Dos {
         };
         let next = self
             .integrity
+            .window
             .next_scrub
             .unwrap_or(SimTime(every.as_nanos()));
         if self.clock.now() < next {
-            self.integrity.next_scrub = Some(next);
+            self.integrity.window.next_scrub = Some(next);
             return false;
         }
         self.scrub_pass();
-        self.integrity.next_scrub = Some(SimTime(self.clock.now().as_nanos() + every.as_nanos()));
+        self.integrity.window.next_scrub =
+            Some(SimTime(self.clock.now().as_nanos() + every.as_nanos()));
         true
     }
 
@@ -2022,13 +2030,13 @@ impl Dos {
         m.set("ssd.bulk_reads", ssd.bulk_reads);
         m.set("ssd.bulk_bytes_read", ssd.bulk_bytes_read);
         if self.integrity.enabled {
-            let i = &self.integrity;
+            let i = &self.integrity.window;
             m.set("integrity.detected", i.detected);
             m.set("integrity.repaired", i.repaired);
             m.set("integrity.repaired_from_ssd", i.repaired_ssd);
             m.set("integrity.repaired_from_replica", i.repaired_replica);
             m.set("integrity.data_loss", i.data_loss);
-            m.set("integrity.pages_sealed", i.sealed);
+            m.set("integrity.pages_sealed", self.integrity.sealed);
             m.set("scrub.passes", i.scrub_passes);
             m.set("scrub.pages_scanned", i.scrub_pages);
             m.set("scrub.detected", i.scrub_detected);
@@ -2518,6 +2526,28 @@ mod tests {
                 i + 1
             );
         }
+        // A new timed window zeroes every integrity / scrub row but the
+        // seal count, and the seals taken before it still verify.
+        assert!(m.get("scrub.detected") > Some(0) && m.get("integrity.repaired") > Some(0));
+        dos.begin_timing();
+        let m = dos.metrics();
+        let rows = || {
+            m.iter()
+                .filter(|(n, _)| n.starts_with("integrity.") || n.starts_with("scrub."))
+        };
+        assert_eq!(rows().count(), 9);
+        for (name, v) in rows() {
+            let want = if name == "integrity.pages_sealed" {
+                4
+            } else {
+                0
+            };
+            assert_eq!(v, want, "{name} after begin_timing");
+        }
+        for pid in dos.space.mapped_pages() {
+            let seal = dos.page_checksum(pid).expect("sealed before the reset");
+            assert!(seal.matches(dos.space.page_view(pid)), "{pid:?}");
+        }
     }
 
     #[test]
@@ -2607,17 +2637,17 @@ mod tests {
 
         // Drive the detector with what the runtime would observe: shard 0's
         // service times sit 50x over its first-window baseline.
-        {
-            let h = dos.health_mut().expect("armed");
-            let w = h.config().window;
-            for _ in 0..w {
-                h.observe_service(0, SimDuration::from_nanos(100));
-            }
-            for _ in 0..2 * w {
-                h.observe_service(0, SimDuration::from_nanos(5_000));
-            }
-            assert_eq!(h.state(0), PoolHealthState::Quarantined);
+        let w = dos.health().expect("armed").config().window;
+        for _ in 0..w {
+            dos.observe_service(0, SimDuration::from_nanos(100));
         }
+        for _ in 0..2 * w {
+            dos.observe_service(0, SimDuration::from_nanos(5_000));
+        }
+        assert_eq!(
+            dos.health().expect("armed").state(0),
+            PoolHealthState::Quarantined
+        );
 
         // Fresh allocations steer around the quarantined shard.
         let b = dos.alloc(4 * PAGE_SIZE);

@@ -132,7 +132,6 @@ pub struct RecoveryJournal {
     entries: Vec<JournalEntry>,
     /// `entries[..synced]` are durably synced (atomic under any crash).
     synced: usize,
-    sync_batch: usize,
 }
 
 impl RecoveryJournal {
@@ -143,7 +142,6 @@ impl RecoveryJournal {
             next_seq: 1,
             entries: Vec::new(),
             synced: 0,
-            sync_batch: JOURNAL_SYNC_BATCH,
         }
     }
 
@@ -178,7 +176,7 @@ impl RecoveryJournal {
             op,
             checksum: entry_checksum(seq, self.epoch, op),
         });
-        if self.unsynced_len() >= self.sync_batch {
+        if self.unsynced_len() >= JOURNAL_SYNC_BATCH {
             self.synced = self.entries.len();
             true
         } else {

@@ -164,6 +164,40 @@ impl FaultSpec {
         from <= now && now < until
     }
 
+    /// The one door into a plan: [`FaultPlan::with`] (and so every builder)
+    /// and [`FaultInjector::add_spec`] pass each spec through here. A
+    /// probability lies in `[0, 1]` — anything else would panic inside the
+    /// PRNG in the middle of a run — and a slowdown factor is at least 1,
+    /// since a factor of 0 makes the "degraded" device free. Panics at
+    /// construction time otherwise.
+    fn validate(&self) {
+        let (ok, why) = match *self {
+            FaultSpec::SsdTransientError { p, .. }
+            | FaultSpec::PushdownExceptionProb { p, .. }
+            | FaultSpec::FabricBitFlip { p, .. }
+            | FaultSpec::SsdLatentSector { p, .. }
+            | FaultSpec::PoolScribble { p, .. } => {
+                ((0.0..=1.0).contains(&p), "probability out of range")
+            }
+            FaultSpec::SsdLatencyStorm { factor, .. } => {
+                (factor >= 1, "a storm slows the device down")
+            }
+            FaultSpec::DegradedPool { factor, .. } => (factor >= 1, "a degraded pool slows down"),
+            FaultSpec::LameFabricLink { factor, .. } => (factor >= 1, "a lame link slows down"),
+            FaultSpec::GrindingSsd { factor, .. } => (factor >= 1, "a grinding device slows down"),
+            FaultSpec::FabricLatencySpike { .. }
+            | FaultSpec::FabricPartition { .. }
+            | FaultSpec::HeartbeatFlap { .. }
+            | FaultSpec::PoolDeath { .. }
+            | FaultSpec::QueueBacklogBurst { .. }
+            | FaultSpec::PushdownException { .. }
+            | FaultSpec::PushdownHang { .. }
+            | FaultSpec::PoolCrashRestart { .. }
+            | FaultSpec::TornJournalWrite { .. } => return,
+        };
+        assert!(ok, "{why}: {self:?}");
+    }
+
     /// The one injector poll that reads this spec.
     fn poll(&self) -> Poll {
         match *self {
@@ -242,8 +276,10 @@ impl FaultPlan {
     }
 
     /// Add an arbitrary spec (the builder methods below cover the common
-    /// shapes).
+    /// shapes, and all go through here). Panics on a probability outside
+    /// `[0, 1]` or a slowdown factor of 0.
     pub fn with(mut self, spec: FaultSpec) -> Self {
+        spec.validate();
         self.specs.push(spec);
         self
     }
@@ -261,12 +297,10 @@ impl FaultPlan {
     }
 
     pub fn ssd_transient_errors(self, from: SimTime, until: SimTime, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability out of range");
         self.with(FaultSpec::SsdTransientError { from, until, p })
     }
 
     pub fn ssd_latency_storm(self, from: SimTime, until: SimTime, factor: u32) -> Self {
-        assert!(factor >= 1, "a storm slows the device down");
         self.with(FaultSpec::SsdLatencyStorm {
             from,
             until,
@@ -304,7 +338,6 @@ impl FaultPlan {
     }
 
     pub fn pushdown_exceptions_prob(self, from: SimTime, until: SimTime, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability out of range");
         self.with(FaultSpec::PushdownExceptionProb { from, until, p })
     }
 
@@ -313,24 +346,20 @@ impl FaultPlan {
     }
 
     pub fn fabric_bit_flips(self, from: SimTime, until: SimTime, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability out of range");
         self.with(FaultSpec::FabricBitFlip { from, until, p })
     }
 
     pub fn ssd_latent_sectors(self, from: SimTime, until: SimTime, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability out of range");
         self.with(FaultSpec::SsdLatentSector { from, until, p })
     }
 
     pub fn pool_scribbles(self, from: SimTime, until: SimTime, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability out of range");
         self.with(FaultSpec::PoolScribble { from, until, p })
     }
 
     /// Fail-slow pool `pool`: memory-side service there takes `factor`×
     /// its normal time over `[from, until)` while heartbeats stay healthy.
     pub fn degraded_pool(self, pool: usize, from: SimTime, until: SimTime, factor: u32) -> Self {
-        assert!(factor >= 1, "a degraded pool slows down");
         self.with(FaultSpec::DegradedPool {
             pool,
             from,
@@ -342,7 +371,6 @@ impl FaultPlan {
     /// Fail-slow fabric: every send over `[from, until)` takes `factor`×
     /// its normal wire time (multiplicative, unlike the additive spike).
     pub fn lame_fabric_link(self, from: SimTime, until: SimTime, factor: u32) -> Self {
-        assert!(factor >= 1, "a lame link slows down");
         self.with(FaultSpec::LameFabricLink {
             from,
             until,
@@ -353,7 +381,6 @@ impl FaultPlan {
     /// Fail-slow SSD: every device operation over `[from, until)` takes
     /// `factor`× its normal time, with a single traced onset.
     pub fn grinding_ssd(self, from: SimTime, until: SimTime, factor: u32) -> Self {
-        assert!(factor >= 1, "a grinding device slows down");
         self.with(FaultSpec::GrindingSsd {
             from,
             until,
@@ -524,8 +551,9 @@ impl FaultInjector {
     }
 
     /// Append a spec to the running plan (used by the runtime's legacy
-    /// one-shot `inject_*` helpers).
+    /// one-shot `inject_*` helpers), checked as [`FaultPlan::with`] checks.
     pub fn add_spec(&self, spec: FaultSpec) {
+        spec.validate();
         self.inner.borrow_mut().push_spec(spec);
     }
 
@@ -685,19 +713,12 @@ impl FaultInjector {
         slow
     }
 
-    /// Whether the memory pool fails to answer a heartbeat issued now:
-    /// either a `HeartbeatFlap` window is active, or an open-ended
-    /// `FabricPartition` has cut the pool off for good. Emits one fault
-    /// event (of the matching kind) per missed beat. Specs retired by
-    /// [`FaultInjector::retire_pool_faults`] no longer count. Equivalent to
-    /// `pool_down_now_for(0)` — legacy single-pool specs target pool 0.
-    pub fn pool_down_now(&self) -> bool {
-        self.pool_down_now_for(0)
-    }
-
     /// Whether pool `pool` of the rack fails to answer a heartbeat issued
-    /// now. Legacy `HeartbeatFlap` and open-ended `FabricPartition` specs
-    /// address pool 0; `PoolDeath` specs address their own shard.
+    /// now: a `HeartbeatFlap` window is active or an open-ended
+    /// `FabricPartition` has cut the pool off for good (legacy single-pool
+    /// specs, addressing pool 0), or a `PoolDeath` spec targets the shard.
+    /// Emits one fault event (of the matching kind) per missed beat. Specs
+    /// retired by [`FaultInjector::retire_pool_faults_for`] no longer count.
     pub fn pool_down_now_for(&self, pool: usize) -> bool {
         let now = self.clock.now();
         let mut hit: Option<(InjectedFault, u64)> = None;
@@ -744,18 +765,11 @@ impl FaultInjector {
         }
     }
 
-    /// Retire every pool-death spec (heartbeat flaps and open-ended fabric
-    /// partitions): they killed the *old* primary, and must not instantly
-    /// re-kill the pool a failover just promoted. Called by the runtime
-    /// when it promotes the replica. Equivalent to
-    /// `retire_pool_faults_for(0)`.
-    pub fn retire_pool_faults(&self) {
-        self.retire_pool_faults_for(0);
-    }
-
-    /// Retire the death specs addressing pool `pool` after its failover
-    /// promoted the shard's backup. Legacy single-pool specs count as
-    /// pool 0; other shards' `PoolDeath` specs stay armed.
+    /// Retire the death specs addressing pool `pool` (heartbeat flaps and
+    /// open-ended fabric partitions count as pool 0): they killed the *old*
+    /// primary, and must not instantly re-kill the backup a failover just
+    /// promoted. Called by the runtime when it promotes the shard's replica;
+    /// other shards' `PoolDeath` specs stay armed.
     pub fn retire_pool_faults_for(&self, pool: usize) {
         let st = &mut *self.inner.borrow_mut();
         for &i in &st.by_poll[Poll::PoolDown as usize] {
@@ -1098,12 +1112,12 @@ mod tests {
     fn heartbeat_flap_tracks_the_window() {
         let plan = FaultPlan::new(1).heartbeat_flap(SimTime(0), SimTime(1_000));
         let (clock, _, inj) = injector(plan);
-        assert!(inj.pool_down_now());
+        assert!(inj.pool_down_now_for(0));
         clock.advance(SimDuration::from_micros(2));
-        assert!(!inj.pool_down_now(), "the flap healed");
+        assert!(!inj.pool_down_now_for(0), "the flap healed");
         let dead = FaultPlan::new(1).memory_pool_death(SimTime(0));
         let (_, _, inj) = injector(dead);
-        assert!(inj.pool_down_now(), "permanent death never heals");
+        assert!(inj.pool_down_now_for(0), "permanent death never heals");
     }
 
     #[test]
@@ -1115,7 +1129,7 @@ mod tests {
             SimDuration::ZERO,
             "sends never stall forever"
         );
-        assert!(inj.pool_down_now(), "the pool is unreachable for good");
+        assert!(inj.pool_down_now_for(0), "the pool is unreachable for good");
     }
 
     #[test]
@@ -1124,9 +1138,9 @@ mod tests {
             .memory_pool_death(SimTime(0))
             .fabric_partition(SimTime(0), FOREVER);
         let (_, _, inj) = injector(plan);
-        assert!(inj.pool_down_now());
-        inj.retire_pool_faults();
-        assert!(!inj.pool_down_now(), "retired specs no longer fire");
+        assert!(inj.pool_down_now_for(0));
+        inj.retire_pool_faults_for(0);
+        assert!(!inj.pool_down_now_for(0), "retired specs no longer fire");
     }
 
     #[test]
@@ -1248,6 +1262,53 @@ mod tests {
         assert_eq!(inj.pool_crash_now_for(0), Some(SimDuration::from_micros(1)));
         assert_eq!(inj.pool_crash_now_for(0), Some(SimDuration::from_micros(2)));
         assert_eq!(inj.pool_crash_now_for(0), None, "both crashes spent");
+    }
+
+    /// The message `enter` panics with.
+    fn refusal(enter: impl FnOnce()) -> String {
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(enter))
+            .expect_err("the spec must be refused");
+        let msg = panic.downcast_ref::<String>().expect("a formatted message");
+        msg.clone()
+    }
+
+    #[test]
+    fn both_doors_into_a_plan_refuse_a_free_slowdown_and_an_impossible_probability() {
+        // A "degraded" pool at factor 0 would make its DRAM free; p = 1.5
+        // would panic inside the PRNG at the first SSD read of the window.
+        let free = FaultSpec::DegradedPool {
+            pool: 0,
+            from: SimTime(0),
+            until: FOREVER,
+            factor: 0,
+        };
+        let impossible = FaultSpec::SsdTransientError {
+            from: SimTime(0),
+            until: FOREVER,
+            p: 1.5,
+        };
+        for (spec, why) in [
+            (free, "a degraded pool slows down"),
+            (impossible, "probability out of range"),
+        ] {
+            let via_with = refusal(|| drop(FaultPlan::new(1).with(spec)));
+            assert!(via_with.starts_with(why), "with: {via_with}");
+            let (_, _, inj) = injector(FaultPlan::new(1));
+            let via_add = refusal(|| inj.add_spec(spec));
+            assert!(via_add.starts_with(why), "add_spec: {via_add}");
+            assert!(inj.plan().is_empty(), "a refused spec is not in the plan");
+        }
+        // The bounds themselves are legal, through either door.
+        let plan = FaultPlan::new(1)
+            .degraded_pool(0, SimTime(0), FOREVER, 1)
+            .ssd_transient_errors(SimTime(0), FOREVER, 1.0);
+        let (_, _, inj) = injector(plan);
+        inj.add_spec(FaultSpec::PoolScribble {
+            from: SimTime(0),
+            until: FOREVER,
+            p: 0.0,
+        });
+        assert_eq!(inj.plan().specs().len(), 3);
     }
 
     #[test]

@@ -31,7 +31,6 @@ pub mod config;
 pub mod event;
 pub mod faults;
 pub mod load;
-pub mod metric_names;
 pub mod net;
 pub mod ssd;
 pub mod stats;
@@ -49,7 +48,6 @@ pub use faults::{
     PushdownDisruption, SsdDisruption, FOREVER,
 };
 pub use load::{ArrivalProcess, LatencyRecorder, QosClass, QOS_CLASSES};
-pub use metric_names::METRIC_NAMES;
 pub use net::{Fabric, MsgClass, NetLedger};
 pub use ssd::Ssd;
 pub use stats::{geometric_mean, DurationStats};

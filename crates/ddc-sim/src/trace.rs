@@ -32,9 +32,10 @@
 //!   [`EVENT_KINDS`], [`EventKind::ALL`], [`EventKind::metric_name`],
 //!   [`TraceEvent::kind`] and the digest-word codec, so those cannot
 //!   disagree; a repeated tag or a gap does not compile. Adding an event
-//!   is one row, its `Display` arm and its emit site (plus its
-//!   `metric_names` / DESIGN.md §6 rows and a test that asserts it). Rows
-//!   are append-only: tags are folded into every recorded digest.
+//!   is one row, its `Display` arm and its emit site (plus its DESIGN.md
+//!   §6 row, which `tests/digest_pins.rs` holds equal to what the pinned
+//!   scenarios emit, and a test that asserts it). Rows are append-only:
+//!   tags are folded into every recorded digest.
 //!
 //! [`MetricsRegistry`] is the aggregate companion: a deterministic
 //! name → monotonic-counter map that the OS and runtime layers fill from
@@ -1052,11 +1053,6 @@ impl MetricsRegistry {
         self.counters.insert(name.into(), value);
     }
 
-    /// Add `delta` to `name` (registering it at zero if new).
-    pub fn add(&mut self, name: impl Into<std::borrow::Cow<'static, str>>, delta: u64) {
-        *self.counters.entry(name.into()).or_insert(0) += delta;
-    }
-
     pub fn get(&self, name: &str) -> Option<u64> {
         self.counters.get(name).copied()
     }
@@ -1583,11 +1579,11 @@ mod tests {
     }
 
     #[test]
-    fn metrics_registry_is_sorted_and_monotonic() {
+    fn metrics_registry_is_sorted_and_last_set_wins() {
         let mut m = MetricsRegistry::new();
         m.set("paging.cache_hits", 10);
-        m.add("net.page_in.messages", 2);
-        m.add("net.page_in.messages", 3);
+        m.set("net.page_in.messages", 2);
+        m.set("net.page_in.messages", 5);
         assert_eq!(m.get("net.page_in.messages"), Some(5));
         assert_eq!(m.get("missing"), None);
         let names: Vec<_> = m.iter().map(|(n, _)| n).collect();

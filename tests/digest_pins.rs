@@ -15,15 +15,23 @@
 //! recursion, prefetch, every coherence hook, fan-out settlement, both
 //! failover flavours, both restart lives, repair from SSD and replica, the
 //! health tick, and the serve plane's credit accounting.
+//!
+//! Because the scenarios between them arm every plane, they are also what
+//! the DESIGN.md §6 metric table is held against: each scenario is a
+//! function that hands every pinned point to a `check` callback, and
+//! `metric_table_matches_what_the_scenarios_emit` runs all nine with a
+//! callback that collects metric names instead of comparing pins.
+
+use std::collections::BTreeSet;
 
 use ddc_os::Pattern;
 use ddc_sim::{
-    ArrivalProcess, DdcConfig, FaultPlan, MonolithicConfig, PlacementPolicy, ReplicationMode,
-    SimDuration, SimTime, FOREVER, PAGE_SIZE, QOS_CLASSES,
+    ArrivalProcess, DdcConfig, FaultPlan, MetricsRegistry, MonolithicConfig, PlacementPolicy,
+    ReplicationMode, SimDuration, SimTime, FOREVER, PAGE_SIZE, QOS_CLASSES,
 };
 use teleport::{
     AdmissionPolicy, CoherenceMode, HedgePolicy, Mem, PlatformKind, PushdownOpts, Region,
-    ResiliencePolicy, Runtime, ServeConfig, ServePlane, SyncStrategy,
+    ResiliencePolicy, Runtime, ServeConfig, ServePlane, ServeReport, SyncStrategy,
 };
 
 /// `(elapsed_ns, trace digest, trace len)`.
@@ -37,7 +45,11 @@ fn pin_of(rt: &Runtime) -> Pin {
     )
 }
 
-fn check(name: &str, rt: &Runtime, want: Pin) {
+/// What a scenario calls at each pinned point: the row's name, the runtime
+/// as it stands there, and the row's pin.
+type Check<'a> = &'a mut dyn FnMut(&str, &Runtime, Pin);
+
+fn assert_pin(name: &str, rt: &Runtime, want: Pin) {
     let got = pin_of(rt);
     assert_eq!(
         got, want,
@@ -86,8 +98,7 @@ fn cold_start(rt: &mut Runtime) {
     rt.begin_timing();
 }
 
-#[test]
-fn q6_scan_on_every_platform() {
+fn q6_scan(check: Check) {
     use memdb::queries::ops;
     use memdb::{oracle, q6, Database, PushdownPlan, QueryParams, TpchData};
 
@@ -115,8 +126,7 @@ fn q6_scan_on_every_platform() {
     }
 }
 
-#[test]
-fn sssp_on_a_spilling_pool() {
+fn sssp_spill(check: Check) {
     use graphproc::algos::sssp;
     use graphproc::{social_graph, GasEngine, GasPlan, Sssp};
 
@@ -158,8 +168,7 @@ fn sssp_on_a_spilling_pool() {
 /// coherence mode, with a hinted pre-sync, an eager-sync call, explicit
 /// `syncmem`s and sequential prefetch on — every coherence hook and the
 /// stale-view byte paths in one script.
-#[test]
-fn coherence_hooks_syncmem_and_prefetch() {
+fn coherence_hooks(check: Check) {
     const PIN: Pin = (0x6cc1a, 0xfda0740a5adaff8d, 243);
     const PAGES: usize = 24;
     let elems = PAGES * PAGE_SIZE / 8;
@@ -243,8 +252,7 @@ fn coherence_hooks_syncmem_and_prefetch() {
     check("coherence-hooks", &rt, PIN);
 }
 
-#[test]
-fn two_pool_loadbalance_fanout() {
+fn fanout(check: Check) {
     const PIN: Pin = (0x1e716, 0xa1f6c176c868883a, 51);
     const PAGES: usize = 8;
     let cfg = DdcConfig {
@@ -266,8 +274,7 @@ fn two_pool_loadbalance_fanout() {
     check("fanout", &rt, PIN);
 }
 
-#[test]
-fn replicated_pool_death_fails_over() {
+fn failover(check: Check) {
     const PINS: [(ReplicationMode, Pin); 2] = [
         (
             ReplicationMode::Synchronous,
@@ -314,8 +321,7 @@ fn replicated_pool_death_fails_over() {
     }
 }
 
-#[test]
-fn crash_restart_both_lives() {
+fn crash_restart(check: Check) {
     // (replicated, torn): the unreplicated torn row replays a journal with
     // a discarded tail as primary; the replicated row fails over and the
     // zombie rejoins as a re-silvered standby.
@@ -364,8 +370,7 @@ fn crash_restart_both_lives() {
     }
 }
 
-#[test]
-fn corruption_repair_and_scrub() {
+fn corruption(check: Check) {
     const PIN_REPLICA: Pin = (0x1524f, 0x6af557576c0bada9, 83);
     const PIN_SCRUB: Pin = (0x1b840a, 0xd33ef6a0a773de29, 80);
     const ELEMS: usize = 4096;
@@ -419,8 +424,7 @@ fn corruption_repair_and_scrub() {
 /// Baseline → brownout (hedged calls walk shard 0 to quarantine) → recovery
 /// (traffic on the healthy shard drives the probe streak that reintegrates
 /// it): the whole health tick, probe credit included.
-#[test]
-fn degraded_pool_with_hedged_calls() {
+fn grayfail_hedged(check: Check) {
     use ddc_sim::PoolHealthState;
 
     const PIN: Pin = (0xc1064e, 0x4a39d23ccafeeea5, 666);
@@ -473,8 +477,7 @@ fn degraded_pool_with_hedged_calls() {
     check("grayfail-hedged", &rt, PIN);
 }
 
-#[test]
-fn two_tenant_serve_run() {
+fn two_tenant_serve(check: Check) -> ServeReport {
     const PIN: Pin = (0x77fbc8, 0xb0ef0d84e3d3ee94, 2822);
     const KEYS: usize = 256;
     const SESSIONS: usize = 128;
@@ -508,4 +511,126 @@ fn two_tenant_serve_run() {
     assert_eq!(rep.arrived(), 2 * SESSIONS as u64);
     assert!(rep.ledger_balances());
     check("serve-256", &rt, PIN);
+    rep
+}
+
+#[test]
+fn q6_scan_on_every_platform() {
+    q6_scan(&mut assert_pin);
+}
+
+#[test]
+fn sssp_on_a_spilling_pool() {
+    sssp_spill(&mut assert_pin);
+}
+
+#[test]
+fn coherence_hooks_syncmem_and_prefetch() {
+    coherence_hooks(&mut assert_pin);
+}
+
+#[test]
+fn two_pool_loadbalance_fanout() {
+    fanout(&mut assert_pin);
+}
+
+#[test]
+fn replicated_pool_death_fails_over() {
+    failover(&mut assert_pin);
+}
+
+#[test]
+fn crash_restart_both_lives() {
+    crash_restart(&mut assert_pin);
+}
+
+#[test]
+fn corruption_repair_and_scrub() {
+    corruption(&mut assert_pin);
+}
+
+#[test]
+fn degraded_pool_with_hedged_calls() {
+    grayfail_hedged(&mut assert_pin);
+}
+
+#[test]
+fn two_tenant_serve_run() {
+    two_tenant_serve(&mut assert_pin);
+}
+
+/// `integrity.pool1.detected`, `serve.tenant0.p99_ns`: one row per pool or
+/// tenant of the run. Instance families are described in DESIGN.md §10 /
+/// §11, not tabled in §6.
+fn is_instance(name: &str) -> bool {
+    name.split('.').any(|seg| {
+        ["pool", "tenant"].iter().any(|family| {
+            seg.strip_prefix(family)
+                .is_some_and(|n| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()))
+        })
+    })
+}
+
+/// The names in the first column of DESIGN.md's §6 metric table.
+fn documented_metrics() -> BTreeSet<String> {
+    let doc = include_str!("../DESIGN.md");
+    let begin = "<!-- ddc-analyze:metric-table:begin -->";
+    let end = "<!-- ddc-analyze:metric-table:end -->";
+    let table = doc
+        .split_once(begin)
+        .and_then(|(_, rest)| rest.split_once(end))
+        .expect("DESIGN.md keeps its metric-table markers")
+        .0;
+    table
+        .lines()
+        .filter_map(|row| row.strip_prefix("| `")?.split_once('`'))
+        .map(|(name, _)| name.to_string())
+        .collect()
+}
+
+/// The §6 table is exactly what the program emits: every name any pinned
+/// scenario reports (through `Runtime::metrics()` or the serve report) is a
+/// row, and every row is reported by some scenario. A typo in a
+/// `m.set("…")` literal, an undocumented counter, and a row for a counter
+/// that no longer exists each fail here, with the name.
+#[test]
+fn metric_table_matches_what_the_scenarios_emit() {
+    let mut emitted = BTreeSet::new();
+    let mut note = |m: MetricsRegistry| {
+        emitted.extend(m.iter().map(|(name, _)| name.to_string()));
+    };
+    let mut collect = |_: &str, rt: &Runtime, _: Pin| note(rt.metrics());
+    for scenario in [
+        q6_scan,
+        sssp_spill,
+        coherence_hooks,
+        fanout,
+        failover,
+        crash_restart,
+        corruption,
+        grayfail_hedged,
+    ] {
+        scenario(&mut collect);
+    }
+    let report = two_tenant_serve(&mut collect);
+    note(report.metrics());
+
+    let with_instances = emitted.len();
+    emitted.retain(|name| !is_instance(name));
+    let documented = documented_metrics();
+    let counts = format!(
+        "§6 documents {} names; the nine scenarios emit {} (+{} per-instance)",
+        documented.len(),
+        emitted.len(),
+        with_instances - emitted.len()
+    );
+    println!("{counts}");
+    let undocumented: Vec<_> = emitted.difference(&documented).collect();
+    let unemitted: Vec<_> = documented.difference(&emitted).collect();
+    assert!(
+        undocumented.is_empty() && unemitted.is_empty(),
+        "{counts}\n\
+         emitted, not in §6: {undocumented:?}\n\
+         in §6, not emitted: {unemitted:?}"
+    );
 }
