@@ -8,13 +8,25 @@ use std::hint::black_box;
 
 use ddc_os::{Dos, PageChecksum, Pattern};
 use ddc_sim::{DdcConfig, PAGE_SIZE};
+use teleport::{Mem, Region, Runtime};
 
 fn warm_dos(cache_pages: usize, data_pages: usize) -> (Dos, ddc_os::VAddr) {
+    warm_dos_among(cache_pages, data_pages, 1)
+}
+
+/// [`warm_dos`] with its data in the last of `segments` live allocations
+/// (the others one page each, never touched): a database has a segment per
+/// column and per intermediate, and the address-space lookup runs on every
+/// access, so a one-segment space cannot show what it costs.
+fn warm_dos_among(cache_pages: usize, data_pages: usize, segments: usize) -> (Dos, ddc_os::VAddr) {
     let mut dos = Dos::new_disaggregated(DdcConfig {
         compute_cache_bytes: cache_pages * PAGE_SIZE,
-        memory_pool_bytes: data_pages * PAGE_SIZE * 2 + (16 << 20),
+        memory_pool_bytes: (data_pages + segments) * PAGE_SIZE * 2 + (16 << 20),
         ..Default::default()
     });
+    for _ in 1..segments {
+        dos.alloc(PAGE_SIZE);
+    }
     let a = dos.alloc(data_pages * PAGE_SIZE);
     for p in 0..data_pages {
         dos.write_bytes(
@@ -30,10 +42,82 @@ fn warm_dos(cache_pages: usize, data_pages: usize) -> (Dos, ddc_os::VAddr) {
 fn bench_cache_hit(c: &mut Criterion) {
     let mut g = c.benchmark_group("paging/hit");
     g.throughput(Throughput::Elements(1));
-    g.bench_function("read_u64_hot_page", |b| {
-        let (mut dos, a) = warm_dos(64, 16); // everything fits
-        let _ = dos.read_u64(a, Pattern::Rand);
-        b.iter(|| black_box(dos.read_u64(black_box(a), Pattern::Rand)));
+    for (name, segments) in [
+        ("read_u64_hot_page", 1),
+        ("read_u64_hot_page_64seg", 64),
+        ("read_u64_hot_page_256seg", 256),
+    ] {
+        g.bench_function(name, |b| {
+            let (mut dos, a) = warm_dos_among(64, 16, segments); // everything fits
+            let _ = dos.read_u64(a, Pattern::Rand);
+            b.iter(|| black_box(dos.read_u64(black_box(a), Pattern::Rand)));
+        });
+    }
+    g.finish();
+}
+
+/// A runtime with `columns` warm `i64` regions of `rows` elements each, all
+/// of them resident in the compute cache.
+fn warm_columns(columns: usize, rows: usize) -> (Runtime, Vec<Region<i64>>) {
+    let bytes = columns * (rows * 8).next_multiple_of(PAGE_SIZE);
+    let mut rt = Runtime::teleport(DdcConfig {
+        compute_cache_bytes: bytes + (1 << 20),
+        memory_pool_bytes: 2 * bytes + (16 << 20),
+        ..Default::default()
+    });
+    let regions: Vec<Region<i64>> = (0..columns).map(|_| rt.alloc_region(rows)).collect();
+    let vals: Vec<i64> = (0..rows as i64).collect();
+    for r in &regions {
+        rt.write_range(r, 0, &vals);
+    }
+    rt.begin_timing();
+    (rt, regions)
+}
+
+/// The typed accessors as an application calls them: through
+/// `teleport::Mem`, from another crate (this one), so the app → `Mem` →
+/// `Dos` → `AddressSpace` call chain is what is timed — `paging/hit` above
+/// starts at `Dos`, inside `ddc-os`.
+fn bench_typed_access(c: &mut Criterion) {
+    let mut g = c.benchmark_group("access");
+    g.throughput(Throughput::Elements(1));
+    // 64 columns of 16 pages; the walk lands on a different column each
+    // step and every page is a cache hit.
+    const ROWS: usize = 16 * PAGE_SIZE / 8;
+    let mut step = 0usize;
+    let mut next = move || {
+        step = step
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((step >> 33) % 64, (step >> 40) % ROWS)
+    };
+    g.bench_function("get_i64_rand_64seg", |b| {
+        let (mut rt, cols) = warm_columns(64, ROWS);
+        b.iter(|| {
+            let (c, i) = next();
+            black_box(rt.get(&cols[c], i, Pattern::Rand))
+        });
+    });
+    g.bench_function("set_i64_rand_64seg", |b| {
+        let (mut rt, cols) = warm_columns(64, ROWS);
+        b.iter(|| {
+            let (c, i) = next();
+            rt.set(&cols[c], i, black_box(i as i64), Pattern::Rand)
+        });
+    });
+    // One column streamed out and into another, 8 MB each way: what a
+    // materialising operator does.
+    let rows = 1usize << 20;
+    g.throughput(Throughput::Bytes(2 * 8 * rows as u64));
+    g.bench_function("copy_column_1M", |b| {
+        let (mut rt, cols) = warm_columns(2, rows);
+        let mut buf: Vec<i64> = Vec::with_capacity(rows);
+        b.iter(|| {
+            buf.clear();
+            rt.read_range(&cols[0], 0, rows, &mut buf);
+            rt.write_range(&cols[1], 0, &buf);
+            black_box(buf.len())
+        });
     });
     g.finish();
 }
@@ -188,6 +272,7 @@ fn bench_seal_page(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_cache_hit,
+    bench_typed_access,
     bench_fault_path,
     bench_memside,
     bench_sequential_scan,

@@ -31,7 +31,7 @@
 //! digest of a race-free run: races are reported as
 //! [`TraceEvent::RaceDetected`] (digest tag 21) only when one exists.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use ddc_sim::{Lane, TraceEvent, Tracer};
@@ -98,17 +98,20 @@ pub struct Race {
     pub second: Actor,
 }
 
+/// The enabled flag sits beside the log, not inside its `RefCell`: every
+/// access on either side asks it, and while detection is off that must be
+/// one load, not a borrow-flag round trip.
 #[derive(Debug, Default)]
 struct SyncLogInner {
-    enabled: bool,
-    ops: Vec<SyncOp>,
+    enabled: Cell<bool>,
+    ops: RefCell<Vec<SyncOp>>,
 }
 
 /// Shared, cloneable handle to the synchronization log. Disabled by
 /// default; [`SyncLog::record`] is a no-op until [`SyncLog::enable`].
 #[derive(Debug, Clone, Default)]
 pub struct SyncLog {
-    inner: Rc<RefCell<SyncLogInner>>,
+    inner: Rc<SyncLogInner>,
 }
 
 impl SyncLog {
@@ -118,24 +121,25 @@ impl SyncLog {
 
     /// Start recording synchronization operations.
     pub fn enable(&self) {
-        self.inner.borrow_mut().enabled = true;
+        self.inner.enabled.set(true);
     }
 
+    #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.inner.borrow().enabled
+        self.inner.enabled.get()
     }
 
     /// Append one operation (no-op while disabled).
+    #[inline]
     pub fn record(&self, op: SyncOp) {
-        let mut inner = self.inner.borrow_mut();
-        if inner.enabled {
-            inner.ops.push(op);
+        if self.is_enabled() {
+            self.inner.ops.borrow_mut().push(op);
         }
     }
 
     /// Number of recorded operations.
     pub fn len(&self) -> usize {
-        self.inner.borrow().ops.len()
+        self.inner.ops.borrow().len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -144,12 +148,12 @@ impl SyncLog {
 
     /// Discard the recorded log (detection stays enabled/disabled as-is).
     pub fn clear(&self) {
-        self.inner.borrow_mut().ops.clear();
+        self.inner.ops.borrow_mut().clear();
     }
 
     /// Replay the log and return all races, without emitting trace events.
     pub fn check(&self) -> Vec<Race> {
-        detect_races(&self.inner.borrow().ops)
+        detect_races(&self.inner.ops.borrow())
     }
 
     /// Replay the log, emit one [`TraceEvent::RaceDetected`] per race on

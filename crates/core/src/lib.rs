@@ -74,6 +74,10 @@ pub mod rpc;
 pub mod runtime;
 pub mod serve;
 
+/// The access-pattern argument of every [`Mem`] accessor, re-exported so an
+/// application needs no `ddc-os` dependency of its own to call them.
+pub use ddc_os::Pattern;
+
 pub use breakdown::Breakdown;
 pub use coherence::race::{detect_races, Actor, Race, SyncLog, SyncOp};
 pub use coherence::{CoherenceStats, Perm, PushdownSession, TieBreak};

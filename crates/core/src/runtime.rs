@@ -240,8 +240,12 @@ pub trait Mem {
     fn alloc(&mut self, bytes: usize) -> VAddr;
     /// Read raw bytes with the side's cost model.
     fn read_raw(&mut self, addr: VAddr, len: usize, pat: Pattern) -> &[u8];
-    /// Write raw bytes with the side's cost model.
-    fn write_raw(&mut self, addr: VAddr, data: &[u8], pat: Pattern);
+    /// Write `len` bytes at `addr` with the side's cost model: the access
+    /// is charged first, then `fill` writes straight into the backing bytes
+    /// (it must set all of them — they hold the old contents until it does).
+    fn write_with(&mut self, addr: VAddr, len: usize, pat: Pattern, fill: impl FnOnce(&mut [u8]))
+    where
+        Self: Sized;
     /// Charge CPU cycles at the side's clock rate.
     fn charge_cycles(&mut self, cycles: u64);
     /// Current virtual time.
@@ -274,14 +278,20 @@ pub trait Mem {
         T::decode(self.read_raw(r.at(i), T::BYTES, pat))
     }
 
+    /// Write raw bytes with the side's cost model.
+    fn write_raw(&mut self, addr: VAddr, data: &[u8], pat: Pattern)
+    where
+        Self: Sized,
+    {
+        self.write_with(addr, data.len(), pat, |dst| dst.copy_from_slice(data));
+    }
+
     /// Write element `i` of `r`.
     fn set<T: Scalar>(&mut self, r: &Region<T>, i: usize, v: T, pat: Pattern)
     where
         Self: Sized,
     {
-        let mut buf = [0u8; 16];
-        v.encode(&mut buf[..T::BYTES]);
-        self.write_raw(r.at(i), &buf[..T::BYTES], pat);
+        self.write_with(r.at(i), T::BYTES, pat, |dst| v.encode(dst));
     }
 
     /// Append `count` elements starting at index `start` to `out`,
@@ -292,15 +302,14 @@ pub trait Mem {
     {
         assert!(start + count <= r.len(), "read_range out of bounds");
         out.reserve(count);
-        let mut i = start;
+        let per_page = (PAGE_SIZE / T::BYTES).max(1);
         let end = start + count;
-        while i < end {
-            let n = ((PAGE_SIZE / T::BYTES).max(1)).min(end - i);
+        for i in (start..end).step_by(per_page) {
+            let n = per_page.min(end - i);
             let bytes = self.read_raw(r.at(i), n * T::BYTES, Pattern::Seq);
-            for c in bytes.chunks_exact(T::BYTES) {
-                out.push(T::decode(c));
-            }
-            i += n;
+            // An exact-size iterator: one capacity check a page, not one an
+            // element.
+            out.extend(bytes.chunks_exact(T::BYTES).map(T::decode));
         }
     }
 
@@ -311,26 +320,16 @@ pub trait Mem {
         Self: Sized,
     {
         assert!(start + vals.len() <= r.len(), "write_range out of bounds");
-        let chunk_elems = (PAGE_SIZE / T::BYTES).max(1);
-        let mut buf = vec![0u8; chunk_elems * T::BYTES];
-        for (ci, chunk) in vals.chunks(chunk_elems).enumerate() {
-            for (j, v) in chunk.iter().enumerate() {
-                v.encode(&mut buf[j * T::BYTES..(j + 1) * T::BYTES]);
-            }
-            self.write_raw(
-                r.at(start + ci * chunk_elems),
-                &buf[..chunk.len() * T::BYTES],
-                Pattern::Seq,
-            );
+        let per_page = (PAGE_SIZE / T::BYTES).max(1);
+        for (ci, chunk) in vals.chunks(per_page).enumerate() {
+            let at = r.at(start + ci * per_page);
+            self.write_with(at, chunk.len() * T::BYTES, Pattern::Seq, |dst| {
+                for (d, v) in dst.chunks_exact_mut(T::BYTES).zip(chunk) {
+                    v.encode(d);
+                }
+            });
         }
     }
-}
-
-/// Where an [`Arm`] executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Side {
-    Compute,
-    MemoryPool,
 }
 
 /// The access handle passed to a pushdown function. On the Teleport
@@ -339,8 +338,9 @@ enum Side {
 /// a plain compute-side handle.
 pub struct Arm<'a> {
     dos: &'a mut Dos,
+    /// The coherence session of the pushdown this arm runs inside, on the
+    /// memory side; `None` is a compute-side arm.
     session: Option<&'a mut PushdownSession>,
-    side: Side,
     cpu: CpuConfig,
     /// Shared happens-before log; records compute-side accesses when race
     /// detection is enabled (memory-side accesses are recorded by the
@@ -350,6 +350,7 @@ pub struct Arm<'a> {
 
 /// Log a compute-side access to every page of `[addr, addr+len)` for the
 /// race checker (free while detection is off).
+#[inline]
 fn record_host_access(log: &SyncLog, addr: VAddr, len: usize, write: bool) {
     if log.is_enabled() {
         for pid in pages_spanned(addr, len) {
@@ -366,19 +367,14 @@ impl Arm<'_> {
     /// Charge one access with this side's cost model (memory-side accesses
     /// also drive the coherence protocol and log themselves for the race
     /// checker).
+    #[inline]
     fn touch(&mut self, addr: VAddr, len: usize, write: bool, pat: Pattern) {
-        match self.side {
-            Side::Compute => {
+        match &mut self.session {
+            None => {
                 record_host_access(&self.race_log, addr, len, write);
                 self.dos.touch_range(addr, len, write, pat);
             }
-            Side::MemoryPool => {
-                let s = self
-                    .session
-                    .as_mut()
-                    .expect("memory-side arm has a session");
-                s.mem_access(self.dos, addr, len, write, pat);
-            }
+            Some(s) => s.mem_access(self.dos, addr, len, write, pat),
         }
     }
 }
@@ -388,16 +384,18 @@ impl Mem for Arm<'_> {
         self.dos.alloc(bytes)
     }
 
+    #[inline]
     fn read_raw(&mut self, addr: VAddr, len: usize, pat: Pattern) -> &[u8] {
         self.touch(addr, len, false, pat);
         self.dos.space().bytes(addr, len)
     }
 
-    fn write_raw(&mut self, addr: VAddr, data: &[u8], pat: Pattern) {
-        self.touch(addr, data.len(), true, pat);
-        self.dos.space_mut().write(addr, data);
+    fn write_with(&mut self, addr: VAddr, len: usize, pat: Pattern, fill: impl FnOnce(&mut [u8])) {
+        self.touch(addr, len, true, pat);
+        fill(self.dos.space_mut().bytes_mut(addr, len));
     }
 
+    #[inline]
     fn charge_cycles(&mut self, cycles: u64) {
         self.dos.charge(self.cpu.cycles(cycles));
     }
@@ -408,12 +406,11 @@ impl Mem for Arm<'_> {
 
     fn read_file(&mut self, file: ddc_os::FileId, offset: usize, len: usize) -> &[u8] {
         self.dos
-            .file_read(file, offset, len, self.side == Side::MemoryPool)
+            .file_read(file, offset, len, self.session.is_some())
     }
 
     fn append_file(&mut self, file: ddc_os::FileId, data: &[u8]) {
-        self.dos
-            .file_append(file, data, self.side == Side::MemoryPool);
+        self.dos.file_append(file, data, self.session.is_some());
     }
 }
 
@@ -964,6 +961,33 @@ impl Runtime {
         flushed
     }
 
+    /// The compute view of `[addr, addr+len)` while disabled-coherence
+    /// pushdowns have left snapshots behind (`stale` is empty, and neither
+    /// this nor [`Self::mirror_into_stale`] reached, in every other mode).
+    fn read_past_stale(&mut self, addr: VAddr, len: usize) -> &[u8] {
+        if !pages_spanned(addr, len).any(|p| self.stale.contains_key(&p)) {
+            return self.dos.space().bytes(addr, len);
+        }
+        self.scratch.clear();
+        for (pid, off, n) in page_chunks(addr, len) {
+            let page = match self.stale.get(&pid) {
+                Some(snap) => snap,
+                None => self.dos.space().page_view(pid),
+            };
+            self.scratch.extend_from_slice(&page[off..off + n]);
+        }
+        &self.scratch
+    }
+
+    /// Keep the compute's own writes visible in its stale view.
+    fn mirror_into_stale(&mut self, addr: VAddr, len: usize) {
+        for (pid, off, n) in page_chunks(addr, len) {
+            if let Some(snap) = self.stale.get_mut(&pid) {
+                snap[off..off + n].copy_from_slice(&self.dos.space().page_view(pid)[off..off + n]);
+            }
+        }
+    }
+
     /// Turn on the dynamic happens-before race checker (§5 syncmem
     /// hygiene). Subsequent compute- and memory-side accesses, coherence
     /// round trips, `syncmem`s, and session boundaries are logged;
@@ -994,7 +1018,6 @@ impl Runtime {
         let mut arm = Arm {
             dos: &mut self.dos,
             session: None,
-            side: Side::Compute,
             cpu,
             race_log: self.race_log.clone(),
         };
@@ -1230,7 +1253,6 @@ impl Runtime {
                 let mut arm = Arm {
                     dos: &mut self.dos,
                     session: Some(&mut session),
-                    side: Side::MemoryPool,
                     cpu: mem_cpu,
                     race_log: self.race_log.clone(),
                 };
@@ -1665,41 +1687,26 @@ impl Mem for Runtime {
         self.dos.alloc(bytes)
     }
 
+    #[inline]
     fn read_raw(&mut self, addr: VAddr, len: usize, pat: Pattern) -> &[u8] {
         record_host_access(&self.race_log, addr, len, false);
         self.dos.touch_range(addr, len, false, pat);
-        // Serve stale snapshots where disabled-coherence pushdowns left the
-        // compute view behind.
-        if !self.stale.is_empty() && pages_spanned(addr, len).any(|p| self.stale.contains_key(&p)) {
-            self.scratch.clear();
-            for (pid, off, n) in page_chunks(addr, len) {
-                let src: &[u8] = match self.stale.get(&pid) {
-                    Some(snap) => &snap[off..off + n],
-                    None => self.dos.space().bytes(pid.base().offset(off as u64), n),
-                };
-                self.scratch.extend_from_slice(src);
-            }
-            return &self.scratch;
+        if !self.stale.is_empty() {
+            return self.read_past_stale(addr, len);
         }
         self.dos.space().bytes(addr, len)
     }
 
-    fn write_raw(&mut self, addr: VAddr, data: &[u8], pat: Pattern) {
-        record_host_access(&self.race_log, addr, data.len(), true);
-        self.dos.touch_range(addr, data.len(), true, pat);
-        self.dos.space_mut().write(addr, data);
-        // Keep the compute's own writes visible in its stale view.
+    fn write_with(&mut self, addr: VAddr, len: usize, pat: Pattern, fill: impl FnOnce(&mut [u8])) {
+        record_host_access(&self.race_log, addr, len, true);
+        self.dos.touch_range(addr, len, true, pat);
+        fill(self.dos.space_mut().bytes_mut(addr, len));
         if !self.stale.is_empty() {
-            let mut done = 0usize;
-            for (pid, off, n) in page_chunks(addr, data.len()) {
-                if let Some(snap) = self.stale.get_mut(&pid) {
-                    snap[off..off + n].copy_from_slice(&data[done..done + n]);
-                }
-                done += n;
-            }
+            self.mirror_into_stale(addr, len);
         }
     }
 
+    #[inline]
     fn charge_cycles(&mut self, cycles: u64) {
         self.dos.charge_compute_cycles(cycles);
     }

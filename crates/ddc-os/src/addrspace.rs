@@ -10,7 +10,7 @@
 
 use ddc_sim::PAGE_SIZE;
 
-use crate::page::{PageId, VAddr};
+use crate::page::{PageId, PageTable, VAddr};
 
 /// One contiguous allocation, page-aligned and padded to whole pages.
 #[derive(Debug)]
@@ -22,6 +22,7 @@ struct Segment {
 }
 
 impl Segment {
+    #[inline]
     fn contains(&self, addr: VAddr) -> bool {
         addr >= self.start && (addr.0 - self.start.0) < self.len as u64
     }
@@ -32,18 +33,45 @@ impl Segment {
 /// Allocations are page-aligned and separated by one unmapped guard page, so
 /// any out-of-bounds access panics instead of silently reading a neighboring
 /// allocation.
-#[derive(Debug, Default)]
+///
+/// **Lookup cost.** Every access resolves its address in O(1): one read of a
+/// page → segment table, then the segment's own bounds check — the same work
+/// whether one allocation is live or ten thousand (allocations are never
+/// freed, so a long run only ever gains segments). The table is the seventh
+/// structure on [`PageTable`]'s density invariant: 4 bytes a simulated page.
+///
+/// **Invariant the index relies on.** `alloc` is the only place a segment or
+/// a table entry is created, and it writes the new segment's index at exactly
+/// the pages the segment backs. So page 0, every guard page and every page
+/// past the last allocation read `NO_SEGMENT`, and an entry that names a
+/// segment names the one whose page range holds that page. The byte-level
+/// check (`Segment::contains`) still runs on every lookup: it is what
+/// refuses the tail of a short last page.
+#[derive(Debug)]
 pub struct AddressSpace {
     segments: Vec<Segment>,
+    /// The segment backing each page, as an index into `segments`.
+    index: PageTable<u32>,
     next_page: u64,
     /// Pages across all segments, kept as a running count.
     allocated_pages: usize,
+}
+
+/// What the index reads for a page no segment backs. Never a real index:
+/// `alloc` refuses to create segment number `u32::MAX`.
+const NO_SEGMENT: u32 = u32::MAX;
+
+impl Default for AddressSpace {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl AddressSpace {
     pub fn new() -> Self {
         AddressSpace {
             segments: Vec::new(),
+            index: PageTable::new(NO_SEGMENT),
             // Page 0 is never mapped: VAddr::NULL stays invalid.
             next_page: 1,
             allocated_pages: 0,
@@ -54,7 +82,16 @@ impl AddressSpace {
     pub fn alloc(&mut self, bytes: usize) -> VAddr {
         assert!(bytes > 0, "zero-sized allocation");
         let pages = bytes.div_ceil(PAGE_SIZE);
-        let start = PageId(self.next_page).base();
+        let first = PageId(self.next_page);
+        let start = first.base();
+        assert!(
+            self.segments.len() < NO_SEGMENT as usize,
+            "the segment index holds segment numbers below u32::MAX"
+        );
+        let idx = self.segments.len() as u32;
+        for p in 0..pages as u64 {
+            *self.index.entry(first.offset(p)) = idx;
+        }
         // +1 leaves an unmapped guard page after the allocation.
         self.next_page += pages as u64 + 1;
         self.allocated_pages += pages;
@@ -93,43 +130,47 @@ impl AddressSpace {
         (first..first + count).map(PageId)
     }
 
+    /// The segment holding `addr`, if any: one table read, then the
+    /// segment's own bounds check. [`NO_SEGMENT`] indexes past `segments`,
+    /// so a vacant page fails the same `get` a stale index would.
+    #[inline]
     fn find(&self, addr: VAddr) -> Option<usize> {
-        // Segments are created in address order, so binary search applies.
-        let idx = self
-            .segments
-            .partition_point(|s| s.start.0 <= addr.0)
-            .checked_sub(1)?;
-        self.segments[idx].contains(addr).then_some(idx)
+        let idx = self.index.get(addr.page()) as usize;
+        let seg = self.segments.get(idx)?;
+        seg.contains(addr).then_some(idx)
     }
 
+    /// Segment and offset of a `len`-byte access at `addr`. The two refusals
+    /// are out of line so that an inlined access carries two branches, not
+    /// two formatted panics.
+    #[inline]
     fn locate(&self, addr: VAddr, len: usize) -> (usize, usize) {
-        let idx = self
-            .find(addr)
-            .unwrap_or_else(|| panic!("unmapped access at {addr}"));
+        let Some(idx) = self.find(addr) else {
+            unmapped(addr)
+        };
         let seg = &self.segments[idx];
         let off = (addr.0 - seg.start.0) as usize;
-        assert!(
-            off + len <= seg.len,
-            "access of {len} bytes at {addr} overruns allocation (len {})",
-            seg.len
-        );
+        if off + len > seg.len {
+            overrun(addr, len, seg.len)
+        }
         (idx, off)
     }
 
     /// Copy `dst.len()` bytes starting at `addr` into `dst`.
+    #[inline]
     pub fn read(&self, addr: VAddr, dst: &mut [u8]) {
-        let (idx, off) = self.locate(addr, dst.len());
-        dst.copy_from_slice(&self.segments[idx].data[off..off + dst.len()]);
+        dst.copy_from_slice(self.bytes(addr, dst.len()));
     }
 
     /// Copy `src` into the allocation at `addr`.
+    #[inline]
     pub fn write(&mut self, addr: VAddr, src: &[u8]) {
-        let (idx, off) = self.locate(addr, src.len());
-        self.segments[idx].data[off..off + src.len()].copy_from_slice(src);
+        self.bytes_mut(addr, src.len()).copy_from_slice(src);
     }
 
     /// Borrow `len` bytes at `addr` without copying. The span must lie
     /// within a single allocation.
+    #[inline]
     pub fn bytes(&self, addr: VAddr, len: usize) -> &[u8] {
         let (idx, off) = self.locate(addr, len);
         &self.segments[idx].data[off..off + len]
@@ -174,6 +215,7 @@ impl AddressSpace {
     }
 
     /// Mutably borrow `len` bytes at `addr` without copying.
+    #[inline]
     pub fn bytes_mut(&mut self, addr: VAddr, len: usize) -> &mut [u8] {
         let (idx, off) = self.locate(addr, len);
         &mut self.segments[idx].data[off..off + len]
@@ -224,9 +266,110 @@ impl AddressSpace {
     }
 }
 
+#[cold]
+#[inline(never)]
+fn unmapped(addr: VAddr) -> ! {
+    panic!("unmapped access at {addr}")
+}
+
+#[cold]
+#[inline(never)]
+fn overrun(addr: VAddr, len: usize, seg_len: usize) -> ! {
+    panic!("access of {len} bytes at {addr} overruns allocation (len {seg_len})")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    impl AddressSpace {
+        /// The lookup the page → segment index replaced, kept as the
+        /// reference model: segments are created in address order, so a
+        /// binary search over their starts finds the only candidate.
+        fn find_by_search(&self, addr: VAddr) -> Option<usize> {
+            let idx = self
+                .segments
+                .partition_point(|s| s.start.0 <= addr.0)
+                .checked_sub(1)?;
+            self.segments[idx].contains(addr).then_some(idx)
+        }
+    }
+
+    /// Allocate `sizes` in order and compare the index against the search
+    /// at every page from 0 to one past the last guard — first and last
+    /// byte of the page and both sides of where a short last page ends —
+    /// then past the end of the table and of the address range.
+    fn assert_index_matches_search(sizes: &[usize]) {
+        let mut space = AddressSpace::new();
+        for &bytes in sizes {
+            space.alloc(bytes);
+        }
+        // Where some allocation's last page stops being backed: that offset
+        // and the byte before it, tried on every page.
+        let edges = sizes.iter().map(|b| (b % PAGE_SIZE) as u64);
+        let offsets: Vec<u64> = [0, 1, PAGE_SIZE as u64 - 1]
+            .into_iter()
+            .chain(edges.clone())
+            .chain(edges.map(|e| e.saturating_sub(1)))
+            .collect();
+        let mut mapped = 0;
+        for page in 0..=space.next_page {
+            for &off in &offsets {
+                let addr = PageId(page).base().offset(off);
+                let expect = space.find_by_search(addr);
+                assert_eq!(space.find(addr), expect, "page {page} offset {off}");
+                assert_eq!(space.is_mapped(addr), expect.is_some());
+            }
+            mapped += usize::from(space.is_mapped(PageId(page).base()));
+        }
+        assert_eq!(mapped, space.allocated_pages(), "every mapped page seen");
+        for seg in &space.segments {
+            let end = seg.start.offset(seg.len as u64);
+            assert_eq!(space.find(end), None, "one past {} bytes", seg.len);
+            assert!(space.find(VAddr(end.0 - 1)).is_some(), "the last byte");
+        }
+        let past_table = PageId(PageTable::<u32>::MAX_PAGES).base();
+        for addr in [past_table, VAddr(u64::MAX), VAddr(u64::MAX - 7)] {
+            assert_eq!(space.find(addr), None);
+            assert_eq!(space.find_by_search(addr), None);
+        }
+    }
+
+    #[test]
+    fn index_matches_the_search_it_replaced() {
+        assert_index_matches_search(&[]);
+        assert_index_matches_search(&[1]);
+        assert_index_matches_search(&[PAGE_SIZE]);
+        assert_index_matches_search(&[
+            1,
+            10,
+            PAGE_SIZE - 1,
+            PAGE_SIZE,
+            PAGE_SIZE + 1,
+            3 * PAGE_SIZE,
+            5 * PAGE_SIZE + 17,
+            1,
+        ]);
+        // Enough one-page segments to grow the table twice.
+        assert_index_matches_search(&[8; 100]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random allocation sizes — one byte, non-page multiples, several
+        /// pages — resolve through the table exactly as through the search.
+        #[test]
+        fn index_matches_search_for_random_allocations(
+            sizes in prop::collection::vec(
+                prop_oneof![Just(1usize), 1usize..PAGE_SIZE, 1usize..6 * PAGE_SIZE],
+                1..24,
+            )
+        ) {
+            assert_index_matches_search(&sizes);
+        }
+    }
 
     #[test]
     fn alloc_is_page_aligned_with_guard_gaps() {
@@ -267,14 +410,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unmapped access")]
+    #[should_panic(expected = "unmapped access at 0x7b")]
     fn unmapped_access_panics() {
         let space = AddressSpace::new();
         space.read_u64(VAddr(123));
     }
 
     #[test]
-    #[should_panic(expected = "overruns allocation")]
+    #[should_panic(expected = "access of 32 bytes at 0x1000 overruns allocation (len 16)")]
     fn overrun_panics() {
         let mut space = AddressSpace::new();
         let a = space.alloc(16);

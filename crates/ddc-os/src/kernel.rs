@@ -538,6 +538,7 @@ impl Dos {
     }
 
     /// Compute-pool CPU (the server CPU in the monolithic topology).
+    #[inline]
     pub fn compute_cpu(&self) -> ddc_sim::CpuConfig {
         match &self.topo {
             Topology::Monolithic(c) => c.cpu,
@@ -546,6 +547,7 @@ impl Dos {
     }
 
     /// Charge `cycles` of compute-pool CPU work.
+    #[inline]
     pub fn charge_compute_cycles(&mut self, cycles: u64) {
         let d = self.compute_cpu().cycles(cycles);
         self.clock.advance(d);
@@ -553,6 +555,7 @@ impl Dos {
 
     /// Charge an arbitrary duration (used by upper layers for modeled
     /// costs that are not memory accesses).
+    #[inline]
     pub fn charge(&mut self, d: SimDuration) {
         self.clock.advance(d);
     }
@@ -815,6 +818,7 @@ impl Dos {
 
     /// Charge for touching `[addr, addr+len)` from the compute pool,
     /// faulting pages in as needed.
+    #[inline]
     pub fn touch_range(&mut self, addr: VAddr, len: usize, write: bool, pat: Pattern) {
         // analyze:allow(debug-assert) application-level addressing bug on the hot access path, not cross-pool protocol state
         debug_assert!(self.space.is_mapped(addr), "touch of unmapped {addr}");
@@ -878,6 +882,7 @@ impl Dos {
         }
     }
 
+    #[inline]
     fn dram_cost(&self, pat: Pattern, touched: usize) -> SimDuration {
         match pat {
             Pattern::Rand => self.dram.random_access,
@@ -1105,11 +1110,13 @@ impl Dos {
     /// Raw access to the backing bytes without any charge. Only for the
     /// TELEPORT layer (data movement that was already priced) and for test
     /// oracles.
+    #[inline]
     pub fn space(&self) -> &AddressSpace {
         &self.space
     }
 
     /// Mutable raw access; see [`Dos::space`].
+    #[inline]
     pub fn space_mut(&mut self) -> &mut AddressSpace {
         &mut self.space
     }
@@ -1706,6 +1713,7 @@ impl Dos {
     /// Record that a legitimate write invalidated `pid`'s sealed checksum.
     /// O(1) per write; the actual reseal happens lazily at the next
     /// verification point.
+    #[inline]
     fn mark_stale(&mut self, pid: PageId) {
         if self.integrity.enabled {
             self.integrity.pages.entry(pid).stale = true;

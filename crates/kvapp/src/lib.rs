@@ -22,7 +22,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use teleport::{Mem, PushdownError, PushdownOpts, Region, Runtime};
+use teleport::{Mem, Pattern, PushdownError, PushdownOpts, Region, Runtime};
 
 /// Host-side generated store content (the oracle's ground truth).
 #[derive(Debug, Clone)]
@@ -100,9 +100,7 @@ pub fn get(rt: &mut Runtime, store: &KvStore, key: u64) -> Result<u64, PushdownE
     let vals = store.vals;
     rt.pushdown(PushdownOpts::new(), move |m| {
         m.charge_cycles(LOOKUP_CYCLES);
-        let mut buf = Vec::with_capacity(1);
-        m.read_range(&vals, key as usize, 1, &mut buf);
-        buf[0]
+        m.get(&vals, key as usize, Pattern::Seq)
     })
 }
 

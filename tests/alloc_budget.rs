@@ -18,6 +18,15 @@
 //! does on one pool. (When the window was a `BTreeSet` refilled per call
 //! and collected into a `Vec`, the 2-pool call made two allocations more.)
 //!
+//! And the access path itself allocates nothing: `get`, `set`, `read_range`
+//! into a reserved `Vec` and `write_range` of 1, 2 and 64 pages make zero
+//! heap allocations a call — compute-side through the runtime and through an
+//! arm on all three platforms over a warm cache, and memory-side inside a
+//! pushdown on pages its session has already touched. `write_range` encodes
+//! straight into the backing bytes; when it staged each page in a
+//! `vec![0u8; 4096]` of its own it made one allocation a call, which this
+//! test turns into a failure.
+//!
 //! One test in this file: the counting allocator is process-global, and the
 //! counter is thread-local so the harness's own threads do not show in it.
 
@@ -26,7 +35,7 @@ use std::cell::Cell;
 
 use ddc_os::Pattern;
 use ddc_sim::{DdcConfig, PlacementPolicy, PAGE_SIZE};
-use teleport::{Arm, Mem, PushdownOpts, Runtime};
+use teleport::{Arm, Mem, PushdownOpts, Region, Runtime};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -133,8 +142,68 @@ fn allocations_per_two_page_pushdown(pools: usize) -> u64 {
     steady
 }
 
+/// Elements of the column the access-path rounds run over: the 64-page
+/// range starts off a page boundary, so it ends on a 65th page.
+const COLUMN: usize = 66 * PAGE_SIZE / 8;
+
+/// Heap allocations of one round of typed accesses through `m`: a `get`, a
+/// `set`, and a `read_range` into `buf` (reserved by the caller) with the
+/// `write_range` of what it read, over 1, 2 and 64 pages' worth of elements
+/// from an index that is not page-aligned. A first round is run and not
+/// counted: it faults the pages in and, memory-side, lets the session note
+/// them.
+fn access_round_allocations<M: Mem>(m: &mut M, col: &Region<u64>, buf: &mut Vec<u64>) -> u64 {
+    let mut round = |m: &mut M| {
+        let before = ALLOCS.with(Cell::get);
+        let v = m.get(col, 3, Pattern::Rand);
+        m.set(col, 5, v + 1, Pattern::Rand);
+        for pages in [1, 2, 64] {
+            buf.clear();
+            m.read_range(col, 7, pages * PAGE_SIZE / 8, buf);
+            m.write_range(col, 7, buf);
+        }
+        ALLOCS.with(Cell::get) - before
+    };
+    round(m);
+    round(m)
+}
+
+/// [`access_round_allocations`] on one platform: through the runtime, through
+/// a compute-side arm, and inside a pushdown (memory-side on Teleport).
+fn access_path_allocations(mut rt: Runtime) -> [u64; 3] {
+    let col = rt.alloc_region::<u64>(COLUMN);
+    let mut buf: Vec<u64> = Vec::with_capacity(64 * PAGE_SIZE / 8);
+    rt.begin_timing();
+    let direct = access_round_allocations(&mut rt, &col, &mut buf);
+    let arm = rt.run_local(|m| access_round_allocations(m, &col, &mut buf));
+    let pushed = rt
+        .pushdown(PushdownOpts::new(), |m| {
+            access_round_allocations(m, &col, &mut buf)
+        })
+        .expect("pushdown");
+    assert_eq!(buf.len(), 64 * PAGE_SIZE / 8, "the last range read");
+    assert_eq!(
+        rt.get(&col, 5, Pattern::Rand),
+        1,
+        "the rounds' `set` landed"
+    );
+    [direct, arm, pushed]
+}
+
 #[test]
 fn pushdown_allocation_count_does_not_grow_with_the_resident_set() {
+    for (platform, rt) in [
+        ("Local", Runtime::local(Default::default())),
+        ("BaseDdc", Runtime::base_ddc(DdcConfig::default())),
+        ("Teleport", Runtime::teleport(DdcConfig::default())),
+    ] {
+        assert_eq!(
+            access_path_allocations(rt),
+            [0, 0, 0],
+            "{platform}: get + set + read_range + write_range of 1, 2 and 64 pages allocated \
+             (through the runtime, a compute-side arm, a pushdown)"
+        );
+    }
     let (empty, _) = allocations_per_pushdown(0);
     for resident in [512usize, 4096] {
         let (unchanged, after_miss) = allocations_per_pushdown(resident);
