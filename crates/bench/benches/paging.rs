@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-use ddc_os::{Dos, PageChecksum, Pattern};
+use ddc_os::{AddressSpace, Dos, PageChecksum, Pattern};
 use ddc_sim::{DdcConfig, PAGE_SIZE};
 use teleport::{Mem, Region, Runtime};
 
@@ -269,6 +269,43 @@ fn bench_seal_page(c: &mut Criterion) {
     g.finish();
 }
 
+/// Build an address space of 16 equal segments, write the first byte of
+/// every page, drop it: what every rack costs the host before the simulation
+/// does anything with it. `first` runs with nothing spare (an empty space is
+/// dropped before each, outside the timing, which leaves the thread's spare
+/// set empty), so every page is a fresh one from the OS and takes a fault at
+/// its first touch (the unmapping is the next set-up's, not the timing's);
+/// `replay` follows an identical space and takes its backing over
+/// (`AddressSpace`, "Backing lifetime").
+fn bench_space_lifecycle(c: &mut Criterion) {
+    fn build_touch_drop(segment_bytes: usize) {
+        let mut space = AddressSpace::new();
+        for _ in 0..16 {
+            let a = space.alloc(segment_bytes);
+            for at in (0..segment_bytes).step_by(PAGE_SIZE) {
+                space.bytes_mut(a.offset(at as u64), 1)[0] = 1;
+            }
+        }
+        black_box(space.allocated_pages());
+    }
+    let mut g = c.benchmark_group("space/build_touch_drop");
+    for mb in [8usize, 64, 256] {
+        let segment_bytes = (mb << 20) / 16;
+        g.throughput(Throughput::Bytes((mb << 20) as u64));
+        g.bench_function(format!("{mb}MB_first"), |b| {
+            b.iter_with_setup(
+                || drop(AddressSpace::new()),
+                |()| build_touch_drop(segment_bytes),
+            );
+        });
+        g.bench_function(format!("{mb}MB_replay"), |b| {
+            build_touch_drop(segment_bytes);
+            b.iter(|| build_touch_drop(segment_bytes));
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_cache_hit,
@@ -278,6 +315,7 @@ criterion_group!(
     bench_sequential_scan,
     bench_resident_list,
     bench_resident_list_shuffled,
-    bench_seal_page
+    bench_seal_page,
+    bench_space_lifecycle
 );
 criterion_main!(benches);

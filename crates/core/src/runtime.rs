@@ -262,7 +262,10 @@ pub trait Mem {
     where
         Self: Sized,
     {
-        let addr = self.alloc((n * T::BYTES).max(1));
+        let Some(bytes) = n.checked_mul(T::BYTES) else {
+            panic!("region of {n} {}-byte elements overflows", T::BYTES)
+        };
+        let addr = self.alloc(bytes.max(1));
         Region {
             addr,
             len: n,

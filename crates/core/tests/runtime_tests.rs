@@ -778,3 +778,13 @@ fn metrics_carry_one_trace_row_per_event_kind() {
     assert_eq!(metrics.get("trace.pushdown_steps"), Some(8));
     assert!(metrics.get("trace.net_msgs") > Some(0));
 }
+
+/// An element count whose byte size wraps `usize` is refused by name, not
+/// turned into a small allocation a later access would overrun.
+#[test]
+#[should_panic(expected = "8-byte elements overflows")]
+fn alloc_region_refuses_a_size_that_wraps() {
+    let mut rt = Runtime::local(MonolithicConfig::default());
+    // One element more than fits: the product wraps to 0 bytes.
+    let _ = rt.alloc_region::<u64>(usize::MAX / 8 + 1);
+}

@@ -8,9 +8,61 @@
 //! paper's disabled-coherence mode) layer a divergence store on top, in the
 //! `teleport` crate.
 
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+
 use ddc_sim::PAGE_SIZE;
 
 use crate::page::{PageId, PageTable, VAddr};
+
+thread_local! {
+    /// The segment buffers of the space this thread dropped last, by length
+    /// in bytes ("Backing lifetime" on [`AddressSpace`]).
+    static SPARE: RefCell<BTreeMap<usize, Vec<Vec<u8>>>> =
+        const { RefCell::new(BTreeMap::new()) };
+}
+
+/// `bytes` of zeroed backing for a new segment: a spare buffer of exactly
+/// that length if the thread holds one, zeroed again, and a fresh one if
+/// not. The first request the spare set cannot serve releases all of it.
+fn backing(bytes: usize) -> Vec<u8> {
+    let spare = SPARE.try_with(|spare| {
+        let mut spare = spare.borrow_mut();
+        let buf = spare.get_mut(&bytes).and_then(Vec::pop);
+        if buf.is_none() {
+            spare.clear();
+        }
+        buf
+    });
+    match spare {
+        Ok(Some(mut buf)) => {
+            zero_pages(&mut buf);
+            buf
+        }
+        // Nothing spare of this length, or the thread is past its teardown.
+        _ => vec![0u8; bytes],
+    }
+}
+
+/// Zero every page of a recycled buffer — the padding past a short
+/// allocation's length too, since `page_view` exposes it — writing runs of
+/// pages that hold something and only reading the ones that already read
+/// zero. A page its last owner never wrote is one the host never backed, and
+/// storing zeros over it would make it resident: a 640 MB segment written on
+/// one page in sixteen stays 40 MB of host memory however often it is reused.
+fn zero_pages(buf: &mut [u8]) {
+    let mut at = 0;
+    while at < buf.len() {
+        let dirty = buf[at..]
+            .chunks_exact(PAGE_SIZE)
+            .take_while(|page| **page != [0u8; PAGE_SIZE])
+            .count()
+            * PAGE_SIZE;
+        buf[at..at + dirty].fill(0);
+        // The page that ended the run reads zero already.
+        at += dirty + PAGE_SIZE;
+    }
+}
 
 /// One contiguous allocation, page-aligned and padded to whole pages.
 #[derive(Debug)]
@@ -47,6 +99,28 @@ impl Segment {
 /// segment names the one whose page range holds that page. The byte-level
 /// check (`Segment::contains`) still runs on every lookup: it is what
 /// refuses the tail of a short last page.
+///
+/// **Backing lifetime.** A simulation builds a rack, fills it, drops it and
+/// builds the next one of the same shape — per platform, per iteration, per
+/// matrix cell — and memory fresh from the host OS costs a page fault at the
+/// first touch of every page, several times what zeroing a mapped page does.
+/// So when a space is dropped its segment buffers become the *spare backing*
+/// of the thread that dropped it, and `alloc` takes a spare buffer of exactly
+/// the padded length it needs, zeroes it and uses it in place of a fresh one.
+/// Nothing a simulation can observe depends on which it got: the bytes read
+/// zero, and addresses, guard pages and the index are as ever. What is kept,
+/// and for how long, follows from two rules and no setting:
+///
+/// * *A drop replaces the spare set.* It never holds more than the buffers of
+///   the one space that died last on this thread; those of the space before
+///   it are freed then.
+/// * *The first request the spare set cannot serve releases all of it.* A
+///   differently shaped rack is being built, and from there on the space
+///   allocates from the OS, as if nothing had been kept.
+///
+/// The set is per thread (spaces are not shared, and a thread's spare is freed
+/// when it exits); a space dropped while its thread is tearing down its
+/// thread-locals frees its buffers directly.
 #[derive(Debug)]
 pub struct AddressSpace {
     segments: Vec<Segment>,
@@ -82,6 +156,9 @@ impl AddressSpace {
     pub fn alloc(&mut self, bytes: usize) -> VAddr {
         assert!(bytes > 0, "zero-sized allocation");
         let pages = bytes.div_ceil(PAGE_SIZE);
+        let Some(padded) = pages.checked_mul(PAGE_SIZE) else {
+            panic!("allocation of {bytes} bytes overflows when padded to whole pages")
+        };
         let first = PageId(self.next_page);
         let start = first.base();
         assert!(
@@ -98,7 +175,7 @@ impl AddressSpace {
         self.segments.push(Segment {
             start,
             len: bytes,
-            data: vec![0u8; pages * PAGE_SIZE],
+            data: backing(padded),
         });
         start
     }
@@ -266,6 +343,19 @@ impl AddressSpace {
     }
 }
 
+/// The dead space's buffers replace the thread's spare set, so the set never
+/// holds more than one space's worth. `try_with`: a space dropped while the
+/// thread tears its locals down frees its buffers the ordinary way.
+impl Drop for AddressSpace {
+    fn drop(&mut self) {
+        let mut dead: BTreeMap<usize, Vec<Vec<u8>>> = BTreeMap::new();
+        for seg in self.segments.drain(..) {
+            dead.entry(seg.data.len()).or_default().push(seg.data);
+        }
+        let _ = SPARE.try_with(|spare| spare.replace(dead));
+    }
+}
+
 #[cold]
 #[inline(never)]
 fn unmapped(addr: VAddr) -> ! {
@@ -368,6 +458,178 @@ mod tests {
             )
         ) {
             assert_index_matches_search(&sizes);
+        }
+    }
+
+    /// Bytes the thread's spare set holds.
+    fn spare_bytes() -> usize {
+        SPARE.with(|spare| spare.borrow().values().flatten().map(Vec::len).sum())
+    }
+
+    fn backing_bytes(space: &AddressSpace) -> usize {
+        space.segments.iter().map(|s| s.data.len()).sum()
+    }
+
+    fn buffers(space: &AddressSpace) -> Vec<*const u8> {
+        space.segments.iter().map(|s| s.data.as_ptr()).collect()
+    }
+
+    fn space_of(sizes: &[usize]) -> AddressSpace {
+        let mut space = AddressSpace::new();
+        for &bytes in sizes {
+            space.alloc(bytes);
+        }
+        space
+    }
+
+    #[test]
+    fn recycled_backing_is_the_dead_spaces_and_reads_zero() {
+        let sizes = [
+            1,
+            10,
+            PAGE_SIZE - 1,
+            PAGE_SIZE,
+            PAGE_SIZE + 1,
+            3 * PAGE_SIZE,
+            3 * PAGE_SIZE - 5,
+            5 * PAGE_SIZE + 17,
+            1,
+        ];
+        let mut dead = space_of(&sizes);
+        // Every byte of every page, the padding past `len` included.
+        for page in dead.mapped_pages() {
+            dead.page_view_mut(page).fill(0xFF);
+        }
+        let owned = buffers(&dead);
+        drop(dead);
+
+        let mut shuffled = sizes;
+        shuffled.reverse();
+        shuffled.rotate_left(4);
+        let next = space_of(&shuffled);
+        assert_eq!(spare_bytes(), 0, "every spare buffer was taken");
+        let mut taken = buffers(&next);
+        for buf in &taken {
+            assert!(owned.contains(buf), "a buffer the dead space owned");
+        }
+        taken.sort_unstable();
+        taken.dedup();
+        assert_eq!(taken.len(), sizes.len(), "each buffer handed out once");
+        for page in next.mapped_pages() {
+            assert!(
+                next.page_view(page).iter().all(|&b| b == 0),
+                "{page} of a recycled segment is not zeroed"
+            );
+        }
+    }
+
+    /// Every pattern of written and untouched pages over eight, the written
+    /// ones marked by their last byte alone: runs of every length at every
+    /// place, the first and the last page included.
+    #[test]
+    fn zero_pages_clears_every_run_of_written_pages() {
+        for written in 0u32..256 {
+            let mut buf = vec![0u8; 8 * PAGE_SIZE];
+            for page in (0..8).filter(|p| written >> p & 1 == 1) {
+                buf[(page + 1) * PAGE_SIZE - 1] = 1;
+            }
+            zero_pages(&mut buf);
+            assert!(buf.iter().all(|&b| b == 0), "pattern {written:#010b}");
+        }
+    }
+
+    #[test]
+    fn spaces_alive_together_never_share_a_buffer() {
+        drop(space_of(&[2 * PAGE_SIZE, 2 * PAGE_SIZE]));
+        let (mut a, mut b) = (AddressSpace::new(), AddressSpace::new());
+        // One spare buffer each, then one neither can have recycled.
+        let (a1, b1) = (a.alloc(2 * PAGE_SIZE), b.alloc(2 * PAGE_SIZE));
+        let (a2, b2) = (a.alloc(2 * PAGE_SIZE), b.alloc(2 * PAGE_SIZE));
+        let mut all = buffers(&a);
+        all.extend(buffers(&b));
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), 4, "four live segments, four buffers");
+        for (space, first, second, v) in [(&mut a, a1, a2, 7u64), (&mut b, b1, b2, 9)] {
+            space.write_u64(first, v);
+            space.write_u64(second, v + 1);
+        }
+        assert_eq!((a.read_u64(a1), a.read_u64(a2)), (7, 8));
+        assert_eq!((b.read_u64(b1), b.read_u64(b2)), (9, 10));
+        // The one that dies last is the one kept.
+        let (of_a, of_b) = (backing_bytes(&a), backing_bytes(&b));
+        drop(a);
+        assert_eq!(spare_bytes(), of_a);
+        drop(b);
+        assert_eq!(spare_bytes(), of_b);
+    }
+
+    /// A space that outlives its thread's spare set, and one that does not:
+    /// thread-locals are torn down in an order the program does not choose,
+    /// so the space is parked before the spare set is first used and after.
+    #[test]
+    fn a_space_dropped_at_thread_exit_frees_normally() {
+        thread_local! {
+            static PARKED: RefCell<Option<AddressSpace>> = const { RefCell::new(None) };
+        }
+        for park_first in [true, false] {
+            let exited = std::thread::spawn(move || {
+                if park_first {
+                    PARKED.with(|p| *p.borrow_mut() = Some(AddressSpace::new()));
+                }
+                drop(space_of(&[PAGE_SIZE, 3 * PAGE_SIZE]));
+                let space = space_of(&[3 * PAGE_SIZE, 8]);
+                PARKED.with(|p| *p.borrow_mut() = Some(space));
+            })
+            .join();
+            assert!(exited.is_ok(), "park_first = {park_first}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows when padded to whole pages")]
+    fn alloc_refuses_a_size_that_wraps_when_padded() {
+        AddressSpace::new().alloc(usize::MAX);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Three generations of spaces with random segment sizes, against a
+        /// multiset of spare lengths: a request takes one of exactly its
+        /// padded length or empties the set, and a drop leaves exactly the
+        /// dead space's backing — whatever the set held before.
+        #[test]
+        fn spare_set_is_the_last_dead_space_until_the_first_miss(
+            generations in prop::collection::vec(
+                prop::collection::vec(
+                    prop_oneof![Just(1usize), 1usize..PAGE_SIZE, 1usize..6 * PAGE_SIZE],
+                    1..12,
+                ),
+                3..4,
+            )
+        ) {
+            // The previous case's last space is still spare; an empty one
+            // dying replaces it with nothing.
+            drop(AddressSpace::new());
+            let mut model: Vec<usize> = Vec::new();
+            for sizes in &generations {
+                let mut space = AddressSpace::new();
+                for &bytes in sizes {
+                    let padded = bytes.div_ceil(PAGE_SIZE) * PAGE_SIZE;
+                    match model.iter().position(|&spare| spare == padded) {
+                        Some(hit) => drop(model.swap_remove(hit)),
+                        None => model.clear(),
+                    }
+                    let at = space.alloc(bytes);
+                    prop_assert_eq!(spare_bytes(), model.iter().sum::<usize>());
+                    prop_assert!(space.page_view(at.page()).iter().all(|&b| b == 0));
+                    space.page_view_mut(at.page()).fill(0xA5);
+                }
+                model = space.segments.iter().map(|s| s.data.len()).collect();
+                drop(space);
+                prop_assert_eq!(spare_bytes(), model.iter().sum::<usize>());
+            }
         }
     }
 

@@ -122,10 +122,17 @@ impl CpuConfig {
         CpuConfig { clock_ghz, cores }
     }
 
-    /// Time to retire `cycles` cycles on one core of this pool.
+    /// Time to retire `cycles` cycles on one core of this pool, rounded to
+    /// the nearest nanosecond (halves up). This is `.round() as u64` without
+    /// the call into libm, which a hash probe would make once per charge:
+    /// the quotient is never negative, so truncating and comparing the
+    /// remainder rounds the same way, and `as u64` saturates alike.
     #[inline]
     pub fn cycles(&self, cycles: u64) -> SimDuration {
-        SimDuration::from_nanos((cycles as f64 / self.clock_ghz).round() as u64)
+        let ns = cycles as f64 / self.clock_ghz;
+        let whole = ns as u64;
+        let up = ns - whole as f64 >= 0.5;
+        SimDuration::from_nanos(whole.saturating_add(u64::from(up)))
     }
 }
 
@@ -423,6 +430,7 @@ impl Default for MonolithicConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn network_transfer_time_matches_paper_constants() {
@@ -454,6 +462,63 @@ mod tests {
         let slow = CpuConfig::new(0.42, 1); // 20% of compute clock (Fig 16)
         assert_eq!(fast.cycles(2_100).as_nanos(), 1_000);
         assert_eq!(slow.cycles(2_100).as_nanos(), 5_000);
+    }
+
+    /// Clocks `cycles` is compared with libm's rounding at: the ones the
+    /// configurations use, and the degenerate ones.
+    const CLOCKS: [f64; 11] = [
+        2.1,
+        1.05,
+        2.4,
+        3.0,
+        0.5,
+        1.0,
+        1e-9,
+        7.3,
+        1e9,
+        f64::INFINITY,
+        0.0,
+    ];
+
+    fn assert_cycles_round_like_libm(cycles: u64, clock_ghz: f64) {
+        let expect = (cycles as f64 / clock_ghz).round() as u64;
+        let got = CpuConfig::new(clock_ghz, 1).cycles(cycles).as_nanos();
+        assert_eq!(got, expect, "{cycles} cycles at {clock_ghz} GHz");
+    }
+
+    /// Every count up to 200 000, then the powers of two and their
+    /// neighbours: 2^53 is where `f64` stops holding halves, 2^63 and
+    /// `u64::MAX` where `as u64` saturates.
+    #[test]
+    fn cycles_round_like_libm_at_the_edges() {
+        let edges = (0..64)
+            .map(|bit| 1u64 << bit)
+            .flat_map(|p| [p - 1, p, p + 1])
+            .chain([u64::MAX - 1, u64::MAX]);
+        for cycles in (0..=200_000).chain(edges) {
+            for clock_ghz in CLOCKS {
+                assert_cycles_round_like_libm(cycles, clock_ghz);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// Random counts at every magnitude (a random word shifted right by
+        /// a random amount) and random clocks beside the fixed ones.
+        #[test]
+        fn cycles_round_like_libm(
+            word in any::<u64>(),
+            shift in 0u32..64,
+            clock_ghz in prop_oneof![0.05f64..8.0, 1e-6f64..1e6],
+        ) {
+            let cycles = word >> shift;
+            assert_cycles_round_like_libm(cycles, clock_ghz);
+            for fixed in CLOCKS {
+                assert_cycles_round_like_libm(cycles, fixed);
+            }
+        }
     }
 
     #[test]

@@ -278,12 +278,15 @@ pub fn q3(
         let lrows = cand_l.read(m);
         let lkeys = project::gather_host(m, &li.orderkey, &lrows);
         let joined = mergejoin::merge_join(m, &lkeys, &ord.orderkey, ord.n);
-        let keep: std::collections::HashSet<u32> = surviving_orders.read(m).into_iter().collect();
+        let mut keep = vec![false; ord.n];
+        for orow in surviving_orders.read(m) {
+            keep[orow as usize] = true;
+        }
         let mut li_rows: Vec<u32> = Vec::new();
         let mut ord_rows: Vec<u32> = Vec::new();
         for (i, j) in joined.iter().enumerate() {
             if let Some(orow) = j {
-                if keep.contains(orow) {
+                if keep[*orow as usize] {
                     li_rows.push(lrows[i]);
                     ord_rows.push(*orow);
                 }

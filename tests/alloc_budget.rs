@@ -27,18 +27,28 @@
 //! `vec![0u8; 4096]` of its own it made one allocation a call, which this
 //! test turns into a failure.
 //!
-//! One test in this file: the counting allocator is process-global, and the
-//! counter is thread-local so the harness's own threads do not show in it.
+//! And a rack built after an identical one died takes its segment backing
+//! from the dead one (`AddressSpace`, "Backing lifetime"): the second and
+//! third of three memdb racks — one per platform, loaded and queried alike —
+//! ask the allocator for no zeroed block of 16 pages or more, which is what
+//! a fresh segment is. A platform that allocates a size the others do not,
+//! or an `alloc` that goes back to `vec![0u8; n]`, makes that count non-zero.
+//!
+//! The counting allocator is process-global; its counters are thread-local,
+//! so neither test sees the other's or the harness's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use ddc_os::Pattern;
-use ddc_sim::{DdcConfig, PlacementPolicy, PAGE_SIZE};
-use teleport::{Arm, Mem, PushdownOpts, Region, Runtime};
+use ddc_sim::{DdcConfig, MonolithicConfig, PlacementPolicy, PAGE_SIZE};
+use memdb::{q6, Database, PushdownPlan, QueryParams, TpchData};
+use teleport::{Arm, Mem, PlatformKind, PushdownOpts, Region, Runtime};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Zeroed requests of 16 pages or more: `vec![0u8; n]` of a segment.
+    static LARGE_ZEROED: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -51,6 +61,14 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
         System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        if layout.size() >= 16 * PAGE_SIZE {
+            let _ = LARGE_ZEROED.try_with(|n| n.set(n.get() + 1));
+        }
+        System.alloc_zeroed(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -227,4 +245,51 @@ fn pushdown_allocation_count_does_not_grow_with_the_resident_set() {
         "a pushdown over both shards of a 2-pool rack made {two_pools} allocations, \
          {one_pool} on one pool: the routing window allocates"
     );
+}
+
+/// Large zeroed allocator requests of one rack's whole life: build, load
+/// `data`, run Q6 under `plan`, drop.
+fn large_zeroed_requests_of_a_rack(
+    kind: PlatformKind,
+    data: &TpchData,
+    plan: &PushdownPlan,
+) -> (u64, f64, Vec<&'static str>) {
+    let ws = data.working_set_bytes();
+    let ddc = DdcConfig::with_cache_ratio(ws, 0.02);
+    let before = LARGE_ZEROED.with(Cell::get);
+    let mut rt = match kind {
+        PlatformKind::Local => Runtime::local(MonolithicConfig {
+            dram_bytes: ws * 4 + (64 << 20),
+            ..Default::default()
+        }),
+        PlatformKind::BaseDdc => Runtime::base_ddc(ddc),
+        PlatformKind::Teleport => Runtime::teleport(ddc),
+    };
+    let db = Database::load(&mut rt, data);
+    let (sum, report) = q6(&mut rt, &db, plan, &QueryParams::default());
+    drop(rt);
+    let requests = LARGE_ZEROED.with(Cell::get) - before;
+    (requests, sum, report.rank_by_intensity())
+}
+
+#[test]
+fn identical_racks_replay_with_no_fresh_segment_backing() {
+    let data = TpchData::generate(0.005, 11);
+    let none = PushdownPlan::none();
+    let (first, local_sum, _) = large_zeroed_requests_of_a_rack(PlatformKind::Local, &data, &none);
+    assert!(
+        first > 0,
+        "the first rack's large columns are fresh segments: the counter sees them"
+    );
+    let (second, base_sum, ranking) =
+        large_zeroed_requests_of_a_rack(PlatformKind::BaseDdc, &data, &none);
+    let pushed = PushdownPlan::top_k(&ranking, 4);
+    let (third, tele_sum, _) =
+        large_zeroed_requests_of_a_rack(PlatformKind::Teleport, &data, &pushed);
+    assert_eq!(
+        (second, third),
+        (0, 0),
+        "the BaseDdc and Teleport racks asked the allocator for fresh segment backing"
+    );
+    assert_eq!((base_sum, tele_sum), (local_sum, local_sum));
 }
