@@ -225,8 +225,10 @@ impl<T: Scalar> Region<T> {
 
     /// Address of element `i`.
     #[inline]
+    // The one `debug_assert!` here is an application-level index bound on
+    // the hot access path, not cross-pool protocol state.
+    #[allow(clippy::disallowed_macros)]
     pub fn at(&self, i: usize) -> VAddr {
-        // analyze:allow(debug-assert) application-level index bound on the hot access path, not cross-pool protocol state
         debug_assert!(i < self.len, "index {i} out of bounds ({})", self.len);
         self.addr.offset((i * T::BYTES) as u64)
     }
@@ -501,27 +503,27 @@ pub struct Runtime {
 impl Runtime {
     /// A monolithic Linux server ("Local execution" in the figures).
     pub fn local(cfg: MonolithicConfig) -> Self {
-        Self::build(Dos::new_monolithic(cfg), PlatformKind::Local)
+        let dos = Dos::new_monolithic(cfg);
+        Self::build(dos, PlatformKind::Local, TeleportConfig::default())
     }
 
     /// An unmodified disaggregated OS ("Base DDC" / LegoOS).
     pub fn base_ddc(cfg: DdcConfig) -> Self {
-        Self::build(Dos::new_disaggregated(cfg), PlatformKind::BaseDdc)
+        let dos = Dos::new_disaggregated(cfg);
+        Self::build(dos, PlatformKind::BaseDdc, TeleportConfig::default())
     }
 
     /// The disaggregated OS with the TELEPORT kernel.
     pub fn teleport(cfg: DdcConfig) -> Self {
-        Self::build(Dos::new_disaggregated(cfg), PlatformKind::Teleport)
+        Self::teleport_with(cfg, TeleportConfig::default())
     }
 
     /// TELEPORT with non-default kernel constants.
     pub fn teleport_with(cfg: DdcConfig, tcfg: TeleportConfig) -> Self {
-        let mut rt = Self::build(Dos::new_disaggregated(cfg), PlatformKind::Teleport);
-        rt.tcfg = tcfg;
-        rt
+        Self::build(Dos::new_disaggregated(cfg), PlatformKind::Teleport, tcfg)
     }
 
-    fn build(dos: Dos, kind: PlatformKind) -> Self {
+    fn build(dos: Dos, kind: PlatformKind, tcfg: TeleportConfig) -> Self {
         let instances = match kind {
             PlatformKind::Teleport => dos.ddc_config().memory_contexts.max(1),
             _ => 1,
@@ -532,7 +534,6 @@ impl Runtime {
                 .map(|_| fresh_heartbeat(&dos))
                 .collect(),
         };
-        let tcfg = TeleportConfig::default();
         Runtime {
             server: RpcServer::new(instances, tcfg.wakeup),
             dos,
@@ -561,10 +562,6 @@ impl Runtime {
 
     pub fn dos_mut(&mut self) -> &mut Dos {
         &mut self.dos
-    }
-
-    pub fn teleport_config(&self) -> &TeleportConfig {
-        &self.tcfg
     }
 
     /// Elapsed virtual time.
@@ -673,11 +670,6 @@ impl Runtime {
         inj
     }
 
-    /// The installed fault injector, if any.
-    pub fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.faults.as_ref()
-    }
-
     /// The injector backing the legacy one-shot `inject_*` helpers,
     /// installing an empty plan on first use.
     fn ensure_injector(&mut self) -> FaultInjector {
@@ -729,11 +721,6 @@ impl Runtime {
     /// pushdown calls.
     pub fn set_admission_policy(&mut self, policy: Option<AdmissionPolicy>) {
         self.admission = policy;
-    }
-
-    /// The installed admission policy, if any.
-    pub fn admission_policy(&self) -> Option<AdmissionPolicy> {
-        self.admission
     }
 
     /// Pushdowns shed by admission control since `begin_timing`.

@@ -159,7 +159,7 @@ proptest! {
             rt.syncmem();
         }
         // Last write per page wins.
-        let mut expected = std::collections::HashMap::new();
+        let mut expected = std::collections::BTreeMap::new();
         for &(page, val) in &writes {
             expected.insert(page, val);
         }

@@ -270,6 +270,23 @@ fn pushdown_waits_out_a_backlog_when_it_can_afford_to() {
     assert!(rt.elapsed() - t0 < SimDuration::from_millis(5));
 }
 
+/// Step ❸ charges the configured `wakeup`, not the default the RPC server
+/// used to be built with: 50 µs instead of 5 µs moves `request` by 45 µs.
+#[test]
+fn custom_wakeup_is_charged_when_the_request_enqueues() {
+    let request_with = |tcfg: TeleportConfig| {
+        let mut rt = Runtime::teleport_with(small_ddc(), tcfg);
+        rt.pushdown(PushdownOpts::new(), |_| ()).unwrap();
+        rt.last_breakdown().expect("breakdown recorded").request
+    };
+    let default = request_with(TeleportConfig::default());
+    let slow = request_with(TeleportConfig {
+        wakeup: SimDuration::from_micros(50),
+        ..Default::default()
+    });
+    assert_eq!(slow - default, SimDuration::from_micros(45));
+}
+
 #[test]
 fn runaway_functions_are_killed() {
     let mut rt = Runtime::teleport_with(

@@ -307,40 +307,6 @@ impl AddressSpace {
     pub fn write_u64(&mut self, addr: VAddr, v: u64) {
         self.write(addr, &v.to_le_bytes());
     }
-
-    pub fn read_i64(&self, addr: VAddr) -> i64 {
-        self.read_u64(addr) as i64
-    }
-
-    pub fn write_i64(&mut self, addr: VAddr, v: i64) {
-        self.write_u64(addr, v as u64);
-    }
-
-    pub fn read_f64(&self, addr: VAddr) -> f64 {
-        f64::from_bits(self.read_u64(addr))
-    }
-
-    pub fn write_f64(&mut self, addr: VAddr, v: f64) {
-        self.write_u64(addr, v.to_bits());
-    }
-
-    pub fn read_u32(&self, addr: VAddr) -> u32 {
-        let mut b = [0u8; 4];
-        self.read(addr, &mut b);
-        u32::from_le_bytes(b)
-    }
-
-    pub fn write_u32(&mut self, addr: VAddr, v: u32) {
-        self.write(addr, &v.to_le_bytes());
-    }
-
-    pub fn read_i32(&self, addr: VAddr) -> i32 {
-        self.read_u32(addr) as i32
-    }
-
-    pub fn write_i32(&mut self, addr: VAddr, v: i32) {
-        self.write_u32(addr, v as u32);
-    }
 }
 
 /// The dead space's buffers replace the thread's spare set, so the set never
@@ -651,11 +617,7 @@ mod tests {
         let mut space = AddressSpace::new();
         let a = space.alloc(64);
         space.write_u64(a, 0xdeadbeef);
-        space.write_f64(a.offset(8), 2.5);
-        space.write_i32(a.offset(16), -7);
         assert_eq!(space.read_u64(a), 0xdeadbeef);
-        assert_eq!(space.read_f64(a.offset(8)), 2.5);
-        assert_eq!(space.read_i32(a.offset(16)), -7);
         assert_eq!(space.read_u64(a.offset(24)), 0, "fresh memory is zeroed");
     }
 

@@ -307,16 +307,21 @@ impl PageCache {
         }
         // What a rebuild would give, checked without building it (so that
         // debug and release builds allocate alike): as many entries as the
-        // cache has pages, in strict order, each page's among them.
-        debug_assert!(
-            view.list.len() == self.len()
-                && strictly_sorted(&view.list)
-                && view.runs == runs_in(&view.list)
-                && self
-                    .resident()
-                    .all(|(p, e)| view.list.binary_search(&(p, e.writable)).is_ok()),
-            "the patched resident view diverged from a rebuild"
-        );
+        // cache has pages, in strict order, each page's among them. A
+        // self-check of this file's own bookkeeping that walks the whole
+        // cache — too dear for release, and no cross-pool protocol state.
+        #[allow(clippy::disallowed_macros)]
+        {
+            debug_assert!(
+                view.list.len() == self.len()
+                    && strictly_sorted(&view.list)
+                    && view.runs == runs_in(&view.list)
+                    && self
+                        .resident()
+                        .all(|(p, e)| view.list.binary_search(&(p, e.writable)).is_ok()),
+                "the patched resident view diverged from a rebuild"
+            );
+        }
         view.clone()
     }
 

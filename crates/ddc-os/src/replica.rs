@@ -21,7 +21,9 @@
 //! that many page images are pending (cheaper on the wire, a bounded lost
 //! window).
 
-use ddc_sim::{Clock, Fabric, Lane, MsgClass, ReplicationMode, Ssd, TraceEvent, Tracer, PAGE_SIZE};
+use ddc_sim::{
+    Clock, Fabric, Lane, MsgClass, ReplicationMode, SimDuration, Ssd, TraceEvent, Tracer, PAGE_SIZE,
+};
 
 use crate::page::PageId;
 use crate::pool::{MemoryPool, PoolFault};
@@ -35,6 +37,15 @@ pub const REPLICA_ACK_BYTES: usize = 16;
 /// Page images per re-silvering catch-up message: bulk copy, not journal
 /// replay, so a rejoining standby costs one wire message per chunk.
 pub const RESILVER_CHUNK_PAGES: usize = 64;
+
+/// Bill `d` — what a fabric send or a device call just returned — to the
+/// kernel's clock. The replica holds no clock of its own; this is the file's
+/// one door to virtual time (`clippy.toml` bans `Clock::advance` elsewhere).
+#[inline]
+#[allow(clippy::disallowed_methods)]
+fn charge(clock: &Clock, d: SimDuration) {
+    clock.advance(d);
+}
 
 /// One journal entry: a primary-pool mutation to be replayed on the backup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -216,8 +227,7 @@ impl ReplicatedPool {
                 pages,
             },
         );
-        let d = fabric.send(MsgClass::Replication, bytes);
-        clock.advance(d);
+        charge(clock, fabric.send(MsgClass::Replication, bytes));
         self.counters.ship_messages += 1;
         self.counters.pages_shipped += pages;
         // Replaying needs `&mut self`; lend the buffer out and put it back
@@ -230,8 +240,7 @@ impl ReplicatedPool {
         self.pending = shipped;
         // The backup's acknowledgement is a small fabric message back; its
         // arrival truncates the journal up to `last_seq`.
-        let d = fabric.send(MsgClass::Replication, REPLICA_ACK_BYTES);
-        clock.advance(d);
+        charge(clock, fabric.send(MsgClass::Replication, REPLICA_ACK_BYTES));
         self.counters.acks += 1;
         self.acked_seq = last_seq;
         self.pending_page_writes = 0;
@@ -244,11 +253,11 @@ impl ReplicatedPool {
     #[inline]
     fn charge_backup_fault(&mut self, fault: PoolFault, ssd: &Ssd, clock: &Clock) {
         if fault.storage_writeback {
-            clock.advance(ssd.write_page());
+            charge(clock, ssd.write_page());
             self.counters.backup_storage_writes += 1;
         }
         if fault.storage_read {
-            clock.advance(ssd.read_page());
+            charge(clock, ssd.read_page());
             self.counters.backup_storage_reads += 1;
         }
     }
@@ -307,16 +316,14 @@ impl ReplicatedPool {
     pub fn resilver_from(&mut self, pages: &[PageId], fabric: &Fabric, ssd: &Ssd, clock: &Clock) {
         for chunk in pages.chunks(RESILVER_CHUNK_PAGES) {
             let bytes = chunk.len() * (PAGE_WRITE_HEADER_BYTES + PAGE_SIZE);
-            let d = fabric.send(MsgClass::Replication, bytes);
-            clock.advance(d);
+            charge(clock, fabric.send(MsgClass::Replication, bytes));
             self.counters.ship_messages += 1;
             for &pid in chunk {
                 self.register_on_backup(pid, ssd, clock);
                 self.land_on_backup(pid, ssd, clock);
                 self.counters.pages_shipped += 1;
             }
-            let d = fabric.send(MsgClass::Replication, REPLICA_ACK_BYTES);
-            clock.advance(d);
+            charge(clock, fabric.send(MsgClass::Replication, REPLICA_ACK_BYTES));
             self.counters.acks += 1;
         }
     }

@@ -41,10 +41,6 @@ impl Interleaver {
         }
     }
 
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// The runnable lane with the earliest clock (ties broken by lowest
     /// index, keeping schedules deterministic). `None` when all lanes are
     /// finished.

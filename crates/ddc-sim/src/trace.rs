@@ -735,10 +735,6 @@ impl Tracer {
         self.enabled.set(true);
     }
 
-    pub fn disable(&self) {
-        self.enabled.set(false);
-    }
-
     /// Record one event. The fast path (tracing disabled) is one shared
     /// boolean load.
     #[inline]

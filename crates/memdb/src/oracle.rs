@@ -6,6 +6,12 @@
 // Accumulator maps that are *iterated* into results use `BTreeMap`, so
 // tie-handling and float summation order are seed-stable rather than
 // hasher-dependent; maps and sets used only for point lookups stay hashed.
+// The lint sees a `for` loop over a hash container or one of its own
+// iterators (`.iter()`, `.keys()`, `.values()`, `.drain()`); it does not
+// see an adaptor chain (`.iter().map(..)`, `.keys().sum()`, `for .. in
+// m.iter().filter(..)`), so keep hashed maps to `get` / `contains` here.
+#![deny(clippy::iter_over_hash_type)]
+
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use crate::queries::{Q3Row, Q9Row, QueryParams};

@@ -19,19 +19,23 @@
 //! Because the scenarios between them arm every plane, they are also what
 //! the DESIGN.md §6 metric table is held against: each scenario is a
 //! function that hands every pinned point to a `check` callback, and
-//! `metric_table_matches_what_the_scenarios_emit` runs all nine with a
-//! callback that collects metric names instead of comparing pins.
+//! `metric_table_matches_what_the_scenarios_emit` runs them all with a
+//! callback that collects metric names instead of comparing pins — and,
+//! emitting every kind of trace event between them, what the
+//! `trace_events!` table is held against
+//! (`every_event_kind_is_emitted_by_a_pinned_scenario`).
 
 use std::collections::BTreeSet;
 
 use ddc_os::Pattern;
 use ddc_sim::{
-    ArrivalProcess, DdcConfig, FaultPlan, MetricsRegistry, MonolithicConfig, PlacementPolicy,
-    ReplicationMode, SimDuration, SimTime, FOREVER, PAGE_SIZE, QOS_CLASSES,
+    ArrivalProcess, DdcConfig, EventKind, FaultPlan, MetricsRegistry, MonolithicConfig,
+    PlacementPolicy, ReplicationMode, SimDuration, SimTime, FOREVER, PAGE_SIZE, QOS_CLASSES,
 };
 use teleport::{
-    AdmissionPolicy, CoherenceMode, HedgePolicy, Mem, PlatformKind, PushdownOpts, Region,
-    ResiliencePolicy, Runtime, ServeConfig, ServePlane, ServeReport, SyncStrategy,
+    Actor, AdmissionPolicy, CoherenceMode, HedgePolicy, Mem, PlatformKind, PushdownError,
+    PushdownOpts, Region, ResiliencePolicy, Runtime, ServeConfig, ServePlane, ServeReport, SyncOp,
+    SyncStrategy,
 };
 
 /// `(elapsed_ns, trace digest, trace len)`.
@@ -514,6 +518,84 @@ fn two_tenant_serve(check: Check) -> ServeReport {
     rep
 }
 
+/// The verdicts a call can get without running to a good end: a queued
+/// request times out and is cancelled, the backlog it left standing gets
+/// the next request shed at admission, and a call that waits the backlog
+/// out finishes past its deadline.
+fn call_verdicts(check: Check) {
+    const PIN: Pin = (0x214630, 0xd0f1d064d06c724f, 35);
+    const ELEMS: usize = 1024;
+    let mut rt = platform(PlatformKind::Teleport, DdcConfig::default(), ELEMS * 8);
+    let vals = column_vals(ELEMS, 13);
+    let col = rt.alloc_region::<u64>(ELEMS);
+    rt.write_range(&col, 0, &vals);
+    cold_start(&mut rt);
+
+    rt.inject_queue_backlog(SimDuration::from_millis(2));
+    let timed_out = rt.pushdown(
+        PushdownOpts::new().timeout(SimDuration::from_micros(100)),
+        |m| sum_region(m, &col),
+    );
+    assert_eq!(timed_out, Err(PushdownError::CancelledBeforeStart));
+    rt.set_admission_policy(Some(AdmissionPolicy {
+        max_queue_depth: 4,
+        max_backlog: SimDuration::from_millis(1),
+    }));
+    let shed = rt.pushdown(PushdownOpts::new(), |m| sum_region(m, &col));
+    assert!(matches!(shed, Err(PushdownError::Rejected { .. })));
+    rt.set_admission_policy(None);
+    let late = rt.pushdown(
+        PushdownOpts::new().deadline(SimDuration::from_millis(1)),
+        |m| sum_region(m, &col),
+    );
+    assert!(matches!(late, Err(PushdownError::DeadlineExceeded { .. })));
+    let sum = rt
+        .pushdown(PushdownOpts::new(), |m| sum_region(m, &col))
+        .expect("the backlog was waited out");
+    assert_eq!(sum, wrapping_sum(&vals));
+    check("call-verdicts", &rt, PIN);
+}
+
+/// A disabled-coherence call leaves a page the race checker is then asked
+/// about — the runtime runs one side at a time and cannot race by itself,
+/// so the late memory-side write is planted in the happens-before log, as
+/// `tests/race_detect.rs` does — and then an unreplicated pool whose every
+/// landed image is scribbled loses its dirty pages for good.
+fn loss_and_race(check: Check) {
+    const PIN: Pin = (0x15262, 0x7df9b0573f20c4b7, 48);
+    const ELEMS: usize = 2048;
+    let mut rt = platform(PlatformKind::Teleport, DdcConfig::default(), ELEMS * 8);
+    rt.enable_race_detection();
+    let vals = column_vals(ELEMS, 17);
+    let col = rt.alloc_region::<u64>(ELEMS);
+    let flag = rt.alloc_region::<u64>(1);
+    rt.write_range(&col, 0, &vals);
+    rt.begin_timing();
+
+    let opts = PushdownOpts {
+        coherence: CoherenceMode::Disabled,
+        ..PushdownOpts::new()
+    };
+    rt.pushdown(opts, |m| m.set(&flag, 0, 1, Pattern::Rand))
+        .expect("healthy disabled-coherence call");
+    rt.race_log().record(SyncOp::Access {
+        actor: Actor::Pushdown,
+        page: flag.addr().page().0,
+        write: true,
+    });
+    let _ = rt.get(&flag, 0, Pattern::Rand);
+    let races = rt.check_races();
+    assert_eq!(races.len(), 1, "{races:?}");
+
+    rt.install_fault_plan(FaultPlan::new(33).pool_scribbles(SimTime(0), FOREVER, 1.0));
+    rt.drop_cache();
+    let lost = rt.pushdown(PushdownOpts::new(), |m| sum_region(m, &col));
+    assert!(matches!(lost, Err(PushdownError::DataLoss { .. })));
+    assert!(rt.data_loss() > 0);
+    assert!(rt.is_alive(), "data loss is an error, not a crash");
+    check("loss-and-race", &rt, PIN);
+}
+
 #[test]
 fn q6_scan_on_every_platform() {
     q6_scan(&mut assert_pin);
@@ -559,6 +641,35 @@ fn two_tenant_serve_run() {
     two_tenant_serve(&mut assert_pin);
 }
 
+#[test]
+fn timeout_shed_and_blown_deadline() {
+    call_verdicts(&mut assert_pin);
+}
+
+#[test]
+fn data_loss_and_a_detected_race() {
+    loss_and_race(&mut assert_pin);
+}
+
+/// Every pinned scenario, each handing its pinned points to `check`.
+fn every_scenario(check: Check) -> ServeReport {
+    for scenario in [
+        q6_scan,
+        sssp_spill,
+        coherence_hooks,
+        fanout,
+        failover,
+        crash_restart,
+        corruption,
+        grayfail_hedged,
+        call_verdicts,
+        loss_and_race,
+    ] {
+        scenario(check);
+    }
+    two_tenant_serve(check)
+}
+
 /// `integrity.pool1.detected`, `serve.tenant0.p99_ns`: one row per pool or
 /// tenant of the run. Instance families are described in DESIGN.md §10 /
 /// §11, not tabled in §6.
@@ -574,8 +685,8 @@ fn is_instance(name: &str) -> bool {
 /// The names in the first column of DESIGN.md's §6 metric table.
 fn documented_metrics() -> BTreeSet<String> {
     let doc = include_str!("../DESIGN.md");
-    let begin = "<!-- ddc-analyze:metric-table:begin -->";
-    let end = "<!-- ddc-analyze:metric-table:end -->";
+    let begin = "<!-- metric-table:begin -->";
+    let end = "<!-- metric-table:end -->";
     let table = doc
         .split_once(begin)
         .and_then(|(_, rest)| rest.split_once(end))
@@ -599,27 +710,14 @@ fn metric_table_matches_what_the_scenarios_emit() {
     let mut note = |m: MetricsRegistry| {
         emitted.extend(m.iter().map(|(name, _)| name.to_string()));
     };
-    let mut collect = |_: &str, rt: &Runtime, _: Pin| note(rt.metrics());
-    for scenario in [
-        q6_scan,
-        sssp_spill,
-        coherence_hooks,
-        fanout,
-        failover,
-        crash_restart,
-        corruption,
-        grayfail_hedged,
-    ] {
-        scenario(&mut collect);
-    }
-    let report = two_tenant_serve(&mut collect);
+    let report = every_scenario(&mut |_, rt, _| note(rt.metrics()));
     note(report.metrics());
 
     let with_instances = emitted.len();
     emitted.retain(|name| !is_instance(name));
     let documented = documented_metrics();
     let counts = format!(
-        "§6 documents {} names; the nine scenarios emit {} (+{} per-instance)",
+        "§6 documents {} names; the pinned scenarios emit {} (+{} per-instance)",
         documented.len(),
         emitted.len(),
         with_instances - emitted.len()
@@ -632,5 +730,31 @@ fn metric_table_matches_what_the_scenarios_emit() {
         "{counts}\n\
          emitted, not in §6: {undocumented:?}\n\
          in §6, not emitted: {unemitted:?}"
+    );
+}
+
+/// Every row of the `trace_events!` table is drawn by a run whose digest is
+/// pinned above: the event is emitted by the program (no test can write to
+/// the stream) and a change to what it carries moves a pin. A new row that
+/// nothing emits fails here, by its `trace.*` name, until a pinned scenario
+/// draws it.
+#[test]
+fn every_event_kind_is_emitted_by_a_pinned_scenario() {
+    let mut counts = [0u64; EventKind::ALL.len()];
+    every_scenario(&mut |_, rt, _| {
+        let m = rt.metrics();
+        for (n, kind) in counts.iter_mut().zip(EventKind::ALL) {
+            *n += m.get(kind.metric_name()).expect("one trace.* row a kind");
+        }
+    });
+    let never: Vec<_> = EventKind::ALL
+        .iter()
+        .zip(counts)
+        .filter(|&(_, n)| n == 0)
+        .map(|(kind, _)| kind.metric_name())
+        .collect();
+    assert!(
+        never.is_empty(),
+        "no pinned scenario emits {never:?}; extend one (and re-pin it) or add one"
     );
 }
