@@ -242,10 +242,11 @@ fn bench_resident_list_shuffled(c: &mut Criterion) {
     g.finish();
 }
 
-/// The page seal: what every reseal after a pool-side write, every verified
-/// fabric delivery or SSD read, and every scrubbed page pays. `warm` seals
-/// one page that stays in L1; `cold_page_of_16MB` walks a 16 MB image with
-/// a stride, as a scrub pass or scattered reseals meet their pages.
+/// The page seal: what an injected corruption pays twice — when it lands
+/// (the page's sum is taken just before the edit) and when a fabric
+/// delivery, SSD read, pool access or scrub pass verifies the page. `warm`
+/// seals one page that stays in L1; `cold_page_of_16MB` walks a 16 MB image
+/// with a stride, as scattered corruption meets its pages.
 fn bench_seal_page(c: &mut Criterion) {
     let mut g = c.benchmark_group("integrity/seal_page_4k");
     g.throughput(Throughput::Bytes(PAGE_SIZE as u64));
@@ -264,6 +265,44 @@ fn bench_seal_page(c: &mut Criterion) {
             black_box(PageChecksum::of(black_box(
                 &image[p * PAGE_SIZE..][..PAGE_SIZE],
             )))
+        });
+    });
+    g.finish();
+}
+
+/// The two paths that change a page the pool holds, with the integrity
+/// plane on and no corruption drawn: `dirty_writeback` writes a page of a
+/// two-page cache, so every write faults its page in and evicts the dirty
+/// one written before; `memside_put_then_get` writes a resident pool page
+/// from inside the pool and reads it back. Sealing eagerly, each paid one
+/// page seal an iteration (at the write-back; before the read); sealing on
+/// demand, neither pays any until corruption lands.
+fn bench_armed_rack(c: &mut Criterion) {
+    let mut g = c.benchmark_group("integrity/armed_rack");
+    g.throughput(Throughput::Elements(1));
+    g.bench_function("dirty_writeback", |b| {
+        let pages = 64u64;
+        let (mut dos, a) = warm_dos(2, pages as usize);
+        dos.enable_integrity();
+        let mut p = 0u64;
+        b.iter(|| {
+            p = (p + 1) % pages;
+            dos.write_u64(black_box(a.offset(p * PAGE_SIZE as u64)), p, Pattern::Rand)
+        });
+    });
+    g.bench_function("memside_put_then_get", |b| {
+        let pages = 4096u64;
+        let (mut dos, a) = warm_dos(64, pages as usize);
+        dos.drop_cache();
+        dos.enable_integrity();
+        let mut p = 0u64;
+        b.iter(|| {
+            p = (p + 61) % pages;
+            let at = black_box(a.offset(p * PAGE_SIZE as u64));
+            dos.mem_touch_range(at, 8, true, Pattern::Rand);
+            dos.space_mut().write_u64(at, p);
+            dos.mem_touch_range(at, 8, false, Pattern::Rand);
+            black_box(dos.space().read_u64(at))
         });
     });
     g.finish();
@@ -316,6 +355,7 @@ criterion_group!(
     bench_resident_list,
     bench_resident_list_shuffled,
     bench_seal_page,
+    bench_armed_rack,
     bench_space_lifecycle
 );
 criterion_main!(benches);

@@ -104,14 +104,20 @@ struct IntegrityWindow {
 }
 
 /// What the integrity plane knows about one page.
+///
+/// A page is `sealed` from the moment the plane covers it, but its `sum` is
+/// taken on demand: when injected corruption is about to land on a `stale`
+/// page ([`Dos::poll_corruption`]), over the bytes just before the edit.
+/// Only a page with pending corruption is ever compared against its sum,
+/// so that is the one instant a sum is needed.
 #[derive(Debug, Clone, Copy, Default)]
 struct PageSeal {
-    /// Checksum over the page's full 4 KB image, taken at registration and
-    /// at every dirty write-back; meaningful only once `sealed`.
+    /// Checksum over the page's full 4 KB image as it was before its
+    /// corruption landed; meaningful only while `sealed && !stale`.
     sum: PageChecksum,
     sealed: bool,
-    /// Legitimately written since `sum` was taken; resealed lazily at the
-    /// next verification point (checksums are O(page), writes are not).
+    /// `sum` does not describe the page's bytes (never taken, or a
+    /// legitimate write since): the next corruption hit takes it afresh.
     stale: bool,
     /// Has undetected injected corruption (its edits are in
     /// [`Integrity::edits`]).
@@ -121,12 +127,11 @@ struct PageSeal {
 }
 
 impl Integrity {
-    /// Seal `pid` over `image`, its current authoritative bytes, clearing
-    /// any stale mark.
-    fn seal(&mut self, pid: PageId, image: &[u8]) {
+    /// Put `pid` under the plane: sealed over whatever bytes it holds,
+    /// with the sum left to the first corruption hit that needs it.
+    fn seal(&mut self, pid: PageId) {
         let page = self.pages.entry(pid);
-        page.sum = PageChecksum::of(image);
-        page.stale = false;
+        page.stale = true;
         if !page.sealed {
             page.sealed = true;
             self.sealed += 1;
@@ -617,18 +622,17 @@ impl Dos {
     }
 
     /// A dirty compute-cache page's image flows back to its owning shard:
-    /// the page-out crosses the fabric and lands dirty in the pool; its
-    /// checksum is sealed (the write-back travels checksummed, so the
-    /// journal records a good image), the write is journaled to the
-    /// replica, and the landed copy is polled for a scribble — latent until
-    /// the next read or scrub pass.
+    /// the page-out crosses the fabric and lands dirty in the pool, the
+    /// write is journaled to the replica, and the landed copy is polled for
+    /// a scribble — latent until the next read or scrub pass. (The write
+    /// that dirtied the page already marked its seal stale, so a scribble
+    /// here is sealed over the image the write-back carried.)
     #[inline]
     fn flush_dirty_to_pool(&mut self, pid: PageId) {
         self.wire(MsgClass::PageOut, PAGE_SIZE);
         self.stats.remote_page_out += 1;
         let p = self.owner_of(pid);
         self.shards[p].pool.mark_dirty(pid);
-        self.seal_checksum(pid);
         self.replicate_for(p, ReplOp::PageWrite(pid));
         self.poll_corruption(CorruptionPoint::Pool, pid);
     }
@@ -671,7 +675,7 @@ impl Dos {
         }
         if self.integrity.enabled {
             for pid in pages {
-                self.seal_checksum(pid);
+                self.integrity.seal(pid);
             }
         }
         addr
@@ -908,7 +912,6 @@ impl Dos {
             self.stats.remote_page_in += 1;
             self.shards[p].pool.pin(pid);
             if self.integrity.enabled {
-                self.reseal_if_stale(pid);
                 if fault.storage_read {
                     self.poll_corruption(CorruptionPoint::Ssd, pid);
                     self.check_page(pid, CorruptionPoint::Ssd);
@@ -924,7 +927,6 @@ impl Dos {
             if self.swapped.get(pid) {
                 self.ssd_page_in();
                 if self.integrity.enabled {
-                    self.reseal_if_stale(pid);
                     self.poll_corruption(CorruptionPoint::Ssd, pid);
                     self.check_page(pid, CorruptionPoint::Ssd);
                 }
@@ -954,7 +956,6 @@ impl Dos {
         } else if dirty {
             self.ssd_page_out();
             *self.swapped.entry(page) = true;
-            self.seal_checksum(page);
         }
     }
 
@@ -1001,7 +1002,6 @@ impl Dos {
         }
         self.charge_pool_fault(fault);
         if self.integrity.enabled {
-            self.reseal_if_stale(pid);
             if fault.storage_read {
                 self.poll_corruption(CorruptionPoint::Ssd, pid);
                 self.check_page(pid, CorruptionPoint::Ssd);
@@ -1645,23 +1645,36 @@ impl Dos {
         self.integrity.enabled
     }
 
-    /// Turn the integrity plane on, sealing a checksum over every page
-    /// currently mapped. Idempotent; pages allocated later are sealed at
-    /// registration.
+    /// Turn the integrity plane on, sealing every page currently mapped.
+    /// Idempotent; pages allocated later are sealed at registration. A
+    /// seal is a mark, not a hash: the sum is taken when corruption first
+    /// lands on the page.
     pub fn enable_integrity(&mut self) {
         if self.integrity.enabled {
             return;
         }
         self.integrity.enabled = true;
         for pid in self.space.mapped_pages() {
-            self.integrity.seal(pid, self.space.page_view(pid));
+            self.integrity.seal(pid);
         }
     }
 
-    /// The sealed checksum of one page, if the integrity plane holds one.
+    /// The checksum the integrity plane holds for one page, if it covers
+    /// it: the sum of the bytes the page should hold. For a page carrying
+    /// undetected corruption that is the sum taken just before the
+    /// corruption landed; for any other page it is computed here, over the
+    /// bytes the page holds now. (A page declared lost keeps its corrupt
+    /// bytes and, until it is written again, the sum from before the loss.)
     pub fn page_checksum(&self, pid: PageId) -> Option<PageChecksum> {
         let page = self.integrity.pages.get(pid);
-        page.sealed.then_some(page.sum)
+        if !page.sealed {
+            return None;
+        }
+        Some(if page.stale && !page.pending {
+            PageChecksum::of(self.space.page_view(pid))
+        } else {
+            page.sum
+        })
     }
 
     /// Unrecoverable-corruption events in the current timed window.
@@ -1674,18 +1687,8 @@ impl Dos {
         self.integrity.last_loss
     }
 
-    /// Seal `pid`'s checksum over its current image and clear any stale
-    /// mark. Called wherever a page image becomes authoritative: at
-    /// registration and at every dirty write-back.
-    fn seal_checksum(&mut self, pid: PageId) {
-        if self.integrity.enabled {
-            self.integrity.seal(pid, self.space.page_view(pid));
-        }
-    }
-
-    /// Record that a legitimate write invalidated `pid`'s sealed checksum.
-    /// O(1) per write; the actual reseal happens lazily at the next
-    /// verification point.
+    /// Record that a legitimate write invalidated `pid`'s checksum. O(1)
+    /// per write; the sum is retaken only if corruption lands on the page.
     #[inline]
     fn mark_stale(&mut self, pid: PageId) {
         if self.integrity.enabled {
@@ -1693,21 +1696,13 @@ impl Dos {
         }
     }
 
-    /// Re-seal a legitimately written page before anything compares its
-    /// bytes against the (outdated) checksum. A page with pending
-    /// corruption is never resealed: every access path verifies before it
-    /// writes, so corruption is always detected before a write could mark
-    /// the page stale — blessing corrupt bytes is impossible.
-    fn reseal_if_stale(&mut self, pid: PageId) {
-        let page = self.integrity.pages.get(pid);
-        if self.integrity.enabled && page.stale && !page.pending {
-            self.integrity.seal(pid, self.space.page_view(pid));
-        }
-    }
-
     /// Poll the fault plan for corruption of `pid` at `point`; on a hit,
-    /// XOR the drawn mask into the authoritative image and record the edit
-    /// so a repair can invert it exactly.
+    /// take the page's sum if it is stale, then XOR the drawn mask into the
+    /// authoritative image and record the edit so a repair can invert it
+    /// exactly. A page with pending corruption keeps the sum it has: every
+    /// access path verifies before it writes, so its bytes have not been
+    /// legitimately written since that sum was taken, and retaking it would
+    /// bless the corruption already there.
     fn poll_corruption(&mut self, point: CorruptionPoint, pid: PageId) {
         if !self.integrity.enabled || self.integrity.pages.get(pid).lost {
             return;
@@ -1716,8 +1711,14 @@ impl Dos {
             return;
         };
         if let Some(c) = inj.corruption(point, pid.0) {
-            self.space.page_view_mut(pid)[c.offset] ^= c.mask;
-            self.integrity.pages.entry(pid).pending = true;
+            let image = self.space.page_view_mut(pid);
+            let page = self.integrity.pages.entry(pid);
+            if page.stale && !page.pending {
+                page.sum = PageChecksum::of(image);
+                page.stale = false;
+            }
+            image[c.offset] ^= c.mask;
+            page.pending = true;
             self.integrity.edits.entry(pid).or_default().push(c);
         }
     }
@@ -1852,7 +1853,6 @@ impl Dos {
                 let pool = &self.shards[self.owner_of(pid)].pool;
                 pool.is_mapped(pid) && !pool.is_resident(pid)
             };
-            self.reseal_if_stale(pid);
             if on_storage {
                 self.ssd_page_in();
                 self.poll_corruption(CorruptionPoint::Ssd, pid);
@@ -2036,6 +2036,7 @@ impl Dos {
 mod tests {
     use super::*;
     use ddc_sim::DdcConfig;
+    use proptest::prelude::*;
 
     fn tiny_ddc(cache_pages: usize, pool_pages: usize) -> Dos {
         let cfg = DdcConfig {
@@ -2561,6 +2562,121 @@ mod tests {
         assert!(!dos.integrity_enabled());
         assert_eq!(dos.metrics().get("integrity.detected"), None);
         assert_eq!(dos.page_checksum(a.page()), None);
+    }
+
+    /// What eager sealing would hold, checked against the lazy seals: a
+    /// page with pending corruption holds the sum of its image with every
+    /// recorded edit undone (the bytes just before the first edit landed),
+    /// and every other covered page not declared lost answers
+    /// `page_checksum` with the sum of the bytes it holds.
+    fn assert_seals_are_the_eager_ones(dos: &Dos) {
+        for pid in dos.space.mapped_pages() {
+            let page = dos.integrity.pages.get(pid);
+            let image = dos.space.page_view(pid);
+            assert!(page.sealed, "{pid} is mapped but not covered");
+            if page.pending {
+                let mut before = image.to_vec();
+                for c in &dos.integrity.edits[&pid] {
+                    before[c.offset] ^= c.mask;
+                }
+                assert_eq!(
+                    page.sum,
+                    PageChecksum::of(&before),
+                    "{pid} is pending over a sum of some other image"
+                );
+            } else if !page.lost {
+                assert_eq!(
+                    dos.page_checksum(pid),
+                    Some(PageChecksum::of(image)),
+                    "{pid} answers for bytes it does not hold"
+                );
+            }
+        }
+    }
+
+    const SCRIPT_PAGES: u64 = 16;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Random scripts of compute-side and memory-side reads and writes,
+        /// cache drops and scrub passes over sixteen pages, four of which
+        /// fit the compute cache and eight the pool, under scribbles, bit
+        /// flips and latent sectors at `p` ≥ 0.5, with and without a
+        /// replica: the seals are the eager ones after every step. The
+        /// script ends by landing a latent scribble, so the pending half of
+        /// the check is never vacuous.
+        #[test]
+        fn lazy_seals_equal_the_eager_ones_after_every_step(
+            seed in any::<u64>(),
+            replicated in any::<bool>(),
+            p_pct in 50u32..=100,
+            script in prop::collection::vec(
+                (0u8..8, 0..SCRIPT_PAGES, any::<u64>()),
+                1..120,
+            ),
+        ) {
+            let mut dos = Dos::new_disaggregated(DdcConfig {
+                compute_cache_bytes: 4 * PAGE_SIZE,
+                memory_pool_bytes: 8 * PAGE_SIZE,
+                replication: if replicated {
+                    ReplicationMode::Synchronous
+                } else {
+                    ReplicationMode::Off
+                },
+                ..Default::default()
+            });
+            let a = dos.alloc(SCRIPT_PAGES as usize * PAGE_SIZE);
+            let at = |pg: u64, v: u64| a.offset(pg * PAGE_SIZE as u64 + v % 512 * 8);
+            for pg in 0..SCRIPT_PAGES {
+                dos.write_u64(at(pg, pg), pg + 1, Pattern::Rand);
+            }
+            let p = f64::from(p_pct) / 100.0;
+            let plan = ddc_sim::FaultPlan::new(seed)
+                .pool_scribbles(SimTime::ZERO, ddc_sim::FOREVER, p)
+                .fabric_bit_flips(SimTime::ZERO, ddc_sim::FOREVER, p)
+                .ssd_latent_sectors(SimTime::ZERO, ddc_sim::FOREVER, p);
+            let inj = injector_for(&dos, plan);
+            dos.install_faults(&inj);
+            assert_seals_are_the_eager_ones(&dos);
+            for (op, pg, v) in script {
+                let addr = at(pg, v);
+                match op {
+                    0 | 1 => {
+                        dos.read_u64(addr, Pattern::Rand);
+                    }
+                    2 | 3 => dos.write_u64(addr, v, Pattern::Rand),
+                    4 | 5 => {
+                        // Pushed-down access: the compute copy goes first,
+                        // as the coherence protocol would send it.
+                        let write = op == 5;
+                        dos.coherence_evict(addr.page());
+                        dos.mem_touch_range(addr, 8, write, Pattern::Rand);
+                        if write {
+                            dos.space.write_u64(addr, v);
+                        }
+                    }
+                    6 => dos.drop_cache(),
+                    _ => {
+                        dos.scrub_pass();
+                    }
+                }
+                assert_seals_are_the_eager_ones(&dos);
+            }
+            for pg in (0..SCRIPT_PAGES).cycle().take(256) {
+                if !dos.integrity.edits.is_empty() {
+                    break;
+                }
+                let addr = at(pg, 0);
+                if dos.integrity.pages.get(addr.page()).lost {
+                    continue;
+                }
+                dos.write_u64(addr, pg, Pattern::Rand);
+                dos.syncmem(); // the write-back is exposed to a scribble
+                assert_seals_are_the_eager_ones(&dos);
+            }
+            prop_assert!(!dos.integrity.edits.is_empty(), "no scribble landed");
+        }
     }
 
     #[test]

@@ -139,11 +139,12 @@ impl<T: Copy + Default> Default for PageTable<T> {
 }
 
 /// The integrity checksum of one 4 KB page image: [`ddc_sim::page_seal`]
-/// over all `PAGE_SIZE` backing bytes, sealed at write/registration time
-/// and re-verified whenever the page crosses a pool boundary (fabric
-/// delivery, SSD read) or a scrub pass reaches it. The fabric and the SSD
-/// verify with the same function, and a change confined to one byte — what
-/// the fault plane injects — always changes it.
+/// over all `PAGE_SIZE` backing bytes, taken when injected corruption is
+/// about to land on the page (over the bytes just before the edit) and
+/// verified when the page then crosses a pool boundary (fabric delivery,
+/// SSD read) or a scrub pass reaches it. The fabric and the SSD verify with
+/// the same function, and a change confined to one byte — what the fault
+/// plane injects — always changes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct PageChecksum(pub u64);
 

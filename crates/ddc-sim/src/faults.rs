@@ -461,7 +461,7 @@ pub struct Corruption {
 }
 
 /// A checksum verification failed: the page's bytes no longer match the
-/// checksum sealed at write/registration time.
+/// checksum taken before the corruption landed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IntegrityError {
     /// The page whose image is corrupt.

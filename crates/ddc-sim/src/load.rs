@@ -223,7 +223,7 @@ impl LatencyRecorder {
     /// Nearest-rank percentile (`q` in percent, e.g. `99.9`) of one
     /// tenant's latencies; `None` if the tenant completed nothing.
     pub fn percentile(&self, tenant: usize, q: f64) -> Option<SimDuration> {
-        rank(&self.samples[tenant], q)
+        rank(self.samples[tenant].clone(), q)
     }
 
     pub fn p50(&self, tenant: usize) -> Option<SimDuration> {
@@ -240,8 +240,7 @@ impl LatencyRecorder {
 
     /// Nearest-rank percentile over every tenant's samples pooled together.
     pub fn overall_percentile(&self, q: f64) -> Option<SimDuration> {
-        let pooled: Vec<u64> = self.samples.iter().flatten().copied().collect();
-        rank(&pooled, q)
+        rank(self.samples.concat(), q)
     }
 
     /// Largest recorded latency across all tenants.
@@ -255,14 +254,15 @@ impl LatencyRecorder {
     }
 }
 
-fn rank(samples: &[u64], q: f64) -> Option<SimDuration> {
+/// Nearest-rank percentile of `samples` (a copy the caller gives up):
+/// selected in place in O(n), since only the one rank is wanted, not the
+/// order of the rest.
+fn rank(mut samples: Vec<u64>, q: f64) -> Option<SimDuration> {
     if samples.is_empty() {
         return None;
     }
     assert!((0.0..=100.0).contains(&q), "percentile out of range: {q}");
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let n = sorted.len();
+    let n = samples.len();
     // Nearest-rank: the ⌈q·n/100⌉-th smallest sample, 1-based. Multiply
     // before dividing — `q / 100.0` is already inexact (0.999…), and the
     // extra rounding step is what let tiny-sample ranks drift. The clamp
@@ -270,12 +270,14 @@ fn rank(samples: &[u64], q: f64) -> Option<SimDuration> {
     // minimum), and a high quantile of a tiny sample (p999 of <1000
     // observations) is the maximum, never an index past the buffer.
     let r = ((q * n as f64) / 100.0).ceil() as usize;
-    Some(SimDuration::from_nanos(sorted[r.clamp(1, n) - 1]))
+    let (_, &mut nth, _) = samples.select_nth_unstable(r.clamp(1, n) - 1);
+    Some(SimDuration::from_nanos(nth))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn same_seed_same_schedule() {
@@ -404,5 +406,40 @@ mod tests {
             Some(SimDuration::from_nanos(1000))
         );
         assert_eq!(lat.p99(0), Some(SimDuration::from_nanos(990)));
+    }
+
+    /// Nearest rank by its definition: sort, then index.
+    fn rank_by_sorting(samples: &[u64], q: f64) -> u64 {
+        let mut sorted = samples.to_vec();
+        sorted.sort_unstable();
+        let r = ((q * sorted.len() as f64) / 100.0).ceil() as usize;
+        sorted[r.clamp(1, sorted.len()) - 1]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Selection finds the value sorting would: with heavy duplicates
+        /// (values drawn from four), with one sample, at the quantiles the
+        /// serving plane reports, at both edges and at arbitrary ones.
+        #[test]
+        fn rank_by_selection_matches_sorting(
+            samples in prop_oneof![
+                prop::collection::vec(any::<u64>(), 1..2),
+                prop::collection::vec(0u64..4, 1..300),
+                prop::collection::vec(any::<u64>(), 1..300),
+            ],
+            q in prop_oneof![
+                Just(0.0),
+                Just(50.0),
+                Just(99.0),
+                Just(99.9),
+                Just(100.0),
+                0.0f64..100.0,
+            ],
+        ) {
+            let want = rank_by_sorting(&samples, q);
+            prop_assert_eq!(rank(samples, q), Some(SimDuration::from_nanos(want)));
+        }
     }
 }

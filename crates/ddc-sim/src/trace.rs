@@ -601,9 +601,9 @@ fn seal_step(state: u64, word: u64) -> u64 {
     (state ^ word).wrapping_mul(SEAL_MUL).rotate_left(SEAL_ROT)
 }
 
-/// The page-integrity seal: a 64-bit checksum of a page image, sealed at
-/// write / registration time and compared whenever the image crosses a
-/// pool boundary or a scrub pass reaches it.
+/// The page-integrity seal: a 64-bit checksum of a page image, taken just
+/// before injected corruption lands on it and compared when the image then
+/// crosses a pool boundary or a scrub pass reaches it.
 ///
 /// The image is read as little-endian `u64` words dealt round-robin into
 /// eight independent lanes (so eight multiplies are in flight instead of

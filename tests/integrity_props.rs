@@ -1,6 +1,6 @@
 //! Property tests for the end-to-end data-integrity plane.
 //!
-//! Three invariants, each quantified over fault seeds (and, where it
+//! Four invariants, each quantified over fault seeds (and, where it
 //! matters, corruption probabilities):
 //!
 //! 1. **Determinism** — the same seed produces the same corruption sites
@@ -15,9 +15,9 @@
 //!    repairs nothing twice.
 //! 4. **Per-page bookkeeping** — through a random script of compute-side
 //!    and pushed-down writes, reads, cache drops and scrubs under three
-//!    corruption kinds, the detection ledger balances after every step and
-//!    every scrub leaves each page that was not lost sealed over exactly
-//!    the bytes it holds.
+//!    corruption kinds, the detection ledger balances after every step and,
+//!    after every step too, each page that was not lost is sealed over
+//!    exactly the bytes the script wrote to it.
 
 use ddc_os::{PageChecksum, Pattern};
 use ddc_sim::{
@@ -191,10 +191,13 @@ fn balanced_ledger(rt: &Runtime) -> (u64, u64, u64) {
     ledger
 }
 
-/// After a scrub pass nothing is stale or pending: every page that was
-/// never declared lost must carry a seal equal to a fresh seal of the
-/// bytes it holds now (a lost page keeps its corrupt bytes on purpose).
-fn assert_seals_are_fresh(rt: &Runtime) {
+/// Every page of `col` that was never declared lost is sealed over the
+/// bytes the script meant it to hold (`shadow`'s), whatever it holds now:
+/// a page carrying undetected corruption answers with the sum taken just
+/// before the corruption landed, any other page with the sum of its bytes —
+/// which are then exactly the intended ones. A lost page keeps its corrupt
+/// bytes on purpose.
+fn assert_seals_are_fresh(rt: &Runtime, col: &Region<u64>, shadow: &[u64]) {
     let lost: Vec<u64> = rt
         .trace()
         .events()
@@ -205,14 +208,25 @@ fn assert_seals_are_fresh(rt: &Runtime) {
         })
         .collect();
     let dos = rt.dos();
-    for pid in dos.space().mapped_pages() {
+    let per_page = PAGE_SIZE / 8;
+    assert_eq!(
+        dos.space().mapped_pages().len(),
+        shadow.len().div_ceil(per_page),
+        "the column is the whole address space"
+    );
+    for (k, vals) in shadow.chunks(per_page).enumerate() {
+        let pid = col.at(k * per_page).page();
         if lost.contains(&pid.0) {
             continue;
         }
+        let mut intended = vec![0u8; PAGE_SIZE];
+        for (dst, v) in intended.chunks_exact_mut(8).zip(vals) {
+            dst.copy_from_slice(&v.to_le_bytes());
+        }
         assert_eq!(
             dos.page_checksum(pid),
-            Some(PageChecksum::of(dos.space().page_view(pid))),
-            "{pid} is sealed over bytes it no longer holds"
+            Some(PageChecksum::of(&intended)),
+            "{pid} is sealed over bytes the script never wrote"
         );
     }
 }
@@ -279,14 +293,14 @@ proptest! {
                 _ => {
                     let (scanned, _) = rt.scrub_now();
                     prop_assert!(scanned as usize >= shadow.len() * 8 / PAGE_SIZE);
-                    assert_seals_are_fresh(&rt);
                 }
             }
             balanced_ledger(&rt);
+            assert_seals_are_fresh(&rt, &col, &shadow);
         }
         rt.drop_cache();
         rt.scrub_now();
-        assert_seals_are_fresh(&rt);
+        assert_seals_are_fresh(&rt, &col, &shadow);
         let (detected, _, lost) = balanced_ledger(&rt);
         prop_assert!(detected > 0, "the plan must corrupt something that is then found");
         prop_assert_eq!(lost, rt.trace().count(EventKind::DataLoss));
