@@ -128,98 +128,9 @@ pub enum CancelOutcome {
     Declined,
 }
 
-/// The compute-side heartbeat monitor that detects memory-pool failure
-/// (§3.2: a background thread issues heartbeats; on failure the kernel
-/// panics because main memory is lost).
-#[derive(Debug, Clone)]
-pub struct HeartbeatMonitor {
-    interval: SimDuration,
-    missed_threshold: u32,
-    missed: u32,
-    pool_alive: bool,
-}
-
-impl HeartbeatMonitor {
-    pub fn new(interval: SimDuration, missed_threshold: u32) -> Self {
-        assert!(missed_threshold > 0);
-        HeartbeatMonitor {
-            interval,
-            missed_threshold,
-            missed: 0,
-            pool_alive: true,
-        }
-    }
-
-    pub fn interval(&self) -> SimDuration {
-        self.interval
-    }
-
-    /// Simulate a hardware/network failure of the memory pool.
-    pub fn inject_failure(&mut self) {
-        self.pool_alive = false;
-    }
-
-    /// The pool answered again after a flap. Does *not* clear the missed
-    /// count — the next successful [`beat`](Self::beat) does, so callers
-    /// can still observe how close the flap came to the threshold.
-    pub fn restore(&mut self) {
-        self.pool_alive = true;
-    }
-
-    /// Consecutive beats missed so far.
-    pub fn missed(&self) -> u32 {
-        self.missed
-    }
-
-    /// One heartbeat round trip. Returns `Err(KernelPanic)` once enough
-    /// consecutive beats have gone unanswered.
-    pub fn beat(&mut self) -> Result<(), PushdownError> {
-        if self.pool_alive {
-            self.missed = 0;
-            Ok(())
-        } else {
-            self.missed += 1;
-            if self.missed >= self.missed_threshold {
-                Err(PushdownError::KernelPanic)
-            } else {
-                Ok(())
-            }
-        }
-    }
-
-    pub fn is_pool_alive(&self) -> bool {
-        self.pool_alive
-    }
-}
-
-impl Default for HeartbeatMonitor {
-    fn default() -> Self {
-        // 10 ms beats, panic after 3 consecutive misses.
-        HeartbeatMonitor::new(SimDuration::from_millis(10), 3)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn healthy_pool_never_panics() {
-        let mut hb = HeartbeatMonitor::default();
-        for _ in 0..100 {
-            assert!(hb.beat().is_ok());
-        }
-        assert!(hb.is_pool_alive());
-    }
-
-    #[test]
-    fn failure_panics_after_threshold() {
-        let mut hb = HeartbeatMonitor::new(SimDuration::from_millis(10), 3);
-        hb.inject_failure();
-        assert!(hb.beat().is_ok());
-        assert!(hb.beat().is_ok());
-        assert_eq!(hb.beat(), Err(PushdownError::KernelPanic));
-    }
 
     #[test]
     fn error_display_is_informative() {

@@ -55,7 +55,8 @@
 //! - [`rpc`] — the LITE-style RPC layer, memory-side workqueue, and
 //!   admission control;
 //! - [`breakdown`] — the six-part cost attribution (paper Figs 19–20);
-//! - [`fault`] — exceptions, timeouts, cancellation, heartbeats (§3.2);
+//! - [`fault`] — exceptions, timeouts, cancellation (§3.2; the heartbeats
+//!   are the kernel's, `ddc_os::Dos::pool_gate`);
 //! - [`resilience`] — retry/local-fallback recovery policies on top of
 //!   the §3.2 exception model;
 //! - [`serve`] — the multi-tenant open-loop serving plane: seeded arrival
@@ -81,7 +82,7 @@ pub use ddc_os::Pattern;
 pub use breakdown::Breakdown;
 pub use coherence::race::{detect_races, Actor, Race, SyncLog, SyncOp};
 pub use coherence::{CoherenceStats, Perm, PushdownSession, TieBreak};
-pub use fault::{CancelOutcome, HeartbeatMonitor, PushdownError};
+pub use fault::{CancelOutcome, PushdownError};
 pub use flags::{CoherenceMode, PushdownOpts, SyncStrategy};
 pub use resilience::{ExecutionVia, FallbackPolicy, Recovered, ResiliencePolicy, RetryPolicy};
 pub use rle::{ResidentList, UnsortedResidentList};

@@ -20,9 +20,7 @@ use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use ddc_os::{
-    page_chunks, pages_spanned, Dos, FailoverReport, PageId, Pattern, RoutingWindow, VAddr,
-};
+use ddc_os::{page_chunks, pages_spanned, Dos, PageId, Pattern, PoolLoss, RoutingWindow, VAddr};
 use ddc_sim::{
     CpuConfig, DdcConfig, EventKind, FaultInjector, FaultPlan, FaultSpec, Lane, MetricsRegistry,
     MonolithicConfig, MsgClass, NetLedger, PushdownDisruption, RecoveryAction, SimDuration,
@@ -32,7 +30,7 @@ use ddc_sim::{
 use crate::breakdown::Breakdown;
 use crate::coherence::race::{Actor, Race, SyncLog, SyncOp};
 use crate::coherence::{CoherenceStats, PushdownSession, TieBreak};
-use crate::fault::{CancelOutcome, HeartbeatMonitor, PushdownError};
+use crate::fault::{CancelOutcome, PushdownError};
 use crate::flags::{PushdownOpts, SyncStrategy};
 use crate::resilience::{ExecutionVia, FallbackPolicy, Recovered, ResiliencePolicy};
 use crate::rle::RUN_WIRE_BYTES;
@@ -436,13 +434,6 @@ struct WindowLedger {
     last_coherence: Option<CoherenceStats>,
     /// Pushdowns shed by admission control.
     admission_sheds: u64,
-    /// Primary→backup pool promotions.
-    failovers: u64,
-    /// The epoch each failover promoted *to*, in order.
-    failover_epochs: Vec<u64>,
-    /// Crashed shards awaiting their scheduled restart: `(shard, at)`.
-    /// Serviced at the top of every pushdown's gate.
-    pending_restarts: Vec<(usize, SimTime)>,
     /// Pushdowns routed to a shard on a multi-pool rack.
     routed_pushdowns: u64,
     /// Of those, how many spanned more than one shard (fan-out).
@@ -472,13 +463,7 @@ pub struct Runtime {
     kind: PlatformKind,
     tcfg: TeleportConfig,
     server: RpcServer,
-    /// One heartbeat monitor per memory-pool shard (a single entry on
-    /// Local, whose monitor is never consulted).
-    heartbeats: Vec<HeartbeatMonitor>,
     alive: bool,
-    /// The installed fault plan's executor, if any. Shared with the
-    /// kernel's fabric and SSD.
-    faults: Option<FaultInjector>,
     /// Counters and per-window state, reset by `begin_timing`.
     ledger: WindowLedger,
     /// Compute-visible stale page snapshots left behind by
@@ -528,20 +513,12 @@ impl Runtime {
             PlatformKind::Teleport => dos.ddc_config().memory_contexts.max(1),
             _ => 1,
         };
-        let heartbeats = match kind {
-            PlatformKind::Local => vec![HeartbeatMonitor::default()],
-            _ => (0..dos.pool_count().max(1))
-                .map(|_| fresh_heartbeat(&dos))
-                .collect(),
-        };
         Runtime {
             server: RpcServer::new(instances, tcfg.wakeup),
             dos,
             kind,
             tcfg,
-            heartbeats,
             alive: true,
-            faults: None,
             ledger: WindowLedger::default(),
             stale: BTreeMap::new(),
             race_log: SyncLog::default(),
@@ -651,29 +628,28 @@ impl Runtime {
         m.set("topology.pools", self.dos.pool_count() as u64);
         m.set("topology.routed_pushdowns", self.ledger.routed_pushdowns);
         m.set("topology.fanout_pushdowns", self.ledger.fanout_pushdowns);
-        m.set("failover.promotions", self.ledger.failovers);
-        if let Some(inj) = &self.faults {
+        m.set("failover.promotions", self.failovers());
+        if let Some(inj) = self.dos.injector() {
             m.set("faults.injected", inj.injected_count());
         }
         m
     }
 
-    /// Install a fault plan: its injector is wired into the kernel's
-    /// fabric and SSD and polled by the runtime's own decision points
-    /// (heartbeats, the workqueue, pushdown execution). Returns the
-    /// injector so callers can inspect `injected_count()` afterwards.
-    /// Installing a new plan replaces any previous one.
+    /// Install a fault plan: its injector is wired into the kernel (its
+    /// fabric, SSD, integrity plane and liveness gate) and polled by the
+    /// runtime's own decision points (the workqueue, pushdown execution).
+    /// Returns the injector so callers can inspect `injected_count()`
+    /// afterwards. Installing a new plan replaces any previous one.
     pub fn install_fault_plan(&mut self, plan: FaultPlan) -> FaultInjector {
         let inj = FaultInjector::new(plan, self.dos.clock().clone(), self.dos.tracer().clone());
         self.dos.install_faults(&inj);
-        self.faults = Some(inj.clone());
         inj
     }
 
     /// The injector backing the legacy one-shot `inject_*` helpers,
     /// installing an empty plan on first use.
     fn ensure_injector(&mut self) -> FaultInjector {
-        match &self.faults {
+        match self.dos.injector() {
             Some(inj) => inj.clone(),
             None => self.install_fault_plan(FaultPlan::new(0)),
         }
@@ -730,7 +706,7 @@ impl Runtime {
 
     /// Primary→backup pool promotions since `begin_timing`.
     pub fn failovers(&self) -> u64 {
-        self.ledger.failovers
+        self.dos.failover_epochs().len() as u64
     }
 
     /// Hedges fired by `pushdown_hedged` since `begin_timing`.
@@ -789,7 +765,7 @@ impl Runtime {
     /// for a given seed + config: two runs of the same scenario produce the
     /// same sequence.
     pub fn failover_epochs(&self) -> &[u64] {
-        &self.ledger.failover_epochs
+        self.dos.failover_epochs()
     }
 
     pub fn is_alive(&self) -> bool {
@@ -799,78 +775,7 @@ impl Runtime {
     /// Restarts still scheduled (crashed shards whose `down_for` window
     /// has not elapsed yet).
     pub fn pending_restarts(&self) -> usize {
-        self.ledger.pending_restarts.len()
-    }
-
-    /// Bring back every crashed shard whose scheduled restart time has
-    /// passed, in `(restart time, shard)` order so recovery traffic stays
-    /// seed-stable when several shards come back in the same window.
-    fn service_pool_restarts(&mut self) {
-        if self.ledger.pending_restarts.is_empty() {
-            return;
-        }
-        let now = self.dos.clock().now();
-        let mut due: Vec<(usize, SimTime)> = Vec::new();
-        self.ledger.pending_restarts.retain(|&(p, at)| {
-            if at <= now {
-                due.push((p, at));
-                false
-            } else {
-                true
-            }
-        });
-        due.sort_by_key(|&(p, at)| (at, p));
-        for (p, _) in due {
-            let _ = self.dos.restart_pool(p);
-        }
-    }
-
-    /// Poll the fault plan for pool crashes that have come due. On a hit
-    /// the shard dies (volatile state wiped, journal possibly torn):
-    ///
-    /// - with a standing replica, the backup is promoted on the spot, the
-    ///   dead shard's hardware is scheduled to rejoin after `down_for`,
-    ///   and the in-flight call surfaces [`PushdownError::Fenced`] — the
-    ///   epoch fence rejected the dead life's acknowledgement;
-    /// - without one, the outage is waited out in place (`down_for` of
-    ///   virtual time), the shard restarts by journal replay, and the call
-    ///   proceeds against the recovered primary.
-    fn poll_pool_crashes(&mut self) -> Result<(), PushdownError> {
-        let Some(inj) = self.faults.clone() else {
-            return Ok(());
-        };
-        let mut fenced: Option<PushdownError> = None;
-        for p in 0..self.dos.pool_count() {
-            let Some(down_for) = inj.pool_crash_now_for(p) else {
-                continue;
-            };
-            let stale = self.dos.crash_pool(p);
-            if self.dos.has_replica_for(p) {
-                self.promote_shard(p);
-                self.ledger
-                    .pending_restarts
-                    .push((p, self.dos.clock().now() + down_for));
-                fenced.get_or_insert(PushdownError::Fenced { stale_epoch: stale });
-            } else {
-                self.dos.charge(down_for);
-                let _ = self.dos.restart_pool(p);
-            }
-        }
-        fenced.map_or(Ok(()), Err)
-    }
-
-    /// Promote shard `p`'s standing backup after its primary died, and
-    /// book the failover. The promoted shard starts with a clean bill of
-    /// health, so its heartbeat monitor starts fresh too.
-    fn promote_shard(&mut self, p: usize) -> FailoverReport {
-        let report = self
-            .dos
-            .failover_to_replica_for(p)
-            .expect("has_replica implies a promotable backup");
-        self.heartbeats[p] = fresh_heartbeat(&self.dos);
-        self.ledger.failovers += 1;
-        self.ledger.failover_epochs.push(report.new_epoch);
-        report
+        self.dos.pending_restarts()
     }
 
     /// One fabric message of `bytes` payload, charged to virtual time.
@@ -897,27 +802,77 @@ impl Runtime {
         Err(PushdownError::ProtocolViolation { req })
     }
 
-    /// Poll the fault plan for a disruption targeting pushdown `call`.
-    fn poll_disruption(&self, call: u64) -> Option<PushdownDisruption> {
-        self.faults
-            .as_ref()
-            .and_then(|i| i.pushdown_disruption(call))
+    /// Run pushdown `call`'s function `f` on an arm over `session` (the
+    /// memory side) or none (the compute side), unless the fault plan
+    /// replaces it: an injected exception surfaces as if the function
+    /// panicked, and a hang burns past the kill timeout so the watchdog
+    /// fires. Injected disruptions apply on every platform, so a chaos
+    /// scenario is comparable across Local/BaseDdc/Teleport.
+    fn run_or_disrupt<R>(
+        &mut self,
+        call: u64,
+        session: Option<&mut PushdownSession>,
+        cpu: CpuConfig,
+        f: impl FnOnce(&mut Arm<'_>) -> R,
+    ) -> std::thread::Result<R> {
+        let disruption = self
+            .dos
+            .injector()
+            .and_then(|i| i.pushdown_disruption(call));
+        match disruption {
+            Some(PushdownDisruption::Exception) => {
+                Err(Box::new("injected fault: pushdown exception".to_string()))
+            }
+            Some(PushdownDisruption::Hang) => {
+                self.dos
+                    .charge(self.tcfg.kill_timeout + SimDuration::from_nanos(1));
+                Err(Box::new("injected fault: pushdown hang".to_string()))
+            }
+            None => {
+                let mut arm = Arm {
+                    dos: &mut self.dos,
+                    session,
+                    cpu,
+                    race_log: self.race_log.clone(),
+                };
+                catch_unwind(AssertUnwindSafe(|| f(&mut arm)))
+            }
+        }
+    }
+
+    /// The one verdict every pushdown ends with, on every platform.
+    /// Unrepairable corruption during the call trumps every other outcome:
+    /// the bytes the function read (or the caller would read back) are
+    /// gone, so no value computed from them may escape — and a function
+    /// that crashed *because* it consumed them surfaces the root cause.
+    /// Then a function that ran past the kill timeout was killed, then its
+    /// exception, and last the deadline budget: the side effects stand,
+    /// only the caller-visible outcome turns into a typed SLO miss.
+    fn verdict<R>(
+        &mut self,
+        result: std::thread::Result<R>,
+        ran_for: SimDuration,
+        loss_before: u64,
+        opts: PushdownOpts,
+        call: u64,
+        entered: SimTime,
+    ) -> Result<R, PushdownError> {
+        if self.dos.data_loss_count() > loss_before {
+            let page = self.dos.last_data_loss().map_or(0, |p| p.0);
+            return Err(PushdownError::DataLoss { page });
+        }
+        if ran_for > self.tcfg.kill_timeout {
+            return Err(PushdownError::Killed { ran_for });
+        }
+        let value = result.map_err(|p| PushdownError::Exception(panic_message(p)))?;
+        self.judge_deadline(opts, call, entered)?;
+        Ok(value)
     }
 
     fn emit_recovery(&self, action: RecoveryAction, attempt: u32) {
         self.dos
             .tracer()
             .emit(Lane::Compute, TraceEvent::Recovery { action, attempt });
-    }
-
-    /// Unrepairable corruption observed since `loss_before` poisons the
-    /// call: the caller gets a typed loss, never a wrong answer.
-    fn check_data_loss(&self, loss_before: u64) -> Result<(), PushdownError> {
-        if self.dos.data_loss_count() > loss_before {
-            let page = self.dos.last_data_loss().map(|p| p.0).unwrap_or(0);
-            return Err(PushdownError::DataLoss { page });
-        }
-        Ok(())
     }
 
     /// The `syncmem` syscall (§4.2): flush dirty compute pages to the
@@ -1080,31 +1035,13 @@ impl Runtime {
         let call = self.ledger.fault_call_idx;
         self.ledger.fault_call_idx += 1;
         if self.kind != PlatformKind::Teleport {
-            // Injected call disruptions apply on every platform so a chaos
-            // scenario is comparable across Local/BaseDdc/Teleport: an
-            // exception aborts the local run, a hang burns until the same
-            // conservative timeout an application watchdog would use.
-            match self.poll_disruption(call) {
-                Some(PushdownDisruption::Exception) => {
-                    return Err(PushdownError::Exception(
-                        "injected fault: pushdown exception".to_string(),
-                    ));
-                }
-                Some(PushdownDisruption::Hang) => {
-                    let ran_for = self.tcfg.kill_timeout + SimDuration::from_nanos(1);
-                    self.dos.charge(ran_for);
-                    return Err(PushdownError::Killed { ran_for });
-                }
-                None => {}
-            }
-            let r = catch_unwind(AssertUnwindSafe(|| self.run_local(f)));
-            // Loss first: a function that crashed *because* it consumed
-            // unrepairable bytes should surface the root cause, not the
-            // secondary panic.
-            self.check_data_loss(loss_before)?;
-            let value = r.map_err(|p| PushdownError::Exception(panic_message(p)))?;
-            self.judge_deadline(opts, call, entered)?;
-            return Ok(value);
+            // The function runs compute-side, watched by an application
+            // watchdog with the kernel's conservative timeout.
+            let t0 = self.dos.clock().now();
+            let cpu = self.dos.compute_cpu();
+            let result = self.run_or_disrupt(call, None, cpu, f);
+            let ran_for = self.dos.clock().now().since(t0);
+            return self.verdict(result, ran_for, loss_before, opts, call, entered);
         }
         self.pushdown_gate()?;
 
@@ -1155,7 +1092,7 @@ impl Runtime {
 
         // An injected backlog burst materializes as other tenants' work
         // already sitting in the workqueue when this request arrives.
-        if let Some(burst) = self.faults.as_ref().and_then(|i| i.queue_burst()) {
+        if let Some(burst) = self.dos.injector().and_then(|i| i.queue_burst()) {
             self.queue_backlog = self.queue_backlog.max(burst);
         }
         // Admission control: the memory kernel inspects queue depth and the
@@ -1227,28 +1164,7 @@ impl Runtime {
             TieBreak::FavorMemory,
         );
         session.set_race_log(self.race_log.clone());
-        // An injected disruption replaces the function body: an exception
-        // surfaces as if the pushed code panicked in the temporary context,
-        // a hang burns past the kill timeout so the kernel's watchdog fires.
-        let result: std::thread::Result<R> = match self.poll_disruption(call) {
-            Some(PushdownDisruption::Exception) => {
-                Err(Box::new("injected fault: pushdown exception".to_string()))
-            }
-            Some(PushdownDisruption::Hang) => {
-                self.dos
-                    .charge(self.tcfg.kill_timeout + SimDuration::from_nanos(1));
-                Err(Box::new("injected fault: pushdown hang".to_string()))
-            }
-            None => {
-                let mut arm = Arm {
-                    dos: &mut self.dos,
-                    session: Some(&mut session),
-                    cpu: mem_cpu,
-                    race_log: self.race_log.clone(),
-                };
-                catch_unwind(AssertUnwindSafe(|| f(&mut arm)))
-            }
-        };
+        let result = self.run_or_disrupt(call, Some(&mut session), mem_cpu, f);
         let exec_window = self.dos.clock().now().since(t0);
         // ❻ Completion. Any end-of-session synchronization (Weak
         // Ordering's batched invalidation) is charged here and attributed
@@ -1305,98 +1221,31 @@ impl Runtime {
 
         self.ledger.last_breakdown = Some(bd);
         self.ledger.breakdown_acc += bd;
-
-        // Verdict. Unrepairable corruption during the call trumps every
-        // other outcome: the bytes the function read (or the caller would
-        // read back) are gone, so no value computed from them may escape.
-        self.check_data_loss(loss_before)?;
-        // A function that overran the kill timeout was killed; the compute
-        // side receives an abort instead of a result.
-        if exec_window > self.tcfg.kill_timeout {
-            return Err(PushdownError::Killed {
-                ran_for: exec_window,
-            });
-        }
-        let value = result.map_err(|p| PushdownError::Exception(panic_message(p)))?;
-        // Last: judge the completed call against its deadline budget. The
-        // side effects stand (the pool ran the function to completion);
-        // only the caller-visible outcome turns into a typed SLO miss.
-        self.judge_deadline(opts, call, entered)?;
-        Ok(value)
+        self.verdict(result, exec_window, loss_before, opts, call, entered)
     }
 
-    /// The gate every Teleport pushdown passes before step ❶, in this
-    /// order: scheduled restarts, the crash poll, the heartbeat round, the
-    /// health tick. An `Err` is the typed outcome of the rack changing
-    /// under the call (`Fenced`, `PoolFailedOver`, `KernelPanic`).
+    /// The gate every Teleport pushdown passes before step ❶: the
+    /// kernel's liveness gate (scheduled restarts, the crash poll, the
+    /// heartbeat round), then the health tick. A lost shard is the typed
+    /// outcome of the rack changing under the call: a crash fenced its
+    /// write (at-most-once holds, and a retry reaches the new epoch), a
+    /// heartbeat death failed it over, or a death with no backup is a
+    /// kernel panic.
     fn pushdown_gate(&mut self) -> Result<(), PushdownError> {
-        // Crash-restart plane: bring back any shard whose scheduled
-        // restart has come due, then poll the plan for a fresh pool crash.
-        // A crash with a standing replica fails over immediately and this
-        // call surfaces `Fenced` — its write raced the crash, and the
-        // promoted primary's epoch fence rejected the dead life's
-        // acknowledgement, so nothing landed (at-most-once) and a retry
-        // reaches the new epoch. Without a replica the shard simply stays
-        // down; this call waits out the outage, then the restart replays
-        // the journal and the call proceeds.
-        self.service_pool_restarts();
-        self.poll_pool_crashes()?;
-        self.heartbeat_round()?;
+        self.dos.pool_gate().map_err(|loss| match loss {
+            PoolLoss::Fenced { stale_epoch } => PushdownError::Fenced { stale_epoch },
+            PoolLoss::FailedOver { lost_epoch } => PushdownError::PoolFailedOver { lost_epoch },
+            PoolLoss::Dead => {
+                self.alive = false;
+                PushdownError::KernelPanic
+            }
+        })?;
         // Gray-failure plane (a no-op unless armed). Probing is the health
         // plane's background work; it rides this call's charge-out but
         // must not bill the victim session on a serving tier's slot
         // timeline.
         self.ledger.probe_credit += self.dos.health_tick();
         Ok(())
-    }
-
-    /// Heartbeat check, one monitor per shard: a dead shard is a kernel
-    /// panic — unless that shard has a replica, in which case its backup
-    /// is promoted and the in-flight call surfaces a recoverable failover
-    /// error. Beats repeat every interval until every shard either answers
-    /// (a transient flap, possibly after several missed beats) or one
-    /// misses enough consecutive beats to be declared permanently dead.
-    /// Shards are probed in index order so the wire and trace sequences
-    /// stay seed-stable.
-    fn heartbeat_round(&mut self) -> Result<(), PushdownError> {
-        loop {
-            let mut all_alive = true;
-            for p in 0..self.heartbeats.len() {
-                let down = self.faults.as_ref().is_some_and(|i| i.pool_down_now_for(p));
-                if down {
-                    self.heartbeats[p].inject_failure();
-                } else {
-                    self.heartbeats[p].restore();
-                }
-                let missed_before = self.heartbeats[p].missed();
-                if let Err(e) = self.heartbeats[p].beat() {
-                    if self.dos.has_replica_for(p) {
-                        let report = self.promote_shard(p);
-                        // The fault that killed the primary is consumed by
-                        // the promotion.
-                        if let Some(inj) = &self.faults {
-                            inj.retire_pool_faults_for(p);
-                        }
-                        return Err(PushdownError::PoolFailedOver {
-                            lost_epoch: report.old_epoch,
-                        });
-                    }
-                    self.alive = false;
-                    return Err(e);
-                }
-                if !self.heartbeats[p].is_pool_alive() {
-                    all_alive = false;
-                } else if missed_before > 0 {
-                    self.emit_recovery(RecoveryAction::HeartbeatRecovered, missed_before);
-                }
-            }
-            if all_alive {
-                return Ok(());
-            }
-            // Some shard missed this beat; wait one interval and probe
-            // every shard again.
-            self.dos.charge(self.heartbeats[0].interval());
-        }
     }
 
     /// Settle a multi-pool call's fan-out before its response ships: the
@@ -1588,7 +1437,7 @@ impl Runtime {
         let t0 = self.dos.clock().now();
         let primary = self.pushdown(opts, &mut f);
         let d_primary = self.dos.clock().now().since(t0);
-        let seed = self.faults.as_ref().map(|i| i.plan().seed()).unwrap_or(0);
+        let seed = self.dos.injector().map_or(0, |i| i.plan().seed());
         let fire_at = policy.fire_after(seed, call);
         let fired = self.kind == PlatformKind::Teleport
             && d_primary > fire_at
@@ -1653,13 +1502,6 @@ impl Runtime {
             latency,
         })
     }
-}
-
-/// A heartbeat monitor at the deployment's configured cadence, with no
-/// missed beats on record.
-fn fresh_heartbeat(dos: &Dos) -> HeartbeatMonitor {
-    let hb = dos.ddc_config().heartbeat;
-    HeartbeatMonitor::new(hb.interval, hb.missed_threshold)
 }
 
 fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {

@@ -17,8 +17,8 @@
 
 use ddc_sim::{
     Clock, ConfigError, Corruption, CorruptionPoint, DdcConfig, Fabric, FaultInjector, FaultLevel,
-    Lane, MonolithicConfig, MsgClass, PlacementPolicy, RepairSource, ReplicationMode, ScrubConfig,
-    SimDuration, SimTime, Ssd, TraceEvent, Tracer, PAGE_SIZE,
+    Lane, MonolithicConfig, MsgClass, PlacementPolicy, RecoveryAction, RepairSource,
+    ReplicationMode, ScrubConfig, SimDuration, SimTime, Ssd, TraceEvent, Tracer, PAGE_SIZE,
 };
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -65,6 +65,7 @@ const HEALTH_PROBE_TOUCHES: u64 = 64;
 
 /// The kernel's page-integrity plane: sealed checksums, pending (injected,
 /// not-yet-detected) corruption, repair bookkeeping, and scrub progress.
+/// While enabled it covers every mapped page (pages are never unmapped).
 ///
 /// Disabled (and entirely free) unless the fault plan carries corruption
 /// specs or a scrub schedule is configured — existing experiments see zero
@@ -74,8 +75,6 @@ struct Integrity {
     enabled: bool,
     /// Seal and state of every page the plane has seen.
     pages: PageTable<PageSeal>,
-    /// Pages holding a seal (`integrity.pages_sealed`).
-    sealed: u64,
     /// Injected corruption not yet detected, as invertible XOR edits: one
     /// list per page whose [`PageSeal::pending`] is set, consulted only
     /// then (corruption is rare; the flag keeps this map off clean pages).
@@ -105,20 +104,19 @@ struct IntegrityWindow {
 
 /// What the integrity plane knows about one page.
 ///
-/// A page is `sealed` from the moment the plane covers it, but its `sum` is
-/// taken on demand: when injected corruption is about to land on a `stale`
-/// page ([`Dos::poll_corruption`]), over the bytes just before the edit.
-/// Only a page with pending corruption is ever compared against its sum,
-/// so that is the one instant a sum is needed.
+/// Every mapped page is sealed while the plane is enabled, but its `sum` is
+/// taken on demand: when injected corruption is about to land on a page
+/// whose sum is not `fresh` ([`Dos::poll_corruption`]), over the bytes just
+/// before the edit. Only a page with pending corruption is ever compared
+/// against its sum, so that is the one instant a sum is needed.
 #[derive(Debug, Clone, Copy, Default)]
 struct PageSeal {
     /// Checksum over the page's full 4 KB image as it was before its
-    /// corruption landed; meaningful only while `sealed && !stale`.
+    /// corruption landed; meaningful only while `fresh`.
     sum: PageChecksum,
-    sealed: bool,
-    /// `sum` does not describe the page's bytes (never taken, or a
-    /// legitimate write since): the next corruption hit takes it afresh.
-    stale: bool,
+    /// `sum` was taken and no legitimate write has landed since. False
+    /// until the first corruption hit takes it.
+    fresh: bool,
     /// Has undetected injected corruption (its edits are in
     /// [`Integrity::edits`]).
     pending: bool,
@@ -127,17 +125,6 @@ struct PageSeal {
 }
 
 impl Integrity {
-    /// Put `pid` under the plane: sealed over whatever bytes it holds,
-    /// with the sum left to the first corruption hit that needs it.
-    fn seal(&mut self, pid: PageId) {
-        let page = self.pages.entry(pid);
-        page.stale = true;
-        if !page.sealed {
-            page.sealed = true;
-            self.sealed += 1;
-        }
-    }
-
     /// Forget `pid`'s pending corruption, handing back its edit list.
     fn take_edits(&mut self, pid: PageId) -> Option<Vec<Corruption>> {
         self.pages.get_mut(pid)?.pending = false;
@@ -156,9 +143,9 @@ struct PoolIntegrity {
 
 /// One memory-pool shard: the pool-side unit that owns its page table,
 /// together with everything whose lifetime is tied to that one failure
-/// domain — its replication companion, crash-recovery journal, epoch and
-/// per-shard ledgers. Keeping them in one struct makes a misaligned
-/// per-pool vector unrepresentable.
+/// domain — its replication companion, crash-recovery journal, epoch,
+/// heartbeat misses, scheduled restart and per-shard ledgers. Keeping them
+/// in one struct makes a misaligned per-pool vector unrepresentable.
 struct PoolShard {
     pool: MemoryPool,
     /// Replication companion, when configured and not yet consumed by a
@@ -175,15 +162,42 @@ struct PoolShard {
     /// specs (`None` otherwise — crash-free runs stay bit-identical with
     /// journaling disarmed).
     journal: Option<RecoveryJournal>,
-    /// True while the shard is crashed (volatile state wiped, restart or
-    /// failover pending).
+    /// True while the shard's primary is crashed (volatile state wiped,
+    /// in-place restart or failover pending).
     down: bool,
-    /// Epoch the shard held at death — the fencing baseline its zombie
-    /// carries when it wakes.
-    crash_epoch: Option<u64>,
+    /// The dead primary a failover replaced, asleep until its restart.
+    /// It carries the epoch it held at death, so a later crash of the
+    /// promoted primary cannot overwrite what the fence will compare.
+    restart: Option<Restart>,
+    /// Consecutive heartbeats the shard has left unanswered.
+    missed_beats: u32,
     /// Memory-side page touches that landed here in the open routing
     /// window (multi-pool only).
     touched_pages: u64,
+}
+
+/// A failed-over primary's scheduled return: at `at` it wakes, its
+/// resume-write carrying `stale_epoch` is fenced, and it rejoins as the
+/// shard's standby.
+#[derive(Debug, Clone, Copy)]
+struct Restart {
+    at: SimTime,
+    stale_epoch: u64,
+}
+
+/// Why a pushdown may not proceed past [`Dos::pool_gate`]: a shard of the
+/// rack was lost under it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PoolLoss {
+    /// A shard crashed and its backup was promoted: the call's
+    /// acknowledgement carried the dead life's `stale_epoch` and was fenced.
+    Fenced { stale_epoch: u64 },
+    /// A shard missed its heartbeat threshold and its backup was promoted;
+    /// the call was running against `lost_epoch`.
+    FailedOver { lost_epoch: u64 },
+    /// A shard with no backup missed its heartbeat threshold: main memory
+    /// is gone.
+    Dead,
 }
 
 impl PoolShard {
@@ -199,7 +213,8 @@ impl PoolShard {
             integrity: PoolIntegrity::default(),
             journal: None,
             down: false,
-            crash_epoch: None,
+            restart: None,
+            missed_beats: 0,
             touched_pages: 0,
         }
     }
@@ -238,7 +253,8 @@ pub struct Dos {
     /// Open files in the storage pool (paper §3.1: pushed functions may
     /// use the process's open files like any local function).
     files: Vec<Vec<u8>>,
-    /// Fault injector handle for corruption polls (set by `install_faults`).
+    /// The installed fault plan's executor (set by `install_faults`), the
+    /// one handle every layer polls.
     injector: Option<FaultInjector>,
     /// Page-checksum integrity plane.
     integrity: Integrity,
@@ -250,6 +266,9 @@ pub struct Dos {
     health: Option<HealthMonitor>,
     /// Recovery-plane activity, surfaced as the `recovery.*` metrics.
     recovery: RecoveryCounters,
+    /// The epoch each promotion in the timed window promoted *to*, in
+    /// order.
+    failover_epochs: Vec<u64>,
 }
 
 impl Dos {
@@ -280,6 +299,7 @@ impl Dos {
             scrub: ScrubConfig::default(),
             health: None,
             recovery: RecoveryCounters::default(),
+            failover_epochs: Vec::new(),
             topo: Topology::Monolithic(cfg),
         }
     }
@@ -331,6 +351,7 @@ impl Dos {
             scrub: cfg.scrub,
             health: None,
             recovery: RecoveryCounters::default(),
+            failover_epochs: Vec::new(),
             topo: Topology::Disaggregated(cfg),
         })
     }
@@ -446,6 +467,11 @@ impl Dos {
                 self.tracer.clone(),
             ));
         }
+    }
+
+    /// The installed fault plan's injector, if any.
+    pub fn injector(&self) -> Option<&FaultInjector> {
+        self.injector.as_ref()
     }
 
     /// The gray-failure monitor, when armed (fail-slow specs in the plan).
@@ -647,8 +673,8 @@ impl Dos {
     /// cache until first touch.
     pub fn alloc(&mut self, bytes: usize) -> VAddr {
         let addr = self.space.alloc(bytes);
-        let pages: Vec<PageId> = self.space.pages_of(addr).collect();
         if !self.shards.is_empty() {
+            let pages: Vec<PageId> = self.space.pages_of(addr).collect();
             let owners = self.place_allocation(&pages);
             self.alloc_seq += 1;
             for (&pid, &p) in pages.iter().zip(&owners) {
@@ -671,11 +697,6 @@ impl Dos {
                     },
                 );
                 i += run.len();
-            }
-        }
-        if self.integrity.enabled {
-            for pid in pages {
-                self.integrity.seal(pid);
             }
         }
         addr
@@ -746,6 +767,7 @@ impl Dos {
     /// Reset the clock and every metric ledger. Call after loading data so
     /// the timed run starts at zero with the residency state intact.
     pub fn begin_timing(&mut self) {
+        let now = self.clock.now();
         self.clock.reset();
         self.stats = PagingStats::default();
         self.fabric.reset_ledger();
@@ -757,11 +779,17 @@ impl Dos {
             }
             shard.failover = None;
             shard.integrity = PoolIntegrity::default();
+            // A scheduled restart is residency state: it keeps what is
+            // left of its outage on the reset clock.
+            if let Some(r) = &mut shard.restart {
+                r.at = SimTime(r.at.since(now).as_nanos());
+            }
         }
         // Integrity counters cover the timed window; the seals, pending
         // corruption, and lost-page set describe residency state and stay.
         self.integrity.window = IntegrityWindow::default();
         self.recovery = RecoveryCounters::default();
+        self.failover_epochs.clear();
     }
 
     /// Flush and drop the whole compute cache (dirty pages are written
@@ -1270,7 +1298,10 @@ impl Dos {
     ///   coherence session continues against a consistent page table.
     ///
     /// Consumes the backup: a second death of the shard is fatal again
-    /// until a restart re-silvers a new standby. Returns `None` when no
+    /// until a restart re-silvers a new standby. A crashed primary's
+    /// hardware is scheduled to rejoin now (see [`Dos::restart_pool`]); one
+    /// that died of missed heartbeats never returns. The promoted primary
+    /// starts with no missed heartbeats on record. Returns `None` when no
     /// replica is standing by.
     pub fn failover_to_replica_for(&mut self, p: usize) -> Option<FailoverReport> {
         let shard = self.shards.get_mut(p)?;
@@ -1307,7 +1338,14 @@ impl Dos {
         shard.failover = Some((report, counters));
         // The shard is serving again (the dead primary's eventual wake-up
         // is fenced by the epoch bump above).
-        shard.down = false;
+        if std::mem::take(&mut shard.down) {
+            shard.restart = Some(Restart {
+                at: self.clock.now(),
+                stale_epoch: old_epoch,
+            });
+        }
+        shard.missed_beats = 0;
+        self.failover_epochs.push(report.new_epoch);
         self.tracer.emit(
             Lane::Memory,
             TraceEvent::PoolPromoted {
@@ -1420,34 +1458,33 @@ impl Dos {
         let shard = &mut self.shards[p];
         shard.pool = MemoryPool::new(shard.pool.capacity());
         shard.down = true;
-        shard.crash_epoch = Some(epoch);
         epoch
     }
 
     /// Bring the dead shard's hardware back. Two lives are possible:
     ///
-    /// - **primary recovery** — no failover happened while it was down, so
-    ///   it rebuilds from the SSD-authoritative base plus a checksummed
-    ///   journal replay (discarding a torn tail with a typed event) and
-    ///   resumes as primary at a strictly higher epoch;
-    /// - **zombie rejoin** — its replica was promoted while it slept. Its
-    ///   resume-write carries the epoch it held at death, fencing rejects
-    ///   it (`FencedWrite`; no stale write ever lands), and it re-enters
-    ///   as a standby replica, caught up by costed re-silvering traffic.
+    /// - **primary recovery** — the shard is down and no failover replaced
+    ///   it, so it rebuilds from the SSD-authoritative base plus a
+    ///   checksummed journal replay (discarding a torn tail with a typed
+    ///   event) and resumes as primary at a strictly higher epoch;
+    /// - **zombie rejoin** — otherwise its replica was promoted while it
+    ///   slept. Its resume-write carries the epoch it held at death,
+    ///   fencing rejects it (`FencedWrite`; no stale write ever lands), and
+    ///   it re-enters as a standby replica, caught up by costed
+    ///   re-silvering traffic.
     ///
     /// Either way the shard re-enters placement through the health plane's
     /// Probation→Healthy probe streak when that plane is armed.
     pub fn restart_pool(&mut self, p: usize) -> RestartReport {
-        let stale = self.shards[p]
-            .crash_epoch
-            .take()
-            .unwrap_or_else(|| panic!("shard {p} has no crash to restart from"));
-        let report = if self.shards[p].epoch > stale {
-            self.rejoin_as_standby(p, stale)
-        } else {
+        let shard = &mut self.shards[p];
+        let report = if std::mem::take(&mut shard.down) {
             self.recover_primary(p)
+        } else {
+            let Some(zombie) = shard.restart.take() else {
+                panic!("shard {p} has no crash to restart from")
+            };
+            self.rejoin_as_standby(p, zombie.stale_epoch)
         };
-        self.shards[p].down = false;
         self.recovery.restarts += 1;
         self.tracer.emit(
             Lane::Memory,
@@ -1635,6 +1672,115 @@ impl Dos {
     }
 
     // ------------------------------------------------------------------
+    // Liveness gate: scheduled restarts, crash poll, heartbeats (§3.2)
+    // ------------------------------------------------------------------
+
+    /// The epoch each promotion since `begin_timing` promoted *to*, in
+    /// order.
+    pub fn failover_epochs(&self) -> &[u64] {
+        &self.failover_epochs
+    }
+
+    /// Failed-over primaries still asleep (their outage has not elapsed).
+    pub fn pending_restarts(&self) -> usize {
+        self.shards.iter().filter(|s| s.restart.is_some()).count()
+    }
+
+    /// The gate every TELEPORT pushdown passes before it starts, in this
+    /// order: restarts that have come due, the fault plan's crash poll,
+    /// and one heartbeat round. `Err` is the shard loss the call ran into.
+    pub fn pool_gate(&mut self) -> Result<(), PoolLoss> {
+        // Several shards due in one window come back in `(time, shard)`
+        // order, so recovery traffic stays seed-stable.
+        let now = self.clock.now();
+        while let Some((_, p)) = self
+            .shards
+            .iter()
+            .enumerate()
+            .filter_map(|(p, s)| s.restart.map(|r| (r.at, p)))
+            .filter(|&(at, _)| at <= now)
+            .min()
+        {
+            self.restart_pool(p);
+        }
+        // Without a fault plan no shard crashes or misses a beat.
+        let Some(inj) = self.injector.clone() else {
+            return Ok(());
+        };
+        self.poll_pool_crashes(&inj)?;
+        self.heartbeat_round(&inj)
+    }
+
+    /// Crash every shard the fault plan kills now. With a standing replica
+    /// the backup is promoted on the spot, the dead hardware sleeps out
+    /// `down_for` before it rejoins, and the call is fenced: its
+    /// acknowledgement carried the dead life's epoch, so nothing landed.
+    /// Without one the call waits the outage out and the shard restarts in
+    /// place by journal replay.
+    fn poll_pool_crashes(&mut self, inj: &FaultInjector) -> Result<(), PoolLoss> {
+        let mut fenced = None;
+        for p in 0..self.shards.len() {
+            let Some(down_for) = inj.pool_crash_now_for(p) else {
+                continue;
+            };
+            let stale_epoch = self.crash_pool(p);
+            if self.failover_to_replica_for(p).is_some() {
+                let at = self.clock.now() + down_for;
+                self.shards[p].restart = Some(Restart { at, stale_epoch });
+                fenced.get_or_insert(PoolLoss::Fenced { stale_epoch });
+            } else {
+                self.charge(down_for);
+                self.restart_pool(p);
+            }
+        }
+        fenced.map_or(Ok(()), Err)
+    }
+
+    /// Heartbeat every shard, in index order so the wire and trace
+    /// sequences stay seed-stable, and repeat each interval until all
+    /// answer (a flap, possibly after missed beats) or one misses
+    /// `missed_threshold` in a row. That shard's backup is promoted if it
+    /// has one; without one the rack is dead.
+    fn heartbeat_round(&mut self, inj: &FaultInjector) -> Result<(), PoolLoss> {
+        loop {
+            let mut all_alive = true;
+            for p in 0..self.shards.len() {
+                let missed = self.shards[p].missed_beats;
+                if !inj.pool_down_now_for(p) {
+                    if missed > 0 {
+                        self.shards[p].missed_beats = 0;
+                        self.tracer.emit(
+                            Lane::Compute,
+                            TraceEvent::Recovery {
+                                action: RecoveryAction::HeartbeatRecovered,
+                                attempt: missed,
+                            },
+                        );
+                    }
+                    continue;
+                }
+                all_alive = false;
+                self.shards[p].missed_beats = missed + 1;
+                if missed + 1 >= self.ddc_config().heartbeat.missed_threshold {
+                    let Some(report) = self.failover_to_replica_for(p) else {
+                        return Err(PoolLoss::Dead);
+                    };
+                    // The fault that killed the primary is consumed by the
+                    // promotion.
+                    inj.retire_pool_faults_for(p);
+                    return Err(PoolLoss::FailedOver {
+                        lost_epoch: report.old_epoch,
+                    });
+                }
+            }
+            if all_alive {
+                return Ok(());
+            }
+            self.charge(self.ddc_config().heartbeat.interval);
+        }
+    }
+
+    // ------------------------------------------------------------------
     // Integrity plane: seal / verify / repair / scrub
     // ------------------------------------------------------------------
 
@@ -1645,18 +1791,11 @@ impl Dos {
         self.integrity.enabled
     }
 
-    /// Turn the integrity plane on, sealing every page currently mapped.
-    /// Idempotent; pages allocated later are sealed at registration. A
-    /// seal is a mark, not a hash: the sum is taken when corruption first
-    /// lands on the page.
+    /// Turn the integrity plane on, sealing every page mapped now or later.
+    /// Idempotent. A seal is no work at all: the sum is taken when
+    /// corruption first lands on the page.
     pub fn enable_integrity(&mut self) {
-        if self.integrity.enabled {
-            return;
-        }
         self.integrity.enabled = true;
-        for pid in self.space.mapped_pages() {
-            self.integrity.seal(pid);
-        }
     }
 
     /// The checksum the integrity plane holds for one page, if it covers
@@ -1666,11 +1805,11 @@ impl Dos {
     /// bytes the page holds now. (A page declared lost keeps its corrupt
     /// bytes and, until it is written again, the sum from before the loss.)
     pub fn page_checksum(&self, pid: PageId) -> Option<PageChecksum> {
-        let page = self.integrity.pages.get(pid);
-        if !page.sealed {
+        if !self.integrity.enabled || !self.space.is_mapped(pid.base()) {
             return None;
         }
-        Some(if page.stale && !page.pending {
+        let page = self.integrity.pages.get(pid);
+        Some(if !page.fresh && !page.pending {
             PageChecksum::of(self.space.page_view(pid))
         } else {
             page.sum
@@ -1692,12 +1831,12 @@ impl Dos {
     #[inline]
     fn mark_stale(&mut self, pid: PageId) {
         if self.integrity.enabled {
-            self.integrity.pages.entry(pid).stale = true;
+            self.integrity.pages.entry(pid).fresh = false;
         }
     }
 
     /// Poll the fault plan for corruption of `pid` at `point`; on a hit,
-    /// take the page's sum if it is stale, then XOR the drawn mask into the
+    /// take the page's sum unless it is fresh, then XOR the drawn mask into the
     /// authoritative image and record the edit so a repair can invert it
     /// exactly. A page with pending corruption keeps the sum it has: every
     /// access path verifies before it writes, so its bytes have not been
@@ -1713,9 +1852,9 @@ impl Dos {
         if let Some(c) = inj.corruption(point, pid.0) {
             let image = self.space.page_view_mut(pid);
             let page = self.integrity.pages.entry(pid);
-            if page.stale && !page.pending {
+            if !page.fresh && !page.pending {
                 page.sum = PageChecksum::of(image);
-                page.stale = false;
+                page.fresh = true;
             }
             image[c.offset] ^= c.mask;
             page.pending = true;
@@ -1731,7 +1870,7 @@ impl Dos {
     /// — and skipping clean pages keeps the plane cheap.
     fn check_page(&mut self, pid: PageId, via: CorruptionPoint) {
         let page = self.integrity.pages.get(pid);
-        if !self.integrity.enabled || page.lost || !page.pending || !page.sealed {
+        if !self.integrity.enabled || page.lost || !page.pending {
             return;
         }
         let sum = page.sum;
@@ -2016,7 +2155,10 @@ impl Dos {
             m.set("integrity.repaired_from_ssd", i.repaired_ssd);
             m.set("integrity.repaired_from_replica", i.repaired_replica);
             m.set("integrity.data_loss", i.data_loss);
-            m.set("integrity.pages_sealed", self.integrity.sealed);
+            m.set(
+                "integrity.pages_sealed",
+                self.space.allocated_pages() as u64,
+            );
             m.set("scrub.passes", i.scrub_passes);
             m.set("scrub.pages_scanned", i.scrub_pages);
             m.set("scrub.detected", i.scrub_detected);
@@ -2573,7 +2715,7 @@ mod tests {
         for pid in dos.space.mapped_pages() {
             let page = dos.integrity.pages.get(pid);
             let image = dos.space.page_view(pid);
-            assert!(page.sealed, "{pid} is mapped but not covered");
+            assert!(dos.integrity.enabled, "{pid} is mapped but not covered");
             if page.pending {
                 let mut before = image.to_vec();
                 for c in &dos.integrity.edits[&pid] {
@@ -2786,6 +2928,48 @@ mod tests {
         let rtt = dos.control_rtt();
         assert_eq!(dos.clock().now(), before);
         assert!(rtt.as_nanos() > 0);
+    }
+
+    #[test]
+    fn heartbeat_healthy_pool_never_fails_the_gate() {
+        let mut dos = tiny_ddc(4, 64);
+        // A plan that never touches the pool: every round beats it.
+        let inj = injector_for(&dos, ddc_sim::FaultPlan::new(1));
+        dos.install_faults(&inj);
+        for _ in 0..100 {
+            assert_eq!(dos.pool_gate(), Ok(()));
+        }
+        assert_eq!(dos.clock().now(), SimTime::ZERO, "no beat waited out");
+        assert_eq!(dos.shards[0].missed_beats, 0);
+    }
+
+    #[test]
+    fn heartbeat_failure_is_declared_after_the_threshold() {
+        // Three misses at 10 ms: a 15 ms flap is survived after two.
+        let hb = DdcConfig::default().heartbeat;
+        assert_eq!(hb.missed_threshold, 3);
+        let beat = hb.interval.as_nanos();
+        let mut dos = tiny_ddc(4, 64);
+        dos.tracer().enable();
+        let plan = ddc_sim::FaultPlan::new(1).heartbeat_flap(SimTime::ZERO, SimTime(beat * 3 / 2));
+        let inj = injector_for(&dos, plan);
+        dos.install_faults(&inj);
+        assert_eq!(dos.pool_gate(), Ok(()));
+        assert_eq!(dos.clock().now(), SimTime(2 * beat));
+        let recovered = TraceEvent::Recovery {
+            action: RecoveryAction::HeartbeatRecovered,
+            attempt: 2,
+        };
+        assert!(dos.tracer().events().iter().any(|r| r.event == recovered));
+
+        // A death is declared on the third consecutive miss.
+        inj.add_spec(ddc_sim::FaultSpec::HeartbeatFlap {
+            from: dos.clock().now(),
+            until: ddc_sim::FOREVER,
+        });
+        assert_eq!(dos.pool_gate(), Err(PoolLoss::Dead));
+        assert_eq!(dos.clock().now(), SimTime(4 * beat));
+        assert_eq!(dos.shards[0].missed_beats, 3);
     }
 
     #[test]

@@ -21,9 +21,11 @@
 //!   torn tails detected and discarded;
 //! - [`fair`] — deficit-round-robin fair queueing for the memory-side
 //!   workqueue under multi-tenant load;
-//! - [`kernel`] — [`Dos`], the metered access paths, coherence hooks, and
-//!   the page-integrity plane (checksum seal/verify, detect-and-repair,
-//!   background scrubbing) consumed by the `teleport` crate;
+//! - [`kernel`] — [`Dos`], the metered access paths, coherence hooks, the
+//!   per-shard liveness gate (heartbeats, crashes, scheduled restarts,
+//!   promotions), and the page-integrity plane (checksum seal/verify,
+//!   detect-and-repair, background scrubbing) consumed by the `teleport`
+//!   crate;
 //! - [`stats`] — paging counters.
 //!
 //! Everything is deterministic; all costs land on a shared
@@ -45,7 +47,7 @@ pub use addrspace::AddressSpace;
 pub use cache::{CacheEntry, Evicted, PageCache, ResidentView};
 pub use fair::DrrQueue;
 pub use health::{HealthConfig, HealthMonitor};
-pub use kernel::{Dos, FileId, Pattern, Topology};
+pub use kernel::{Dos, FileId, Pattern, PoolLoss, Topology};
 pub use page::{page_chunks, pages_spanned, PageChecksum, PageId, VAddr};
 pub use pool::{MemoryPool, PoolFault};
 pub use recovery::{JournalEntry, RecoveryCounters, RecoveryJournal, RestartReport};

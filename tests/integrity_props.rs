@@ -21,12 +21,13 @@
 
 use ddc_os::{PageChecksum, Pattern};
 use ddc_sim::{
-    DdcConfig, EventKind, FaultPlan, ReplicationMode, SimTime, TraceEvent, FOREVER, PAGE_SIZE,
+    DdcConfig, EventKind, FaultPlan, ReplicationMode, ScrubConfig, SimDuration, SimTime,
+    TraceEvent, FOREVER, PAGE_SIZE,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use teleport::{Mem, PushdownOpts, Region, Runtime};
+use teleport::{Mem, PushdownError, PushdownOpts, Region, Runtime};
 
 const ELEMS: usize = 4096; // 8 pages of u64
 
@@ -349,4 +350,36 @@ fn detection_ledger_balances_even_through_data_loss() {
     assert!(lost > 0, "unrepairable scribbles must be counted as losses");
     assert_eq!(m.get("trace.data_losses"), Some(lost));
     assert!(rt.is_alive(), "data loss is an error, not a crash");
+}
+
+/// Loss outranks every other verdict, on every platform: the scheduled
+/// scrub at call entry finds a scribbled dirty page that no replica can
+/// repair, and the fault plan replaces the same call's function with an
+/// exception. The caller sees the loss, which caused the call's failure,
+/// not the exception.
+#[test]
+fn data_loss_outranks_an_injected_exception_on_every_platform() {
+    let cfg = DdcConfig {
+        scrub: ScrubConfig {
+            every: Some(SimDuration::from_micros(100)),
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    for mut rt in [Runtime::base_ddc(cfg.clone()), Runtime::teleport(cfg)] {
+        let col: Region<u64> = rt.alloc_region(PAGE_SIZE / 8);
+        rt.set(&col, 0, 42, Pattern::Rand);
+        rt.begin_timing();
+        rt.install_fault_plan(
+            FaultPlan::new(5)
+                .pool_scribbles(SimTime(0), FOREVER, 1.0)
+                .pushdown_exception(0),
+        );
+        rt.drop_cache(); // the dirty write-back lands scribbled
+        rt.dos_mut().charge(SimDuration::from_millis(1)); // the scrub is due
+        let r = rt.pushdown(PushdownOpts::new(), |m| m.get(&col, 0, Pattern::Rand));
+        let page = col.addr().page().0;
+        assert_eq!(r, Err(PushdownError::DataLoss { page }), "{:?}", rt.kind());
+        assert_eq!(rt.data_loss(), 1);
+    }
 }

@@ -15,12 +15,20 @@
 //!    un-synced suffix, which the sync batch bounds.
 //! 4. **Determinism** — same seed + same crash plan ⇒ identical trace
 //!    story and byte-identical digest across two runs.
+//! 5. **No crash plan panics** — up to three crashes per shard with
+//!    overlapping outages, on one or two shards: every crash restarts,
+//!    every zombie is fenced once, and a shard's epoch rises by one per
+//!    crash.
 
 use ddc_os::recovery::JOURNAL_SYNC_BATCH;
 use ddc_os::{PageId, RecoveryJournal, ReplOp};
-use ddc_sim::{DdcConfig, FaultPlan, ReplicationMode, SimDuration, SimTime};
+use ddc_sim::{
+    DdcConfig, FaultPlan, PlacementPolicy, ReplicationMode, SimDuration, SimTime, TraceEvent,
+};
 use proptest::prelude::*;
-use teleport::{ExecutionVia, Mem, PushdownOpts, ResiliencePolicy, Runtime};
+use teleport::{
+    ExecutionVia, Mem, Pattern, PushdownError, PushdownOpts, Region, ResiliencePolicy, Runtime,
+};
 
 const ELEMS: usize = 2048; // 4 pages of u64
 
@@ -112,6 +120,157 @@ fn run_crash_scenario(
         out.via,
         rt,
     )
+}
+
+/// A loaded rack of `pools` shards (pages striped across them), traced,
+/// with `crashes` as its fault plan: `(shard, at, down_for)` in µs.
+fn crash_rack(
+    pools: usize,
+    replicated: bool,
+    crashes: &[(usize, u64, u64)],
+) -> (Runtime, Region<u64>, Vec<u64>) {
+    let mut cfg = DdcConfig::with_cache_ratio(ELEMS * 8, 0.25);
+    cfg.pools = pools;
+    cfg.placement = PlacementPolicy::LoadBalance;
+    if replicated {
+        cfg.replication = ReplicationMode::Synchronous;
+    }
+    let mut rt = Runtime::teleport(cfg);
+    rt.enable_tracing();
+    let vals = column_vals(pools as u64);
+    let col = rt.alloc_region::<u64>(ELEMS);
+    rt.write_range(&col, 0, &vals);
+    rt.begin_timing();
+    let plan = crashes
+        .iter()
+        .fold(FaultPlan::new(7), |plan, &(pool, at, down_for)| {
+            plan.pool_crash_restart(
+                pool,
+                SimTime(at * 1_000),
+                SimDuration::from_micros(down_for),
+            )
+        });
+    rt.install_fault_plan(plan);
+    (rt, col, vals)
+}
+
+/// A pushed-down sum of the whole column.
+fn sum_call(rt: &mut Runtime, col: &Region<u64>) -> Result<u64, PushdownError> {
+    rt.pushdown(PushdownOpts::new(), |m| {
+        let mut buf = Vec::new();
+        m.read_range(col, 0, col.len(), &mut buf);
+        buf.iter().fold(0u64, |a, &v| a.wrapping_add(v))
+    })
+}
+
+/// A new timed window must not forget a failed-over primary that is still
+/// asleep: it wakes on the reset clock, is fenced, and rejoins as the
+/// standby exactly as it does when the window is left alone. Shard 0
+/// crashes at the first call and sleeps 100 µs; fifty more calls follow,
+/// 10 µs apart.
+#[test]
+fn begin_timing_keeps_a_scheduled_restart() {
+    for reset_window in [false, true] {
+        let (mut rt, col, _) = crash_rack(1, true, &[(0, 0, 100)]);
+        let first = rt.pushdown(PushdownOpts::new(), |m| m.get(&col, 0, Pattern::Rand));
+        assert_eq!(first, Err(PushdownError::Fenced { stale_epoch: 0 }));
+        assert_eq!(rt.pending_restarts(), 1);
+        if reset_window {
+            rt.begin_timing();
+            assert_eq!(rt.pending_restarts(), 1, "begin_timing dropped the restart");
+        }
+        for _ in 0..50 {
+            rt.dos_mut().charge(SimDuration::from_micros(10));
+            rt.pushdown(PushdownOpts::new(), |m| m.get(&col, 0, Pattern::Rand))
+                .expect("the promoted primary serves");
+        }
+        let rec = rt.dos().recovery_counters();
+        assert_eq!(rt.pending_restarts(), 0, "reset_window={reset_window}");
+        assert_eq!(rec.restarts, 1, "reset_window={reset_window}: no rejoin");
+        assert_eq!(rec.fenced_writes, 1, "reset_window={reset_window}");
+        assert!(
+            rt.dos().has_replica_for(0),
+            "reset_window={reset_window}: the shard runs without a standby"
+        );
+    }
+}
+
+/// The promoted primary crashes while the primary it replaced still
+/// sleeps: it has no backup, so it restarts in place, and the sleeping
+/// zombie later wakes with the epoch *it* died at, is fenced and rejoins.
+#[test]
+fn a_second_crash_inside_the_first_outage_still_rejoins_the_zombie() {
+    let (mut rt, col, vals) = crash_rack(1, true, &[(0, 0, 1_000), (0, 0, 1_000)]);
+    let want = vals.iter().fold(0u64, |a, &v| a.wrapping_add(v));
+
+    assert_eq!(
+        sum_call(&mut rt, &col),
+        Err(PushdownError::Fenced { stale_epoch: 0 })
+    );
+    assert_eq!(rt.dos().pool_epoch_for(0), 1, "the backup was promoted");
+    assert!(!rt.dos().has_replica_for(0));
+
+    assert_eq!(sum_call(&mut rt, &col), Ok(want), "waited out in place");
+    assert_eq!(rt.dos().pool_epoch_for(0), 2, "the in-place restart");
+    assert_eq!(rt.pending_restarts(), 1, "the first zombie still sleeps");
+
+    assert_eq!(sum_call(&mut rt, &col), Ok(want), "the zombie rejoined");
+    assert_eq!(rt.dos().pool_epoch_for(0), 2, "a standby rejoin keeps it");
+    assert_eq!(rt.pending_restarts(), 0);
+    assert!(rt.dos().has_replica_for(0), "the standby is back");
+    assert_eq!(rt.failover_epochs(), &[1]);
+    let rec = rt.dos().recovery_counters();
+    assert_eq!((rec.crashes, rec.restarts, rec.fenced_writes), (2, 2, 1));
+    let fenced = TraceEvent::FencedWrite {
+        pool: 0,
+        stale_epoch: 0,
+    };
+    assert!(rt.trace().events().iter().any(|r| r.event == fenced));
+    let mut back = Vec::new();
+    rt.read_range(&col, 0, ELEMS, &mut back);
+    assert_eq!(back, vals);
+}
+
+/// Drive `crashes` to quiescence: calls 50 µs apart, each either the
+/// oracle's sum or fenced by a crash, until every crash has fired and
+/// every sleeping zombie has rejoined. Returns the runtime and its digest.
+fn run_crash_plan(pools: usize, replicated: bool, crashes: &[(usize, u64, u64)]) -> (Runtime, u64) {
+    let (mut rt, col, vals) = crash_rack(pools, replicated, crashes);
+    let want = vals.iter().fold(0u64, |a, &v| a.wrapping_add(v));
+    let mut epochs = vec![0u64; pools];
+    for call in 0..40 {
+        rt.dos_mut().charge(SimDuration::from_micros(50));
+        match sum_call(&mut rt, &col) {
+            Ok(sum) => assert_eq!(sum, want, "call {call}"),
+            Err(PushdownError::Fenced { .. }) => {}
+            Err(e) => panic!("call {call}: {e}"),
+        }
+        for (p, last) in epochs.iter_mut().enumerate() {
+            let now = rt.dos().pool_epoch_for(p);
+            assert!(now >= *last, "call {call}: shard {p} epoch {last} -> {now}");
+            *last = now;
+        }
+    }
+    assert!(rt.is_alive());
+    assert_eq!(rt.pending_restarts(), 0, "a zombie never woke");
+    let rec = rt.dos().recovery_counters();
+    assert_eq!(rec.crashes, crashes.len() as u64, "a crash never fired");
+    assert_eq!(rec.restarts, rec.crashes, "every crash restarts");
+    assert_eq!(
+        rec.fenced_writes,
+        rt.failovers(),
+        "every zombie fenced once"
+    );
+    for (p, &epoch) in epochs.iter().enumerate() {
+        let died = crashes.iter().filter(|c| c.0 == p).count() as u64;
+        assert_eq!(epoch, died, "shard {p}: one epoch per crash");
+        assert_eq!(rt.dos().has_replica_for(p), replicated, "shard {p}");
+    }
+    let mut back = Vec::new();
+    rt.read_range(&col, 0, ELEMS, &mut back);
+    assert_eq!(back, vals, "every element reads back bit-identical");
+    let digest = rt.trace().digest();
+    (rt, digest)
 }
 
 proptest! {
@@ -229,6 +388,32 @@ proptest! {
         prop_assert_eq!(v1, v2);
         prop_assert_eq!(a1, a2);
         prop_assert_eq!(via1, via2);
+    }
+
+    /// One to three crashes per shard, at most 300 µs apart with outages
+    /// of up to 500 µs, so they overlap freely: a crash inside another's
+    /// outage, a crash of a freshly promoted primary. On one or two
+    /// shards, with or without replicas, no plan panics, every crash
+    /// restarts, every zombie is fenced once, each crash raises its
+    /// shard's epoch by one, and the same plan replays to the same digest.
+    #[test]
+    fn overlapping_crash_plans_recover_every_shard(
+        pools in 1usize..=2,
+        replicated in any::<bool>(),
+        per_shard in prop::collection::vec(
+            prop::collection::vec((0u64..300, 50u64..500), 1..4),
+            2..3,
+        ),
+    ) {
+        let crashes: Vec<(usize, u64, u64)> = per_shard
+            .iter()
+            .take(pools)
+            .enumerate()
+            .flat_map(|(p, specs)| specs.iter().map(move |&(at, down)| (p, at, down)))
+            .collect();
+        let (_, first) = run_crash_plan(pools, replicated, &crashes);
+        let (_, again) = run_crash_plan(pools, replicated, &crashes);
+        prop_assert_eq!(first, again, "same plan, different story");
     }
 }
 
