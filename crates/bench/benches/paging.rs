@@ -105,6 +105,40 @@ fn bench_typed_access(c: &mut Criterion) {
             rt.set(&cols[c], i, black_box(i as i64), Pattern::Rand)
         });
     });
+    // 65 536 rows of a warm 1M-row column, 32 to a page, gathered the way a
+    // candidate-list operator does: in ascending order (a run of 32 rows a
+    // page) and shuffled (a page run of about one row). Each beside the loop
+    // of `get` that `Mem::gather` charges exactly like.
+    const COLUMN_ROWS: usize = 1 << 20;
+    let sorted: Vec<u32> = (0..65_536u32)
+        .map(|i| i * 16 + (i.wrapping_mul(2_654_435_761) >> 28))
+        .collect();
+    let mut shuffled = sorted.clone();
+    for i in (1..shuffled.len()).rev() {
+        shuffled.swap(i, walk(i, 1 << 16) % (i + 1));
+    }
+    g.throughput(Throughput::Elements(sorted.len() as u64));
+    for (name, rows) in [("sorted", &sorted), ("shuffled", &shuffled)] {
+        let (mut rt, cols) = warm_columns(1, COLUMN_ROWS);
+        let mut out: Vec<i64> = Vec::with_capacity(rows.len());
+        g.bench_function(format!("gather_{name}_65k"), |b| {
+            b.iter(|| {
+                out.clear();
+                rt.gather(&cols[0], rows, Pattern::Rand, &mut out);
+                black_box(out.len())
+            });
+        });
+        g.bench_function(format!("gather_{name}_65k_get_loop"), |b| {
+            b.iter(|| {
+                out.clear();
+                out.extend(
+                    rows.iter()
+                        .map(|&r| rt.get(&cols[0], r as usize, Pattern::Rand)),
+                );
+                black_box(out.len())
+            });
+        });
+    }
     // One column streamed out and into another, 8 MB each way: what a
     // materialising operator does.
     let rows = 1usize << 20;
@@ -345,6 +379,32 @@ fn bench_space_lifecycle(c: &mut Criterion) {
     g.finish();
 }
 
+/// Load one 8 MB column into a fresh rack and drop the rack: what every
+/// platform run of a database pays for each column before its first query.
+/// `first` has nothing spare, so the backing is fresh from the OS; `replay`
+/// follows an identical rack and takes its buffer, which the column then
+/// overwrites without zeroing it first.
+fn bench_load_column(c: &mut Criterion) {
+    let vals: Vec<i64> = (0..1i64 << 20).collect();
+    let load = |vals: &[i64]| {
+        let mut rt = Runtime::teleport(DdcConfig {
+            memory_pool_bytes: 64 << 20,
+            ..Default::default()
+        });
+        black_box(rt.alloc_region_from(vals).len())
+    };
+    let mut g = c.benchmark_group("space");
+    g.throughput(Throughput::Bytes(8 << 20));
+    g.bench_function("load_column_first", |b| {
+        b.iter_with_setup(|| drop(AddressSpace::new()), |()| load(&vals));
+    });
+    g.bench_function("load_column_replay", |b| {
+        load(&vals);
+        b.iter(|| load(&vals));
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_cache_hit,
@@ -356,6 +416,7 @@ criterion_group!(
     bench_resident_list_shuffled,
     bench_seal_page,
     bench_armed_rack,
-    bench_space_lifecycle
+    bench_space_lifecycle,
+    bench_load_column
 );
 criterion_main!(benches);

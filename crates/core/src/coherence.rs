@@ -275,6 +275,25 @@ impl PushdownSession {
         }
     }
 
+    /// `hits` more memory-side reads of `len` bytes on `pid`, right after a
+    /// [`PushdownSession::mem_access`] of it, charged as that path would
+    /// charge them: with read permission held a repeated read acquires
+    /// nothing, which leaves the kernel's [`Dos::mem_repeat_reads`]. Returns
+    /// `false`, charging nothing, while the race log records every access or
+    /// where the kernel declines.
+    pub fn mem_repeat_reads(
+        &mut self,
+        dos: &mut Dos,
+        pid: PageId,
+        len: usize,
+        pat: Pattern,
+        hits: u64,
+    ) -> bool {
+        !self.race_log.is_enabled()
+            && self.state(pid).0 >= Perm::Read
+            && dos.mem_repeat_reads(pid, len, pat, hits)
+    }
+
     /// Resolve the temporary context's permission on one page.
     fn mem_acquire(&mut self, dos: &mut Dos, pid: PageId, write: bool) {
         let need = if write { Perm::Write } else { Perm::Read };

@@ -16,10 +16,9 @@
 //! // A disaggregated deployment with a small compute-local cache.
 //! let mut rt = Runtime::teleport(DdcConfig::default());
 //!
-//! // Allocate a table in (remote) memory and fill it.
-//! let col = rt.alloc_region::<u64>(100_000);
+//! // Allocate a table in (remote) memory, filled as it is allocated.
 //! let vals: Vec<u64> = (0..100_000u64).collect();
-//! rt.write_range(&col, 0, &vals);
+//! let col = rt.alloc_region_from(&vals);
 //! rt.begin_timing();
 //!
 //! // Push an aggregation down to the memory pool: one call, no other
@@ -88,7 +87,7 @@ pub use resilience::{ExecutionVia, FallbackPolicy, Recovered, ResiliencePolicy, 
 pub use rle::{ResidentList, UnsortedResidentList};
 pub use rpc::{AdmissionPolicy, RpcServer};
 pub use runtime::{
-    Arm, HedgeOutcome, HedgePolicy, Hedged, Mem, PlatformKind, Region, Runtime, Scalar,
-    TeleportConfig,
+    Arm, HedgeOutcome, HedgePolicy, Hedged, Mem, PlatformKind, Region, RegionWriter, Runtime,
+    Scalar, TeleportConfig, Unwritten,
 };
 pub use serve::{ServeConfig, ServePlane, ServeReport, SessionOutcome, TenantReport};

@@ -256,6 +256,29 @@ pub trait Mem {
     fn read_file(&mut self, file: ddc_os::FileId, offset: usize, len: usize) -> &[u8];
     /// Append to an open file.
     fn append_file(&mut self, file: ddc_os::FileId, data: &[u8]);
+    /// Allocate `bytes` for a [`RegionWriter`], charged as [`alloc`](Self::alloc)
+    /// but not zeroed: the memory stays out of reach until
+    /// [`zero_unwritten`](Self::zero_unwritten) has zeroed what the writer
+    /// left unwritten.
+    fn alloc_unwritten(&mut self, bytes: usize) -> Unwritten;
+    /// Zero `at`'s allocation from byte `from` to the end of its last page,
+    /// uncharged (a zeroed [`alloc`](Self::alloc) is not charged for its
+    /// zeros either).
+    fn zero_unwritten(&mut self, at: Unwritten, from: usize);
+    /// The re-read half of [`gather`](Self::gather): charge `hits` more
+    /// reads of `elem` bytes on the page of `addr`, right after a read of
+    /// that page, and return `[addr, addr + len)` (on the same page) with no
+    /// further charge; or return `None`, charging nothing, where a repeated
+    /// read on this side is not a pure sum of hits and the caller must read
+    /// element by element.
+    fn reread(
+        &mut self,
+        addr: VAddr,
+        len: usize,
+        elem: usize,
+        pat: Pattern,
+        hits: u64,
+    ) -> Option<&[u8]>;
 
     /// Allocate a typed region of `n` elements.
     fn alloc_region<T: Scalar>(&mut self, n: usize) -> Region<T>
@@ -273,12 +296,91 @@ pub trait Mem {
         }
     }
 
+    /// Start a region of `n` elements to be filled front to back: allocated
+    /// and charged here, as [`alloc_region`](Self::alloc_region) would be,
+    /// but the backing is not zeroed first. Only [`RegionWriter::finish`]
+    /// hands the region out, after zeroing whatever was not pushed, so no
+    /// reader can reach a byte before it is written.
+    fn region_writer<T: Scalar>(&mut self, n: usize) -> RegionWriter<T>
+    where
+        Self: Sized,
+    {
+        let Some(bytes) = n.checked_mul(T::BYTES) else {
+            panic!("region of {n} {}-byte elements overflows", T::BYTES)
+        };
+        RegionWriter {
+            region: Region {
+                addr: self.alloc_unwritten(bytes.max(1)).0,
+                len: n,
+                _marker: PhantomData,
+            },
+            filled: 0,
+        }
+    }
+
+    /// A new region holding `vals`: a [`region_writer`](Self::region_writer)
+    /// with one push, charged as [`alloc_region`](Self::alloc_region)
+    /// followed by [`write_range`](Self::write_range).
+    fn alloc_region_from<T: Scalar>(&mut self, vals: &[T]) -> Region<T>
+    where
+        Self: Sized,
+    {
+        let mut w = self.region_writer::<T>(vals.len());
+        w.push(self, vals);
+        w.finish(self)
+    }
+
     /// Read element `i` of `r`.
     fn get<T: Scalar>(&mut self, r: &Region<T>, i: usize, pat: Pattern) -> T
     where
         Self: Sized,
     {
         T::decode(self.read_raw(r.at(i), T::BYTES, pat))
+    }
+
+    /// Append `r[row]` for each of `rows` to `out`, charged exactly as a
+    /// loop of [`get`](Self::get) would charge it: the same hits, misses,
+    /// LRU moves, trace records and virtual time. Each maximal run of
+    /// consecutive rows on one page pays one full read; the rest of the run
+    /// are the hits they would be, billed together through
+    /// [`reread`](Self::reread) where this side allows it and one by one
+    /// where it does not. A row out of range panics as `get` does.
+    fn gather<T: Scalar>(&mut self, r: &Region<T>, rows: &[u32], pat: Pattern, out: &mut Vec<T>)
+    where
+        Self: Sized,
+    {
+        let per_page = PAGE_SIZE / T::BYTES;
+        out.reserve(rows.len());
+        let mut runs = 0;
+        for run in rows.chunk_by(|a, b| *a as usize / per_page == *b as usize / per_page) {
+            runs += 1;
+            let (first, rest) = (run[0] as usize, &run[1..]);
+            out.push(self.get(r, first, pat));
+            if rest.is_empty() {
+                continue;
+            }
+            // A run holding a bad row reads element by element, so it
+            // panics where `get` would, with the same charges before it.
+            let lo = first - first % per_page;
+            let page = if rest.iter().all(|&row| (row as usize) < r.len()) {
+                let n = (r.len() - lo).min(per_page);
+                self.reread(r.at(lo), n * T::BYTES, T::BYTES, pat, rest.len() as u64)
+            } else {
+                None
+            };
+            match page {
+                Some(bytes) => out.extend(rest.iter().map(|&row| {
+                    let at = (row as usize - lo) * T::BYTES;
+                    T::decode(&bytes[at..at + T::BYTES])
+                })),
+                None => {
+                    for &row in rest {
+                        out.push(self.get(r, row as usize, pat));
+                    }
+                }
+            }
+        }
+        ddc_os::work::count_gather(rows.len(), runs);
     }
 
     /// Write raw bytes with the side's cost model.
@@ -303,10 +405,9 @@ pub trait Mem {
     where
         Self: Sized,
     {
-        assert!(start + count <= r.len(), "read_range out of bounds");
+        let end = range_end("read_range", start, count, r.len());
         out.reserve(count);
         let per_page = (PAGE_SIZE / T::BYTES).max(1);
-        let end = start + count;
         for i in (start..end).step_by(per_page) {
             let n = per_page.min(end - i);
             let bytes = self.read_raw(r.at(i), n * T::BYTES, Pattern::Seq);
@@ -322,7 +423,7 @@ pub trait Mem {
     where
         Self: Sized,
     {
-        assert!(start + vals.len() <= r.len(), "write_range out of bounds");
+        range_end("write_range", start, vals.len(), r.len());
         let per_page = (PAGE_SIZE / T::BYTES).max(1);
         for (ci, chunk) in vals.chunks(per_page).enumerate() {
             let at = r.at(start + ci * per_page);
@@ -332,6 +433,57 @@ pub trait Mem {
                 }
             });
         }
+    }
+}
+
+/// `start + count`, if `[start, start + count)` lies inside a region of
+/// `len` elements; a panic naming the range if not, an overflowing `start`
+/// included.
+#[inline]
+fn range_end(op: &str, start: usize, count: usize, len: usize) -> usize {
+    match start.checked_add(count) {
+        Some(end) if end <= len => end,
+        _ => range_out_of_bounds(op, start, count, len),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn range_out_of_bounds(op: &str, start: usize, count: usize, len: usize) -> ! {
+    panic!("{op} of {count} elements at index {start} out of bounds ({len})")
+}
+
+/// An allocation whose bytes are not yet all written, and no way to read
+/// it: [`Mem::alloc_unwritten`] makes one for a [`RegionWriter`], and
+/// [`Mem::zero_unwritten`] takes it back when the writer finishes.
+#[derive(Debug)]
+pub struct Unwritten(VAddr);
+
+/// A region being filled front to back, made by [`Mem::region_writer`]. It
+/// is pushed and finished through the handle that made it.
+#[derive(Debug)]
+#[must_use = "the region is reachable only through `finish`"]
+pub struct RegionWriter<T> {
+    /// Private until `finish`: nothing outside this module can read it.
+    region: Region<T>,
+    /// Elements pushed so far: the next push lands at this index.
+    filled: usize,
+}
+
+impl<T: Scalar> RegionWriter<T> {
+    /// Write `vals` at the cursor, as [`Mem::write_range`] (same charges),
+    /// and move the cursor past them.
+    pub fn push<M: Mem>(&mut self, m: &mut M, vals: &[T]) {
+        m.write_range(&self.region, self.filled, vals);
+        self.filled += vals.len();
+    }
+
+    /// Zero everything not pushed, the padding to the end of the last page
+    /// included (a page that already reads zero is read, not written), and
+    /// hand the region out.
+    pub fn finish<M: Mem>(self, m: &mut M) -> Region<T> {
+        m.zero_unwritten(Unwritten(self.region.addr), self.filled * T::BYTES);
+        self.region
     }
 }
 
@@ -414,6 +566,32 @@ impl Mem for Arm<'_> {
 
     fn append_file(&mut self, file: ddc_os::FileId, data: &[u8]) {
         self.dos.file_append(file, data, self.session.is_some());
+    }
+
+    fn alloc_unwritten(&mut self, bytes: usize) -> Unwritten {
+        Unwritten(self.dos.alloc_for_overwrite(bytes))
+    }
+
+    fn zero_unwritten(&mut self, at: Unwritten, from: usize) {
+        self.dos.zero_from(at.0, from);
+    }
+
+    #[inline]
+    fn reread(
+        &mut self,
+        addr: VAddr,
+        len: usize,
+        elem: usize,
+        pat: Pattern,
+        hits: u64,
+    ) -> Option<&[u8]> {
+        let charged = match &mut self.session {
+            None => {
+                !self.race_log.is_enabled() && self.dos.repeat_reads(addr.page(), elem, pat, hits)
+            }
+            Some(s) => s.mem_repeat_reads(self.dos, addr.page(), elem, pat, hits),
+        };
+        charged.then(|| self.dos.space().bytes(addr, len))
     }
 }
 
@@ -1553,5 +1731,30 @@ impl Mem for Runtime {
 
     fn append_file(&mut self, file: ddc_os::FileId, data: &[u8]) {
         self.dos.file_append(file, data, false);
+    }
+
+    fn alloc_unwritten(&mut self, bytes: usize) -> Unwritten {
+        Unwritten(self.dos.alloc_for_overwrite(bytes))
+    }
+
+    fn zero_unwritten(&mut self, at: Unwritten, from: usize) {
+        self.dos.zero_from(at.0, from);
+    }
+
+    /// Stale snapshots make a read's bytes depend on its page, and the race
+    /// log records every access: both read element by element.
+    #[inline]
+    fn reread(
+        &mut self,
+        addr: VAddr,
+        len: usize,
+        elem: usize,
+        pat: Pattern,
+        hits: u64,
+    ) -> Option<&[u8]> {
+        let charged = self.stale.is_empty()
+            && !self.race_log.is_enabled()
+            && self.dos.repeat_reads(addr.page(), elem, pat, hits);
+        charged.then(|| self.dos.space().bytes(addr, len))
     }
 }

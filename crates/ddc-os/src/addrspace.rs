@@ -14,6 +14,7 @@ use std::collections::BTreeMap;
 use ddc_sim::PAGE_SIZE;
 
 use crate::page::{PageId, PageTable, VAddr};
+use crate::work;
 
 thread_local! {
     /// The segment buffers of the space this thread dropped last, by length
@@ -22,10 +23,11 @@ thread_local! {
         const { RefCell::new(BTreeMap::new()) };
 }
 
-/// `bytes` of zeroed backing for a new segment: a spare buffer of exactly
-/// that length if the thread holds one, zeroed again, and a fresh one if
-/// not. The first request the spare set cannot serve releases all of it.
-fn backing(bytes: usize) -> Vec<u8> {
+/// `bytes` of backing for a new segment: a spare buffer of exactly that
+/// length if the thread holds one, and a fresh one if not. The first request
+/// the spare set cannot serve releases all of it. A spare buffer holds what
+/// its last owner left in it; `zeroed` makes it read zero again.
+fn backing(bytes: usize, zeroed: bool) -> Vec<u8> {
     let spare = SPARE.try_with(|spare| {
         let mut spare = spare.borrow_mut();
         let buf = spare.get_mut(&bytes).and_then(Vec::pop);
@@ -36,11 +38,17 @@ fn backing(bytes: usize) -> Vec<u8> {
     });
     match spare {
         Ok(Some(mut buf)) => {
-            zero_pages(&mut buf);
+            work::count(|w| w.recycled_backings += 1);
+            if zeroed {
+                zero_pages(&mut buf);
+            }
             buf
         }
         // Nothing spare of this length, or the thread is past its teardown.
-        _ => vec![0u8; bytes],
+        _ => {
+            work::count(|w| w.fresh_backings += 1);
+            vec![0u8; bytes]
+        }
     }
 }
 
@@ -52,6 +60,7 @@ fn backing(bytes: usize) -> Vec<u8> {
 /// one page in sixteen stays 40 MB of host memory however often it is reused.
 fn zero_pages(buf: &mut [u8]) {
     let mut at = 0;
+    let mut zeroed = 0;
     while at < buf.len() {
         let dirty = buf[at..]
             .chunks_exact(PAGE_SIZE)
@@ -59,9 +68,11 @@ fn zero_pages(buf: &mut [u8]) {
             .count()
             * PAGE_SIZE;
         buf[at..at + dirty].fill(0);
+        zeroed += dirty;
         // The page that ended the run reads zero already.
         at += dirty + PAGE_SIZE;
     }
+    work::count(|w| w.bytes_zeroed += zeroed as u64);
 }
 
 /// One contiguous allocation, page-aligned and padded to whole pages.
@@ -108,8 +119,13 @@ impl Segment {
 /// of the thread that dropped it, and `alloc` takes a spare buffer of exactly
 /// the padded length it needs, zeroes it and uses it in place of a fresh one.
 /// Nothing a simulation can observe depends on which it got: the bytes read
-/// zero, and addresses, guard pages and the index are as ever. What is kept,
-/// and for how long, follows from two rules and no setting:
+/// zero, and addresses, guard pages and the index are as ever.
+/// [`alloc_for_overwrite`](Self::alloc_for_overwrite) takes a spare buffer
+/// the same way but does not zero it, for a caller about to write every byte
+/// anyway; it zeroes what it leaves unwritten with
+/// [`zero_from`](Self::zero_from) before it lets anything read the
+/// allocation. What is kept, and for how long, follows from two rules and no
+/// setting:
 ///
 /// * *A drop replaces the spare set.* It never holds more than the buffers of
 ///   the one space that died last on this thread; those of the space before
@@ -154,6 +170,18 @@ impl AddressSpace {
 
     /// Allocate `bytes` of zeroed memory. Returns the starting address.
     pub fn alloc(&mut self, bytes: usize) -> VAddr {
+        self.map(bytes, true)
+    }
+
+    /// Allocate `bytes` whose contents are unspecified: a recycled buffer
+    /// keeps what the space that dropped it left there, padding included.
+    /// The caller must write every byte, or zero the rest with
+    /// [`zero_from`](Self::zero_from), before anything reads the allocation.
+    pub fn alloc_for_overwrite(&mut self, bytes: usize) -> VAddr {
+        self.map(bytes, false)
+    }
+
+    fn map(&mut self, bytes: usize, zeroed: bool) -> VAddr {
         assert!(bytes > 0, "zero-sized allocation");
         let pages = bytes.div_ceil(PAGE_SIZE);
         let Some(padded) = pages.checked_mul(PAGE_SIZE) else {
@@ -175,7 +203,7 @@ impl AddressSpace {
         self.segments.push(Segment {
             start,
             len: bytes,
-            data: backing(padded),
+            data: backing(padded, zeroed),
         });
         start
     }
@@ -197,14 +225,39 @@ impl AddressSpace {
 
     /// The pages of the allocation starting at `start`.
     pub fn pages_of(&self, start: VAddr) -> impl Iterator<Item = PageId> + '_ {
-        let seg = self
-            .find(start)
-            .map(|idx| &self.segments[idx])
-            .filter(|s| s.start == start)
-            .expect("pages_of: not an allocation start");
+        let seg = &self.segments[self.starting_at(start)];
         let first = seg.start.page().0;
         let count = (seg.data.len() / PAGE_SIZE) as u64;
         (first..first + count).map(PageId)
+    }
+
+    /// Zero the allocation starting at `start` from byte `from` to the end
+    /// of its last page, padding included: the rest of the page `from`
+    /// falls in if it holds anything, then each whole page after it that
+    /// does ([`alloc`](Self::alloc)'s rule for a recycled buffer, so a page
+    /// that already reads zero is read, not written).
+    pub fn zero_from(&mut self, start: VAddr, from: usize) {
+        let idx = self.starting_at(start);
+        let seg = &mut self.segments[idx];
+        assert!(
+            from <= seg.len,
+            "zero_from {from} past the allocation's {} bytes",
+            seg.len
+        );
+        let (partial, pages) =
+            seg.data[from..].split_at_mut(from.next_multiple_of(PAGE_SIZE) - from);
+        if partial.iter().any(|&b| b != 0) {
+            partial.fill(0);
+            work::count(|w| w.bytes_zeroed += partial.len() as u64);
+        }
+        zero_pages(pages);
+    }
+
+    /// The index of the segment that starts at `start`.
+    fn starting_at(&self, start: VAddr) -> usize {
+        self.find(start)
+            .filter(|&idx| self.segments[idx].start == start)
+            .expect("not an allocation start")
     }
 
     /// The segment holding `addr`, if any: one table read, then the
@@ -550,6 +603,72 @@ mod tests {
             .join();
             assert!(exited.is_ok(), "park_first = {park_first}");
         }
+    }
+
+    /// An allocation for overwrite takes a spare buffer as it is; `zero_from`
+    /// then clears from any byte to the end of the last page, writing only
+    /// what does not read zero already, and leaves the bytes before it.
+    #[test]
+    fn overwrite_backing_keeps_the_dead_bytes_until_zero_from_clears_the_rest() {
+        let sizes = [3 * PAGE_SIZE - 5, PAGE_SIZE, 10];
+        for from in [
+            0,
+            1,
+            PAGE_SIZE - 1,
+            PAGE_SIZE,
+            PAGE_SIZE + 3,
+            3 * PAGE_SIZE - 5,
+        ] {
+            let mut dead = space_of(&sizes);
+            for page in dead.mapped_pages() {
+                dead.page_view_mut(page).fill(0xFF);
+            }
+            // Leave the last page of the first segment reading zero.
+            dead.page_view_mut(PageId(3)).fill(0);
+            drop(dead);
+            let before = work::work_counters();
+            let mut next = AddressSpace::new();
+            let at = next.alloc_for_overwrite(sizes[0]);
+            let taken = work::work_counters().delta_since(&before);
+            assert_eq!((taken.recycled_backings, taken.fresh_backings), (1, 0));
+            assert_eq!(next.bytes(at, 1), [0xFF], "not zeroed at allocation");
+            next.zero_from(at, from);
+            let mut image = vec![0xFF; 2 * PAGE_SIZE];
+            image.resize(3 * PAGE_SIZE, 0);
+            image[from..].fill(0);
+            assert!(
+                next.segments[0].data == image,
+                "from {from}: kept before, zero after"
+            );
+            let written = (2 * PAGE_SIZE).saturating_sub(from) as u64;
+            let zeroed = work::work_counters().delta_since(&before).bytes_zeroed;
+            assert_eq!(
+                zeroed, written,
+                "from {from}: the zero page is read, not written"
+            );
+        }
+    }
+
+    #[test]
+    fn fresh_backing_is_counted_and_never_rewritten() {
+        drop(AddressSpace::new());
+        let before = work::work_counters();
+        let mut space = AddressSpace::new();
+        let at = space.alloc_for_overwrite(2 * PAGE_SIZE + 1);
+        space.zero_from(at, 7);
+        let d = work::work_counters().delta_since(&before);
+        assert_eq!(
+            (d.fresh_backings, d.recycled_backings, d.bytes_zeroed),
+            (1, 0, 0)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "past the allocation")]
+    fn zero_from_refuses_an_offset_past_the_allocation() {
+        let mut space = AddressSpace::new();
+        let at = space.alloc(10);
+        space.zero_from(at, 11);
     }
 
     #[test]

@@ -168,6 +168,13 @@ impl PageCache {
         true
     }
 
+    /// True if `page` is resident and most recently used, so that an access
+    /// to it would move nothing.
+    #[inline]
+    pub fn is_mru(&self, page: PageId) -> bool {
+        self.slot(page).is_some_and(|slot| self.lru.is_head(slot))
+    }
+
     /// Record that `page`'s residency or permission changed since the view
     /// was last refreshed.
     #[inline]

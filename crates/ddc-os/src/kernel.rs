@@ -673,6 +673,24 @@ impl Dos {
     /// cache until first touch.
     pub fn alloc(&mut self, bytes: usize) -> VAddr {
         let addr = self.space.alloc(bytes);
+        self.place_pages(addr);
+        addr
+    }
+
+    /// [`alloc`](Self::alloc) for a caller about to write every byte: placed
+    /// and charged the same, but a recycled backing buffer is not zeroed
+    /// first ([`AddressSpace::alloc_for_overwrite`]). What the caller leaves
+    /// unwritten it must zero with [`Dos::zero_from`] before anything reads
+    /// it.
+    pub fn alloc_for_overwrite(&mut self, bytes: usize) -> VAddr {
+        let addr = self.space.alloc_for_overwrite(bytes);
+        self.place_pages(addr);
+        addr
+    }
+
+    /// Map the pages of the new allocation at `addr` into the memory pool
+    /// (nothing to do on a monolithic server).
+    fn place_pages(&mut self, addr: VAddr) {
         if !self.shards.is_empty() {
             let pages: Vec<PageId> = self.space.pages_of(addr).collect();
             let owners = self.place_allocation(&pages);
@@ -699,7 +717,6 @@ impl Dos {
                 i += run.len();
             }
         }
-        addr
     }
 
     /// Pick the owning shard for each page of a fresh allocation.
@@ -858,6 +875,23 @@ impl Dos {
             self.mark_stale(pid);
         }
         self.charge(self.dram_cost(pat, in_page));
+    }
+
+    /// Charge `hits` more compute-side reads of `len` bytes on `pid`, right
+    /// after an access that left it most recently used, as the per-access
+    /// path would: each one a cache hit that moves nothing in the LRU, plus
+    /// its DRAM time. Returns `false`, charging nothing, where a repeated
+    /// read is more than that sum: the integrity plane checks the page on
+    /// every hit, and a page not at the head of the LRU (a sequential
+    /// fault's prefetch went past it) would move.
+    #[inline]
+    pub fn repeat_reads(&mut self, pid: PageId, len: usize, pat: Pattern, hits: u64) -> bool {
+        if self.integrity.enabled || !self.cache.is_mru(pid) {
+            return false;
+        }
+        self.stats.cache_hits += hits;
+        self.charge(self.dram_cost(pat, len) * hits);
+        true
     }
 
     /// LegoOS-style sequential prefetch: after a sequential-pattern fault
@@ -1044,6 +1078,28 @@ impl Dos {
             self.mark_stale(pid);
         }
         self.charge(self.dram_cost(pat, in_page) * self.pool_slowdown(p) as u64);
+    }
+
+    /// The memory-side [`Dos::repeat_reads`]: `hits` more reads of `len`
+    /// bytes on `pid` right after a [`Dos::mem_touch_range`] of it, which
+    /// left the page pool-resident and at the head of its shard's LRU (or
+    /// pinned), so each repeat is one memory-side access, its routing
+    /// count and its DRAM time. Returns `false`, charging nothing, while
+    /// the integrity plane (a check per access) or the health plane (a
+    /// fail-slow multiplier read per access) is armed.
+    #[inline]
+    pub fn mem_repeat_reads(&mut self, pid: PageId, len: usize, pat: Pattern, hits: u64) -> bool {
+        let p = self.owner_of(pid);
+        let resident = self.shards.get(p).is_some_and(|s| s.pool.is_resident(pid));
+        if self.integrity.enabled || self.health.is_some() || !resident {
+            return false;
+        }
+        self.stats.mem_side_accesses += hits;
+        if self.shards.len() > 1 {
+            self.shards[p].touched_pages += hits;
+        }
+        self.charge(self.dram_cost(pat, len) * hits);
+        true
     }
 
     /// Fail-slow multiplier for memory-side service on shard `p` (1 when
@@ -1835,6 +1891,47 @@ impl Dos {
         }
     }
 
+    /// Zero the allocation at `start` from byte `from` to the end of its last
+    /// page ([`AddressSpace::zero_from`]), uncharged, keeping the integrity
+    /// plane where it would be had those bytes read zero all along — which
+    /// is what a caller of [`Dos::alloc_for_overwrite`] stands in for. A
+    /// page carrying undetected corruption is resealed over its clean image,
+    /// its edits undone for the zeroing and redone after, and any other
+    /// page's sum is retaken when corruption next lands. (A page declared
+    /// lost has no clean image to keep: its stale bytes are zeroed too.)
+    pub fn zero_from(&mut self, start: VAddr, from: usize) {
+        if !self.integrity.enabled {
+            self.space.zero_from(start, from);
+            return;
+        }
+        let pages: Vec<PageId> = self.space.pages_of(start).skip(from / PAGE_SIZE).collect();
+        for &pid in &pages {
+            self.apply_edits(pid);
+        }
+        self.space.zero_from(start, from);
+        for &pid in &pages {
+            let sum = PageChecksum::of(self.space.page_view(pid));
+            let page = self.integrity.pages.entry(pid);
+            if page.pending {
+                page.sum = sum;
+            } else {
+                page.fresh = false;
+            }
+            self.apply_edits(pid);
+        }
+    }
+
+    /// XOR `pid`'s pending edits into its image: corrupts a clean image,
+    /// restores a corrupted one.
+    fn apply_edits(&mut self, pid: PageId) {
+        if let Some(edits) = self.integrity.edits.get(&pid) {
+            let view = self.space.page_view_mut(pid);
+            for c in edits {
+                view[c.offset] ^= c.mask;
+            }
+        }
+    }
+
     /// Poll the fault plan for corruption of `pid` at `point`; on a hit,
     /// take the page's sum unless it is fresh, then XOR the drawn mask into the
     /// authoritative image and record the edit so a repair can invert it
@@ -1930,12 +2027,8 @@ impl Dos {
             Some(source) => {
                 // Invert every recorded XOR edit: the image is restored
                 // bit-exactly and matches its sealed checksum again.
-                if let Some(edits) = self.integrity.take_edits(pid) {
-                    let view = self.space.page_view_mut(pid);
-                    for c in edits {
-                        view[c.offset] ^= c.mask;
-                    }
-                }
+                self.apply_edits(pid);
+                self.integrity.take_edits(pid);
                 self.integrity.window.repaired += 1;
                 if let Some(shard) = self.shards.get_mut(p) {
                     shard.integrity.repaired += 1;

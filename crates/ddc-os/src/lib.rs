@@ -26,7 +26,9 @@
 //!   promotions), and the page-integrity plane (checksum seal/verify,
 //!   detect-and-repair, background scrubbing) consumed by the `teleport`
 //!   crate;
-//! - [`stats`] — paging counters.
+//! - [`stats`] — paging counters;
+//! - [`work`] — host-work counters (bytes zeroed, backings recycled, gather
+//!   page runs), outside every digest and metric.
 //!
 //! Everything is deterministic; all costs land on a shared
 //! [`ddc_sim::Clock`].
@@ -42,6 +44,7 @@ pub mod pool;
 pub mod recovery;
 pub mod replica;
 pub mod stats;
+pub mod work;
 
 pub use addrspace::AddressSpace;
 pub use cache::{CacheEntry, Evicted, PageCache, ResidentView};
@@ -53,3 +56,4 @@ pub use pool::{MemoryPool, PoolFault};
 pub use recovery::{JournalEntry, RecoveryCounters, RecoveryJournal, RestartReport};
 pub use replica::{FailoverReport, ReplOp, ReplicatedPool, ReplicationCounters};
 pub use stats::{PagingStats, RoutingWindow};
+pub use work::{work_counters, WorkCounters};

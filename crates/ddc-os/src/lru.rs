@@ -82,6 +82,12 @@ impl<T: Copy> SlotList<T> {
         }
     }
 
+    /// True if the page in `slot` is the most recently used.
+    #[inline]
+    pub(crate) fn is_head(&self, slot: u32) -> bool {
+        self.head == slot
+    }
+
     /// Take the page in `slot` off the list and free the slot.
     pub(crate) fn remove(&mut self, slot: u32) -> (PageId, T) {
         self.unlink(slot);

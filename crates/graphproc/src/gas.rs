@@ -179,18 +179,12 @@ impl GasEngine {
     /// Load a host graph into simulated memory (setup; callers normally
     /// `begin_timing` afterwards).
     pub fn load<M: Mem>(m: &mut M, g: &HostGraph) -> GasEngine {
-        let offsets = m.alloc_region::<u32>(g.offsets.len());
-        m.write_range(&offsets, 0, &g.offsets);
-        let edges = m.alloc_region::<u32>(g.edges.len().max(1));
-        if !g.edges.is_empty() {
-            m.write_range(&edges, 0, &g.edges);
-        }
         GasEngine {
             n: g.n(),
             m: g.m(),
             workers: 8,
-            offsets,
-            edges,
+            offsets: m.alloc_region_from(&g.offsets),
+            edges: m.alloc_region_from(&g.edges),
             weights: None,
         }
     }
@@ -200,11 +194,7 @@ impl GasEngine {
     pub fn load_weighted<M: Mem>(m: &mut M, g: &HostGraph, weights: &[f64]) -> GasEngine {
         assert_eq!(weights.len(), g.m(), "one weight per edge slot");
         let mut eng = Self::load(m, g);
-        let wreg = m.alloc_region::<f64>(weights.len().max(1));
-        if !weights.is_empty() {
-            m.write_range(&wreg, 0, weights);
-        }
-        eng.weights = Some(wreg);
+        eng.weights = Some(m.alloc_region_from(weights));
         eng
     }
 
@@ -227,10 +217,9 @@ impl GasEngine {
             // (the partitioned layout the workers execute against).
             let mut offs: Vec<u32> = Vec::new();
             m.read_range(&eng.offsets, 0, n + 1, &mut offs);
-            let w_offsets = m.alloc_region::<u32>(n + 1);
-            m.write_range(&w_offsets, 0, &offs);
+            let w_offsets = m.alloc_region_from(&offs);
 
-            let w_edges = m.alloc_region::<u32>(eng.m.max(1));
+            let mut w_edges = m.region_writer::<u32>(eng.m);
             let chunk = 16_384;
             let mut all_edges: Vec<u32> = Vec::with_capacity(eng.m);
             let mut buf: Vec<u32> = Vec::new();
@@ -239,10 +228,11 @@ impl GasEngine {
                 let take = chunk.min(eng.m - base);
                 buf.clear();
                 m.read_range(&eng.edges, base, take, &mut buf);
-                m.write_range(&w_edges, base, &buf);
+                w_edges.push(m, &buf);
                 all_edges.extend_from_slice(&buf);
                 base += take;
             }
+            let w_edges = w_edges.finish(m);
             m.charge_cycles(cost::FINALIZE_EDGE * eng.m as u64);
 
             // Vertex-cut placement of the edges over the workers
@@ -257,9 +247,8 @@ impl GasEngine {
             let replication = cut.replication_factor();
 
             // Degrees, initial values, message accumulators.
-            let degrees = m.alloc_region::<u32>(n);
             let degs: Vec<u32> = offs.windows(2).map(|w| w[1] - w[0]).collect();
-            m.write_range(&degrees, 0, &degs);
+            let degrees = m.alloc_region_from(&degs);
 
             let values = m.alloc_region::<f64>(n);
             (w_offsets, w_edges, degrees, values, offs, degs, replication)
@@ -275,11 +264,7 @@ impl GasEngine {
         }
         let msg_acc = {
             let init: Vec<f64> = vec![prog.gather_init(); n];
-            rt.run_local(|m| {
-                let r = m.alloc_region::<f64>(n);
-                m.write_range(&r, 0, &init);
-                r
-            })
+            rt.run_local(|m| m.alloc_region_from(&init))
         };
 
         // ---- Iterate.

@@ -81,13 +81,9 @@ impl KvStore {
     /// Load the generated values into `m`'s address space. Typically
     /// followed by `drop_cache()` + `begin_timing()`.
     pub fn load<M: Mem>(m: &mut M, data: &KvData) -> KvStore {
-        let vals = m.alloc_region::<u64>(data.vals.len().max(1));
-        if !data.vals.is_empty() {
-            m.write_range(&vals, 0, &data.vals);
-        }
         KvStore {
             n: data.vals.len(),
-            vals,
+            vals: m.alloc_region_from(&data.vals),
         }
     }
 }

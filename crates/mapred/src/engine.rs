@@ -144,12 +144,8 @@ pub struct LoadedCorpus {
 
 impl LoadedCorpus {
     pub fn load<M: Mem>(m: &mut M, corpus: &Corpus) -> LoadedCorpus {
-        let words = m.alloc_region::<u32>(corpus.len().max(1));
-        if !corpus.is_empty() {
-            m.write_range(&words, 0, &corpus.words);
-        }
         LoadedCorpus {
-            words,
+            words: m.alloc_region_from(&corpus.words),
             len: corpus.len(),
             comments: corpus.comments,
         }
@@ -412,14 +408,14 @@ pub fn run_with_combiner<A: MapReduceApp>(
             }
         }
         // Materialize the final output as a real table in memory.
-        let kout = m.alloc_region::<u32>(total.max(1));
-        let vout = m.alloc_region::<u64>(total.max(1));
+        let mut kout = m.region_writer::<u32>(total);
+        let mut vout = m.region_writer::<u64>(total);
         let ks: Vec<u32> = merged.iter().map(|&(k, _)| k).collect();
         let vs: Vec<u64> = merged.iter().map(|&(_, v)| v).collect();
-        if total > 0 {
-            m.write_range(&kout, 0, &ks);
-            m.write_range(&vout, 0, &vs);
-        }
+        kout.push(m, &ks);
+        vout.push(m, &vs);
+        kout.finish(m);
+        vout.finish(m);
         merged
     });
 

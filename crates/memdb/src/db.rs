@@ -97,14 +97,6 @@ pub struct Database {
     pub priorities: Dictionary,
 }
 
-fn load_col<M: Mem, T: teleport::Scalar>(m: &mut M, vals: &[T]) -> Region<T> {
-    let r = m.alloc_region::<T>(vals.len().max(1));
-    if !vals.is_empty() {
-        m.write_range(&r, 0, vals);
-    }
-    r
-}
-
 impl Database {
     /// Load the generated data into `m`'s address space. Typically followed
     /// by `drop_cache()` + `begin_timing()` so queries start cold and at
@@ -112,56 +104,56 @@ impl Database {
     pub fn load<M: Mem>(m: &mut M, data: &TpchData) -> Database {
         let li = LineitemT {
             n: data.lineitem.len(),
-            orderkey: load_col(m, &data.lineitem.orderkey),
-            partkey: load_col(m, &data.lineitem.partkey),
-            suppkey: load_col(m, &data.lineitem.suppkey),
-            quantity: load_col(m, &data.lineitem.quantity),
-            extendedprice: load_col(m, &data.lineitem.extendedprice),
-            discount: load_col(m, &data.lineitem.discount),
-            tax: load_col(m, &data.lineitem.tax),
-            returnflag: load_col(m, &data.lineitem.returnflag),
-            linestatus: load_col(m, &data.lineitem.linestatus),
-            shipdate: load_col(m, &data.lineitem.shipdate),
-            commitdate: load_col(m, &data.lineitem.commitdate),
-            receiptdate: load_col(m, &data.lineitem.receiptdate),
-            shipmode: load_col(m, &data.lineitem.shipmode),
+            orderkey: m.alloc_region_from(&data.lineitem.orderkey),
+            partkey: m.alloc_region_from(&data.lineitem.partkey),
+            suppkey: m.alloc_region_from(&data.lineitem.suppkey),
+            quantity: m.alloc_region_from(&data.lineitem.quantity),
+            extendedprice: m.alloc_region_from(&data.lineitem.extendedprice),
+            discount: m.alloc_region_from(&data.lineitem.discount),
+            tax: m.alloc_region_from(&data.lineitem.tax),
+            returnflag: m.alloc_region_from(&data.lineitem.returnflag),
+            linestatus: m.alloc_region_from(&data.lineitem.linestatus),
+            shipdate: m.alloc_region_from(&data.lineitem.shipdate),
+            commitdate: m.alloc_region_from(&data.lineitem.commitdate),
+            receiptdate: m.alloc_region_from(&data.lineitem.receiptdate),
+            shipmode: m.alloc_region_from(&data.lineitem.shipmode),
         };
         let ord = OrdersT {
             n: data.orders.len(),
-            orderkey: load_col(m, &data.orders.orderkey),
-            custkey: load_col(m, &data.orders.custkey),
-            totalprice: load_col(m, &data.orders.totalprice),
-            orderdate: load_col(m, &data.orders.orderdate),
-            orderpriority: load_col(m, &data.orders.orderpriority),
-            shippriority: load_col(m, &data.orders.shippriority),
+            orderkey: m.alloc_region_from(&data.orders.orderkey),
+            custkey: m.alloc_region_from(&data.orders.custkey),
+            totalprice: m.alloc_region_from(&data.orders.totalprice),
+            orderdate: m.alloc_region_from(&data.orders.orderdate),
+            orderpriority: m.alloc_region_from(&data.orders.orderpriority),
+            shippriority: m.alloc_region_from(&data.orders.shippriority),
         };
         let part = PartT {
             n: data.part.len(),
-            partkey: load_col(m, &data.part.partkey),
-            name: load_col(m, &data.part.name),
-            brand: load_col(m, &data.part.brand),
-            size: load_col(m, &data.part.size),
-            retailprice: load_col(m, &data.part.retailprice),
+            partkey: m.alloc_region_from(&data.part.partkey),
+            name: m.alloc_region_from(&data.part.name),
+            brand: m.alloc_region_from(&data.part.brand),
+            size: m.alloc_region_from(&data.part.size),
+            retailprice: m.alloc_region_from(&data.part.retailprice),
         };
         let supp = SupplierT {
             n: data.supplier.len(),
-            suppkey: load_col(m, &data.supplier.suppkey),
-            nationkey: load_col(m, &data.supplier.nationkey),
-            acctbal: load_col(m, &data.supplier.acctbal),
+            suppkey: m.alloc_region_from(&data.supplier.suppkey),
+            nationkey: m.alloc_region_from(&data.supplier.nationkey),
+            acctbal: m.alloc_region_from(&data.supplier.acctbal),
         };
         let ps = PartSuppT {
             n: data.partsupp.len(),
-            partkey: load_col(m, &data.partsupp.partkey),
-            suppkey: load_col(m, &data.partsupp.suppkey),
-            availqty: load_col(m, &data.partsupp.availqty),
-            supplycost: load_col(m, &data.partsupp.supplycost),
+            partkey: m.alloc_region_from(&data.partsupp.partkey),
+            suppkey: m.alloc_region_from(&data.partsupp.suppkey),
+            availqty: m.alloc_region_from(&data.partsupp.availqty),
+            supplycost: m.alloc_region_from(&data.partsupp.supplycost),
         };
         let cust = CustomerT {
             n: data.customer.len(),
-            custkey: load_col(m, &data.customer.custkey),
-            nationkey: load_col(m, &data.customer.nationkey),
-            mktsegment: load_col(m, &data.customer.mktsegment),
-            acctbal: load_col(m, &data.customer.acctbal),
+            custkey: m.alloc_region_from(&data.customer.custkey),
+            nationkey: m.alloc_region_from(&data.customer.nationkey),
+            mktsegment: m.alloc_region_from(&data.customer.mktsegment),
+            acctbal: m.alloc_region_from(&data.customer.acctbal),
         };
         Database {
             li,

@@ -27,8 +27,12 @@ pub fn sum_f64<M: Mem>(m: &mut M, col: &Region<f64>, n: usize, cand: Option<&Can
         Some(c) => {
             let rows = c.read(m);
             let mut acc = 0.0;
-            for &r in &rows {
-                acc += m.get(col, r as usize, ddc_os::Pattern::Rand);
+            // A slice at a time, as `select_where` gathers.
+            let mut vals: Vec<f64> = Vec::new();
+            for chunk in rows.chunks(16_384) {
+                vals.clear();
+                m.gather(col, chunk, ddc_os::Pattern::Rand, &mut vals);
+                acc = vals.iter().fold(acc, |acc, v| acc + v);
             }
             m.charge_cycles(cost::AGG * rows.len() as u64);
             acc

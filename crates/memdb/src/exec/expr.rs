@@ -34,7 +34,7 @@ pub fn q9_amount<M: Mem>(
     quantity: &Region<f64>,
     n: usize,
 ) -> Region<f64> {
-    let out = m.alloc_region::<f64>(n.max(1));
+    let mut out = m.region_writer::<f64>(n);
     let chunk = 16_384;
     let (mut p, mut d, mut c, mut q) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     let mut acc: Vec<f64> = Vec::with_capacity(chunk);
@@ -53,11 +53,11 @@ pub fn q9_amount<M: Mem>(
         for i in 0..take {
             acc.push(p[i] * (1.0 - d[i]) - c[i] * q[i]);
         }
-        m.write_range(&out, base, &acc);
+        out.push(m, &acc);
         m.charge_cycles(2 * cost::EXPR * take as u64);
         base += take;
     }
-    out
+    out.finish(m)
 }
 
 /// Generic element-wise binary map.
@@ -68,7 +68,7 @@ pub fn binary_map<M: Mem>(
     n: usize,
     f: impl Fn(f64, f64) -> f64,
 ) -> Region<f64> {
-    let out = m.alloc_region::<f64>(n.max(1));
+    let mut out = m.region_writer::<f64>(n);
     let chunk = 16_384;
     let (mut abuf, mut bbuf) = (Vec::new(), Vec::new());
     let mut acc: Vec<f64> = Vec::with_capacity(chunk);
@@ -83,11 +83,11 @@ pub fn binary_map<M: Mem>(
         for i in 0..take {
             acc.push(f(abuf[i], bbuf[i]));
         }
-        m.write_range(&out, base, &acc);
+        out.push(m, &acc);
         m.charge_cycles(cost::EXPR * take as u64);
         base += take;
     }
-    out
+    out.finish(m)
 }
 
 #[cfg(test)]

@@ -53,12 +53,8 @@ pub struct CandList {
 impl CandList {
     /// Materialize `rows` into simulated memory.
     pub fn materialize<M: Mem>(m: &mut M, rows: &[u32]) -> CandList {
-        let region = m.alloc_region::<u32>(rows.len().max(1));
-        if !rows.is_empty() {
-            m.write_range(&region, 0, rows);
-        }
         CandList {
-            rows: region,
+            rows: m.alloc_region_from(rows),
             len: rows.len(),
         }
     }

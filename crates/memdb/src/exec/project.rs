@@ -12,9 +12,7 @@ use super::cost;
 /// Gather `col[rows[i]]` to the host (random reads, charged per tuple).
 pub fn gather_host<M: Mem, T: Scalar>(m: &mut M, col: &Region<T>, rows: &[u32]) -> Vec<T> {
     let mut vals: Vec<T> = Vec::with_capacity(rows.len());
-    for &r in rows {
-        vals.push(m.get(col, r as usize, ddc_os::Pattern::Rand));
-    }
+    m.gather(col, rows, ddc_os::Pattern::Rand, &mut vals);
     m.charge_cycles(cost::GATHER * rows.len() as u64);
     vals
 }
@@ -22,16 +20,12 @@ pub fn gather_host<M: Mem, T: Scalar>(m: &mut M, col: &Region<T>, rows: &[u32]) 
 /// Gather `col[rows[i]]` into a new materialized column.
 pub fn gather<M: Mem, T: Scalar>(m: &mut M, col: &Region<T>, rows: &[u32]) -> Region<T> {
     let vals = gather_host(m, col, rows);
-    let out = m.alloc_region::<T>(rows.len().max(1));
-    if !vals.is_empty() {
-        m.write_range(&out, 0, &vals);
-    }
-    out
+    m.alloc_region_from(&vals)
 }
 
 /// Materialize a full copy of a column (projection without candidates).
 pub fn copy_column<M: Mem, T: Scalar>(m: &mut M, col: &Region<T>, n: usize) -> Region<T> {
-    let out = m.alloc_region::<T>(n.max(1));
+    let mut out = m.region_writer::<T>(n);
     let mut buf: Vec<T> = Vec::new();
     let chunk = 16_384;
     let mut base = 0usize;
@@ -39,11 +33,11 @@ pub fn copy_column<M: Mem, T: Scalar>(m: &mut M, col: &Region<T>, n: usize) -> R
         let take = chunk.min(n - base);
         buf.clear();
         m.read_range(col, base, take, &mut buf);
-        m.write_range(&out, base, &buf);
+        out.push(m, &buf);
         m.charge_cycles(cost::GATHER * take as u64);
         base += take;
     }
-    out
+    out.finish(m)
 }
 
 /// Read a whole materialized column back to the host (the final "ship the
@@ -87,6 +81,6 @@ mod tests {
         let mut rt = test_rt();
         let col = rt.alloc_region::<i64>(10);
         let out = gather(&mut rt, &col, &[]);
-        assert_eq!(out.len(), 1, "placeholder allocation");
+        assert!(out.is_empty());
     }
 }

@@ -55,11 +55,14 @@ pub fn select_where<M: Mem, T: Scalar>(
         }
         Some(c) => {
             let rows = c.read(m);
-            for &r in &rows {
-                let v = m.get(col, r as usize, ddc_os::Pattern::Rand);
-                if pred(v) {
-                    out.push(r);
-                }
+            // A slice at a time: the values never need a host buffer as
+            // long as the candidate list.
+            let mut vals: Vec<T> = Vec::new();
+            for chunk in rows.chunks(16_384) {
+                vals.clear();
+                m.gather(col, chunk, ddc_os::Pattern::Rand, &mut vals);
+                let kept = chunk.iter().zip(&vals).filter(|&(_, &v)| pred(v));
+                out.extend(kept.map(|(&r, _)| r));
             }
             m.charge_cycles(cost::FILTER * rows.len() as u64);
         }

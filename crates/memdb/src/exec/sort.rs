@@ -40,15 +40,15 @@ pub fn external_sort_by_key<M: Mem>(
     run_elems: usize,
 ) -> (Region<i64>, Region<u32>) {
     assert!(run_elems >= 2, "runs need at least two elements");
-    let out_k = m.alloc_region::<i64>(n.max(1));
-    let out_p = m.alloc_region::<u32>(n.max(1));
+    let mut out_k = m.region_writer::<i64>(n);
+    let mut out_p = m.region_writer::<u32>(n);
     if n == 0 {
-        return (out_k, out_p);
+        return (out_k.finish(m), out_p.finish(m));
     }
 
     // Phase 1: sorted runs, written to scratch columns.
-    let scratch_k = m.alloc_region::<i64>(n);
-    let scratch_p = m.alloc_region::<u32>(n);
+    let mut scratch_k = m.region_writer::<i64>(n);
+    let mut scratch_p = m.region_writer::<u32>(n);
     let mut runs: Vec<(usize, usize)> = Vec::new(); // (start, len)
     let mut base = 0usize;
     let (mut kbuf, mut pbuf): (Vec<i64>, Vec<u32>) = (Vec::new(), Vec::new());
@@ -62,12 +62,13 @@ pub fn external_sort_by_key<M: Mem>(
         idx.sort_by_key(|&i| (kbuf[i], pbuf[i]));
         let sk: Vec<i64> = idx.iter().map(|&i| kbuf[i]).collect();
         let sp: Vec<u32> = idx.iter().map(|&i| pbuf[i]).collect();
-        m.write_range(&scratch_k, base, &sk);
-        m.write_range(&scratch_p, base, &sp);
+        scratch_k.push(m, &sk);
+        scratch_p.push(m, &sp);
         m.charge_cycles(cost::SORT * take as u64 * (64 - (take as u64).leading_zeros() as u64));
         runs.push((base, take));
         base += take;
     }
+    let (scratch_k, scratch_p) = (scratch_k.finish(m), scratch_p.finish(m));
 
     // Phase 2: k-way merge with block-buffered run cursors.
     struct Cursor {
@@ -92,7 +93,6 @@ pub fn external_sort_by_key<M: Mem>(
         .collect();
     let mut out_kbuf: Vec<i64> = Vec::with_capacity(block);
     let mut out_pbuf: Vec<u32> = Vec::with_capacity(block);
-    let mut written = 0usize;
     loop {
         // Refill exhausted cursors.
         for c in &mut cursors {
@@ -120,18 +120,15 @@ pub fn external_sort_by_key<M: Mem>(
         c.pos += 1;
         m.charge_cycles(cost::SORT * 2);
         if out_kbuf.len() == block {
-            m.write_range(&out_k, written, &out_kbuf);
-            m.write_range(&out_p, written, &out_pbuf);
-            written += out_kbuf.len();
+            out_k.push(m, &out_kbuf);
+            out_p.push(m, &out_pbuf);
             out_kbuf.clear();
             out_pbuf.clear();
         }
     }
-    if !out_kbuf.is_empty() {
-        m.write_range(&out_k, written, &out_kbuf);
-        m.write_range(&out_p, written, &out_pbuf);
-    }
-    (out_k, out_p)
+    out_k.push(m, &out_kbuf);
+    out_p.push(m, &out_pbuf);
+    (out_k.finish(m), out_p.finish(m))
 }
 
 #[cfg(test)]

@@ -248,8 +248,7 @@ pub fn q5(
     rep.note_rows(n_pairs as u64);
 
     let groups = op(rt, &mut rep, plan, "GroupAggregate", move |m| {
-        let nation_col = m.alloc_region::<i64>(n_pairs.max(1));
-        m.write_range(&nation_col, 0, &s_nations);
+        let nation_col = m.alloc_region_from(&s_nations);
         aggregate::group_sum_by_key(m, &nation_col, &revenue, n_pairs)
     });
     rep.note_rows(groups.len() as u64);
@@ -339,8 +338,7 @@ pub fn q10(
     rep.note_rows(n_pairs as u64);
 
     let rows = op(rt, &mut rep, plan, "GroupAggregate", move |m| {
-        let key_col = m.alloc_region::<i64>(n_pairs.max(1));
-        m.write_range(&key_col, 0, &custkeys);
+        let key_col = m.alloc_region_from(&custkeys);
         let groups = aggregate::group_sum_by_key(m, &key_col, &revenue, n_pairs);
         let nation_of: HashMap<i64, i64> = custkeys
             .iter()

@@ -104,7 +104,7 @@ fn external_sort_edge_shapes() {
     let keys = rt.alloc_region::<i64>(1);
     let payload = rt.alloc_region::<u32>(1);
     let (sk, _) = sort::external_sort_by_key(&mut rt, &keys, &payload, 0, 16);
-    assert_eq!(sk.len(), 1, "placeholder allocation");
+    assert!(sk.is_empty());
 
     // Single run (n < run size), already sorted, and reverse-sorted.
     for input in [vec![1i64, 2, 3], vec![3i64, 2, 1], vec![5i64; 7]] {

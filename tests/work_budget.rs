@@ -1,0 +1,121 @@
+//! Work budget: the simulator's own host work, counted, for a small memdb
+//! rack on each platform — loaded, then Q9, Q3 and Q6 run cold — as
+//! `ddc_os::work_counters` reports it.
+//!
+//! The counts are deterministic for a fixed input, so they are pinned
+//! exactly, where a timing would need ten runs and still miss a few
+//! percent. The first rack takes fresh segment backing; the two after it
+//! take the first one's buffers (`AddressSpace`, "Backing lifetime"), so
+//! they show what is zeroed on a recycled buffer:
+//!
+//! - `bytes_zeroed` counts only regions that are read before they are
+//!   written (hash tables, accumulators) and what a region writer left
+//!   unwritten. A column loaded or an intermediate materialized through
+//!   `alloc_region` + `write_range` again zeroes its whole recycled buffer
+//!   first and moves this pin by the column's size;
+//! - `fresh_backings` / `recycled_backings`: a platform that allocates a
+//!   size the others do not takes fresh backing where it should recycle;
+//! - `gather_rows` / `gather_runs`: a candidate-list operator that goes
+//!   back to a loop of `get` stops resolving its rows by page run, and both
+//!   fall.
+//!
+//! None of these is in a digest, a trace record or `Runtime::metrics`; they
+//! describe how the simulation is computed, not what it simulates.
+
+use ddc_os::{work_counters, AddressSpace, WorkCounters};
+use ddc_sim::{DdcConfig, MonolithicConfig};
+use memdb::{q3, q6, q9, Database, PushdownPlan, QueryParams, TpchData};
+use teleport::{PlatformKind, Runtime};
+
+/// Each platform's counters over one rack's life, in the order the racks
+/// are built: `(bytes_zeroed, fresh_backings, recycled_backings,
+/// gather_rows, gather_runs)`.
+const BUDGET: [(PlatformKind, [u64; 5]); 3] = [
+    (PlatformKind::Local, [0, 72, 0, 15_601, 652]),
+    (PlatformKind::BaseDdc, [127_098, 0, 72, 15_601, 652]),
+    (PlatformKind::Teleport, [127_098, 0, 72, 15_601, 652]),
+];
+
+const NAMES: [&str; 5] = [
+    "bytes_zeroed",
+    "fresh_backings",
+    "recycled_backings",
+    "gather_rows",
+    "gather_runs",
+];
+
+fn fields(w: &WorkCounters) -> [u64; 5] {
+    [
+        w.bytes_zeroed,
+        w.fresh_backings,
+        w.recycled_backings,
+        w.gather_rows,
+        w.gather_runs,
+    ]
+}
+
+/// One rack's life on `kind`: build, load, run the three queries cold under
+/// `plans`, drop. Returns its work and the query reports' intensity
+/// rankings (the Teleport plans are the top four of the BaseDdc run's, as
+/// the paper's three-way comparison picks them).
+fn rack_life(
+    kind: PlatformKind,
+    data: &TpchData,
+    plans: &[PushdownPlan; 3],
+) -> (WorkCounters, [Vec<&'static str>; 3]) {
+    let before = work_counters();
+    let ws = data.working_set_bytes();
+    let ddc = DdcConfig::with_cache_ratio(ws, 0.02);
+    let mut rt = match kind {
+        PlatformKind::Local => Runtime::local(MonolithicConfig {
+            dram_bytes: ws * 4 + (64 << 20),
+            ..Default::default()
+        }),
+        PlatformKind::BaseDdc => Runtime::base_ddc(ddc),
+        PlatformKind::Teleport => Runtime::teleport(ddc),
+    };
+    let db = Database::load(&mut rt, data);
+    if kind != PlatformKind::Local {
+        rt.drop_cache();
+    }
+    rt.begin_timing();
+    let params = QueryParams::default();
+    let (_, r9) = q9(&mut rt, &db, &plans[0], &params);
+    let (_, r3) = q3(&mut rt, &db, &plans[1], &params);
+    let (_, r6) = q6(&mut rt, &db, &plans[2], &params);
+    drop(rt);
+    let work = work_counters().delta_since(&before);
+    let ranks = [&r9, &r3, &r6].map(|r| r.rank_by_intensity());
+    (work, ranks)
+}
+
+#[test]
+fn memdb_racks_do_the_pinned_host_work() {
+    // Whatever an earlier test on this thread left spare is released.
+    drop(AddressSpace::new());
+    let data = TpchData::generate(0.002, 42);
+    let mut base_ranks = None;
+    let mut got = Vec::new();
+    for (kind, _) in BUDGET {
+        let plans = match &base_ranks {
+            Some(ranks) if kind == PlatformKind::Teleport => {
+                let ranks: &[Vec<&'static str>; 3] = ranks;
+                [0, 1, 2].map(|q| PushdownPlan::top_k(&ranks[q], 4))
+            }
+            _ => [(); 3].map(|_| PushdownPlan::none()),
+        };
+        let (work, ranks) = rack_life(kind, &data, &plans);
+        if kind == PlatformKind::BaseDdc {
+            base_ranks = Some(ranks);
+        }
+        got.push((kind, fields(&work)));
+    }
+    for ((kind, want), (_, counts)) in BUDGET.iter().zip(&got) {
+        for ((name, want), got_one) in NAMES.iter().zip(want).zip(counts) {
+            assert_eq!(
+                got_one, want,
+                "{kind:?}: work counter `{name}` moved; all counters now read {got:?}"
+            );
+        }
+    }
+}
