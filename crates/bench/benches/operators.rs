@@ -75,6 +75,22 @@ fn bench_hash_join(c: &mut Criterion) {
             black_box(idx.probe(&mut rt, black_box(k)))
         });
     });
+    // The same probes through an arm, as a pushed-down or local operator
+    // runs them: every one charges `HASH_PROBE` cycles to the arm.
+    g.throughput(Throughput::Elements(10_000));
+    g.bench_function("probe_hit_10k_in_arm", |b| {
+        let (mut rt, ..) = runtime_with_column();
+        let keys: Vec<i64> = (1..=10_000).collect();
+        let rows: Vec<u32> = (0..10_000).collect();
+        let idx = hashjoin::HashIndex::build(&mut rt, &keys, &rows);
+        b.iter(|| {
+            rt.run_local(|arm| {
+                for k in 1..=10_000 {
+                    black_box(idx.probe(arm, black_box(k)));
+                }
+            })
+        });
+    });
     g.finish();
 }
 

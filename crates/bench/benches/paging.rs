@@ -6,9 +6,9 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-use ddc_os::{AddressSpace, Dos, PageChecksum, Pattern};
-use ddc_sim::{DdcConfig, PAGE_SIZE};
-use teleport::{Mem, Region, Runtime};
+use ddc_os::{AddressSpace, Dos, MemoryPool, PageChecksum, PageId, Pattern};
+use ddc_sim::{DdcConfig, SimDuration, PAGE_SIZE};
+use teleport::{CoherenceMode, Mem, PushdownSession, Region, Runtime};
 
 fn warm_dos(cache_pages: usize, data_pages: usize) -> (Dos, ddc_os::VAddr) {
     warm_dos_among(cache_pages, data_pages, 1)
@@ -405,6 +405,68 @@ fn bench_load_column(c: &mut Criterion) {
     g.finish();
 }
 
+/// The memory pool's recency bookkeeping over 65 536 pages, touched along a
+/// scattered walk: `ensure_resident_shuffled_64k` with room for every page,
+/// so no touch spills (what every rackbench rack does: its pool never
+/// fills), and `spill_churn` with room for a tenth of them: the walk repeats,
+/// LRU's worst case, so every touch reads its page from storage and spills
+/// the least recently used one.
+fn bench_pool_recency(c: &mut Criterion) {
+    const PAGES: usize = 1 << 16;
+    let order: Vec<PageId> = (0..PAGES)
+        .map(|i| PageId(1 + walk(i, PAGES) as u64))
+        .collect();
+    let mut g = c.benchmark_group("pool");
+    g.throughput(Throughput::Elements(PAGES as u64));
+    for (name, capacity) in [
+        ("ensure_resident_shuffled_64k", PAGES),
+        ("spill_churn", PAGES / 10),
+    ] {
+        g.bench_function(name, |b| {
+            let mut pool = MemoryPool::new(capacity);
+            for p in 1..=PAGES as u64 {
+                pool.register(PageId(p));
+            }
+            b.iter(|| {
+                for &page in &order {
+                    black_box(pool.ensure_resident(page));
+                }
+            });
+        });
+    }
+    g.finish();
+}
+
+/// One pushdown session writing 4 096 pages of a 64 MB region in scattered
+/// order, from set-up to drop: each write acquires its page (a lookup that
+/// misses, then an insert into the session's touched pages) and touches it
+/// in the pool.
+fn bench_session_writes(c: &mut Criterion) {
+    const WRITES: usize = 4096;
+    let span = 4 * WRITES;
+    let (mut dos, a) = warm_dos(64, span);
+    dos.drop_cache();
+    let addrs: Vec<_> = (0..WRITES)
+        .map(|i| a.offset((walk(i, span) * PAGE_SIZE) as u64))
+        .collect();
+    let mut g = c.benchmark_group("coherence");
+    g.throughput(Throughput::Elements(WRITES as u64));
+    g.bench_function("mem_write_random_4k_pages", |b| {
+        b.iter(|| {
+            let mut s = PushdownSession::new(
+                CoherenceMode::WriteInvalidate,
+                &[],
+                SimDuration::from_micros(10),
+            );
+            for &at in &addrs {
+                s.mem_access(&mut dos, at, 8, true, Pattern::Rand);
+            }
+            black_box(s.stats.pages_written_memside)
+        });
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_cache_hit,
@@ -417,6 +479,8 @@ criterion_group!(
     bench_seal_page,
     bench_armed_rack,
     bench_space_lifecycle,
-    bench_load_column
+    bench_load_column,
+    bench_pool_recency,
+    bench_session_writes
 );
 criterion_main!(benches);

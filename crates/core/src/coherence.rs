@@ -88,9 +88,9 @@ pub struct PushdownSession {
     shipped: Rc<Vec<(PageId, bool)>>,
     /// Pages either side has acquired during the call: what the temporary
     /// context *holds* on each right now and what it is *allowed* without
-    /// signalling, in that order. An entry shadows `shipped`; the map starts
-    /// empty, so set-up costs nothing per resident page.
-    touched: BTreeMap<PageId, (Perm, Perm)>,
+    /// signalling, in that order. An entry shadows `shipped`; the table
+    /// starts empty, so set-up costs nothing per resident page.
+    touched: Touched,
     /// Compute-side stale page snapshots (propagation-relaxed modes only).
     stale: BTreeMap<PageId, Vec<u8>>,
     backoff_t: SimDuration,
@@ -157,7 +157,7 @@ impl PushdownSession {
         PushdownSession {
             mode,
             shipped,
-            touched: BTreeMap::new(),
+            touched: Touched::default(),
             stale: BTreeMap::new(),
             backoff_t,
             tiebreak,
@@ -183,7 +183,7 @@ impl PushdownSession {
     /// `(held, allowed)` of `pid`: as the protocol last left it, or else
     /// nothing held and allowed what the shipped list says.
     fn state(&self, pid: PageId) -> (Perm, Perm) {
-        if let Some(&state) = self.touched.get(&pid) {
+        if let Some(state) = self.touched.get(pid) {
             return state;
         }
         match self.shipped.binary_search_by_key(&pid, |e| e.0) {
@@ -555,10 +555,103 @@ impl PushdownSession {
     }
 }
 
+/// A free [`Touched`] slot. A page id comes from a `VAddr >> 12`, so it is
+/// below 2^52, and a slot holding one has its top twelve bits clear.
+const VACANT: u64 = u64::MAX;
+
+/// The bits of a [`Touched`] slot that hold the page id.
+const KEY_BITS: u32 = 52;
+
+/// The session's touched pages: `(held, allowed)` per page in an
+/// open-addressed table with linear probing, so the lookup every
+/// memory-side access makes is O(1). It is never iterated, so it has no
+/// order to keep deterministic.
+#[derive(Debug, Default)]
+struct Touched {
+    /// One word a page: its id in the low [`KEY_BITS`] bits and the two
+    /// permissions above them, or `VACANT`. Empty until the first insert,
+    /// then a power of two at least twice `len`.
+    slots: Vec<u64>,
+    len: usize,
+}
+
+impl Touched {
+    /// Slots the first insert allocates.
+    const FIRST: usize = 16;
+
+    const KEY_MASK: u64 = (1 << KEY_BITS) - 1;
+
+    fn pack(key: u64, (held, allowed): (Perm, Perm)) -> u64 {
+        key | (held as u64) << KEY_BITS | (allowed as u64) << (KEY_BITS + 2)
+    }
+
+    fn unpack(slot: u64) -> (Perm, Perm) {
+        const PERMS: [Perm; 3] = [Perm::None, Perm::Read, Perm::Write];
+        let perm = |at: u32| PERMS[(slot >> at & 3) as usize];
+        (perm(KEY_BITS), perm(KEY_BITS + 2))
+    }
+
+    /// The slot holding `key`, or the vacant slot that ends its probe. The
+    /// table must not be empty.
+    #[inline]
+    fn find(&self, key: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        // Fibonacci hashing: the high bits of the product, as many as the
+        // table has index bits.
+        let bits = self.slots.len().trailing_zeros();
+        let mut i = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize;
+        loop {
+            let slot = self.slots[i];
+            if slot == VACANT || slot & Self::KEY_MASK == key {
+                return i;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    #[inline]
+    fn get(&self, pid: PageId) -> Option<(Perm, Perm)> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let slot = self.slots[self.find(pid.0)];
+        (slot != VACANT).then(|| Self::unpack(slot))
+    }
+
+    #[inline]
+    fn insert(&mut self, pid: PageId, state: (Perm, Perm)) {
+        assert!(
+            pid.0 <= Self::KEY_MASK,
+            "{pid} is past the 2^52 pages a VAddr names"
+        );
+        if 2 * (self.len + 1) > self.slots.len() {
+            self.grow();
+        }
+        let i = self.find(pid.0);
+        if self.slots[i] == VACANT {
+            self.len += 1;
+        }
+        self.slots[i] = Self::pack(pid.0, state);
+    }
+
+    /// Double the slots (or allocate the first ones) and re-place every
+    /// entry.
+    #[cold]
+    fn grow(&mut self) {
+        let size = (2 * self.slots.len()).max(Self::FIRST);
+        let old = std::mem::replace(&mut self.slots, vec![VACANT; size]);
+        for slot in old.into_iter().filter(|&slot| slot != VACANT) {
+            let i = self.find(slot & Self::KEY_MASK);
+            self.slots[i] = slot;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use ddc_sim::{DdcConfig, PAGE_SIZE};
+    use proptest::prelude::*;
 
     fn dos_with(cache_pages: usize) -> Dos {
         Dos::new_disaggregated(DdcConfig {
@@ -812,6 +905,90 @@ mod tests {
             "memory downgraded to reader"
         );
         assert_eq!(s.mem_allowed(a.page()), Perm::Read);
+    }
+
+    /// A page id as `AddressSpace` hands them out (dense from 1) or anywhere
+    /// a `VAddr` can put one (below 2^52).
+    fn page_id() -> impl Strategy<Value = u64> {
+        prop_oneof![0u64..512, 0u64..1 << 52]
+    }
+
+    fn perm(p: u8) -> Perm {
+        [Perm::None, Perm::Read, Perm::Write][p as usize % 3]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `settle` / `state` over the flat table answer what a `BTreeMap`
+        /// of settled pages shadowing the shipped list answers, through
+        /// several doublings: after every step for the page just settled,
+        /// an earlier one, a shipped one and one never named, and at the
+        /// end for every page either side named.
+        #[test]
+        fn touched_table_matches_a_btreemap(
+            shipped in prop::collection::vec((page_id(), any::<bool>()), 0..32),
+            ops in prop::collection::vec((page_id(), 0u8..3, 0u8..3), 1..600),
+        ) {
+            let mut s = PushdownSession::new(
+                CoherenceMode::WriteInvalidate,
+                &shipped.iter().map(|&(p, w)| (PageId(p), w)).collect::<Vec<_>>(),
+                SimDuration::from_micros(10),
+            );
+            // The shipped list as set-up reads it: the last duplicate wins.
+            let listed: BTreeMap<u64, bool> = shipped.iter().copied().collect();
+            let mut settled = BTreeMap::new();
+            let model = |settled: &BTreeMap<u64, (Perm, Perm)>, p: u64| {
+                settled.get(&p).copied().unwrap_or(match listed.get(&p) {
+                    Some(true) => (Perm::None, Perm::None),
+                    Some(false) => (Perm::None, Perm::Read),
+                    None => (Perm::None, Perm::Write),
+                })
+            };
+            for (i, &(p, held, allowed)) in ops.iter().enumerate() {
+                s.settle(PageId(p), perm(held), perm(allowed));
+                settled.insert(p, (perm(held), perm(allowed)));
+                let unnamed = (1u64 << 52) + i as u64;
+                let listed_one = shipped.get(i % shipped.len().max(1)).map_or(0, |e| e.0);
+                for q in [p, ops[i / 2].0, listed_one, unnamed] {
+                    prop_assert_eq!(s.state(PageId(q)), model(&settled, q), "page {} at op {}", q, i);
+                }
+            }
+            prop_assert_eq!(s.touched.len, settled.len());
+            for q in ops.iter().map(|o| o.0).chain(shipped.iter().map(|e| e.0)) {
+                prop_assert_eq!(s.state(PageId(q)), model(&settled, q), "page {} at the end", q);
+            }
+        }
+    }
+
+    #[test]
+    fn touched_probe_wraps_from_the_last_slot_to_the_first() {
+        let last = Touched::FIRST - 1;
+        let homed_last = (1..).filter(|&k| {
+            let mut t = Touched::default();
+            t.insert(PageId(k), (Perm::Read, Perm::Read));
+            t.slots[last] & Touched::KEY_MASK == k
+        });
+        let [a, b] = <[u64; 2]>::try_from(homed_last.take(2).collect::<Vec<_>>()).unwrap();
+        let mut t = Touched::default();
+        t.insert(PageId(a), (Perm::Read, Perm::Read));
+        t.insert(PageId(b), (Perm::Write, Perm::None));
+        assert_eq!(
+            (
+                t.slots[last] & Touched::KEY_MASK,
+                t.slots[0] & Touched::KEY_MASK
+            ),
+            (a, b),
+            "b's probe wrapped to slot 0"
+        );
+        assert_eq!(t.get(PageId(b)), Some((Perm::Write, Perm::None)));
+        assert_eq!(t.get(PageId(0)), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "is past the 2^52 pages a VAddr names")]
+    fn touched_refuses_a_page_no_vaddr_names() {
+        Touched::default().insert(PageId(1 << KEY_BITS), (Perm::Read, Perm::Read));
     }
 
     #[test]

@@ -497,6 +497,10 @@ pub struct Arm<'a> {
     /// memory side; `None` is a compute-side arm.
     session: Option<&'a mut PushdownSession>,
     cpu: CpuConfig,
+    /// The last `(cycles, cpu.cycles(cycles))` charged: an operator charges
+    /// the same count over and over (every hash probe is `HASH_PROBE`), so
+    /// the division is taken once per distinct count.
+    last_charge: (u64, SimDuration),
     /// Shared happens-before log; records compute-side accesses when race
     /// detection is enabled (memory-side accesses are recorded by the
     /// session itself).
@@ -552,7 +556,10 @@ impl Mem for Arm<'_> {
 
     #[inline]
     fn charge_cycles(&mut self, cycles: u64) {
-        self.dos.charge(self.cpu.cycles(cycles));
+        if self.last_charge.0 != cycles {
+            self.last_charge = (cycles, self.cpu.cycles(cycles));
+        }
+        self.dos.charge(self.last_charge.1);
     }
 
     fn now(&self) -> SimTime {
@@ -1011,6 +1018,7 @@ impl Runtime {
                     dos: &mut self.dos,
                     session,
                     cpu,
+                    last_charge: (0, SimDuration::ZERO),
                     race_log: self.race_log.clone(),
                 };
                 catch_unwind(AssertUnwindSafe(|| f(&mut arm)))
@@ -1142,6 +1150,7 @@ impl Runtime {
             dos: &mut self.dos,
             session: None,
             cpu,
+            last_charge: (0, SimDuration::ZERO),
             race_log: self.race_log.clone(),
         };
         f(&mut arm)

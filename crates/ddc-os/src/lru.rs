@@ -4,9 +4,10 @@
 //! matching LegoOS's eviction policy. `SlotList` is the slab-backed doubly
 //! linked list, addressed by slab slot; each user pairs it with a
 //! [`PageTable`] that finds a page's slot: [`LruList`] and the compute
-//! cache with a bare page → slot index, the memory pool with the slot held
-//! in its page-table record. Touch, insert and evict are O(1) and fully
-//! deterministic.
+//! cache with a bare page → slot index. Touch, insert and evict are O(1)
+//! and fully deterministic. The memory pool keeps no chain: most pools
+//! never spill, so it stamps pages and orders them by stamp only once it
+//! must (`pool.rs`).
 
 use crate::page::{PageId, PageTable};
 

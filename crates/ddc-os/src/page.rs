@@ -119,6 +119,12 @@ impl<T: Copy> PageTable<T> {
         &mut self.slots[i]
     }
 
+    /// Every page the table covers and its state, in page order; a covered
+    /// page that was never written reads `vacant`.
+    pub fn iter(&self) -> impl Iterator<Item = (PageId, T)> + '_ {
+        (0..).map(PageId).zip(self.slots.iter().copied())
+    }
+
     #[cold]
     fn grow(&mut self, page: PageId) {
         assert!(
@@ -266,6 +272,13 @@ mod tests {
         assert_eq!(t.get(PageId(100_000)), 2);
         assert_eq!(t.get(PageId(99_999)), 7, "covered but never written");
         assert_eq!(t.get(PageId(1 << 17)), 7, "one past the end");
+        let written: Vec<_> = t.iter().filter(|&(_, v)| v != 7).collect();
+        assert_eq!(
+            written,
+            [(PageId(3), 1), (PageId(100_000), 2)],
+            "in page order"
+        );
+        assert_eq!(t.iter().count(), 1 << 17, "every covered page");
     }
 
     #[test]

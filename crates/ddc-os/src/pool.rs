@@ -6,9 +6,18 @@
 //! evicts LRU pages to storage when full. Pages currently held by the
 //! compute-local cache are pinned: evicting the backing copy of a cached
 //! page would create a coherence hazard the real OS also avoids.
+//!
+//! Recency is a stamp, not a chain. Every event that makes a page
+//! most-recently-used (its page-in, an access while unpinned, the unpin that
+//! frees it) gives it the next value of a counter, which costs one store.
+//! The recency *order* is built only when the pool first has to spill, by
+//! sorting its evictable pages by stamp; from then on each new stamp is
+//! appended to it. Most racks never fill their pool, so they never build it.
 
-use crate::lru::{SlotList, NIL};
+use std::collections::VecDeque;
+
 use crate::page::{PageId, PageTable};
+use crate::work;
 
 /// Residency of one page in the memory pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,14 +37,28 @@ struct PageRecord {
     state: Residency,
     /// Nested pins held by the compute cache.
     pins: u32,
-    /// Slot on the LRU list; `NIL` unless the page is resident and unpinned.
-    lru_slot: u32,
+    /// When the page last became most-recently-used; a larger stamp is more
+    /// recent. Read only while the page is resident and unpinned.
+    stamp: u64,
+}
+
+impl PageRecord {
+    /// May be spilled: resident and unpinned.
+    fn evictable(&self) -> bool {
+        self.pins == 0 && matches!(self.state, Residency::InPool { .. })
+    }
+
+    /// A spill candidate queued as `stamp` is still this page's current
+    /// one: evictable and not restamped since.
+    fn is_candidate(&self, stamp: u64) -> bool {
+        self.evictable() && self.stamp == stamp
+    }
 }
 
 const UNMAPPED: PageRecord = PageRecord {
     state: Residency::Unmapped,
     pins: 0,
-    lru_slot: NIL,
+    stamp: 0,
 };
 
 /// What `ensure_resident` had to do to make a page pool-resident.
@@ -59,8 +82,19 @@ impl PoolFault {
 pub struct MemoryPool {
     capacity: usize,
     table: PageTable<PageRecord>,
-    /// Resident, unpinned pages in recency order (the spill candidates).
-    lru: SlotList<()>,
+    /// The last stamp handed out.
+    clock: u64,
+    /// Spill candidates as `(stamp, page)`, oldest first. Empty until the
+    /// first spill orders every evictable page by stamp; from then on each
+    /// stamp issued is appended, so every evictable page's current stamp has
+    /// an entry and the entries stay in stamp order. An entry whose page has
+    /// since been restamped, pinned or spilled is stale: a spill skips it,
+    /// and once stale entries make the queue twice the capacity they are
+    /// dropped. So the first entry still valid is the oldest evictable page
+    /// — exact LRU.
+    victims: VecDeque<(u64, PageId)>,
+    /// `victims` has been ordered: the pool has spilled.
+    spilled: bool,
     mapped_count: usize,
     resident_count: usize,
 }
@@ -71,7 +105,9 @@ impl MemoryPool {
         MemoryPool {
             capacity: capacity_pages,
             table: PageTable::new(UNMAPPED),
-            lru: SlotList::new(),
+            clock: 0,
+            victims: VecDeque::new(),
+            spilled: false,
             mapped_count: 0,
             resident_count: 0,
         }
@@ -125,18 +161,21 @@ impl MemoryPool {
     }
 
     /// Make `page` pool-resident (faulting from storage if needed) and
-    /// refresh its LRU position. Reports any storage traffic incurred.
+    /// refresh its recency. Reports any storage traffic incurred.
+    #[inline]
     pub fn ensure_resident(&mut self, page: PageId) -> PoolFault {
-        let rec = self.table.get(page);
-        match rec.state {
-            Residency::InPool { .. } => {
-                // Pinned pages live outside the LRU list; do not re-add.
+        let clock = self.clock + 1;
+        match self.table.get_mut(page) {
+            Some(rec) if matches!(rec.state, Residency::InPool { .. }) => {
+                // A pinned page is no candidate; it is stamped when freed.
                 if rec.pins == 0 {
-                    self.lru.move_to_front(rec.lru_slot);
+                    rec.stamp = clock;
+                    self.clock = clock;
+                    self.queue(page);
                 }
                 PoolFault::default()
             }
-            Residency::InStorage => {
+            Some(rec) if rec.state == Residency::InStorage => {
                 let fault = self.make_room();
                 self.page_in(page);
                 PoolFault {
@@ -144,7 +183,7 @@ impl MemoryPool {
                     ..fault
                 }
             }
-            Residency::Unmapped => panic!("page {page} not mapped in the memory pool"),
+            _ => panic!("page {page} not mapped in the memory pool"),
         }
     }
 
@@ -158,28 +197,25 @@ impl MemoryPool {
     }
 
     /// Pin a resident page (it is being cached by the compute pool); pinned
-    /// pages are never chosen as spill victims. Pins nest. Pinned pages are
-    /// held outside the LRU list so victim selection stays O(1).
+    /// pages are never chosen as spill victims. Pins nest. A pin only
+    /// counts: the page keeps its stamp, and victim selection skips it.
     pub fn pin(&mut self, page: PageId) {
         match self.table.get_mut(page) {
-            Some(rec) if matches!(rec.state, Residency::InPool { .. }) => {
-                rec.pins += 1;
-                if rec.pins == 1 {
-                    self.lru.remove(std::mem::replace(&mut rec.lru_slot, NIL));
-                }
-            }
+            Some(rec) if matches!(rec.state, Residency::InPool { .. }) => rec.pins += 1,
             _ => panic!("pin of non-resident page {page}"),
         }
     }
 
-    /// Release one pin; the page rejoins the LRU list as most-recently-used
-    /// once fully unpinned.
+    /// Release one pin; the page becomes a spill candidate again, as the
+    /// most-recently-used, once fully unpinned.
     pub fn unpin(&mut self, page: PageId) {
         match self.table.get_mut(page) {
             Some(rec) if rec.pins > 0 => {
                 rec.pins -= 1;
                 if rec.pins == 0 {
-                    rec.lru_slot = self.lru.push_front(page, ());
+                    self.clock += 1;
+                    rec.stamp = self.clock;
+                    self.queue(page);
                 }
             }
             _ => panic!("unpin of unpinned page {page}"),
@@ -188,12 +224,36 @@ impl MemoryPool {
 
     /// `page` enters pool DRAM clean, unpinned and most-recently-used.
     fn page_in(&mut self, page: PageId) {
+        self.clock += 1;
         *self.table.entry(page) = PageRecord {
             state: Residency::InPool { dirty: false },
             pins: 0,
-            lru_slot: self.lru.push_front(page, ()),
+            stamp: self.clock,
         };
         self.resident_count += 1;
+        self.queue(page);
+    }
+
+    /// Once the pool has spilled, append `page`, just stamped `clock`, as
+    /// the newest spill candidate.
+    #[inline]
+    fn queue(&mut self, page: PageId) {
+        if !self.spilled {
+            return;
+        }
+        self.victims.push_back((self.clock, page));
+        if self.victims.len() > 2 * self.capacity {
+            self.drop_stale();
+        }
+    }
+
+    /// Drop every stale entry of `victims`: at most `capacity` pages are
+    /// evictable, so at least `capacity` appends pass before the next call.
+    #[cold]
+    fn drop_stale(&mut self) {
+        let table = &self.table;
+        self.victims
+            .retain(|&(stamp, page)| table.get(page).is_candidate(stamp));
     }
 
     fn make_room(&mut self) -> PoolFault {
@@ -201,16 +261,40 @@ impl MemoryPool {
         if self.resident_count < self.capacity {
             return fault;
         }
-        let (victim, ()) = self
-            .lru
-            .pop_back()
-            .expect("memory pool exhausted: all resident pages are pinned");
+        let victim = self.pop_victim();
         let rec = self.table.entry(victim);
         fault.storage_writeback = rec.state == Residency::InPool { dirty: true };
         rec.state = Residency::InStorage;
-        rec.lru_slot = NIL;
         self.resident_count -= 1;
         fault
+    }
+
+    /// The least-recently-used evictable page: the first entry of `victims`
+    /// still valid, once the first spill has ordered them.
+    fn pop_victim(&mut self) -> PageId {
+        if !self.spilled {
+            self.order_victims();
+        }
+        while let Some((stamp, page)) = self.victims.pop_front() {
+            if self.table.get(page).is_candidate(stamp) {
+                return page;
+            }
+        }
+        panic!("memory pool exhausted: all resident pages are pinned");
+    }
+
+    /// Fill `victims` from the page table: every evictable page, oldest
+    /// first. Runs once, at the pool's first spill.
+    #[cold]
+    fn order_victims(&mut self) {
+        work::count(|w| w.pool_victim_orders += 1);
+        self.spilled = true;
+        let evictable = self.table.iter().filter(|(_, rec)| rec.evictable());
+        self.victims
+            .extend(evictable.map(|(page, rec)| (rec.stamp, page)));
+        self.victims
+            .make_contiguous()
+            .sort_unstable_by_key(|&(stamp, _)| stamp);
     }
 }
 
@@ -303,6 +387,25 @@ mod tests {
         pool.register(PageId(1));
         assert!(!pool.is_mapped(far) && !pool.is_resident(far) && !pool.is_dirty(far));
         assert_eq!(pool.mapped_len(), 1);
+    }
+
+    #[test]
+    fn a_spilling_pool_queues_at_most_twice_its_capacity() {
+        let mut pool = MemoryPool::new(4);
+        for p in 1..=5 {
+            pool.register(PageId(p));
+        }
+        assert!(pool.spilled && pool.victims.len() <= 4);
+        for round in 0..100 {
+            for p in 2..=5 {
+                pool.ensure_resident(PageId(p));
+                pool.pin(PageId(p));
+                pool.unpin(PageId(p));
+            }
+            assert!(pool.victims.len() <= 8, "round {round}");
+        }
+        pool.ensure_resident(PageId(1));
+        assert!(!pool.is_resident(PageId(2)), "the oldest of 2..=5 spilled");
     }
 
     #[test]

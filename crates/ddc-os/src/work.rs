@@ -25,6 +25,9 @@ pub struct WorkCounters {
     /// The page runs those rows fell on: maximal stretches of consecutive
     /// rows on one page, each paying one full access.
     pub gather_runs: u64,
+    /// Times a memory pool sorted its pages by recency stamp to find spill
+    /// victims: once, at its first spill, however many follow.
+    pub pool_victim_orders: u64,
 }
 
 impl WorkCounters {
@@ -34,6 +37,7 @@ impl WorkCounters {
         recycled_backings: 0,
         gather_rows: 0,
         gather_runs: 0,
+        pool_victim_orders: 0,
     };
 
     /// Field-wise difference `self - earlier`: the work between two
@@ -45,6 +49,7 @@ impl WorkCounters {
             recycled_backings: self.recycled_backings - earlier.recycled_backings,
             gather_rows: self.gather_rows - earlier.gather_rows,
             gather_runs: self.gather_runs - earlier.gather_runs,
+            pool_victim_orders: self.pool_victim_orders - earlier.pool_victim_orders,
         }
     }
 }

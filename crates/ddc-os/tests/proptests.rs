@@ -2,7 +2,7 @@
 //! access traces, residency invariants, and platform transparency.
 
 use ddc_os::lru::LruList;
-use ddc_os::{Dos, MemoryPool, PageCache, PageId, Pattern, PoolFault, ResidentView};
+use ddc_os::{Dos, PageCache, PageId, Pattern, ResidentView};
 use ddc_sim::{DdcConfig, MonolithicConfig, PAGE_SIZE};
 use proptest::prelude::*;
 
@@ -26,52 +26,6 @@ const ALLOC: usize = 16 * PAGE_SIZE;
 /// tables grow mid-trace and freed slab slots are reused across bands.
 fn page_id() -> impl Strategy<Value = u64> {
     prop_oneof![0u64..24, 100_000u64..100_012]
-}
-
-/// One page of the naive memory-pool model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct ModelPage {
-    id: u64,
-    resident: bool,
-    dirty: bool,
-    pins: u32,
-}
-
-/// The naive memory pool: every page it knows, plus the resident unpinned
-/// ones MRU-first.
-#[derive(Debug, Default)]
-struct ModelPool {
-    pages: Vec<ModelPage>,
-    lru: Vec<u64>,
-}
-
-impl ModelPool {
-    fn page(&mut self, id: u64) -> Option<&mut ModelPage> {
-        self.pages.iter_mut().find(|p| p.id == id)
-    }
-
-    fn resident(&self) -> usize {
-        self.pages.iter().filter(|p| p.resident).count()
-    }
-
-    /// Spill the LRU page if the pool is full; `None` if it is full of
-    /// pinned pages (the real pool would panic, so the op is skipped).
-    fn make_room(&mut self, capacity: usize) -> Option<PoolFault> {
-        let mut fault = PoolFault::default();
-        if self.resident() == capacity {
-            let victim = self.lru.pop()?;
-            let v = self.page(victim).expect("LRU page is mapped");
-            fault.storage_writeback = v.dirty;
-            v.resident = false;
-            v.dirty = false;
-        }
-        Some(fault)
-    }
-
-    fn refresh(&mut self, id: u64) {
-        self.lru.retain(|&p| p != id);
-        self.lru.insert(0, id);
-    }
 }
 
 /// The address-ordered `(page, writable)` list of a cache model kept as
@@ -316,72 +270,6 @@ proptest! {
             prop_assert_eq!(lru.contains(PageId(page)), model.contains(&page));
             let order: Vec<u64> = lru.iter_mru().map(|p| p.0).collect();
             prop_assert_eq!(&order, &model);
-        }
-    }
-
-    /// The memory pool spills the victims, reports the storage traffic and
-    /// keeps the residency a naive vector model does, and never spills a
-    /// pinned page.
-    #[test]
-    fn memory_pool_matches_reference_model(
-        ops in prop::collection::vec((0u8..8, page_id()), 1..300),
-        capacity in 1usize..8,
-    ) {
-        let mut pool = MemoryPool::new(capacity);
-        let mut model = ModelPool::default();
-        for &(kind, id) in &ops {
-            let pid = PageId(id);
-            let known = model.page(id).map(|p| *p);
-            match (kind, known) {
-                // Unknown pages register whatever the op; known ones never
-                // do (the pool would panic on a double registration).
-                (_, None) => {
-                    let Some(fault) = model.make_room(capacity) else { continue };
-                    prop_assert_eq!(pool.register(pid), fault, "register divergence");
-                    model.pages.push(ModelPage { id, resident: true, dirty: false, pins: 0 });
-                    model.refresh(id);
-                }
-                (0..=3, Some(p)) => {
-                    let fault = if p.resident {
-                        PoolFault::default()
-                    } else {
-                        let Some(fault) = model.make_room(capacity) else { continue };
-                        model.page(id).unwrap().resident = true;
-                        PoolFault { storage_read: true, ..fault }
-                    };
-                    prop_assert_eq!(pool.ensure_resident(pid), fault, "fault divergence");
-                    if p.pins == 0 {
-                        model.refresh(id);
-                    }
-                }
-                (4, Some(p)) if p.resident => {
-                    pool.pin(pid);
-                    model.page(id).unwrap().pins += 1;
-                    model.lru.retain(|&q| q != id);
-                }
-                (5, Some(p)) if p.pins > 0 => {
-                    pool.unpin(pid);
-                    model.page(id).unwrap().pins -= 1;
-                    if p.pins == 1 {
-                        model.refresh(id);
-                    }
-                }
-                (6, Some(p)) if p.resident => {
-                    pool.mark_dirty(pid);
-                    model.page(id).unwrap().dirty = true;
-                }
-                _ => continue,
-            }
-            prop_assert_eq!(pool.resident_pages(), model.resident());
-            prop_assert_eq!(pool.mapped_len(), model.pages.len());
-            prop_assert!(pool.resident_pages() <= capacity);
-            for p in &model.pages {
-                let pid = PageId(p.id);
-                prop_assert!(pool.is_mapped(pid));
-                prop_assert_eq!(pool.is_resident(pid), p.resident, "residency of {}", p.id);
-                prop_assert_eq!(pool.is_dirty(pid), p.dirty, "dirtiness of {}", p.id);
-                prop_assert!(p.pins == 0 || p.resident, "pinned page {} was spilled", p.id);
-            }
         }
     }
 

@@ -9,7 +9,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use crate::config::NetConfig;
+use crate::config::{NetConfig, PAGE_SIZE};
 use crate::faults::{FaultInjector, IntegrityError};
 use crate::time::SimDuration;
 use crate::trace::{page_seal, Lane, TraceEvent, Tracer};
@@ -100,6 +100,9 @@ impl NetLedger {
 #[derive(Debug, Clone)]
 pub struct Fabric {
     cfg: NetConfig,
+    /// `cfg.transfer_time(PAGE_SIZE)`, the wire time of most messages, taken
+    /// once instead of dividing by the bandwidth on every page moved.
+    page_time: SimDuration,
     ledger: Rc<RefCell<NetLedger>>,
     tracer: Tracer,
     injector: Rc<RefCell<Option<FaultInjector>>>,
@@ -115,6 +118,7 @@ impl Fabric {
     pub fn with_tracer(cfg: NetConfig, tracer: Tracer) -> Self {
         Fabric {
             cfg,
+            page_time: cfg.transfer_time(PAGE_SIZE),
             ledger: Rc::new(RefCell::new(NetLedger::default())),
             tracer,
             injector: Rc::new(RefCell::new(None)),
@@ -154,6 +158,7 @@ impl Fabric {
         );
         let base = match class {
             MsgClass::Coherence => self.cfg.coherence_msg_latency,
+            _ if bytes == PAGE_SIZE => self.page_time,
             _ => self.cfg.transfer_time(bytes),
         };
         // A lame link (fail-slow) scales the wire time itself, so larger

@@ -76,19 +76,19 @@ pub fn greedy_vertex_cut(g: &HostGraph, workers: usize) -> Partitioning {
     let n = g.n();
     let mut replicas = vec![0u64; n];
     let mut load = vec![0usize; workers];
-    let mut edge_partition = Vec::new();
+    let mut edge_partition = Vec::with_capacity(g.m() / 2);
     let mut assigned = 0usize;
 
-    let pick_least = |mask: u64, load: &[usize]| -> Option<usize> {
-        (0..load.len())
-            .filter(|&p| mask & (1 << p) != 0)
-            .min_by_key(|&p| (load[p], p))
-    };
     let all = if workers == 64 {
         u64::MAX
     } else {
         (1u64 << workers) - 1
     };
+    // The least-loaded workers overall: `at_min` holds every worker whose
+    // load is `min_load`. Loads only grow, by one an edge, so the set is
+    // refilled only when the edge that empties it raises the minimum.
+    let mut min_load = 0usize;
+    let mut at_min = all;
 
     for u in 0..n as u32 {
         for &v in g.neighbors(u) {
@@ -106,17 +106,24 @@ pub fn greedy_vertex_cut(g: &HostGraph, workers: usize) -> Partitioning {
             } else {
                 None
             };
-            let fallback = pick_least(all, &load).expect("some partition exists");
+            let fallback = at_min.trailing_zeros() as usize;
             // Balance band: allow locality only while the preferred
             // partition is not much fuller than the emptiest one.
             let slack = assigned / workers / 8 + 1;
             let p = match preferred {
-                Some(c) if load[c] <= load[fallback] + slack => c,
+                Some(c) if load[c] <= min_load + slack => c,
                 _ => fallback,
             };
             replicas[u as usize] |= 1 << p;
             replicas[v as usize] |= 1 << p;
             load[p] += 1;
+            at_min &= !(1 << p);
+            if at_min == 0 {
+                min_load += 1;
+                at_min = (0..workers)
+                    .filter(|&w| load[w] == min_load)
+                    .fold(0, |set, w| set | 1 << w);
+            }
             assigned += 1;
             edge_partition.push(p as u8);
         }
@@ -127,6 +134,21 @@ pub fn greedy_vertex_cut(g: &HostGraph, workers: usize) -> Partitioning {
         replicas,
         load,
     }
+}
+
+/// The least-loaded worker in `mask`, the lowest index on a tie; `None` for
+/// an empty mask. Walks the set bits only, lowest first, so the first strict
+/// minimum is the lowest-index one.
+fn pick_least(mut mask: u64, load: &[usize]) -> Option<usize> {
+    let mut best: Option<usize> = None;
+    while mask != 0 {
+        let p = mask.trailing_zeros() as usize;
+        mask &= mask - 1;
+        if best.is_none_or(|b| load[p] < load[b]) {
+            best = Some(p);
+        }
+    }
+    best
 }
 
 /// Baseline for comparison: random (hash) edge placement, which ignores
@@ -227,6 +249,85 @@ mod tests {
         let p = greedy_vertex_cut(&g, 1);
         assert_eq!(p.replication_factor(), 1.0);
         assert_eq!(p.imbalance(), 1.0);
+    }
+
+    /// [`greedy_vertex_cut`] as it was written before it walked set bits:
+    /// every worker filtered by the mask, three times an edge.
+    fn greedy_vertex_cut_by_filter(g: &HostGraph, workers: usize) -> Partitioning {
+        let n = g.n();
+        let mut replicas = vec![0u64; n];
+        let mut load = vec![0usize; workers];
+        let mut edge_partition = Vec::new();
+        let mut assigned = 0usize;
+        let pick_least = |mask: u64, load: &[usize]| -> Option<usize> {
+            (0..load.len())
+                .filter(|&p| mask & (1 << p) != 0)
+                .min_by_key(|&p| (load[p], p))
+        };
+        let all = if workers == 64 {
+            u64::MAX
+        } else {
+            (1u64 << workers) - 1
+        };
+        for u in 0..n as u32 {
+            for &v in g.neighbors(u) {
+                if v <= u {
+                    continue;
+                }
+                let mu = replicas[u as usize];
+                let mv = replicas[v as usize];
+                let preferred = if mu & mv != 0 {
+                    pick_least(mu & mv, &load)
+                } else if mu | mv != 0 {
+                    pick_least(mu | mv, &load)
+                } else {
+                    None
+                };
+                let fallback = pick_least(all, &load).expect("some partition exists");
+                let slack = assigned / workers / 8 + 1;
+                let p = match preferred {
+                    Some(c) if load[c] <= load[fallback] + slack => c,
+                    _ => fallback,
+                };
+                replicas[u as usize] |= 1 << p;
+                replicas[v as usize] |= 1 << p;
+                load[p] += 1;
+                assigned += 1;
+                edge_partition.push(p as u8);
+            }
+        }
+        Partitioning {
+            workers,
+            edge_partition,
+            replicas,
+            load,
+        }
+    }
+
+    #[test]
+    fn set_bit_walk_cuts_like_the_filter_it_replaced() {
+        for (workers, seed) in [(1, 4), (8, 9), (64, 21)] {
+            let g = social_graph(3_000, 6, seed);
+            let got = greedy_vertex_cut(&g, workers);
+            let want = greedy_vertex_cut_by_filter(&g, workers);
+            assert_eq!(got.edge_partition, want.edge_partition, "{workers} workers");
+            assert_eq!(got.load, want.load, "{workers} workers");
+            assert_eq!(got.replicas, want.replicas, "{workers} workers");
+            assert_eq!(
+                got.replication_factor(),
+                want.replication_factor(),
+                "{workers} workers"
+            );
+        }
+    }
+
+    #[test]
+    fn pick_least_takes_the_lowest_index_on_a_tie() {
+        let load = [3, 1, 4, 1, 5];
+        assert_eq!(pick_least(0, &load), None);
+        assert_eq!(pick_least(0b11111, &load), Some(1));
+        assert_eq!(pick_least(0b11000, &load), Some(3));
+        assert_eq!(pick_least(0b10101, &load), Some(0));
     }
 
     #[test]

@@ -17,40 +17,47 @@
 //!   size the others do not takes fresh backing where it should recycle;
 //! - `gather_rows` / `gather_runs`: a candidate-list operator that goes
 //!   back to a loop of `get` stops resolving its rows by page run, and both
-//!   fall.
+//!   fall;
+//! - `pool_victim_orders`: these racks' pools never fill, so they never
+//!   order their pages for a spill. A second test runs Q9 on racks whose
+//!   pool holds 2 % of the database (Fig 15's smallest pool) and pins how
+//!   often they do: once, at the first spill. A pool that sorts again on
+//!   later spills moves that count.
 //!
 //! None of these is in a digest, a trace record or `Runtime::metrics`; they
 //! describe how the simulation is computed, not what it simulates.
 
 use ddc_os::{work_counters, AddressSpace, WorkCounters};
-use ddc_sim::{DdcConfig, MonolithicConfig};
+use ddc_sim::{DdcConfig, MonolithicConfig, PAGE_SIZE};
 use memdb::{q3, q6, q9, Database, PushdownPlan, QueryParams, TpchData};
 use teleport::{PlatformKind, Runtime};
 
 /// Each platform's counters over one rack's life, in the order the racks
 /// are built: `(bytes_zeroed, fresh_backings, recycled_backings,
-/// gather_rows, gather_runs)`.
-const BUDGET: [(PlatformKind, [u64; 5]); 3] = [
-    (PlatformKind::Local, [0, 72, 0, 15_601, 652]),
-    (PlatformKind::BaseDdc, [127_098, 0, 72, 15_601, 652]),
-    (PlatformKind::Teleport, [127_098, 0, 72, 15_601, 652]),
+/// gather_rows, gather_runs, pool_victim_orders)`.
+const BUDGET: [(PlatformKind, [u64; 6]); 3] = [
+    (PlatformKind::Local, [0, 72, 0, 15_601, 652, 0]),
+    (PlatformKind::BaseDdc, [127_098, 0, 72, 15_601, 652, 0]),
+    (PlatformKind::Teleport, [127_098, 0, 72, 15_601, 652, 0]),
 ];
 
-const NAMES: [&str; 5] = [
+const NAMES: [&str; 6] = [
     "bytes_zeroed",
     "fresh_backings",
     "recycled_backings",
     "gather_rows",
     "gather_runs",
+    "pool_victim_orders",
 ];
 
-fn fields(w: &WorkCounters) -> [u64; 5] {
+fn fields(w: &WorkCounters) -> [u64; 6] {
     [
         w.bytes_zeroed,
         w.fresh_backings,
         w.recycled_backings,
         w.gather_rows,
         w.gather_runs,
+        w.pool_victim_orders,
     ]
 }
 
@@ -118,4 +125,47 @@ fn memdb_racks_do_the_pinned_host_work() {
             );
         }
     }
+}
+
+/// Victim orders of a spilling rack's life on each disaggregated platform
+/// (load, then Q9 cold), pool at 2 % of the database and compute cache at
+/// 0.5 %, beside the timed run's storage page-ins: each of those spilled a
+/// victim, and the one order made at the rack's first spill serves them all.
+const SPILLING: [(PlatformKind, u64, u64); 2] = [
+    (PlatformKind::BaseDdc, 1, 2_437),
+    (PlatformKind::Teleport, 1, 3_110),
+];
+
+#[test]
+fn spilling_pools_order_their_victims_once() {
+    let data = TpchData::generate(0.002, 42);
+    let ws = data.working_set_bytes();
+    let ddc = DdcConfig {
+        compute_cache_bytes: (ws / 200 / PAGE_SIZE).max(4) * PAGE_SIZE,
+        memory_pool_bytes: (ws / 50).max(8 * PAGE_SIZE),
+        ..Default::default()
+    };
+    let params = QueryParams::default();
+    let mut plan = PushdownPlan::none();
+    let mut got = Vec::new();
+    for (kind, ..) in SPILLING {
+        let before = work_counters();
+        let mut rt = match kind {
+            PlatformKind::Teleport => Runtime::teleport(ddc.clone()),
+            _ => Runtime::base_ddc(ddc.clone()),
+        };
+        let db = Database::load(&mut rt, &data);
+        rt.drop_cache();
+        rt.begin_timing();
+        let (_, report) = q9(&mut rt, &db, &plan, &params);
+        plan = PushdownPlan::top_k(&report.rank_by_intensity(), 4);
+        let page_ins = rt.dos().stats().storage_page_in;
+        drop(rt);
+        let orders = work_counters().delta_since(&before).pool_victim_orders;
+        got.push((kind, orders, page_ins));
+    }
+    assert_eq!(
+        got, SPILLING,
+        "(platform, pool_victim_orders, storage_page_in)"
+    );
 }
