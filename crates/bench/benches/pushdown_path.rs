@@ -58,6 +58,45 @@ fn bench_noop_pushdown_shuffled(c: &mut Criterion) {
     });
 }
 
+fn bench_miss_then_get_shuffled(c: &mut Criterion) {
+    // The `serve` shape: over the same full, scattered 512-page cache, one
+    // compute-side miss (which evicts a page, so the view is patched twice)
+    // before each one-page memory-side lookup (`kvapp::get`'s body).
+    c.bench_function("pushdown/miss_then_get_512_shuffled", |b| {
+        let (pages, span) = (512, 1024);
+        let mut rt = Runtime::teleport(DdcConfig {
+            compute_cache_bytes: pages * PAGE_SIZE,
+            memory_pool_bytes: span * PAGE_SIZE * 2,
+            ..Default::default()
+        });
+        let region = rt.alloc_region::<u64>(span * PAGE_SIZE / 8);
+        // Page `i * 193 % span` for i = 0, 1, 2, ...: a permutation of the
+        // span, so once the cache holds the first 512 every next one is a
+        // miss whose victim is the page visited 512 steps earlier.
+        let page = |i: usize| i * 193 % span * PAGE_SIZE / 8;
+        for i in 0..pages {
+            rt.get(&region, page(i), ddc_os::Pattern::Rand);
+        }
+        rt.begin_timing();
+        let mut i = pages;
+        b.iter(|| {
+            rt.get(&region, page(i), ddc_os::Pattern::Rand);
+            let key = page(i * 7 + 3) + 5;
+            i += 1;
+            rt.pushdown(PushdownOpts::new(), |m| {
+                m.charge_cycles(64);
+                black_box(m.get(&region, key, ddc_os::Pattern::Seq))
+            })
+            .expect("ok")
+        });
+        assert_eq!(
+            rt.dos().stats().cache_hits,
+            0,
+            "every compute-side get missed"
+        );
+    });
+}
+
 fn bench_pushdown_with_scan(c: &mut Criterion) {
     c.bench_function("pushdown/scan_64KB", |b| {
         let (mut rt, region) = warm_runtime(256);
@@ -99,6 +138,7 @@ criterion_group!(
     benches,
     bench_noop_pushdown,
     bench_noop_pushdown_shuffled,
+    bench_miss_then_get_shuffled,
     bench_pushdown_with_scan,
     bench_eager_vs_ondemand_real_cost
 );

@@ -11,9 +11,9 @@
 //! - **Fig 8 (`MemorySetup`)** is [`PushdownSession::new`]: the temporary
 //!   context clones the full page table and, for every page the compute
 //!   cache holds, removes it (compute-writable) or downgrades it to
-//!   read-only (compute-read-only). The session keeps the shipped list as
-//!   it arrived and looks pages up in it; only pages the protocol acts on
-//!   mid-call get an entry of their own.
+//!   read-only (compute-read-only). The session keeps the shipped table as
+//!   it arrived and reads each page's entry off it; only pages the protocol
+//!   acts on mid-call get an entry of their own.
 //! - **Fig 9 (fault handling)** is [`PushdownSession::mem_access`] and
 //!   [`PushdownSession::compute_access`]: permission faults on either side
 //!   message the other side to invalidate or downgrade.
@@ -30,10 +30,11 @@
 //! observable (a reader genuinely sees old bytes until a sync point), which
 //! is what makes the paper's false-sharing scenario (Fig 7) testable.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use ddc_os::{page_chunks, pages_spanned, Dos, PageId, Pattern, VAddr};
+use ddc_os::{page_chunks, pages_spanned, Dos, PageId, Pattern, ResidentTable, VAddr};
 use ddc_sim::{CoherenceTransition, Lane, MsgClass, SimDuration, TraceEvent};
 
 use crate::flags::CoherenceMode;
@@ -79,13 +80,13 @@ pub struct CoherenceStats {
 #[derive(Debug)]
 pub struct PushdownSession {
     mode: CoherenceMode,
-    /// The resident list shipped with the request, strictly sorted by
-    /// page: per Fig 8 the temporary context holds nothing at first and is
-    /// allowed `None` on a compute-writable page, `Read` on a
-    /// compute-read-only one and `Write` on an unlisted one. Shared with the
-    /// compute cache that produced it, which copies before it writes while
-    /// the session lives, so the list stays as shipped.
-    shipped: Rc<Vec<(PageId, bool)>>,
+    /// The resident pages shipped with the request, indexed by page: per
+    /// Fig 8 the temporary context holds nothing at first and is allowed
+    /// `None` on a compute-writable page, `Read` on a compute-read-only one
+    /// and `Write` on an unlisted one. Shared with the compute cache that
+    /// produced it, which copies before it writes while the session lives,
+    /// so the table stays as shipped.
+    shipped: Rc<ResidentTable>,
     /// Pages either side has acquired during the call: what the temporary
     /// context *holds* on each right now and what it is *allowed* without
     /// signalling, in that order. An entry shadows `shipped`; the table
@@ -102,20 +103,22 @@ pub struct PushdownSession {
     /// Fig 19 breakdown).
     pub online_sync: SimDuration,
     pub stats: CoherenceStats,
-    /// Happens-before log for the dynamic race checker (disabled unless a
-    /// [`SyncLog`] is attached via [`PushdownSession::set_race_log`]).
+    /// Happens-before log for the dynamic race checker: the runtime's, as
+    /// handed to [`PushdownSession::over_shipped`] (a disabled one of its
+    /// own for a session built from a slice).
     race_log: SyncLog,
 }
 
 impl PushdownSession {
-    /// Build the temporary context's page-table view from the resident-page
+    /// Build the temporary context's page table from the resident-page
     /// list shipped with the pushdown request (Fig 8).
     ///
-    /// `resident` is expected strictly sorted by page, as
-    /// `Dos::resident_list` produces it; set-up is then one copy of the
-    /// list ([`PushdownSession::over_shipped`] takes a shared list without
-    /// one). Any other order is accepted too and normalised, the last entry
-    /// of a duplicated page winning.
+    /// The list may come in any order, `Dos::resident_list`'s page order
+    /// included; set-up writes it into a page-indexed table, so a duplicated
+    /// page ends up with its last entry, and a page no address space hands
+    /// out (past [`ResidentTable::MAX_PAGES`]) is refused by name
+    /// ([`PushdownSession::over_shipped`] takes the compute cache's shared
+    /// table without copying it).
     pub fn new(mode: CoherenceMode, resident: &[(PageId, bool)], backoff_t: SimDuration) -> Self {
         Self::with_tiebreak(mode, resident, backoff_t, TieBreak::FavorMemory)
     }
@@ -128,32 +131,31 @@ impl PushdownSession {
         backoff_t: SimDuration,
         tiebreak: TieBreak,
     ) -> Self {
-        let mut shipped = resident.to_vec();
-        if !shipped.windows(2).all(|w| w[0].0 < w[1].0) {
-            // Cold path (no in-tree caller): the stable sort keeps
-            // duplicates in input order, then each later one overwrites
-            // the entry kept before it.
-            shipped.sort_by_key(|e| e.0);
-            shipped.dedup_by(|later, kept| {
-                let dup = later.0 == kept.0;
-                if dup {
-                    *kept = *later;
-                }
-                dup
-            });
+        let mut shipped = ResidentTable::default();
+        for &(page, writable) in resident {
+            shipped.set(page, Some(writable));
         }
-        Self::over_shipped(mode, Rc::new(shipped), backoff_t, tiebreak)
+        Self::over_shipped(
+            mode,
+            Rc::new(shipped),
+            backoff_t,
+            tiebreak,
+            SyncLog::default(),
+        )
     }
 
-    /// The temporary context over a list that is already strictly sorted by
-    /// page and shared, as `Dos::resident_view` hands it out: set-up is a
-    /// pointer copy, whatever the list's length.
+    /// The temporary context over the compute cache's shared table, as
+    /// `Dos::resident_view` hands it out, recording into `race_log` (the
+    /// session-start edge first): set-up is a pointer copy, whatever the
+    /// number of resident pages.
     pub fn over_shipped(
         mode: CoherenceMode,
-        shipped: Rc<Vec<(PageId, bool)>>,
+        shipped: Rc<ResidentTable>,
         backoff_t: SimDuration,
         tiebreak: TieBreak,
+        race_log: SyncLog,
     ) -> Self {
+        race_log.record(SyncOp::SessionStart);
         PushdownSession {
             mode,
             shipped,
@@ -164,16 +166,8 @@ impl PushdownSession {
             mem_owes_backoff: false,
             online_sync: SimDuration::ZERO,
             stats: CoherenceStats::default(),
-            race_log: SyncLog::default(),
+            race_log,
         }
-    }
-
-    /// Attach a shared synchronization log for happens-before race
-    /// detection. Records the session-start edge (the pushdown request
-    /// carries the host's history into the temporary context).
-    pub fn set_race_log(&mut self, log: SyncLog) {
-        log.record(SyncOp::SessionStart);
-        self.race_log = log;
     }
 
     pub fn mode(&self) -> CoherenceMode {
@@ -186,12 +180,12 @@ impl PushdownSession {
         if let Some(state) = self.touched.get(pid) {
             return state;
         }
-        match self.shipped.binary_search_by_key(&pid, |e| e.0) {
+        match self.shipped.get(pid) {
             // Writable in compute -> excluded from the temporary context;
             // read-only in compute -> read-only in the temporary context.
-            Ok(i) if self.shipped[i].1 => (Perm::None, Perm::None),
-            Ok(_) => (Perm::None, Perm::Read),
-            Err(_) => (Perm::None, Perm::Write),
+            Some(true) => (Perm::None, Perm::None),
+            Some(false) => (Perm::None, Perm::Read),
+            None => (Perm::None, Perm::Write),
         }
     }
 
@@ -562,6 +556,13 @@ const VACANT: u64 = u64::MAX;
 /// The bits of a [`Touched`] slot that hold the page id.
 const KEY_BITS: u32 = 52;
 
+thread_local! {
+    /// The slots of the last touched table this thread dropped, for the
+    /// next one's first insert: one session after another (a serving tier's
+    /// steady state) allocates no table.
+    static SPARE_SLOTS: Cell<Vec<u64>> = const { Cell::new(Vec::new()) };
+}
+
 /// The session's touched pages: `(held, allowed)` per page in an
 /// open-addressed table with linear probing, so the lookup every
 /// memory-side access makes is O(1). It is never iterated, so it has no
@@ -575,9 +576,22 @@ struct Touched {
     len: usize,
 }
 
+impl Drop for Touched {
+    fn drop(&mut self) {
+        if (1..=Self::SPARE_MAX).contains(&self.slots.capacity()) {
+            let slots = std::mem::take(&mut self.slots);
+            let _ = SPARE_SLOTS.try_with(|spare| spare.set(slots));
+        }
+    }
+}
+
 impl Touched {
-    /// Slots the first insert allocates.
+    /// Slots the first insert takes.
     const FIRST: usize = 16;
+
+    /// The largest slot buffer kept for the next table (32 KiB): a session
+    /// that touched thousands of pages does not pin its table after it.
+    const SPARE_MAX: usize = 1 << 12;
 
     const KEY_MASK: u64 = (1 << KEY_BITS) - 1;
 
@@ -634,12 +648,19 @@ impl Touched {
         self.slots[i] = Self::pack(pid.0, state);
     }
 
-    /// Double the slots (or allocate the first ones) and re-place every
-    /// entry.
+    /// Double the slots (or take the first ones, from the spare buffer
+    /// when this thread has one) and re-place every entry.
     #[cold]
     fn grow(&mut self) {
         let size = (2 * self.slots.len()).max(Self::FIRST);
-        let old = std::mem::replace(&mut self.slots, vec![VACANT; size]);
+        let mut slots = if self.slots.is_empty() {
+            SPARE_SLOTS.try_with(Cell::take).unwrap_or_default()
+        } else {
+            Vec::new()
+        };
+        slots.clear();
+        slots.resize(size, VACANT);
+        let old = std::mem::replace(&mut self.slots, slots);
         for slot in old.into_iter().filter(|&slot| slot != VACANT) {
             let i = self.find(slot & Self::KEY_MASK);
             self.slots[i] = slot;
@@ -713,6 +734,16 @@ mod tests {
             (PageId(5), true),
         ];
         assert_eq!(perms(&adjacent), want);
+    }
+
+    #[test]
+    #[should_panic(expected = "resident table: pg268435456 is past the")]
+    fn setup_refuses_a_page_no_address_space_hands_out() {
+        PushdownSession::new(
+            CoherenceMode::WriteInvalidate,
+            &[(PageId(1), true), (PageId(ResidentTable::MAX_PAGES), false)],
+            SimDuration::from_micros(10),
+        );
     }
 
     #[test]
@@ -927,7 +958,7 @@ mod tests {
         /// end for every page either side named.
         #[test]
         fn touched_table_matches_a_btreemap(
-            shipped in prop::collection::vec((page_id(), any::<bool>()), 0..32),
+            shipped in prop::collection::vec((0u64..512, any::<bool>()), 0..32),
             ops in prop::collection::vec((page_id(), 0u8..3, 0u8..3), 1..600),
         ) {
             let mut s = PushdownSession::new(
@@ -957,6 +988,52 @@ mod tests {
             prop_assert_eq!(s.touched.len, settled.len());
             for q in ops.iter().map(|o| o.0).chain(shipped.iter().map(|e| e.0)) {
                 prop_assert_eq!(s.state(PageId(q)), model(&settled, q), "page {} at the end", q);
+            }
+        }
+    }
+
+    /// What set-up answered when it kept the shipped list as a sorted
+    /// `Vec`: sort stably, keep the last of each duplicated page, binary
+    /// search.
+    fn searched(list: &[(PageId, bool)], pid: PageId) -> (Perm, Perm) {
+        let mut shipped = list.to_vec();
+        shipped.sort_by_key(|e| e.0);
+        shipped.dedup_by(|later, kept| {
+            let dup = later.0 == kept.0;
+            if dup {
+                *kept = *later;
+            }
+            dup
+        });
+        match shipped.binary_search_by_key(&pid, |e| e.0) {
+            Ok(i) if shipped[i].1 => (Perm::None, Perm::None),
+            Ok(_) => (Perm::None, Perm::Read),
+            Err(_) => (Perm::None, Perm::Write),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// A session built from a list in any order, duplicates included,
+        /// answers `mem_perm` / `mem_allowed` as the sorted, deduplicated,
+        /// binary-searched list did: for every page listed and its two
+        /// neighbours.
+        #[test]
+        fn shipped_table_answers_as_the_searched_list(
+            list in prop::collection::vec((0u64..300, any::<bool>()), 0..64),
+        ) {
+            let list: Vec<(PageId, bool)> = list.into_iter().map(|(p, w)| (PageId(p), w)).collect();
+            let s = PushdownSession::new(
+                CoherenceMode::WriteInvalidate,
+                &list,
+                SimDuration::from_micros(10),
+            );
+            for &(page, _) in &list {
+                for q in [page.0.wrapping_sub(1), page.0, page.0.wrapping_add(1)] {
+                    let pid = PageId(q);
+                    prop_assert_eq!((s.mem_perm(pid), s.mem_allowed(pid)), searched(&list, pid), "{}", pid);
+                }
             }
         }
     }

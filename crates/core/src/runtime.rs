@@ -497,14 +497,55 @@ pub struct Arm<'a> {
     /// memory side; `None` is a compute-side arm.
     session: Option<&'a mut PushdownSession>,
     cpu: CpuConfig,
-    /// The last `(cycles, cpu.cycles(cycles))` charged: an operator charges
-    /// the same count over and over (every hash probe is `HASH_PROBE`), so
-    /// the division is taken once per distinct count.
-    last_charge: (u64, SimDuration),
+    /// The last count charged and its cost: an operator charges the same
+    /// count over and over (every hash probe is `HASH_PROBE`), so the
+    /// division is taken once per distinct count. Carried over from the
+    /// previous arm on the same side.
+    last_charge: CycleMemo,
     /// Shared happens-before log; records compute-side accesses when race
     /// detection is enabled (memory-side accesses are recorded by the
     /// session itself).
-    race_log: SyncLog,
+    race_log: &'a SyncLog,
+}
+
+/// `CpuConfig::cycles` of one call site's last count: a site that charges
+/// the same count call after call divides once, and each new count once
+/// more. A memo belongs to one site, so to one CPU, and returns what the
+/// conversion itself would: the default holds 0 cycles, which cost 0 ns.
+#[derive(Debug, Clone, Copy, Default)]
+struct CycleMemo {
+    cycles: u64,
+    cost: SimDuration,
+}
+
+impl CycleMemo {
+    #[inline]
+    fn cost(&mut self, cpu: &CpuConfig, cycles: u64) -> SimDuration {
+        if self.cycles != cycles {
+            *self = CycleMemo {
+                cycles,
+                cost: cpu.cycles(cycles),
+            };
+        }
+        self.cost
+    }
+}
+
+/// The conversions the pushdown fixed path repeats with inputs that rarely
+/// change between calls: steps ❶ and ❹'s per-entry charges, and the last
+/// `charge_cycles` of each side's arm.
+#[derive(Debug, Default)]
+struct FixedPathMemo {
+    /// ❶ `cycles_per_list_entry × resident`, compute CPU.
+    list_scan: CycleMemo,
+    /// ❹ `cycles_per_pte_clone × allocated pages`, memory CPU.
+    pte_clone: CycleMemo,
+    /// ❹ `cycles_per_pte_check × resident`, memory CPU.
+    pte_check: CycleMemo,
+    /// Compute side (the runtime itself and compute-side arms).
+    compute_charge: CycleMemo,
+    /// Memory side (arms inside a Teleport pushdown).
+    memory_charge: CycleMemo,
 }
 
 /// Log a compute-side access to every page of `[addr, addr+len)` for the
@@ -530,7 +571,7 @@ impl Arm<'_> {
     fn touch(&mut self, addr: VAddr, len: usize, write: bool, pat: Pattern) {
         match &mut self.session {
             None => {
-                record_host_access(&self.race_log, addr, len, write);
+                record_host_access(self.race_log, addr, len, write);
                 self.dos.touch_range(addr, len, write, pat);
             }
             Some(s) => s.mem_access(self.dos, addr, len, write, pat),
@@ -556,10 +597,8 @@ impl Mem for Arm<'_> {
 
     #[inline]
     fn charge_cycles(&mut self, cycles: u64) {
-        if self.last_charge.0 != cycles {
-            self.last_charge = (cycles, self.cpu.cycles(cycles));
-        }
-        self.dos.charge(self.last_charge.1);
+        let cost = self.last_charge.cost(&self.cpu, cycles);
+        self.dos.charge(cost);
     }
 
     fn now(&self) -> SimTime {
@@ -660,6 +699,7 @@ pub struct Runtime {
     race_log: SyncLog,
     /// Pages an eager-sync pushdown flushed, to be re-fetched afterwards.
     eager_refetch: Vec<PageId>,
+    memo: FixedPathMemo,
     /// Simulated backlog ahead of the next request in the memory pool's
     /// workqueue (other tenants' pushdowns).
     queue_backlog: SimDuration,
@@ -708,6 +748,7 @@ impl Runtime {
             stale: BTreeMap::new(),
             race_log: SyncLog::default(),
             eager_refetch: Vec::new(),
+            memo: FixedPathMemo::default(),
             queue_backlog: SimDuration::ZERO,
             admission: None,
             scratch: Vec::new(),
@@ -1014,14 +1055,20 @@ impl Runtime {
                 Err(Box::new("injected fault: pushdown hang".to_string()))
             }
             None => {
+                let memo = match session {
+                    None => &mut self.memo.compute_charge,
+                    Some(_) => &mut self.memo.memory_charge,
+                };
                 let mut arm = Arm {
                     dos: &mut self.dos,
                     session,
                     cpu,
-                    last_charge: (0, SimDuration::ZERO),
-                    race_log: self.race_log.clone(),
+                    last_charge: *memo,
+                    race_log: &self.race_log,
                 };
-                catch_unwind(AssertUnwindSafe(|| f(&mut arm)))
+                let result = catch_unwind(AssertUnwindSafe(|| f(&mut arm)));
+                *memo = arm.last_charge;
+                result
             }
         }
     }
@@ -1150,10 +1197,12 @@ impl Runtime {
             dos: &mut self.dos,
             session: None,
             cpu,
-            last_charge: (0, SimDuration::ZERO),
-            race_log: self.race_log.clone(),
+            last_charge: self.memo.compute_charge,
+            race_log: &self.race_log,
         };
-        f(&mut arm)
+        let result = f(&mut arm);
+        self.memo.compute_charge = arm.last_charge;
+        result
     }
 
     /// `pushdown` with a manual pre-synchronization hint (§4.2): when the
@@ -1234,44 +1283,42 @@ impl Runtime {
 
         self.ledger.pushdown_calls += 1;
         let mut bd = Breakdown::default();
-        let tracer = self.dos.tracer().clone();
 
         // ❶ Pre-pushdown synchronization.
         let call_start = self.dos.clock().now();
         let t0 = call_start;
-        tracer.emit(Lane::Compute, TraceEvent::PushdownStep { step: 1 });
+        self.dos
+            .tracer()
+            .emit(Lane::Compute, TraceEvent::PushdownStep { step: 1 });
         if opts.sync == SyncStrategy::Eager {
             // Strawman: flush + drop everything up front, remembering what
             // to re-fetch afterwards; the list it then ships is empty.
             self.eager_refetch = self.dos.flush_and_clear_cache();
         }
-        // The cache's own address-ordered view, shared with it: nothing is
+        // The cache's own page-indexed view, shared with it: nothing is
         // collected, sorted or copied here.
         let resident = self.dos.resident_view();
         if opts.sync == SyncStrategy::OnDemand {
-            self.dos.charge_compute_cycles(
-                self.tcfg.cycles_per_list_entry * resident.list.len() as u64,
-            );
+            let cycles = self.tcfg.cycles_per_list_entry * resident.len as u64;
+            let cost = self.memo.list_scan.cost(&self.dos.compute_cpu(), cycles);
+            self.dos.charge(cost);
         }
         bd.pre_sync = self.dos.clock().now().since(t0);
 
         // ❷ Request transfer (RLE'd resident list rides along).
         let t0 = self.dos.clock().now();
-        tracer.emit(Lane::Net, TraceEvent::PushdownStep { step: 2 });
-        // An unsorted resident list would corrupt the temporary context's
-        // page table on the far side: surface it as a typed protocol
-        // violation instead of shipping a malformed request. The cache
-        // verified the order as it built and patched the list.
-        if !resident.sorted {
-            return Err(PushdownError::ProtocolViolation { req: call });
-        }
-        // One wire run per run of the list: its RLE size, not re-encoded.
+        self.dos
+            .tracer()
+            .emit(Lane::Net, TraceEvent::PushdownStep { step: 2 });
+        // One wire run per run of the table: its RLE size, not encoded.
         self.wire(
             MsgClass::RpcRequest,
             REQUEST_HEADER_BYTES + resident.runs * RUN_WIRE_BYTES,
         );
         // ❸ Enqueue on the memory-side workqueue; wake an instance.
-        tracer.emit(Lane::Memory, TraceEvent::PushdownStep { step: 3 });
+        self.dos
+            .tracer()
+            .emit(Lane::Memory, TraceEvent::PushdownStep { step: 3 });
         let (req_id, wake) = self.server.enqueue();
         self.ledger.last_req_id = Some(req_id);
         self.dos.charge(wake);
@@ -1290,7 +1337,7 @@ impl Runtime {
             let waiting = self.server.queue_depth().saturating_sub(1);
             if !pol.admits(waiting, self.queue_backlog) {
                 let backlog = self.queue_backlog;
-                tracer.emit(
+                self.dos.tracer().emit(
                     Lane::Memory,
                     TraceEvent::AdmissionShed {
                         backlog_ns: backlog.as_nanos(),
@@ -1309,12 +1356,16 @@ impl Runtime {
         if self.queue_backlog > SimDuration::ZERO {
             if let Some(timeout) = opts.timeout.filter(|&t| t < self.queue_backlog) {
                 self.dos.charge(timeout);
-                tracer.emit(Lane::Compute, TraceEvent::Timeout { req: req_id });
+                self.dos
+                    .tracer()
+                    .emit(Lane::Compute, TraceEvent::Timeout { req: req_id });
                 // Still queued behind the backlog, so the cancel must
                 // succeed; a decline would mean the request started
                 // executing while we believed it was waiting.
                 self.cancel_expecting(req_id, CancelOutcome::Cancelled)?;
-                tracer.emit(Lane::Memory, TraceEvent::Cancel { req: req_id });
+                self.dos
+                    .tracer()
+                    .emit(Lane::Memory, TraceEvent::Cancel { req: req_id });
                 return Err(PushdownError::CancelledBeforeStart);
             }
             let wait = self.queue_backlog;
@@ -1324,44 +1375,53 @@ impl Runtime {
 
         // ❹ Temporary user-context setup (Fig 8).
         let t0 = self.dos.clock().now();
-        tracer.emit(Lane::Memory, TraceEvent::PushdownStep { step: 4 });
+        self.dos
+            .tracer()
+            .emit(Lane::Memory, TraceEvent::PushdownStep { step: 4 });
         let _ = self.server.dequeue();
         self.dos.charge(self.tcfg.ctx_create);
         let total_pages = self.dos.space().allocated_pages() as u64;
         let mem_cpu = self.dos.ddc_config().memory_cpu;
-        self.dos
-            .charge(mem_cpu.cycles(self.tcfg.cycles_per_pte_clone * total_pages));
+        let cycles = self.tcfg.cycles_per_pte_clone * total_pages;
+        let cost = self.memo.pte_clone.cost(&mem_cpu, cycles);
+        self.dos.charge(cost);
         if opts.sync == SyncStrategy::OnDemand {
-            self.dos.charge(
-                mem_cpu.cycles(self.tcfg.cycles_per_pte_check * resident.list.len() as u64),
-            );
+            let cycles = self.tcfg.cycles_per_pte_check * resident.len as u64;
+            let cost = self.memo.pte_check.cost(&mem_cpu, cycles);
+            self.dos.charge(cost);
         }
         bd.ctx_setup = self.dos.clock().now().since(t0);
 
         // ❺ Execute the function in the temporary context.
         let t0 = self.dos.clock().now();
-        tracer.emit(Lane::Memory, TraceEvent::PushdownStep { step: 5 });
+        self.dos
+            .tracer()
+            .emit(Lane::Memory, TraceEvent::PushdownStep { step: 5 });
         // Open the routing window: memory-side accesses record which
         // shards they land on (free on single-pool deployments).
         self.dos.begin_pushdown_routing();
         let mut session = PushdownSession::over_shipped(
             opts.coherence,
-            resident.list,
+            resident.table,
             self.tcfg.backoff_t,
             TieBreak::FavorMemory,
+            self.race_log.clone(),
         );
-        session.set_race_log(self.race_log.clone());
         let result = self.run_or_disrupt(call, Some(&mut session), mem_cpu, f);
         let exec_window = self.dos.clock().now().since(t0);
         // ❻ Completion. Any end-of-session synchronization (Weak
         // Ordering's batched invalidation) is charged here and attributed
         // to online_sync so the breakdown's total matches the wall time
         // between steps ❶ and ❽.
-        tracer.emit(Lane::Memory, TraceEvent::PushdownStep { step: 6 });
+        self.dos
+            .tracer()
+            .emit(Lane::Memory, TraceEvent::PushdownStep { step: 6 });
         let t_finish = self.dos.clock().now();
         let (cstats, online_sync, stale) = session.finish(&mut self.dos);
         let finish_sync = self.dos.clock().now().since(t_finish);
-        self.stale.extend(stale);
+        if !stale.is_empty() {
+            self.stale.extend(stale);
+        }
         self.ledger.last_coherence = Some(cstats);
         bd.online_sync = online_sync + finish_sync;
         bd.exec = exec_window.saturating_sub(online_sync);
@@ -1375,18 +1435,24 @@ impl Runtime {
             .timeout
             .is_some_and(|t| self.dos.clock().now().since(call_start) > t)
         {
-            tracer.emit(Lane::Compute, TraceEvent::Timeout { req: req_id });
+            self.dos
+                .tracer()
+                .emit(Lane::Compute, TraceEvent::Timeout { req: req_id });
             // The function already ran to completion, so the pool must
             // decline; a successful cancel here would discard a result
             // the application is about to receive.
             self.cancel_expecting(req_id, CancelOutcome::Declined)?;
-            tracer.emit(Lane::Memory, TraceEvent::CancelDeclined { req: req_id });
+            self.dos
+                .tracer()
+                .emit(Lane::Memory, TraceEvent::CancelDeclined { req: req_id });
         }
 
         // ❼ Response transfer, after settling any cross-shard fan-out.
         let t0 = self.dos.clock().now();
         let primary_pool = self.settle_fanout();
-        tracer.emit(Lane::Net, TraceEvent::PushdownStep { step: 7 });
+        self.dos
+            .tracer()
+            .emit(Lane::Net, TraceEvent::PushdownStep { step: 7 });
         self.server.complete(req_id);
         self.wire(MsgClass::RpcResponse, RESPONSE_BYTES);
         bd.response = self.dos.clock().now().since(t0);
@@ -1403,7 +1469,9 @@ impl Runtime {
             self.dos.prefetch_pages(&pages);
         }
         // On-demand: dirty bits merge into the full table locally — free.
-        tracer.emit(Lane::Compute, TraceEvent::PushdownStep { step: 8 });
+        self.dos
+            .tracer()
+            .emit(Lane::Compute, TraceEvent::PushdownStep { step: 8 });
         bd.post_sync = self.dos.clock().now().since(t0);
 
         self.ledger.last_breakdown = Some(bd);
@@ -1727,7 +1795,11 @@ impl Mem for Runtime {
 
     #[inline]
     fn charge_cycles(&mut self, cycles: u64) {
-        self.dos.charge_compute_cycles(cycles);
+        let cost = self
+            .memo
+            .compute_charge
+            .cost(&self.dos.compute_cpu(), cycles);
+        self.dos.charge(cost);
     }
 
     fn now(&self) -> SimTime {

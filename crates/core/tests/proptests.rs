@@ -596,14 +596,16 @@ proptest! {
                     _ => rt.drop_cache(),
                 }
                 let view = rt.dos().resident_view();
-                // The list is what probing every page in turn finds.
+                // The table, walked in page order, is what probing every
+                // page in turn finds, and as long as the cache.
                 let probed: Vec<(PageId, bool)> = pages_spanned(region.addr(), region.byte_len())
                     .filter_map(|pid| Some((pid, rt.dos().cache_probe(pid)?.writable)))
                     .collect();
-                prop_assert_eq!(&*view.list, &probed, "{:?} step {} {:?}", mode, i, steps[i]);
-                let encoded = ResidentList::try_encode(&view.list)
-                    .expect("the resident view is sorted");
-                prop_assert!(view.sorted);
+                let listed = view.to_list();
+                prop_assert_eq!(&listed, &probed, "{:?} step {} {:?}", mode, i, steps[i]);
+                prop_assert_eq!(view.len, rt.dos().cache_len());
+                let encoded = ResidentList::try_encode(&listed)
+                    .expect("the resident view walks in page order");
                 prop_assert_eq!(
                     view.runs * RUN_WIRE_BYTES,
                     encoded.encoded_bytes(),

@@ -7,16 +7,18 @@
 //! monolithic ("Linux") topology, where eviction targets the swap device
 //! instead of the memory pool.
 //!
-//! The cache also owns the one address-ordered view of itself, the
-//! [`ResidentView`] every pushdown ships: kept from request to request and
-//! brought up to date from a journal of the pages touched in between, so
-//! asking for it costs what changed, not what is resident.
+//! The cache also owns the one page-indexed view of itself, the
+//! [`ResidentView`] every pushdown ships (walked in address order): kept
+//! from request to request and brought up to date from a journal of the
+//! pages touched in between, so asking for it costs what changed, not what
+//! is resident.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use crate::lru::{SlotList, NIL};
 use crate::page::{PageId, PageTable};
+use crate::work::count;
 
 /// Per-page cache metadata.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,31 +38,215 @@ pub struct Evicted {
     pub dirty: bool,
 }
 
-/// The resident pages with their write permission in address order — the
-/// list a pushdown request ships (paper Fig 8) — as of the moment it was
-/// asked for. The list is shared, never copied: the cache patches it in
-/// place while nobody else holds it and copies on write while someone does,
-/// so a view once taken does not change.
+/// Every page's residency and write permission in the compute cache,
+/// indexed by page: two bits a page (absent, read-only or writable), 32
+/// pages to a word, on the dense ids [`PageTable`] indexes by. A lookup is
+/// one word read; walking it visits the resident pages in address order,
+/// which is the order a pushdown ships them in (paper Fig 8). A page past
+/// the table reads absent, and only a write grows it.
+#[derive(Debug, Clone, Default)]
+pub struct ResidentTable {
+    words: Vec<u64>,
+}
+
+/// A page's two bits: resident, and resident and writable.
+const READ_ONLY: u64 = 0b01;
+const WRITABLE: u64 = 0b11;
+/// The low bit of every page's pair: set for each resident page of a word.
+const RESIDENT_BITS: u64 = 0x5555_5555_5555_5555;
+
+impl ResidentTable {
+    /// Pages a word holds.
+    const PER_WORD: u64 = 32;
+
+    /// Pages past this are refused, as [`PageTable`] refuses them.
+    pub const MAX_PAGES: u64 = PageTable::<u32>::MAX_PAGES;
+
+    /// The word holding `page` and the shift of its two bits in it.
+    #[inline]
+    fn at(page: PageId) -> (usize, u32) {
+        let word = usize::try_from(page.0 / Self::PER_WORD).unwrap_or(usize::MAX);
+        (word, (page.0 % Self::PER_WORD) as u32 * 2)
+    }
+
+    /// `page`'s entry: `None` if it is not resident, else whether it is
+    /// writable.
+    #[inline]
+    pub fn get(&self, page: PageId) -> Option<bool> {
+        let (word, shift) = Self::at(page);
+        match self.words.get(word).map_or(0, |w| w >> shift & WRITABLE) {
+            0 => None,
+            bits => Some(bits == WRITABLE),
+        }
+    }
+
+    /// Whether `page` lies inside the table, so that [`Self::set`] on it
+    /// allocates nothing.
+    #[inline]
+    fn covers(&self, page: PageId) -> bool {
+        Self::at(page).0 < self.words.len()
+    }
+
+    /// Grow the table to cover `page`, to a power of two of words (two at
+    /// least), as [`PageTable`] doubles.
+    #[cold]
+    fn cover(&mut self, page: PageId) {
+        assert!(
+            page.0 < Self::MAX_PAGES,
+            "resident table: {page} is past the {}-page limit; page ids are dense from 1",
+            Self::MAX_PAGES
+        );
+        let words = (Self::at(page).0 + 1).next_power_of_two().max(2);
+        if words > self.words.len() {
+            self.words.resize(words, 0);
+        }
+    }
+
+    /// Set `page`'s entry, growing the table to cover it.
+    #[inline]
+    pub fn set(&mut self, page: PageId, entry: Option<bool>) {
+        if !self.covers(page) {
+            self.cover(page);
+        }
+        let (word, shift) = Self::at(page);
+        let bits = match entry {
+            None => 0,
+            Some(false) => READ_ONLY,
+            Some(true) => WRITABLE,
+        };
+        let w = &mut self.words[word];
+        *w = *w & !(WRITABLE << shift) | bits << shift;
+    }
+
+    /// Mark every page absent, keeping the table's size.
+    fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// A table of the same size with every page absent.
+    fn emptied(&self) -> Self {
+        ResidentTable {
+            words: vec![0; self.words.len()],
+        }
+    }
+
+    /// The resident pages and their write permission, in address order.
+    pub fn iter(&self) -> ResidentPages<'_> {
+        ResidentPages {
+            words: &self.words,
+            next: 0,
+            base: 0,
+            word: 0,
+            occupied: 0,
+        }
+    }
+
+    /// Runs that start at `page` or just after it if `page` held `entry`:
+    /// a resident page starts a run unless the page before it is resident
+    /// with the same permission. `page`'s own entry is not read, so this
+    /// answers for the entry it had and the one it is about to get alike.
+    #[inline]
+    fn runs_starting_at(&self, page: PageId, entry: Option<bool>) -> usize {
+        let before = page.0.checked_sub(1).and_then(|p| self.get(PageId(p)));
+        let after = self.get(page.offset(1));
+        usize::from(entry.is_some() && before != entry)
+            + usize::from(after.is_some() && after != entry)
+    }
+
+    /// Maximal runs of consecutive resident pages sharing a permission: the
+    /// number of runs the table's RLE encoding has.
+    fn runs(&self) -> usize {
+        let mut prev: Option<(PageId, bool)> = None;
+        self.iter()
+            .filter(|&(page, writable)| {
+                let starts = prev != Some((PageId(page.0.wrapping_sub(1)), writable));
+                prev = Some((page, writable));
+                starts
+            })
+            .count()
+    }
+}
+
+/// [`ResidentTable::iter`]: the zero words skipped, each other word's
+/// resident pages peeled off lowest first.
+#[derive(Debug, Clone)]
+pub struct ResidentPages<'a> {
+    words: &'a [u64],
+    /// The word after the one being peeled.
+    next: usize,
+    /// The first page of the word being peeled, and the word.
+    base: u64,
+    word: u64,
+    /// Its resident bits (the low bit of each pair) not yet yielded.
+    occupied: u64,
+}
+
+impl Iterator for ResidentPages<'_> {
+    type Item = (PageId, bool);
+
+    #[inline]
+    fn next(&mut self) -> Option<(PageId, bool)> {
+        while self.occupied == 0 {
+            self.word = *self.words.get(self.next)?;
+            self.occupied = self.word & RESIDENT_BITS;
+            self.base = self.next as u64 * ResidentTable::PER_WORD;
+            self.next += 1;
+        }
+        let bit = self.occupied.trailing_zeros();
+        self.occupied &= self.occupied - 1;
+        let writable = self.word >> bit & WRITABLE == WRITABLE;
+        Some((PageId(self.base + u64::from(bit / 2)), writable))
+    }
+}
+
+/// The resident pages with their write permission — what a pushdown
+/// request ships (paper Fig 8) — as of the moment it was asked for. The
+/// table is shared, never copied: the cache patches it in place while
+/// nobody else holds it and copies on write while someone does, so a view
+/// once taken does not change.
 #[derive(Debug, Clone)]
 pub struct ResidentView {
-    /// `(page, writable)`, strictly sorted by page.
-    pub list: Rc<Vec<(PageId, bool)>>,
-    /// Maximal runs of consecutive pages sharing a permission in `list`:
+    pub table: Rc<ResidentTable>,
+    /// Resident pages in `table`.
+    pub len: usize,
+    /// Maximal runs of consecutive pages sharing a permission in `table`:
     /// the number of runs its RLE encoding has.
     pub runs: usize,
-    /// `list` was verified strictly sorted, in release builds too: all of it
-    /// when it was last rebuilt, the neighbours of every splice since.
-    pub sorted: bool,
+}
+
+impl ResidentView {
+    /// The pages and their write permission, in address order.
+    pub fn iter(&self) -> ResidentPages<'_> {
+        self.table.iter()
+    }
+
+    /// The `(page, writable)` list, in address order.
+    pub fn to_list(&self) -> Vec<(PageId, bool)> {
+        let mut list = Vec::with_capacity(self.len);
+        list.extend(self.iter());
+        list
+    }
 }
 
 /// Noted pages past which a refresh rebuilds the view instead of patching
-/// it. Measured (release build, residency scattered one page in four, a
-/// full cache so each miss notes two pages): reconciling a noted page costs
-/// ≈70 ns at 512 resident pages and ≈330 ns at 4 096 (the splice's `memmove`
-/// grows with the list), a rebuild ≈9.9 µs and ≈88 µs, so patching wins up
-/// to ≈140 and ≈265 notes. 128 sits under both crossovers; a cache that
-/// takes more notes than that between two requests is being refilled, and
-/// from then on pays one flag test per note.
+/// it. Measured (release build on a shared 2-vCPU x86-64 host whose speed
+/// came in two modes that moved every figure together, residency scattered
+/// one page in four, a full cache so each miss notes two pages): reconciling
+/// a noted page costs ≈12–22 ns at 512 resident pages and at 4 096 alike (a
+/// table write and two neighbour reads, whatever the cache holds), a
+/// rebuild — clear the table, set each slab entry, recount the runs —
+/// ≈2.1–3.9 µs and ≈17–30 µs, so patching wins up to ≈170 and ≈1 300 notes.
+/// 128 sits under both crossovers; a cache that takes more notes than that
+/// between two requests is being refilled, and from then on pays one flag
+/// test per note.
+///
+/// Why notes are journaled at all, rather than written into the table as
+/// they happen: a miss-dominated run takes millions of notes between two
+/// requests, and paying the reconciliation on each of them instead of a
+/// flag test is what a prototype that did so measured (rackbench `run
+/// --seconds 6`, seed 42, four alternating pairs on a shared 2-vCPU x86-64
+/// host, medians): `scatter` 8.30 → 6.39 M `ops_per_s` (−23 %, three pairs
+/// lost and one even), `tpch` 25.1 → 24.4 M (−3 %), `serve` flat.
 const VIEW_JOURNAL_BOUND: usize = 128;
 
 /// The kept view and what is known to have happened to the cache since it
@@ -74,18 +260,6 @@ struct ViewState {
     journal: Vec<PageId>,
     /// The journal overflowed and was dropped: rebuild.
     stale: bool,
-}
-
-/// Runs in `w`: its entries less the adjacent pairs that continue a run.
-fn runs_in(w: &[(PageId, bool)]) -> usize {
-    let continued = w
-        .windows(2)
-        .filter(|p| p[0].0.offset(1) == p[1].0 && p[0].1 == p[1].1);
-    w.len() - continued.count()
-}
-
-fn strictly_sorted(w: &[(PageId, bool)]) -> bool {
-    w.windows(2).all(|p| p[0].0 < p[1].0)
 }
 
 /// Fixed-capacity LRU page cache: one page-indexed table in front of one
@@ -113,9 +287,9 @@ impl PageCache {
             index: PageTable::new(NIL),
             view: RefCell::new(ViewState {
                 view: ResidentView {
-                    list: Rc::default(),
+                    table: Rc::default(),
+                    len: 0,
                     runs: 0,
-                    sorted: true,
                 },
                 journal: Vec::with_capacity(VIEW_JOURNAL_BOUND),
                 stale: false,
@@ -214,6 +388,12 @@ impl PageCache {
             dirty: write,
         };
         *self.index.entry(page) = self.lru.push_front(page, entry);
+        // The view's table grows when the index does, here, so that a
+        // refresh never allocates to note a page.
+        let view = &mut self.view.get_mut().view;
+        if !view.table.covers(page) {
+            Rc::make_mut(&mut view.table).cover(page);
+        }
         self.note(page);
         victim
     }
@@ -260,9 +440,10 @@ impl PageCache {
     }
 
     /// The resident pages in address order, brought up to date first: a
-    /// pointer copy when nothing was noted since the last request, one
-    /// binary search and splice per noted page otherwise, a collect-and-sort
-    /// when more than `VIEW_JOURNAL_BOUND` (128) were.
+    /// pointer copy when nothing was noted since the last request, one table
+    /// write and two neighbour reads per noted page otherwise, a clear of
+    /// the table and a walk of the slab when more than `VIEW_JOURNAL_BOUND`
+    /// were.
     pub fn resident_view(&self) -> ResidentView {
         let mut state = self.view.borrow_mut();
         let ViewState {
@@ -271,61 +452,51 @@ impl PageCache {
             stale,
         } = &mut *state;
         if *stale {
-            // Refill the list in place; one that someone still holds is
-            // left to them, not copied only to be overwritten.
-            if Rc::get_mut(&mut view.list).is_none() {
-                view.list = Rc::default();
+            // Refill the table in place; one that someone still holds is
+            // left to them, not copied only to be cleared.
+            match Rc::get_mut(&mut view.table) {
+                Some(table) => table.clear(),
+                None => view.table = Rc::new(view.table.emptied()),
             }
-            let list = Rc::make_mut(&mut view.list);
-            list.clear();
-            list.extend(self.resident().map(|(p, e)| (p, e.writable)));
-            list.sort_unstable_by_key(|e| e.0);
-            view.runs = runs_in(list);
-            view.sorted = strictly_sorted(list);
+            let table = Rc::make_mut(&mut view.table);
+            for (page, e) in self.resident() {
+                table.set(page, Some(e.writable));
+            }
+            view.len = self.len();
+            view.runs = table.runs();
             *stale = false;
+            count(|w| w.view_rebuilds += 1);
         } else if !journal.is_empty() {
-            let list = Rc::make_mut(&mut view.list);
+            let table = Rc::make_mut(&mut view.table);
             for &page in journal.iter() {
                 let now = self.probe(page).map(|e| e.writable);
-                let (i, was) = match list.binary_search_by_key(&page, |e| e.0) {
-                    Ok(i) => (i, Some(list[i].1)),
-                    Err(i) => (i, None),
-                };
+                let was = table.get(page);
                 if was == now {
                     continue;
                 }
-                // The entry at `i`, while there is one, and its neighbours:
-                // the only adjacent pairs the splice makes or breaks.
-                let lo = i.saturating_sub(1);
-                let around = |list: &[(PageId, bool)], present: bool| {
-                    lo..(i + 1 + usize::from(present)).min(list.len())
-                };
-                let before = runs_in(&list[around(list, was.is_some())]);
-                match (was, now) {
-                    (Some(_), Some(writable)) => list[i].1 = writable,
-                    (None, Some(writable)) => list.insert(i, (page, writable)),
-                    (_, None) => drop(list.remove(i)),
-                }
-                let after = &list[around(list, now.is_some())];
-                view.runs = view.runs + runs_in(after) - before;
-                view.sorted &= strictly_sorted(after);
+                view.runs = view.runs + table.runs_starting_at(page, now)
+                    - table.runs_starting_at(page, was);
+                view.len = view.len + usize::from(now.is_some()) - usize::from(was.is_some());
+                table.set(page, now);
             }
+            count(|w| w.view_notes_reconciled += journal.len() as u64);
             journal.clear();
         }
         // What a rebuild would give, checked without building it (so that
         // debug and release builds allocate alike): as many entries as the
-        // cache has pages, in strict order, each page's among them. A
-        // self-check of this file's own bookkeeping that walks the whole
-        // cache — too dear for release, and no cross-pool protocol state.
+        // cache has pages, each page's among them with its flag, and the
+        // runs recounted. A self-check of this file's own bookkeeping that
+        // walks the whole cache — too dear for release, and no cross-pool
+        // protocol state.
         #[allow(clippy::disallowed_macros)]
         {
             debug_assert!(
-                view.list.len() == self.len()
-                    && strictly_sorted(&view.list)
-                    && view.runs == runs_in(&view.list)
+                view.len == self.len()
+                    && view.table.iter().count() == view.len
+                    && view.runs == view.table.runs()
                     && self
                         .resident()
-                        .all(|(p, e)| view.list.binary_search(&(p, e.writable)).is_ok()),
+                        .all(|(p, e)| view.table.get(p) == Some(e.writable)),
                 "the patched resident view diverged from a rebuild"
             );
         }
@@ -337,7 +508,10 @@ impl PageCache {
     /// feed the replication journal and the corruption injector's PRNG, so
     /// it must be run-to-run deterministic.
     pub fn resident_sorted(&self) -> Vec<PageId> {
-        self.resident_view().list.iter().map(|e| e.0).collect()
+        let view = self.resident_view();
+        let mut pages = Vec::with_capacity(view.len);
+        pages.extend(view.iter().map(|e| e.0));
+        pages
     }
 
     /// All dirty pages, sorted by page id.
@@ -506,8 +680,9 @@ mod tests {
 
     fn listed(c: &PageCache) -> Vec<(u64, bool)> {
         let view = c.resident_view();
-        assert!(view.sorted);
-        view.list.iter().map(|&(p, w)| (p.0, w)).collect()
+        let list: Vec<(u64, bool)> = view.iter().map(|(p, w)| (p.0, w)).collect();
+        assert_eq!(list.len(), view.len);
+        list
     }
 
     #[test]
@@ -519,26 +694,92 @@ mod tests {
         let first = c.resident_view();
         assert_eq!(listed(&c), [(2, false), (3, false), (4, false), (9, false)]);
         assert_eq!(first.runs, 2);
-        // Nothing happened: the same list again, not a copy of it.
-        assert!(Rc::ptr_eq(&first.list, &c.resident_view().list));
+        // Nothing happened: the same table again, not a copy of it.
+        assert!(Rc::ptr_eq(&first.table, &c.resident_view().table));
         // Held by `first`: the cache copies before it writes.
         c.access(PageId(3), true); // upgrade splits the run in three
         c.insert(PageId(10), false); // evicts 9, the LRU page
         let second = c.resident_view();
         assert_eq!(listed(&c), [(2, false), (3, true), (4, false), (10, false)]);
         assert_eq!(second.runs, 4);
-        assert!(!Rc::ptr_eq(&first.list, &second.list));
-        let pages = |v: &ResidentView| v.list.iter().map(|e| e.0 .0).collect::<Vec<_>>();
+        assert!(!Rc::ptr_eq(&first.table, &second.table));
+        let pages = |v: &ResidentView| v.iter().map(|e| e.0 .0).collect::<Vec<_>>();
         assert_eq!((pages(&first), first.runs), (vec![2, 3, 4, 9], 2));
         // Held by nobody: patched where it is.
-        let at = Rc::as_ptr(&second.list);
+        let at = Rc::as_ptr(&second.table);
         drop((first, second));
         c.downgrade(PageId(3));
         c.evict(PageId(10));
         let third = c.resident_view();
         assert_eq!(listed(&c), [(2, false), (3, false), (4, false)]);
-        assert_eq!(third.runs, 1);
-        assert_eq!(Rc::as_ptr(&third.list), at);
+        assert_eq!((third.len, third.runs), (3, 1));
+        assert_eq!(Rc::as_ptr(&third.table), at);
+    }
+
+    #[test]
+    fn table_walks_in_page_order_across_words() {
+        let mut t = ResidentTable::default();
+        assert_eq!((t.iter().count(), t.runs()), (0, 0));
+        assert_eq!(
+            t.get(PageId(u64::MAX)),
+            None,
+            "far past the end reads absent"
+        );
+        let entries = [
+            (0, true),
+            (1, true),
+            (31, false),
+            (32, false),
+            (33, true),
+            (64, true),
+        ];
+        for &(p, w) in entries.iter().rev() {
+            t.set(PageId(p), Some(w));
+        }
+        let walked: Vec<(u64, bool)> = t.iter().map(|(p, w)| (p.0, w)).collect();
+        assert_eq!(walked, entries);
+        // [0, 1] W, [31, 32] R (across a word boundary), [33] W, [64] W.
+        assert_eq!(t.runs(), 4);
+        t.set(PageId(32), None);
+        assert_eq!((t.get(PageId(32)), t.get(PageId(31))), (None, Some(false)));
+        assert_eq!(t.runs(), 4, "[31] R and [33] W");
+        assert!(t.covers(PageId(127)) && !t.covers(PageId(128)));
+        t.clear();
+        assert_eq!((t.iter().count(), t.covers(PageId(127))), (0, true));
+    }
+
+    #[test]
+    fn neighbour_run_updates_match_a_recount() {
+        // Every entry (absent, read-only, writable) on page 32 beside every
+        // pair of neighbours on 31 and 33, and on page 0, which has no page
+        // before it.
+        let entries = [None, Some(false), Some(true)];
+        for page in [0u64, 32] {
+            for left in entries {
+                for right in entries {
+                    for was in entries {
+                        for now in entries {
+                            let mut t = ResidentTable::default();
+                            if page > 0 {
+                                t.set(PageId(page - 1), left);
+                            }
+                            t.set(PageId(page + 1), right);
+                            t.set(PageId(page), was);
+                            let runs = t.runs() + t.runs_starting_at(PageId(page), now)
+                                - t.runs_starting_at(PageId(page), was);
+                            t.set(PageId(page), now);
+                            assert_eq!(runs, t.runs(), "{left:?} [{was:?} -> {now:?}] {right:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "resident table: pg268435456 is past the")]
+    fn table_refuses_an_absurd_page_by_name() {
+        ResidentTable::default().set(PageId(ResidentTable::MAX_PAGES), Some(true));
     }
 
     #[test]

@@ -1184,13 +1184,15 @@ impl Dos {
 
     /// Pages currently resident in the compute cache together with their
     /// write permission, sorted by page id (the pushdown request ships this
-    /// list, RLE-compressed): a copy of [`Dos::resident_view`]'s list.
+    /// list, RLE-compressed): [`Dos::resident_view`]'s table listed in page
+    /// order.
     pub fn resident_list(&self) -> Vec<(PageId, bool)> {
-        self.cache.resident_view().list.to_vec()
+        self.cache.resident_view().to_list()
     }
 
-    /// The compute cache's address-ordered view of itself, shared rather
-    /// than copied, with the run count its RLE encoding would have.
+    /// The compute cache's page-indexed view of itself, shared rather than
+    /// copied, with its length and the run count its RLE encoding would
+    /// have.
     pub fn resident_view(&self) -> ResidentView {
         self.cache.resident_view()
     }

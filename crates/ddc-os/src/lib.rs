@@ -47,7 +47,7 @@ pub mod stats;
 pub mod work;
 
 pub use addrspace::AddressSpace;
-pub use cache::{CacheEntry, Evicted, PageCache, ResidentView};
+pub use cache::{CacheEntry, Evicted, PageCache, ResidentPages, ResidentTable, ResidentView};
 pub use fair::DrrQueue;
 pub use health::{HealthConfig, HealthMonitor};
 pub use kernel::{Dos, FileId, Pattern, PoolLoss, Topology};

@@ -28,6 +28,14 @@ pub struct WorkCounters {
     /// Times a memory pool sorted its pages by recency stamp to find spill
     /// victims: once, at its first spill, however many follow.
     pub pool_victim_orders: u64,
+    /// Times the compute cache rebuilt its resident view from the slab: a
+    /// refresh after more noted changes than its journal holds, or after
+    /// a clear.
+    pub view_rebuilds: u64,
+    /// Noted pages the compute cache reconciled into its resident view (a
+    /// page noted twice counts twice): a table read each, and a word write
+    /// for those that changed.
+    pub view_notes_reconciled: u64,
 }
 
 impl WorkCounters {
@@ -38,6 +46,8 @@ impl WorkCounters {
         gather_rows: 0,
         gather_runs: 0,
         pool_victim_orders: 0,
+        view_rebuilds: 0,
+        view_notes_reconciled: 0,
     };
 
     /// Field-wise difference `self - earlier`: the work between two
@@ -50,6 +60,8 @@ impl WorkCounters {
             gather_rows: self.gather_rows - earlier.gather_rows,
             gather_runs: self.gather_runs - earlier.gather_runs,
             pool_victim_orders: self.pool_victim_orders - earlier.pool_victim_orders,
+            view_rebuilds: self.view_rebuilds - earlier.view_rebuilds,
+            view_notes_reconciled: self.view_notes_reconciled - earlier.view_notes_reconciled,
         }
     }
 }

@@ -6,10 +6,10 @@
 //! (remote memory accesses in Fig 10, coherence messages in Fig 22, message
 //! sizes in §6) are regenerated.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use crate::config::{NetConfig, PAGE_SIZE};
+use crate::config::NetConfig;
 use crate::faults::{FaultInjector, IntegrityError};
 use crate::time::SimDuration;
 use crate::trace::{page_seal, Lane, TraceEvent, Tracer};
@@ -34,6 +34,19 @@ pub enum MsgClass {
     /// dirty-page images) from the primary pool to its backup.
     Replication,
 }
+
+/// `MsgClass` in declaration (= discriminant) order, written out: the trace
+/// codec decodes a class through it and the round-trip test there walks it,
+/// and [`Fabric`] keeps per-class state indexed by `class as usize`.
+pub(crate) const MSG_CLASSES: [MsgClass; 7] = [
+    MsgClass::PageIn,
+    MsgClass::PageOut,
+    MsgClass::Coherence,
+    MsgClass::RpcRequest,
+    MsgClass::RpcResponse,
+    MsgClass::Control,
+    MsgClass::Replication,
+];
 
 /// Aggregate counters for one traffic class.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -100,9 +113,11 @@ impl NetLedger {
 #[derive(Debug, Clone)]
 pub struct Fabric {
     cfg: NetConfig,
-    /// `cfg.transfer_time(PAGE_SIZE)`, the wire time of most messages, taken
-    /// once instead of dividing by the bandwidth on every page moved.
-    page_time: SimDuration,
+    /// Per [`MsgClass`], the last size sent and its `cfg.transfer_time`: a
+    /// class sends the same size message after message (every page in or
+    /// out, a request over an unchanged resident list, every response, every
+    /// control message), so the division is taken once per change.
+    last_time: [Cell<(usize, SimDuration)>; MSG_CLASSES.len()],
     ledger: Rc<RefCell<NetLedger>>,
     tracer: Tracer,
     injector: Rc<RefCell<Option<FaultInjector>>>,
@@ -118,7 +133,7 @@ impl Fabric {
     pub fn with_tracer(cfg: NetConfig, tracer: Tracer) -> Self {
         Fabric {
             cfg,
-            page_time: cfg.transfer_time(PAGE_SIZE),
+            last_time: std::array::from_fn(|_| Cell::new((0, cfg.transfer_time(0)))),
             ledger: Rc::new(RefCell::new(NetLedger::default())),
             tracer,
             injector: Rc::new(RefCell::new(None)),
@@ -158,8 +173,17 @@ impl Fabric {
         );
         let base = match class {
             MsgClass::Coherence => self.cfg.coherence_msg_latency,
-            _ if bytes == PAGE_SIZE => self.page_time,
-            _ => self.cfg.transfer_time(bytes),
+            _ => {
+                let last = &self.last_time[class as usize];
+                match last.get() {
+                    (size, time) if size == bytes => time,
+                    _ => {
+                        let time = self.cfg.transfer_time(bytes);
+                        last.set((bytes, time));
+                        time
+                    }
+                }
+            }
         };
         // A lame link (fail-slow) scales the wire time itself, so larger
         // messages hurt more; spikes and partition stalls then add on top.
@@ -250,6 +274,22 @@ mod tests {
         let t = fab.send(MsgClass::Coherence, 64);
         assert_eq!(t.as_nanos(), 1_600, "paper measures 1.6us per message");
         assert_eq!(fab.ledger().coherence.messages, 1);
+    }
+
+    #[test]
+    fn remembered_wire_times_are_the_ones_computed() {
+        let cfg = NetConfig::default();
+        let fab = Fabric::new(cfg);
+        let sizes = [100, 100, 200, 0, PAGE_SIZE, 200, 4 * PAGE_SIZE, 100, 100];
+        for class in MSG_CLASSES {
+            for bytes in sizes {
+                let want = match class {
+                    MsgClass::Coherence => cfg.coherence_msg_latency,
+                    _ => cfg.transfer_time(bytes),
+                };
+                assert_eq!(fab.send(class, bytes), want, "{class:?} {bytes} B");
+            }
+        }
     }
 
     #[test]

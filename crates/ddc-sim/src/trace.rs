@@ -50,7 +50,7 @@ use std::rc::Rc;
 
 use crate::clock::Clock;
 use crate::load::{QosClass, QOS_CLASSES};
-use crate::net::MsgClass;
+use crate::net::{MsgClass, MSG_CLASSES};
 use crate::time::SimTime;
 
 /// How a payload field crosses one digest word. `unpack` is only ever fed
@@ -81,18 +81,6 @@ cast_word!(u8, |word| word as u8);
 cast_word!(bool, |word| word != 0);
 cast_word!(QosClass, |word| QOS_CLASSES[word as usize]);
 cast_word!(MsgClass, |word| MSG_CLASSES[word as usize]);
-
-/// `MsgClass` in declaration (= discriminant) order. It is declared in
-/// `net.rs`, so its list is written out; the round-trip test walks it.
-const MSG_CLASSES: [MsgClass; 7] = [
-    MsgClass::PageIn,
-    MsgClass::PageOut,
-    MsgClass::Coherence,
-    MsgClass::RpcRequest,
-    MsgClass::RpcResponse,
-    MsgClass::Control,
-    MsgClass::Replication,
-];
 
 /// Declares a payload enum of this file together with `VARIANTS`, its
 /// variant list in declaration (= discriminant) order, and its [`Word`]

@@ -1,22 +1,28 @@
-//! Allocation budget of the pushdown fixed path: a no-op pushdown over an
-//! unchanged compute cache must make the same *number* of heap allocations
-//! whether the cache holds 0, 512 or 4096 pages, and at most one more when a
-//! compute-side miss changed the cache since the previous call.
+//! Allocation budget of the pushdown fixed path: a steady-state pushdown
+//! makes no heap allocation at all — a no-op call whether the compute cache
+//! holds 0, 512 or 4096 pages, the same call right after a compute-side
+//! miss changed the cache, a one-page memory-side lookup (`kvapp::get`), and
+//! a call reading two neighbouring pages on one pool or fanned out over two.
 //!
-//! The compute cache keeps its address-ordered view between calls and the
+//! The compute cache keeps its page-indexed view between calls and the
 //! request, the wire charge and the coherence session all share it, so
-//! nothing about a call is proportional to the resident set. A call that
-//! collects, sorts, encodes or copies the list allocates for it — 11 and 14
-//! allocations at 512 and 4096 pages, against 1 for an empty cache, when it
-//! did all four — and fails this test deterministically, where a timing
-//! assert would flake. The cache is filled in scrambled page order so that
-//! neither the slab nor a sort of it is in address order already.
+//! nothing about a call is proportional to the resident set; a miss is
+//! patched into the view with one table write, and the table grows when the
+//! cache's own index does, at the miss, not at the next call. The session
+//! takes the runtime's race log instead of making one of its own, and its
+//! touched-page table takes the slots the previous session left. A call
+//! that collects, sorts, encodes or copies the list allocates for it — 11
+//! and 14 allocations at 512 and 4096 pages when it did all four — and a
+//! session that builds a default race log or a fresh touched table makes
+//! one allocation each; either fails this test deterministically, where a
+//! timing assert would flake. The cache is filled in scrambled page order so
+//! that neither the slab nor a walk of it is in address order already.
 //!
 //! Nor may it grow with the rack: a pushdown whose two pages stripe over both
 //! shards of a 2-pool `LoadBalance` rack settles its fan-out from a `Copy`
-//! routing window read off the shards, and allocates what the same call
-//! does on one pool. (When the window was a `BTreeSet` refilled per call
-//! and collected into a `Vec`, the 2-pool call made two allocations more.)
+//! routing window read off the shards, and allocates nothing either. (When
+//! the window was a `BTreeSet` refilled per call and collected into a `Vec`,
+//! the 2-pool call made two allocations more.)
 //!
 //! And the access path itself allocates nothing: `get`, `set`, `read_range`
 //! into a reserved `Vec` and `write_range` of 1, 2 and 64 pages make zero
@@ -42,6 +48,7 @@ use std::cell::Cell;
 
 use ddc_os::Pattern;
 use ddc_sim::{DdcConfig, MonolithicConfig, PlacementPolicy, PAGE_SIZE};
+use kvapp::{KvData, KvStore};
 use memdb::{q6, Database, PushdownPlan, QueryParams, TpchData};
 use teleport::{Arm, Mem, PlatformKind, PushdownOpts, Region, Runtime};
 
@@ -130,6 +137,34 @@ fn allocations_per_pushdown(resident: usize) -> (u64, u64) {
         after_miss = after_miss.max(call(&mut rt));
     }
     (unchanged, after_miss)
+}
+
+/// Heap allocations of each of a few steady-state `kvapp::get` pushdowns,
+/// one word of one page read memory-side a call, over a warm 64-page cache
+/// that holds none of the pages looked up.
+fn allocations_per_lookup() -> Vec<u64> {
+    let data = KvData::generate(1 << 16, 7);
+    let mut rt = Runtime::teleport(DdcConfig {
+        compute_cache_bytes: 64 * PAGE_SIZE,
+        ..Default::default()
+    });
+    let store = KvStore::load(&mut rt, &data);
+    rt.drop_cache();
+    for page in 0..64 {
+        rt.get(&store.vals, page * PAGE_SIZE / 8, Pattern::Rand);
+    }
+    rt.begin_timing();
+    let lookup = |rt: &mut Runtime, key: u64| {
+        let before = ALLOCS.with(Cell::get);
+        let got = kvapp::get(rt, &store, key).expect("lookup");
+        assert_eq!(got, kvapp::oracle::get(&data, key));
+        ALLOCS.with(Cell::get) - before
+    };
+    // The first lookup takes the touched table's first slots.
+    lookup(&mut rt, 40_000);
+    (0..4)
+        .map(|i| lookup(&mut rt, 41_000 + 1_000 * i))
+        .collect()
 }
 
 /// Heap allocations of one steady-state pushdown that reads a word on each
@@ -222,28 +257,23 @@ fn pushdown_allocation_count_does_not_grow_with_the_resident_set() {
              (through the runtime, a compute-side arm, a pushdown)"
         );
     }
-    let (empty, _) = allocations_per_pushdown(0);
-    for resident in [512usize, 4096] {
-        let (unchanged, after_miss) = allocations_per_pushdown(resident);
+    for resident in [0usize, 512, 4096] {
         assert_eq!(
-            unchanged, empty,
-            "a no-op pushdown over {resident} unchanged resident pages made {unchanged} \
-             allocations, {empty} over an empty cache: something is rebuilt per call"
-        );
-        assert!(
-            after_miss <= empty + 1,
-            "a no-op pushdown one miss after the last made {after_miss} allocations over \
-             {resident} resident pages ({empty} over an empty cache): the miss was not patched in"
+            allocations_per_pushdown(resident),
+            (0, 0),
+            "(over an unchanged cache, right after a miss): a no-op pushdown over {resident} \
+             resident pages allocated"
         );
     }
-    let (one_pool, two_pools) = (
-        allocations_per_two_page_pushdown(1),
-        allocations_per_two_page_pushdown(2),
+    assert_eq!(
+        allocations_per_lookup(),
+        [0; 4],
+        "a one-page memory-side `kvapp::get` pushdown allocated"
     );
-    assert!(
-        two_pools <= one_pool,
-        "a pushdown over both shards of a 2-pool rack made {two_pools} allocations, \
-         {one_pool} on one pool: the routing window allocates"
+    assert_eq!(
+        [1, 2].map(allocations_per_two_page_pushdown),
+        [0, 0],
+        "a two-page pushdown on 1 and on 2 pools allocated"
     );
 }
 

@@ -22,35 +22,55 @@
 //!   order their pages for a spill. A second test runs Q9 on racks whose
 //!   pool holds 2 % of the database (Fig 15's smallest pool) and pins how
 //!   often they do: once, at the first spill. A pool that sorts again on
-//!   later spills moves that count.
+//!   later spills moves that count;
+//! - `view_rebuilds` / `view_notes_reconciled`: how the compute cache kept
+//!   its resident view for the racks' pushdowns and `drop_cache`'s walk in
+//!   page order — rebuilt from the slab after more changes than the view's
+//!   journal holds, patched with a table write a noted page otherwise. A
+//!   third test runs the `serve` shape with a smoke-sized session count,
+//!   where a few misses separate two pushdowns and the view is patched,
+//!   never rebuilt, after the first request; a cache that rebuilt on every
+//!   change would move both counts.
 //!
 //! None of these is in a digest, a trace record or `Runtime::metrics`; they
 //! describe how the simulation is computed, not what it simulates.
 
-use ddc_os::{work_counters, AddressSpace, WorkCounters};
-use ddc_sim::{DdcConfig, MonolithicConfig, PAGE_SIZE};
+use std::rc::Rc;
+
+use ddc_os::{work_counters, AddressSpace, Pattern, WorkCounters};
+use ddc_sim::{ArrivalProcess, DdcConfig, MonolithicConfig, QosClass, SimDuration, PAGE_SIZE};
+use kvapp::{KvData, KvStore};
 use memdb::{q3, q6, q9, Database, PushdownPlan, QueryParams, TpchData};
-use teleport::{PlatformKind, Runtime};
+use teleport::{Mem, PlatformKind, Runtime, ServeConfig, ServePlane};
 
 /// Each platform's counters over one rack's life, in the order the racks
 /// are built: `(bytes_zeroed, fresh_backings, recycled_backings,
-/// gather_rows, gather_runs, pool_victim_orders)`.
-const BUDGET: [(PlatformKind, [u64; 6]); 3] = [
-    (PlatformKind::Local, [0, 72, 0, 15_601, 652, 0]),
-    (PlatformKind::BaseDdc, [127_098, 0, 72, 15_601, 652, 0]),
-    (PlatformKind::Teleport, [127_098, 0, 72, 15_601, 652, 0]),
+/// gather_rows, gather_runs, pool_victim_orders, view_rebuilds,
+/// view_notes_reconciled)`.
+const BUDGET: [(PlatformKind, [u64; 8]); 3] = [
+    (PlatformKind::Local, [0, 72, 0, 15_601, 652, 0, 0, 0]),
+    (
+        PlatformKind::BaseDdc,
+        [127_098, 0, 72, 15_601, 652, 0, 1, 0],
+    ),
+    (
+        PlatformKind::Teleport,
+        [127_098, 0, 72, 15_601, 652, 0, 3, 156],
+    ),
 ];
 
-const NAMES: [&str; 6] = [
+const NAMES: [&str; 8] = [
     "bytes_zeroed",
     "fresh_backings",
     "recycled_backings",
     "gather_rows",
     "gather_runs",
     "pool_victim_orders",
+    "view_rebuilds",
+    "view_notes_reconciled",
 ];
 
-fn fields(w: &WorkCounters) -> [u64; 6] {
+fn fields(w: &WorkCounters) -> [u64; 8] {
     [
         w.bytes_zeroed,
         w.fresh_backings,
@@ -58,6 +78,8 @@ fn fields(w: &WorkCounters) -> [u64; 6] {
         w.gather_rows,
         w.gather_runs,
         w.pool_victim_orders,
+        w.view_rebuilds,
+        w.view_notes_reconciled,
     ]
 }
 
@@ -167,5 +189,77 @@ fn spilling_pools_order_their_victims_once() {
     assert_eq!(
         got, SPILLING,
         "(platform, pool_victim_orders, storage_page_in)"
+    );
+}
+
+/// The `serve` rack with a smoke-sized session count — kvapp at 2^20 keys
+/// (2 048 pages; at 2^16 the store fits the cache and no session misses), a
+/// 512-page compute cache warmed full, four tenants of 100 sessions, one in
+/// four reading through the compute cache and the rest pushing the lookup
+/// down — over its whole life: `(view_rebuilds, view_notes_reconciled,
+/// compute-side misses, pushdown calls)`. Loading overflows the view's
+/// journal, so `drop_cache`'s walk in page order rebuilds it, and the clear
+/// leaves it stale for the first request after the warm-up; each later miss
+/// notes its page and the victim's, which the next request patches in.
+const SERVE_VIEW: (u64, u64, u64, u64) = (2, 152, 77, 299);
+
+#[test]
+fn serve_rack_patches_its_resident_view() {
+    const KEYS: usize = 1 << 20;
+    const PER_TENANT: usize = 100;
+    let data = KvData::generate(KEYS, 42);
+    let before = work_counters();
+    let mut rt = Runtime::teleport(DdcConfig {
+        compute_cache_bytes: 512 * PAGE_SIZE,
+        ..Default::default()
+    });
+    let store = KvStore::load(&mut rt, &data);
+    rt.drop_cache();
+    // The store's first 512 of 2 048 pages, as rackbench's warm-up reads it.
+    for page in 0..512 {
+        rt.get(&store.vals, page * PAGE_SIZE / 8, Pattern::Rand);
+    }
+    rt.begin_timing();
+    let mut plane = ServePlane::new(ServeConfig::with_seed(42));
+    for (t, class) in [
+        QosClass::Guaranteed,
+        QosClass::Guaranteed,
+        QosClass::Burstable,
+        QosClass::BestEffort,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let keys = Rc::new(kvapp::keys(42 + t as u64, PER_TENANT, KEYS));
+        plane.tenant(
+            format!("kv{t}"),
+            class,
+            ArrivalProcess::poisson(SimDuration::from_micros(300)),
+            PER_TENANT,
+            move |rt, s| {
+                let key = keys[s as usize];
+                if s % 4 == 3 {
+                    Ok(rt.get(&store.vals, key as usize, Pattern::Rand))
+                } else {
+                    kvapp::get(rt, &store, key)
+                }
+            },
+        );
+    }
+    let report = plane.run(&mut rt);
+    assert!(report.ledger_balances() && report.failed() == 0);
+    let misses = rt.dos().stats().cache_misses;
+    let calls = rt.pushdown_calls();
+    drop(rt);
+    let work = work_counters().delta_since(&before);
+    assert_eq!(
+        (
+            work.view_rebuilds,
+            work.view_notes_reconciled,
+            misses,
+            calls
+        ),
+        SERVE_VIEW,
+        "(view_rebuilds, view_notes_reconciled, compute-side misses, pushdown calls)"
     );
 }
