@@ -39,10 +39,6 @@ use ddc_sim::{CoherenceTransition, Lane, MsgClass, SimDuration, TraceEvent};
 
 use crate::flags::CoherenceMode;
 
-pub mod race;
-
-use race::{Actor, SyncLog, SyncOp};
-
 /// Page permission, ordered `None < Read < Write`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Perm {
@@ -103,10 +99,6 @@ pub struct PushdownSession {
     /// Fig 19 breakdown).
     pub online_sync: SimDuration,
     pub stats: CoherenceStats,
-    /// Happens-before log for the dynamic race checker: the runtime's, as
-    /// handed to [`PushdownSession::over_shipped`] (a disabled one of its
-    /// own for a session built from a slice).
-    race_log: SyncLog,
 }
 
 impl PushdownSession {
@@ -135,27 +127,18 @@ impl PushdownSession {
         for &(page, writable) in resident {
             shipped.set(page, Some(writable));
         }
-        Self::over_shipped(
-            mode,
-            Rc::new(shipped),
-            backoff_t,
-            tiebreak,
-            SyncLog::default(),
-        )
+        Self::over_shipped(mode, Rc::new(shipped), backoff_t, tiebreak)
     }
 
     /// The temporary context over the compute cache's shared table, as
-    /// `Dos::resident_view` hands it out, recording into `race_log` (the
-    /// session-start edge first): set-up is a pointer copy, whatever the
-    /// number of resident pages.
+    /// `Dos::resident_view` hands it out: set-up is a pointer copy, whatever
+    /// the number of resident pages.
     pub fn over_shipped(
         mode: CoherenceMode,
         shipped: Rc<ResidentTable>,
         backoff_t: SimDuration,
         tiebreak: TieBreak,
-        race_log: SyncLog,
     ) -> Self {
-        race_log.record(SyncOp::SessionStart);
         PushdownSession {
             mode,
             shipped,
@@ -166,7 +149,6 @@ impl PushdownSession {
             mem_owes_backoff: false,
             online_sync: SimDuration::ZERO,
             stats: CoherenceStats::default(),
-            race_log,
         }
     }
 
@@ -229,9 +211,6 @@ impl PushdownSession {
         let d2 = dos.fabric().send(MsgClass::Coherence, 64);
         dos.charge(d1 + d2);
         self.stats.round_trips += 1;
-        // A round trip is a blocking request/response exchange and thus a
-        // happens-before edge between the pools.
-        self.race_log.record(SyncOp::RoundTrip { page: pid.0 });
     }
 
     // ------------------------------------------------------------------
@@ -254,11 +233,6 @@ impl PushdownSession {
             let t0 = dos.clock().now();
             self.mem_acquire(dos, pid, write);
             sync_spent += dos.clock().now().since(t0);
-            self.race_log.record(SyncOp::Access {
-                actor: Actor::Pushdown,
-                page: pid.0,
-                write,
-            });
         }
         // The data access itself (pool DRAM, possibly storage recursion).
         dos.mem_touch_range(addr, len, write, pat);
@@ -273,8 +247,7 @@ impl PushdownSession {
     /// [`PushdownSession::mem_access`] of it, charged as that path would
     /// charge them: with read permission held a repeated read acquires
     /// nothing, which leaves the kernel's [`Dos::mem_repeat_reads`]. Returns
-    /// `false`, charging nothing, while the race log records every access or
-    /// where the kernel declines.
+    /// `false`, charging nothing, where the kernel declines.
     pub fn mem_repeat_reads(
         &mut self,
         dos: &mut Dos,
@@ -283,9 +256,7 @@ impl PushdownSession {
         pat: Pattern,
         hits: u64,
     ) -> bool {
-        !self.race_log.is_enabled()
-            && self.state(pid).0 >= Perm::Read
-            && dos.mem_repeat_reads(pid, len, pat, hits)
+        self.state(pid).0 >= Perm::Read && dos.mem_repeat_reads(pid, len, pat, hits)
     }
 
     /// Resolve the temporary context's permission on one page.
@@ -396,11 +367,6 @@ impl PushdownSession {
     ) {
         for pid in pages_spanned(addr, len) {
             self.compute_acquire(dos, pid, write);
-            self.race_log.record(SyncOp::Access {
-                actor: Actor::Host,
-                page: pid.0,
-                write,
-            });
         }
         dos.touch_range(addr, len, write, pat);
         // A compute write to a stale page must stay visible in the
@@ -542,9 +508,6 @@ impl PushdownSession {
             }
             self.stale.clear();
         }
-        // Completion is a control-flow edge: the host resumes only after
-        // the pushdown response arrives.
-        self.race_log.record(SyncOp::SessionEnd);
         (self.stats, self.online_sync, self.stale)
     }
 }

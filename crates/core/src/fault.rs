@@ -49,11 +49,11 @@ pub enum PushdownError {
     /// this typed error surfaces instead — never a wrong answer. Retrying
     /// cannot help: the data itself is gone.
     DataLoss { page: u64 },
-    /// The kernel observed a pushdown-protocol invariant violation on
-    /// request `req`: an impossible cancellation outcome (e.g. a queued
-    /// request that declined to cancel) or a malformed request (e.g. an
-    /// unsorted resident list reaching the encoder). Indicates a protocol
-    /// bug, not a transient fault; never retried.
+    /// The memory pool answered a `try_cancel` of request `req` with an
+    /// outcome the workqueue protocol does not allow at that point (a
+    /// queued request that declined to cancel, or a running one that was
+    /// cancelled). A guard: it indicates a protocol bug, not a transient
+    /// fault, and is never retried.
     ProtocolViolation { req: u64 },
     /// The call's write or acknowledgement carried a pool epoch older than
     /// the current primary's: a zombie pool (or a call racing its crash)

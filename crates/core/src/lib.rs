@@ -47,8 +47,7 @@
 //! - [`runtime`] — platforms (Local / BaseDdc / Teleport), typed regions,
 //!   the [`Mem`] access trait, and the `pushdown` call itself (paper §3);
 //! - [`coherence`] — the two-sided page coherence protocol (paper §4,
-//!   Figs 8–9) and its relaxations, plus the happens-before syncmem race
-//!   checker ([`coherence::race`]);
+//!   Figs 8–9) and its relaxations;
 //! - [`flags`] — `pushdown` options: coherence modes and sync strategies;
 //! - [`rle`] — run-length coding of resident-page lists (paper §6);
 //! - [`rpc`] — the LITE-style RPC layer, memory-side workqueue, and
@@ -79,7 +78,6 @@ pub mod serve;
 pub use ddc_os::Pattern;
 
 pub use breakdown::Breakdown;
-pub use coherence::race::{detect_races, Actor, Race, SyncLog, SyncOp};
 pub use coherence::{CoherenceStats, Perm, PushdownSession, TieBreak};
 pub use fault::{CancelOutcome, PushdownError};
 pub use flags::{CoherenceMode, PushdownOpts, SyncStrategy};

@@ -28,7 +28,6 @@ use ddc_sim::{
 };
 
 use crate::breakdown::Breakdown;
-use crate::coherence::race::{Actor, Race, SyncLog, SyncOp};
 use crate::coherence::{CoherenceStats, PushdownSession, TieBreak};
 use crate::fault::{CancelOutcome, PushdownError};
 use crate::flags::{PushdownOpts, SyncStrategy};
@@ -502,10 +501,6 @@ pub struct Arm<'a> {
     /// division is taken once per distinct count. Carried over from the
     /// previous arm on the same side.
     last_charge: CycleMemo,
-    /// Shared happens-before log; records compute-side accesses when race
-    /// detection is enabled (memory-side accesses are recorded by the
-    /// session itself).
-    race_log: &'a SyncLog,
 }
 
 /// `CpuConfig::cycles` of one call site's last count: a site that charges
@@ -548,32 +543,13 @@ struct FixedPathMemo {
     memory_charge: CycleMemo,
 }
 
-/// Log a compute-side access to every page of `[addr, addr+len)` for the
-/// race checker (free while detection is off).
-#[inline]
-fn record_host_access(log: &SyncLog, addr: VAddr, len: usize, write: bool) {
-    if log.is_enabled() {
-        for pid in pages_spanned(addr, len) {
-            log.record(SyncOp::Access {
-                actor: Actor::Host,
-                page: pid.0,
-                write,
-            });
-        }
-    }
-}
-
 impl Arm<'_> {
     /// Charge one access with this side's cost model (memory-side accesses
-    /// also drive the coherence protocol and log themselves for the race
-    /// checker).
+    /// also drive the coherence protocol).
     #[inline]
     fn touch(&mut self, addr: VAddr, len: usize, write: bool, pat: Pattern) {
         match &mut self.session {
-            None => {
-                record_host_access(self.race_log, addr, len, write);
-                self.dos.touch_range(addr, len, write, pat);
-            }
+            None => self.dos.touch_range(addr, len, write, pat),
             Some(s) => s.mem_access(self.dos, addr, len, write, pat),
         }
     }
@@ -632,9 +608,7 @@ impl Mem for Arm<'_> {
         hits: u64,
     ) -> Option<&[u8]> {
         let charged = match &mut self.session {
-            None => {
-                !self.race_log.is_enabled() && self.dos.repeat_reads(addr.page(), elem, pat, hits)
-            }
+            None => self.dos.repeat_reads(addr.page(), elem, pat, hits),
             Some(s) => s.mem_repeat_reads(self.dos, addr.page(), elem, pat, hits),
         };
         charged.then(|| self.dos.space().bytes(addr, len))
@@ -694,9 +668,6 @@ pub struct Runtime {
     /// disabled-coherence pushdowns, until `syncmem` reconciles them.
     /// `BTreeMap` so reconciliation walks pages in seed-stable order.
     stale: BTreeMap<PageId, Vec<u8>>,
-    /// Happens-before log for the dynamic syncmem race checker. Disabled
-    /// (and free) unless [`Runtime::enable_race_detection`] is called.
-    race_log: SyncLog,
     /// Pages an eager-sync pushdown flushed, to be re-fetched afterwards.
     eager_refetch: Vec<PageId>,
     memo: FixedPathMemo,
@@ -746,7 +717,6 @@ impl Runtime {
             alive: true,
             ledger: WindowLedger::default(),
             stale: BTreeMap::new(),
-            race_log: SyncLog::default(),
             eager_refetch: Vec::new(),
             memo: FixedPathMemo::default(),
             queue_backlog: SimDuration::ZERO,
@@ -1064,7 +1034,6 @@ impl Runtime {
                     session,
                     cpu,
                     last_charge: *memo,
-                    race_log: &self.race_log,
                 };
                 let result = catch_unwind(AssertUnwindSafe(|| f(&mut arm)));
                 *memo = arm.last_charge;
@@ -1121,7 +1090,6 @@ impl Runtime {
             self.dos.coherence_evict(pid);
         }
         self.stale.clear();
-        self.race_log.record(SyncOp::Syncmem);
         flushed
     }
 
@@ -1133,9 +1101,6 @@ impl Runtime {
                 self.dos.coherence_evict(pid);
             }
         }
-        // Conservatively treated as a full synchronization point by the
-        // race checker (may hide, never invent, a race).
-        self.race_log.record(SyncOp::Syncmem);
         flushed
     }
 
@@ -1166,29 +1131,6 @@ impl Runtime {
         }
     }
 
-    /// Turn on the dynamic happens-before race checker (§5 syncmem
-    /// hygiene). Subsequent compute- and memory-side accesses, coherence
-    /// round trips, `syncmem`s, and session boundaries are logged;
-    /// [`Runtime::check_races`] replays the log. Detection never perturbs
-    /// the virtual clock, and a race-free run's trace digest is identical
-    /// with detection on or off.
-    pub fn enable_race_detection(&self) {
-        self.race_log.enable();
-    }
-
-    /// The shared happens-before log (for tests and tooling).
-    pub fn race_log(&self) -> &SyncLog {
-        &self.race_log
-    }
-
-    /// Replay the recorded happens-before log, emitting one
-    /// [`TraceEvent::RaceDetected`] (digest tag 21) per contended page and
-    /// returning the races. Empty unless [`Runtime::enable_race_detection`]
-    /// was called and a genuine syncmem-hygiene violation occurred.
-    pub fn check_races(&self) -> Vec<Race> {
-        self.race_log.check_and_emit(self.dos.tracer())
-    }
-
     /// Run `f` on the compute pool regardless of platform — the path taken
     /// by operators the planner decides *not* to push down.
     pub fn run_local<R>(&mut self, f: impl FnOnce(&mut Arm<'_>) -> R) -> R {
@@ -1198,7 +1140,6 @@ impl Runtime {
             session: None,
             cpu,
             last_charge: self.memo.compute_charge,
-            race_log: &self.race_log,
         };
         let result = f(&mut arm);
         self.memo.compute_charge = arm.last_charge;
@@ -1405,7 +1346,6 @@ impl Runtime {
             resident.table,
             self.tcfg.backoff_t,
             TieBreak::FavorMemory,
-            self.race_log.clone(),
         );
         let result = self.run_or_disrupt(call, Some(&mut session), mem_cpu, f);
         let exec_window = self.dos.clock().now().since(t0);
@@ -1776,7 +1716,6 @@ impl Mem for Runtime {
 
     #[inline]
     fn read_raw(&mut self, addr: VAddr, len: usize, pat: Pattern) -> &[u8] {
-        record_host_access(&self.race_log, addr, len, false);
         self.dos.touch_range(addr, len, false, pat);
         if !self.stale.is_empty() {
             return self.read_past_stale(addr, len);
@@ -1785,7 +1724,6 @@ impl Mem for Runtime {
     }
 
     fn write_with(&mut self, addr: VAddr, len: usize, pat: Pattern, fill: impl FnOnce(&mut [u8])) {
-        record_host_access(&self.race_log, addr, len, true);
         self.dos.touch_range(addr, len, true, pat);
         fill(self.dos.space_mut().bytes_mut(addr, len));
         if !self.stale.is_empty() {
@@ -1822,8 +1760,8 @@ impl Mem for Runtime {
         self.dos.zero_from(at.0, from);
     }
 
-    /// Stale snapshots make a read's bytes depend on its page, and the race
-    /// log records every access: both read element by element.
+    /// Stale snapshots make a read's bytes depend on its page, so while any
+    /// exist a run is read element by element.
     #[inline]
     fn reread(
         &mut self,
@@ -1833,9 +1771,7 @@ impl Mem for Runtime {
         pat: Pattern,
         hits: u64,
     ) -> Option<&[u8]> {
-        let charged = self.stale.is_empty()
-            && !self.race_log.is_enabled()
-            && self.dos.repeat_reads(addr.page(), elem, pat, hits);
+        let charged = self.stale.is_empty() && self.dos.repeat_reads(addr.page(), elem, pat, hits);
         charged.then(|| self.dos.space().bytes(addr, len))
     }
 }

@@ -758,7 +758,6 @@ fn metrics_carry_one_trace_row_per_event_kind() {
         "trace.pages_repaired",
         "trace.data_losses",
         "trace.scrub_passes",
-        "trace.races_detected",
         "trace.pool_routeds",
         "trace.pushdown_fanouts",
         "trace.fanout_merges",

@@ -31,11 +31,12 @@
 //!   table expands to [`TraceEvent`], [`EventKind`] (discriminant = tag),
 //!   [`EVENT_KINDS`], [`EventKind::ALL`], [`EventKind::metric_name`],
 //!   [`TraceEvent::kind`] and the digest-word codec, so those cannot
-//!   disagree; a repeated tag or a gap does not compile. Adding an event
-//!   is one row, its `Display` arm and its emit site (plus its DESIGN.md
-//!   §6 row, which `tests/digest_pins.rs` holds equal to what the pinned
-//!   scenarios emit, and a test that asserts it). Rows are append-only:
-//!   tags are folded into every recorded digest.
+//!   disagree; a repeated or out-of-order tag does not compile. Adding an
+//!   event is one row, its `Display` arm and its emit site (plus its
+//!   DESIGN.md §6 row, which `tests/digest_pins.rs` holds equal to what the
+//!   pinned scenarios emit, and a test that asserts it). Rows are
+//!   append-only: tags are folded into every recorded digest, so a retired
+//!   tag stays a gap.
 //!
 //! [`MetricsRegistry`] is the aggregate companion: a deterministic
 //! name → monotonic-counter map that the OS and runtime layers fill from
@@ -417,12 +418,7 @@ trace_events! {
     /// One background scrub pass finished: `pages` resident pages were
     /// verified, `detected` of them failed their checksum.
     20 ScrubPass { pages: u64, detected: u64 } => "trace.scrub_passes",
-    /// The happens-before checker found two unordered accesses to `page`
-    /// from opposite sides of a pushdown session (§5 syncmem hygiene):
-    /// neither a syncmem edge nor a coherence round trip ordered them, and
-    /// at least one was a write. `write_write` distinguishes a write/write
-    /// conflict from a read/write one.
-    21 RaceDetected { page: u64, write_write: bool } => "trace.races_detected",
+    // 21 is retired (a syncmem race detector's event): never reuse it.
     /// The kernel routed a pushdown's working set to the shard owning it:
     /// `pool` is the primary (lowest-index) owning pool, `pages` the pages
     /// the call touched. Emitted only in multi-pool topologies
@@ -484,17 +480,21 @@ trace_events! {
     40 ResilverComplete { pool: u64, pages: u64 } => "trace.resilver_completes",
 }
 
-// Row `i` carries tag `i`: no gap, nothing out of order.
+// Tags strictly ascend: nothing out of order, nothing repeated.
 const _: () = {
-    let mut i = 0;
+    let mut i = 1;
     while i < EVENT_KINDS {
         assert!(
-            EventKind::ALL[i] as usize == i,
-            "event tags must count up from 0"
+            (EventKind::ALL[i - 1] as usize) < EventKind::ALL[i] as usize,
+            "event tags must strictly ascend"
         );
         i += 1;
     }
 };
+
+/// One past the last tag: the per-kind counts are indexed by tag, retired
+/// tags included.
+const TAG_LIMIT: usize = EventKind::ALL[EVENT_KINDS - 1] as usize + 1;
 
 /// One emitted event with its provenance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -645,7 +645,7 @@ struct TraceBuf {
     digest: u64,
     ring: VecDeque<Packed>,
     capacity: usize,
-    counts: [u64; EVENT_KINDS],
+    counts: [u64; TAG_LIMIT],
     sink: Option<Box<dyn TraceSink>>,
 }
 
@@ -656,7 +656,7 @@ impl TraceBuf {
             digest: FNV_OFFSET,
             ring: VecDeque::new(),
             capacity: DEFAULT_RING_CAPACITY,
-            counts: [0; EVENT_KINDS],
+            counts: [0; TAG_LIMIT],
             sink: None,
         }
     }
@@ -665,7 +665,7 @@ impl TraceBuf {
         self.next_seq = 0;
         self.digest = FNV_OFFSET;
         self.ring.clear();
-        self.counts = [0; EVENT_KINDS];
+        self.counts = [0; TAG_LIMIT];
         // Sink and capacity survive a reset: they are configuration.
     }
 
@@ -907,14 +907,6 @@ impl fmt::Display for TraceEvent {
             TraceEvent::DataLoss { page } => write!(f, "data-loss pg{page}"),
             TraceEvent::ScrubPass { pages, detected } => {
                 write!(f, "scrub-pass {pages} pages {detected} bad")
-            }
-            TraceEvent::RaceDetected { page, write_write } => {
-                let kind = if write_write {
-                    "write-write"
-                } else {
-                    "read-write"
-                };
-                write!(f, "race-detected pg{page} {kind}")
             }
             TraceEvent::PoolRouted { pool, pages } => {
                 write!(f, "pool-routed p{pool} {pages} pages")
@@ -1281,7 +1273,6 @@ mod tests {
             PageRepaired { page: WIDE, source: RepairSource::Replica } => [18, WIDE, 1],
             DataLoss { page: WIDE } => [19, WIDE, 0],
             ScrubPass { pages: WIDE, detected: OTHER } => [20, WIDE, OTHER],
-            RaceDetected { page: WIDE, write_write: true } => [21, WIDE, 1],
             PoolRouted { pool: WIDE, pages: OTHER } => [22, WIDE, OTHER],
             PushdownFanout { pools: WIDE, pages: OTHER } => [23, WIDE, OTHER],
             FanoutMerge { pools: WIDE } => [24, WIDE, 0],
@@ -1310,18 +1301,20 @@ mod tests {
 
     #[test]
     fn digest_words_of_every_kind_are_pinned() {
-        for (tag, (ev, words)) in pinned_samples().into_iter().enumerate() {
-            assert_eq!(ev.kind() as usize, tag, "{ev:?}: samples go in tag order");
+        for (ev, words) in pinned_samples() {
+            assert_eq!(ev.kind() as u64, words[0], "{ev:?}");
             assert_eq!(ev.digest_words(), words, "{ev:?}");
             assert_eq!(TraceEvent::from_digest_words(words), ev);
         }
     }
 
     #[test]
-    fn kinds_are_dense_and_their_metric_names_distinct() {
+    fn tags_ascend_and_metric_names_are_distinct() {
         let mut names = std::collections::BTreeSet::new();
-        for (i, kind) in EventKind::ALL.into_iter().enumerate() {
-            assert_eq!(kind as usize, i, "{kind:?} is out of place");
+        for pair in EventKind::ALL.windows(2) {
+            assert!((pair[0] as usize) < pair[1] as usize, "{pair:?}");
+        }
+        for kind in EventKind::ALL {
             let name = kind.metric_name();
             assert!(name.starts_with("trace."), "{kind:?} reports as {name}");
             assert!(names.insert(name), "{name} is reported by two kinds");
@@ -1338,10 +1331,6 @@ mod tests {
             evs.push(TraceEvent::SsdIo {
                 write: dirty,
                 bytes: 4096,
-            });
-            evs.push(TraceEvent::RaceDetected {
-                page: 1,
-                write_write: dirty,
             });
         }
         for &level in FaultLevel::VARIANTS {

@@ -8,15 +8,14 @@
 //! request, the wire charge and the coherence session all share it, so
 //! nothing about a call is proportional to the resident set; a miss is
 //! patched into the view with one table write, and the table grows when the
-//! cache's own index does, at the miss, not at the next call. The session
-//! takes the runtime's race log instead of making one of its own, and its
+//! cache's own index does, at the miss, not at the next call. The session's
 //! touched-page table takes the slots the previous session left. A call
 //! that collects, sorts, encodes or copies the list allocates for it — 11
 //! and 14 allocations at 512 and 4096 pages when it did all four — and a
-//! session that builds a default race log or a fresh touched table makes
-//! one allocation each; either fails this test deterministically, where a
-//! timing assert would flake. The cache is filled in scrambled page order so
-//! that neither the slab nor a walk of it is in address order already.
+//! session that builds a fresh touched table makes one allocation; either
+//! fails this test deterministically, where a timing assert would flake.
+//! The cache is filled in scrambled page order so that neither the slab nor
+//! a walk of it is in address order already.
 //!
 //! Nor may it grow with the rack: a pushdown whose two pages stripe over both
 //! shards of a 2-pool `LoadBalance` rack settles its fan-out from a `Copy`

@@ -75,9 +75,6 @@ fn label(rec: &TraceRecord, base_page: u64) -> String {
         }
         TraceEvent::DataLoss { page } => format!("data-loss p{}", page - base_page),
         TraceEvent::ScrubPass { pages, detected } => format!("scrub {pages} {detected}"),
-        TraceEvent::RaceDetected { page, write_write } => {
-            format!("race p{} ww{}", page - base_page, write_write as u8)
-        }
         TraceEvent::PoolRouted { pool, pages } => format!("pool-routed p{pool} {pages}"),
         TraceEvent::PushdownFanout { pools, pages } => format!("fanout {pools} {pages}"),
         TraceEvent::FanoutMerge { pools } => format!("fanout-merge {pools}"),

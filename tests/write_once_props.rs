@@ -7,7 +7,7 @@
 //!   `Arm` (compute-side, and memory-side inside a pushdown), on all three
 //!   platforms, on one pool and on a 2-pool `LoadBalance` rack, with no
 //!   plane armed, with the integrity plane armed under a corruption plan,
-//!   with the race log on, and with disabled-coherence stale snapshots held;
+//!   and with disabled-coherence stale snapshots held;
 //! - a `RegionWriter` against `alloc_region` + `write_range`: random push
 //!   chunkings (an unfinished tail included), a read of another region after
 //!   every push, on fresh and on recycled backing, through the runtime and
@@ -46,7 +46,6 @@ enum Plane {
     /// fabric bit flips and latent sectors, so pages are checked on every
     /// access and repaired from the replica.
     Integrity,
-    RaceLog,
     /// A disabled-coherence pushdown has written a page the compute side
     /// caches, so the runtime holds its stale snapshot (Teleport only; a
     /// plain rack elsewhere).
@@ -92,17 +91,13 @@ fn build(rack: &Rack) -> Runtime {
         PlatformKind::Teleport => Runtime::teleport(ddc),
     };
     rt.enable_tracing();
-    match rack.plane {
-        Plane::Integrity => {
-            rt.install_fault_plan(
-                FaultPlan::new(rack.seed)
-                    .pool_scribbles(SimTime(0), FOREVER, 0.3)
-                    .fabric_bit_flips(SimTime(0), FOREVER, 0.3)
-                    .ssd_latent_sectors(SimTime(0), FOREVER, 0.3),
-            );
-        }
-        Plane::RaceLog => rt.enable_race_detection(),
-        Plane::None | Plane::Stale => {}
+    if rack.plane == Plane::Integrity {
+        rt.install_fault_plan(
+            FaultPlan::new(rack.seed)
+                .pool_scribbles(SimTime(0), FOREVER, 0.3)
+                .fabric_bit_flips(SimTime(0), FOREVER, 0.3)
+                .ssd_latent_sectors(SimTime(0), FOREVER, 0.3),
+        );
     }
     rt
 }
@@ -267,7 +262,7 @@ fn gather_matches_get<T: Sample>(case: &GatherCase) -> Result<(), TestCaseError>
 }
 
 fn rack_strategy() -> impl Strategy<Value = Rack> {
-    (0usize..3, 1usize..9, 1usize..3, 0u8..4, any::<u64>()).prop_map(
+    (0usize..3, 1usize..9, 1usize..3, 0u8..3, any::<u64>()).prop_map(
         |(k, cache_pages, pools, plane, seed)| Rack {
             kind: PLATFORMS[k],
             cache_pages,
@@ -276,7 +271,7 @@ fn rack_strategy() -> impl Strategy<Value = Rack> {
             } else {
                 pools
             },
-            plane: [Plane::None, Plane::Integrity, Plane::RaceLog, Plane::Stale][plane as usize],
+            plane: [Plane::None, Plane::Integrity, Plane::Stale][plane as usize],
             seed,
         },
     )
