@@ -21,11 +21,12 @@
 //!   torn tails detected and discarded;
 //! - [`fair`] — deficit-round-robin fair queueing for the memory-side
 //!   workqueue under multi-tenant load;
-//! - [`kernel`] — [`Dos`], the metered access paths, coherence hooks, the
-//!   per-shard liveness gate (heartbeats, crashes, scheduled restarts,
-//!   promotions), and the page-integrity plane (checksum seal/verify,
-//!   detect-and-repair, background scrubbing) consumed by the `teleport`
-//!   crate;
+//! - [`kernel`] — [`Dos`], consumed by the `teleport` crate: the paging
+//!   core (metered access paths, coherence hooks), with one private module
+//!   per failure-domain plane — liveness (replication, failover, the
+//!   per-shard gate of heartbeats, crashes and scheduled restarts, health
+//!   probes) and page integrity (checksum seal/verify, detect-and-repair,
+//!   background scrubbing);
 //! - [`stats`] — paging counters;
 //! - [`work`] — host-work counters (bytes zeroed, backings recycled, gather
 //!   page runs), outside every digest and metric.
@@ -50,7 +51,7 @@ pub use addrspace::AddressSpace;
 pub use cache::{CacheEntry, Evicted, PageCache, ResidentPages, ResidentTable, ResidentView};
 pub use fair::DrrQueue;
 pub use health::{HealthConfig, HealthMonitor};
-pub use kernel::{Dos, FileId, Pattern, PoolLoss, Topology};
+pub use kernel::{Dos, FileId, Pattern, PoolLoss, ShardError};
 pub use page::{page_chunks, pages_spanned, PageChecksum, PageId, VAddr};
 pub use pool::{MemoryPool, PoolFault};
 pub use recovery::{JournalEntry, RecoveryCounters, RecoveryJournal, RestartReport};

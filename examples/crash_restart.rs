@@ -54,8 +54,8 @@ fn main() {
     let (mut rt, col, vals) = loaded_rt(ReplicationMode::Off);
     // Dirty a slice mid-window so the journal holds more than the base.
     rt.write_range(&col, 128, &vals[128..256]);
-    let epoch = rt.dos_mut().crash_pool(0);
-    let report = rt.dos_mut().restart_pool(0);
+    let epoch = rt.dos_mut().crash_pool(0).expect("shard 0 is up");
+    let report = rt.dos_mut().restart_pool(0).expect("shard 0 is down");
     println!(
         "  shard 0 died at epoch {epoch}; replayed {} entries / {} pages, discarded {}, new epoch {}",
         report.replay.applied_entries,
@@ -70,8 +70,8 @@ fn main() {
     let (mut rt, col, vals) = loaded_rt(ReplicationMode::Off);
     rt.write_range(&col, 0, &vals[0..64]); // leave an un-synced tail
     rt.dos_mut().tear_journal_tail(0);
-    rt.dos_mut().crash_pool(0);
-    let report = rt.dos_mut().restart_pool(0);
+    rt.dos_mut().crash_pool(0).expect("shard 0 is up");
+    let report = rt.dos_mut().restart_pool(0).expect("shard 0 is down");
     println!(
         "  tear cost {} entries ({} pages) — bounded by the sync batch; replayed {}",
         report.replay.discarded_entries,

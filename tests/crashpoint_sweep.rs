@@ -167,14 +167,14 @@ fn crash_and_restart(rt: &mut Runtime, life: Life) {
         // un-synced entry's checksum is corrupted before the wipe.
         dos.tear_journal_tail(0);
     }
-    let stale = dos.crash_pool(0);
+    let stale = dos.crash_pool(0).expect("shard 0 is up");
     if life == Life::Zombie {
         let fo = dos
             .failover_to_replica_for(0)
             .expect("the zombie sweep runs with a synchronous replica");
         assert!(fo.new_epoch > stale, "promotion must advance the epoch");
     }
-    let report = dos.restart_pool(0);
+    let report = dos.restart_pool(0).expect("shard 0 just crashed");
     match life {
         Life::Primary | Life::Torn => {
             assert!(

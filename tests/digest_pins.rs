@@ -23,9 +23,10 @@
 //! callback that collects metric names instead of comparing pins — and,
 //! emitting every kind of trace event between them, what the
 //! `trace_events!` table is held against
-//! (`every_event_kind_is_emitted_by_a_pinned_scenario`).
+//! (`every_event_kind_is_emitted_by_a_pinned_scenario`, kind by kind
+//! through DESIGN.md §6's event table).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use ddc_os::Pattern;
 use ddc_sim::{
@@ -640,23 +641,43 @@ fn data_loss_on_a_scribbled_pool() {
     data_loss(&mut assert_pin);
 }
 
+/// A pinned scenario: it hands each of its pinned points to `check`.
+type Scenario = fn(Check);
+
+/// The pinned scenarios other than the serve run, by the function names
+/// DESIGN.md §6's event table cites.
+const SCENARIOS: [(&str, Scenario); 10] = [
+    ("q6_scan", q6_scan),
+    ("sssp_spill", sssp_spill),
+    ("coherence_hooks", coherence_hooks),
+    ("fanout", fanout),
+    ("failover", failover),
+    ("crash_restart", crash_restart),
+    ("corruption", corruption),
+    ("grayfail_hedged", grayfail_hedged),
+    ("call_verdicts", call_verdicts),
+    ("data_loss", data_loss),
+];
+
 /// Every pinned scenario, each handing its pinned points to `check`.
 fn every_scenario(check: Check) -> ServeReport {
-    for scenario in [
-        q6_scan,
-        sssp_spill,
-        coherence_hooks,
-        fanout,
-        failover,
-        crash_restart,
-        corruption,
-        grayfail_hedged,
-        call_verdicts,
-        data_loss,
-    ] {
+    for (_, scenario) in SCENARIOS {
         scenario(check);
     }
     two_tenant_serve(check)
+}
+
+/// How many records of each `EventKind::ALL` kind a scenario's pinned
+/// points report, summed over the points.
+fn kinds_drawn(scenario: impl FnOnce(Check)) -> [u64; EventKind::ALL.len()] {
+    let mut counts = [0u64; EventKind::ALL.len()];
+    scenario(&mut |_, rt, _| {
+        let m = rt.metrics();
+        for (n, kind) in counts.iter_mut().zip(EventKind::ALL) {
+            *n += m.get(kind.metric_name()).expect("one trace.* row a kind");
+        }
+    });
+    counts
 }
 
 /// `integrity.pool1.detected`, `serve.tenant0.p99_ns`: one row per pool or
@@ -671,17 +692,19 @@ fn is_instance(name: &str) -> bool {
     })
 }
 
+/// The text between DESIGN.md's `<!-- {name}:begin -->` and
+/// `<!-- {name}:end -->` markers.
+fn design_table(name: &str) -> &'static str {
+    include_str!("../DESIGN.md")
+        .split_once(&format!("<!-- {name}:begin -->"))
+        .and_then(|(_, rest)| rest.split_once(&format!("<!-- {name}:end -->")))
+        .unwrap_or_else(|| panic!("DESIGN.md keeps its {name} markers"))
+        .0
+}
+
 /// The names in the first column of DESIGN.md's §6 metric table.
 fn documented_metrics() -> BTreeSet<String> {
-    let doc = include_str!("../DESIGN.md");
-    let begin = "<!-- metric-table:begin -->";
-    let end = "<!-- metric-table:end -->";
-    let table = doc
-        .split_once(begin)
-        .and_then(|(_, rest)| rest.split_once(end))
-        .expect("DESIGN.md keeps its metric-table markers")
-        .0;
-    table
+    design_table("metric-table")
         .lines()
         .filter_map(|row| row.strip_prefix("| `")?.split_once('`'))
         .map(|(name, _)| name.to_string())
@@ -724,26 +747,54 @@ fn metric_table_matches_what_the_scenarios_emit() {
 
 /// Every row of the `trace_events!` table is drawn by a run whose digest is
 /// pinned above: the event is emitted by the program (no test can write to
-/// the stream) and a change to what it carries moves a pin. A new row that
-/// nothing emits fails here, by its `trace.*` name, until a pinned scenario
-/// draws it.
+/// the stream) and a change to what it carries moves a pin. DESIGN.md §6's
+/// event table names, kind by kind, the scenario that draws it: its rows
+/// must be `EventKind::ALL` in tag order, and each must name a scenario
+/// that `every_scenario` runs and that draws that kind. So a new row fails
+/// here until §6 has a row for it citing a pinned scenario that draws it.
 #[test]
 fn every_event_kind_is_emitted_by_a_pinned_scenario() {
-    let mut counts = [0u64; EventKind::ALL.len()];
-    every_scenario(&mut |_, rt, _| {
-        let m = rt.metrics();
-        for (n, kind) in counts.iter_mut().zip(EventKind::ALL) {
-            *n += m.get(kind.metric_name()).expect("one trace.* row a kind");
-        }
-    });
-    let never: Vec<_> = EventKind::ALL
-        .iter()
-        .zip(counts)
-        .filter(|&(_, n)| n == 0)
-        .map(|(kind, _)| kind.metric_name())
+    let rows: Vec<(u64, String, String)> = design_table("event-table")
+        .lines()
+        .filter_map(|row| {
+            let cells: Vec<&str> = row.split('|').map(|c| c.trim().trim_matches('`')).collect();
+            let tag = cells.get(1)?.parse().ok()?;
+            Some((
+                tag,
+                cells[2].to_string(),
+                cells[cells.len() - 2].to_string(),
+            ))
+        })
         .collect();
-    assert!(
-        never.is_empty(),
-        "no pinned scenario emits {never:?}; extend one (and re-pin it) or add one"
+    let table: Vec<(u64, String)> = rows.iter().map(|(t, k, _)| (*t, k.clone())).collect();
+    let schema: Vec<(u64, String)> = EventKind::ALL
+        .iter()
+        .map(|&kind| (kind as u64, format!("{kind:?}")))
+        .collect();
+    assert_eq!(
+        table, schema,
+        "§6's event table is not the trace_events! table"
     );
+
+    let mut drawn = BTreeMap::new();
+    for (i, (_, kind, scenario)) in rows.iter().enumerate() {
+        let counts = drawn.entry(scenario.as_str()).or_insert_with(|| {
+            if scenario == "two_tenant_serve" {
+                return kinds_drawn(|check| {
+                    two_tenant_serve(check);
+                });
+            }
+            let (_, run) = SCENARIOS
+                .iter()
+                .find(|(name, _)| name == scenario)
+                .unwrap_or_else(|| {
+                    panic!("§6 cites {scenario}, which every_scenario does not run")
+                });
+            kinds_drawn(run)
+        });
+        assert!(
+            counts[i] > 0,
+            "§6 says {scenario} draws {kind}; it does not"
+        );
+    }
 }

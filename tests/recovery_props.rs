@@ -339,10 +339,10 @@ proptest! {
         rt.dos_mut().enable_recovery_journal();
         rt.begin_timing();
 
-        rt.dos_mut().crash_pool(0);
-        let first = rt.dos_mut().restart_pool(0);
-        rt.dos_mut().crash_pool(0);
-        let second = rt.dos_mut().restart_pool(0);
+        rt.dos_mut().crash_pool(0).expect("shard 0 is up");
+        let first = rt.dos_mut().restart_pool(0).expect("shard 0 is down");
+        rt.dos_mut().crash_pool(0).expect("shard 0 is up again");
+        let second = rt.dos_mut().restart_pool(0).expect("shard 0 is down");
         prop_assert_eq!(
             first.replay.applied_entries,
             second.replay.applied_entries,
