@@ -369,10 +369,8 @@ impl PushdownSession {
             self.compute_acquire(dos, pid, write);
         }
         dos.touch_range(addr, len, write, pat);
-        // A compute write to a stale page must stay visible in the
-        // compute's own view.
         if write {
-            self.apply_to_stale(dos, addr, len);
+            mirror_into_stale(&mut self.stale, dos, addr, len);
         }
     }
 
@@ -452,36 +450,6 @@ impl PushdownSession {
         }
     }
 
-    fn apply_to_stale(&mut self, dos: &Dos, addr: VAddr, len: usize) {
-        if self.stale.is_empty() {
-            return;
-        }
-        for (pid, off, n) in page_chunks(addr, len) {
-            if let Some(snap) = self.stale.get_mut(&pid) {
-                let fresh = dos.space().bytes(pid.base().offset(off as u64), n);
-                snap[off..off + n].copy_from_slice(fresh);
-            }
-        }
-    }
-
-    /// Read through the compute side's (possibly stale) view: returns the
-    /// snapshot bytes if the span lies in a stale page.
-    pub fn stale_view(&self, addr: VAddr, len: usize) -> Option<&[u8]> {
-        let pid = addr.page();
-        if !addr.fits_in_page(len) {
-            return None;
-        }
-        self.stale.get(&pid).map(|snap| {
-            let off = addr.page_offset();
-            &snap[off..off + len]
-        })
-    }
-
-    /// Whether any compute-visible staleness exists.
-    pub fn has_stale(&self) -> bool {
-        !self.stale.is_empty()
-    }
-
     /// Complete the session (paper §4.1: dirty bits merge back into the
     /// full page table with no external communication). For Weak Ordering,
     /// completion is a synchronization point: stale compute copies are
@@ -509,6 +477,22 @@ impl PushdownSession {
             self.stale.clear();
         }
         (self.stats, self.online_sync, self.stale)
+    }
+}
+
+/// Keep a compute write to `[addr, addr+len)` visible in the compute's own
+/// view: copy the bytes just written into the snapshot of each page `stale`
+/// holds.
+pub(crate) fn mirror_into_stale(
+    stale: &mut BTreeMap<PageId, Vec<u8>>,
+    dos: &Dos,
+    addr: VAddr,
+    len: usize,
+) {
+    for (pid, off, n) in page_chunks(addr, len) {
+        if let Some(snap) = stale.get_mut(&pid) {
+            snap[off..off + n].copy_from_slice(&dos.space().page_view(pid)[off..off + n]);
+        }
     }
 }
 
@@ -816,8 +800,8 @@ mod tests {
             s.mem_access(&mut dos, a, 8, true, Pattern::Rand);
         }
         assert_eq!(s.stats.round_trips, 0);
-        assert!(s.has_stale(), "compute view went stale silently");
-        // Completion is a sync point: one batched round trip, stale gone.
+        // Completion is a sync point: the compute view went stale silently,
+        // so one batched round trip invalidates it.
         let (stats, _, stale) = s.finish(&mut dos);
         assert_eq!(stats.round_trips, 1);
         assert!(stale.is_empty());
@@ -839,17 +823,20 @@ mod tests {
             &resident,
             SimDuration::from_micros(10),
         );
-        // Memory side overwrites the value; compute's copy must stay 0xAA.
-        dos.space_mut().write_u64(a, 0xBB); // simulate the write content
+        // The memory side's write: its access snapshots the compute's view,
+        // then the bytes change in the pool.
         s.mem_access(&mut dos, a, 8, true, Pattern::Rand);
-        let stale = s.stale_view(a, 8);
-        // Snapshot was taken before the memory-side write was modeled, but
-        // content-wise we wrote through space_mut first; the snapshot holds
-        // whatever the compute view was at snapshot time.
-        assert!(stale.is_some());
-        let (stats, _, stale_map) = s.finish(&mut dos);
+        dos.space_mut().write_u64(a, 0xBB);
+        let (stats, _, stale) = s.finish(&mut dos);
         assert_eq!(stats.round_trips, 0);
-        assert!(!stale_map.is_empty(), "staleness survives completion");
+        let off = a.page_offset();
+        let snap = &stale.get(&a.page()).expect("staleness survives completion")[off..off + 8];
+        assert_eq!(
+            snap,
+            0xAAu64.to_le_bytes(),
+            "the compute's bytes, not the pool's"
+        );
+        assert_eq!(dos.space().read_u64(a), 0xBB);
     }
 
     #[test]

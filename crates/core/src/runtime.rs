@@ -28,7 +28,7 @@ use ddc_sim::{
 };
 
 use crate::breakdown::Breakdown;
-use crate::coherence::{CoherenceStats, PushdownSession, TieBreak};
+use crate::coherence::{mirror_into_stale, CoherenceStats, PushdownSession, TieBreak};
 use crate::fault::{CancelOutcome, PushdownError};
 use crate::flags::{PushdownOpts, SyncStrategy};
 use crate::resilience::{ExecutionVia, FallbackPolicy, Recovered, ResiliencePolicy};
@@ -231,9 +231,10 @@ impl<T: Scalar> Region<T> {
     }
 }
 
-/// Uniform metered access to simulated memory. Implemented by [`Runtime`]
-/// (compute-side) and [`Arm`] (whichever side a pushdown call placed the
-/// function on). Application kernels are written once against this trait.
+/// Uniform metered access to simulated memory. Implemented once for the
+/// compute side, by [`Runtime`], and once for the memory side, by an [`Arm`]
+/// inside a Teleport pushdown (a compute-side [`Arm`] forwards to the
+/// runtime's). Application kernels are written once against this trait.
 pub trait Mem {
     /// Allocate zeroed bytes; returns the start address.
     fn alloc(&mut self, bytes: usize) -> VAddr;
@@ -489,25 +490,22 @@ impl<T: Scalar> RegionWriter<T> {
 /// The access handle passed to a pushdown function. On the Teleport
 /// platform it charges memory-pool costs and drives the coherence protocol;
 /// on Local/BaseDdc (and for functions the planner chose not to push) it is
-/// a plain compute-side handle.
+/// the runtime itself: every access goes through [`Runtime`]'s own [`Mem`],
+/// so a compute-side arm sees exactly the view `Runtime::get` sees, stale
+/// snapshots included.
 pub struct Arm<'a> {
-    dos: &'a mut Dos,
+    rt: &'a mut Runtime,
     /// The coherence session of the pushdown this arm runs inside, on the
     /// memory side; `None` is a compute-side arm.
     session: Option<&'a mut PushdownSession>,
-    cpu: CpuConfig,
-    /// The last count charged and its cost: an operator charges the same
-    /// count over and over (every hash probe is `HASH_PROBE`), so the
-    /// division is taken once per distinct count. Carried over from the
-    /// previous arm on the same side.
-    last_charge: CycleMemo,
 }
 
 /// `CpuConfig::cycles` of one call site's last count: a site that charges
 /// the same count call after call divides once, and each new count once
-/// more. A memo belongs to one site, so to one CPU, and returns what the
-/// conversion itself would: the default holds 0 cycles, which cost 0 ns.
-#[derive(Debug, Clone, Copy, Default)]
+/// more. A memo belongs to one site, so to one CPU, looked up only when the
+/// count changes, and returns what the conversion itself would: the default
+/// holds 0 cycles, which cost 0 ns.
+#[derive(Debug, Default)]
 struct CycleMemo {
     cycles: u64,
     cost: SimDuration,
@@ -515,11 +513,11 @@ struct CycleMemo {
 
 impl CycleMemo {
     #[inline]
-    fn cost(&mut self, cpu: &CpuConfig, cycles: u64) -> SimDuration {
+    fn cost(&mut self, cycles: u64, cpu: impl FnOnce() -> CpuConfig) -> SimDuration {
         if self.cycles != cycles {
             *self = CycleMemo {
                 cycles,
-                cost: cpu.cycles(cycles),
+                cost: cpu().cycles(cycles),
             };
         }
         self.cost
@@ -528,7 +526,7 @@ impl CycleMemo {
 
 /// The conversions the pushdown fixed path repeats with inputs that rarely
 /// change between calls: steps ❶ and ❹'s per-entry charges, and the last
-/// `charge_cycles` of each side's arm.
+/// `charge_cycles` of each side.
 #[derive(Debug, Default)]
 struct FixedPathMemo {
     /// ❶ `cycles_per_list_entry × resident`, compute CPU.
@@ -537,65 +535,72 @@ struct FixedPathMemo {
     pte_clone: CycleMemo,
     /// ❹ `cycles_per_pte_check × resident`, memory CPU.
     pte_check: CycleMemo,
-    /// Compute side (the runtime itself and compute-side arms).
+    /// Compute side: the runtime, and so every compute-side arm.
     compute_charge: CycleMemo,
     /// Memory side (arms inside a Teleport pushdown).
     memory_charge: CycleMemo,
 }
 
-impl Arm<'_> {
-    /// Charge one access with this side's cost model (memory-side accesses
-    /// also drive the coherence protocol).
-    #[inline]
-    fn touch(&mut self, addr: VAddr, len: usize, write: bool, pat: Pattern) {
-        match &mut self.session {
-            None => self.dos.touch_range(addr, len, write, pat),
-            Some(s) => s.mem_access(self.dos, addr, len, write, pat),
-        }
-    }
-}
-
 impl Mem for Arm<'_> {
     fn alloc(&mut self, bytes: usize) -> VAddr {
-        self.dos.alloc(bytes)
+        self.rt.alloc(bytes)
     }
 
     #[inline]
     fn read_raw(&mut self, addr: VAddr, len: usize, pat: Pattern) -> &[u8] {
-        self.touch(addr, len, false, pat);
-        self.dos.space().bytes(addr, len)
+        let Some(s) = &mut self.session else {
+            return self.rt.read_raw(addr, len, pat);
+        };
+        s.mem_access(&mut self.rt.dos, addr, len, false, pat);
+        self.rt.dos.space().bytes(addr, len)
     }
 
     fn write_with(&mut self, addr: VAddr, len: usize, pat: Pattern, fill: impl FnOnce(&mut [u8])) {
-        self.touch(addr, len, true, pat);
-        fill(self.dos.space_mut().bytes_mut(addr, len));
+        let Some(s) = &mut self.session else {
+            return self.rt.write_with(addr, len, pat, fill);
+        };
+        s.mem_access(&mut self.rt.dos, addr, len, true, pat);
+        fill(self.rt.dos.space_mut().bytes_mut(addr, len));
     }
 
     #[inline]
     fn charge_cycles(&mut self, cycles: u64) {
-        let cost = self.last_charge.cost(&self.cpu, cycles);
-        self.dos.charge(cost);
+        if self.session.is_none() {
+            return self.rt.charge_cycles(cycles);
+        }
+        let dos = &mut self.rt.dos;
+        let cost = self
+            .rt
+            .memo
+            .memory_charge
+            .cost(cycles, || dos.ddc_config().memory_cpu);
+        dos.charge(cost);
     }
 
     fn now(&self) -> SimTime {
-        self.dos.clock().now()
+        self.rt.now()
     }
 
     fn read_file(&mut self, file: ddc_os::FileId, offset: usize, len: usize) -> &[u8] {
-        self.dos
-            .file_read(file, offset, len, self.session.is_some())
+        if self.session.is_none() {
+            return self.rt.read_file(file, offset, len);
+        }
+        self.rt.dos.file_read(file, offset, len, true)
     }
 
     fn append_file(&mut self, file: ddc_os::FileId, data: &[u8]) {
-        self.dos.file_append(file, data, self.session.is_some());
+        if self.session.is_none() {
+            return self.rt.append_file(file, data);
+        }
+        self.rt.dos.file_append(file, data, true);
     }
 
     fn alloc_unwritten(&mut self, bytes: usize) -> Unwritten {
-        Unwritten(self.dos.alloc_for_overwrite(bytes))
+        self.rt.alloc_unwritten(bytes)
     }
 
     fn zero_unwritten(&mut self, at: Unwritten, from: usize) {
-        self.dos.zero_from(at.0, from);
+        self.rt.zero_unwritten(at, from);
     }
 
     #[inline]
@@ -607,11 +612,11 @@ impl Mem for Arm<'_> {
         pat: Pattern,
         hits: u64,
     ) -> Option<&[u8]> {
-        let charged = match &mut self.session {
-            None => self.dos.repeat_reads(addr.page(), elem, pat, hits),
-            Some(s) => s.mem_repeat_reads(self.dos, addr.page(), elem, pat, hits),
+        let Some(s) = &mut self.session else {
+            return self.rt.reread(addr, len, elem, pat, hits);
         };
-        charged.then(|| self.dos.space().bytes(addr, len))
+        let charged = s.mem_repeat_reads(&mut self.rt.dos, addr.page(), elem, pat, hits);
+        charged.then(|| self.rt.dos.space().bytes(addr, len))
     }
 }
 
@@ -668,8 +673,6 @@ pub struct Runtime {
     /// disabled-coherence pushdowns, until `syncmem` reconciles them.
     /// `BTreeMap` so reconciliation walks pages in seed-stable order.
     stale: BTreeMap<PageId, Vec<u8>>,
-    /// Pages an eager-sync pushdown flushed, to be re-fetched afterwards.
-    eager_refetch: Vec<PageId>,
     memo: FixedPathMemo,
     /// Simulated backlog ahead of the next request in the memory pool's
     /// workqueue (other tenants' pushdowns).
@@ -717,7 +720,6 @@ impl Runtime {
             alive: true,
             ledger: WindowLedger::default(),
             stale: BTreeMap::new(),
-            eager_refetch: Vec::new(),
             memo: FixedPathMemo::default(),
             queue_backlog: SimDuration::ZERO,
             admission: None,
@@ -1008,7 +1010,6 @@ impl Runtime {
         &mut self,
         call: u64,
         session: Option<&mut PushdownSession>,
-        cpu: CpuConfig,
         f: impl FnOnce(&mut Arm<'_>) -> R,
     ) -> std::thread::Result<R> {
         let disruption = self
@@ -1025,19 +1026,8 @@ impl Runtime {
                 Err(Box::new("injected fault: pushdown hang".to_string()))
             }
             None => {
-                let memo = match session {
-                    None => &mut self.memo.compute_charge,
-                    Some(_) => &mut self.memo.memory_charge,
-                };
-                let mut arm = Arm {
-                    dos: &mut self.dos,
-                    session,
-                    cpu,
-                    last_charge: *memo,
-                };
-                let result = catch_unwind(AssertUnwindSafe(|| f(&mut arm)));
-                *memo = arm.last_charge;
-                result
+                let mut arm = Arm { rt: self, session };
+                catch_unwind(AssertUnwindSafe(|| f(&mut arm)))
             }
         }
     }
@@ -1106,7 +1096,7 @@ impl Runtime {
 
     /// The compute view of `[addr, addr+len)` while disabled-coherence
     /// pushdowns have left snapshots behind (`stale` is empty, and neither
-    /// this nor [`Self::mirror_into_stale`] reached, in every other mode).
+    /// this nor [`mirror_into_stale`] reached, in every other mode).
     fn read_past_stale(&mut self, addr: VAddr, len: usize) -> &[u8] {
         if !pages_spanned(addr, len).any(|p| self.stale.contains_key(&p)) {
             return self.dos.space().bytes(addr, len);
@@ -1122,28 +1112,13 @@ impl Runtime {
         &self.scratch
     }
 
-    /// Keep the compute's own writes visible in its stale view.
-    fn mirror_into_stale(&mut self, addr: VAddr, len: usize) {
-        for (pid, off, n) in page_chunks(addr, len) {
-            if let Some(snap) = self.stale.get_mut(&pid) {
-                snap[off..off + n].copy_from_slice(&self.dos.space().page_view(pid)[off..off + n]);
-            }
-        }
-    }
-
     /// Run `f` on the compute pool regardless of platform — the path taken
     /// by operators the planner decides *not* to push down.
     pub fn run_local<R>(&mut self, f: impl FnOnce(&mut Arm<'_>) -> R) -> R {
-        let cpu = self.dos.compute_cpu();
-        let mut arm = Arm {
-            dos: &mut self.dos,
+        f(&mut Arm {
+            rt: self,
             session: None,
-            cpu,
-            last_charge: self.memo.compute_charge,
-        };
-        let result = f(&mut arm);
-        self.memo.compute_charge = arm.last_charge;
-        result
+        })
     }
 
     /// `pushdown` with a manual pre-synchronization hint (§4.2): when the
@@ -1215,8 +1190,7 @@ impl Runtime {
             // The function runs compute-side, watched by an application
             // watchdog with the kernel's conservative timeout.
             let t0 = self.dos.clock().now();
-            let cpu = self.dos.compute_cpu();
-            let result = self.run_or_disrupt(call, None, cpu, f);
+            let result = self.run_or_disrupt(call, None, f);
             let ran_for = self.dos.clock().now().since(t0);
             return self.verdict(result, ran_for, loss_before, opts, call, entered);
         }
@@ -1231,17 +1205,18 @@ impl Runtime {
         self.dos
             .tracer()
             .emit(Lane::Compute, TraceEvent::PushdownStep { step: 1 });
-        if opts.sync == SyncStrategy::Eager {
-            // Strawman: flush + drop everything up front, remembering what
-            // to re-fetch afterwards; the list it then ships is empty.
-            self.eager_refetch = self.dos.flush_and_clear_cache();
-        }
+        // Strawman eager sync: flush + drop everything up front, remembering
+        // what to re-fetch at ❽; the list it then ships is empty.
+        let refetch = match opts.sync {
+            SyncStrategy::Eager => self.dos.flush_and_clear_cache(),
+            SyncStrategy::OnDemand => Vec::new(),
+        };
         // The cache's own page-indexed view, shared with it: nothing is
         // collected, sorted or copied here.
         let resident = self.dos.resident_view();
         if opts.sync == SyncStrategy::OnDemand {
             let cycles = self.tcfg.cycles_per_list_entry * resident.len as u64;
-            let cost = self.memo.list_scan.cost(&self.dos.compute_cpu(), cycles);
+            let cost = self.memo.list_scan.cost(cycles, || self.dos.compute_cpu());
             self.dos.charge(cost);
         }
         bd.pre_sync = self.dos.clock().now().since(t0);
@@ -1324,11 +1299,11 @@ impl Runtime {
         let total_pages = self.dos.space().allocated_pages() as u64;
         let mem_cpu = self.dos.ddc_config().memory_cpu;
         let cycles = self.tcfg.cycles_per_pte_clone * total_pages;
-        let cost = self.memo.pte_clone.cost(&mem_cpu, cycles);
+        let cost = self.memo.pte_clone.cost(cycles, || mem_cpu);
         self.dos.charge(cost);
         if opts.sync == SyncStrategy::OnDemand {
             let cycles = self.tcfg.cycles_per_pte_check * resident.len as u64;
-            let cost = self.memo.pte_check.cost(&mem_cpu, cycles);
+            let cost = self.memo.pte_check.cost(cycles, || mem_cpu);
             self.dos.charge(cost);
         }
         bd.ctx_setup = self.dos.clock().now().since(t0);
@@ -1347,7 +1322,7 @@ impl Runtime {
             self.tcfg.backoff_t,
             TieBreak::FavorMemory,
         );
-        let result = self.run_or_disrupt(call, Some(&mut session), mem_cpu, f);
+        let result = self.run_or_disrupt(call, Some(&mut session), f);
         let exec_window = self.dos.clock().now().since(t0);
         // ❻ Completion. Any end-of-session synchronization (Weak
         // Ordering's batched invalidation) is charged here and attributed
@@ -1359,8 +1334,13 @@ impl Runtime {
         let t_finish = self.dos.clock().now();
         let (cstats, online_sync, stale) = session.finish(&mut self.dos);
         let finish_sync = self.dos.clock().now().since(t_finish);
+        // A page this runtime already holds stale keeps its older snapshot:
+        // the session snapshotted the pool's bytes, which the compute has
+        // not seen yet.
         if !stale.is_empty() {
-            self.stale.extend(stale);
+            for (pid, snap) in stale {
+                self.stale.entry(pid).or_insert(snap);
+            }
         }
         self.ledger.last_coherence = Some(cstats);
         bd.online_sync = online_sync + finish_sync;
@@ -1405,8 +1385,7 @@ impl Runtime {
         // ❽ Post-pushdown synchronization.
         let t0 = self.dos.clock().now();
         if opts.sync == SyncStrategy::Eager {
-            let pages = std::mem::take(&mut self.eager_refetch);
-            self.dos.prefetch_pages(&pages);
+            self.dos.prefetch_pages(&refetch);
         }
         // On-demand: dirty bits merge into the full table locally — free.
         self.dos
@@ -1727,7 +1706,7 @@ impl Mem for Runtime {
         self.dos.touch_range(addr, len, true, pat);
         fill(self.dos.space_mut().bytes_mut(addr, len));
         if !self.stale.is_empty() {
-            self.mirror_into_stale(addr, len);
+            mirror_into_stale(&mut self.stale, &self.dos, addr, len);
         }
     }
 
@@ -1736,7 +1715,7 @@ impl Mem for Runtime {
         let cost = self
             .memo
             .compute_charge
-            .cost(&self.dos.compute_cpu(), cycles);
+            .cost(cycles, || self.dos.compute_cpu());
         self.dos.charge(cost);
     }
 

@@ -381,9 +381,27 @@ fn disabled_coherence_leaves_stale_compute_reads_until_syncmem() {
     rt.set(&cell, 1, 7, Pattern::Rand);
     assert_eq!(rt.get(&cell, 1, Pattern::Rand), 7);
 
-    // After syncmem, the memory-side write becomes visible.
+    // A function run compute-side sees the same stale view...
+    assert_eq!(rt.run_local(|arm| arm.get(&cell, 0, Pattern::Rand)), 100);
+    // ...and its writes to the page stay visible to both readers.
+    rt.run_local(|arm| arm.set(&cell, 2, 9, Pattern::Rand));
+    assert_eq!(rt.get(&cell, 2, Pattern::Rand), 9);
+    assert_eq!(rt.run_local(|arm| arm.get(&cell, 2, Pattern::Rand)), 9);
+
+    // A second disabled pushdown over the page does not move the compute
+    // view forward: the older snapshot stands.
+    rt.pushdown(
+        PushdownOpts::new().coherence(CoherenceMode::Disabled),
+        |arm| {
+            arm.set(&cell, 0, 1000, Pattern::Rand);
+        },
+    )
+    .unwrap();
+    assert_eq!(rt.get(&cell, 0, Pattern::Rand), 100);
+
+    // After syncmem, the last memory-side write becomes visible.
     rt.syncmem();
-    assert_eq!(rt.get(&cell, 0, Pattern::Rand), 999);
+    assert_eq!(rt.get(&cell, 0, Pattern::Rand), 1000);
 }
 
 #[test]
