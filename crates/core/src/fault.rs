@@ -116,6 +116,46 @@ impl fmt::Display for PushdownError {
     }
 }
 
+impl PushdownError {
+    /// Whether running the function again — re-pushed, locally, or as a
+    /// hedge clone — can turn this failure into a value. The one recovery
+    /// verdict: `pushdown_resilient`'s retry and fallback and
+    /// `pushdown_hedged` all read it.
+    ///
+    /// Every variant is classified by name: a new variant does not compile
+    /// until it has an arm here (`E0004`), and the `deny` makes a `_ =>`
+    /// arm — which would pick a recovery decision for future variants that
+    /// nobody reviewed — an error under the `cargo clippy` CI runs. Two
+    /// lints, because clippy reports a wildcard that stands for exactly one
+    /// variant under the second name (and one that stands for none is
+    /// rustc's `unreachable_patterns`).
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
+    pub fn recoverable(&self) -> bool {
+        match self {
+            // A re-run reaches the promoted pool, the current epoch (a
+            // fenced call landed nothing, so at-most-once holds) or, after
+            // a backoff or on the compute pool, past the shedding backlog.
+            PushdownError::Exception(_)
+            | PushdownError::CancelledBeforeStart
+            | PushdownError::Killed { .. }
+            | PushdownError::PoolFailedOver { .. }
+            | PushdownError::Fenced { .. }
+            | PushdownError::Rejected { .. } => true,
+            // Main memory is gone; a re-run would read the same lost bytes
+            // (the wrong answer the integrity plane exists to prevent); a
+            // protocol violation is a kernel bug; and spent time stays
+            // spent, so a re-run only makes the answer later still.
+            PushdownError::KernelPanic
+            | PushdownError::DataLoss { .. }
+            | PushdownError::ProtocolViolation { .. }
+            | PushdownError::DeadlineExceeded { .. } => false,
+        }
+    }
+}
+
 impl std::error::Error for PushdownError {}
 
 /// Outcome of a `try_cancel` request issued after a timeout (§3.2).
@@ -156,5 +196,25 @@ mod tests {
         assert!(PushdownError::Fenced { stale_epoch: 3 }
             .to_string()
             .contains("epoch 3"));
+    }
+
+    #[test]
+    fn every_variant_has_its_recovery_verdict() {
+        let d = SimDuration::from_micros(3);
+        let table = [
+            (PushdownError::Exception("oops".into()), true),
+            (PushdownError::CancelledBeforeStart, true),
+            (PushdownError::Killed { ran_for: d }, true),
+            (PushdownError::KernelPanic, false),
+            (PushdownError::PoolFailedOver { lost_epoch: 0 }, true),
+            (PushdownError::Rejected { backlog: d }, true),
+            (PushdownError::DataLoss { page: 9 }, false),
+            (PushdownError::ProtocolViolation { req: 1 }, false),
+            (PushdownError::Fenced { stale_epoch: 2 }, true),
+            (PushdownError::DeadlineExceeded { over: d }, false),
+        ];
+        for (err, recoverable) in table {
+            assert_eq!(err.recoverable(), recoverable, "{err}");
+        }
     }
 }

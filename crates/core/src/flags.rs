@@ -85,50 +85,6 @@ impl PushdownOpts {
         Self::default()
     }
 
-    /// Encode into the syscall's `flags` word as it crosses the wire in
-    /// the pushdown request: bits 0–1 coherence mode, bit 2 sync strategy,
-    /// bit 3 timeout-present, bit 4 deadline-present. (The timeout and
-    /// deadline *values* travel in the request header's reserved slots in a
-    /// real implementation; only the flag bits are part of `flags`.)
-    pub fn encode_flags(&self) -> u32 {
-        let mode = match self.coherence {
-            CoherenceMode::WriteInvalidate => 0u32,
-            CoherenceMode::Pso => 1,
-            CoherenceMode::WeakOrdering => 2,
-            CoherenceMode::Disabled => 3,
-        };
-        let sync = match self.sync {
-            SyncStrategy::OnDemand => 0u32,
-            SyncStrategy::Eager => 1,
-        };
-        mode | (sync << 2)
-            | ((self.timeout.is_some() as u32) << 3)
-            | ((self.deadline.is_some() as u32) << 4)
-    }
-
-    /// Decode a `flags` word (the memory-side kernel's view). The timeout
-    /// and deadline values themselves are not carried in `flags`; a set
-    /// bit 3 or 4 decodes as a zero-duration placeholder.
-    pub fn decode_flags(flags: u32) -> Self {
-        let coherence = match flags & 0b11 {
-            0 => CoherenceMode::WriteInvalidate,
-            1 => CoherenceMode::Pso,
-            2 => CoherenceMode::WeakOrdering,
-            _ => CoherenceMode::Disabled,
-        };
-        let sync = if flags & 0b100 != 0 {
-            SyncStrategy::Eager
-        } else {
-            SyncStrategy::OnDemand
-        };
-        PushdownOpts {
-            coherence,
-            sync,
-            timeout: (flags & 0b1000 != 0).then_some(SimDuration::ZERO),
-            deadline: (flags & 0b1_0000 != 0).then_some(SimDuration::ZERO),
-        }
-    }
-
     pub fn coherence(mut self, mode: CoherenceMode) -> Self {
         self.coherence = mode;
         self
@@ -171,32 +127,6 @@ mod tests {
         assert_eq!(o.coherence, CoherenceMode::Pso);
         assert_eq!(o.sync, SyncStrategy::Eager);
         assert_eq!(o.timeout, Some(SimDuration::from_secs(1)));
-    }
-
-    #[test]
-    fn flags_roundtrip_every_combination() {
-        use CoherenceMode::*;
-        use SyncStrategy::*;
-        for coherence in [WriteInvalidate, Pso, WeakOrdering, Disabled] {
-            for sync in [OnDemand, Eager] {
-                for timeout in [None, Some(SimDuration::from_secs(1))] {
-                    for deadline in [None, Some(SimDuration::from_millis(5))] {
-                        let opts = PushdownOpts {
-                            coherence,
-                            sync,
-                            timeout,
-                            deadline,
-                        };
-                        let decoded = PushdownOpts::decode_flags(opts.encode_flags());
-                        assert_eq!(decoded.coherence, coherence);
-                        assert_eq!(decoded.sync, sync);
-                        assert_eq!(decoded.timeout.is_some(), timeout.is_some());
-                        assert_eq!(decoded.deadline.is_some(), deadline.is_some());
-                    }
-                }
-            }
-        }
-        assert_eq!(PushdownOpts::new().encode_flags(), 0, "defaults are zero");
     }
 
     #[test]

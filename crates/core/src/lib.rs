@@ -81,7 +81,7 @@ pub use breakdown::Breakdown;
 pub use coherence::{CoherenceStats, Perm, PushdownSession, TieBreak};
 pub use fault::{CancelOutcome, PushdownError};
 pub use flags::{CoherenceMode, PushdownOpts, SyncStrategy};
-pub use resilience::{ExecutionVia, FallbackPolicy, Recovered, ResiliencePolicy, RetryPolicy};
+pub use resilience::{ExecutionVia, Recovered, ResiliencePolicy, RetryPolicy};
 pub use rle::{ResidentList, UnsortedResidentList};
 pub use rpc::{AdmissionPolicy, RpcServer};
 pub use runtime::{

@@ -31,7 +31,7 @@ use crate::breakdown::Breakdown;
 use crate::coherence::{mirror_into_stale, CoherenceStats, PushdownSession, TieBreak};
 use crate::fault::{CancelOutcome, PushdownError};
 use crate::flags::{PushdownOpts, SyncStrategy};
-use crate::resilience::{ExecutionVia, FallbackPolicy, Recovered, ResiliencePolicy};
+use crate::resilience::{ExecutionVia, Recovered, ResiliencePolicy};
 use crate::rle::RUN_WIRE_BYTES;
 use crate::rpc::{AdmissionPolicy, RpcServer, REQUEST_HEADER_BYTES, RESPONSE_BYTES};
 
@@ -147,11 +147,10 @@ pub enum HedgeOutcome {
 pub struct Hedged<R> {
     pub value: R,
     pub outcome: HedgeOutcome,
-    /// When the first result was ready, relative to the call's start:
-    /// `min(primary, hedge delay + clone)` once the hedge fires, else the
-    /// primary's duration. Both legs' full costs are still charged to
-    /// virtual time — this is what the *caller* observed, not what the
-    /// rack paid.
+    /// When the caller's result was ready, relative to the call's start:
+    /// `hedge delay + clone` when the hedge wins, else the primary's
+    /// duration. Both legs' full costs are still charged to virtual time —
+    /// this is what the *caller* observed, not what the rack paid.
     pub latency: SimDuration,
 }
 
@@ -655,9 +654,22 @@ struct WindowLedger {
     /// pushdown triggered the probe driver, but the probing is the health
     /// plane's own background work, not that session's.
     probe_credit: SimDuration,
-    /// The workqueue id of the most recent pushdown to enqueue, so a
-    /// winning hedge can `try_cancel` the losing primary.
-    last_req_id: Option<u64>,
+}
+
+/// One pushdown call, built by [`Runtime::enter`] and read by every step
+/// after it: the verdict, the deadline judge, and the two drivers that
+/// re-run a call (`pushdown_resilient`, `pushdown_hedged`).
+struct Call {
+    /// The call index call-indexed fault specs address.
+    idx: u64,
+    opts: PushdownOpts,
+    /// The deadline budget covers the call end to end from here.
+    entered: SimTime,
+    /// Data losses counted before the call; any more poison its result.
+    loss_before: u64,
+    /// The workqueue request step ❹ dequeued for this call — `None` if no
+    /// request of it ran — so a winning hedge cancels only what ran.
+    req: Option<u64>,
 }
 
 /// A simulated process on one of the three platforms.
@@ -1044,12 +1056,9 @@ impl Runtime {
         &mut self,
         result: std::thread::Result<R>,
         ran_for: SimDuration,
-        loss_before: u64,
-        opts: PushdownOpts,
-        call: u64,
-        entered: SimTime,
+        call: &Call,
     ) -> Result<R, PushdownError> {
-        if self.dos.data_loss_count() > loss_before {
+        if self.dos.data_loss_count() > call.loss_before {
             let page = self.dos.last_data_loss().map_or(0, |p| p.0);
             return Err(PushdownError::DataLoss { page });
         }
@@ -1057,7 +1066,7 @@ impl Runtime {
             return Err(PushdownError::Killed { ran_for });
         }
         let value = result.map_err(|p| PushdownError::Exception(panic_message(p)))?;
-        self.judge_deadline(opts, call, entered)?;
+        self.judge_deadline(call)?;
         Ok(value)
     }
 
@@ -1167,6 +1176,16 @@ impl Runtime {
         opts: PushdownOpts,
         f: impl FnOnce(&mut Arm<'_>) -> R,
     ) -> Result<R, PushdownError> {
+        let mut call = self.enter(opts)?;
+        self.run(&mut call, f)
+    }
+
+    /// The entry step of every pushdown, on every platform, and the only
+    /// reader of the call counter: a dead runtime answers its kernel panic
+    /// here, and a live one takes the call's loss baseline, runs a due
+    /// scrub, and numbers the call.
+    #[inline]
+    fn enter(&mut self, opts: PushdownOpts) -> Result<Call, PushdownError> {
         if !self.alive {
             return Err(PushdownError::KernelPanic);
         }
@@ -1174,7 +1193,6 @@ impl Runtime {
         // heartbeat waits, queueing, execution, and fan-out settlement all
         // spend it.
         let entered = self.dos.clock().now();
-        self.ledger.last_req_id = None;
         // Any unrepairable corruption observed while this call runs poisons
         // its result: the caller gets a typed loss, never a wrong answer.
         // The baseline is taken before the scheduled scrub so a loss the
@@ -1184,15 +1202,32 @@ impl Runtime {
         // configured interval elapsed since the last pass, run one before
         // this call touches any data.
         self.dos.scrub_if_due();
-        let call = self.ledger.fault_call_idx;
+        let idx = self.ledger.fault_call_idx;
         self.ledger.fault_call_idx += 1;
+        Ok(Call {
+            idx,
+            opts,
+            entered,
+            loss_before,
+            req: None,
+        })
+    }
+
+    /// Run an entered call to its verdict: compute-side on Local/BaseDdc,
+    /// the full request lifecycle on Teleport.
+    fn run<R>(
+        &mut self,
+        call: &mut Call,
+        f: impl FnOnce(&mut Arm<'_>) -> R,
+    ) -> Result<R, PushdownError> {
+        let opts = call.opts;
         if self.kind != PlatformKind::Teleport {
             // The function runs compute-side, watched by an application
             // watchdog with the kernel's conservative timeout.
             let t0 = self.dos.clock().now();
-            let result = self.run_or_disrupt(call, None, f);
+            let result = self.run_or_disrupt(call.idx, None, f);
             let ran_for = self.dos.clock().now().since(t0);
-            return self.verdict(result, ran_for, loss_before, opts, call, entered);
+            return self.verdict(result, ran_for, call);
         }
         self.pushdown_gate()?;
 
@@ -1236,7 +1271,6 @@ impl Runtime {
             .tracer()
             .emit(Lane::Memory, TraceEvent::PushdownStep { step: 3 });
         let (req_id, wake) = self.server.enqueue();
-        self.ledger.last_req_id = Some(req_id);
         self.dos.charge(wake);
         bd.request = self.dos.clock().now().since(t0);
 
@@ -1295,6 +1329,7 @@ impl Runtime {
             .tracer()
             .emit(Lane::Memory, TraceEvent::PushdownStep { step: 4 });
         let _ = self.server.dequeue();
+        call.req = Some(req_id);
         self.dos.charge(self.tcfg.ctx_create);
         let total_pages = self.dos.space().allocated_pages() as u64;
         let mem_cpu = self.dos.ddc_config().memory_cpu;
@@ -1322,7 +1357,7 @@ impl Runtime {
             self.tcfg.backoff_t,
             TieBreak::FavorMemory,
         );
-        let result = self.run_or_disrupt(call, Some(&mut session), f);
+        let result = self.run_or_disrupt(call.idx, Some(&mut session), f);
         let exec_window = self.dos.clock().now().since(t0);
         // ❻ Completion. Any end-of-session synchronization (Weak
         // Ordering's batched invalidation) is charged here and attributed
@@ -1395,7 +1430,7 @@ impl Runtime {
 
         self.ledger.last_breakdown = Some(bd);
         self.ledger.breakdown_acc += bd;
-        self.verdict(result, exec_window, loss_before, opts, call, entered)
+        self.verdict(result, exec_window, call)
     }
 
     /// The gate every Teleport pushdown passes before step ❶: the
@@ -1468,18 +1503,13 @@ impl Runtime {
     }
 
     /// Judge a completed call against its deadline budget, measured from
-    /// `entered`. Emits [`TraceEvent::DeadlineExceeded`] and surfaces the
+    /// its entry. Emits [`TraceEvent::DeadlineExceeded`] and surfaces the
     /// typed error on a miss; a call without a deadline always passes.
-    fn judge_deadline(
-        &mut self,
-        opts: PushdownOpts,
-        call: u64,
-        entered: SimTime,
-    ) -> Result<(), PushdownError> {
-        let Some(deadline) = opts.deadline else {
+    fn judge_deadline(&mut self, call: &Call) -> Result<(), PushdownError> {
+        let Some(deadline) = call.opts.deadline else {
             return Ok(());
         };
-        let took = self.dos.clock().now().since(entered);
+        let took = self.dos.clock().now().since(call.entered);
         if took <= deadline {
             return Ok(());
         }
@@ -1488,7 +1518,7 @@ impl Runtime {
         self.dos.tracer().emit(
             Lane::Compute,
             TraceEvent::DeadlineExceeded {
-                call,
+                call: call.idx,
                 over_ns: over.as_nanos(),
             },
         );
@@ -1499,14 +1529,13 @@ impl Runtime {
     /// cancelled pushdown leaves the application "free to run the function
     /// locally or retry" — this is that freedom as a declarative policy).
     ///
-    /// Each failure covered by the retry policy charges an exponential
-    /// backoff to virtual time and re-pushes; once retries are exhausted
-    /// (or not configured), a failure covered by the fallback policy runs
-    /// a full `syncmem` — so the compute pool observes everything earlier
-    /// attempts may have written memory-side — and re-executes via
-    /// [`run_local`](Self::run_local). A [`PushdownError::KernelPanic`]
-    /// always surfaces immediately: there is no pool left to retry against
-    /// and no coherent memory to fall back onto.
+    /// Each [recoverable](PushdownError::recoverable) failure but `Killed`
+    /// charges an exponential backoff to virtual time and re-pushes; once
+    /// retries are exhausted (or not configured), a recoverable failure
+    /// under `fallback` runs a full `syncmem` — so the compute pool
+    /// observes everything earlier attempts may have written memory-side —
+    /// and re-executes via [`run_local`](Self::run_local). Any other
+    /// failure, a [`PushdownError::KernelPanic`] first, surfaces as is.
     ///
     /// Every decision is emitted as a [`TraceEvent::Recovery`] and counted
     /// in [`metrics`](Self::metrics) under `resilience.*`.
@@ -1529,7 +1558,8 @@ impl Runtime {
                 let spent = self.dos.clock().now().since(start);
                 attempt_opts.deadline = Some(total.saturating_sub(spent));
             }
-            let err = match self.pushdown(attempt_opts, &mut f) {
+            let mut call = self.enter(attempt_opts)?;
+            let err = match self.run(&mut call, &mut f) {
                 Ok(value) => {
                     if attempts > 0 {
                         self.emit_recovery(RecoveryAction::RetrySuccess, attempts);
@@ -1540,11 +1570,13 @@ impl Runtime {
                         via: ExecutionVia::Pushdown,
                     });
                 }
-                Err(PushdownError::KernelPanic) => return Err(PushdownError::KernelPanic),
                 Err(e) => e,
             };
             if let Some(retry) = &policy.retry {
-                if attempts < retry.max_retries && retry.covers(&err) {
+                // A killed function is not re-pushed: one the kernel had to
+                // kill once will likely hang again.
+                let killed = matches!(err, PushdownError::Killed { .. });
+                if attempts < retry.max_retries && err.recoverable() && !killed {
                     let delay = retry.backoff(attempts);
                     let affordable = retry.budget.is_none_or(|b| backoff_spent + delay <= b);
                     if affordable {
@@ -1557,7 +1589,7 @@ impl Runtime {
                     }
                 }
             }
-            if policy.fallback.as_ref().is_some_and(|fb| fb.covers(&err)) {
+            if policy.fallback && err.recoverable() {
                 self.ledger.resilience_fallbacks += 1;
                 self.emit_recovery(RecoveryAction::LocalFallback, attempts);
                 // Hygiene first: flush dirty compute pages and reconcile
@@ -1571,8 +1603,11 @@ impl Runtime {
                 // The fallback run still answers to the caller's budget:
                 // a local re-execution that lands past the total deadline
                 // is a miss like any other.
-                let last_call = self.ledger.fault_call_idx.saturating_sub(1);
-                self.judge_deadline(opts, last_call, start)?;
+                self.judge_deadline(&Call {
+                    opts,
+                    entered: start,
+                    ..call
+                })?;
                 return Ok(Recovered {
                     value,
                     attempts,
@@ -1591,10 +1626,10 @@ impl Runtime {
     /// The simulator is sequential, so both legs' costs are charged to the
     /// wall clock — hedging is not free, and [`metrics`](Self::metrics)
     /// bills it honestly under `hedge.*`. What the *caller* observed is
-    /// the race: [`Hedged::latency`] is `min(primary, delay + clone)`,
+    /// the race: [`Hedged::latency`], `delay + clone` if the hedge wins,
     /// which is the figure a serving tier's tail percentiles are built
-    /// from. When the hedge leg wins, the loser's in-flight request is
-    /// cancelled via `try_cancel`; a completed primary correctly
+    /// from. A winning hedge cancels the primary's request via
+    /// `try_cancel` if that request ran; the completed primary correctly
     /// [`CancelOutcome::Declined`]s, which the protocol plane treats as
     /// the expected outcome (anything else is a violation).
     ///
@@ -1607,12 +1642,12 @@ impl Runtime {
         policy: &HedgePolicy,
         mut f: impl FnMut(&mut Arm<'_>) -> R,
     ) -> Result<Hedged<R>, PushdownError> {
-        let call = self.ledger.fault_call_idx;
         let t0 = self.dos.clock().now();
-        let primary = self.pushdown(opts, &mut f);
+        let mut call = self.enter(opts)?;
+        let primary = self.run(&mut call, &mut f);
         let d_primary = self.dos.clock().now().since(t0);
         let seed = self.dos.injector().map_or(0, |i| i.plan().seed());
-        let fire_at = policy.fire_after(seed, call);
+        let fire_at = policy.fire_after(seed, call.idx);
         let fired = self.kind == PlatformKind::Teleport
             && d_primary > fire_at
             && !matches!(primary, Err(PushdownError::KernelPanic));
@@ -1626,7 +1661,7 @@ impl Runtime {
         self.ledger.hedges_fired += 1;
         self.dos
             .tracer()
-            .emit(Lane::Compute, TraceEvent::HedgeFired { call });
+            .emit(Lane::Compute, TraceEvent::HedgeFired { call: call.idx });
         let t1 = self.dos.clock().now();
         let value = self.run_local(&mut f);
         let d_clone = self.dos.clock().now().since(t1);
@@ -1641,9 +1676,7 @@ impl Runtime {
             Err(PushdownError::DeadlineExceeded { .. }) => {
                 opts.deadline.is_none_or(|d| clone_done <= d)
             }
-            Err(e) => {
-                FallbackPolicy::default().covers(e) && opts.deadline.is_none_or(|d| clone_done <= d)
-            }
+            Err(e) => e.recoverable() && opts.deadline.is_none_or(|d| clone_done <= d),
         };
         if !hedge_wins {
             // The clone's charge-out was pure overhead to this caller: the
@@ -1658,17 +1691,19 @@ impl Runtime {
         self.ledger.hedges_won += 1;
         self.dos
             .tracer()
-            .emit(Lane::Compute, TraceEvent::HedgeWon { call });
-        // Cancel the losing leg. The primary already ran to completion in
-        // virtual time, so the pool must decline — a `Cancelled` here
-        // would mean the workqueue forgot a completed request.
-        if let Some(req) = self.ledger.last_req_id {
+            .emit(Lane::Compute, TraceEvent::HedgeWon { call: call.idx });
+        // Cancel the losing leg if a request of it ran. It already ran to
+        // completion in virtual time, so the pool must decline — a
+        // `Cancelled` here would mean the workqueue forgot a completed
+        // request.
+        if let Some(req) = call.req {
             self.cancel_expecting(req, CancelOutcome::Declined)?;
             self.dos
                 .tracer()
                 .emit(Lane::Memory, TraceEvent::CancelDeclined { req });
         }
-        let latency = clone_done.min(d_primary);
+        // The clone is the leg that answered.
+        let latency = clone_done;
         self.ledger.hedge_credit += self.dos.clock().now().since(t0).saturating_sub(latency);
         Ok(Hedged {
             value,

@@ -706,6 +706,44 @@ fn hedge_never_fires_on_a_healthy_pool_or_off_teleport() {
 }
 
 #[test]
+fn hedge_beating_a_primary_cancelled_in_the_queue_reports_its_clone() {
+    // The primary's 1 ms timeout lapses behind a 5 ms backlog, so its
+    // request is cancelled before it runs; the clone, fired at 100 µs,
+    // spends 1 ms (2.1 M cycles at 2.1 GHz) and answers at delay + clone.
+    let mut rt = Runtime::teleport(small_ddc());
+    rt.enable_tracing();
+    let cell = rt.alloc_region::<u64>(1);
+    rt.set(&cell, 0, 7, Pattern::Rand);
+    rt.begin_timing();
+    rt.inject_queue_backlog(SimDuration::from_millis(5));
+    let policy = HedgePolicy {
+        delay: SimDuration::from_micros(100),
+        jitter: SimDuration::ZERO,
+    };
+    let opts = PushdownOpts::new().timeout(SimDuration::from_millis(1));
+    let control0 = rt.net_ledger().control.messages;
+    let t0 = rt.elapsed();
+    let h = rt
+        .pushdown_hedged(opts, &policy, |m| {
+            m.charge_cycles(2_100_000);
+            m.get(&cell, 0, Pattern::Rand)
+        })
+        .expect("the clone answers for the cancelled primary");
+    let wall = rt.elapsed() - t0;
+    assert_eq!(h.value, 7);
+    assert_eq!(h.outcome, HedgeOutcome::HedgeWon);
+    let clone_done = policy.delay + SimDuration::from_millis(1);
+    assert!(h.latency >= clone_done, "the clone answered: {}", h.latency);
+    // The queued request was cancelled once; nothing of the primary ran,
+    // so the winning hedge has nothing left to cancel.
+    assert_eq!(rt.trace().count(EventKind::Cancel), 1);
+    assert_eq!(rt.trace().count(EventKind::CancelDeclined), 0);
+    assert_eq!(rt.net_ledger().control.messages - control0, 1);
+    // The serving tier's credit is what the caller did not wait for.
+    assert!(rt.hedge_credit() <= wall - clone_done);
+}
+
+#[test]
 fn resilient_deadline_covers_the_whole_call_including_fallback() {
     // An exception-throwing pushdown under fallback-only resilience: the
     // local re-run succeeds, but the budget is judged against the *total*

@@ -234,8 +234,9 @@ fn expected(disrupt: Disrupt, policy_name: &str) -> Expected {
         // only fallback-bearing policies produce a value.
         (Disrupt::Persistent, "none") | (Disrupt::Persistent, "retry") => Expected::Exception,
         (Disrupt::Persistent, _) => Expected::Ok(ExecutionVia::LocalFallback),
-        // A killed call is not retried by default (`retry_killed: false`):
-        // only fallback-bearing policies absorb it.
+        // A killed call is never re-pushed (a function the kernel had to
+        // kill once will likely hang again): only fallback-bearing
+        // policies absorb it.
         (Disrupt::Hang, "none") | (Disrupt::Hang, "retry") => Expected::Killed,
         (Disrupt::Hang, _) => Expected::Ok(ExecutionVia::LocalFallback),
     }

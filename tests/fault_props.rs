@@ -5,8 +5,7 @@
 use ddc_sim::{DdcConfig, FaultPlan, SimDuration, SimTime, FOREVER};
 use proptest::prelude::*;
 use teleport::{
-    ExecutionVia, FallbackPolicy, Mem, PushdownError, PushdownOpts, Region, ResiliencePolicy,
-    RetryPolicy, Runtime,
+    ExecutionVia, Mem, PushdownError, PushdownOpts, Region, ResiliencePolicy, RetryPolicy, Runtime,
 };
 
 fn retry_policy(max_retries: u32, base_ns: u64, cap_ns: u64) -> RetryPolicy {
@@ -15,9 +14,6 @@ fn retry_policy(max_retries: u32, base_ns: u64, cap_ns: u64) -> RetryPolicy {
         base: SimDuration::from_nanos(base_ns),
         cap: SimDuration::from_nanos(cap_ns),
         budget: None,
-        retry_killed: false,
-        retry_failed_over: true,
-        retry_rejected: true,
     }
 }
 
@@ -86,7 +82,7 @@ proptest! {
         let (mut rt, col) = chaotic_rt(plan);
         let policy = ResiliencePolicy {
             retry: Some(retry_policy(max_retries, 1_000, 1_000_000)),
-            fallback: with_fallback.then(FallbackPolicy::default),
+            fallback: with_fallback,
         };
         let r = rt.pushdown_resilient(PushdownOpts::new(), &policy, move |m| {
             let mut buf = Vec::new();
@@ -125,11 +121,8 @@ proptest! {
                 base: SimDuration::from_micros(base_us),
                 cap: SimDuration::from_millis(10),
                 budget: Some(SimDuration::from_micros(budget_us)),
-                retry_killed: false,
-                retry_failed_over: true,
-                retry_rejected: true,
             }),
-            fallback: None,
+            fallback: false,
         };
         let r = rt.pushdown_resilient(PushdownOpts::new(), &policy, move |m| {
             m.get(&col, 0, ddc_os::Pattern::Rand)

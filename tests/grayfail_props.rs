@@ -152,11 +152,8 @@ proptest! {
                 base: SimDuration::from_micros(base_us),
                 cap: SimDuration::from_millis(1),
                 budget: None,
-                retry_killed: false,
-                retry_failed_over: true,
-                retry_rejected: true,
             }),
-            fallback: None,
+            fallback: false,
         };
         let mut misses = 0u64;
         for _ in 0..6 {
