@@ -22,7 +22,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use ddc_os::{page_chunks, pages_spanned, Dos, PageId, Pattern, PoolLoss, RoutingWindow, VAddr};
 use ddc_sim::{
-    CpuConfig, DdcConfig, EventKind, FaultInjector, FaultPlan, FaultSpec, Lane, MetricsRegistry,
+    CpuConfig, DdcConfig, EventKind, FaultInjector, FaultPlan, Lane, MetricsRegistry,
     MonolithicConfig, MsgClass, NetLedger, PushdownDisruption, RecoveryAction, SimDuration,
     SimTime, TraceEvent, Tracer, FOREVER, PAGE_SIZE,
 };
@@ -866,14 +866,11 @@ impl Runtime {
     }
 
     /// Simulate losing the memory pool (network or hardware failure).
-    /// Equivalent to installing a [`FaultSpec::HeartbeatFlap`] that starts
-    /// now and never heals.
+    /// Equivalent to installing [`FaultPlan::memory_pool_death`] from now.
     pub fn inject_memory_pool_failure(&mut self) {
         let from = self.dos.clock().now();
-        self.ensure_injector().add_spec(FaultSpec::HeartbeatFlap {
-            from,
-            until: FOREVER,
-        });
+        self.ensure_injector()
+            .add(FaultPlan::new(0).memory_pool_death(from));
     }
 
     /// Simulate other tenants' requests sitting in the memory pool's
@@ -882,15 +879,11 @@ impl Runtime {
     /// issues a `try_cancel`, which succeeds because the request has not
     /// started (§3.2). Waiting consumes the backlog; a cancelled call
     /// leaves it in place (the other tenants' work is still there).
-    /// Equivalent to installing a one-shot [`FaultSpec::QueueBacklogBurst`].
+    /// Equivalent to installing [`FaultPlan::queue_backlog_burst`] from now on.
     pub fn inject_queue_backlog(&mut self, d: SimDuration) {
         let from = self.dos.clock().now();
         self.ensure_injector()
-            .add_spec(FaultSpec::QueueBacklogBurst {
-                from,
-                until: FOREVER,
-                backlog: d,
-            });
+            .add(FaultPlan::new(0).queue_backlog_burst(from, FOREVER, d));
     }
 
     /// Retries consumed by `pushdown_resilient` since `begin_timing`.
@@ -1646,7 +1639,7 @@ impl Runtime {
         let mut call = self.enter(opts)?;
         let primary = self.run(&mut call, &mut f);
         let d_primary = self.dos.clock().now().since(t0);
-        let seed = self.dos.injector().map_or(0, |i| i.plan().seed());
+        let seed = self.dos.injector().map_or(0, FaultInjector::seed);
         let fire_at = policy.fire_after(seed, call.idx);
         let fired = self.kind == PlatformKind::Teleport
             && d_primary > fire_at

@@ -506,7 +506,7 @@ impl Dos {
 
     /// Corrupt the first un-synced entry of shard `p`'s journal, as a torn
     /// write would. Public so tests can model a tear without an injector;
-    /// `FaultSpec::TornJournalWrite` routes here via `crash_pool`.
+    /// `FaultPlan::torn_journal_write` routes here via `crash_pool`.
     pub fn tear_journal_tail(&mut self, p: usize) {
         if let Some(j) = self.shards.get_mut(p).and_then(|s| s.live.journal.as_mut()) {
             j.tear_tail();
@@ -1068,10 +1068,7 @@ mod tests {
         assert!(dos.tracer().events().iter().any(|r| r.event == recovered));
 
         // A death is declared on the third consecutive miss.
-        inj.add_spec(ddc_sim::FaultSpec::HeartbeatFlap {
-            from: dos.clock().now(),
-            until: ddc_sim::FOREVER,
-        });
+        inj.add(ddc_sim::FaultPlan::new(0).memory_pool_death(dos.clock().now()));
         assert_eq!(dos.pool_gate(), Err(PoolLoss::Dead));
         assert_eq!(dos.clock().now(), SimTime(4 * beat));
         assert_eq!(dos.shards[0].live.missed_beats, 3);

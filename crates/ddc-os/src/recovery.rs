@@ -15,7 +15,7 @@
 //! atomic. A crash leaves the tail in whatever state the media caught it:
 //! normally intact (the appends landed, the sync just never stamped
 //! them), but a torn write ([`RecoveryJournal::tear_tail`], driven by
-//! `FaultSpec::TornJournalWrite`) corrupts the first un-synced entry.
+//! `FaultPlan::torn_journal_write`) corrupts the first un-synced entry.
 //! Replay ([`RecoveryJournal::replayable`]) verifies every checksum in
 //! sequence order and *discards* the suffix from the first mismatch on —
 //! a typed, bounded loss (at most the un-synced tail), never a panic and

@@ -1,11 +1,17 @@
 //! Deterministic fault-injection plane.
 //!
-//! A [`FaultPlan`] is a declarative schedule of faults — some scheduled on
-//! windows of *virtual* time, some probabilistic, some pinned to a specific
-//! pushdown call — plus a PRNG seed. A [`FaultInjector`] executes the plan:
-//! the fabric, the SSD, and the TELEPORT runtime poll it at their own
-//! decision points, and every injected fault is emitted as a typed
-//! [`TraceEvent::FaultInjected`] on the shared trace stream.
+//! A [`FaultPlan`] is a seeded schedule of faults. Each [`FaultSpec`] is four
+//! independent choices: the component it strikes ([`FaultTarget`]), what it
+//! does there ([`FaultEffect`]), when ([`FaultWhen`]: a window of *virtual*
+//! time, an instant, or a pushdown call number) and how it is traced
+//! ([`FaultReport`]). [`FaultSpec::label`] is the one table of the
+//! combinations that exist, each with the [`InjectedFault`] it is traced as;
+//! [`FaultPlan::try_with`] refuses the rest with a [`FaultPlanError`], so a
+//! bad plan is an error at construction, not a panic in the middle of a run.
+//!
+//! A [`FaultInjector`] executes the plan: the fabric, the SSD, the kernel and
+//! the runtime poll it at their decision points, each poll reading only its
+//! own specs, and every injected fault is emitted on the shared trace.
 //!
 //! Determinism is the whole point. The simulation is single-threaded on one
 //! virtual clock, the plan is data, and all randomness flows from the
@@ -28,200 +34,206 @@ use crate::clock::Clock;
 use crate::config::PAGE_SIZE;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{InjectedFault, Lane, TraceEvent, Tracer};
+use FaultEffect::{Add, CrashRestart, Down, Fail, Flip, Hang, Scale, TornTail};
+use FaultReport::{Onset, PerOp};
+use FaultTarget::{Call, Fabric, Heartbeat, Pool, PoolImage, Queue, Ssd};
+use FaultWhen::{At, CallIdx, Window};
 
 /// The end of a window that never closes (permanent faults).
 pub const FOREVER: SimTime = SimTime(u64::MAX);
 
-/// One scheduled or probabilistic fault. Windows are half-open
-/// `[from, until)` on virtual time; `until == FOREVER` never heals.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultSpec {
-    /// Every fabric send inside the window pays `extra` on the wire.
-    FabricLatencySpike {
-        from: SimTime,
-        until: SimTime,
-        extra: SimDuration,
-    },
-    /// The fabric is unreachable inside the window: a send stalls until the
-    /// partition heals before it crosses. `until == FOREVER` is a partition
-    /// that never heals — the primary memory pool is unreachable for good,
-    /// which the heartbeat path treats exactly like permanent pool death
-    /// (sends don't stall forever; the pool is declared dead instead).
-    FabricPartition { from: SimTime, until: SimTime },
-    /// Each SSD operation inside the window fails transiently with
-    /// probability `p`; the device layer retries it once (double cost).
-    SsdTransientError {
-        from: SimTime,
-        until: SimTime,
-        p: f64,
-    },
-    /// SSD operations inside the window take `factor`× their normal time.
-    SsdLatencyStorm {
-        from: SimTime,
-        until: SimTime,
-        factor: u32,
-    },
-    /// Memory-pool heartbeats inside the window go unanswered. A window
-    /// shorter than `(missed_threshold - 1) × interval` is a survivable
-    /// flap; `until == FOREVER` is permanent pool death (kernel panic, or
-    /// a failover when a replica pool is configured). In a multi-pool rack
-    /// this targets pool 0 (the legacy single-pool shape); use
-    /// [`FaultSpec::PoolDeath`] to kill a specific shard.
-    HeartbeatFlap { from: SimTime, until: SimTime },
-    /// Pool `pool` of a multi-pool rack permanently stops answering
-    /// heartbeats at `from`. The per-pool generalization of
-    /// `memory_pool_death`: only the targeted shard dies; the others keep
-    /// serving their pages.
-    PoolDeath { pool: usize, from: SimTime },
-    /// The first pushdown that enqueues inside the window finds `backlog`
-    /// of other tenants' work ahead of it (one burst per window).
-    QueueBacklogBurst {
-        from: SimTime,
-        until: SimTime,
-        backlog: SimDuration,
-    },
-    /// Pushdown call number `call` (0-based, counted across all platforms)
-    /// raises an exception in the pushed function.
-    PushdownException { call: u64 },
-    /// Each pushdown call inside the window raises an exception with
-    /// probability `p`.
-    PushdownExceptionProb {
-        from: SimTime,
-        until: SimTime,
-        p: f64,
-    },
-    /// Pushdown call number `call` hangs until the kill timeout fires.
-    PushdownHang { call: u64 },
-    /// Each page crossing the fabric inside the window is bit-flipped in
-    /// flight with probability `p` (the corrupted image is what arrives).
-    FabricBitFlip {
-        from: SimTime,
-        until: SimTime,
-        p: f64,
-    },
-    /// Each SSD page read inside the window returns latent-sector-rotted
-    /// bytes with probability `p` (a torn write discovered at read time).
-    SsdLatentSector {
-        from: SimTime,
-        until: SimTime,
-        p: f64,
-    },
-    /// Each page image landing in the memory pool inside the window is
-    /// scribbled over with probability `p` (silent in-pool corruption,
-    /// discovered only at the next read or scrub).
-    PoolScribble {
-        from: SimTime,
-        until: SimTime,
-        p: f64,
-    },
-    /// Fail-slow: pool `pool` keeps answering, but every memory-side
-    /// service inside the window (kernel work, pushdown DRAM touches,
-    /// reintegration probes) takes `factor`× its normal time. The pool
-    /// never misses a heartbeat — this is a brownout, not a blackout.
-    DegradedPool {
-        pool: usize,
-        from: SimTime,
-        until: SimTime,
-        factor: u32,
-    },
-    /// Fail-slow: every fabric send inside the window takes `factor`× its
-    /// normal wire time. Distinct from [`FaultSpec::FabricLatencySpike`],
-    /// which *adds* a fixed surcharge: a lame link scales with message
-    /// size, so bulk transfers hurt the most.
-    LameFabricLink {
-        from: SimTime,
-        until: SimTime,
-        factor: u32,
-    },
-    /// Fail-slow: every SSD operation inside the window takes `factor`×
-    /// its normal time. Unlike [`FaultSpec::SsdLatencyStorm`] (a bounded
-    /// transient traced per-operation), a grinding SSD is a *gray*
-    /// degradation: one onset event, then silent slowness.
-    GrindingSsd {
-        from: SimTime,
-        until: SimTime,
-        factor: u32,
-    },
-    /// Pool `pool` crashes at `at` — its volatile state (residency, dirty
-    /// bits, pins) is wiped — and restarts `down_for` later. Unlike
-    /// [`FaultSpec::PoolDeath`] the pool comes back: recovery rebuilds it
-    /// from the SSD-authoritative base plus a replay of its journal, and
-    /// a shard whose replica was promoted meanwhile rejoins as a standby.
-    PoolCrashRestart {
-        pool: usize,
-        at: SimTime,
-        down_for: SimDuration,
-    },
-    /// The crash of pool `pool` at or after `at` tears the un-synced tail
-    /// of its recovery journal: the partial write fails checksum at
-    /// replay time and the tail is discarded (never silently applied).
-    /// Only meaningful alongside a [`FaultSpec::PoolCrashRestart`].
-    TornJournalWrite { pool: usize, at: SimTime },
+/// The component a fault strikes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultTarget {
+    /// The compute↔memory fabric.
+    Fabric,
+    /// The storage pool's SSD.
+    Ssd,
+    /// Memory pool `p`: its memory-side service, volatile state and journal.
+    Pool(usize),
+    /// Every page image landing in a memory pool.
+    PoolImage,
+    /// Memory pool `p`'s heartbeat.
+    Heartbeat(usize),
+    /// The memory-side pushdown workqueue.
+    Queue,
+    /// The pushed function of a pushdown call.
+    Call,
 }
 
+/// What a fault does to its target.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FaultEffect {
+    /// Each operation pays this much extra time.
+    Add(SimDuration),
+    /// Each operation takes this many times its normal time (at least 1).
+    Scale(u32),
+    /// Each operation fails with probability `p`.
+    Fail(f64),
+    /// Each page image is corrupted with probability `p`.
+    Flip(f64),
+    /// The pushed function never completes until the kill timeout.
+    Hang,
+    /// Unreachable: sends stall until the window closes, heartbeats go
+    /// unanswered.
+    Down,
+    /// The pool crashes, losing its volatile state, and restarts this much
+    /// later.
+    CrashRestart(SimDuration),
+    /// The pool's crash tears the un-synced tail of its recovery journal.
+    TornTail,
+}
+
+/// When a fault is in force.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultWhen {
+    /// Over `[from, until)` of virtual time; `until == FOREVER` never heals.
+    Window(SimTime, SimTime),
+    /// Once, at the first poll at or after this time.
+    At(SimTime),
+    /// On pushdown call number `n` (0-based, counted across all platforms).
+    CallIdx(u64),
+}
+
+/// How an injected fault is traced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultReport {
+    /// One [`TraceEvent::FaultInjected`] per operation it disrupts.
+    PerOp,
+    /// One [`TraceEvent::FailSlowInjected`] at onset, then silent slowness
+    /// (a gray failure is one event, not a stream that scales the digest
+    /// with the poll count).
+    Onset,
+}
+
+/// One fault. [`FaultSpec::label`] says which combinations exist; the
+/// [`FaultPlan`] builders spell each of them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FaultSpec {
+    pub target: FaultTarget,
+    pub effect: FaultEffect,
+    pub when: FaultWhen,
+    pub report: FaultReport,
+}
+
+/// Why [`FaultPlan::try_with`] refused a spec.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultPlanError {
+    /// No fault is this combination (a scaled hang, a coin-flip exception
+    /// at one call, a healing flap off pool 0, …): refused, not given a new
+    /// meaning.
+    Unsupported,
+    /// A probability outside `[0, 1]`, which would panic inside the PRNG.
+    Probability,
+    /// A slowdown factor of 0, which would make the "degraded" target free.
+    FreeSlowdown,
+}
+
+impl std::fmt::Display for FaultPlanError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            FaultPlanError::Unsupported => "no fault has this target, effect, when and report",
+            FaultPlanError::Probability => "probability out of range",
+            FaultPlanError::FreeSlowdown => "a slowdown factor of 0 makes the target free",
+        })
+    }
+}
+
+impl std::error::Error for FaultPlanError {}
+
 impl FaultSpec {
-    fn window_active(from: SimTime, until: SimTime, now: SimTime) -> bool {
-        from <= now && now < until
+    /// A spec from its four parts; [`FaultPlan::try_with`] checks it.
+    pub const fn new(
+        target: FaultTarget,
+        effect: FaultEffect,
+        when: FaultWhen,
+        report: FaultReport,
+    ) -> Self {
+        FaultSpec {
+            target,
+            effect,
+            when,
+            report,
+        }
     }
 
-    /// The one door into a plan: [`FaultPlan::with`] (and so every builder)
-    /// and [`FaultInjector::add_spec`] pass each spec through here. A
-    /// probability lies in `[0, 1]` — anything else would panic inside the
-    /// PRNG in the middle of a run — and a slowdown factor is at least 1,
-    /// since a factor of 0 makes the "degraded" device free. Panics at
-    /// construction time otherwise.
-    fn validate(&self) {
-        let (ok, why) = match *self {
-            FaultSpec::SsdTransientError { p, .. }
-            | FaultSpec::PushdownExceptionProb { p, .. }
-            | FaultSpec::FabricBitFlip { p, .. }
-            | FaultSpec::SsdLatentSector { p, .. }
-            | FaultSpec::PoolScribble { p, .. } => {
-                ((0.0..=1.0).contains(&p), "probability out of range")
-            }
-            FaultSpec::SsdLatencyStorm { factor, .. } => {
-                (factor >= 1, "a storm slows the device down")
-            }
-            FaultSpec::DegradedPool { factor, .. } => (factor >= 1, "a degraded pool slows down"),
-            FaultSpec::LameFabricLink { factor, .. } => (factor >= 1, "a lame link slows down"),
-            FaultSpec::GrindingSsd { factor, .. } => (factor >= 1, "a grinding device slows down"),
-            FaultSpec::FabricLatencySpike { .. }
-            | FaultSpec::FabricPartition { .. }
-            | FaultSpec::HeartbeatFlap { .. }
-            | FaultSpec::PoolDeath { .. }
-            | FaultSpec::QueueBacklogBurst { .. }
-            | FaultSpec::PushdownException { .. }
-            | FaultSpec::PushdownHang { .. }
-            | FaultSpec::PoolCrashRestart { .. }
-            | FaultSpec::TornJournalWrite { .. } => return,
-        };
-        assert!(ok, "{why}: {self:?}");
+    /// The one table of faults: the [`InjectedFault`] this combination is
+    /// traced as, or why no plan may carry it. Every builder's shape is a
+    /// row, and nothing else is; an illegal number is refused as such
+    /// whatever the shape.
+    pub fn label(&self) -> Result<InjectedFault, FaultPlanError> {
+        use FaultPlanError::{FreeSlowdown, Probability, Unsupported};
+        use InjectedFault as F;
+        match self.effect {
+            Fail(p) | Flip(p) if !(0.0..=1.0).contains(&p) => return Err(Probability),
+            Scale(0) => return Err(FreeSlowdown),
+            _ => {}
+        }
+        Ok(match (self.target, self.effect, self.when, self.report) {
+            (Fabric, Add(_), Window(..), PerOp) => F::FabricLatencySpike,
+            // A partition that heals stalls sends; one that never does is
+            // pool 0's death, judged by the heartbeat path.
+            (Fabric, Down, Window(..), PerOp) => F::FabricPartition,
+            (Fabric, Scale(_), Window(..), Onset) => F::LameFabricLink,
+            (Fabric, Flip(_), Window(..), PerOp) => F::FabricBitFlip,
+            (Ssd, Fail(_), Window(..), PerOp) => F::SsdTransientError,
+            // Overlapping storms take the largest factor; grinds multiply.
+            (Ssd, Scale(_), Window(..), PerOp) => F::SsdLatencyStorm,
+            (Ssd, Scale(_), Window(..), Onset) => F::GrindingSsd,
+            (Ssd, Flip(_), Window(..), PerOp) => F::SsdLatentSector,
+            (Pool(_), Scale(_), Window(..), Onset) => F::DegradedPool,
+            (Pool(_), CrashRestart(_), At(_), PerOp) => F::PoolCrashRestart,
+            (Pool(_), TornTail, At(_), PerOp) => F::TornJournalWrite,
+            (PoolImage, Flip(_), Window(..), PerOp) => F::PoolScribble,
+            // One burst per window.
+            (Queue, Add(_), Window(..), PerOp) => F::QueueBacklogBurst,
+            // A flap that heals addresses pool 0 (the single-pool shape);
+            // any pool can die for good.
+            (Heartbeat(p), Down, Window(_, u), PerOp) if p == 0 || u == FOREVER => F::HeartbeatFlap,
+            (Call, Fail(_), Window(..), PerOp) => F::PushdownException,
+            // Call n's exception is certain, and draws no PRNG value.
+            (Call, Fail(1.0), CallIdx(_), PerOp) => F::PushdownException,
+            (Call, Hang, CallIdx(_), PerOp) => F::PushdownHang,
+            _ => return Err(Unsupported),
+        })
+    }
+
+    /// The half-open span of virtual time the spec is in force over. A spec
+    /// that fires at an instant stays due from then on (until it fires); a
+    /// call-indexed one is judged by call number, not time.
+    fn span(&self) -> (SimTime, SimTime) {
+        match self.when {
+            Window(from, until) => (from, until),
+            At(at) => (at, FOREVER),
+            CallIdx(_) => (SimTime::ZERO, FOREVER),
+        }
     }
 
     /// The one injector poll that reads this spec.
     fn poll(&self) -> Poll {
-        match *self {
-            FaultSpec::FabricLatencySpike { .. } => Poll::FabricPenalty,
-            // A partition that heals stalls sends; one that never does is
-            // pool death, judged by the heartbeat path.
-            FaultSpec::FabricPartition { until, .. } if until != FOREVER => Poll::FabricPenalty,
-            FaultSpec::FabricPartition { .. }
-            | FaultSpec::HeartbeatFlap { .. }
-            | FaultSpec::PoolDeath { .. } => Poll::PoolDown,
-            FaultSpec::SsdTransientError { .. }
-            | FaultSpec::SsdLatencyStorm { .. }
-            | FaultSpec::GrindingSsd { .. } => Poll::Ssd,
-            FaultSpec::QueueBacklogBurst { .. } => Poll::QueueBurst,
-            FaultSpec::PushdownException { .. }
-            | FaultSpec::PushdownExceptionProb { .. }
-            | FaultSpec::PushdownHang { .. } => Poll::Pushdown,
-            FaultSpec::FabricBitFlip { .. } => Poll::CorruptFabric,
-            FaultSpec::SsdLatentSector { .. } => Poll::CorruptSsd,
-            FaultSpec::PoolScribble { .. } => Poll::CorruptPool,
-            FaultSpec::DegradedPool { .. } => Poll::PoolSlowdown,
-            FaultSpec::LameFabricLink { .. } => Poll::FabricSlowdown,
-            FaultSpec::PoolCrashRestart { .. } => Poll::PoolCrash,
-            FaultSpec::TornJournalWrite { .. } => Poll::TornTail,
+        match (self.target, self.effect) {
+            (Fabric, Down) if self.span().1 == FOREVER => Poll::PoolDown,
+            (Fabric, Scale(_)) => Poll::FabricSlowdown,
+            (Fabric, Flip(_)) => Poll::CorruptFabric,
+            (Fabric, _) => Poll::FabricPenalty,
+            (Ssd, Flip(_)) => Poll::CorruptSsd,
+            (Ssd, _) => Poll::Ssd,
+            (Pool(_), CrashRestart(_)) => Poll::PoolCrash,
+            (Pool(_), TornTail) => Poll::TornTail,
+            (Pool(_), _) => Poll::PoolSlowdown,
+            (PoolImage, _) => Poll::CorruptPool,
+            (Heartbeat(_), _) => Poll::PoolDown,
+            (Queue, _) => Poll::QueueBurst,
+            (Call, _) => Poll::Pushdown,
+        }
+    }
+
+    /// The pool whose heartbeat a death spec silences: its own, or pool 0
+    /// for an open-ended fabric partition.
+    fn silenced_pool(&self) -> usize {
+        match self.target {
+            Heartbeat(p) => p,
+            _ => 0,
         }
     }
 }
@@ -247,11 +259,24 @@ enum Poll {
 
 const POLLS: usize = Poll::Pushdown as usize + 1;
 
+impl Poll {
+    /// The trace lane a poll's injections are recorded on.
+    fn lane(self) -> Lane {
+        match self {
+            Poll::FabricPenalty | Poll::FabricSlowdown | Poll::CorruptFabric => Lane::Net,
+            Poll::Ssd | Poll::CorruptSsd => Lane::Storage,
+            _ => Lane::Memory,
+        }
+    }
+}
+
 /// A seeded, declarative schedule of faults.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
     specs: Vec<FaultSpec>,
+    /// `specs[i].label()`, taken when the spec was let in.
+    labels: Vec<InjectedFault>,
 }
 
 impl FaultPlan {
@@ -259,7 +284,7 @@ impl FaultPlan {
     pub fn new(seed: u64) -> Self {
         FaultPlan {
             seed,
-            specs: Vec::new(),
+            ..Default::default()
         }
     }
 
@@ -275,117 +300,134 @@ impl FaultPlan {
         self.specs.is_empty()
     }
 
-    /// Add an arbitrary spec (the builder methods below cover the common
-    /// shapes, and all go through here). Panics on a probability outside
-    /// `[0, 1]` or a slowdown factor of 0.
-    pub fn with(mut self, spec: FaultSpec) -> Self {
-        spec.validate();
+    /// Add `spec` if [`FaultSpec::label`] knows it and its probability and
+    /// slowdown factor are legal. The one door into a plan: every builder
+    /// and [`FaultPlan::with`] come through here.
+    pub fn try_with(mut self, spec: FaultSpec) -> Result<Self, FaultPlanError> {
+        self.labels.push(spec.label()?);
         self.specs.push(spec);
-        self
+        Ok(self)
     }
 
+    /// Add an arbitrary spec (the builder methods below spell every shape,
+    /// and all go through here).
+    ///
+    /// # Panics
+    /// On a spec [`FaultPlan::try_with`] refuses.
+    pub fn with(self, spec: FaultSpec) -> Self {
+        match self.try_with(spec) {
+            Ok(plan) => plan,
+            Err(e) => panic!("{e}: {spec:?}"),
+        }
+    }
+
+    fn fault(self, t: FaultTarget, e: FaultEffect, w: FaultWhen, r: FaultReport) -> Self {
+        self.with(FaultSpec::new(t, e, w, r))
+    }
+
+    /// Every fabric send over `[from, until)` pays `extra` on the wire.
     pub fn fabric_latency_spike(self, from: SimTime, until: SimTime, extra: SimDuration) -> Self {
-        self.with(FaultSpec::FabricLatencySpike { from, until, extra })
+        self.fault(Fabric, Add(extra), Window(from, until), PerOp)
     }
 
-    /// A fabric partition over `[from, until)`. A finite window stalls
-    /// every send until it heals; `until == FOREVER` never heals and is
-    /// treated as pool death by the heartbeat path (see
-    /// [`FaultSpec::FabricPartition`]).
+    /// A fabric partition over `[from, until)`: sends stall until it heals.
+    /// One that never heals is pool 0's death, judged by the heartbeat path
+    /// (the pool is declared dead instead of every send waiting forever).
     pub fn fabric_partition(self, from: SimTime, until: SimTime) -> Self {
-        self.with(FaultSpec::FabricPartition { from, until })
+        self.fault(Fabric, Down, Window(from, until), PerOp)
     }
 
+    /// Each SSD operation over `[from, until)` fails transiently with
+    /// probability `p`; the device layer retries it once (double cost).
     pub fn ssd_transient_errors(self, from: SimTime, until: SimTime, p: f64) -> Self {
-        self.with(FaultSpec::SsdTransientError { from, until, p })
+        self.fault(Ssd, Fail(p), Window(from, until), PerOp)
     }
 
+    /// SSD operations over `[from, until)` take `factor`× their normal
+    /// time, traced per operation.
     pub fn ssd_latency_storm(self, from: SimTime, until: SimTime, factor: u32) -> Self {
-        self.with(FaultSpec::SsdLatencyStorm {
-            from,
-            until,
-            factor,
-        })
+        self.fault(Ssd, Scale(factor), Window(from, until), PerOp)
     }
 
+    /// Pool 0's heartbeats over `[from, until)` go unanswered: a survivable
+    /// flap if shorter than `(missed_threshold - 1) × interval`, pool death
+    /// (a kernel panic, or a failover to a replica) if it never heals.
     pub fn heartbeat_flap(self, from: SimTime, until: SimTime) -> Self {
-        self.with(FaultSpec::HeartbeatFlap { from, until })
+        self.fault(Heartbeat(0), Down, Window(from, until), PerOp)
     }
 
     pub fn memory_pool_death(self, from: SimTime) -> Self {
-        self.with(FaultSpec::HeartbeatFlap {
-            from,
-            until: FOREVER,
-        })
+        self.pool_death(0, from)
     }
 
-    /// Permanently kill pool `pool` of a multi-pool rack at `from`.
-    /// `pool_death(0, t)` is equivalent to `memory_pool_death(t)`.
+    /// Pool `pool` of a multi-pool rack permanently stops answering
+    /// heartbeats at `from`: only that shard dies; the others keep serving
+    /// their pages. `pool_death(0, t)` is `memory_pool_death(t)`.
     pub fn pool_death(self, pool: usize, from: SimTime) -> Self {
-        self.with(FaultSpec::PoolDeath { pool, from })
+        self.fault(Heartbeat(pool), Down, Window(from, FOREVER), PerOp)
     }
 
+    /// The first pushdown that enqueues over `[from, until)` finds
+    /// `backlog` of other tenants' work ahead of it (one burst per window).
     pub fn queue_backlog_burst(self, from: SimTime, until: SimTime, backlog: SimDuration) -> Self {
-        self.with(FaultSpec::QueueBacklogBurst {
-            from,
-            until,
-            backlog,
-        })
+        self.fault(Queue, Add(backlog), Window(from, until), PerOp)
     }
 
+    /// Pushdown call number `call` raises an exception in the pushed
+    /// function.
     pub fn pushdown_exception(self, call: u64) -> Self {
-        self.with(FaultSpec::PushdownException { call })
+        self.fault(Call, Fail(1.0), CallIdx(call), PerOp)
     }
 
+    /// Each pushdown call over `[from, until)` raises an exception with
+    /// probability `p`.
     pub fn pushdown_exceptions_prob(self, from: SimTime, until: SimTime, p: f64) -> Self {
-        self.with(FaultSpec::PushdownExceptionProb { from, until, p })
+        self.fault(Call, Fail(p), Window(from, until), PerOp)
     }
 
+    /// Pushdown call number `call` hangs until the kill timeout fires.
     pub fn pushdown_hang(self, call: u64) -> Self {
-        self.with(FaultSpec::PushdownHang { call })
+        self.fault(Call, Hang, CallIdx(call), PerOp)
     }
 
+    /// Each page crossing the fabric over `[from, until)` is bit-flipped in
+    /// flight with probability `p` (the corrupted image is what arrives).
     pub fn fabric_bit_flips(self, from: SimTime, until: SimTime, p: f64) -> Self {
-        self.with(FaultSpec::FabricBitFlip { from, until, p })
+        self.fault(Fabric, Flip(p), Window(from, until), PerOp)
     }
 
+    /// Each SSD page read over `[from, until)` returns latent-sector-rotted
+    /// bytes with probability `p` (a torn write discovered at read time).
     pub fn ssd_latent_sectors(self, from: SimTime, until: SimTime, p: f64) -> Self {
-        self.with(FaultSpec::SsdLatentSector { from, until, p })
+        self.fault(Ssd, Flip(p), Window(from, until), PerOp)
     }
 
+    /// Each page image landing in the memory pool over `[from, until)` is
+    /// scribbled over with probability `p` (silent in-pool corruption,
+    /// discovered only at the next read or scrub).
     pub fn pool_scribbles(self, from: SimTime, until: SimTime, p: f64) -> Self {
-        self.with(FaultSpec::PoolScribble { from, until, p })
+        self.fault(PoolImage, Flip(p), Window(from, until), PerOp)
     }
 
-    /// Fail-slow pool `pool`: memory-side service there takes `factor`×
-    /// its normal time over `[from, until)` while heartbeats stay healthy.
+    /// Fail-slow pool `pool`: its memory-side service takes `factor`× its
+    /// normal time over `[from, until)` while its heartbeats stay healthy —
+    /// a brownout, not a blackout.
     pub fn degraded_pool(self, pool: usize, from: SimTime, until: SimTime, factor: u32) -> Self {
-        self.with(FaultSpec::DegradedPool {
-            pool,
-            from,
-            until,
-            factor,
-        })
+        self.fault(Pool(pool), Scale(factor), Window(from, until), Onset)
     }
 
     /// Fail-slow fabric: every send over `[from, until)` takes `factor`×
-    /// its normal wire time (multiplicative, unlike the additive spike).
+    /// its normal wire time (multiplicative, unlike the additive spike, so
+    /// bulk transfers hurt the most).
     pub fn lame_fabric_link(self, from: SimTime, until: SimTime, factor: u32) -> Self {
-        self.with(FaultSpec::LameFabricLink {
-            from,
-            until,
-            factor,
-        })
+        self.fault(Fabric, Scale(factor), Window(from, until), Onset)
     }
 
     /// Fail-slow SSD: every device operation over `[from, until)` takes
-    /// `factor`× its normal time, with a single traced onset.
+    /// `factor`× its normal time, with a single traced onset (unlike the
+    /// storm, traced per operation).
     pub fn grinding_ssd(self, from: SimTime, until: SimTime, factor: u32) -> Self {
-        self.with(FaultSpec::GrindingSsd {
-            from,
-            until,
-            factor,
-        })
+        self.fault(Ssd, Scale(factor), Window(from, until), Onset)
     }
 
     /// Crash pool `pool` at `at`, wiping its volatile state, and restart
@@ -393,14 +435,15 @@ impl FaultPlan {
     /// SSD-authoritative base; a shard whose replica was promoted in the
     /// interim rejoins as a standby instead of resuming as primary.
     pub fn pool_crash_restart(self, pool: usize, at: SimTime, down_for: SimDuration) -> Self {
-        self.with(FaultSpec::PoolCrashRestart { pool, at, down_for })
+        self.fault(Pool(pool), CrashRestart(down_for), At(at), PerOp)
     }
 
     /// Tear the un-synced journal tail of pool `pool` when it crashes at
     /// or after `at`: replay detects the checksum mismatch and discards
-    /// the tail instead of applying a partial write.
+    /// the tail instead of applying a partial write. Only meaningful
+    /// alongside a crash-restart of the same pool.
     pub fn torn_journal_write(self, pool: usize, at: SimTime) -> Self {
-        self.with(FaultSpec::TornJournalWrite { pool, at })
+        self.fault(Pool(pool), TornTail, At(at), PerOp)
     }
 }
 
@@ -437,8 +480,9 @@ impl Default for SsdDisruption {
 }
 
 /// Where on the compute↔memory↔storage path a corruption poll happens.
-/// Each point maps to one corruption [`FaultSpec`] kind, so a plan can
-/// target exactly one crossing.
+/// Each point reads the [`FaultEffect::Flip`] specs of one target
+/// ([`FaultTarget::Fabric`], [`FaultTarget::Ssd`],
+/// [`FaultTarget::PoolImage`]), so a plan can target exactly one crossing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CorruptionPoint {
     /// A page image crossing the fabric (polled on delivery).
@@ -486,27 +530,46 @@ pub enum PushdownDisruption {
     Hang,
 }
 
+/// One spec as its poll sees it: its plan index, the span of virtual time
+/// it is in force over and its label. A spec out of force is passed over
+/// on the span alone, without copying the spec out of the plan.
+#[derive(Debug, Clone, Copy)]
+struct Armed {
+    i: usize,
+    from: SimTime,
+    until: SimTime,
+    label: InjectedFault,
+    /// An onset-reported spec's one event has been traced.
+    traced: bool,
+}
+
+/// A spec a poll met in force: `(position in the poll's list, spec, label)`.
+type Hit = (usize, FaultSpec, InjectedFault);
+
 #[derive(Debug)]
 struct InjectorState {
     plan: FaultPlan,
     rng: StdRng,
-    /// Spec indices of faults no longer eligible to fire (or to trace):
-    /// one-shot queue bursts that already fired, pool-death specs retired
-    /// by a failover (they killed the old pool, not the promoted one),
-    /// and fail-slow specs whose onset event was already emitted.
-    fired: Vec<bool>,
-    /// Per [`Poll`], the indices of the specs it reads — ascending, so a
-    /// poll meets its specs in plan order and PRNG draws, `note` order and
-    /// the trace digest are those of a walk over the whole plan.
-    by_poll: [Vec<usize>; POLLS],
+    /// Per [`Poll`], the specs it reads in plan order, so PRNG draws, `note`
+    /// order and the trace digest are those of a walk over the whole plan.
+    /// A spec that can no longer fire — a one-shot that fired, a death spec
+    /// retired by a failover — has its span emptied.
+    by_poll: [Vec<Armed>; POLLS],
     injected: u64,
 }
 
 impl InjectorState {
-    fn push_spec(&mut self, spec: FaultSpec) {
-        self.by_poll[spec.poll() as usize].push(self.plan.specs.len());
+    fn push(&mut self, spec: FaultSpec, label: InjectedFault) {
+        let (from, until) = spec.span();
+        self.by_poll[spec.poll() as usize].push(Armed {
+            i: self.plan.specs.len(),
+            from,
+            until,
+            label,
+            traced: false,
+        });
         self.plan.specs.push(spec);
-        self.fired.push(false);
+        self.plan.labels.push(label);
     }
 }
 
@@ -523,21 +586,18 @@ pub struct FaultInjector {
 
 impl FaultInjector {
     pub fn new(plan: FaultPlan, clock: Clock, tracer: Tracer) -> Self {
-        let mut st = InjectorState {
-            plan: FaultPlan::new(plan.seed),
-            rng: StdRng::seed_from_u64(plan.seed),
-            fired: Vec::new(),
-            by_poll: Default::default(),
-            injected: 0,
-        };
-        for spec in plan.specs {
-            st.push_spec(spec);
-        }
-        FaultInjector {
+        let inj = FaultInjector {
             clock,
             tracer,
-            inner: Rc::new(RefCell::new(st)),
-        }
+            inner: Rc::new(RefCell::new(InjectorState {
+                plan: FaultPlan::new(plan.seed),
+                rng: StdRng::seed_from_u64(plan.seed),
+                by_poll: Default::default(),
+                injected: 0,
+            })),
+        };
+        inj.add(plan);
+        inj
     }
 
     /// Snapshot of the plan being executed.
@@ -545,55 +605,72 @@ impl FaultInjector {
         self.inner.borrow().plan.clone()
     }
 
+    /// The seed of the plan being executed.
+    pub fn seed(&self) -> u64 {
+        self.inner.borrow().plan.seed
+    }
+
     /// Total faults injected so far.
     pub fn injected_count(&self) -> u64 {
         self.inner.borrow().injected
     }
 
-    /// Append a spec to the running plan (used by the runtime's legacy
-    /// one-shot `inject_*` helpers), checked as [`FaultPlan::with`] checks.
-    pub fn add_spec(&self, spec: FaultSpec) {
-        spec.validate();
-        self.inner.borrow_mut().push_spec(spec);
+    /// Append `plan`'s specs to the running plan (used by the runtime's
+    /// legacy one-shot `inject_*` helpers). They were checked when `plan`
+    /// was built; its seed is not read — the running PRNG keeps drawing.
+    pub fn add(&self, plan: FaultPlan) {
+        let mut st = self.inner.borrow_mut();
+        for (spec, label) in plan.specs.into_iter().zip(plan.labels) {
+            st.push(spec, label);
+        }
     }
 
-    /// Walk the specs `poll` reads as `(plan index, spec)`, in plan order,
-    /// copying each out under a borrow that ends before the caller's loop
-    /// body runs — so the body is free to draw the PRNG or note a hit. A
-    /// poll nothing in the plan feeds ends after one length test.
-    fn specs(&self, poll: Poll) -> impl Iterator<Item = (usize, FaultSpec)> + '_ {
-        (0..).map_while(move |k| {
+    /// The specs `poll` reads that are in force at `now`, in plan order.
+    /// Each is copied out under a borrow that ends before the caller's loop
+    /// body runs, so the body is free to draw the PRNG or note a hit. A poll
+    /// nothing in the plan feeds ends after one length test.
+    fn in_force(&self, poll: Poll, now: SimTime) -> impl Iterator<Item = Hit> + '_ {
+        let mut k = 0;
+        std::iter::from_fn(move || {
             let st = self.inner.borrow();
-            let &i = st.by_poll[poll as usize].get(k)?;
-            Some((i, st.plan.specs[i]))
+            let list = &st.by_poll[poll as usize];
+            while let Some(a) = list.get(k) {
+                k += 1;
+                if a.from <= now && now < a.until {
+                    return Some((k - 1, st.plan.specs[a.i], a.label));
+                }
+            }
+            None
         })
     }
 
-    fn note(&self, lane: Lane, fault: InjectedFault, magnitude: u64) {
-        self.inner.borrow_mut().injected += 1;
-        self.tracer
-            .emit(lane, TraceEvent::FaultInjected { fault, magnitude });
+    /// Take spec `k` of `poll` out of force for good.
+    fn spend(&self, poll: Poll, k: usize) {
+        self.inner.borrow_mut().by_poll[poll as usize][k].until = SimTime::ZERO;
     }
 
-    /// Trace the *onset* of fail-slow spec `i` exactly once. The slowdown
-    /// keeps applying on every poll, but a gray failure is one event, not
-    /// a stream — otherwise the digest would scale with poll count.
-    fn note_fail_slow_once(&self, i: usize, lane: Lane, fault: InjectedFault, factor: u32) {
-        {
-            let mut st = self.inner.borrow_mut();
-            if st.fired[i] {
-                return;
+    fn draw(&self, p: f64) -> bool {
+        self.inner.borrow_mut().rng.random_bool(p)
+    }
+
+    /// Count and trace one injection by spec `k` of `poll`: every time for
+    /// a per-operation spec, the first time only for an onset-reported one.
+    fn note(&self, poll: Poll, k: usize, spec: &FaultSpec, fault: InjectedFault, magnitude: u64) {
+        let event = match spec.report {
+            PerOp => TraceEvent::FaultInjected { fault, magnitude },
+            Onset => {
+                let armed = &mut self.inner.borrow_mut().by_poll[poll as usize][k];
+                if std::mem::replace(&mut armed.traced, true) {
+                    return;
+                }
+                TraceEvent::FailSlowInjected {
+                    fault,
+                    factor: magnitude,
+                }
             }
-            st.fired[i] = true;
-            st.injected += 1;
-        }
-        self.tracer.emit(
-            lane,
-            TraceEvent::FailSlowInjected {
-                fault,
-                factor: factor as u64,
-            },
-        );
+        };
+        self.inner.borrow_mut().injected += 1;
+        self.tracer.emit(poll.lane(), event);
     }
 
     /// Extra wire delay for a fabric send issued now: latency spikes add
@@ -602,30 +679,14 @@ impl FaultInjector {
     pub fn fabric_penalty(&self) -> SimDuration {
         let now = self.clock.now();
         let mut penalty = SimDuration::ZERO;
-        for (_, spec) in self.specs(Poll::FabricPenalty) {
-            match spec {
-                FaultSpec::FabricLatencySpike { from, until, extra }
-                    if FaultSpec::window_active(from, until, now) =>
-                {
-                    penalty += extra;
-                    self.note(
-                        Lane::Net,
-                        InjectedFault::FabricLatencySpike,
-                        extra.as_nanos(),
-                    );
-                }
-                // An open-ended partition is pool death, not a per-message
-                // stall: the heartbeat path declares the pool dead instead
-                // of every send waiting forever.
-                FaultSpec::FabricPartition { from, until }
-                    if until != FOREVER && FaultSpec::window_active(from, until, now) =>
-                {
-                    let stall = until.since(now);
-                    penalty += stall;
-                    self.note(Lane::Net, InjectedFault::FabricPartition, stall.as_nanos());
-                }
-                _ => {}
-            }
+        for (k, spec, label) in self.in_force(Poll::FabricPenalty, now) {
+            let extra = match spec.effect {
+                Add(extra) => extra,
+                // A partition stalls the send until it heals.
+                _ => spec.span().1.since(now),
+            };
+            penalty += extra;
+            self.note(Poll::FabricPenalty, k, &spec, label, extra.as_nanos());
         }
         penalty
     }
@@ -635,230 +696,131 @@ impl FaultInjector {
     pub fn ssd_disruption(&self) -> SsdDisruption {
         let now = self.clock.now();
         let mut d = SsdDisruption::default();
-        for (i, spec) in self.specs(Poll::Ssd) {
-            match spec {
-                FaultSpec::SsdTransientError { from, until, p }
-                    if FaultSpec::window_active(from, until, now) =>
-                {
-                    let hit = self.inner.borrow_mut().rng.random_bool(p);
-                    if hit {
-                        d.transient_error = true;
-                        self.note(Lane::Storage, InjectedFault::SsdTransientError, 1);
-                    }
+        for (k, spec, label) in self.in_force(Poll::Ssd, now) {
+            let magnitude = match (spec.effect, spec.report) {
+                (Fail(p), _) if self.draw(p) => {
+                    d.transient_error = true;
+                    1
                 }
-                FaultSpec::SsdLatencyStorm {
-                    from,
-                    until,
-                    factor,
-                } if FaultSpec::window_active(from, until, now) => {
-                    d.storm_factor = d.storm_factor.max(factor);
-                    self.note(Lane::Storage, InjectedFault::SsdLatencyStorm, factor as u64);
+                (Scale(f), PerOp) => {
+                    d.storm_factor = d.storm_factor.max(f);
+                    f as u64
                 }
-                FaultSpec::GrindingSsd {
-                    from,
-                    until,
-                    factor,
-                } if FaultSpec::window_active(from, until, now) => {
-                    d.grind_factor = d.grind_factor.saturating_mul(factor);
-                    self.note_fail_slow_once(i, Lane::Storage, InjectedFault::GrindingSsd, factor);
+                (Scale(f), Onset) => {
+                    d.grind_factor = d.grind_factor.saturating_mul(f);
+                    f as u64
                 }
-                _ => {}
-            }
+                _ => continue,
+            };
+            self.note(Poll::Ssd, k, &spec, label, magnitude);
         }
         d
     }
 
-    /// Service-time multiplier for memory-side work on pool `pool` issued
-    /// now (1 = healthy). Overlapping `DegradedPool` windows targeting the
-    /// shard compound multiplicatively; each window's onset is traced once.
-    pub fn pool_slowdown_for(&self, pool: usize) -> u32 {
-        let now = self.clock.now();
+    /// The product of the slowdown factors of `poll`'s specs on `target`
+    /// in force now (1 = healthy); each spec's onset is traced once.
+    fn slowdown(&self, poll: Poll, target: FaultTarget) -> u32 {
         let mut slow: u32 = 1;
-        for (i, spec) in self.specs(Poll::PoolSlowdown) {
-            if let FaultSpec::DegradedPool {
-                pool: p,
-                from,
-                until,
-                factor,
-            } = spec
-            {
-                if p == pool && FaultSpec::window_active(from, until, now) {
-                    slow = slow.saturating_mul(factor);
-                    self.note_fail_slow_once(i, Lane::Memory, InjectedFault::DegradedPool, factor);
+        for (k, spec, label) in self.in_force(poll, self.clock.now()) {
+            match spec.effect {
+                Scale(f) if spec.target == target => {
+                    slow = slow.saturating_mul(f);
+                    self.note(poll, k, &spec, label, f as u64);
                 }
+                _ => {}
             }
         }
         slow
+    }
+
+    /// Service-time multiplier for memory-side work on pool `pool` issued
+    /// now (1 = healthy). Overlapping degradations of the shard compound
+    /// multiplicatively; each one's onset is traced once.
+    pub fn pool_slowdown_for(&self, pool: usize) -> u32 {
+        self.slowdown(Poll::PoolSlowdown, Pool(pool))
     }
 
     /// Wire-time multiplier for a fabric send issued now (1 = healthy).
     /// Multiplicative, unlike the additive
     /// [`FaultInjector::fabric_penalty`]; the two compose.
     pub fn fabric_slowdown(&self) -> u32 {
-        let now = self.clock.now();
-        let mut slow: u32 = 1;
-        for (i, spec) in self.specs(Poll::FabricSlowdown) {
-            if let FaultSpec::LameFabricLink {
-                from,
-                until,
-                factor,
-            } = spec
-            {
-                if FaultSpec::window_active(from, until, now) {
-                    slow = slow.saturating_mul(factor);
-                    self.note_fail_slow_once(i, Lane::Net, InjectedFault::LameFabricLink, factor);
-                }
-            }
-        }
-        slow
+        self.slowdown(Poll::FabricSlowdown, Fabric)
     }
 
     /// Whether pool `pool` of the rack fails to answer a heartbeat issued
-    /// now: a `HeartbeatFlap` window is active or an open-ended
-    /// `FabricPartition` has cut the pool off for good (legacy single-pool
-    /// specs, addressing pool 0), or a `PoolDeath` spec targets the shard.
-    /// Emits one fault event (of the matching kind) per missed beat. Specs
-    /// retired by [`FaultInjector::retire_pool_faults_for`] no longer count.
+    /// now: a heartbeat spec addressing the shard is in force, or an
+    /// open-ended fabric partition has cut pool 0 off for good. Emits one
+    /// fault event (of the matching kind, magnitude `pool + 1`) per missed
+    /// beat. Specs retired by [`FaultInjector::retire_pool_faults_for`] no
+    /// longer count.
     pub fn pool_down_now_for(&self, pool: usize) -> bool {
-        let now = self.clock.now();
-        let mut hit: Option<(InjectedFault, u64)> = None;
-        {
-            let st = self.inner.borrow();
-            for &i in &st.by_poll[Poll::PoolDown as usize] {
-                if st.fired[i] {
-                    continue;
-                }
-                match st.plan.specs[i] {
-                    FaultSpec::HeartbeatFlap { from, until }
-                        if pool == 0 && FaultSpec::window_active(from, until, now) =>
-                    {
-                        hit = Some((InjectedFault::HeartbeatFlap, 1));
-                        break;
-                    }
-                    FaultSpec::FabricPartition { from, until }
-                        if pool == 0
-                            && until == FOREVER
-                            && FaultSpec::window_active(from, until, now) =>
-                    {
-                        hit = Some((InjectedFault::FabricPartition, 1));
-                        break;
-                    }
-                    FaultSpec::PoolDeath { pool: p, from }
-                        if p == pool && FaultSpec::window_active(from, FOREVER, now) =>
-                    {
-                        // Reuses the heartbeat-flap trace label: pool death
-                        // *is* an unanswered heartbeat, addressed per shard
-                        // via the magnitude word.
-                        hit = Some((InjectedFault::HeartbeatFlap, pool as u64 + 1));
-                        break;
-                    }
-                    _ => {}
-                }
-            }
+        let mut due = self.in_force(Poll::PoolDown, self.clock.now());
+        let hit = due.find(|(_, spec, _)| spec.silenced_pool() == pool);
+        if let Some((k, spec, label)) = hit {
+            self.note(Poll::PoolDown, k, &spec, label, pool as u64 + 1);
         }
-        match hit {
-            Some((fault, magnitude)) => {
-                self.note(Lane::Memory, fault, magnitude);
-                true
+        hit.is_some()
+    }
+
+    /// Retire the death specs addressing pool `pool` (an open-ended fabric
+    /// partition counts as pool 0): they killed the *old* primary, and must
+    /// not instantly re-kill the backup a failover just promoted. Called by
+    /// the runtime when it promotes the shard's replica; other shards'
+    /// death specs stay armed.
+    pub fn retire_pool_faults_for(&self, pool: usize) {
+        let InjectorState { plan, by_poll, .. } = &mut *self.inner.borrow_mut();
+        for a in &mut by_poll[Poll::PoolDown as usize] {
+            if plan.specs[a.i].silenced_pool() == pool {
+                a.until = SimTime::ZERO;
             }
-            None => false,
         }
     }
 
-    /// Retire the death specs addressing pool `pool` (heartbeat flaps and
-    /// open-ended fabric partitions count as pool 0): they killed the *old*
-    /// primary, and must not instantly re-kill the backup a failover just
-    /// promoted. Called by the runtime when it promotes the shard's replica;
-    /// other shards' `PoolDeath` specs stay armed.
-    pub fn retire_pool_faults_for(&self, pool: usize) {
-        let st = &mut *self.inner.borrow_mut();
-        for &i in &st.by_poll[Poll::PoolDown as usize] {
-            match st.plan.specs[i] {
-                FaultSpec::HeartbeatFlap { .. } if pool == 0 => st.fired[i] = true,
-                FaultSpec::FabricPartition { until, .. } if pool == 0 && until == FOREVER => {
-                    st.fired[i] = true;
-                }
-                FaultSpec::PoolDeath { pool: p, .. } if p == pool => st.fired[i] = true,
-                _ => {}
-            }
-        }
+    /// The first spec of `poll` on pool `pool` that is due now, taken out
+    /// of force: it fires once.
+    fn fire_once(&self, poll: Poll, pool: usize) -> Option<Hit> {
+        let mut due = self.in_force(poll, self.clock.now());
+        let hit = due.find(|(_, s, _)| s.target == Pool(pool))?;
+        self.spend(poll, hit.0);
+        Some(hit)
     }
 
     /// Whether pool `pool` crashes *now*: the earliest un-fired
-    /// `PoolCrashRestart` spec targeting the shard whose crash time has
-    /// arrived fires exactly once, returning how long the pool stays
-    /// down. The kernel wipes the shard's volatile state on `Some` and
-    /// schedules the restart `down_for` later.
+    /// crash-restart spec targeting the shard whose crash time has arrived
+    /// fires exactly once, returning how long the pool stays down. The
+    /// kernel wipes the shard's volatile state on `Some` and schedules the
+    /// restart `down_for` later.
     pub fn pool_crash_now_for(&self, pool: usize) -> Option<SimDuration> {
-        let now = self.clock.now();
-        let mut hit: Option<SimDuration> = None;
-        {
-            let st = &mut *self.inner.borrow_mut();
-            for &i in &st.by_poll[Poll::PoolCrash as usize] {
-                if st.fired[i] {
-                    continue;
-                }
-                if let FaultSpec::PoolCrashRestart {
-                    pool: p,
-                    at,
-                    down_for,
-                } = st.plan.specs[i]
-                {
-                    if p == pool && at <= now {
-                        st.fired[i] = true;
-                        hit = Some(down_for);
-                        break;
-                    }
-                }
-            }
-        }
-        if let Some(down_for) = hit {
-            self.note(
-                Lane::Memory,
-                InjectedFault::PoolCrashRestart,
-                down_for.as_nanos(),
-            );
-        }
-        hit
+        let (k, spec, label) = self.fire_once(Poll::PoolCrash, pool)?;
+        let CrashRestart(down_for) = spec.effect else {
+            return None;
+        };
+        self.note(Poll::PoolCrash, k, &spec, label, down_for.as_nanos());
+        Some(down_for)
     }
 
     /// Whether the crash of pool `pool` happening now tears the un-synced
     /// tail of its recovery journal. One-shot per spec: the torn write is
     /// an artifact of one particular crash, not a standing condition.
     pub fn torn_tail_for(&self, pool: usize) -> bool {
-        let now = self.clock.now();
-        let mut hit = false;
-        {
-            let st = &mut *self.inner.borrow_mut();
-            for &i in &st.by_poll[Poll::TornTail as usize] {
-                if st.fired[i] {
-                    continue;
-                }
-                if let FaultSpec::TornJournalWrite { pool: p, at } = st.plan.specs[i] {
-                    if p == pool && at <= now {
-                        st.fired[i] = true;
-                        hit = true;
-                        break;
-                    }
-                }
-            }
-        }
-        if hit {
-            self.note(Lane::Memory, InjectedFault::TornJournalWrite, pool as u64);
-        }
-        hit
+        let Some((k, spec, label)) = self.fire_once(Poll::TornTail, pool) else {
+            return false;
+        };
+        self.note(Poll::TornTail, k, &spec, label, pool as u64);
+        true
+    }
+
+    /// Whether any of `polls` has a spec at all.
+    fn feeds_any(&self, polls: &[Poll]) -> bool {
+        let st = self.inner.borrow();
+        polls.iter().any(|&p| !st.by_poll[p as usize].is_empty())
     }
 
     /// Whether the plan schedules any crash-restart spec at all (tells the
     /// kernel to arm its recovery journal — runs without crash plans must
     /// stay digest-identical with journaling disarmed).
     pub fn has_crash_restart_specs(&self) -> bool {
-        self.inner.borrow().plan.specs.iter().any(|s| {
-            matches!(
-                s,
-                FaultSpec::PoolCrashRestart { .. } | FaultSpec::TornJournalWrite { .. }
-            )
-        })
+        self.feeds_any(&[Poll::PoolCrash, Poll::TornTail])
     }
 
     /// Backlog found ahead of a pushdown enqueuing now, if a burst window
@@ -866,22 +828,11 @@ impl FaultInjector {
     pub fn queue_burst(&self) -> Option<SimDuration> {
         let now = self.clock.now();
         let mut burst: Option<SimDuration> = None;
-        for (i, spec) in self.specs(Poll::QueueBurst) {
-            if let FaultSpec::QueueBacklogBurst {
-                from,
-                until,
-                backlog,
-            } = spec
-            {
-                if FaultSpec::window_active(from, until, now) && !self.inner.borrow().fired[i] {
-                    self.inner.borrow_mut().fired[i] = true;
-                    burst = Some(burst.map_or(backlog, |b| b.max(backlog)));
-                    self.note(
-                        Lane::Memory,
-                        InjectedFault::QueueBacklogBurst,
-                        backlog.as_nanos(),
-                    );
-                }
+        for (k, spec, label) in self.in_force(Poll::QueueBurst, now) {
+            if let Add(backlog) = spec.effect {
+                self.spend(Poll::QueueBurst, k);
+                burst = Some(burst.map_or(backlog, |b| b.max(backlog)));
+                self.note(Poll::QueueBurst, k, &spec, label, backlog.as_nanos());
             }
         }
         burst
@@ -889,29 +840,17 @@ impl FaultInjector {
 
     /// Whether the plan schedules any fail-slow (gray-failure) spec at all
     /// (tells the kernel to arm its health plane — healthy runs must stay
-    /// digest-identical with the plane disarmed).
+    /// digest-identical with the plane disarmed). The fail-slow specs are
+    /// exactly the onset-reported ones.
     pub fn has_fail_slow_specs(&self) -> bool {
-        self.inner.borrow().plan.specs.iter().any(|s| {
-            matches!(
-                s,
-                FaultSpec::DegradedPool { .. }
-                    | FaultSpec::LameFabricLink { .. }
-                    | FaultSpec::GrindingSsd { .. }
-            )
-        })
+        let st = self.inner.borrow();
+        st.plan.specs.iter().any(|s| s.report == Onset)
     }
 
     /// Whether the plan has any corruption spec at all (tells the kernel to
     /// turn its integrity plane on).
     pub fn has_corruption_specs(&self) -> bool {
-        self.inner.borrow().plan.specs.iter().any(|s| {
-            matches!(
-                s,
-                FaultSpec::FabricBitFlip { .. }
-                    | FaultSpec::SsdLatentSector { .. }
-                    | FaultSpec::PoolScribble { .. }
-            )
-        })
+        self.feeds_any(&[Poll::CorruptFabric, Poll::CorruptSsd, Poll::CorruptPool])
     }
 
     /// Corruption of one page image crossing `point` now, if any. Draws the
@@ -919,42 +858,21 @@ impl FaultInjector {
     /// hit wins. The caller applies the returned XOR to the real page
     /// bytes — the injector only decides and records.
     pub fn corruption(&self, point: CorruptionPoint, page: u64) -> Option<Corruption> {
-        let now = self.clock.now();
         let poll = match point {
             CorruptionPoint::Fabric => Poll::CorruptFabric,
             CorruptionPoint::Ssd => Poll::CorruptSsd,
             CorruptionPoint::Pool => Poll::CorruptPool,
         };
-        for (_, spec) in self.specs(poll) {
-            let (active_p, lane, fault) = match (point, spec) {
-                (CorruptionPoint::Fabric, FaultSpec::FabricBitFlip { from, until, p })
-                    if FaultSpec::window_active(from, until, now) =>
-                {
-                    (p, Lane::Net, InjectedFault::FabricBitFlip)
-                }
-                (CorruptionPoint::Ssd, FaultSpec::SsdLatentSector { from, until, p })
-                    if FaultSpec::window_active(from, until, now) =>
-                {
-                    (p, Lane::Storage, InjectedFault::SsdLatentSector)
-                }
-                (CorruptionPoint::Pool, FaultSpec::PoolScribble { from, until, p })
-                    if FaultSpec::window_active(from, until, now) =>
-                {
-                    (p, Lane::Memory, InjectedFault::PoolScribble)
-                }
-                _ => continue,
+        for (k, spec, label) in self.in_force(poll, self.clock.now()) {
+            let Flip(p) = spec.effect else {
+                continue;
             };
-            let hit = self.inner.borrow_mut().rng.random_bool(active_p);
-            if hit {
-                let (offset, mask) = {
-                    let mut st = self.inner.borrow_mut();
-                    let offset = st.rng.random_range(0..PAGE_SIZE);
-                    let mask = st.rng.random_range(1..=255u8);
-                    (offset, mask)
-                };
-                self.note(lane, fault, page);
+            if self.draw(p) {
+                let offset = self.inner.borrow_mut().rng.random_range(0..PAGE_SIZE);
+                let mask = self.inner.borrow_mut().rng.random_range(1..=255u8);
+                self.note(poll, k, &spec, label, page);
                 self.tracer.emit(
-                    lane,
+                    poll.lane(),
                     TraceEvent::CorruptionInjected {
                         page,
                         offset: offset as u64,
@@ -969,29 +887,18 @@ impl FaultInjector {
     /// Disruption of pushdown call number `call` (0-based), if any. A hang
     /// dominates an exception when both are scheduled.
     pub fn pushdown_disruption(&self, call: u64) -> Option<PushdownDisruption> {
-        let now = self.clock.now();
         let mut d: Option<PushdownDisruption> = None;
-        for (_, spec) in self.specs(Poll::Pushdown) {
-            match spec {
-                FaultSpec::PushdownException { call: c } if c == call => {
-                    d = d.or(Some(PushdownDisruption::Exception));
-                    self.note(Lane::Memory, InjectedFault::PushdownException, call);
-                }
-                FaultSpec::PushdownExceptionProb { from, until, p }
-                    if FaultSpec::window_active(from, until, now) =>
-                {
-                    let hit = self.inner.borrow_mut().rng.random_bool(p);
-                    if hit {
-                        d = d.or(Some(PushdownDisruption::Exception));
-                        self.note(Lane::Memory, InjectedFault::PushdownException, call);
-                    }
-                }
-                FaultSpec::PushdownHang { call: c } if c == call => {
-                    d = Some(PushdownDisruption::Hang);
-                    self.note(Lane::Memory, InjectedFault::PushdownHang, call);
-                }
-                _ => {}
+        for (k, spec, label) in self.in_force(Poll::Pushdown, self.clock.now()) {
+            let hit = match (spec.effect, spec.when) {
+                (Hang, CallIdx(c)) if c == call => PushdownDisruption::Hang,
+                (Fail(_), CallIdx(c)) if c == call => PushdownDisruption::Exception,
+                (Fail(p), Window(..)) if self.draw(p) => PushdownDisruption::Exception,
+                _ => continue,
+            };
+            if d != Some(PushdownDisruption::Hang) {
+                d = Some(hit);
             }
+            self.note(Poll::Pushdown, k, &spec, label, call);
         }
         d
     }
@@ -1264,51 +1171,19 @@ mod tests {
         assert_eq!(inj.pool_crash_now_for(0), None, "both crashes spent");
     }
 
-    /// The message `enter` panics with.
-    fn refusal(enter: impl FnOnce()) -> String {
-        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(enter))
-            .expect_err("the spec must be refused");
-        let msg = panic.downcast_ref::<String>().expect("a formatted message");
-        msg.clone()
+    #[test]
+    #[should_panic(expected = "a slowdown factor of 0 makes the target free")]
+    fn with_panics_on_a_refused_spec() {
+        drop(FaultPlan::new(1).lame_fabric_link(SimTime(0), FOREVER, 0));
     }
 
     #[test]
-    fn both_doors_into_a_plan_refuse_a_free_slowdown_and_an_impossible_probability() {
-        // A "degraded" pool at factor 0 would make its DRAM free; p = 1.5
-        // would panic inside the PRNG at the first SSD read of the window.
-        let free = FaultSpec::DegradedPool {
-            pool: 0,
-            from: SimTime(0),
-            until: FOREVER,
-            factor: 0,
-        };
-        let impossible = FaultSpec::SsdTransientError {
-            from: SimTime(0),
-            until: FOREVER,
-            p: 1.5,
-        };
-        for (spec, why) in [
-            (free, "a degraded pool slows down"),
-            (impossible, "probability out of range"),
-        ] {
-            let via_with = refusal(|| drop(FaultPlan::new(1).with(spec)));
-            assert!(via_with.starts_with(why), "with: {via_with}");
-            let (_, _, inj) = injector(FaultPlan::new(1));
-            let via_add = refusal(|| inj.add_spec(spec));
-            assert!(via_add.starts_with(why), "add_spec: {via_add}");
-            assert!(inj.plan().is_empty(), "a refused spec is not in the plan");
-        }
-        // The bounds themselves are legal, through either door.
-        let plan = FaultPlan::new(1)
-            .degraded_pool(0, SimTime(0), FOREVER, 1)
-            .ssd_transient_errors(SimTime(0), FOREVER, 1.0);
-        let (_, _, inj) = injector(plan);
-        inj.add_spec(FaultSpec::PoolScribble {
-            from: SimTime(0),
-            until: FOREVER,
-            p: 0.0,
-        });
-        assert_eq!(inj.plan().specs().len(), 3);
+    fn an_added_plan_joins_the_running_one_under_its_seed() {
+        let (_, _, inj) = injector(FaultPlan::new(5).pool_death(1, SimTime(0)));
+        assert!(!inj.pool_down_now_for(0));
+        inj.add(FaultPlan::new(9).memory_pool_death(SimTime(0)));
+        assert!(inj.pool_down_now_for(0), "the added spec is polled");
+        assert_eq!((inj.seed(), inj.plan().specs().len()), (5, 2));
     }
 
     #[test]

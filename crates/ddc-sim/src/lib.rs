@@ -44,8 +44,9 @@ pub use config::{
 };
 pub use event::{multiplex_makespan, Interleaver};
 pub use faults::{
-    env_seed, Corruption, CorruptionPoint, FaultInjector, FaultPlan, FaultSpec, IntegrityError,
-    PushdownDisruption, SsdDisruption, FOREVER,
+    env_seed, Corruption, CorruptionPoint, FaultEffect, FaultInjector, FaultPlan, FaultPlanError,
+    FaultReport, FaultSpec, FaultTarget, FaultWhen, IntegrityError, PushdownDisruption,
+    SsdDisruption, FOREVER,
 };
 pub use load::{ArrivalProcess, LatencyRecorder, QosClass, QOS_CLASSES};
 pub use net::{Fabric, MsgClass, NetLedger};

@@ -46,10 +46,13 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use ddc_os::Pattern;
-use ddc_sim::{DdcConfig, MonolithicConfig, PlacementPolicy, PAGE_SIZE};
+use ddc_sim::{
+    DdcConfig, FaultPlan, MonolithicConfig, PlacementPolicy, SimDuration, SimTime, FOREVER,
+    PAGE_SIZE,
+};
 use kvapp::{KvData, KvStore};
 use memdb::{q6, Database, PushdownPlan, QueryParams, TpchData};
-use teleport::{Arm, Mem, PlatformKind, PushdownOpts, Region, Runtime};
+use teleport::{Arm, HedgePolicy, Mem, PlatformKind, PushdownOpts, Region, Runtime};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -273,6 +276,40 @@ fn pushdown_allocation_count_does_not_grow_with_the_resident_set() {
         [1, 2].map(allocations_per_two_page_pushdown),
         [0, 0],
         "a two-page pushdown on 1 and on 2 pools allocated"
+    );
+}
+
+/// Heap allocations of each of four steady-state `pushdown_hedged` calls,
+/// one page read memory-side a call, under `plan`.
+fn allocations_per_hedged_call(plan: FaultPlan) -> Vec<u64> {
+    let mut rt = Runtime::teleport(DdcConfig::default());
+    let col = rt.alloc_region::<u64>(PAGE_SIZE / 8);
+    rt.install_fault_plan(plan);
+    rt.begin_timing();
+    let mut call = || {
+        let before = ALLOCS.with(Cell::get);
+        rt.pushdown_hedged(PushdownOpts::new(), &HedgePolicy::default(), |m| {
+            m.get(&col, 0, Pattern::Rand)
+        })
+        .expect("hedged pushdown");
+        ALLOCS.with(Cell::get) - before
+    };
+    // The first call grows the runtime's own long-lived buffers.
+    call();
+    (0..4).map(|_| call()).collect()
+}
+
+/// A hedged call reads the fault plan's seed for its jitter; reading it
+/// must not copy the plan (it did, one allocation a call under any
+/// non-empty plan).
+#[test]
+fn a_hedged_pushdown_allocates_no_more_under_a_fault_plan() {
+    let far = SimTime(u64::MAX / 2);
+    let armed = FaultPlan::new(7).fabric_latency_spike(far, FOREVER, SimDuration::from_micros(1));
+    assert_eq!(
+        allocations_per_hedged_call(armed),
+        allocations_per_hedged_call(FaultPlan::new(7)),
+        "hedged calls under a one-spec plan against an empty one"
     );
 }
 

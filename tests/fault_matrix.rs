@@ -17,7 +17,7 @@
 //! the failing run printed.
 
 use ddc_sim::{
-    env_seed, ArrivalProcess, DdcConfig, FaultPlan, FaultSpec, InjectedFault, MonolithicConfig,
+    env_seed, ArrivalProcess, DdcConfig, FaultPlan, InjectedFault, MonolithicConfig,
     PlacementPolicy, QosClass, ReplicationMode, SimDuration, SimTime, TraceEvent, FOREVER,
     PAGE_SIZE,
 };
@@ -1489,77 +1489,76 @@ fn brownout_keeps_guaranteed_p99_bounded_while_best_effort_sheds() {
 }
 
 // ---------------------------------------------------------------------------
-// Every `FaultSpec` variant is polled from a live site and draws
+// Every fault shape is polled from a live site and draws
 // ---------------------------------------------------------------------------
 
-/// One row of the sweep below: the variant's name, a plan carrying it, and
+/// One row of the sweep below: the shape's name, a plan carrying it, and
 /// the label its poll records when it draws.
 struct SpecRow {
-    variant: &'static str,
+    shape: &'static str,
     plan: FaultPlan,
     draws: InjectedFault,
 }
 
-/// `Variant => plan, label;` rows. Expands to the rows and to the function
-/// that names a spec's variant: a `match` over `FaultSpec` with one arm a
-/// row and no `_` arm, so a new variant does not compile until it has a row
-/// here (and a row listed twice is an unreachable pattern).
+/// `Label: Shape => plan, …;` rows, one group per `InjectedFault`. Expands to
+/// the rows and to a `match` over `InjectedFault` with one arm a group and
+/// no `_` arm, so a new label does not compile until it has a row here (and
+/// a label listed twice is an unreachable pattern).
 macro_rules! spec_rows {
-    ($($variant:ident => $plan:expr, $draws:ident;)+) => {{
-        fn variant_of(spec: &FaultSpec) -> &'static str {
-            match spec {
-                $(FaultSpec::$variant { .. } => stringify!($variant),)+
+    ($($draws:ident: $($shape:ident => $plan:expr),+;)+) => {{
+        fn _every_label_has_a_row(label: InjectedFault) {
+            match label {
+                $(InjectedFault::$draws => {})+
             }
         }
-        let rows = vec![$(SpecRow {
-            variant: stringify!($variant),
+        vec![$($(SpecRow {
+            shape: stringify!($shape),
             plan: $plan,
             draws: InjectedFault::$draws,
-        }),+];
-        (variant_of, rows)
+        }),+),+]
     }};
 }
 
-/// Each `FaultSpec` variant, alone in a plan (a torn journal write needs the
-/// crash that tears it), is driven through a real `Runtime` — a write-back
-/// of the whole cache onto a pool too small for it, a compute-side scan, a
-/// pushdown — and must leave its injection record in the trace. A spec whose
-/// poll no site calls can never draw, so this is both halves of "handled
-/// *and* polled". Windows never close and probabilities are 1, so the draw
-/// does not depend on the seed.
+/// Each fault shape, alone in a plan (a torn journal write needs the crash
+/// that tears it), is driven through a real `Runtime` — a write-back of the
+/// whole cache onto a pool too small for it, a compute-side scan, a
+/// pushdown — and must leave its injection record in the trace. A spec
+/// whose poll no site calls can never draw, so this is both halves of
+/// "handled *and* polled". Windows never close and probabilities are 1, so
+/// the draw does not depend on the seed.
 #[test]
 fn every_fault_spec_variant_draws_in_a_real_run() {
     const ELEMS: usize = 8 * PAGE_SIZE / 8;
     let (t0, ns) = (SimTime(0), SimDuration::from_nanos);
     let plan = || FaultPlan::new(env_seed(0xC0FFEE));
-    let (variant_of, rows) = spec_rows! {
-        FabricLatencySpike => plan().fabric_latency_spike(t0, FOREVER, ns(500)), FabricLatencySpike;
-        FabricPartition => plan().fabric_partition(t0, SimTime(50_000)), FabricPartition;
-        SsdTransientError => plan().ssd_transient_errors(t0, FOREVER, 1.0), SsdTransientError;
-        SsdLatencyStorm => plan().ssd_latency_storm(t0, FOREVER, 4), SsdLatencyStorm;
-        HeartbeatFlap => plan().heartbeat_flap(t0, SimTime(15_000_000)), HeartbeatFlap;
+    let rows = spec_rows! {
+        FabricLatencySpike: FabricLatencySpike => plan().fabric_latency_spike(t0, FOREVER, ns(500));
+        FabricPartition: FabricPartition => plan().fabric_partition(t0, SimTime(50_000));
+        SsdTransientError: SsdTransientError => plan().ssd_transient_errors(t0, FOREVER, 1.0);
+        SsdLatencyStorm: SsdLatencyStorm => plan().ssd_latency_storm(t0, FOREVER, 4);
         // Pool death is recorded as the unanswered heartbeat it is.
-        PoolDeath => plan().pool_death(0, t0), HeartbeatFlap;
-        QueueBacklogBurst => plan().queue_backlog_burst(t0, FOREVER, ns(2_000)), QueueBacklogBurst;
-        PushdownException => plan().pushdown_exception(0), PushdownException;
-        PushdownExceptionProb => plan().pushdown_exceptions_prob(t0, FOREVER, 1.0),
-            PushdownException;
-        PushdownHang => plan().pushdown_hang(0), PushdownHang;
-        FabricBitFlip => plan().fabric_bit_flips(t0, FOREVER, 1.0), FabricBitFlip;
-        SsdLatentSector => plan().ssd_latent_sectors(t0, FOREVER, 1.0), SsdLatentSector;
-        PoolScribble => plan().pool_scribbles(t0, FOREVER, 1.0), PoolScribble;
-        DegradedPool => plan().degraded_pool(0, t0, FOREVER, 8), DegradedPool;
-        LameFabricLink => plan().lame_fabric_link(t0, FOREVER, 8), LameFabricLink;
-        GrindingSsd => plan().grinding_ssd(t0, FOREVER, 8), GrindingSsd;
-        PoolCrashRestart => plan().pool_crash_restart(0, t0, ns(200)), PoolCrashRestart;
-        TornJournalWrite => plan().pool_crash_restart(0, t0, ns(200)).torn_journal_write(0, t0),
-            TornJournalWrite;
+        HeartbeatFlap: HeartbeatFlap => plan().heartbeat_flap(t0, SimTime(15_000_000)),
+            PoolDeath => plan().pool_death(0, t0);
+        QueueBacklogBurst: QueueBacklogBurst => plan().queue_backlog_burst(t0, FOREVER, ns(2_000));
+        PushdownException: PushdownException => plan().pushdown_exception(0),
+            PushdownExceptionProb => plan().pushdown_exceptions_prob(t0, FOREVER, 1.0);
+        PushdownHang: PushdownHang => plan().pushdown_hang(0);
+        FabricBitFlip: FabricBitFlip => plan().fabric_bit_flips(t0, FOREVER, 1.0);
+        SsdLatentSector: SsdLatentSector => plan().ssd_latent_sectors(t0, FOREVER, 1.0);
+        PoolScribble: PoolScribble => plan().pool_scribbles(t0, FOREVER, 1.0);
+        DegradedPool: DegradedPool => plan().degraded_pool(0, t0, FOREVER, 8);
+        LameFabricLink: LameFabricLink => plan().lame_fabric_link(t0, FOREVER, 8);
+        GrindingSsd: GrindingSsd => plan().grinding_ssd(t0, FOREVER, 8);
+        PoolCrashRestart: PoolCrashRestart => plan().pool_crash_restart(0, t0, ns(200));
+        TornJournalWrite: TornJournalWrite =>
+            plan().pool_crash_restart(0, t0, ns(200)).torn_journal_write(0, t0);
     };
     for row in rows {
-        let name = row.variant;
+        let name = row.shape;
         assert!(
-            row.plan.specs().iter().any(|s| variant_of(s) == name),
-            "{name}: the row's plan carries no such spec"
+            row.plan.specs().iter().any(|s| s.label() == Ok(row.draws)),
+            "{name}: the row's plan carries no spec labelled {:?}",
+            row.draws
         );
         // A pool of 4 pages under an 8-page column: write-backs and reads
         // recurse to storage.
