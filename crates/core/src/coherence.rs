@@ -72,6 +72,14 @@ pub struct CoherenceStats {
     pub pages_written_memside: u64,
 }
 
+impl std::ops::AddAssign for CoherenceStats {
+    fn add_assign(&mut self, rhs: CoherenceStats) {
+        self.round_trips += rhs.round_trips;
+        self.backoffs += rhs.backoffs;
+        self.pages_written_memside += rhs.pages_written_memside;
+    }
+}
+
 /// Live coherence state for one pushdown call.
 #[derive(Debug)]
 pub struct PushdownSession {

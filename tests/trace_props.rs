@@ -6,7 +6,7 @@
 use ddc_os::{Dos, Pattern};
 use ddc_sim::{DdcConfig, EventKind, SimDuration, PAGE_SIZE};
 use proptest::prelude::*;
-use teleport::{CoherenceMode, Mem, Perm, PushdownOpts, PushdownSession, Runtime};
+use teleport::{CoherenceMode, CoherenceStats, Mem, Perm, PushdownOpts, PushdownSession, Runtime};
 
 const PAGES: u64 = 6;
 const ELEMS_PER_PAGE: usize = PAGE_SIZE / 8;
@@ -203,5 +203,58 @@ proptest! {
         }
         let _ = s.finish(&mut dos);
         prop_assert_eq!(dos.tracer().count(EventKind::CoherenceMsg), 0);
+    }
+}
+
+/// `coherence.*` are window totals like every other windowed row: two
+/// pushdowns that each message the compute pool report the sum of both,
+/// `round_trips` is the stream's `CoherenceMsg` count, and a platform
+/// that never ran a pushdown session reports all three as 0.
+#[test]
+fn coherence_metrics_sum_over_the_timed_window() {
+    let mut rt = Runtime::teleport(DdcConfig {
+        compute_cache_bytes: 8 * PAGE_SIZE,
+        memory_pool_bytes: 64 * PAGE_SIZE,
+        ..Default::default()
+    });
+    rt.enable_tracing();
+    let region = rt.alloc_region::<u64>(4 * ELEMS_PER_PAGE);
+    rt.begin_timing();
+    let mut sum = CoherenceStats::default();
+    for round in 0..2u64 {
+        // Compute-side dirty copies, then memory-side writes to them.
+        for p in 0..4 {
+            rt.set(&region, p * ELEMS_PER_PAGE, round, Pattern::Rand);
+        }
+        rt.pushdown(PushdownOpts::new(), |m| {
+            for p in 0..4 {
+                m.set(&region, p * ELEMS_PER_PAGE + 1, round, Pattern::Rand);
+            }
+        })
+        .unwrap();
+        let call = rt.last_coherence_stats().expect("a session ran");
+        assert!(call.round_trips > 0 && call.pages_written_memside > 0);
+        sum.round_trips += call.round_trips;
+        sum.backoffs += call.backoffs;
+        sum.pages_written_memside += call.pages_written_memside;
+    }
+    let m = rt.metrics();
+    assert_eq!(m.get("coherence.round_trips"), Some(sum.round_trips));
+    assert_eq!(
+        m.get("coherence.round_trips"),
+        m.get("trace.coherence_msgs")
+    );
+    assert_eq!(m.get("coherence.backoffs"), Some(sum.backoffs));
+    assert_eq!(
+        m.get("coherence.pages_written_memside"),
+        Some(sum.pages_written_memside)
+    );
+    let local = Runtime::local(Default::default()).metrics();
+    for name in [
+        "coherence.round_trips",
+        "coherence.backoffs",
+        "coherence.pages_written_memside",
+    ] {
+        assert_eq!(local.get(name), Some(0), "{name} on Local");
     }
 }
