@@ -798,3 +798,53 @@ fn every_event_kind_is_emitted_by_a_pinned_scenario() {
         );
     }
 }
+
+/// DESIGN.md §6's counter table: `(counter, trace metric, relation)` per
+/// row.
+fn counter_pairs() -> Vec<(String, String, String)> {
+    design_table("counter-table")
+        .lines()
+        .filter_map(|row| {
+            let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+            let counter = cells.get(1)?.strip_prefix('`')?.strip_suffix('`')?;
+            Some((
+                counter.to_string(),
+                cells[2].trim_matches('`').to_string(),
+                cells[3].to_string(),
+            ))
+        })
+        .collect()
+}
+
+/// Every row of §6's counter table pairs a documented counter with a
+/// `trace.*` kind's metric and is either `mirror` or says why it is not
+/// one; at every pinned point, each `mirror` row's counter equals its
+/// trace count (a counter the run does not report reads 0). So a counter
+/// that drifts from the events it claims to count fails here, by name.
+#[test]
+fn counter_pairs_agree_at_every_pinned_point() {
+    let pairs = counter_pairs();
+    let documented = documented_metrics();
+    let kinds: BTreeSet<&str> = EventKind::ALL.iter().map(|k| k.metric_name()).collect();
+    for (counter, trace, relation) in &pairs {
+        assert!(documented.contains(counter), "{counter} is not a §6 row");
+        assert!(kinds.contains(trace.as_str()), "{trace} is no event kind's");
+        assert!(
+            relation == "mirror" || relation.starts_with("not a mirror, because "),
+            "{counter} / {trace}: say `mirror` or why not, not {relation:?}"
+        );
+    }
+    let mut points = 0;
+    every_scenario(&mut |name, rt, _| {
+        points += 1;
+        let m = rt.metrics();
+        for (counter, trace, _) in pairs.iter().filter(|(_, _, r)| r == "mirror") {
+            assert_eq!(
+                m.get(counter).unwrap_or(0),
+                m.get(trace).expect("one trace.* row a kind"),
+                "{name}: {counter} against {trace}"
+            );
+        }
+    });
+    assert_eq!(points, 17, "every pinned point was checked");
+}
