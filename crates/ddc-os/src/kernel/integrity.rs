@@ -12,8 +12,8 @@
 use std::collections::BTreeMap;
 
 use ddc_sim::{
-    Corruption, CorruptionPoint, Lane, MetricsRegistry, MsgClass, RepairSource, ScrubConfig,
-    SimDuration, SimTime, TraceEvent, PAGE_SIZE,
+    Corruption, CorruptionPoint, EventKind, Lane, MetricsRegistry, MsgClass, RepairSource,
+    ScrubConfig, SimDuration, SimTime, TraceEvent, PAGE_SIZE,
 };
 
 use super::Dos;
@@ -48,14 +48,10 @@ pub(super) struct Integrity {
 /// it is one assignment that cannot miss a field (or hit a seal).
 #[derive(Debug, Default)]
 struct IntegrityWindow {
-    detected: u64,
-    repaired: u64,
     repaired_ssd: u64,
     repaired_replica: u64,
-    data_loss: u64,
     /// Virtual deadline of the next background scrub pass.
     next_scrub: Option<SimTime>,
-    scrub_passes: u64,
     scrub_pages: u64,
     scrub_detected: u64,
 }
@@ -234,7 +230,7 @@ impl Dos {
 
     /// Unrecoverable-corruption events in the current timed window.
     pub fn data_loss_count(&self) -> u64 {
-        self.integrity.window.data_loss
+        self.tracer.count(EventKind::DataLoss)
     }
 
     /// The page most recently declared unrecoverable, if any.
@@ -314,7 +310,6 @@ impl Dos {
             self.integrity.take_edits(pid);
             return;
         }
-        self.integrity.window.detected += 1;
         let p = self.owner_of(pid);
         if let Some(shard) = self.shards.get_mut(p) {
             shard.integrity.detected += 1;
@@ -348,7 +343,6 @@ impl Dos {
                 // bit-exactly and matches its sealed checksum again.
                 self.apply_edits(pid);
                 self.integrity.take_edits(pid);
-                self.integrity.window.repaired += 1;
                 if let Some(shard) = self.shards.get_mut(p) {
                     shard.integrity.repaired += 1;
                 }
@@ -368,7 +362,6 @@ impl Dos {
                 // The bytes stay corrupt (there is nothing to restore them
                 // from); the lost set stops re-detection so the loss is
                 // counted exactly once.
-                self.integrity.window.data_loss += 1;
                 if let Some(shard) = self.shards.get_mut(p) {
                     shard.integrity.data_loss += 1;
                 }
@@ -389,7 +382,7 @@ impl Dos {
     pub fn scrub_pass(&mut self) -> (u64, u64) {
         self.enable_integrity();
         let pages = self.space.mapped_pages();
-        let before = self.integrity.window.detected;
+        let before = self.tracer.count(EventKind::ChecksumMismatch);
         if self.is_disaggregated() {
             // The compute side kicks the pass off with one control message.
             self.wire(MsgClass::Control, 16);
@@ -419,8 +412,7 @@ impl Dos {
             }
         }
         let scanned = pages.len() as u64;
-        let detected = self.integrity.window.detected - before;
-        self.integrity.window.scrub_passes += 1;
+        let detected = self.tracer.count(EventKind::ChecksumMismatch) - before;
         self.integrity.window.scrub_pages += scanned;
         self.integrity.window.scrub_detected += detected;
         self.tracer.emit(
@@ -461,15 +453,15 @@ impl Dos {
         if !self.integrity_enabled() {
             return;
         }
-        let i = &self.integrity.window;
-        m.set("integrity.detected", i.detected);
-        m.set("integrity.repaired", i.repaired);
+        let (i, t) = (&self.integrity.window, &self.tracer);
+        m.set("integrity.detected", t.count(EventKind::ChecksumMismatch));
+        m.set("integrity.repaired", t.count(EventKind::PageRepaired));
         m.set("integrity.repaired_from_ssd", i.repaired_ssd);
         m.set("integrity.repaired_from_replica", i.repaired_replica);
-        m.set("integrity.data_loss", i.data_loss);
+        m.set("integrity.data_loss", self.data_loss_count());
         let sealed = self.space.allocated_pages() as u64;
         m.set("integrity.pages_sealed", sealed);
-        m.set("scrub.passes", i.scrub_passes);
+        m.set("scrub.passes", t.count(EventKind::ScrubPass));
         m.set("scrub.pages_scanned", i.scrub_pages);
         m.set("scrub.detected", i.scrub_detected);
         if self.shards.len() > 1 {

@@ -13,8 +13,8 @@
 use std::collections::BTreeSet;
 
 use ddc_sim::{
-    FaultInjector, Lane, MetricsRegistry, MsgClass, RecoveryAction, ReplicationMode, SimDuration,
-    SimTime, TraceEvent,
+    EventKind, FaultInjector, Lane, MetricsRegistry, MsgClass, RecoveryAction, ReplicationMode,
+    SimDuration, SimTime, TraceEvent,
 };
 
 use super::Dos;
@@ -40,8 +40,10 @@ pub(super) struct Liveness {
     /// carries fail-slow or crash-restart specs (`None` otherwise —
     /// fault-free and fail-stop runs stay bit-identical).
     health: Option<HealthMonitor>,
-    /// Recovery-plane activity, surfaced as the `recovery.*` metrics.
-    recovery: RecoveryCounters,
+    /// Journal entries replayed and pages re-silvered in the timed window:
+    /// the two `recovery.*` metrics that are not a trace kind's count.
+    replayed_entries: u64,
+    resilvered_pages: u64,
     /// The epoch each promotion in the timed window promoted *to*, in
     /// order.
     failover_epochs: Vec<u64>,
@@ -180,7 +182,8 @@ impl Dos {
                 r.at = SimTime(r.at.since(now).as_nanos());
             }
         }
-        self.live.recovery = RecoveryCounters::default();
+        self.live.replayed_entries = 0;
+        self.live.resilvered_pages = 0;
         self.live.failover_epochs.clear();
     }
 
@@ -495,7 +498,15 @@ impl Dos {
     /// Recovery-plane activity so far (crashes, restarts, replays,
     /// fencings), reset by `begin_timing`.
     pub fn recovery_counters(&self) -> RecoveryCounters {
-        self.live.recovery
+        let t = &self.tracer;
+        RecoveryCounters {
+            crashes: t.count(EventKind::PoolCrashed),
+            restarts: t.count(EventKind::PoolRestarted),
+            replayed_entries: self.live.replayed_entries,
+            torn_tails: t.count(EventKind::TornTailDiscarded),
+            resilvered_pages: self.live.resilvered_pages,
+            fenced_writes: t.count(EventKind::FencedWrite),
+        }
     }
 
     /// False while shard `p` is crashed (volatile state wiped, restart or
@@ -535,7 +546,6 @@ impl Dos {
     /// [`Dos::crash_pool`] of a shard known to exist.
     fn crash(&mut self, p: usize) -> u64 {
         let epoch = self.shards[p].live.epoch;
-        self.live.recovery.crashes += 1;
         self.tracer.emit(
             Lane::Memory,
             TraceEvent::PoolCrashed {
@@ -587,7 +597,6 @@ impl Dos {
             let zombie = live.restart.take()?;
             self.rejoin_as_standby(p, zombie.stale_epoch)
         };
-        self.live.recovery.restarts += 1;
         self.tracer.emit(
             Lane::Memory,
             TraceEvent::PoolRestarted {
@@ -607,7 +616,6 @@ impl Dos {
     fn rejoin_as_standby(&mut self, p: usize, stale: u64) -> RestartReport {
         // The zombie's first act is to resume as primary; the write/ack
         // carries the epoch it held at death and the fence rejects it.
-        self.live.recovery.fenced_writes += 1;
         self.tracer.emit(
             Lane::Memory,
             TraceEvent::FencedWrite {
@@ -646,7 +654,6 @@ impl Dos {
             None => (Vec::new(), ReplaySet::default(), Vec::new()),
         };
         if replay.discarded_entries > 0 {
-            self.live.recovery.torn_tails += 1;
             self.tracer.emit(
                 Lane::Memory,
                 TraceEvent::TornTailDiscarded {
@@ -687,7 +694,7 @@ impl Dos {
                 }
             }
         }
-        self.live.recovery.replayed_entries += replay.applied_entries;
+        self.live.replayed_entries += replay.applied_entries;
         self.tracer.emit(
             Lane::Memory,
             TraceEvent::JournalReplayed {
@@ -733,7 +740,7 @@ impl Dos {
 
     /// Account for `pages` re-silvered onto shard `p`'s standby.
     fn note_resilvered(&mut self, p: usize, pages: u64) {
-        self.live.recovery.resilvered_pages += pages;
+        self.live.resilvered_pages += pages;
         self.tracer.emit(
             Lane::Memory,
             TraceEvent::ResilverComplete {
@@ -921,8 +928,8 @@ impl Dos {
             m.set("health.reintegrations", h.reintegrations());
             m.set("health.probes", h.probes());
         }
-        if self.journal_armed() || self.live.recovery.crashes > 0 {
-            let r = &self.live.recovery;
+        let r = self.recovery_counters();
+        if self.journal_armed() || r.crashes > 0 {
             m.set("recovery.crashes", r.crashes);
             m.set("recovery.restarts", r.restarts);
             m.set("recovery.replayed_entries", r.replayed_entries);

@@ -28,8 +28,9 @@ mod liveness;
 pub use liveness::{PoolLoss, ShardError};
 
 use ddc_sim::{
-    Clock, ConfigError, CorruptionPoint, DdcConfig, Fabric, FaultInjector, FaultLevel, Lane,
-    MonolithicConfig, MsgClass, PlacementPolicy, SimDuration, Ssd, TraceEvent, Tracer, PAGE_SIZE,
+    Clock, ConfigError, CorruptionPoint, DdcConfig, EventKind, Fabric, FaultInjector, FaultLevel,
+    Lane, MonolithicConfig, MsgClass, PlacementPolicy, SimDuration, Ssd, TraceEvent, Tracer,
+    PAGE_SIZE,
 };
 
 use crate::addrspace::AddressSpace;
@@ -103,6 +104,8 @@ pub struct Dos {
     alloc_seq: u64,
     /// Whether the page has a copy on the swap device (monolithic only).
     swapped: PageTable<bool>,
+    /// Paging counters, but for `evictions`, which nothing increments:
+    /// [`Dos::stats`] reads the tracer's `Evict` count into it.
     stats: PagingStats,
     dram: ddc_sim::DramConfig,
     fault_overhead: SimDuration,
@@ -300,13 +303,19 @@ impl Dos {
     }
 
     /// The event-trace handle shared by this kernel, its fabric, and its
-    /// SSD. Disabled (and free) by default; see [`ddc_sim::trace`].
+    /// SSD. It counts every event; recording is off by default (see
+    /// [`ddc_sim::trace`]).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
 
+    /// The paging counters since `begin_timing`. `evictions` is the
+    /// tracer's `Evict` count.
     pub fn stats(&self) -> PagingStats {
-        self.stats
+        PagingStats {
+            evictions: self.tracer.count(EventKind::Evict),
+            ..self.stats
+        }
     }
 
     /// Compute-pool CPU (the server CPU in the monolithic topology).
@@ -637,30 +646,29 @@ impl Dos {
         }
     }
 
+    /// The `PageFault` record of a compute-side fault on `pid`, classified
+    /// by where it will be satisfied.
+    fn fault_event(&self, pid: PageId) -> TraceEvent {
+        let level = match self.shards.is_empty() {
+            true if self.swapped.get(pid) => FaultLevel::Storage,
+            true => FaultLevel::Cache,
+            false if self.shards[self.owner_of(pid)].pool.is_resident(pid) => FaultLevel::Remote,
+            false => FaultLevel::Storage,
+        };
+        TraceEvent::PageFault {
+            vaddr: pid.base().0,
+            level,
+        }
+    }
+
     /// Handle a compute-side page fault on `pid`.
     fn fault_in(&mut self, pid: PageId, write: bool) {
         self.stats.cache_misses += 1;
-        if self.tracer.is_enabled() {
-            // Classify before `ensure_resident` pulls the page up a level.
-            let level = if self.shards.is_empty() {
-                if self.swapped.get(pid) {
-                    FaultLevel::Storage
-                } else {
-                    FaultLevel::Cache
-                }
-            } else if self.shards[self.owner_of(pid)].pool.is_resident(pid) {
-                FaultLevel::Remote
-            } else {
-                FaultLevel::Storage
-            };
-            self.tracer.emit(
-                Lane::Compute,
-                TraceEvent::PageFault {
-                    vaddr: pid.base().0,
-                    level,
-                },
-            );
-        }
+        // Counted always; classified only when recorded, and before
+        // `ensure_resident` pulls the page up a level.
+        let fault = || self.fault_event(pid);
+        self.tracer
+            .emit_with(Lane::Compute, EventKind::PageFault, fault);
         self.charge(self.fault_overhead);
         if !self.shards.is_empty() {
             // Recursive fault: the owning memory pool pulls the page from
@@ -689,7 +697,6 @@ impl Dos {
 
     /// Account for evicting `page` from the compute cache.
     fn write_back_evicted(&mut self, page: PageId, dirty: bool) {
-        self.stats.evictions += 1;
         self.tracer.emit(
             Lane::Compute,
             TraceEvent::Evict {
@@ -964,7 +971,7 @@ impl Dos {
     /// `Runtime::metrics`).
     pub fn metrics(&self) -> ddc_sim::MetricsRegistry {
         let mut m = ddc_sim::MetricsRegistry::new();
-        let s = self.stats;
+        let s = self.stats();
         m.set("paging.cache_hits", s.cache_hits);
         m.set("paging.cache_misses", s.cache_misses);
         m.set("paging.remote_page_in", s.remote_page_in);

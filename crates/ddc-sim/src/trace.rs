@@ -10,18 +10,19 @@
 //!
 //! Design points:
 //!
-//! - **Zero-cost when disabled** (the default): [`Tracer::emit`] checks one
-//!   shared boolean and returns. No event is constructed into the buffer,
-//!   no time is charged (emission never touches the clock), and no result
-//!   of any experiment changes when tracing is off — or on.
+//! - **Counted always, recorded on demand.** Every [`Tracer::emit`] adds
+//!   one to its kind's count, traced or not, so [`Tracer::count`] is the
+//!   one count of each event the layers' metrics read. Recording is off
+//!   by default: then `emit` is that increment plus one branch on a shared
+//!   boolean. No time is charged (emission never touches the clock), and
+//!   no result of any experiment changes when tracing is off — or on.
 //! - **Ring buffer + running digest.** The last
 //!   [`Tracer::ring_capacity`] records are kept for inspection; the
-//!   64-bit FNV-1a [`Tracer::digest`] and the per-kind
-//!   [`Tracer::count`]s cover the *entire* stream since the last reset,
-//!   so digest comparisons remain exact even after the ring wraps. The
-//!   ring holds the four words the digest folds, not [`TraceRecord`]s;
-//!   records are decoded when [`Tracer::events`], [`Tracer::render`] or a
-//!   sink asks for them.
+//!   64-bit FNV-1a [`Tracer::digest`] covers the *entire* recorded stream
+//!   since the last reset, so digest comparisons remain exact even after
+//!   the ring wraps. The ring holds the four words the digest folds, not
+//!   [`TraceRecord`]s; records are decoded when [`Tracer::events`],
+//!   [`Tracer::render`] or a sink asks for them.
 //! - **Pluggable sink.** A [`TraceSink`] observes every record as it is
 //!   emitted (e.g. to print a live log); any `FnMut(&TraceRecord)`
 //!   qualifies.
@@ -301,7 +302,7 @@ macro_rules! trace_events {
             $($(#[$doc])* $name { $first: $first_ty $(, $rest: $rest_ty)* },)+
         }
 
-        /// Coarse classification of [`TraceEvent`]s, used for whole-stream
+        /// Coarse classification of [`TraceEvent`]s, used for the per-kind
         /// counts. The discriminant is the event's digest tag.
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         pub enum EventKind {
@@ -314,8 +315,7 @@ macro_rules! trace_events {
             /// Every kind, in tag order.
             pub const ALL: [EventKind; EVENT_KINDS] = [$(EventKind::$name),+];
 
-            /// The `trace.*` metric that reports this kind's whole-stream
-            /// count.
+            /// The `trace.*` metric that reports this kind's count.
             pub fn metric_name(self) -> &'static str {
                 match self {
                     $(EventKind::$name => $metric,)+
@@ -640,12 +640,19 @@ fn unpack(seq: u64, [at, lane_tag, a, b]: Packed) -> TraceRecord {
     }
 }
 
+/// What every handle reads on every emit, in one allocation: the
+/// recording switch and one count per tag.
+struct Counts {
+    enabled: Cell<bool>,
+    by_tag: [Cell<u64>; TAG_LIMIT],
+}
+
+/// The recorded stream: kept only while tracing is on.
 struct TraceBuf {
     next_seq: u64,
     digest: u64,
     ring: VecDeque<Packed>,
     capacity: usize,
-    counts: [u64; TAG_LIMIT],
     sink: Option<Box<dyn TraceSink>>,
 }
 
@@ -656,7 +663,6 @@ impl TraceBuf {
             digest: FNV_OFFSET,
             ring: VecDeque::new(),
             capacity: DEFAULT_RING_CAPACITY,
-            counts: [0; TAG_LIMIT],
             sink: None,
         }
     }
@@ -665,7 +671,6 @@ impl TraceBuf {
         self.next_seq = 0;
         self.digest = FNV_OFFSET;
         self.ring.clear();
-        self.counts = [0; TAG_LIMIT];
         // Sink and capacity survive a reset: they are configuration.
     }
 
@@ -682,7 +687,7 @@ impl TraceBuf {
 /// feed the same buffer; the clock stamps every record.
 #[derive(Clone)]
 pub struct Tracer {
-    enabled: Rc<Cell<bool>>,
+    counts: Rc<Counts>,
     clock: Clock,
     buf: Rc<RefCell<TraceBuf>>,
 }
@@ -690,7 +695,7 @@ pub struct Tracer {
 impl fmt::Debug for Tracer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Tracer")
-            .field("enabled", &self.enabled.get())
+            .field("enabled", &self.is_enabled())
             .field("events", &self.buf.borrow().next_seq)
             .finish()
     }
@@ -700,7 +705,10 @@ impl Tracer {
     /// A tracer stamping records with `clock`. Starts disabled.
     pub fn new(clock: Clock) -> Self {
         Tracer {
-            enabled: Rc::new(Cell::new(false)),
+            counts: Rc::new(Counts {
+                enabled: Cell::new(false),
+                by_tag: std::array::from_fn(|_| Cell::new(0)),
+            }),
             clock,
             buf: Rc::new(RefCell::new(TraceBuf::new())),
         }
@@ -715,22 +723,34 @@ impl Tracer {
 
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.enabled.get()
+        self.counts.enabled.get()
     }
 
-    /// Start recording. Emission while disabled is a single branch.
+    /// Start recording. Emission while disabled is a count increment and
+    /// a single branch.
     pub fn enable(&self) {
-        self.enabled.set(true);
+        self.counts.enabled.set(true);
     }
 
-    /// Record one event. The fast path (tracing disabled) is one shared
-    /// boolean load.
+    /// Count one event and, while tracing is on, record it. The fast path
+    /// (tracing disabled) is one increment of its kind's count and one
+    /// load of the shared switch beside it.
     #[inline]
     pub fn emit(&self, lane: Lane, event: TraceEvent) {
-        if !self.enabled.get() {
-            return;
+        self.emit_with(lane, event.kind(), || event);
+    }
+
+    /// [`Tracer::emit`] for an event that costs work to build: `kind` is
+    /// counted always, and `event` (which must be of that kind) is built
+    /// and recorded only while tracing is on.
+    #[inline]
+    pub fn emit_with(&self, lane: Lane, kind: EventKind, event: impl FnOnce() -> TraceEvent) {
+        // The tag is the `EventKind` discriminant.
+        let count = &self.counts.by_tag[kind as usize];
+        count.set(count.get() + 1);
+        if self.is_enabled() {
+            self.emit_slow(lane, event());
         }
-        self.emit_slow(lane, event);
     }
 
     #[cold]
@@ -740,8 +760,6 @@ impl Tracer {
         let mut buf = self.buf.borrow_mut();
         let seq = buf.next_seq;
         buf.next_seq += 1;
-        // The tag is the `EventKind` discriminant.
-        buf.counts[tag as usize] += 1;
         let mut h = buf.digest;
         for w in [at.0, lane as u64, tag, a, b] {
             h = fnv_fold(h, w);
@@ -769,7 +787,7 @@ impl Tracer {
         self.buf.borrow().digest
     }
 
-    /// Total events emitted since the last reset.
+    /// Events recorded since the last reset.
     pub fn len(&self) -> u64 {
         self.buf.borrow().next_seq
     }
@@ -778,9 +796,10 @@ impl Tracer {
         self.len() == 0
     }
 
-    /// Whole-stream count of one event kind.
+    /// Events of one kind emitted since the last reset, whether or not
+    /// tracing recorded them: the count every metric of that kind reads.
     pub fn count(&self, kind: EventKind) -> u64 {
-        self.buf.borrow().counts[kind as usize]
+        self.counts.by_tag[kind as usize].get()
     }
 
     /// Snapshot of the retained ring (the most recent records).
@@ -813,11 +832,12 @@ impl Tracer {
         self.buf.borrow_mut().sink = None;
     }
 
-    /// Drop all recorded state (ring, digest, counts, sequence numbers).
-    /// Enablement, capacity, and the sink survive. Called by
-    /// `begin_timing` so traces cover exactly the timed window.
+    /// Drop all recorded state (ring, digest, sequence numbers) and zero
+    /// the counts. Enablement, capacity, and the sink survive. Called by
+    /// `begin_timing` so traces and counts cover exactly the timed window.
     pub fn reset(&self) {
         self.buf.borrow_mut().reset();
+        self.counts.by_tag.iter().for_each(|count| count.set(0));
     }
 
     /// Compact text rendering of the retained ring, one record per line.
@@ -1071,16 +1091,34 @@ mod tests {
     }
 
     #[test]
-    fn disabled_tracer_records_nothing() {
+    fn disabled_tracer_records_nothing_but_counts() {
         let (_, t) = tracer();
         t.emit(Lane::Compute, TraceEvent::PushdownStep { step: 1 });
         assert_eq!(t.len(), 0);
         assert!(t.events().is_empty());
+        assert_eq!(t.count(EventKind::PushdownStep), 1);
         let empty_digest = t.digest();
         t.enable();
         t.emit(Lane::Compute, TraceEvent::PushdownStep { step: 1 });
         assert_eq!(t.len(), 1);
         assert_ne!(t.digest(), empty_digest);
+        assert_eq!(t.count(EventKind::PushdownStep), 2);
+        t.reset();
+        assert_eq!(t.count(EventKind::PushdownStep), 0, "reset zeroes counts");
+    }
+
+    #[test]
+    fn emit_with_builds_its_event_only_while_recording() {
+        let (_, t) = tracer();
+        let event = || TraceEvent::Cancel { req: 7 };
+        t.emit_with(Lane::Compute, EventKind::Cancel, || {
+            unreachable!("built while off")
+        });
+        assert_eq!(t.count(EventKind::Cancel), 1);
+        t.enable();
+        t.emit_with(Lane::Compute, EventKind::Cancel, event);
+        assert_eq!(t.count(EventKind::Cancel), 2);
+        assert_eq!(t.events()[0].event, event());
     }
 
     #[test]
