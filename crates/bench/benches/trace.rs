@@ -1,10 +1,11 @@
 //! Criterion microbenchmark of the program's tracer with recording on.
 //!
 //! Rackbench's `ddc-sim.trace.emit_on_ns` emits one `PushdownStep` at time 0
-//! into a ring that has not wrapped: every digest word is a single byte (the
-//! fold's best case) and every slot is fresh. This row is what an armed run
-//! pays: a wrapped ring, ten event kinds, payloads and a clock that grow.
-//! Its parent / change medians are in `BENCH_paging.json`.
+//! over and over: every digest word is a single byte (the fold's best case),
+//! and its slots are the 4 096 of the default ring, which it wraps many
+//! times over. This row is what an armed run pays: a wrapped ring, ten event
+//! kinds, payloads and a clock that grow. Its parent / change medians are in
+//! `BENCH_paging.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -88,7 +89,9 @@ fn bench_emit_on_varied(c: &mut Criterion) {
             let (lane, event) = record(i);
             tracer.emit(lane, event);
         };
-        // Wrap the ring, so every timed record overwrites the oldest.
+        // Wrap the ring (4 096 slots by default, 128 KiB: it stays in L2),
+        // so every timed record overwrites the oldest slot, as in any traced
+        // run longer than the ring.
         for _ in 0..=tracer.ring_capacity() {
             emit();
         }

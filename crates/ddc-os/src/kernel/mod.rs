@@ -908,7 +908,8 @@ impl Dos {
 
     /// `syncmem`: flush every dirty page in the compute cache back to the
     /// memory pool (pages stay resident and writable). Returns how many
-    /// pages were flushed.
+    /// pages were flushed — none on a monolithic server, which has no pool
+    /// to synchronize with.
     pub fn syncmem(&mut self) -> usize {
         let dirty = self.cache.dirty_pages();
         self.sync_pages(dirty)
@@ -923,8 +924,11 @@ impl Dos {
     }
 
     /// Flush the given dirty cached pages (address order) and trace the
-    /// synchronization point.
-    fn sync_pages(&mut self, dirty: Vec<PageId>) -> usize {
+    /// synchronization point. A monolithic server flushes nothing.
+    fn sync_pages(&mut self, mut dirty: Vec<PageId>) -> usize {
+        if self.shards.is_empty() {
+            dirty.clear();
+        }
         for &pid in &dirty {
             self.cache.mark_clean(pid);
             self.flush_dirty_to_pool(pid);

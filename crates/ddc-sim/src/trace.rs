@@ -17,12 +17,15 @@
 //!   boolean. No time is charged (emission never touches the clock), and
 //!   no result of any experiment changes when tracing is off — or on.
 //! - **Ring buffer + running digest.** The last
-//!   [`Tracer::ring_capacity`] records are kept for inspection; the
-//!   64-bit FNV-1a [`Tracer::digest`] covers the *entire* recorded stream
-//!   since the last reset, so digest comparisons remain exact even after
-//!   the ring wraps. The ring holds the four words the digest folds, not
-//!   [`TraceRecord`]s; records are decoded when [`Tracer::events`],
-//!   [`Tracer::render`] or a sink asks for them.
+//!   [`Tracer::ring_capacity`] records — 4 096 by default, 128 KiB, a
+//!   debugging tail sized to stay well inside a core's L2 cache — are kept
+//!   for inspection; the 64-bit FNV-1a [`Tracer::digest`], [`Tracer::len`]
+//!   and the per-kind counts cover the *entire* stream since the last
+//!   reset, so digest comparisons remain exact however far the ring has
+//!   wrapped. A longer window is [`Tracer::set_ring_capacity`], or a sink,
+//!   which sees every record. The ring holds the four words the digest
+//!   folds, not [`TraceRecord`]s; records are decoded when
+//!   [`Tracer::events`], [`Tracer::render`] or a sink asks for them.
 //! - **Pluggable sink.** A [`TraceSink`] observes every record as it is
 //!   emitted (e.g. to print a live log); any `FnMut(&TraceRecord)`
 //!   qualifies.
@@ -519,7 +522,13 @@ impl<F: FnMut(&TraceRecord)> TraceSink for F {
     }
 }
 
-const DEFAULT_RING_CAPACITY: usize = 1 << 16;
+/// Records the ring keeps unless [`Tracer::set_ring_capacity`] says
+/// otherwise: 4 096 of 32 bytes, 128 KiB, a debugging tail small enough to
+/// stay in a core's L2 cache while a long traced run streams through it (a
+/// ring as large as L2 evicts the simulator's own tables on every lap).
+/// Nothing a run reports reads the ring: the digest, `len` and the per-kind
+/// counts cover the whole stream however short the ring is.
+const DEFAULT_RING_CAPACITY: usize = 1 << 12;
 
 /// FNV-1a-64 offset basis. The *single* FNV implementation in the
 /// workspace: the trace-stream digest below and the recovery journal's
@@ -802,7 +811,8 @@ impl Tracer {
         self.counts.by_tag[kind as usize].get()
     }
 
-    /// Snapshot of the retained ring (the most recent records).
+    /// Snapshot of the retained ring: the newest
+    /// `min(len(), ring_capacity())` records, oldest first.
     pub fn events(&self) -> Vec<TraceRecord> {
         self.buf.borrow().records().collect()
     }
@@ -812,8 +822,12 @@ impl Tracer {
         self.buf.borrow().capacity
     }
 
-    /// Resize the ring (existing overflow is dropped oldest-first). The
-    /// digest and counts are unaffected: they always cover the full stream.
+    /// Resize the ring: the newest `capacity` records already kept stay,
+    /// in order, and the rest are dropped oldest-first. The default, 4 096
+    /// records, is a debugging tail; a caller that wants a longer window
+    /// sets it here before the run, or installs a sink
+    /// ([`Tracer::set_sink`]), which sees every record. The digest and
+    /// counts are unaffected: they always cover the full stream.
     pub fn set_ring_capacity(&self, capacity: usize) {
         let mut buf = self.buf.borrow_mut();
         buf.capacity = capacity;
@@ -1462,6 +1476,51 @@ mod tests {
         ring_agrees_with_sink(Some(0));
         ring_agrees_with_sink(Some(4));
         ring_agrees_with_sink(None);
+    }
+
+    /// Shrink a wrapped ring, let it wrap again, grow it, fill it, empty
+    /// it: after each resize it holds the newest records a sink saw, in
+    /// order.
+    #[test]
+    fn wrapped_ring_resized_mid_stream_keeps_its_newest_records() {
+        let (clock, t) = tracer();
+        t.enable();
+        t.set_ring_capacity(8);
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let seen2 = seen.clone();
+        t.set_sink(move |rec: &TraceRecord| seen2.borrow_mut().push(*rec));
+        let evs = every_event();
+        let emit = |n: usize| {
+            for _ in 0..n {
+                let i = t.len() as usize;
+                clock.advance(SimDuration::from_nanos(7 + i as u64));
+                t.emit(LANES[i % LANES.len()], evs[i % evs.len()]);
+            }
+        };
+        let newest = |n: usize| {
+            let seen = seen.borrow();
+            seen[seen.len() - n..].to_vec()
+        };
+        // (records emitted, capacity set after them, records the ring holds)
+        for (emitted, capacity, held) in [
+            (13, 5, 5),
+            (3, 12, 5),
+            (4, 12, 9),
+            (10, 3, 3),
+            (2, 0, 0),
+            (2, 4, 0),
+            (6, 4, 4),
+        ] {
+            emit(emitted);
+            t.set_ring_capacity(capacity);
+            assert_eq!(t.ring_capacity(), capacity);
+            assert_eq!(
+                t.events(),
+                newest(held),
+                "{} emitted, ring {capacity}",
+                t.len()
+            );
+        }
     }
 
     /// FNV-1a-64 of `word`'s little-endian bytes, one multiply per byte.

@@ -39,6 +39,11 @@
 //! a fresh segment is. A platform that allocates a size the others do not,
 //! or an `alloc` that goes back to `vec![0u8; n]`, makes that count non-zero.
 //!
+//! And tracing adds nothing once the ring has wrapped: each of a traced
+//! pushdown's records then replaces the oldest in the buffer the ring
+//! already holds, so a steady-state traced call allocates no more than an
+//! untraced one — none.
+//!
 //! The counting allocator is process-global; its counters are thread-local,
 //! so neither test sees the other's or the harness's allocations.
 
@@ -358,4 +363,23 @@ fn identical_racks_replay_with_no_fresh_segment_backing() {
         "the BaseDdc and Teleport racks asked the allocator for fresh segment backing"
     );
     assert_eq!((base_sum, tele_sum), (local_sum, local_sum));
+}
+
+/// A traced one-page pushdown, after enough of them to wrap the ring, makes
+/// no heap allocation.
+#[test]
+fn traced_pushdowns_allocate_nothing_once_the_ring_has_wrapped() {
+    let mut rt = Runtime::teleport(DdcConfig::default());
+    rt.enable_tracing();
+    let col = rt.alloc_region::<u64>(PAGE_SIZE / 8);
+    rt.begin_timing();
+    let call = |rt: &mut Runtime| counted_pushdown(rt, |m| m.get(&col, 0, Pattern::Rand));
+    while rt.trace().len() <= rt.trace().ring_capacity() as u64 {
+        call(&mut rt);
+    }
+    assert_eq!(
+        (0..4).map(|_| call(&mut rt)).collect::<Vec<u64>>(),
+        [0; 4],
+        "a traced pushdown over a wrapped ring allocated"
+    );
 }

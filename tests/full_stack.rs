@@ -186,3 +186,45 @@ fn the_same_binary_runs_on_all_platforms() {
         assert_eq!(workload(&mut rt), 9_999, "{kind:?}");
     }
 }
+
+#[test]
+fn syncmem_with_a_dirty_page_flushes_it_to_the_pool_and_nothing_on_local() {
+    // A monolithic server has no pool to synchronize with: `syncmem` and
+    // `syncmem_range` flush nothing there, and still mark the sync point.
+    use ddc_os::Pattern;
+    use ddc_sim::{EventKind, TraceEvent};
+    use teleport::Mem;
+    for (kind, flushed) in [
+        (PlatformKind::Local, 0),
+        (PlatformKind::BaseDdc, 1),
+        (PlatformKind::Teleport, 1),
+    ] {
+        let mut rt = make_rt(kind, 1 << 20);
+        rt.enable_tracing();
+        let col = rt.alloc_region::<u64>(4 * 512);
+        rt.begin_timing();
+        rt.set(&col, 3, 7, Pattern::Rand);
+        assert_eq!(rt.syncmem(), flushed, "{kind:?}: syncmem");
+        rt.set(&col, 600, 8, Pattern::Rand);
+        assert_eq!(
+            rt.syncmem_range(col.addr(), col.byte_len()),
+            flushed,
+            "{kind:?}: syncmem_range"
+        );
+        assert_eq!(rt.get(&col, 3, Pattern::Rand), 7, "{kind:?}");
+        assert_eq!(rt.get(&col, 600, Pattern::Rand), 8, "{kind:?}");
+        let syncs: Vec<TraceEvent> = rt
+            .trace()
+            .events()
+            .into_iter()
+            .map(|rec| rec.event)
+            .filter(|event| event.kind() == EventKind::Syncmem)
+            .collect();
+        let pages = flushed as u64;
+        assert_eq!(
+            syncs,
+            [TraceEvent::Syncmem { pages }, TraceEvent::Syncmem { pages }],
+            "{kind:?}"
+        );
+    }
+}

@@ -1,12 +1,21 @@
 //! Property tests for the trace layer: per-lane timestamp monotonicity,
-//! digest determinism across identical runs, and the coherence-tracing
+//! digest determinism across identical runs, the coherence-tracing
 //! contract (every SWMR-violating memory-side access under a coherent
-//! mode emits a `CoherenceMsg`; disabled coherence emits none).
+//! mode emits a `CoherenceMsg`; disabled coherence emits none), and the
+//! retained ring as a window that changes no result.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use ddc_os::{Dos, Pattern};
-use ddc_sim::{DdcConfig, EventKind, SimDuration, PAGE_SIZE};
+use ddc_sim::{
+    DdcConfig, EventKind, FaultPlan, SimDuration, SimTime, TraceRecord, FOREVER, PAGE_SIZE,
+};
 use proptest::prelude::*;
-use teleport::{CoherenceMode, CoherenceStats, Mem, Perm, PushdownOpts, PushdownSession, Runtime};
+use teleport::{
+    CoherenceMode, CoherenceStats, Mem, Perm, PushdownOpts, PushdownSession, ResiliencePolicy,
+    Runtime,
+};
 
 const PAGES: u64 = 6;
 const ELEMS_PER_PAGE: usize = PAGE_SIZE / 8;
@@ -256,5 +265,101 @@ fn coherence_metrics_sum_over_the_timed_window() {
         "coherence.pages_written_memside",
     ] {
         assert_eq!(local.get(name), Some(0), "{name} on Local");
+    }
+}
+
+/// Pages of the storm's column, and how many of them its cache holds.
+const STORM_PAGES: usize = 64;
+const STORM_CACHE: usize = 16;
+
+/// A traced storm with the ring at `ring` records: the `chaos` example's
+/// fault plan around resilient column sums, each after a compute-side sweep
+/// that rewrites a word of every page through a cache a quarter the
+/// column's size. Returns the runtime and every record a sink saw.
+fn storm(ring: usize) -> (Runtime, Vec<TraceRecord>) {
+    let mut rt = Runtime::teleport(DdcConfig {
+        compute_cache_bytes: STORM_CACHE * PAGE_SIZE,
+        ..Default::default()
+    });
+    rt.enable_tracing();
+    rt.trace().set_ring_capacity(ring);
+    let col = rt.alloc_region::<u64>(STORM_PAGES * ELEMS_PER_PAGE);
+    let vals: Vec<u64> = (0..col.len() as u64).collect();
+    rt.write_range(&col, 0, &vals);
+    rt.begin_timing();
+    let seen = Rc::new(RefCell::new(Vec::new()));
+    let sink = Rc::clone(&seen);
+    rt.trace()
+        .set_sink(move |rec: &TraceRecord| sink.borrow_mut().push(*rec));
+    rt.install_fault_plan(
+        FaultPlan::new(0xC0FFEE)
+            .fabric_latency_spike(SimTime(0), SimTime(200_000), SimDuration::from_micros(2))
+            .ssd_latency_storm(SimTime(0), FOREVER, 8)
+            .ssd_transient_errors(SimTime(0), FOREVER, 0.3)
+            .heartbeat_flap(SimTime(0), SimTime(15_000_000))
+            .pushdown_exceptions_prob(SimTime(0), FOREVER, 0.4),
+    );
+    let expected: u64 = vals.iter().sum();
+    let policy = ResiliencePolicy::full();
+    for call in 0..32 {
+        for page in 0..STORM_PAGES {
+            let i = page * ELEMS_PER_PAGE + call;
+            let v = rt.get(&col, i, Pattern::Rand);
+            rt.set(&col, i, v, Pattern::Rand);
+        }
+        let out = rt
+            .pushdown_resilient(PushdownOpts::new(), &policy, move |m| {
+                let mut buf = Vec::new();
+                m.read_range(&col, 0, col.len(), &mut buf);
+                buf.iter().sum::<u64>()
+            })
+            .expect("the full policy absorbs every injected exception");
+        assert_eq!(out.value, expected);
+    }
+    rt.trace().clear_sink();
+    let seen = seen.borrow().clone();
+    (rt, seen)
+}
+
+/// The ring is a window onto the stream and nothing else: the same storm
+/// with no ring, a one-record ring, the default 4 096 (which it wraps) and
+/// 65 536 (which it does not) gives the same virtual time, digest, length,
+/// per-kind counts and metrics, and each ring holds exactly the newest
+/// records the sink saw, their seqs running on to the stream's end.
+#[test]
+fn ring_window_changes_no_result_of_a_traced_storm() {
+    let runs: Vec<(usize, (Runtime, Vec<TraceRecord>))> = [0, 1, 4_096, 65_536]
+        .into_iter()
+        .map(|ring| (ring, storm(ring)))
+        .collect();
+    let (first, first_seen) = &runs[0].1;
+    let len = first.trace().len();
+    assert!(
+        (2 * 4_096..65_536).contains(&len),
+        "the storm's {len} records must wrap the default ring and not the largest"
+    );
+    for (ring, (rt, seen)) in &runs {
+        let t = rt.trace();
+        assert_eq!(
+            (rt.elapsed(), t.digest(), t.len()),
+            (first.elapsed(), first.trace().digest(), len),
+            "ring {ring}: (elapsed, digest, len)"
+        );
+        for kind in EventKind::ALL {
+            assert_eq!(
+                t.count(kind),
+                first.trace().count(kind),
+                "ring {ring}: {kind:?}"
+            );
+        }
+        assert_eq!(rt.metrics(), first.metrics(), "ring {ring}: metrics()");
+        assert_eq!(seen, first_seen, "ring {ring}: the sink saw another stream");
+        assert_eq!(seen.len() as u64, len);
+        let events = t.events();
+        let held = (*ring).min(seen.len());
+        assert_eq!(events[..], seen[seen.len() - held..], "ring {ring}");
+        for (k, rec) in events.iter().enumerate() {
+            assert_eq!(rec.seq, len - held as u64 + k as u64, "ring {ring}: seq");
+        }
     }
 }

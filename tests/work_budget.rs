@@ -32,16 +32,34 @@
 //!   never rebuilt, after the first request; a cache that rebuilt on every
 //!   change would move both counts.
 //!
+//! Two more tests run the other two rackbench shapes at their `--smoke`
+//! sizes and pin all eight counters of every rack: `scatter` (SSSP, then
+//! WordCount, each on the three platforms) and `chaos` (the `serve` traffic
+//! with puts over two replicated pools, four contexts, a scrub, the tracer
+//! on and the six-fault plan, crash included). So a change to the graph or
+//! MapReduce engines' allocations, to the paging core's fault and write-back
+//! path, or to what the armed planes make the cache rebuild, moves a pin
+//! here before it moves a benchmark.
+//!
 //! None of these is in a digest, a trace record or `Runtime::metrics`; they
 //! describe how the simulation is computed, not what it simulates.
 
 use std::rc::Rc;
 
 use ddc_os::{work_counters, AddressSpace, Pattern, WorkCounters};
-use ddc_sim::{ArrivalProcess, DdcConfig, MonolithicConfig, QosClass, SimDuration, PAGE_SIZE};
+use ddc_sim::{
+    ArrivalProcess, DdcConfig, FaultPlan, MonolithicConfig, PlacementPolicy, QosClass,
+    ReplicationMode, ScrubConfig, SimDuration, SimTime, PAGE_SIZE,
+};
+use graphproc::algos::sssp;
+use graphproc::{social_graph, GasEngine, GasPlan, Sssp};
 use kvapp::{KvData, KvStore};
+use mapred::{wordcount_oracle, Corpus, LoadedCorpus, MrPlan, WordCount};
 use memdb::{q3, q6, q9, Database, PushdownPlan, QueryParams, TpchData};
-use teleport::{Mem, PlatformKind, Runtime, ServeConfig, ServePlane};
+use teleport::{
+    AdmissionPolicy, Mem, PlatformKind, PushdownOpts, ResiliencePolicy, Runtime, ServeConfig,
+    ServePlane,
+};
 
 /// Each platform's counters over one rack's life, in the order the racks
 /// are built: `(bytes_zeroed, fresh_backings, recycled_backings,
@@ -83,6 +101,47 @@ fn fields(w: &WorkCounters) -> [u64; 8] {
     ]
 }
 
+const PLATFORMS: [PlatformKind; 3] = [
+    PlatformKind::Local,
+    PlatformKind::BaseDdc,
+    PlatformKind::Teleport,
+];
+
+/// rackbench's rack for a working set of `ws` bytes: a compute cache of 2 %
+/// of it on the disaggregated platforms, ample DRAM on `Local`.
+fn rack_for(kind: PlatformKind, ws: usize) -> Runtime {
+    let ddc = DdcConfig::with_cache_ratio(ws, 0.02);
+    match kind {
+        PlatformKind::Local => Runtime::local(MonolithicConfig {
+            dram_bytes: ws * 4 + (64 << 20),
+            ..Default::default()
+        }),
+        PlatformKind::BaseDdc => Runtime::base_ddc(ddc),
+        PlatformKind::Teleport => Runtime::teleport(ddc),
+    }
+}
+
+/// Drop the compute cache (disaggregated platforms) and zero the clock:
+/// every job starts cold.
+fn cold_start(rt: &mut Runtime) {
+    if rt.kind() != PlatformKind::Local {
+        rt.drop_cache();
+    }
+    rt.begin_timing();
+}
+
+/// Assert each rack's eight counters, naming the first that moved.
+fn assert_budget<K: std::fmt::Debug>(want: &[(K, [u64; 8])], got: &[(K, [u64; 8])]) {
+    for ((rack, want), (_, counts)) in want.iter().zip(got) {
+        for ((name, want), got_one) in NAMES.iter().zip(want).zip(counts) {
+            assert_eq!(
+                got_one, want,
+                "{rack:?}: work counter `{name}` moved; all counters now read {got:?}"
+            );
+        }
+    }
+}
+
 /// One rack's life on `kind`: build, load, run the three queries cold under
 /// `plans`, drop. Returns its work and the query reports' intensity
 /// rankings (the Teleport plans are the top four of the BaseDdc run's, as
@@ -94,20 +153,9 @@ fn rack_life(
 ) -> (WorkCounters, [Vec<&'static str>; 3]) {
     let before = work_counters();
     let ws = data.working_set_bytes();
-    let ddc = DdcConfig::with_cache_ratio(ws, 0.02);
-    let mut rt = match kind {
-        PlatformKind::Local => Runtime::local(MonolithicConfig {
-            dram_bytes: ws * 4 + (64 << 20),
-            ..Default::default()
-        }),
-        PlatformKind::BaseDdc => Runtime::base_ddc(ddc),
-        PlatformKind::Teleport => Runtime::teleport(ddc),
-    };
+    let mut rt = rack_for(kind, ws);
     let db = Database::load(&mut rt, data);
-    if kind != PlatformKind::Local {
-        rt.drop_cache();
-    }
-    rt.begin_timing();
+    cold_start(&mut rt);
     let params = QueryParams::default();
     let (_, r9) = q9(&mut rt, &db, &plans[0], &params);
     let (_, r3) = q3(&mut rt, &db, &plans[1], &params);
@@ -139,14 +187,7 @@ fn memdb_racks_do_the_pinned_host_work() {
         }
         got.push((kind, fields(&work)));
     }
-    for ((kind, want), (_, counts)) in BUDGET.iter().zip(&got) {
-        for ((name, want), got_one) in NAMES.iter().zip(want).zip(counts) {
-            assert_eq!(
-                got_one, want,
-                "{kind:?}: work counter `{name}` moved; all counters now read {got:?}"
-            );
-        }
-    }
+    assert_budget(&BUDGET, &got);
 }
 
 /// Victim orders of a spilling rack's life on each disaggregated platform
@@ -262,4 +303,191 @@ fn serve_rack_patches_its_resident_view() {
         SERVE_VIEW,
         "(view_rebuilds, view_notes_reconciled, compute-side misses, pushdown calls)"
     );
+}
+
+/// rackbench's seed and `scatter` smoke sizes: a 1 500-vertex social graph
+/// of degree 4, and 800 comments over a 2 000-word vocabulary.
+const SEED: u64 = 42;
+const SCATTER_GRAPH: (usize, usize) = (1_500, 4);
+const SCATTER_CORPUS: (usize, u32) = (800, 2_000);
+
+/// `scatter`'s racks, SSSP's three then WordCount's three, each over its
+/// whole life (build, load, cold start, run, drop), counters as in
+/// [`BUDGET`].
+const SCATTER_BUDGET: [((&str, PlatformKind), [u64; 8]); 6] = [
+    (("sssp", PlatformKind::Local), [0, 7, 0, 0, 0, 0, 0, 0]),
+    (
+        ("sssp", PlatformKind::BaseDdc),
+        [14_480, 0, 7, 0, 0, 0, 0, 27],
+    ),
+    (
+        ("sssp", PlatformKind::Teleport),
+        [14_480, 0, 7, 0, 0, 0, 0, 89],
+    ),
+    (
+        ("wordcount", PlatformKind::Local),
+        [0, 15, 0, 0, 0, 0, 0, 0],
+    ),
+    (
+        ("wordcount", PlatformKind::BaseDdc),
+        [278_528, 0, 15, 0, 0, 0, 0, 44],
+    ),
+    (
+        ("wordcount", PlatformKind::Teleport),
+        [278_528, 0, 15, 0, 0, 0, 0, 104],
+    ),
+];
+
+#[test]
+fn scatter_racks_do_the_pinned_host_work() {
+    drop(AddressSpace::new());
+    let g = social_graph(SCATTER_GRAPH.0, SCATTER_GRAPH.1, SEED);
+    let dist = sssp::oracle(&g, 0);
+    let corpus = Corpus::generate(SCATTER_CORPUS.0, SCATTER_CORPUS.1, SEED);
+    let counts = wordcount_oracle(&corpus);
+    let mut got = Vec::new();
+    for kind in PLATFORMS {
+        let plan = match kind {
+            PlatformKind::Teleport => GasPlan::paper(),
+            _ => GasPlan::none(),
+        };
+        let before = work_counters();
+        let mut rt = rack_for(kind, g.bytes() + g.n() * 16);
+        let eng = GasEngine::load(&mut rt, &g);
+        cold_start(&mut rt);
+        let (got_dist, _) = eng.run(&mut rt, &Sssp { source: 0 }, &plan);
+        drop(rt);
+        assert!(got_dist == dist, "{kind:?}: SSSP disagrees with its oracle");
+        got.push((
+            ("sssp", kind),
+            fields(&work_counters().delta_since(&before)),
+        ));
+    }
+    for kind in PLATFORMS {
+        let plan = match kind {
+            PlatformKind::Teleport => MrPlan::paper(),
+            _ => MrPlan::none(),
+        };
+        let before = work_counters();
+        let mut rt = rack_for(kind, corpus.bytes() * 3);
+        let loaded = LoadedCorpus::load(&mut rt, &corpus);
+        cold_start(&mut rt);
+        let (got_counts, _) = mapred::run(&mut rt, &loaded, &WordCount, 8, 4, &plan);
+        drop(rt);
+        assert_eq!(got_counts, counts, "{kind:?}: WordCount");
+        got.push((
+            ("wordcount", kind),
+            fields(&work_counters().delta_since(&before)),
+        ));
+    }
+    assert_budget(&SCATTER_BUDGET, &got);
+}
+
+/// `chaos` at its smoke size: 2 000 sessions from four tenants over a 2^16-key
+/// store, half of them pushed-down puts.
+const CHAOS_KEYS: usize = 1 << 16;
+const CHAOS_SESSIONS: usize = 2_000;
+/// Virtual service time of one session, on which rackbench lays out the
+/// fault windows.
+const CHAOS_SERVICE_NS: u64 = 60_000;
+
+/// The one `chaos` rack's life — build, load, warm, serve, drop — counters
+/// as in [`BUDGET`].
+const CHAOS_BUDGET: [(&str, [u64; 8]); 1] = [("chaos", [0, 1, 0, 0, 0, 0, 1, 735])];
+
+#[test]
+fn chaos_rack_does_the_pinned_host_work() {
+    drop(AddressSpace::new());
+    let at = |permille: u64| SimTime(CHAOS_SESSIONS as u64 * CHAOS_SERVICE_NS / 1000 * permille);
+    let data = KvData::generate(CHAOS_KEYS, SEED);
+    let before = work_counters();
+    let mut rt = Runtime::teleport(DdcConfig {
+        compute_cache_bytes: 512 * PAGE_SIZE,
+        pools: 2,
+        placement: PlacementPolicy::LoadBalance,
+        replication: ReplicationMode::Synchronous,
+        memory_contexts: 4,
+        scrub: ScrubConfig {
+            every: Some(at(200).since(SimTime::ZERO)),
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    rt.enable_tracing();
+    let store = KvStore::load(&mut rt, &data);
+    rt.drop_cache();
+    // The cache's worth of the store, or all of it when it is smaller.
+    for page in 0..512.min(CHAOS_KEYS * 8 / PAGE_SIZE) {
+        rt.get(&store.vals, page * PAGE_SIZE / 8, Pattern::Rand);
+    }
+    rt.begin_timing();
+    let corrupt = (800.0 / CHAOS_SESSIONS as f64).min(0.5);
+    rt.install_fault_plan(
+        FaultPlan::new(SEED)
+            .fabric_bit_flips(at(50), at(250), corrupt)
+            .pool_scribbles(at(50), at(250), corrupt)
+            .degraded_pool(1, at(300), at(450), 10)
+            .lame_fabric_link(at(500), at(600), 8)
+            .fabric_latency_spike(at(620), at(700), SimDuration::from_micros(2))
+            .pool_crash_restart(0, at(750), SimDuration::from_millis(2)),
+    );
+    let mut plane = ServePlane::new(ServeConfig {
+        seed: SEED,
+        admission: AdmissionPolicy {
+            max_queue_depth: 64,
+            max_backlog: SimDuration::from_millis(10),
+        },
+        contexts: None,
+    });
+    let per_tenant = CHAOS_SESSIONS / 4;
+    let retry = ResiliencePolicy::retry_only();
+    for (t, class) in [
+        QosClass::Guaranteed,
+        QosClass::Guaranteed,
+        QosClass::Burstable,
+        QosClass::BestEffort,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let keys = Rc::new(kvapp::keys(SEED + t as u64, per_tenant, CHAOS_KEYS));
+        plane.tenant(
+            format!("kv{t}"),
+            class,
+            ArrivalProcess::poisson(SimDuration::from_micros(200)),
+            per_tenant,
+            move |rt, s| {
+                let key = keys[s as usize] as usize;
+                let vals = store.vals;
+                // Of every ten sessions, five put, three get by pushdown
+                // and two get through the compute cache.
+                if s % 10 >= 8 {
+                    return Ok(rt.get(&vals, key, Pattern::Rand));
+                }
+                let put = ((t as u64) << 40 | s).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let out = rt.pushdown_resilient(PushdownOpts::new(), &retry, |m| {
+                    m.charge_cycles(64);
+                    if s % 10 < 5 {
+                        m.write_range(&vals, key, &[put]);
+                        put
+                    } else {
+                        let mut buf = Vec::with_capacity(1);
+                        m.read_range(&vals, key, 1, &mut buf);
+                        buf[0]
+                    }
+                })?;
+                Ok(out.value)
+            },
+        );
+    }
+    let report = plane.run(&mut rt);
+    assert!(report.ledger_balances() && report.failed() == 0);
+    assert_eq!(report.completed(), report.arrived());
+    let reg = rt.metrics();
+    for armed in ["recovery.crashes", "integrity.detected", "scrub.passes"] {
+        assert!(reg.get(armed).unwrap_or(0) > 0, "{armed} stayed 0");
+    }
+    drop(rt);
+    let got = [("chaos", fields(&work_counters().delta_since(&before)))];
+    assert_budget(&CHAOS_BUDGET, &got);
 }
