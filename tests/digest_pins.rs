@@ -11,10 +11,11 @@
 //!
 //! Every seed here is a literal (never `TELEPORT_FAULT_SEED`), so the pins
 //! are independent of the CI seed sweep. Each scenario covers a different
-//! charge path: compute faults and dirty write-backs, pool-side storage
-//! recursion, prefetch, every coherence hook, fan-out settlement, both
-//! failover flavours, both restart lives, repair from SSD and replica, the
-//! health tick, and the serve plane's credit accounting.
+//! charge path: hash-join builds and probes, compute faults and dirty
+//! write-backs, pool-side storage recursion, prefetch, every coherence hook,
+//! fan-out settlement, both failover flavours, both restart lives, repair
+//! from SSD and replica, the health tick, and the serve plane's credit
+//! accounting.
 //!
 //! Because the scenarios between them arm every plane, they are also what
 //! the DESIGN.md §6 metric table is held against: each scenario is a
@@ -127,6 +128,54 @@ fn q6_scan(check: Check) {
         let (r, _) = q6(&mut rt, &db, &plan, &params);
         assert!((r - expected).abs() < 1e-6 * expected.abs());
         check(&format!("q6/{kind:?}"), &rt, want);
+    }
+}
+
+/// Q9 and Q3 run every hash join memdb has: the build's random inserts,
+/// the probes into an index larger than the compute cache, and the
+/// Teleport leg pushing each query's top-4 operators by the BaseDdc
+/// ranking, as rackbench's `tpch` plans them.
+fn q9_q3_joins(check: Check) {
+    use memdb::{oracle, q3, q9, Database, PushdownPlan, QueryParams, TpchData};
+
+    const PINS: [(PlatformKind, Pin); 3] = [
+        (PlatformKind::Local, (0x47030f, 0x1a328e38914597dd, 191)),
+        (
+            PlatformKind::BaseDdc,
+            (0x121774c, 0xc2c13a9046b2b0bf, 11823),
+        ),
+        (PlatformKind::Teleport, (0x58dc5d, 0x72ae122b0e2ed182, 912)),
+    ];
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-6 * a.abs().max(b.abs()).max(1.0);
+    let data = TpchData::generate(0.002, 5);
+    let params = QueryParams::default();
+    let ws = data.working_set_bytes();
+    let (want9, want3) = (oracle::q9(&data, &params), oracle::q3(&data, &params));
+    // Local and BaseDdc push nothing; BaseDdc's ranking plans Teleport.
+    let mut plans = [PushdownPlan::none(), PushdownPlan::none()];
+    for (kind, want) in PINS {
+        let mut rt = platform(kind, DdcConfig::with_cache_ratio(ws, 0.02), ws);
+        let db = Database::load(&mut rt, &data);
+        cold_start(&mut rt);
+        let (rows9, rep9) = q9(&mut rt, &db, &plans[0], &params);
+        assert_eq!(rows9.len(), want9.len(), "{kind:?}: Q9 groups");
+        for (g, e) in rows9.iter().zip(&want9) {
+            assert!(g.nation == e.nation && g.year == e.year && close(g.profit, e.profit));
+        }
+        let (rows3, rep3) = q3(&mut rt, &db, &plans[1], &params);
+        assert_eq!(rows3.len(), want3.len(), "{kind:?}: Q3 rows");
+        for (g, e) in rows3.iter().zip(&want3) {
+            assert!(g.orderkey == e.orderkey && close(g.revenue, e.revenue));
+            assert!(g.orderdate == e.orderdate && g.shippriority == e.shippriority);
+        }
+        if kind == PlatformKind::BaseDdc {
+            plans = [rep9, rep3].map(|rep| PushdownPlan::top_k(&rep.rank_by_intensity(), 4));
+            assert!(
+                plans[0].is_pushed("HashJoin(partsupp)"),
+                "the Teleport leg probes inside a pushdown"
+            );
+        }
+        check(&format!("q9-q3/{kind:?}"), &rt, want);
     }
 }
 
@@ -592,6 +641,11 @@ fn q6_scan_on_every_platform() {
 }
 
 #[test]
+fn q9_q3_hash_joins_on_every_platform() {
+    q9_q3_joins(&mut assert_pin);
+}
+
+#[test]
 fn sssp_on_a_spilling_pool() {
     sssp_spill(&mut assert_pin);
 }
@@ -646,8 +700,9 @@ type Scenario = fn(Check);
 
 /// The pinned scenarios other than the serve run, by the function names
 /// DESIGN.md §6's event table cites.
-const SCENARIOS: [(&str, Scenario); 10] = [
+const SCENARIOS: [(&str, Scenario); 11] = [
     ("q6_scan", q6_scan),
+    ("q9_q3_joins", q9_q3_joins),
     ("sssp_spill", sssp_spill),
     ("coherence_hooks", coherence_hooks),
     ("fanout", fanout),
@@ -846,5 +901,5 @@ fn counter_pairs_agree_at_every_pinned_point() {
             );
         }
     });
-    assert_eq!(points, 17, "every pinned point was checked");
+    assert_eq!(points, 20, "every pinned point was checked");
 }
