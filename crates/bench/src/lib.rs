@@ -14,6 +14,8 @@
 //! *implementation itself* (coherence transitions, RLE codec, the pushdown
 //! syscall path, columnar operators, the paging fast path).
 
+#![deny(unsafe_code)]
+
 pub mod figs;
 
 use ddc_sim::{DdcConfig, MonolithicConfig, SimDuration};

@@ -62,6 +62,8 @@
 //! - [`microbench`] — the two-thread ablation and contention workloads
 //!   (paper Figs 6, 7, 21, 22).
 
+#![deny(unsafe_code)]
+
 pub mod breakdown;
 pub mod coherence;
 pub mod fault;

@@ -21,7 +21,9 @@ use std::marker::PhantomData;
 use std::ops::AddAssign;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use ddc_os::{page_chunks, pages_spanned, Dos, PageId, Pattern, PoolLoss, RoutingWindow, VAddr};
+use ddc_os::{
+    page_chunks, pages_spanned, Dos, HostSpan, PageId, Pattern, PoolLoss, RoutingWindow, VAddr,
+};
 use ddc_sim::{
     CpuConfig, DdcConfig, EventKind, FaultInjector, FaultPlan, Lane, MetricsRegistry,
     MonolithicConfig, MsgClass, NetLedger, PushdownDisruption, RecoveryAction, SimDuration,
@@ -279,6 +281,16 @@ pub trait Mem {
         pat: Pattern,
         hits: u64,
     ) -> Option<&[u8]>;
+    /// A prefetch handle on `r`'s host backing, resolved once: each
+    /// [`HostSpan::prefetch`] through it asks the host CPU to cache bytes
+    /// that later accesses will read, and is invisible to the model — no
+    /// virtual time, trace event, page-cache touch or work count, and no
+    /// simulated access moves. A caller that knows its next accesses (a
+    /// hash index's slot some keys ahead) uses it to overlap the host's
+    /// cache misses with the bookkeeping of the access before.
+    fn host_span<T: Scalar>(&self, r: &Region<T>) -> HostSpan
+    where
+        Self: Sized;
 
     /// Allocate a typed region of `n` elements.
     fn alloc_region<T: Scalar>(&mut self, n: usize) -> Region<T>
@@ -617,6 +629,11 @@ impl Mem for Arm<'_> {
         };
         let charged = s.mem_repeat_reads(&mut self.rt.dos, addr.page(), elem, pat, hits);
         charged.then(|| self.rt.dos.space().bytes(addr, len))
+    }
+
+    /// Both sides read the one backing, so the arm's span is the runtime's.
+    fn host_span<T: Scalar>(&self, r: &Region<T>) -> HostSpan {
+        self.rt.host_span(r)
     }
 }
 
@@ -1783,5 +1800,9 @@ impl Mem for Runtime {
     ) -> Option<&[u8]> {
         let charged = self.stale.is_empty() && self.dos.repeat_reads(addr.page(), elem, pat, hits);
         charged.then(|| self.dos.space().bytes(addr, len))
+    }
+
+    fn host_span<T: Scalar>(&self, r: &Region<T>) -> HostSpan {
+        self.dos.space().host_span(r.addr, r.byte_len())
     }
 }

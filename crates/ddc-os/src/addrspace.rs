@@ -351,6 +351,17 @@ impl AddressSpace {
         &mut self.segments[idx].data[off..off + len]
     }
 
+    /// A host-only handle on the `len` bytes at `start`, which must lie
+    /// within one allocation: the backing is resolved here, once, so that
+    /// each [`HostSpan::prefetch`] after it costs no lookup.
+    pub fn host_span(&self, start: VAddr, len: usize) -> HostSpan {
+        let (idx, off) = self.locate(start, len);
+        HostSpan {
+            base: self.segments[idx].data[off..].as_ptr(),
+            len,
+        }
+    }
+
     pub fn read_u64(&self, addr: VAddr) -> u64 {
         let mut b = [0u8; 8];
         self.read(addr, &mut b);
@@ -359,6 +370,41 @@ impl AddressSpace {
 
     pub fn write_u64(&mut self, addr: VAddr, v: u64) {
         self.write(addr, &v.to_le_bytes());
+    }
+}
+
+/// A span of an allocation's host backing, for cache hints only.
+///
+/// A hint is invisible to the simulation: it charges no virtual time,
+/// records no trace event, touches no page cache, counts no work and reads
+/// nothing the program sees. What it buys is host speed, when a caller
+/// knows which bytes its next accesses will land on — a hash index's slot
+/// some keys ahead — and can have the host's memory fetch them while the
+/// simulator's bookkeeping for the current access runs.
+#[derive(Debug, Clone, Copy)]
+pub struct HostSpan {
+    base: *const u8,
+    len: usize,
+}
+
+impl HostSpan {
+    /// Ask the host CPU to bring the cache line holding byte `byte_off` of
+    /// the span into its caches. A no-op past the span's end, and on
+    /// targets other than x86-64.
+    #[inline]
+    pub fn prefetch(&self, byte_off: usize) {
+        if byte_off >= self.len {
+            return;
+        }
+        #[cfg(target_arch = "x86_64")]
+        #[allow(unsafe_code)]
+        // SAFETY: a prefetch reads nothing into the program and never
+        // faults, whatever the address; the one computed here is inside
+        // the span, which `host_span` resolved within one allocation.
+        unsafe {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            _mm_prefetch::<_MM_HINT_T0>(self.base.wrapping_add(byte_off).cast());
+        }
     }
 }
 
@@ -669,6 +715,31 @@ mod tests {
         let mut space = AddressSpace::new();
         let at = space.alloc(10);
         space.zero_from(at, 11);
+    }
+
+    /// A prefetch reads nothing the program sees, and one past the span's
+    /// end — the padding of its last page included — is dropped.
+    #[test]
+    fn host_span_prefetches_change_nothing_and_stop_at_the_end() {
+        let mut space = AddressSpace::new();
+        let len = 3 * PAGE_SIZE + 5;
+        let at = space.alloc(len);
+        space.write_u64(at.offset(8), 0xfeed);
+        let span = space.host_span(at, len);
+        let before = work::work_counters();
+        for off in [0, 8, PAGE_SIZE, len - 1, len, len + PAGE_SIZE, usize::MAX] {
+            span.prefetch(off);
+        }
+        assert_eq!(space.read_u64(at.offset(8)), 0xfeed);
+        assert_eq!(work::work_counters(), before);
+    }
+
+    #[test]
+    #[should_panic(expected = "overruns allocation")]
+    fn host_span_refuses_a_span_past_the_allocation() {
+        let mut space = AddressSpace::new();
+        let at = space.alloc(10);
+        space.host_span(at, 11);
     }
 
     #[test]

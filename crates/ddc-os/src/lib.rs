@@ -34,6 +34,9 @@
 //! Everything is deterministic; all costs land on a shared
 //! [`ddc_sim::Clock`].
 
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod addrspace;
 pub mod cache;
 pub mod fair;
@@ -47,7 +50,7 @@ pub mod replica;
 pub mod stats;
 pub mod work;
 
-pub use addrspace::AddressSpace;
+pub use addrspace::{AddressSpace, HostSpan};
 pub use cache::{CacheEntry, Evicted, PageCache, ResidentPages, ResidentTable, ResidentView};
 pub use fair::DrrQueue;
 pub use health::{HealthConfig, HealthMonitor};

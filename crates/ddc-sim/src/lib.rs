@@ -26,6 +26,8 @@
 //! shared components are `Rc`-based handles, and scheduling decisions break
 //! ties by index. Running an experiment twice produces identical numbers.
 
+#![deny(unsafe_code)]
+
 pub mod clock;
 pub mod config;
 pub mod event;

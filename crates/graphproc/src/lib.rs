@@ -13,6 +13,8 @@
 //! - [`algos`] — SSSP, Reachability, Connected Components, PageRank, each
 //!   with a host-memory oracle.
 
+#![deny(unsafe_code)]
+
 pub mod algos;
 pub mod gas;
 pub mod gen;

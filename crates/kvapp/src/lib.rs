@@ -20,6 +20,8 @@
 //! "hash table" indirection is charged as cycles, not modeled as pointer
 //! chases, keeping each lookup a one-page working set.
 
+#![deny(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use teleport::{Mem, Pattern, PushdownError, PushdownOpts, Region, Runtime};

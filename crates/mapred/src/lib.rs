@@ -12,6 +12,8 @@
 //!   pushdown plans;
 //! - [`apps`] — WordCount and Grep with host-memory oracles.
 
+#![deny(unsafe_code)]
+
 pub mod apps;
 pub mod engine;
 pub mod textgen;

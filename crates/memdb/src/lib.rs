@@ -17,6 +17,8 @@
 //! - [`dist`] — the distributed-DBMS cost model behind Fig 1b's
 //!   SparkSQL/Vertica reference points.
 
+#![deny(unsafe_code)]
+
 pub mod db;
 pub mod dist;
 pub mod exec;

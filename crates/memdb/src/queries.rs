@@ -256,12 +256,11 @@ pub fn q3(
         let idx = hashjoin::HashIndex::build(m, &ckeys, &crow);
         let orows = cand_o.read(m);
         let okeys = project::gather_host(m, &ord.custkey, &orows);
-        let mut keep: Vec<u32> = Vec::new();
-        for (i, &ck) in okeys.iter().enumerate() {
-            if idx.probe(m, ck).is_some() {
-                keep.push(orows[i]);
-            }
-        }
+        let keep: Vec<u32> = idx
+            .probe_all(m, &okeys)
+            .into_iter()
+            .map(|(i, _)| orows[i as usize])
+            .collect();
         CandList::materialize(m, &keep)
     });
     rep.note_rows(surviving_orders.len as u64);
@@ -400,11 +399,8 @@ pub fn q9(
             let take = chunk.min(li.n - base);
             buf.clear();
             m.read_range(&pk_col, base, take, &mut buf);
-            for (i, &k) in buf.iter().enumerate() {
-                if idx.probe(m, k).is_some() {
-                    keep.push((base + i) as u32);
-                }
-            }
+            let hits = idx.probe_all(m, &buf);
+            keep.extend(hits.into_iter().map(|(i, _)| base as u32 + i));
             base += take;
         }
         CandList::materialize(m, &keep)
@@ -426,15 +422,12 @@ pub fn q9(
         let idx = hashjoin::HashIndex::build(m, &keys, &rows);
 
         let lrows = cand1.read(m);
-        let lpk = project::gather_host(m, &pk_col, &lrows);
+        let mut probe_keys = project::gather_host(m, &pk_col, &lrows);
         let lsk = project::gather_host(m, &sk_col, &lrows);
-        let mut ps_rows: Vec<u32> = Vec::with_capacity(lrows.len());
-        for i in 0..lrows.len() {
-            let row = idx
-                .probe(m, hashjoin::composite_key(lpk[i], lsk[i]))
-                .expect("referential integrity: partsupp row exists");
-            ps_rows.push(row);
+        for (key, &s) in probe_keys.iter_mut().zip(&lsk) {
+            *key = hashjoin::composite_key(*key, s);
         }
+        let ps_rows = every_row(idx.probe_all(m, &probe_keys), lrows.len(), "partsupp");
         project::gather(m, &ps.supplycost, &ps_rows)
     });
     rep.note_rows(cand1.len as u64);
@@ -450,10 +443,7 @@ pub fn q9(
         let idx = hashjoin::HashIndex::build(m, &skeys, &rows);
         let lrows = cand1.read(m);
         let lsk = project::gather_host(m, &sk_col, &lrows);
-        let mut srow: Vec<u32> = Vec::with_capacity(lrows.len());
-        for &k in &lsk {
-            srow.push(idx.probe(m, k).expect("supplier exists"));
-        }
+        let srow = every_row(idx.probe_all(m, &lsk), lrows.len(), "supplier");
         project::gather(m, &supp.nationkey, &srow)
     });
     rep.note_rows(cand1.len as u64);
@@ -499,6 +489,18 @@ pub fn q9(
     // Output order per the query: n_name asc, o_year desc.
     rows.sort_by(|a, b| a.nation.cmp(&b.nation).then(b.year.cmp(&a.year)));
     (rows, rep)
+}
+
+/// The inner row of each of `probes` probes, every one of which must match:
+/// the join follows a foreign key, whose row referential integrity
+/// guarantees.
+fn every_row(hits: Vec<(u32, u32)>, probes: usize, inner: &str) -> Vec<u32> {
+    assert_eq!(
+        hits.len(),
+        probes,
+        "referential integrity: every probe finds its {inner} row"
+    );
+    hits.into_iter().map(|(_, row)| row).collect()
 }
 
 #[cfg(test)]
