@@ -563,6 +563,8 @@ impl Mem for Arm<'_> {
         let Some(s) = &mut self.session else {
             return self.rt.read_raw(addr, len, pat);
         };
+        // The host fetches the bytes while coherence and the pool are modeled.
+        self.rt.dos.space().prefetch(addr);
         s.mem_access(&mut self.rt.dos, addr, len, false, pat);
         self.rt.dos.space().bytes(addr, len)
     }
@@ -571,6 +573,7 @@ impl Mem for Arm<'_> {
         let Some(s) = &mut self.session else {
             return self.rt.write_with(addr, len, pat, fill);
         };
+        self.rt.dos.space().prefetch(addr);
         s.mem_access(&mut self.rt.dos, addr, len, true, pat);
         fill(self.rt.dos.space_mut().bytes_mut(addr, len));
     }

@@ -362,6 +362,24 @@ impl AddressSpace {
         }
     }
 
+    /// Ask the host CPU to cache the line holding `addr`, for an access
+    /// whose simulated bookkeeping is about to run first (a
+    /// [`HostSpan::prefetch`] of one byte; a hint, invisible to the model).
+    /// An address no allocation holds — a guard page, a short allocation's
+    /// padding, `VAddr::NULL` — is ignored: the access that follows is the
+    /// one that refuses it.
+    #[inline]
+    pub fn prefetch(&self, addr: VAddr) {
+        if let Some(idx) = self.find(addr) {
+            let seg = &self.segments[idx];
+            let span = HostSpan {
+                base: seg.data.as_ptr(),
+                len: seg.len,
+            };
+            span.prefetch((addr.0 - seg.start.0) as usize);
+        }
+    }
+
     pub fn read_u64(&self, addr: VAddr) -> u64 {
         let mut b = [0u8; 8];
         self.read(addr, &mut b);
@@ -732,6 +750,39 @@ mod tests {
         }
         assert_eq!(space.read_u64(at.offset(8)), 0xfeed);
         assert_eq!(work::work_counters(), before);
+    }
+
+    /// An address hint reads nothing the program sees and refuses nothing:
+    /// a short allocation's first and last byte and its padding, a guard
+    /// page, the null address, past the last segment and the top of the
+    /// address range.
+    #[test]
+    fn prefetch_hints_change_nothing() {
+        let mut space = AddressSpace::new();
+        let short = space.alloc(10);
+        let next = space.alloc(2 * PAGE_SIZE);
+        space.write_u64(short, 0xfeed);
+        space.write_u64(next.offset(PAGE_SIZE as u64), 0xbeef);
+        let image: Vec<Vec<u8>> = space.segments.iter().map(|s| s.data.clone()).collect();
+        let guard = next.offset(2 * PAGE_SIZE as u64);
+        let past = PageId(space.next_page + 3).base();
+        let before = work::work_counters();
+        for addr in [
+            short,
+            short.offset(9),
+            short.offset(10),
+            short.offset(PAGE_SIZE as u64 - 1),
+            guard,
+            VAddr::NULL,
+            past,
+            VAddr(u64::MAX),
+        ] {
+            space.prefetch(addr);
+        }
+        assert_eq!(work::work_counters(), before);
+        let after: Vec<Vec<u8>> = space.segments.iter().map(|s| s.data.clone()).collect();
+        assert!(after == image, "the backing bytes are unchanged");
+        assert_eq!(space.read_u64(short), 0xfeed);
     }
 
     #[test]

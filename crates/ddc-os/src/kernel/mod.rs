@@ -562,18 +562,21 @@ impl Dos {
     #[allow(clippy::disallowed_macros)]
     pub fn touch_range(&mut self, addr: VAddr, len: usize, write: bool, pat: Pattern) {
         debug_assert!(self.space.is_mapped(addr), "touch of unmapped {addr}");
-        for_each_page(addr, len, |pid, in_page| {
-            self.touch_page(pid, in_page, write, pat)
+        for_each_page(addr, len, |at, in_page| {
+            self.touch_page(at, in_page, write, pat)
         });
     }
 
-    /// One page's share of [`Dos::touch_range`]: `in_page` bytes of `pid`.
+    /// One page's share of [`Dos::touch_range`]: `in_page` bytes from `at`.
     #[inline]
-    fn touch_page(&mut self, pid: PageId, in_page: usize, write: bool, pat: Pattern) {
+    fn touch_page(&mut self, at: VAddr, in_page: usize, write: bool, pat: Pattern) {
+        let pid = at.page();
         if self.cache.access(pid, write) {
             self.stats.cache_hits += 1;
             self.on_read(pid, CorruptionPoint::Pool);
         } else {
+            // The host fetches the bytes while the fault is modeled.
+            self.space.prefetch(at);
             self.fault_in(pid, write);
             if pat == Pattern::Seq && self.prefetch > 0 {
                 self.prefetch_ahead(pid);
@@ -730,8 +733,8 @@ impl Dos {
         // surfaced as a confusing `expect` on the pool handle below, so
         // check it up front in every build.
         assert!(self.is_disaggregated(), "mem-side access on monolithic");
-        for_each_page(addr, len, |pid, in_page| {
-            self.mem_touch_page(pid, in_page, write, pat)
+        for_each_page(addr, len, |at, in_page| {
+            self.mem_touch_page(at.page(), in_page, write, pat)
         });
     }
 

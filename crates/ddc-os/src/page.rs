@@ -211,15 +211,17 @@ pub fn page_chunks(addr: VAddr, len: usize) -> impl Iterator<Item = (PageId, usi
     })
 }
 
-/// Call `f(page, len_in_page)` for each page of `[addr, addr + len)`, as
-/// [`page_chunks`] would yield them. A span inside one page — the 4- and
-/// 8-byte accessors are most calls — skips the iterator.
+/// Call `f(first, len_in_page)` for each page of `[addr, addr + len)`, as
+/// [`page_chunks`] would yield them: the span's first byte on that page
+/// (`first.page()` is the page) and how many of its bytes fall there. A
+/// span inside one page — the 4- and 8-byte accessors are most calls —
+/// skips the iterator.
 #[inline]
-pub(crate) fn for_each_page(addr: VAddr, len: usize, mut f: impl FnMut(PageId, usize)) {
+pub(crate) fn for_each_page(addr: VAddr, len: usize, mut f: impl FnMut(VAddr, usize)) {
     if !addr.fits_in_page(len) {
-        page_chunks(addr, len).for_each(|(page, _, n)| f(page, n));
+        page_chunks(addr, len).for_each(|(page, off, n)| f(page.base().offset(off as u64), n));
     } else if len > 0 {
-        f(addr.page(), len);
+        f(addr, len);
     }
 }
 
@@ -334,8 +336,10 @@ mod tests {
             assert_eq!(page_chunks(addr, len).map(|c| c.2).sum::<usize>(), len);
             // The single-page fast path visits exactly what the iterator yields.
             let mut visited = Vec::new();
-            for_each_page(addr, len, |p, n| visited.push((p, n)));
-            let chunks: Vec<_> = page_chunks(addr, len).map(|(p, _, n)| (p, n)).collect();
+            for_each_page(addr, len, |at, n| visited.push((at, n)));
+            let chunks: Vec<_> = page_chunks(addr, len)
+                .map(|(p, off, n)| (p.base().offset(off as u64), n))
+                .collect();
             assert_eq!(visited, chunks);
         }
     }

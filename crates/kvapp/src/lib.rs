@@ -96,6 +96,9 @@ impl KvStore {
 pub fn get(rt: &mut Runtime, store: &KvStore, key: u64) -> Result<u64, PushdownError> {
     assert!((key as usize) < store.n, "key {key} out of range");
     let vals = store.vals;
+    // The host fetches the value's line while steps ❶–❹ are modeled.
+    rt.host_span(&vals)
+        .prefetch(key as usize * std::mem::size_of::<u64>());
     rt.pushdown(PushdownOpts::new(), move |m| {
         m.charge_cycles(LOOKUP_CYCLES);
         m.get(&vals, key as usize, Pattern::Seq)
@@ -131,6 +134,56 @@ mod tests {
             for &k in &ks {
                 assert_eq!(get(rt, &store, k).unwrap(), oracle::get(&data, k));
             }
+        }
+    }
+
+    /// `get` as it was before it prefetched the value's line on the host.
+    fn get_unhinted(rt: &mut Runtime, store: &KvStore, key: u64) -> Result<u64, PushdownError> {
+        assert!((key as usize) < store.n, "key {key} out of range");
+        let vals = store.vals;
+        rt.pushdown(PushdownOpts::new(), move |m| {
+            m.charge_cycles(LOOKUP_CYCLES);
+            m.get(&vals, key as usize, Pattern::Seq)
+        })
+    }
+
+    /// The host hint is invisible to the model: 2 000 lookups over a 4 MiB
+    /// store (larger than a host L2), hinted and not, on every platform,
+    /// read the same values, virtual time, paging counters, metrics and
+    /// trace.
+    #[test]
+    fn hinted_get_equals_the_unhinted_pushdown() {
+        let data = KvData::generate(1 << 19, 5);
+        let ks = keys(13, 2_000, data.len());
+        let ddc = || DdcConfig::with_cache_ratio(data.working_set_bytes(), 0.25);
+        for platform in ["local", "base_ddc", "teleport"] {
+            let run = |hinted: bool| {
+                let mut rt = match platform {
+                    "local" => Runtime::local(Default::default()),
+                    "base_ddc" => Runtime::base_ddc(ddc()),
+                    _ => Runtime::teleport(ddc()),
+                };
+                rt.enable_tracing();
+                let store = KvStore::load(&mut rt, &data);
+                rt.drop_cache();
+                rt.begin_timing();
+                let values: Vec<u64> = ks
+                    .iter()
+                    .map(|&k| match hinted {
+                        true => get(&mut rt, &store, k),
+                        false => get_unhinted(&mut rt, &store, k),
+                    })
+                    .map(|v| v.expect("a healthy rack runs the pushdown"))
+                    .collect();
+                let trace = (rt.trace().digest(), rt.trace().len());
+                (values, rt.elapsed(), rt.paging_stats(), rt.metrics(), trace)
+            };
+            let (got, want) = (run(true), run(false));
+            assert!(got.0 == want.0, "{platform}: values differ");
+            assert_eq!(got.1, want.1, "{platform}: elapsed");
+            assert_eq!(got.2, want.2, "{platform}: paging_stats");
+            assert!(got.3 == want.3, "{platform}: metrics differ");
+            assert_eq!(got.4, want.4, "{platform}: trace");
         }
     }
 
