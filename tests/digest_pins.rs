@@ -11,11 +11,11 @@
 //!
 //! Every seed here is a literal (never `TELEPORT_FAULT_SEED`), so the pins
 //! are independent of the CI seed sweep. Each scenario covers a different
-//! charge path: hash-join builds and probes, compute faults and dirty
-//! write-backs, pool-side storage recursion, prefetch, every coherence hook,
-//! fan-out settlement, both failover flavours, both restart lives, repair
-//! from SSD and replica, the health tick, and the serve plane's credit
-//! accounting.
+//! charge path: hash-join builds and probes, MapReduce's scattered shuffle
+//! writes, compute faults and dirty write-backs, pool-side storage
+//! recursion, prefetch, every coherence hook, fan-out settlement, both
+//! failover flavours, both restart lives, repair from SSD and replica, the
+//! health tick, and the serve plane's credit accounting.
 //!
 //! Because the scenarios between them arm every plane, they are also what
 //! the DESIGN.md §6 metric table is held against: each scenario is a
@@ -635,6 +635,59 @@ fn data_loss(check: Check) {
     check("data-loss", &rt, PIN);
 }
 
+/// WordCount and Grep over a tiny corpus: the map-shuffle's scattered
+/// bucket writes, Grep's payload `write_raw`s riding along, the keyed
+/// reduce and the merge, with the Teleport leg pushing the shuffle as the
+/// paper does (`MrPlan::paper()`). One point per app and platform; the
+/// Grep point follows the WordCount run on the same rack.
+fn wordcount_and_grep(check: Check) {
+    use mapred::{
+        grep_oracle, run, wordcount_oracle, Corpus, Grep, LoadedCorpus, MrPlan, WordCount,
+    };
+
+    const PINS: [(PlatformKind, Pin, Pin); 3] = [
+        (
+            PlatformKind::Local,
+            (0x45dd8b, 0xd165cb76c34b9e35, 73),
+            (0x485a28, 0xce1c3d013086bd6d, 87),
+        ),
+        (
+            PlatformKind::BaseDdc,
+            (0xd51b0b8, 0x3ce66eba39e94c69, 172746),
+            (0xd56ddc5, 0xab5d4f100f7a42c1, 172902),
+        ),
+        (
+            PlatformKind::Teleport,
+            (0x4aa83e, 0x2bdbbfeeee5d3618, 288),
+            (0x4f988a, 0x92d718d17461649a, 412),
+        ),
+    ];
+    let corpus = Corpus::generate(800, 2_000, 3);
+    let ws = corpus.bytes() * 3;
+    let grep = Grep { pattern: 7 };
+    let (want_wc, want_grep) = (
+        wordcount_oracle(&corpus),
+        grep_oracle(&corpus, grep.pattern),
+    );
+    for (kind, wc_pin, grep_pin) in PINS {
+        let mut rt = platform(kind, DdcConfig::with_cache_ratio(ws, 0.1), ws);
+        let input = LoadedCorpus::load(&mut rt, &corpus);
+        cold_start(&mut rt);
+        let plan = if kind == PlatformKind::Teleport {
+            MrPlan::paper()
+        } else {
+            MrPlan::none()
+        };
+        let (wc, _) = run(&mut rt, &input, &WordCount, 8, 4, &plan);
+        assert_eq!(wc, want_wc, "{kind:?}: WordCount");
+        check(&format!("wordcount/{kind:?}"), &rt, wc_pin);
+        let (gr, rep) = run(&mut rt, &input, &grep, 8, 4, &plan);
+        assert_eq!(gr, vec![(grep.pattern, want_grep)], "{kind:?}: Grep");
+        assert!(rep.pairs_shuffled > 0, "Grep's payloads ride the shuffle");
+        check(&format!("grep/{kind:?}"), &rt, grep_pin);
+    }
+}
+
 #[test]
 fn q6_scan_on_every_platform() {
     q6_scan(&mut assert_pin);
@@ -695,12 +748,17 @@ fn data_loss_on_a_scribbled_pool() {
     data_loss(&mut assert_pin);
 }
 
+#[test]
+fn wordcount_and_grep_on_every_platform() {
+    wordcount_and_grep(&mut assert_pin);
+}
+
 /// A pinned scenario: it hands each of its pinned points to `check`.
 type Scenario = fn(Check);
 
 /// The pinned scenarios other than the serve run, by the function names
 /// DESIGN.md §6's event table cites.
-const SCENARIOS: [(&str, Scenario); 11] = [
+const SCENARIOS: [(&str, Scenario); 12] = [
     ("q6_scan", q6_scan),
     ("q9_q3_joins", q9_q3_joins),
     ("sssp_spill", sssp_spill),
@@ -712,6 +770,7 @@ const SCENARIOS: [(&str, Scenario); 11] = [
     ("grayfail_hedged", grayfail_hedged),
     ("call_verdicts", call_verdicts),
     ("data_loss", data_loss),
+    ("wordcount_and_grep", wordcount_and_grep),
 ];
 
 /// Every pinned scenario, each handing its pinned points to `check`.
@@ -901,5 +960,5 @@ fn counter_pairs_agree_at_every_pinned_point() {
             );
         }
     });
-    assert_eq!(points, 20, "every pinned point was checked");
+    assert_eq!(points, 26, "every pinned point was checked");
 }
