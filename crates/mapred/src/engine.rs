@@ -11,12 +11,23 @@
 //! - **reduce** — each reduce task aggregates its buffer;
 //! - **merge** — per-reducer outputs are merged into the final sorted
 //!   result.
+//!
+//! The map-shuffle is also the simulator's own largest host cost: each
+//! pair's two bucket writes land at scattered positions over megabytes of
+//! reduce buffers, so the host CPU waits on a cache miss per write — on
+//! `Local`, which pages nothing, as much as anywhere. The shuffle is
+//! therefore software-pipelined: a second cursor running
+//! `PREFETCH_AHEAD` = 8 pairs ahead of the writes places each pair (its
+//! reducer and bucket position), prefetches the two slots through
+//! [`Mem::host_span`], and hands the placement to the write loop through a
+//! ring. A prefetch is a hint to the host only, so every simulated access,
+//! charge and trace record is the plain loop's, in the same order.
 
 use std::collections::HashMap;
 
-use ddc_os::Pattern;
+use ddc_os::{HostSpan, Pattern};
 use ddc_sim::SimDuration;
-use teleport::{Arm, Mem, PushdownOpts, Region, Runtime};
+use teleport::{Arm, Mem, PushdownOpts, Region, Runtime, Scalar};
 
 use crate::textgen::{Corpus, END_OF_COMMENT};
 
@@ -177,120 +188,124 @@ pub fn run_with_combiner<A: MapReduceApp>(
     plan: &MrPlan,
     combine: bool,
 ) -> (Vec<(u32, u64)>, MrReport) {
+    execute::<A, Pipelined>(rt, input, app, map_tasks, reduce_tasks, plan, combine)
+}
+
+/// [`run_with_combiner`] with the shuffle and fold bodies of `B`.
+fn execute<A: MapReduceApp, B: Bodies>(
+    rt: &mut Runtime,
+    input: &LoadedCorpus,
+    app: &A,
+    map_tasks: usize,
+    reduce_tasks: usize,
+    plan: &MrPlan,
+    combine: bool,
+) -> (Vec<(u32, u64)>, MrReport) {
     assert!(map_tasks >= 1 && reduce_tasks >= 1);
     let mut rep = MrReport::default();
     let input = *input;
 
     // ---- Map-compute: stream each split, run the map function.
-    // Pairs are `(key, value, payload_words)`.
-    let pairs: Vec<Vec<(u32, u64, u32)>> =
-        run_phase(rt, &mut rep, plan, MrPhase::MapCompute, |m| {
-            let mut all: Vec<Vec<(u32, u64, u32)>> = Vec::with_capacity(map_tasks);
-            let split = input.len.div_ceil(map_tasks);
-            let mut buf: Vec<u32> = Vec::new();
-            let mut comment: Vec<u32> = Vec::new();
-            let mut scratch: Vec<(u32, u64)> = Vec::new();
-            for t in 0..map_tasks {
-                let lo = t * split;
-                let hi = ((t + 1) * split).min(input.len);
-                let mut emitted: Vec<(u32, u64, u32)> = Vec::new();
-                if lo < hi {
-                    buf.clear();
-                    m.read_range(&input.words, lo, hi - lo, &mut buf);
-                    // Splits are comment-aligned only approximately: a comment
-                    // spanning a boundary is processed by the task that sees
-                    // its terminator; leading words before the first
-                    // terminator of a non-first split belong to the previous
-                    // task's trailing comment and are skipped symmetrically.
-                    comment.clear();
-                    let mut iter = buf.iter().copied().peekable();
-                    if t > 0 {
-                        // Words before our first terminator belong to a
-                        // comment that *started* in the previous split (that
-                        // task reads past its boundary to finish it) — unless
-                        // the previous split ended exactly on a terminator.
-                        let prev_word = m.get(&input.words, lo - 1, Pattern::Rand);
-                        if prev_word != END_OF_COMMENT {
-                            while let Some(&w) = iter.peek() {
-                                iter.next();
-                                if w == END_OF_COMMENT {
-                                    break;
-                                }
+    let pairs: Vec<Vec<Pair>> = run_phase(rt, &mut rep, plan, MrPhase::MapCompute, |m| {
+        let mut all: Vec<Vec<Pair>> = Vec::with_capacity(map_tasks);
+        let split = input.len.div_ceil(map_tasks);
+        let mut buf: Vec<u32> = Vec::new();
+        let mut comment: Vec<u32> = Vec::new();
+        let mut scratch: Vec<(u32, u64)> = Vec::new();
+        for t in 0..map_tasks {
+            let lo = t * split;
+            let hi = ((t + 1) * split).min(input.len);
+            let mut emitted: Vec<Pair> = Vec::new();
+            if lo < hi {
+                buf.clear();
+                m.read_range(&input.words, lo, hi - lo, &mut buf);
+                // Splits are comment-aligned only approximately: a comment
+                // spanning a boundary is processed by the task that sees
+                // its terminator; leading words before the first
+                // terminator of a non-first split belong to the previous
+                // task's trailing comment and are skipped symmetrically.
+                comment.clear();
+                let mut iter = buf.iter().copied().peekable();
+                if t > 0 {
+                    // Words before our first terminator belong to a
+                    // comment that *started* in the previous split (that
+                    // task reads past its boundary to finish it) — unless
+                    // the previous split ended exactly on a terminator.
+                    let prev_word = m.get(&input.words, lo - 1, Pattern::Rand);
+                    if prev_word != END_OF_COMMENT {
+                        while let Some(&w) = iter.peek() {
+                            iter.next();
+                            if w == END_OF_COMMENT {
+                                break;
                             }
                         }
                     }
-                    for w in iter {
-                        if w == END_OF_COMMENT {
-                            scratch.clear();
-                            app.map(&comment, &mut scratch);
-                            let payload = app.payload_words(&comment);
-                            emitted.extend(scratch.iter().map(|&(k, v)| (k, v, payload)));
-                            comment.clear();
-                        } else {
+                }
+                for w in iter {
+                    if w == END_OF_COMMENT {
+                        scratch.clear();
+                        app.map(&comment, &mut scratch);
+                        let payload = app.payload_words(&comment);
+                        emitted.extend(scratch.iter().map(|&(k, v)| (k, v, payload)));
+                        comment.clear();
+                    } else {
+                        comment.push(w);
+                    }
+                }
+                // Finish a comment that spills past the split boundary.
+                if !comment.is_empty() && hi < input.len {
+                    let mut pos = hi;
+                    let mut tail: Vec<u32> = Vec::new();
+                    loop {
+                        let take = 64.min(input.len - pos);
+                        if take == 0 {
+                            break;
+                        }
+                        tail.clear();
+                        m.read_range(&input.words, pos, take, &mut tail);
+                        let mut done = false;
+                        for &w in &tail {
+                            if w == END_OF_COMMENT {
+                                done = true;
+                                break;
+                            }
                             comment.push(w);
                         }
-                    }
-                    // Finish a comment that spills past the split boundary.
-                    if !comment.is_empty() && hi < input.len {
-                        let mut pos = hi;
-                        let mut tail: Vec<u32> = Vec::new();
-                        loop {
-                            let take = 64.min(input.len - pos);
-                            if take == 0 {
-                                break;
-                            }
-                            tail.clear();
-                            m.read_range(&input.words, pos, take, &mut tail);
-                            let mut done = false;
-                            for &w in &tail {
-                                if w == END_OF_COMMENT {
-                                    done = true;
-                                    break;
-                                }
-                                comment.push(w);
-                            }
-                            if done {
-                                break;
-                            }
-                            pos += take;
+                        if done {
+                            break;
                         }
-                        scratch.clear();
-                        app.map(&comment, &mut scratch);
-                        let payload = app.payload_words(&comment);
-                        emitted.extend(scratch.iter().map(|&(k, v)| (k, v, payload)));
-                        comment.clear();
-                    } else if !comment.is_empty() {
-                        scratch.clear();
-                        app.map(&comment, &mut scratch);
-                        let payload = app.payload_words(&comment);
-                        emitted.extend(scratch.iter().map(|&(k, v)| (k, v, payload)));
-                        comment.clear();
+                        pos += take;
                     }
-                    m.charge_cycles(cost::MAP_WORD * (hi - lo) as u64);
+                    scratch.clear();
+                    app.map(&comment, &mut scratch);
+                    let payload = app.payload_words(&comment);
+                    emitted.extend(scratch.iter().map(|&(k, v)| (k, v, payload)));
+                    comment.clear();
+                } else if !comment.is_empty() {
+                    scratch.clear();
+                    app.map(&comment, &mut scratch);
+                    let payload = app.payload_words(&comment);
+                    emitted.extend(scratch.iter().map(|&(k, v)| (k, v, payload)));
+                    comment.clear();
                 }
-                all.push(emitted);
+                m.charge_cycles(cost::MAP_WORD * (hi - lo) as u64);
             }
-            all
-        });
+            all.push(emitted);
+        }
+        all
+    });
     // Optional combining: fold same-key pairs inside each map task before
     // they hit the shuffle (Phoenix's combiner optimization).
-    let pairs: Vec<Vec<(u32, u64, u32)>> = if combine && app.combinable() {
+    let pairs: Vec<Vec<Pair>> = if combine && app.combinable() {
         pairs
             .into_iter()
             .map(|task| {
                 let n = task.len() as u64;
-                let mut agg: HashMap<u32, u64> = HashMap::new();
-                for (k, v, _) in task {
-                    let acc = agg.entry(k).or_insert_with(|| app.reduce_init());
-                    *acc = app.reduce(*acc, v);
-                }
+                let folded = B::fold(app, task.iter().map(|&(k, v, _)| (k, v)));
                 // Charged like a reduce pass over the task's pairs, on the
                 // compute side (it runs inside the map task).
                 rt.run_local(|m| m.charge_cycles(cost::REDUCE_PAIR * n));
-                let mut out: Vec<(u32, u64, u32)> =
-                    agg.into_iter().map(|(k, v)| (k, v, 0)).collect();
-                out.sort_unstable_by_key(|&(k, _, _)| k);
-                out
+                folded.into_iter().map(|(k, v)| (k, v, 0)).collect()
             })
             .collect()
     } else {
@@ -300,95 +315,53 @@ pub fn run_with_combiner<A: MapReduceApp>(
     rep.pairs_shuffled = total_pairs as u64;
 
     // Pre-size the reduce buffers from the (now known) partition counts.
-    let mut counts = vec![0usize; reduce_tasks];
-    let mut payload_totals = vec![0usize; reduce_tasks];
-    for task in &pairs {
-        for &(k, _, pw) in task {
-            let r = partition(k, reduce_tasks);
-            counts[r] += 1;
-            payload_totals[r] += pw as usize;
-        }
+    let mut sizes = vec![(0usize, 0usize); reduce_tasks];
+    for &(k, _, pw) in pairs.iter().flatten() {
+        let (count, payload_words) = &mut sizes[partition(k, reduce_tasks)];
+        *count += 1;
+        *payload_words += pw as usize;
     }
-    let buffers: Vec<(Region<u32>, Region<u64>, Region<u32>)> = rt.run_local(|m| {
-        counts
+    let buffers: Vec<ReduceBuffer> = rt.run_local(|m| {
+        sizes
             .iter()
-            .zip(&payload_totals)
-            .map(|(&c, &pw)| {
-                (
-                    m.alloc_region::<u32>(c.max(1)),
-                    m.alloc_region::<u64>(c.max(1)),
-                    m.alloc_region::<u32>(pw.max(1)),
-                )
+            .map(|&(count, payload_words)| ReduceBuffer {
+                keys: m.alloc_region(count.max(1)),
+                vals: m.alloc_region(count.max(1)),
+                payload: m.alloc_region(payload_words.max(1)),
+                count,
+                payload_words,
             })
             .collect()
     });
 
     // ---- Map-shuffle: insert every pair into its reduce task's keyed
-    // buffer. Phoenix inserts into hash buckets inside each buffer, so the
-    // writes scatter across the whole buffer (modeled with a coprime-stride
-    // position permutation); any payload rides along.
-    let pairs_ref = &pairs;
-    let buffers_ref = &buffers;
+    // buffer.
+    let (pairs_ref, buffers_ref) = (&pairs, &buffers);
     run_phase(rt, &mut rep, plan, MrPhase::MapShuffle, |m| {
-        let strides: Vec<usize> = counts.iter().map(|&c| coprime_stride(c)).collect();
-        let mut cursors = vec![0usize; reduce_tasks];
-        let mut payload_cursors = vec![0usize; reduce_tasks];
-        let payload_scratch = vec![0u8; 256];
-        for task in pairs_ref {
-            for &(k, v, pw) in task {
-                let r = partition(k, reduce_tasks);
-                let (kreg, vreg, preg) = &buffers_ref[r];
-                let pos = cursors[r] * strides[r] % counts[r].max(1);
-                m.set(kreg, pos, k, Pattern::Rand);
-                m.set(vreg, pos, v, Pattern::Rand);
-                cursors[r] += 1;
-                // Payload (e.g. the matched comment) streams into the
-                // reduce buffer as well.
-                let mut left = pw as usize * 4;
-                while left > 0 {
-                    let chunk = left.min(payload_scratch.len());
-                    m.write_raw(
-                        preg.at(payload_cursors[r]),
-                        &payload_scratch[..chunk / 4 * 4],
-                        Pattern::Seq,
-                    );
-                    payload_cursors[r] += chunk / 4;
-                    left -= chunk;
-                }
-            }
-        }
+        B::shuffle(m, pairs_ref, buffers_ref);
         m.charge_cycles(cost::SHUFFLE_PAIR * total_pairs as u64);
     });
 
     // ---- Reduce: aggregate each buffer.
-    let counts_ref = &counts;
     let partials: Vec<Vec<(u32, u64)>> = run_phase(rt, &mut rep, plan, MrPhase::Reduce, |m| {
-        let mut outs = Vec::with_capacity(reduce_tasks);
-        for r in 0..reduce_tasks {
-            let (kreg, vreg, _preg) = &buffers_ref[r];
-            let n = counts_ref[r];
-            let mut keys: Vec<u32> = Vec::new();
-            let mut vals: Vec<u64> = Vec::new();
-            if n > 0 {
-                m.read_range(kreg, 0, n, &mut keys);
-                m.read_range(vreg, 0, n, &mut vals);
-            }
-            let mut agg: HashMap<u32, u64> = HashMap::new();
-            for i in 0..n {
-                let acc = agg.entry(keys[i]).or_insert_with(|| app.reduce_init());
-                *acc = app.reduce(*acc, vals[i]);
-            }
-            m.charge_cycles(cost::REDUCE_PAIR * n as u64);
-            let mut out: Vec<(u32, u64)> = agg.into_iter().collect();
-            out.sort_unstable_by_key(|&(k, _)| k);
-            outs.push(out);
-        }
-        outs
+        buffers_ref
+            .iter()
+            .map(|buf| {
+                let n = buf.count;
+                let (mut keys, mut vals) = (Vec::new(), Vec::new());
+                if n > 0 {
+                    m.read_range(&buf.keys, 0, n, &mut keys);
+                    m.read_range(&buf.vals, 0, n, &mut vals);
+                }
+                let out = B::fold(app, keys.iter().copied().zip(vals.iter().copied()));
+                m.charge_cycles(cost::REDUCE_PAIR * n as u64);
+                out
+            })
+            .collect()
     });
 
     // ---- Merge: combine the sorted partial outputs.
     let partials_ref = &partials;
-    let payload_totals_ref = &payload_totals;
     let result = run_phase(rt, &mut rep, plan, MrPhase::Merge, |m| {
         let total: usize = partials_ref.iter().map(|p| p.len()).sum();
         let mut merged: Vec<(u32, u64)> = Vec::with_capacity(total);
@@ -399,12 +372,10 @@ pub fn run_with_combiner<A: MapReduceApp>(
         m.charge_cycles(cost::MERGE_RECORD * total as u64);
         // Stream any shuffled payloads into the final output (Grep's
         // matched lines).
-        for r in 0..reduce_tasks {
-            let (_, _, preg) = &buffers_ref[r];
-            let pw = payload_totals_ref[r];
-            if pw > 0 {
+        for buf in buffers_ref {
+            if buf.payload_words > 0 {
                 let mut pbuf: Vec<u32> = Vec::new();
-                m.read_range(preg, 0, pw, &mut pbuf);
+                m.read_range(&buf.payload, 0, buf.payload_words, &mut pbuf);
             }
         }
         // Materialize the final output as a real table in memory.
@@ -425,6 +396,138 @@ pub fn run_with_combiner<A: MapReduceApp>(
 #[inline]
 fn partition(key: u32, reduce_tasks: usize) -> usize {
     ((key as u64).wrapping_mul(0x9E37_79B9) % reduce_tasks as u64) as usize
+}
+
+/// A map output: `(key, value, payload_words)`.
+type Pair = (u32, u64, u32);
+
+/// One reduce task's buffer in simulated memory: `count` bucket slots of
+/// keys and of values, and the `payload_words` its pairs drag along.
+struct ReduceBuffer {
+    keys: Region<u32>,
+    vals: Region<u64>,
+    payload: Region<u32>,
+    count: usize,
+    payload_words: usize,
+}
+
+/// The host bodies of the map-shuffle and of the key fold that the
+/// combiner and every reduce task run. [`run_with_combiner`] runs
+/// [`Pipelined`]; the tests run plain copies of the loops through the same
+/// engine and compare everything the two runs show.
+trait Bodies {
+    /// Insert every pair into its reduce task's buffer.
+    fn shuffle(m: &mut Arm<'_>, pairs: &[Vec<Pair>], buffers: &[ReduceBuffer]);
+    /// Fold each key's values, in the order given, into one accumulator;
+    /// the result is sorted by key.
+    fn fold<A: MapReduceApp>(app: &A, pairs: impl Iterator<Item = (u32, u64)>) -> Vec<(u32, u64)>;
+}
+
+/// How many pairs ahead of the one being written the shuffle prefetches
+/// its bucket slots: far enough for a DRAM miss to land before the pair
+/// comes up, near enough that the line is still cached then.
+const PREFETCH_AHEAD: usize = 8;
+
+/// The engine's bodies: a software-pipelined shuffle, and a fold into a
+/// hash map whose order the final sort hides.
+struct Pipelined;
+
+impl Bodies for Pipelined {
+    /// Phoenix inserts into hash buckets inside each buffer, so the writes
+    /// scatter across the whole buffer (modeled with a coprime-stride
+    /// position permutation); any payload rides along. A second cursor
+    /// runs [`PREFETCH_AHEAD`] pairs ahead of the writes: it places its
+    /// pair (reducer and bucket position, each computed once), prefetches
+    /// both slots on the host, and hands the placement to the write loop
+    /// through a ring. Every `set` and `write_raw` is the plain loop's, in
+    /// its order.
+    fn shuffle(m: &mut Arm<'_>, pairs: &[Vec<Pair>], buffers: &[ReduceBuffer]) {
+        let spans: Vec<(HostSpan, HostSpan)> = buffers
+            .iter()
+            .map(|buf| (m.host_span(&buf.keys), m.host_span(&buf.vals)))
+            .collect();
+        let mut positions: Vec<Positions> = buffers
+            .iter()
+            .map(|buf| Positions::new(buf.count))
+            .collect();
+        let mut place = |key: u32| {
+            let r = partition(key, buffers.len());
+            let pos = positions[r].next();
+            spans[r].0.prefetch(pos * u32::BYTES);
+            spans[r].1.prefetch(pos * u64::BYTES);
+            (r, pos)
+        };
+        let mut ahead = pairs.iter().flatten();
+        let mut ring = [(0usize, 0usize); PREFETCH_AHEAD];
+        for (slot, &(k, _, _)) in ring.iter_mut().zip(ahead.by_ref()) {
+            *slot = place(k);
+        }
+        let mut payload_cursors = vec![0usize; buffers.len()];
+        let payload_scratch = [0u8; 256];
+        for (i, &(k, v, pw)) in pairs.iter().flatten().enumerate() {
+            let slot = &mut ring[i % PREFETCH_AHEAD];
+            let (r, pos) = *slot;
+            if let Some(&(next, _, _)) = ahead.next() {
+                *slot = place(next);
+            }
+            let buf = &buffers[r];
+            m.set(&buf.keys, pos, k, Pattern::Rand);
+            m.set(&buf.vals, pos, v, Pattern::Rand);
+            // Payload (e.g. the matched comment) streams into the reduce
+            // buffer as well.
+            let mut left = pw as usize * 4;
+            while left > 0 {
+                let chunk = left.min(payload_scratch.len());
+                m.write_raw(
+                    buf.payload.at(payload_cursors[r]),
+                    &payload_scratch[..chunk / 4 * 4],
+                    Pattern::Seq,
+                );
+                payload_cursors[r] += chunk / 4;
+                left -= chunk;
+            }
+        }
+    }
+
+    fn fold<A: MapReduceApp>(app: &A, pairs: impl Iterator<Item = (u32, u64)>) -> Vec<(u32, u64)> {
+        let mut agg: HashMap<u32, u64> = HashMap::new();
+        for (k, v) in pairs {
+            let acc = agg.entry(k).or_insert_with(|| app.reduce_init());
+            *acc = app.reduce(*acc, v);
+        }
+        let mut out: Vec<(u32, u64)> = agg.into_iter().collect();
+        out.sort_unstable_by_key(|&(k, _)| k);
+        out
+    }
+}
+
+/// A reduce buffer's bucket positions in insertion order: `c * stride %
+/// count` for the `c`-th pair, kept as a running sum. `stride < count`
+/// (or both are 1), so one subtraction wraps it.
+struct Positions {
+    next: usize,
+    stride: usize,
+    count: usize,
+}
+
+impl Positions {
+    fn new(count: usize) -> Positions {
+        Positions {
+            next: 0,
+            stride: coprime_stride(count),
+            count: count.max(1),
+        }
+    }
+
+    #[inline]
+    fn next(&mut self) -> usize {
+        let pos = self.next;
+        self.next += self.stride;
+        if self.next >= self.count {
+            self.next -= self.count;
+        }
+        pos
+    }
 }
 
 /// A stride coprime with `n`, used to spread bucket inserts across the
@@ -470,4 +573,221 @@ fn run_phase<R>(
         (l1.page_in.messages + l1.page_out.messages) - (l0.page_in.messages + l0.page_out.messages);
     stat.remote_bytes += l1.page_bytes() - l0.page_bytes();
     r
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::apps::{Grep, LengthHistogram, MaxCommentLength, WordCount};
+    use crate::textgen::Corpus;
+    use ddc_sim::{DdcConfig, MetricsRegistry, MonolithicConfig};
+    use teleport::PlatformKind;
+
+    /// The shuffle the engine ran before the pipeline (positions by `%`,
+    /// no prefetch) and the fold it runs: each key's values in row order.
+    struct Plain;
+
+    impl Bodies for Plain {
+        fn shuffle(m: &mut Arm<'_>, pairs: &[Vec<Pair>], buffers: &[ReduceBuffer]) {
+            let reduce_tasks = buffers.len();
+            let strides: Vec<usize> = buffers.iter().map(|b| coprime_stride(b.count)).collect();
+            let mut cursors = vec![0usize; reduce_tasks];
+            let mut payload_cursors = vec![0usize; reduce_tasks];
+            let payload_scratch = vec![0u8; 256];
+            for task in pairs {
+                for &(k, v, pw) in task {
+                    let r = partition(k, reduce_tasks);
+                    let buf = &buffers[r];
+                    let pos = cursors[r] * strides[r] % buf.count.max(1);
+                    m.set(&buf.keys, pos, k, Pattern::Rand);
+                    m.set(&buf.vals, pos, v, Pattern::Rand);
+                    cursors[r] += 1;
+                    let mut left = pw as usize * 4;
+                    while left > 0 {
+                        let chunk = left.min(payload_scratch.len());
+                        m.write_raw(
+                            buf.payload.at(payload_cursors[r]),
+                            &payload_scratch[..chunk / 4 * 4],
+                            Pattern::Seq,
+                        );
+                        payload_cursors[r] += chunk / 4;
+                        left -= chunk;
+                    }
+                }
+            }
+        }
+
+        fn fold<A: MapReduceApp>(
+            app: &A,
+            pairs: impl Iterator<Item = (u32, u64)>,
+        ) -> Vec<(u32, u64)> {
+            let mut agg: HashMap<u32, u64> = HashMap::new();
+            for (k, v) in pairs {
+                let acc = agg.entry(k).or_insert_with(|| app.reduce_init());
+                *acc = app.reduce(*acc, v);
+            }
+            let mut out: Vec<(u32, u64)> = agg.into_iter().collect();
+            out.sort_unstable_by_key(|&(k, _)| k);
+            out
+        }
+    }
+
+    /// An app whose reduce depends on the order it sees a key's values in,
+    /// so a fold that reorders them shows in the output.
+    struct RowOrder;
+
+    impl MapReduceApp for RowOrder {
+        fn name(&self) -> &'static str {
+            "RowOrder"
+        }
+
+        fn map(&self, comment: &[u32], emit: &mut Vec<(u32, u64)>) {
+            for (i, &w) in comment.iter().enumerate() {
+                emit.push((w, i as u64 + 1));
+            }
+        }
+
+        fn reduce(&self, acc: u64, value: u64) -> u64 {
+            acc.wrapping_mul(31).wrapping_add(value)
+        }
+
+        fn combinable(&self) -> bool {
+            true
+        }
+    }
+
+    /// Everything a run shows of itself.
+    struct Seen {
+        values: Vec<(u32, u64)>,
+        pairs: u64,
+        elapsed_ns: u64,
+        paging: ddc_os::PagingStats,
+        metrics: MetricsRegistry,
+        /// Digest and length.
+        trace: (u64, u64),
+    }
+
+    /// One engine run of `B`'s bodies on a fresh traced rack, cold, with
+    /// the shuffle pushed on Teleport.
+    fn run_on<A: MapReduceApp, B: Bodies>(
+        kind: PlatformKind,
+        corpus: &Corpus,
+        app: &A,
+        tasks: (usize, usize),
+        combine: bool,
+    ) -> Seen {
+        let ws = corpus.bytes() * 3;
+        let ddc = DdcConfig::with_cache_ratio(ws, 0.05);
+        let mut rt = match kind {
+            PlatformKind::Local => Runtime::local(MonolithicConfig {
+                dram_bytes: ws * 4 + (32 << 20),
+                ..Default::default()
+            }),
+            PlatformKind::BaseDdc => Runtime::base_ddc(ddc),
+            PlatformKind::Teleport => Runtime::teleport(ddc),
+        };
+        rt.enable_tracing();
+        let input = LoadedCorpus::load(&mut rt, corpus);
+        if kind != PlatformKind::Local {
+            rt.drop_cache();
+        }
+        rt.begin_timing();
+        let plan = match kind {
+            PlatformKind::Teleport => MrPlan::paper(),
+            _ => MrPlan::none(),
+        };
+        let (values, rep) = execute::<A, B>(&mut rt, &input, app, tasks.0, tasks.1, &plan, combine);
+        Seen {
+            values,
+            pairs: rep.pairs_shuffled,
+            elapsed_ns: rt.elapsed().as_nanos(),
+            paging: rt.paging_stats(),
+            metrics: rt.metrics(),
+            trace: (rt.trace().digest(), rt.trace().len()),
+        }
+    }
+
+    /// The pipeline against the plain loops for one app: the same values,
+    /// virtual time, paging counters, metrics and trace, with the combiner
+    /// off and on. Returns the pairs each run shuffled.
+    fn compare<A: MapReduceApp>(
+        kinds: &[PlatformKind],
+        corpus: &Corpus,
+        app: &A,
+        tasks: (usize, usize),
+    ) -> Vec<u64> {
+        let mut shuffled = Vec::new();
+        for &kind in kinds {
+            for combine in [false, true] {
+                let got = run_on::<A, Pipelined>(kind, corpus, app, tasks, combine);
+                let want = run_on::<A, Plain>(kind, corpus, app, tasks, combine);
+                let case = format!(
+                    "{}, {} comments, tasks {tasks:?}, combine {combine}, {kind:?}",
+                    app.name(),
+                    corpus.comments
+                );
+                assert!(got.values == want.values, "{case}: values differ");
+                assert_eq!(got.pairs, want.pairs, "{case}: pairs shuffled");
+                assert_eq!(got.elapsed_ns, want.elapsed_ns, "{case}: elapsed_ns");
+                assert_eq!(got.paging, want.paging, "{case}: paging_stats");
+                assert!(got.metrics == want.metrics, "{case}: metrics differ");
+                assert_eq!(got.trace, want.trace, "{case}: trace");
+                shuffled.push(got.pairs);
+            }
+        }
+        shuffled
+    }
+
+    /// The pipelined shuffle and the engine's fold against plain copies of
+    /// the loops, through the whole engine: every app, the combiner off
+    /// and on, three platforms with the shuffle pushed on Teleport. The edge cases: fewer pairs than the prefetch distance,
+    /// reducers that get no pair (Grep has one key), one reducer, more map
+    /// tasks than comments, and one run over 4 MiB of reduce buffers, so
+    /// the last prefetches land near the buffers' ends past the host's L2.
+    #[test]
+    fn pipelined_shuffle_and_keyed_reduce_equal_the_plain_loops() {
+        let all = [
+            PlatformKind::Local,
+            PlatformKind::BaseDdc,
+            PlatformKind::Teleport,
+        ];
+        let corpus = Corpus::generate(300, 400, 5);
+        for tasks in [(8, 4), (3, 1)] {
+            compare(&all, &corpus, &WordCount, tasks);
+            compare(&all, &corpus, &Grep { pattern: 3 }, tasks);
+            compare(&all, &corpus, &LengthHistogram, tasks);
+            compare(&all, &corpus, &MaxCommentLength, tasks);
+            compare(&all, &corpus, &RowOrder, tasks);
+        }
+
+        // Three comments over eight map tasks; a rare word's Grep shuffles
+        // fewer pairs than the ring holds, and leaves three reducers empty.
+        let tiny = Corpus::generate(3, 40, 9);
+        compare(&all, &tiny, &WordCount, (8, 4));
+        compare(&all, &tiny, &RowOrder, (8, 2));
+        let few = compare(&all, &tiny, &Grep { pattern: 2 }, (8, 4));
+        assert!(
+            few.iter().all(|&n| (1..PREFETCH_AHEAD as u64).contains(&n)),
+            "the short case shuffles 1..{PREFETCH_AHEAD} pairs: {few:?}"
+        );
+
+        // Twelve bytes of bucket slots a pair.
+        let big = Corpus::generate(13_000, 80_000, 11);
+        let kinds = [PlatformKind::Local, PlatformKind::Teleport];
+        let shuffled = compare(&kinds, &big, &WordCount, (8, 4));
+        assert!(shuffled[0] * 12 >= 4 << 20, "{} pairs", shuffled[0]);
+    }
+
+    /// The running positions are `c * stride % count`, for every count up
+    /// to well past a wrap.
+    #[test]
+    fn positions_are_the_stride_permutation() {
+        for count in 1..200 {
+            let stride = coprime_stride(count);
+            let mut at = Positions::new(count);
+            for c in 0..3 * count {
+                assert_eq!(at.next(), c * stride % count, "count {count}, pair {c}");
+            }
+        }
+    }
 }

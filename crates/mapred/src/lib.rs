@@ -9,7 +9,8 @@
 //! - [`textgen`] — a Zipf-distributed synthetic comment corpus (stand-in
 //!   for the paper's 15 M Reddit comments);
 //! - [`engine`] — the phased engine with per-phase measurement and
-//!   pushdown plans;
+//!   pushdown plans, whose shuffle prefetches its scattered bucket writes
+//!   on the host without moving a simulated access;
 //! - [`apps`] — WordCount and Grep with host-memory oracles.
 
 #![deny(unsafe_code)]
