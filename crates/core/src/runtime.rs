@@ -916,16 +916,6 @@ impl Runtime {
             .add(FaultPlan::new(0).queue_backlog_burst(from, FOREVER, d));
     }
 
-    /// Retries consumed by `pushdown_resilient` since `begin_timing`.
-    pub fn resilience_retries(&self) -> u64 {
-        self.ledger.resilience_retries
-    }
-
-    /// Local fallbacks taken by `pushdown_resilient` since `begin_timing`.
-    pub fn resilience_fallbacks(&self) -> u64 {
-        self.ledger.resilience_fallbacks
-    }
-
     /// Install (or clear) memory-side admission control for subsequent
     /// pushdown calls.
     pub fn set_admission_policy(&mut self, policy: Option<AdmissionPolicy>) {

@@ -213,11 +213,6 @@ impl AddressSpace {
         self.allocated_pages
     }
 
-    /// Total allocated bytes (as requested by callers).
-    pub fn allocated_bytes(&self) -> usize {
-        self.segments.iter().map(|s| s.len).sum()
-    }
-
     /// True if `addr` lies within some allocation.
     pub fn is_mapped(&self, addr: VAddr) -> bool {
         self.find(addr).is_some()
@@ -850,7 +845,6 @@ mod tests {
         // 10 bytes round to 1 page, +1 guard page.
         assert_eq!(b.page().0, a.page().0 + 2);
         assert_eq!(space.allocated_pages(), 3);
-        assert_eq!(space.allocated_bytes(), 10 + PAGE_SIZE * 2);
     }
 
     #[test]

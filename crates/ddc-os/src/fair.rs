@@ -80,11 +80,6 @@ impl<T> DrrQueue<T> {
         self.len == 0
     }
 
-    /// Queued items in tenant `t`'s lane.
-    pub fn lane_len(&self, t: usize) -> usize {
-        self.lanes[t].queue.len()
-    }
-
     /// Enqueue an item for tenant `t`.
     pub fn push(&mut self, t: usize, item: T) {
         self.lanes[t].queue.push_back(item);
@@ -195,7 +190,7 @@ mod tests {
         q.push(2, 20);
         q.push(0, 10);
         q.push(2, 21);
-        assert_eq!(q.lane_len(2), 2);
+        assert_eq!(q.len(), 3);
         assert_eq!(q.pop(), Some((0, 10)));
         assert_eq!(q.pop(), Some((2, 20)));
         assert_eq!(q.pop(), Some((2, 21)));

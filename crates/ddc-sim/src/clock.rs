@@ -61,11 +61,6 @@ impl Clock {
         let r = f();
         (r, self.elapsed_since(start))
     }
-
-    /// True if `other` is a handle to the same underlying timeline.
-    pub fn same_timeline(&self, other: &Clock) -> bool {
-        Rc::ptr_eq(&self.now, &other.now)
-    }
 }
 
 #[cfg(test)]
@@ -80,8 +75,7 @@ mod tests {
         b.advance(SimDuration::from_nanos(5));
         assert_eq!(a.now().as_nanos(), 15);
         assert_eq!(b.now().as_nanos(), 15);
-        assert!(a.same_timeline(&b));
-        assert!(!a.same_timeline(&Clock::new()));
+        assert_eq!(Clock::new().now().as_nanos(), 0, "a new clock is its own");
     }
 
     #[test]

@@ -393,12 +393,6 @@ impl DdcConfig {
         }
         Ok(())
     }
-
-    /// Time to move one 4 KB page across the fabric.
-    #[inline]
-    pub fn remote_page_time(&self) -> SimDuration {
-        self.net.transfer_time(PAGE_SIZE)
-    }
 }
 
 /// Monolithic-server ("Linux") configuration used by the paper's local
@@ -449,7 +443,7 @@ mod tests {
     fn ssd_page_io_dwarfs_remote_memory() {
         let cfg = DdcConfig::default();
         let ssd = cfg.ssd.page_io_time();
-        let remote = cfg.remote_page_time();
+        let remote = cfg.net.transfer_time(PAGE_SIZE);
         let gap = ssd.ratio(remote);
         // The paper's Fig 14 observes 10-80x between SSD spill and DDC
         // paging; the model should land in that band.

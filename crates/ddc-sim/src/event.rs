@@ -58,14 +58,6 @@ impl Interleaver {
         self.lanes[lane].clock += d;
     }
 
-    /// Block `lane` until instant `t` (no-op if already past `t`). Used when
-    /// a lane waits on a response from another lane.
-    pub fn block_until(&mut self, lane: usize, t: SimTime) {
-        if t > self.lanes[lane].clock {
-            self.lanes[lane].clock = t;
-        }
-    }
-
     /// Current clock of `lane`.
     pub fn clock_of(&self, lane: usize) -> SimTime {
         self.lanes[lane].clock
@@ -78,11 +70,6 @@ impl Interleaver {
 
     pub fn is_finished(&self, lane: usize) -> bool {
         self.lanes[lane].done
-    }
-
-    /// True when every lane has finished.
-    pub fn all_finished(&self) -> bool {
-        self.lanes.iter().all(|l| l.done)
     }
 
     /// The completion time of the whole run: the latest lane clock.
@@ -191,18 +178,8 @@ mod tests {
         il.finish(2);
         assert_eq!(il.next_lane(), Some(1));
         il.finish(1);
-        assert!(il.all_finished());
+        assert_eq!(il.next_lane(), None, "every lane finished");
         assert_eq!(il.makespan().as_nanos(), 9);
-    }
-
-    #[test]
-    fn block_until_never_rewinds() {
-        let mut il = Interleaver::new(1);
-        il.advance(0, SimDuration::from_nanos(100));
-        il.block_until(0, SimTime(40));
-        assert_eq!(il.clock_of(0).as_nanos(), 100);
-        il.block_until(0, SimTime(140));
-        assert_eq!(il.clock_of(0).as_nanos(), 140);
     }
 
     #[test]

@@ -238,11 +238,6 @@ impl LatencyRecorder {
         self.percentile(tenant, 99.9)
     }
 
-    /// Nearest-rank percentile over every tenant's samples pooled together.
-    pub fn overall_percentile(&self, q: f64) -> Option<SimDuration> {
-        rank(self.samples.concat(), q)
-    }
-
     /// Largest recorded latency across all tenants.
     pub fn max(&self) -> Option<SimDuration> {
         self.samples
@@ -356,10 +351,6 @@ mod tests {
         assert_eq!(lat.p50(1), None, "empty tenant has no percentile");
         assert_eq!(lat.count(0), 10);
         assert_eq!(lat.max(), Some(SimDuration::from_nanos(100)));
-        assert_eq!(
-            lat.overall_percentile(50.0),
-            Some(SimDuration::from_nanos(50))
-        );
     }
 
     #[test]
@@ -386,10 +377,6 @@ mod tests {
             ten.record(0, SimDuration::from_nanos(ns));
         }
         assert_eq!(ten.p999(0), Some(SimDuration::from_nanos(10)));
-        assert_eq!(
-            ten.overall_percentile(99.9),
-            Some(SimDuration::from_nanos(10))
-        );
     }
 
     #[test]

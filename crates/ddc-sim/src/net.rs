@@ -223,33 +223,6 @@ impl Fabric {
     pub fn reset_ledger(&self) {
         *self.ledger.borrow_mut() = NetLedger::default();
     }
-
-    /// Ledger delta produced by running `f`.
-    pub fn measure_traffic<R>(&self, f: impl FnOnce() -> R) -> (R, NetLedger) {
-        let before = self.ledger();
-        let r = f();
-        let after = self.ledger();
-        (r, diff(&after, &before))
-    }
-}
-
-fn diff_class(a: ClassCounters, b: ClassCounters) -> ClassCounters {
-    ClassCounters {
-        messages: a.messages - b.messages,
-        bytes: a.bytes - b.bytes,
-    }
-}
-
-fn diff(after: &NetLedger, before: &NetLedger) -> NetLedger {
-    NetLedger {
-        page_in: diff_class(after.page_in, before.page_in),
-        page_out: diff_class(after.page_out, before.page_out),
-        coherence: diff_class(after.coherence, before.coherence),
-        rpc_request: diff_class(after.rpc_request, before.rpc_request),
-        rpc_response: diff_class(after.rpc_response, before.rpc_response),
-        control: diff_class(after.control, before.control),
-        replication: diff_class(after.replication, before.replication),
-    }
 }
 
 #[cfg(test)]
@@ -266,6 +239,8 @@ mod tests {
         assert_eq!(ledger.page_in.messages, 1);
         assert_eq!(ledger.page_in.bytes, PAGE_SIZE as u64);
         assert_eq!(ledger.total_messages(), 1);
+        let _ = fab.send(MsgClass::PageOut, PAGE_SIZE);
+        assert_eq!(fab.ledger().page_bytes(), 2 * PAGE_SIZE as u64);
     }
 
     #[test]
@@ -302,20 +277,6 @@ mod tests {
         assert_eq!(ledger.rpc_request.messages, 1);
         assert_eq!(ledger.rpc_response.messages, 1);
         assert_eq!(ledger.total_bytes(), 150);
-    }
-
-    #[test]
-    fn measure_traffic_isolates_a_phase() {
-        let fab = Fabric::new(NetConfig::default());
-        let _ = fab.send(MsgClass::PageIn, PAGE_SIZE);
-        let ((), delta) = fab.measure_traffic(|| {
-            let _ = fab.send(MsgClass::PageIn, PAGE_SIZE);
-            let _ = fab.send(MsgClass::PageOut, PAGE_SIZE);
-        });
-        assert_eq!(delta.page_in.messages, 1, "only the phase's traffic");
-        assert_eq!(delta.page_out.messages, 1);
-        assert_eq!(delta.page_bytes(), 2 * PAGE_SIZE as u64);
-        assert_eq!(fab.ledger().page_in.messages, 2);
     }
 
     #[test]

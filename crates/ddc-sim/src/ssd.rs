@@ -149,12 +149,6 @@ impl Ssd {
     pub fn reset_counters(&self) {
         *self.counters.borrow_mut() = SsdCounters::default();
     }
-
-    /// Total bytes moved by page-granular swap traffic.
-    pub fn swap_bytes(&self) -> u64 {
-        let c = self.counters();
-        (c.page_reads + c.page_writes) * PAGE_SIZE as u64
-    }
 }
 
 #[cfg(test)]
@@ -187,7 +181,8 @@ mod tests {
         let b = a.clone();
         let _ = a.write_page();
         let _ = b.read_page();
-        assert_eq!(a.swap_bytes(), 2 * PAGE_SIZE as u64);
+        let c = a.counters();
+        assert_eq!((c.page_reads, c.page_writes), (1, 1));
         a.reset_counters();
         assert_eq!(b.counters(), SsdCounters::default());
     }

@@ -64,12 +64,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
-    /// Construct from fractional seconds, rounding to the nearest nanosecond.
-    #[inline]
-    pub fn from_secs_f64(s: f64) -> Self {
-        SimDuration((s * 1e9).round().max(0.0) as u64)
-    }
-
     #[inline]
     pub fn as_nanos(self) -> u64 {
         self.0
@@ -215,7 +209,6 @@ mod tests {
         assert_eq!(SimDuration::from_micros(3).as_nanos(), 3_000);
         assert_eq!(SimDuration::from_millis(3).as_nanos(), 3_000_000);
         assert_eq!(SimDuration::from_secs(3).as_nanos(), 3_000_000_000);
-        assert_eq!(SimDuration::from_secs_f64(1.5).as_nanos(), 1_500_000_000);
     }
 
     #[test]

@@ -6,4 +6,3 @@ pub mod cc;
 pub mod pagerank;
 pub mod reach;
 pub mod sssp;
-pub mod wsssp;

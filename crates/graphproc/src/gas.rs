@@ -45,15 +45,6 @@ pub trait VertexProgram {
     /// The message a vertex with value `val` and degree `deg` sends along
     /// each of its edges.
     fn scatter_msg(&self, val: f64, deg: u32) -> f64;
-    /// Weighted variant, used when the engine was loaded with edge weights
-    /// and the program opts in via [`VertexProgram::needs_weights`].
-    fn scatter_msg_weighted(&self, val: f64, deg: u32, _weight: f64) -> f64 {
-        self.scatter_msg(val, deg)
-    }
-    /// Whether scatter messages depend on edge weights.
-    fn needs_weights(&self) -> bool {
-        false
-    }
     /// New value from the old value and the gathered accumulator.
     fn apply(&self, v: u32, old: f64, acc: f64, n: usize) -> f64;
     /// Does this update activate the vertex's neighbors?
@@ -171,8 +162,6 @@ pub struct GasEngine {
     pub workers: usize,
     offsets: Region<u32>,
     edges: Region<u32>,
-    /// Per-edge-slot weights, aligned with `edges` (None = unit weights).
-    weights: Option<Region<f64>>,
 }
 
 impl GasEngine {
@@ -185,17 +174,7 @@ impl GasEngine {
             workers: 8,
             offsets: m.alloc_region_from(&g.offsets),
             edges: m.alloc_region_from(&g.edges),
-            weights: None,
         }
-    }
-
-    /// Load a graph together with per-edge-slot weights (aligned with the
-    /// CSR edge array; callers must mirror each undirected edge's weight).
-    pub fn load_weighted<M: Mem>(m: &mut M, g: &HostGraph, weights: &[f64]) -> GasEngine {
-        assert_eq!(weights.len(), g.m(), "one weight per edge slot");
-        let mut eng = Self::load(m, g);
-        eng.weights = Some(m.alloc_region_from(weights));
-        eng
     }
 
     /// Run `prog` to convergence, returning the final vertex values and the
@@ -281,8 +260,6 @@ impl GasEngine {
             let active = run_phase(rt, &mut rep, plan, Phase::Scatter, |m| {
                 let mut active: Vec<u32> = Vec::new();
                 let mut nbrs: Vec<u32> = Vec::new();
-                let mut wbuf: Vec<f64> = Vec::new();
-                let weighted = prog.needs_weights();
                 for &u in &changed_in {
                     let val = m.get(&values, u as usize, Pattern::Rand);
                     let deg = host_degs[u as usize];
@@ -292,28 +269,11 @@ impl GasEngine {
                     if cnt > 0 {
                         m.read_range(&w_edges, lo, cnt, &mut nbrs);
                     }
-                    if weighted {
-                        let wreg = eng
-                            .weights
-                            .as_ref()
-                            .expect("weighted program needs load_weighted");
-                        wbuf.clear();
-                        if cnt > 0 {
-                            m.read_range(wreg, lo, cnt, &mut wbuf);
-                        }
-                        for (j, &w) in nbrs.iter().enumerate() {
-                            let msg = prog.scatter_msg_weighted(val, deg, wbuf[j]);
-                            let acc = m.get(&msg_acc, w as usize, Pattern::Rand);
-                            m.set(&msg_acc, w as usize, prog.combine(acc, msg), Pattern::Rand);
-                            active.push(w);
-                        }
-                    } else {
-                        let msg = prog.scatter_msg(val, deg);
-                        for &w in nbrs.iter() {
-                            let acc = m.get(&msg_acc, w as usize, Pattern::Rand);
-                            m.set(&msg_acc, w as usize, prog.combine(acc, msg), Pattern::Rand);
-                            active.push(w);
-                        }
+                    let msg = prog.scatter_msg(val, deg);
+                    for &w in nbrs.iter() {
+                        let acc = m.get(&msg_acc, w as usize, Pattern::Rand);
+                        m.set(&msg_acc, w as usize, prog.combine(acc, msg), Pattern::Rand);
+                        active.push(w);
                     }
                     m.charge_cycles(cost::SCATTER_EDGE * cnt as u64);
                 }

@@ -25,7 +25,6 @@ pub use algos::cc::ConnectedComponents;
 pub use algos::pagerank::PageRank;
 pub use algos::reach::Reach;
 pub use algos::sssp::Sssp;
-pub use algos::wsssp::WeightedSssp;
 pub use gas::{GasEngine, GasPlan, GasReport, Phase, PhaseStat, VertexProgram};
 pub use gen::{social_graph, uniform_graph};
 pub use graph::HostGraph;

@@ -52,11 +52,6 @@ impl Partitioning {
             max as f64 / min as f64
         }
     }
-
-    /// Workers holding a replica of `v`.
-    pub fn replicas_of(&self, v: u32) -> u32 {
-        self.replicas[v as usize].count_ones()
-    }
 }
 
 /// PowerGraph's greedy vertex-cut heuristic: assign each edge to
@@ -199,10 +194,9 @@ mod tests {
                 if v <= u {
                     continue;
                 }
-                let part = p.edge_partition[idx] as u32;
-                assert!(p.replicas_of(u) >= 1);
-                assert!(p.replicas_of(v) >= 1);
-                let _ = part;
+                let part = 1u64 << p.edge_partition[idx];
+                assert_ne!(p.replicas[u as usize] & part, 0, "{u} on its edge's worker");
+                assert_ne!(p.replicas[v as usize] & part, 0, "{v} on its edge's worker");
                 idx += 1;
             }
         }

@@ -36,17 +36,22 @@ fn load(rt: &mut Runtime, g: &graphproc::HostGraph) -> GasEngine {
     eng
 }
 
+/// The paper's plan on Teleport; no pushdown elsewhere.
+fn plan_for(rt: &Runtime) -> GasPlan {
+    if rt.kind() == teleport::PlatformKind::Teleport {
+        GasPlan::paper()
+    } else {
+        GasPlan::none()
+    }
+}
+
 #[test]
 fn sssp_matches_bfs_oracle_on_all_platforms() {
     let g = graph();
     let expected = sssp::oracle(&g, 0);
     for (name, mut rt) in platforms(&g) {
         let eng = load(&mut rt, &g);
-        let plan = if rt.kind() == teleport::PlatformKind::Teleport {
-            GasPlan::paper()
-        } else {
-            GasPlan::none()
-        };
+        let plan = plan_for(&rt);
         let (got, rep) = eng.run(&mut rt, &Sssp { source: 0 }, &plan);
         assert_eq!(got, expected, "{name}");
         assert!(rep.iterations > 1, "{name}: multi-round BFS");
@@ -57,10 +62,12 @@ fn sssp_matches_bfs_oracle_on_all_platforms() {
 fn reachability_matches_oracle() {
     let g = graph();
     let expected = reach::oracle(&g, 5);
-    let (_, mut rt) = platforms(&g).pop().unwrap(); // teleport
-    let eng = load(&mut rt, &g);
-    let (got, _) = eng.run(&mut rt, &Reach { source: 5 }, &GasPlan::paper());
-    assert_eq!(got, expected);
+    for (name, mut rt) in platforms(&g) {
+        let eng = load(&mut rt, &g);
+        let plan = plan_for(&rt);
+        let (got, _) = eng.run(&mut rt, &Reach { source: 5 }, &plan);
+        assert_eq!(got, expected, "{name}");
+    }
 }
 
 #[test]
@@ -82,29 +89,33 @@ fn connected_components_matches_union_find() {
     let g = graphproc::HostGraph::from_edges(1_010, &edges);
     let expected = cc::oracle(&g);
 
-    let (_, mut rt) = platforms(&g).pop().unwrap();
-    let eng = load(&mut rt, &g);
-    let (got, _) = eng.run(&mut rt, &ConnectedComponents, &GasPlan::paper());
-    assert_eq!(got, expected);
-    // Isolated vertices keep their own label.
-    assert_eq!(got[1_005], 1_005.0);
+    for (name, mut rt) in platforms(&g) {
+        let eng = load(&mut rt, &g);
+        let plan = plan_for(&rt);
+        let (got, _) = eng.run(&mut rt, &ConnectedComponents, &plan);
+        assert_eq!(got, expected, "{name}");
+        // Isolated vertices keep their own label.
+        assert_eq!(got[1_005], 1_005.0, "{name}");
+    }
 }
 
 #[test]
 fn pagerank_matches_power_iteration() {
     let g = social_graph(800, 4, 3);
     let expected = pagerank::oracle(&g, 20);
-    let (_, mut rt) = platforms(&g).pop().unwrap();
-    let eng = load(&mut rt, &g);
-    let (got, rep) = eng.run(&mut rt, &PageRank::default(), &GasPlan::paper());
-    assert_eq!(rep.iterations, 20);
-    for v in 0..g.n() {
-        assert!(
-            (got[v] - expected[v]).abs() < 1e-9,
-            "vertex {v}: {} vs {}",
-            got[v],
-            expected[v]
-        );
+    for (name, mut rt) in platforms(&g) {
+        let eng = load(&mut rt, &g);
+        let plan = plan_for(&rt);
+        let (got, rep) = eng.run(&mut rt, &PageRank::default(), &plan);
+        assert_eq!(rep.iterations, 20, "{name}");
+        for v in 0..g.n() {
+            assert!(
+                (got[v] - expected[v]).abs() < 1e-9,
+                "{name}: vertex {v}: {} vs {}",
+                got[v],
+                expected[v]
+            );
+        }
     }
 }
 
@@ -145,28 +156,4 @@ fn teleport_beats_base_ddc_on_sssp() {
         speedup > 1.5,
         "TELEPORT SSSP speedup was only {speedup:.2}x (paper: ~3x)"
     );
-}
-
-#[test]
-fn weighted_sssp_matches_dijkstra() {
-    use graphproc::algos::wsssp;
-    use graphproc::WeightedSssp;
-    let g = social_graph(1_200, 4, 21);
-    let weights = wsssp::synth_weights(&g, 7);
-    let expected = wsssp::oracle(&g, &weights, 0);
-
-    let ws = g.bytes() + g.n() * 16 + weights.len() * 8;
-    let mut rt = Runtime::teleport(DdcConfig::with_cache_ratio(ws, 0.02));
-    let eng = graphproc::GasEngine::load_weighted(&mut rt, &g, &weights);
-    rt.drop_cache();
-    rt.begin_timing();
-    let (got, rep) = eng.run(&mut rt, &WeightedSssp { source: 0 }, &GasPlan::paper());
-    assert!(rep.iterations >= 1);
-    for v in 0..g.n() {
-        let (a, b) = (got[v], expected[v]);
-        assert!(
-            (a.is_infinite() && b.is_infinite()) || (a - b).abs() < 1e-9,
-            "vertex {v}: {a} vs {b}"
-        );
-    }
 }

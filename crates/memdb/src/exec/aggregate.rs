@@ -46,27 +46,6 @@ pub fn count(cand: Option<&CandList>, n: usize) -> usize {
     cand.map(|c| c.len).unwrap_or(n)
 }
 
-/// `MIN(col)` / `MAX(col)` over a full column.
-pub fn min_max_f64<M: Mem>(m: &mut M, col: &Region<f64>, n: usize) -> Option<(f64, f64)> {
-    if n == 0 {
-        return None;
-    }
-    let mut buf: Vec<f64> = Vec::new();
-    m.read_range(col, 0, n, &mut buf);
-    m.charge_cycles(cost::AGG * n as u64);
-    let mut lo = buf[0];
-    let mut hi = buf[0];
-    for &v in &buf[1..] {
-        if v < lo {
-            lo = v;
-        }
-        if v > hi {
-            hi = v;
-        }
-    }
-    Some((lo, hi))
-}
-
 /// Hash group-by: `SELECT key, SUM(val) GROUP BY key` over two aligned
 /// materialized columns. Returns groups sorted by key (deterministic).
 pub fn group_sum_by_key<M: Mem>(
@@ -288,12 +267,8 @@ mod tests {
     }
 
     #[test]
-    fn min_max_and_count() {
+    fn count_is_the_candidates_or_the_column_length() {
         let mut rt = test_rt();
-        let col = rt.alloc_region::<f64>(5);
-        rt.write_range(&col, 0, &[3.0f64, -1.0, 7.5, 0.0, 2.0]);
-        assert_eq!(min_max_f64(&mut rt, &col, 5), Some((-1.0, 7.5)));
-        assert_eq!(min_max_f64(&mut rt, &col, 0), None);
         let cand = CandList::materialize(&mut rt, &[0, 4]);
         assert_eq!(count(Some(&cand), 5), 2);
         assert_eq!(count(None, 5), 5);

@@ -23,114 +23,6 @@ pub fn topk_desc_f64<M: Mem, T: Clone>(
     items
 }
 
-use teleport::Region;
-
-/// External merge sort of a key column with an aligned payload column —
-/// the engine's `ORDER BY` for results too large to sort in one buffer.
-///
-/// Classic two-phase out-of-place sort, fully metered: (1) generate sorted
-/// runs of `run_elems` elements (stream in, sort, stream out); (2) k-way
-/// merge the runs into fresh output columns, reading each run in blocks.
-/// Returns the sorted `(keys, payload)` columns.
-pub fn external_sort_by_key<M: Mem>(
-    m: &mut M,
-    keys: &Region<i64>,
-    payload: &Region<u32>,
-    n: usize,
-    run_elems: usize,
-) -> (Region<i64>, Region<u32>) {
-    assert!(run_elems >= 2, "runs need at least two elements");
-    let mut out_k = m.region_writer::<i64>(n);
-    let mut out_p = m.region_writer::<u32>(n);
-    if n == 0 {
-        return (out_k.finish(m), out_p.finish(m));
-    }
-
-    // Phase 1: sorted runs, written to scratch columns.
-    let mut scratch_k = m.region_writer::<i64>(n);
-    let mut scratch_p = m.region_writer::<u32>(n);
-    let mut runs: Vec<(usize, usize)> = Vec::new(); // (start, len)
-    let mut base = 0usize;
-    let (mut kbuf, mut pbuf): (Vec<i64>, Vec<u32>) = (Vec::new(), Vec::new());
-    while base < n {
-        let take = run_elems.min(n - base);
-        kbuf.clear();
-        pbuf.clear();
-        m.read_range(keys, base, take, &mut kbuf);
-        m.read_range(payload, base, take, &mut pbuf);
-        let mut idx: Vec<usize> = (0..take).collect();
-        idx.sort_by_key(|&i| (kbuf[i], pbuf[i]));
-        let sk: Vec<i64> = idx.iter().map(|&i| kbuf[i]).collect();
-        let sp: Vec<u32> = idx.iter().map(|&i| pbuf[i]).collect();
-        scratch_k.push(m, &sk);
-        scratch_p.push(m, &sp);
-        m.charge_cycles(cost::SORT * take as u64 * (64 - (take as u64).leading_zeros() as u64));
-        runs.push((base, take));
-        base += take;
-    }
-    let (scratch_k, scratch_p) = (scratch_k.finish(m), scratch_p.finish(m));
-
-    // Phase 2: k-way merge with block-buffered run cursors.
-    struct Cursor {
-        start: usize,
-        len: usize,
-        pos: usize, // global position consumed
-        kblock: Vec<i64>,
-        pblock: Vec<u32>,
-        boff: usize, // offset within the block
-    }
-    let block = (run_elems / 4).max(64);
-    let mut cursors: Vec<Cursor> = runs
-        .iter()
-        .map(|&(start, len)| Cursor {
-            start,
-            len,
-            pos: 0,
-            kblock: Vec::new(),
-            pblock: Vec::new(),
-            boff: 0,
-        })
-        .collect();
-    let mut out_kbuf: Vec<i64> = Vec::with_capacity(block);
-    let mut out_pbuf: Vec<u32> = Vec::with_capacity(block);
-    loop {
-        // Refill exhausted cursors.
-        for c in &mut cursors {
-            if c.boff == c.kblock.len() && c.pos < c.len {
-                let take = block.min(c.len - c.pos);
-                c.kblock.clear();
-                c.pblock.clear();
-                m.read_range(&scratch_k, c.start + c.pos, take, &mut c.kblock);
-                m.read_range(&scratch_p, c.start + c.pos, take, &mut c.pblock);
-                c.boff = 0;
-            }
-        }
-        // Pick the smallest head.
-        let next = cursors
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.boff < c.kblock.len())
-            .min_by_key(|(i, c)| (c.kblock[c.boff], c.pblock[c.boff], *i))
-            .map(|(i, _)| i);
-        let Some(i) = next else { break };
-        let c = &mut cursors[i];
-        out_kbuf.push(c.kblock[c.boff]);
-        out_pbuf.push(c.pblock[c.boff]);
-        c.boff += 1;
-        c.pos += 1;
-        m.charge_cycles(cost::SORT * 2);
-        if out_kbuf.len() == block {
-            out_k.push(m, &out_kbuf);
-            out_p.push(m, &out_pbuf);
-            out_kbuf.clear();
-            out_pbuf.clear();
-        }
-    }
-    out_k.push(m, &out_kbuf);
-    out_p.push(m, &out_pbuf);
-    (out_k.finish(m), out_p.finish(m))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

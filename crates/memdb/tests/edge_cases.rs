@@ -1,11 +1,9 @@
-//! Edge cases: empty results, degenerate parameters, tiny tables, and the
-//! external sort operator.
+//! Edge cases: empty results, degenerate parameters and tiny tables.
 
 use ddc_sim::DdcConfig;
-use memdb::exec::{project, sort};
 use memdb::types::Date;
 use memdb::{oracle, q3, q6, q9, Database, PushdownPlan, QueryParams, TpchData};
-use teleport::{Mem, Runtime};
+use teleport::Runtime;
 
 fn rt() -> Runtime {
     Runtime::teleport(DdcConfig {
@@ -71,78 +69,4 @@ fn tiny_scale_factor_is_well_formed() {
     let (rows, _) = q9(&mut rt, &db, &PushdownPlan::none(), &QueryParams::default());
     let expected = oracle::q9(&data, &QueryParams::default());
     assert_eq!(rows.len(), expected.len());
-}
-
-#[test]
-fn external_sort_matches_host_sort() {
-    let mut rt = rt();
-    let n = 10_000usize;
-    let keys_host: Vec<i64> = (0..n)
-        .map(|i| ((i * 2_654_435_761) % 100_000) as i64)
-        .collect();
-    let payload_host: Vec<u32> = (0..n as u32).collect();
-    let keys = rt.alloc_region::<i64>(n);
-    let payload = rt.alloc_region::<u32>(n);
-    rt.write_range(&keys, 0, &keys_host);
-    rt.write_range(&payload, 0, &payload_host);
-    rt.begin_timing();
-
-    let (sk, sp) = sort::external_sort_by_key(&mut rt, &keys, &payload, n, 1_000);
-    let got_k = project::fetch(&mut rt, &sk, n);
-    let got_p = project::fetch(&mut rt, &sp, n);
-
-    let mut expected: Vec<(i64, u32)> = keys_host.into_iter().zip(payload_host).collect();
-    expected.sort_unstable();
-    assert_eq!(got_k, expected.iter().map(|&(k, _)| k).collect::<Vec<_>>());
-    assert_eq!(got_p, expected.iter().map(|&(_, p)| p).collect::<Vec<_>>());
-}
-
-#[test]
-fn external_sort_edge_shapes() {
-    let mut rt = rt();
-    // Empty input.
-    let keys = rt.alloc_region::<i64>(1);
-    let payload = rt.alloc_region::<u32>(1);
-    let (sk, _) = sort::external_sort_by_key(&mut rt, &keys, &payload, 0, 16);
-    assert!(sk.is_empty());
-
-    // Single run (n < run size), already sorted, and reverse-sorted.
-    for input in [vec![1i64, 2, 3], vec![3i64, 2, 1], vec![5i64; 7]] {
-        let n = input.len();
-        let keys = rt.alloc_region::<i64>(n);
-        let payload = rt.alloc_region::<u32>(n);
-        rt.write_range(&keys, 0, &input);
-        let pl: Vec<u32> = (0..n as u32).collect();
-        rt.write_range(&payload, 0, &pl);
-        let (sk, _) = sort::external_sort_by_key(&mut rt, &keys, &payload, n, 16);
-        let got = project::fetch(&mut rt, &sk, n);
-        let mut expected = input.clone();
-        expected.sort_unstable();
-        assert_eq!(got, expected);
-    }
-}
-
-#[test]
-fn external_sort_charges_more_than_in_place_reads() {
-    // The sort's virtual cost includes run writes and merge reads.
-    let mut rt = rt();
-    let n = 50_000usize;
-    let keys_host: Vec<i64> = (0..n).rev().map(|i| i as i64).collect();
-    let keys = rt.alloc_region::<i64>(n);
-    let payload = rt.alloc_region::<u32>(n);
-    rt.write_range(&keys, 0, &keys_host);
-    rt.drop_cache();
-    rt.begin_timing();
-    let t0 = rt.elapsed();
-    let _ = sort::external_sort_by_key(&mut rt, &keys, &payload, n, 8_192);
-    let sort_time = rt.elapsed() - t0;
-
-    let t0 = rt.elapsed();
-    let mut buf = Vec::new();
-    rt.read_range(&keys, 0, n, &mut buf);
-    let scan_time = rt.elapsed() - t0;
-    assert!(
-        sort_time.as_nanos() > 3 * scan_time.as_nanos(),
-        "sort {sort_time} vs scan {scan_time}"
-    );
 }

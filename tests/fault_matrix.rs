@@ -421,8 +421,16 @@ fn permanent_pool_death_defeats_every_policy() {
             "[{policy_name}] kernel panic must surface through any policy"
         );
         assert!(!rt.is_alive(), "[{policy_name}] pool death clears liveness");
-        assert_eq!(rt.resilience_retries(), 0, "[{policy_name}] no retries");
-        assert_eq!(rt.resilience_fallbacks(), 0, "[{policy_name}] no fallback");
+        assert_eq!(
+            rt.metrics().get("resilience.retries"),
+            Some(0),
+            "[{policy_name}] no retries"
+        );
+        assert_eq!(
+            rt.metrics().get("resilience.fallbacks"),
+            Some(0),
+            "[{policy_name}] no fallback"
+        );
     }
 }
 
@@ -925,7 +933,7 @@ fn backlog_timeout_cancellation_is_absorbed_by_fallback() {
     assert_eq!(out.via, ExecutionVia::LocalFallback);
     assert_eq!(out.value, (0..512u64).sum::<u64>());
     assert!(rt.is_alive());
-    assert_eq!(rt.resilience_fallbacks(), 1);
+    assert_eq!(rt.metrics().get("resilience.fallbacks"), Some(1));
 }
 
 // ---------------------------------------------------------------------------

@@ -89,7 +89,7 @@ proptest! {
             m.read_range(&col, 0, col.len(), &mut buf);
             buf.iter().sum::<u64>()
         });
-        prop_assert_eq!(rt.resilience_retries(), max_retries as u64);
+        prop_assert_eq!(rt.metrics().get("resilience.retries"), Some(max_retries as u64));
         match r {
             Ok(out) => {
                 prop_assert!(with_fallback);
@@ -128,7 +128,7 @@ proptest! {
             m.get(&col, 0, ddc_os::Pattern::Rand)
         });
         prop_assert!(r.is_err(), "every call faults and there is no fallback");
-        let retries = rt.resilience_retries() as u32;
+        let retries = rt.metrics().get("resilience.retries").unwrap() as u32;
         let p = policy.retry.unwrap();
         let spent: u64 = (0..retries).map(|a| p.backoff(a).as_nanos()).sum();
         prop_assert!(

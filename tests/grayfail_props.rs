@@ -157,7 +157,7 @@ proptest! {
         };
         let mut misses = 0u64;
         for _ in 0..6 {
-            let retries0 = rt.resilience_retries();
+            let retries0 = rt.metrics().get("resilience.retries").unwrap();
             let t0 = rt.dos().clock().now();
             let col2 = col;
             let r = rt.pushdown_resilient(PushdownOpts::new().deadline(deadline), &policy, move |m| {
@@ -194,7 +194,7 @@ proptest! {
                     // Every attempt faulted: the full retry budget went
                     // first, and the deadline never got a completed
                     // attempt to judge.
-                    prop_assert_eq!(rt.resilience_retries() - retries0, 24);
+                    prop_assert_eq!(rt.metrics().get("resilience.retries").unwrap() - retries0, 24);
                 }
                 Err(e) => prop_assert!(false, "unexpected error {e:?}"),
             }
