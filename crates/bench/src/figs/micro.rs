@@ -198,10 +198,10 @@ pub fn fig20(scale: &Scale, out: &mut Out) {
     ]);
     out.table(&["component", "eager sync", "on-demand sync"], &rows);
     out.line(&format!(
-        "On-demand overhead is {} of eager ({} vs {}). Paper: ~0.3s vs ~3.5s per call.",
+        "Eager overhead is {} on-demand's ({} vs {}). Paper: ~3.5s vs ~0.3s per call.",
         fmt_x(eager.overhead().ratio(ondemand.overhead())),
-        fmt_t(ondemand.overhead()),
         fmt_t(eager.overhead()),
+        fmt_t(ondemand.overhead()),
     ));
 }
 

@@ -123,8 +123,9 @@ impl PushdownSession {
         Self::with_tiebreak(mode, resident, backoff_t, TieBreak::FavorMemory)
     }
 
-    /// [`PushdownSession::new`] with an explicit tie-break policy (used by
-    /// the §7.6 ablation).
+    /// [`PushdownSession::new`] with an explicit tie-break policy. A
+    /// pushdown's session takes `TeleportConfig::tiebreak` through
+    /// [`PushdownSession::over_shipped`] instead.
     pub fn with_tiebreak(
         mode: CoherenceMode,
         resident: &[(PageId, bool)],

@@ -12,20 +12,24 @@
 //! - **Figs 21/22** — the contention sweep: execution time and coherence
 //!   message count as the fraction of conflicting writes grows.
 //!
-//! Threads are simulated as interleaved operation streams on a
-//! deterministic min-clock schedule ([`ddc_sim::Interleaver`]); each lane
-//! accumulates the virtual cost of its own operations, so cross-pool
-//! interactions (invalidations, backoffs) land on the lane that suffered
-//! them.
+//! Every run is one ordinary [`Runtime::pushdown`] on Local, BaseDdc or
+//! Teleport, so steps ❶–❽ cost here what they cost everywhere else. Inside
+//! the call, threads are simulated as interleaved operation streams on a
+//! deterministic min-clock schedule ([`ddc_sim::Interleaver`]): lane 0 is
+//! the pushed thread ([`Mem`] on the arm) and the other lanes are
+//! compute-pool threads beside it ([`Arm::compute_cycles`] /
+//! [`Arm::compute_access`], which contend through the call's coherence
+//! session). Each lane accumulates the virtual cost of its own operations,
+//! so cross-pool interactions (invalidations, backoffs) land on the lane
+//! that suffered them; lane 0 also carries the call's preamble and
+//! completion.
 
-use ddc_os::{Dos, Pattern, VAddr};
-use ddc_sim::{DdcConfig, Interleaver, MonolithicConfig, MsgClass, SimDuration, PAGE_SIZE};
+use ddc_os::{Pattern, VAddr};
+use ddc_sim::{DdcConfig, Interleaver, MonolithicConfig, SimDuration, PAGE_SIZE};
 
-use crate::coherence::{PushdownSession, TieBreak};
+use crate::coherence::TieBreak;
 use crate::flags::{CoherenceMode, PushdownOpts, SyncStrategy};
-use crate::rle::ResidentList;
-use crate::rpc::REQUEST_HEADER_BYTES;
-use crate::runtime::{Mem, Runtime, TeleportConfig};
+use crate::runtime::{Arm, Mem, PlatformKind, Runtime, TeleportConfig};
 
 /// Deterministic xorshift stream for workload generation.
 #[derive(Debug, Clone)]
@@ -48,6 +52,74 @@ impl XorShift {
     fn chance(&mut self, rate: f64) -> bool {
         (self.next() % 1_000_000_000) as f64 / 1e9 < rate
     }
+}
+
+/// A rack for `pages` of data: Local with twice that in DRAM, or a DDC
+/// whose compute cache holds `cache_ratio` of it.
+fn rack(kind: PlatformKind, pages: usize, cache_ratio: f64, tcfg: TeleportConfig) -> Runtime {
+    let bytes = pages * PAGE_SIZE;
+    let cfg = DdcConfig {
+        compute_cache_bytes: ((bytes as f64 * cache_ratio) as usize).max(2 * PAGE_SIZE),
+        memory_pool_bytes: bytes * 2 + (64 << 20),
+        ..Default::default()
+    };
+    match kind {
+        PlatformKind::Local => Runtime::local(MonolithicConfig {
+            dram_bytes: bytes * 2,
+            ..Default::default()
+        }),
+        PlatformKind::BaseDdc => Runtime::base_ddc(cfg),
+        PlatformKind::Teleport => Runtime::teleport_with(cfg, tcfg),
+    }
+}
+
+/// Write one word into each of `pages` pages from `at`.
+fn fill(rt: &mut Runtime, at: VAddr, pages: usize) {
+    for p in 0..pages {
+        rt.write_raw(
+            at.offset((p * PAGE_SIZE) as u64),
+            &1u64.to_le_bytes(),
+            Pattern::Seq,
+        );
+    }
+}
+
+/// Run `lanes` threads inside one pushdown for `ops` operations each:
+/// `step(arm, lane)` performs one operation of `lane`. Lane 0, the pushed
+/// thread, is billed the call's preamble (❶–❹), its completion (❻–❽) and,
+/// with `syncmem_after`, one manual `syncmem` after it returns.
+fn interleave(
+    rt: &mut Runtime,
+    opts: PushdownOpts,
+    lanes: usize,
+    ops: usize,
+    syncmem_after: bool,
+    mut step: impl FnMut(&mut Arm<'_>, usize),
+) -> Interleaver {
+    let mut il = Interleaver::new(lanes);
+    let mut remaining = vec![ops; lanes];
+    let start = rt.now();
+    let exit = rt
+        .pushdown(opts, |arm| {
+            il.advance(0, arm.now().since(start));
+            while let Some(lane) = il.next_lane() {
+                if remaining[lane] == 0 {
+                    il.finish(lane);
+                    continue;
+                }
+                remaining[lane] -= 1;
+                let t0 = arm.now();
+                step(arm, lane);
+                il.advance(lane, arm.now().since(t0));
+            }
+            arm.now()
+        })
+        .expect("microbenchmark pushdown succeeds");
+    if syncmem_after {
+        rt.syncmem();
+    }
+    il.advance(0, rt.now().since(exit));
+    il
 }
 
 /// Parameters of the two-thread workload (Fig 6 shape).
@@ -95,28 +167,16 @@ pub enum Fig6Strategy {
     Coherent,
 }
 
-fn ddc_for(spec: &TwoThreadSpec) -> DdcConfig {
-    let region_bytes = spec.region_pages * PAGE_SIZE;
-    DdcConfig {
-        compute_cache_bytes: ((region_bytes as f64 * spec.cache_ratio) as usize).max(PAGE_SIZE),
-        memory_pool_bytes: region_bytes * 2 + (64 << 20),
-        ..Default::default()
-    }
-}
-
 /// Load the region, then emulate the application having *run for a while*
 /// before the pushdown decision: the compute cache is warm with pages the
 /// memory-intensive thread recently probed (mostly clean, a few dirty).
 /// This is the state on which the Fig 6 sync strategies differ — eager sync
 /// must flush and re-fetch the whole warm cache, while on-demand coherence
 /// leaves clean `(R,R)` pages alone.
-fn load_region(rt: &mut Runtime, spec: &TwoThreadSpec) -> ddc_os::VAddr {
+fn load_region(rt: &mut Runtime, spec: &TwoThreadSpec) -> VAddr {
     let region = rt.alloc(spec.region_pages * PAGE_SIZE);
-    for p in 0..spec.region_pages {
-        let addr = region.offset((p * PAGE_SIZE) as u64);
-        rt.write_raw(addr, &1u64.to_le_bytes(), Pattern::Seq);
-    }
-    if rt.kind() != crate::runtime::PlatformKind::Local {
+    fill(rt, region, spec.region_pages);
+    if rt.kind() != PlatformKind::Local {
         rt.drop_cache();
     }
     // Warm-up probes: reads, with an occasional in-place update.
@@ -144,64 +204,41 @@ fn random_probes<M: Mem>(m: &mut M, region: VAddr, spec: &TwoThreadSpec) {
 }
 
 /// Run the Fig 6 scenario under one strategy, returning the application
-/// makespan (both threads complete).
+/// makespan (both threads complete). The memory-intensive thread is one
+/// pushdown (compute-side on Local and BaseDdc); the compute-intensive
+/// thread runs beside it on the compute pool, except under full-process
+/// migration, where its cycles ride inside the call on the memory pool.
 pub fn run_fig6(spec: &TwoThreadSpec, strategy: Fig6Strategy) -> SimDuration {
-    match strategy {
-        Fig6Strategy::Local => {
-            let cfg = MonolithicConfig {
-                dram_bytes: spec.region_pages * PAGE_SIZE * 2,
-                ..Default::default()
-            };
-            let mut rt = Runtime::local(cfg);
-            let region = load_region(&mut rt, spec);
-            let t_comp = rt.dos().compute_cpu().cycles(spec.compute_cycles);
-            random_probes(&mut rt, region, spec);
-            rt.elapsed().max(t_comp)
+    let kind = match strategy {
+        Fig6Strategy::Local => PlatformKind::Local,
+        Fig6Strategy::BaseDdc => PlatformKind::BaseDdc,
+        _ => PlatformKind::Teleport,
+    };
+    let mut rt = rack(
+        kind,
+        spec.region_pages,
+        spec.cache_ratio,
+        TeleportConfig::default(),
+    );
+    let region = load_region(&mut rt, spec);
+    let sync = match strategy {
+        Fig6Strategy::PerProcessEager | Fig6Strategy::PerThreadEager => SyncStrategy::Eager,
+        _ => SyncStrategy::OnDemand,
+    };
+    let inside = strategy == Fig6Strategy::PerProcessEager;
+    let t_comp = if inside {
+        SimDuration::ZERO
+    } else {
+        rt.dos().compute_cpu().cycles(spec.compute_cycles)
+    };
+    rt.pushdown(PushdownOpts::new().sync(sync), |arm| {
+        if inside {
+            arm.charge_cycles(spec.compute_cycles);
         }
-        Fig6Strategy::BaseDdc => {
-            let mut rt = Runtime::base_ddc(ddc_for(spec));
-            let region = load_region(&mut rt, spec);
-            let t_comp = rt.dos().compute_cpu().cycles(spec.compute_cycles);
-            random_probes(&mut rt, region, spec);
-            rt.elapsed().max(t_comp)
-        }
-        Fig6Strategy::PerProcessEager => {
-            let mut rt = Runtime::teleport(ddc_for(spec));
-            let region = load_region(&mut rt, spec);
-            // Both threads inside one pushdown: the memory pool's single
-            // context serializes them; eager sync moves the whole cache.
-            let compute_cycles = spec.compute_cycles;
-            let spec2 = *spec;
-            rt.pushdown(PushdownOpts::new().sync(SyncStrategy::Eager), move |arm| {
-                arm.charge_cycles(compute_cycles);
-                random_probes(arm, region, &spec2);
-            })
-            .expect("pushdown succeeds");
-            rt.elapsed()
-        }
-        Fig6Strategy::PerThreadEager => {
-            let mut rt = Runtime::teleport(ddc_for(spec));
-            let region = load_region(&mut rt, spec);
-            let t_comp = rt.dos().compute_cpu().cycles(spec.compute_cycles);
-            let spec2 = *spec;
-            rt.pushdown(PushdownOpts::new().sync(SyncStrategy::Eager), move |arm| {
-                random_probes(arm, region, &spec2)
-            })
-            .expect("pushdown succeeds");
-            rt.elapsed().max(t_comp)
-        }
-        Fig6Strategy::Coherent => {
-            let mut rt = Runtime::teleport(ddc_for(spec));
-            let region = load_region(&mut rt, spec);
-            let t_comp = rt.dos().compute_cpu().cycles(spec.compute_cycles);
-            let spec2 = *spec;
-            rt.pushdown(PushdownOpts::new(), move |arm| {
-                random_probes(arm, region, &spec2)
-            })
-            .expect("pushdown succeeds");
-            rt.elapsed().max(t_comp)
-        }
-    }
+        random_probes(arm, region, spec);
+    })
+    .expect("pushdown succeeds");
+    rt.elapsed().max(t_comp)
 }
 
 // ----------------------------------------------------------------------
@@ -268,206 +305,68 @@ pub struct ContentionResult {
     pub backoffs: u64,
 }
 
-/// Run the contention microbenchmark.
+/// Run the contention microbenchmark: the memory-intensive thread is
+/// pushed, and `compute_threads` compute threads run beside it, each
+/// writing a shared page at `contention_rate`.
 pub fn run_contention(spec: &ContentionSpec, platform: ContentionPlatform) -> ContentionResult {
-    match platform {
-        ContentionPlatform::Local | ContentionPlatform::BaseDdc => {
-            run_contention_unpushed(spec, platform)
-        }
-        ContentionPlatform::Teleport(mode) => run_contention_teleport(spec, mode),
-    }
-}
-
-fn contention_config(spec: &ContentionSpec) -> DdcConfig {
-    let region_bytes = (spec.region_pages + spec.shared_pages) * PAGE_SIZE;
-    DdcConfig {
-        compute_cache_bytes: ((region_bytes as f64 * spec.cache_ratio) as usize).max(2 * PAGE_SIZE),
-        memory_pool_bytes: region_bytes * 2 + (64 << 20),
-        ..Default::default()
-    }
-}
-
-fn run_contention_unpushed(
-    spec: &ContentionSpec,
-    platform: ContentionPlatform,
-) -> ContentionResult {
-    let mut rt = match platform {
-        ContentionPlatform::Local => Runtime::local(MonolithicConfig {
-            dram_bytes: (spec.region_pages + spec.shared_pages) * PAGE_SIZE * 2,
-            ..Default::default()
-        }),
-        _ => Runtime::base_ddc(contention_config(spec)),
+    let (kind, mode) = match platform {
+        ContentionPlatform::Local => (PlatformKind::Local, CoherenceMode::default()),
+        ContentionPlatform::BaseDdc => (PlatformKind::BaseDdc, CoherenceMode::default()),
+        ContentionPlatform::Teleport(mode) => (PlatformKind::Teleport, mode),
     };
+    let tcfg = TeleportConfig {
+        tiebreak: spec.tiebreak,
+        ..Default::default()
+    };
+    let pages = spec.region_pages + spec.shared_pages;
+    let mut rt = rack(kind, pages, spec.cache_ratio, tcfg);
     let region = rt.alloc(spec.region_pages * PAGE_SIZE);
     let shared = rt.alloc(spec.shared_pages * PAGE_SIZE);
-    for p in 0..spec.region_pages {
-        rt.write_raw(
-            region.offset((p * PAGE_SIZE) as u64),
-            &1u64.to_le_bytes(),
-            Pattern::Seq,
-        );
-    }
-    if rt.kind() != crate::runtime::PlatformKind::Local {
-        rt.drop_cache();
-    }
-    rt.begin_timing();
-
-    // Memory-intensive thread (contended writes are local: same NUMA node,
-    // negligible at page granularity).
-    let mut rng = XorShift::new(spec.seed);
-    for _ in 0..spec.ops {
-        if rng.chance(spec.contention_rate) {
-            let page = rng.next() % spec.shared_pages as u64;
-            rt.write_raw(
-                shared.offset(page * PAGE_SIZE as u64),
-                &2u64.to_le_bytes(),
-                Pattern::Rand,
-            );
-        } else {
-            let page = rng.next() % spec.region_pages as u64;
-            let _ = rt.read_raw(region.offset(page * PAGE_SIZE as u64), 8, Pattern::Rand);
-        }
-    }
-    let t_mem = rt.elapsed();
-    let t_comp = rt
-        .dos()
-        .compute_cpu()
-        .cycles(spec.cycles_per_op * spec.ops as u64);
-    ContentionResult {
-        makespan: t_mem.max(t_comp),
-        pushdown_lane_time: t_mem,
-        coherence_msgs: 0,
-        backoffs: 0,
-    }
-}
-
-fn run_contention_teleport(spec: &ContentionSpec, mode: CoherenceMode) -> ContentionResult {
-    let cfg = contention_config(spec);
-    let tcfg = TeleportConfig::default();
-    let mut dos = Dos::new_disaggregated(cfg.clone());
-    let region = dos.alloc(spec.region_pages * PAGE_SIZE);
-    let shared = dos.alloc(spec.shared_pages * PAGE_SIZE);
-    for p in 0..spec.region_pages {
-        dos.write_bytes(
-            region.offset((p * PAGE_SIZE) as u64),
-            &1u64.to_le_bytes(),
-            Pattern::Seq,
-        );
-    }
+    fill(&mut rt, region, spec.region_pages);
     // Start with a cold cache, then have the compute threads actively use
     // the shared pages (they hold them writable when the pushdown begins —
     // the contended state of §7.6).
-    dos.drop_cache();
-    for p in 0..spec.shared_pages {
-        dos.write_bytes(
-            shared.offset((p * PAGE_SIZE) as u64),
-            &1u64.to_le_bytes(),
-            Pattern::Seq,
-        );
+    if kind != PlatformKind::Local {
+        rt.drop_cache();
     }
-    dos.begin_timing();
+    fill(&mut rt, shared, spec.shared_pages);
+    rt.begin_timing();
 
-    // Pushdown preamble charged to the memory lane.
-    let clock = dos.clock().clone();
-    let lanes = 1 + spec.compute_threads;
-    let mut il = Interleaver::new(lanes);
-
-    let preamble_start = clock.now();
-    let resident = dos.resident_list();
-    dos.charge_compute_cycles(tcfg.cycles_per_list_entry * resident.len() as u64);
-    let rle = ResidentList::encode(&resident);
-    let d = dos.fabric().send(
-        MsgClass::RpcRequest,
-        REQUEST_HEADER_BYTES + rle.encoded_bytes(),
-    );
-    dos.charge(d + tcfg.wakeup + tcfg.ctx_create);
-    let total_pages = dos.space().allocated_pages() as u64;
-    let mem_cpu = cfg.memory_cpu;
-    dos.charge(mem_cpu.cycles(
-        tcfg.cycles_per_pte_clone * total_pages + tcfg.cycles_per_pte_check * resident.len() as u64,
-    ));
-    il.advance(0, clock.now().since(preamble_start));
-
-    let mut session =
-        PushdownSession::with_tiebreak(mode, &resident, tcfg.backoff_t, spec.tiebreak);
-
-    // Per-lane operation streams.
     let mut mem_rng = XorShift::new(spec.seed);
     let mut comp_rngs: Vec<XorShift> = (0..spec.compute_threads)
         .map(|i| XorShift::new(spec.seed ^ (0x9E37 + i as u64 * 7919)))
         .collect();
-    let mut remaining: Vec<usize> = vec![spec.ops; lanes];
-    let msgs_before = dos.fabric().ledger().coherence.messages;
-
-    while let Some(lane) = il.next_lane() {
-        if remaining[lane] == 0 {
-            il.finish(lane);
-            continue;
-        }
-        remaining[lane] -= 1;
-        let t0 = clock.now();
-        if lane == 0 {
-            // Memory-intensive thread, running in the memory pool.
-            if mem_rng.chance(spec.contention_rate) {
+    let page_at = |base: VAddr, page: u64, off: u64| base.offset(page * PAGE_SIZE as u64 + off);
+    let opts = PushdownOpts::new().coherence(mode);
+    let lanes = 1 + spec.compute_threads;
+    let il = interleave(
+        &mut rt,
+        opts,
+        lanes,
+        spec.ops,
+        mode == CoherenceMode::Disabled,
+        |arm, lane| {
+            if lane > 0 {
+                let rng = &mut comp_rngs[lane - 1];
+                arm.compute_cycles(spec.cycles_per_op);
+                if rng.chance(spec.contention_rate) {
+                    let page = rng.next() % spec.shared_pages as u64;
+                    arm.compute_access(page_at(shared, page, 64), 8, true, Pattern::Rand);
+                }
+            } else if mem_rng.chance(spec.contention_rate) {
                 let page = mem_rng.next() % spec.shared_pages as u64;
-                session.mem_access(
-                    &mut dos,
-                    shared.offset(page * PAGE_SIZE as u64),
-                    8,
-                    true,
-                    Pattern::Rand,
-                );
+                arm.write_raw(page_at(shared, page, 0), &2u64.to_le_bytes(), Pattern::Rand);
             } else {
                 let page = mem_rng.next() % spec.region_pages as u64;
-                session.mem_access(
-                    &mut dos,
-                    region.offset(page * PAGE_SIZE as u64),
-                    8,
-                    false,
-                    Pattern::Rand,
-                );
+                let _ = arm.read_raw(page_at(region, page, 0), 8, Pattern::Rand);
             }
-        } else {
-            // A compute-intensive thread in the compute pool.
-            let rng = &mut comp_rngs[lane - 1];
-            dos.charge_compute_cycles(spec.cycles_per_op);
-            if rng.chance(spec.contention_rate) {
-                let page = rng.next() % spec.shared_pages as u64;
-                session.compute_access(
-                    &mut dos,
-                    shared.offset(page * PAGE_SIZE as u64 + 64),
-                    8,
-                    true,
-                    Pattern::Rand,
-                );
-            }
-        }
-        il.advance(lane, clock.now().since(t0));
-    }
-
-    // Completion: response transfer + per-mode completion sync. With
-    // coherence disabled the application reconciles manually: one final
-    // `syncmem` (the Fig 7 pattern).
-    let t_end = clock.now();
-    let (cstats, _online, stale) = session.finish(&mut dos);
-    if mode == CoherenceMode::Disabled && !stale.is_empty() {
-        dos.syncmem();
-    }
-    let d = dos
-        .fabric()
-        .send(MsgClass::RpcResponse, crate::rpc::RESPONSE_BYTES);
-    dos.charge(d);
-    il.advance(0, clock.now().since(t_end));
-
-    let coherence_msgs = dos.fabric().ledger().coherence.messages - msgs_before;
+        },
+    );
     ContentionResult {
         makespan: il.makespan(),
-        pushdown_lane_time: clock.now().since(ddc_sim::SimTime::ZERO).min(
-            // Lane 0 is the pushdown lane; its clock froze at finish.
-            il.clock_of(0).since(ddc_sim::SimTime::ZERO),
-        ),
-        coherence_msgs,
-        backoffs: cstats.backoffs,
+        pushdown_lane_time: il.clock_of(0).since(ddc_sim::SimTime::ZERO),
+        coherence_msgs: rt.net_ledger().coherence.messages,
+        backoffs: rt.last_coherence_stats().map_or(0, |c| c.backoffs),
     }
 }
 
@@ -500,77 +399,41 @@ impl Default for FalseSharingSpec {
 /// with coherence disabled + a single manual `syncmem` at the end.
 /// Returns the makespan.
 pub fn run_false_sharing(spec: &FalseSharingSpec, manual_syncmem: bool) -> SimDuration {
-    let cfg = DdcConfig {
-        compute_cache_bytes: (spec.pages * 4) * PAGE_SIZE,
-        memory_pool_bytes: 64 << 20,
-        ..Default::default()
-    };
-    let tcfg = TeleportConfig::default();
-    let mut dos = Dos::new_disaggregated(cfg.clone());
-    let shared = dos.alloc(spec.pages * PAGE_SIZE);
-    for p in 0..spec.pages {
-        dos.write_bytes(
-            shared.offset((p * PAGE_SIZE) as u64),
-            &1u64.to_le_bytes(),
-            Pattern::Seq,
-        );
-    }
-    dos.begin_timing();
-
-    let clock = dos.clock().clone();
-    let mut il = Interleaver::new(2);
+    let mut rt = rack(
+        PlatformKind::Teleport,
+        spec.pages,
+        4.0,
+        TeleportConfig::default(),
+    );
+    let shared = rt.alloc(spec.pages * PAGE_SIZE);
+    fill(&mut rt, shared, spec.pages);
+    rt.begin_timing();
 
     let mode = if manual_syncmem {
         CoherenceMode::Disabled
     } else {
         CoherenceMode::WriteInvalidate
     };
-    let t0 = clock.now();
-    let resident = dos.resident_list();
-    dos.charge(tcfg.wakeup + tcfg.ctx_create);
-    il.advance(0, clock.now().since(t0));
-    let mut session = PushdownSession::new(mode, &resident, tcfg.backoff_t);
-
     let mut rng = XorShift::new(spec.seed);
-    let mut remaining = [spec.writes_per_thread; 2];
-    while let Some(lane) = il.next_lane() {
-        if remaining[lane] == 0 {
-            il.finish(lane);
-            continue;
-        }
-        remaining[lane] -= 1;
-        let t0 = clock.now();
-        let page = rng.next() % spec.pages as u64;
-        if lane == 0 {
-            // Pushed thread writes the first half of each page.
-            session.mem_access(
-                &mut dos,
-                shared.offset(page * PAGE_SIZE as u64),
-                8,
-                true,
-                Pattern::Rand,
-            );
-        } else {
-            // Compute thread writes the second half of the same pages.
-            dos.charge_compute_cycles(spec.cycles_per_op);
-            session.compute_access(
-                &mut dos,
-                shared.offset(page * PAGE_SIZE as u64 + (PAGE_SIZE / 2) as u64),
-                8,
-                true,
-                Pattern::Rand,
-            );
-        }
-        il.advance(lane, clock.now().since(t0));
-    }
-
-    let t0 = clock.now();
-    let (_stats, _online, _stale) = session.finish(&mut dos);
-    if manual_syncmem {
-        // One manual reconciliation instead of per-write ping-pong.
-        dos.syncmem();
-    }
-    il.advance(0, clock.now().since(t0));
+    let opts = PushdownOpts::new().coherence(mode);
+    let il = interleave(
+        &mut rt,
+        opts,
+        2,
+        spec.writes_per_thread,
+        manual_syncmem,
+        |arm, lane| {
+            let page = shared.offset((rng.next() % spec.pages as u64) * PAGE_SIZE as u64);
+            if lane == 0 {
+                // Pushed thread writes the first half of each page.
+                arm.write_raw(page, &2u64.to_le_bytes(), Pattern::Rand);
+            } else {
+                // Compute thread writes the second half of the same pages.
+                arm.compute_cycles(spec.cycles_per_op);
+                arm.compute_access(page.offset((PAGE_SIZE / 2) as u64), 8, true, Pattern::Rand);
+            }
+        },
+    );
     il.makespan()
 }
 

@@ -60,6 +60,9 @@ pub struct TeleportConfig {
     /// Conservative timeout after which a non-completing pushed function is
     /// killed (§3.2).
     pub kill_timeout: SimDuration,
+    /// Which side wins a concurrent write-write tie (§4.1): the paper's
+    /// `FavorMemory`, or `FavorCompute` for the §7.6 ablation.
+    pub tiebreak: TieBreak,
 }
 
 impl Default for TeleportConfig {
@@ -72,6 +75,7 @@ impl Default for TeleportConfig {
             cycles_per_list_entry: 10,
             backoff_t: SimDuration::from_micros(10),
             kill_timeout: SimDuration::from_secs(600),
+            tiebreak: TieBreak::FavorMemory,
         }
     }
 }
@@ -551,6 +555,32 @@ struct FixedPathMemo {
     compute_charge: CycleMemo,
     /// Memory side (arms inside a Teleport pushdown).
     memory_charge: CycleMemo,
+}
+
+/// A compute-pool thread running beside the pushed function (the paper's
+/// two-thread application, §4 / §7.6). On the memory side its accesses go
+/// through the call's coherence session, so they contend with the pushed
+/// function's.
+impl Arm<'_> {
+    /// Bill `cycles` of compute-pool CPU, as [`Runtime::charge_cycles`]
+    /// does, on either side.
+    pub fn compute_cycles(&mut self, cycles: u64) {
+        self.rt.charge_cycles(cycles);
+    }
+
+    /// A compute-side access: on the memory side it settles coherence
+    /// against this call's session first
+    /// ([`PushdownSession::compute_access`]); on the compute side it is the
+    /// plain compute access. No bytes are read or written.
+    pub fn compute_access(&mut self, addr: VAddr, len: usize, write: bool, pat: Pattern) {
+        match &mut self.session {
+            Some(s) => s.compute_access(&mut self.rt.dos, addr, len, write, pat),
+            None if write => self.rt.write_with(addr, len, pat, |_| {}),
+            None => {
+                let _ = self.rt.read_raw(addr, len, pat);
+            }
+        }
+    }
 }
 
 impl Mem for Arm<'_> {
@@ -1367,7 +1397,7 @@ impl Runtime {
             opts.coherence,
             resident.table,
             self.tcfg.backoff_t,
-            TieBreak::FavorMemory,
+            self.tcfg.tiebreak,
         );
         let result = self.run_or_disrupt(call.idx, Some(&mut session), f);
         let exec_window = self.dos.clock().now().since(t0);

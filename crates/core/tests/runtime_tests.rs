@@ -3,12 +3,12 @@
 
 use ddc_os::Pattern;
 use ddc_sim::{
-    DdcConfig, EventKind, FaultPlan, HeartbeatConfig, MonolithicConfig, SimDuration, SimTime,
-    FOREVER, PAGE_SIZE,
+    CpuConfig, DdcConfig, EventKind, FaultPlan, HeartbeatConfig, MonolithicConfig, SimDuration,
+    SimTime, FOREVER, PAGE_SIZE,
 };
 use teleport::{
     CoherenceMode, HedgeOutcome, HedgePolicy, Mem, PlatformKind, PushdownError, PushdownOpts,
-    ResiliencePolicy, Runtime, SyncStrategy, TeleportConfig,
+    ResiliencePolicy, Runtime, SyncStrategy, TeleportConfig, TieBreak,
 };
 
 fn small_ddc() -> DdcConfig {
@@ -859,4 +859,120 @@ fn alloc_region_refuses_a_size_that_wraps() {
     let mut rt = Runtime::local(MonolithicConfig::default());
     // One element more than fits: the product wraps to 0 bytes.
     let _ = rt.alloc_region::<u64>(usize::MAX / 8 + 1);
+}
+
+/// A compute-pool thread writing a page the pushed function holds writable
+/// is a §4.1 write-write tie, and `TeleportConfig::tiebreak` names who
+/// waits: under `FavorMemory` the compute write backs off at once; under
+/// `FavorCompute` the memory side owes the backoff and pays it on its next
+/// conflicting write, so a call that makes none records no backoff.
+#[test]
+fn compute_thread_beside_a_pushdown_backs_off_on_the_side_the_tiebreak_names() {
+    for tiebreak in [TieBreak::FavorMemory, TieBreak::FavorCompute] {
+        for memory_writes_again in [false, true] {
+            let tcfg = TeleportConfig {
+                tiebreak,
+                ..Default::default()
+            };
+            let mut rt = Runtime::teleport_with(small_ddc(), tcfg);
+            let cell = rt.alloc_region::<u64>(PAGE_SIZE / 8);
+            rt.set(&cell, 0, 1, Pattern::Rand);
+            rt.drop_cache();
+            rt.begin_timing();
+            let (compute_wait, memory_wait) = rt
+                .pushdown(PushdownOpts::new(), |arm| {
+                    arm.set(&cell, 0, 2, Pattern::Rand);
+                    let t0 = arm.now();
+                    arm.compute_access(cell.at(1), 8, true, Pattern::Rand);
+                    let compute_wait = arm.now().since(t0);
+                    let t0 = arm.now();
+                    if memory_writes_again {
+                        arm.set(&cell, 2, 3, Pattern::Rand);
+                    }
+                    (compute_wait, arm.now().since(t0))
+                })
+                .unwrap();
+            let backoffs = rt.metrics().get("coherence.backoffs");
+            let at = format!("{tiebreak:?}, memory writes again: {memory_writes_again}");
+            match tiebreak {
+                TieBreak::FavorMemory => {
+                    assert_eq!(backoffs, Some(1), "{at}");
+                    assert!(compute_wait >= tcfg.backoff_t, "{at}: {compute_wait}");
+                    assert!(memory_wait < tcfg.backoff_t, "{at}: {memory_wait}");
+                }
+                TieBreak::FavorCompute => {
+                    assert_eq!(backoffs, Some(u64::from(memory_writes_again)), "{at}");
+                    assert!(compute_wait < tcfg.backoff_t, "{at}: {compute_wait}");
+                    assert_eq!(
+                        memory_wait >= tcfg.backoff_t,
+                        memory_writes_again,
+                        "{at}: {memory_wait}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// On Local and BaseDdc a pushdown runs compute-side, so a thread beside
+/// it is the runtime's own compute access; on every platform its cycles
+/// bill the compute CPU, even inside a call running on the memory pool.
+#[test]
+fn compute_thread_beside_a_pushdown_is_a_compute_access() {
+    let ops = |i: u64| (i * 7919 % 96, i.is_multiple_of(3));
+    let setup = |rt: &mut Runtime| {
+        let r = rt.alloc_region::<u64>(96 * PAGE_SIZE / 8);
+        for p in 0..96 {
+            rt.set(&r, p * PAGE_SIZE / 8, 1, Pattern::Seq);
+        }
+        if rt.kind() != PlatformKind::Local {
+            rt.drop_cache();
+        }
+        rt.begin_timing();
+        r
+    };
+    let racks: [fn() -> Runtime; 2] = [
+        || Runtime::local(MonolithicConfig::default()),
+        || Runtime::base_ddc(small_ddc()),
+    ];
+    for rack in racks {
+        let (mut beside, mut plain) = (rack(), rack());
+        let (rb, rp) = (setup(&mut beside), setup(&mut plain));
+        beside
+            .pushdown(PushdownOpts::new(), |arm| {
+                for i in 0..400 {
+                    let (page, write) = ops(i);
+                    let at = rb.at(page as usize * PAGE_SIZE / 8);
+                    arm.compute_access(at, 8, write, Pattern::Rand);
+                }
+            })
+            .unwrap();
+        for i in 0..400 {
+            let (page, write) = ops(i);
+            let at = rp.at(page as usize * PAGE_SIZE / 8);
+            if write {
+                plain.write_raw(at, &[0; 8], Pattern::Rand);
+            } else {
+                let _ = plain.read_raw(at, 8, Pattern::Rand);
+            }
+        }
+        let kind = beside.kind();
+        assert_eq!(beside.elapsed(), plain.elapsed(), "{kind:?}");
+        assert_eq!(beside.paging_stats(), plain.paging_stats(), "{kind:?}");
+    }
+
+    let cfg = DdcConfig {
+        memory_cpu: CpuConfig::new(1.0, 2),
+        ..small_ddc()
+    };
+    let want = cfg.compute_cpu.cycles(1_000_000);
+    let mut rt = Runtime::teleport(cfg);
+    let took = rt
+        .pushdown(PushdownOpts::new(), |arm| {
+            let t0 = arm.now();
+            arm.compute_cycles(1_000_000);
+            arm.now().since(t0)
+        })
+        .unwrap();
+    assert_eq!(took, want, "compute cycles bill the compute CPU");
 }

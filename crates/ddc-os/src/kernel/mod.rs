@@ -327,12 +327,6 @@ impl Dos {
         }
     }
 
-    /// Charge `cycles` of compute-pool CPU work.
-    #[inline]
-    pub fn charge_compute_cycles(&mut self, cycles: u64) {
-        self.charge(self.compute_cpu().cycles(cycles));
-    }
-
     /// Charge an arbitrary duration (used by upper layers for modeled
     /// costs that are not memory accesses). The kernel's one door to the
     /// virtual clock: every charge in this file goes through here, and

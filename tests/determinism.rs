@@ -172,7 +172,9 @@ fn disabled_coherence_is_silent_and_syncmem_traces_one_span() {
 
 #[test]
 fn microbenchmarks_are_bit_identical() {
-    use teleport::microbench::{run_contention, ContentionPlatform, ContentionSpec};
+    use teleport::microbench::{
+        run_contention, run_false_sharing, ContentionPlatform, ContentionSpec, FalseSharingSpec,
+    };
     use teleport::CoherenceMode;
     let spec = ContentionSpec {
         region_pages: 512,
@@ -180,12 +182,33 @@ fn microbenchmarks_are_bit_identical() {
         contention_rate: 0.01,
         ..Default::default()
     };
-    let run = || {
-        let r = run_contention(
-            &spec,
-            ContentionPlatform::Teleport(CoherenceMode::WriteInvalidate),
-        );
-        (r.makespan.as_nanos(), r.coherence_msgs, r.backoffs)
+    // Every platform runs the one pushdown path, so each is pinned to
+    // itself across runs.
+    let platforms = [
+        ContentionPlatform::Local,
+        ContentionPlatform::BaseDdc,
+        ContentionPlatform::Teleport(CoherenceMode::WriteInvalidate),
+        ContentionPlatform::Teleport(CoherenceMode::WeakOrdering),
+    ];
+    for platform in platforms {
+        let run = || {
+            let r = run_contention(&spec, platform);
+            (
+                r.makespan.as_nanos(),
+                r.pushdown_lane_time.as_nanos(),
+                r.coherence_msgs,
+                r.backoffs,
+            )
+        };
+        assert_eq!(run(), run(), "{platform:?}");
+    }
+    let spec = FalseSharingSpec {
+        pages: 16,
+        writes_per_thread: 1_000,
+        ..Default::default()
     };
-    assert_eq!(run(), run());
+    for manual_syncmem in [false, true] {
+        let run = || run_false_sharing(&spec, manual_syncmem).as_nanos();
+        assert_eq!(run(), run(), "manual syncmem: {manual_syncmem}");
+    }
 }
