@@ -57,17 +57,21 @@ impl MapReduceApp for Grep {
     }
 }
 
-/// Host-memory WordCount oracle.
+/// Host-memory WordCount oracle: `(word, count)` for every word that
+/// occurs, by ascending word id. Word ids are dense `1..=vocab_size`, so
+/// the counts are a table indexed by word.
 pub fn wordcount_oracle(corpus: &crate::textgen::Corpus) -> Vec<(u32, u64)> {
-    let mut counts = std::collections::HashMap::new();
+    let top = corpus.words.iter().max().map_or(0, |&w| w as usize);
+    let mut counts = vec![0u64; top + 1];
     for c in corpus.iter_comments() {
         for &w in c {
-            *counts.entry(w).or_insert(0u64) += 1;
+            counts[w as usize] += 1;
         }
     }
-    let mut out: Vec<(u32, u64)> = counts.into_iter().collect();
-    out.sort_unstable_by_key(|&(k, _)| k);
-    out
+    (0..=top as u32)
+        .zip(counts)
+        .filter(|&(_, n)| n > 0)
+        .collect()
 }
 
 /// Host-memory Grep oracle: number of comments containing `pattern`.
@@ -99,6 +103,39 @@ mod tests {
         g.map(&[1, 2, 3], &mut emitted);
         g.map(&[1, 7], &mut emitted);
         assert_eq!(emitted, vec![(7, 1), (7, 1)]);
+    }
+
+    /// `wordcount_oracle` as it was written over a hashed map, kept as the
+    /// reference the dense count must equal.
+    fn wordcount_hashed(corpus: &Corpus) -> Vec<(u32, u64)> {
+        let mut counts = std::collections::HashMap::new();
+        for c in corpus.iter_comments() {
+            for &w in c {
+                *counts.entry(w).or_insert(0u64) += 1;
+            }
+        }
+        let mut out: Vec<(u32, u64)> = counts.into_iter().collect();
+        out.sort_unstable_by_key(|&(k, _)| k);
+        out
+    }
+
+    #[test]
+    fn wordcount_oracle_matches_the_hash_map_reference() {
+        for (comments, vocab, seed) in [(300, 50, 5), (2_000, 5_000, 1), (1, 2, 9), (40, 10_000, 3)]
+        {
+            let corpus = Corpus::generate(comments, vocab, seed);
+            assert_eq!(
+                wordcount_oracle(&corpus),
+                wordcount_hashed(&corpus),
+                "{comments} comments, {vocab} words, seed {seed}"
+            );
+        }
+        let empty = Corpus {
+            words: vec![],
+            comments: 0,
+            vocab_size: 2,
+        };
+        assert_eq!(wordcount_oracle(&empty), vec![]);
     }
 
     #[test]

@@ -174,6 +174,25 @@ pub struct Lineitem {
 }
 
 impl Lineitem {
+    fn with_capacity(n: usize) -> Lineitem {
+        Lineitem {
+            orderkey: Vec::with_capacity(n),
+            partkey: Vec::with_capacity(n),
+            suppkey: Vec::with_capacity(n),
+            linenumber: Vec::with_capacity(n),
+            quantity: Vec::with_capacity(n),
+            extendedprice: Vec::with_capacity(n),
+            discount: Vec::with_capacity(n),
+            tax: Vec::with_capacity(n),
+            returnflag: Vec::with_capacity(n),
+            linestatus: Vec::with_capacity(n),
+            shipdate: Vec::with_capacity(n),
+            commitdate: Vec::with_capacity(n),
+            receiptdate: Vec::with_capacity(n),
+            shipmode: Vec::with_capacity(n),
+        }
+    }
+
     pub fn len(&self) -> usize {
         self.orderkey.len()
     }
@@ -195,6 +214,18 @@ pub struct Orders {
 }
 
 impl Orders {
+    fn with_capacity(n: usize) -> Orders {
+        Orders {
+            orderkey: Vec::with_capacity(n),
+            custkey: Vec::with_capacity(n),
+            orderstatus: Vec::with_capacity(n),
+            totalprice: Vec::with_capacity(n),
+            orderdate: Vec::with_capacity(n),
+            orderpriority: Vec::with_capacity(n),
+            shippriority: Vec::with_capacity(n),
+        }
+    }
+
     pub fn len(&self) -> usize {
         self.orderkey.len()
     }
@@ -215,6 +246,17 @@ pub struct Part {
 }
 
 impl Part {
+    fn with_capacity(n: usize) -> Part {
+        Part {
+            partkey: Vec::with_capacity(n),
+            name: Vec::with_capacity(n),
+            brand: Vec::with_capacity(n),
+            size: Vec::with_capacity(n),
+            container: Vec::with_capacity(n),
+            retailprice: Vec::with_capacity(n),
+        }
+    }
+
     pub fn len(&self) -> usize {
         self.partkey.len()
     }
@@ -232,6 +274,14 @@ pub struct Supplier {
 }
 
 impl Supplier {
+    fn with_capacity(n: usize) -> Supplier {
+        Supplier {
+            suppkey: Vec::with_capacity(n),
+            nationkey: Vec::with_capacity(n),
+            acctbal: Vec::with_capacity(n),
+        }
+    }
+
     pub fn len(&self) -> usize {
         self.suppkey.len()
     }
@@ -251,6 +301,15 @@ pub struct PartSupp {
 }
 
 impl PartSupp {
+    fn with_capacity(n: usize) -> PartSupp {
+        PartSupp {
+            partkey: Vec::with_capacity(n),
+            suppkey: Vec::with_capacity(n),
+            availqty: Vec::with_capacity(n),
+            supplycost: Vec::with_capacity(n),
+        }
+    }
+
     pub fn len(&self) -> usize {
         self.partkey.len()
     }
@@ -269,6 +328,15 @@ pub struct Customer {
 }
 
 impl Customer {
+    fn with_capacity(n: usize) -> Customer {
+        Customer {
+            custkey: Vec::with_capacity(n),
+            nationkey: Vec::with_capacity(n),
+            mktsegment: Vec::with_capacity(n),
+            acctbal: Vec::with_capacity(n),
+        }
+    }
+
     pub fn len(&self) -> usize {
         self.custkey.len()
     }
@@ -306,9 +374,16 @@ pub struct TpchData {
 /// Number of suppliers listed per part (TPC-H fixes this at 4).
 pub const SUPPLIERS_PER_PART: usize = 4;
 
+/// Most lineitems an order has (the spec draws 1 to 7).
+const MAX_LINES_PER_ORDER: usize = 7;
+
 impl TpchData {
     /// Generate a database at scale factor `sf` with a fixed seed.
     /// Identical `(sf, seed)` always produce identical data.
+    ///
+    /// Every column is allocated once at its final size (lineitem at its
+    /// 7-lines-an-order bound, whose unused tail is never touched), so no
+    /// column is copied while it grows.
     pub fn generate(sf: f64, seed: u64) -> TpchData {
         assert!(sf > 0.0, "scale factor must be positive");
         let mut rng = StdRng::seed_from_u64(seed);
@@ -320,9 +395,12 @@ impl TpchData {
 
         let start = Date::from_ymd(1992, 1, 1).raw();
         let end = Date::from_ymd(1998, 8, 2).raw();
+        // Lines received by then may be returned; lines shipped after it
+        // are still open.
+        let cutoff = Date::from_ymd(1995, 6, 17).raw();
 
         // --- part ---
-        let mut part = Part::default();
+        let mut part = Part::with_capacity(n_part);
         for pk in 1..=n_part as i64 {
             part.partkey.push(pk);
             let mut words = [0u8; PART_NAME_WORDS];
@@ -338,7 +416,7 @@ impl TpchData {
         }
 
         // --- supplier ---
-        let mut supplier = Supplier::default();
+        let mut supplier = Supplier::with_capacity(n_supp);
         for sk in 1..=n_supp as i64 {
             supplier.suppkey.push(sk);
             supplier.nationkey.push(rng.random_range(0..25));
@@ -348,7 +426,7 @@ impl TpchData {
         }
 
         // --- partsupp: the spec's four suppliers per part ---
-        let mut partsupp = PartSupp::default();
+        let mut partsupp = PartSupp::with_capacity(n_part * SUPPLIERS_PER_PART);
         for pk in 1..=n_part as i64 {
             for i in 0..SUPPLIERS_PER_PART as i64 {
                 let sk = supplier_for_part(pk, i, n_supp);
@@ -362,7 +440,7 @@ impl TpchData {
         }
 
         // --- customer ---
-        let mut customer = Customer::default();
+        let mut customer = Customer::with_capacity(n_cust);
         for ck in 1..=n_cust as i64 {
             customer.custkey.push(ck);
             customer.nationkey.push(rng.random_range(0..25));
@@ -375,8 +453,8 @@ impl TpchData {
         }
 
         // --- orders + lineitem (clustered by orderkey) ---
-        let mut orders = Orders::default();
-        let mut li = Lineitem::default();
+        let mut orders = Orders::with_capacity(n_orders);
+        let mut li = Lineitem::with_capacity(n_orders * MAX_LINES_PER_ORDER);
         for ok in 1..=n_orders as i64 {
             let odate = rng.random_range(start..end - 151);
             orders.orderkey.push(ok);
@@ -387,7 +465,7 @@ impl TpchData {
                 .push(rng.random_range(0..PRIORITIES.len() as u32) as u8);
             orders.shippriority.push(0);
 
-            let lines = rng.random_range(1..=7);
+            let lines = rng.random_range(1..=MAX_LINES_PER_ORDER as i64);
             let mut total = 0.0;
             for ln in 1..=lines {
                 let pk = rng.random_range(1..=n_part as i64);
@@ -411,22 +489,16 @@ impl TpchData {
                 li.discount.push(discount);
                 li.tax.push(tax);
                 // Return flag/status per spec shape: based on dates.
-                li.returnflag
-                    .push(if rdate <= Date::from_ymd(1995, 6, 17).raw() {
-                        if rng.random_bool(0.5) {
-                            b'R'
-                        } else {
-                            b'A'
-                        }
+                li.returnflag.push(if rdate <= cutoff {
+                    if rng.random_bool(0.5) {
+                        b'R'
                     } else {
-                        b'N'
-                    });
-                li.linestatus
-                    .push(if sdate > Date::from_ymd(1995, 6, 17).raw() {
-                        b'O'
-                    } else {
-                        b'F'
-                    });
+                        b'A'
+                    }
+                } else {
+                    b'N'
+                });
+                li.linestatus.push(if sdate > cutoff { b'O' } else { b'F' });
                 li.shipdate.push(sdate);
                 li.commitdate.push(cdate);
                 li.receiptdate.push(rdate);
@@ -589,6 +661,128 @@ mod tests {
             (0.02..0.10).contains(&rate),
             "LIKE '%green%' selectivity was {rate:.3}"
         );
+    }
+
+    /// FNV-1a-64 of every generated column (each value's little-endian
+    /// bytes, floats by their bits), named `table.column`.
+    fn column_fingerprints(d: &TpchData) -> Vec<(&'static str, u64)> {
+        fn fp<T: Copy, const N: usize>(col: &[T], bytes: impl Fn(T) -> [u8; N]) -> u64 {
+            let flat: Vec<u8> = col.iter().flat_map(|&v| bytes(v)).collect();
+            ddc_sim::trace::fnv1a(&flat)
+        }
+        let (i, f, d32, b) = (
+            |c: &[i64]| fp(c, i64::to_le_bytes),
+            |c: &[f64]| fp(c, |v: f64| v.to_bits().to_le_bytes()),
+            |c: &[i32]| fp(c, i32::to_le_bytes),
+            |c: &[u8]| fp(c, |v: u8| [v]),
+        );
+        let (li, o, p, s, ps, c) = (
+            &d.lineitem,
+            &d.orders,
+            &d.part,
+            &d.supplier,
+            &d.partsupp,
+            &d.customer,
+        );
+        vec![
+            ("lineitem.orderkey", i(&li.orderkey)),
+            ("lineitem.partkey", i(&li.partkey)),
+            ("lineitem.suppkey", i(&li.suppkey)),
+            ("lineitem.linenumber", i(&li.linenumber)),
+            ("lineitem.quantity", f(&li.quantity)),
+            ("lineitem.extendedprice", f(&li.extendedprice)),
+            ("lineitem.discount", f(&li.discount)),
+            ("lineitem.tax", f(&li.tax)),
+            ("lineitem.returnflag", b(&li.returnflag)),
+            ("lineitem.linestatus", b(&li.linestatus)),
+            ("lineitem.shipdate", d32(&li.shipdate)),
+            ("lineitem.commitdate", d32(&li.commitdate)),
+            ("lineitem.receiptdate", d32(&li.receiptdate)),
+            ("lineitem.shipmode", b(&li.shipmode)),
+            ("orders.orderkey", i(&o.orderkey)),
+            ("orders.custkey", i(&o.custkey)),
+            ("orders.orderstatus", b(&o.orderstatus)),
+            ("orders.totalprice", f(&o.totalprice)),
+            ("orders.orderdate", d32(&o.orderdate)),
+            ("orders.orderpriority", b(&o.orderpriority)),
+            ("orders.shippriority", i(&o.shippriority)),
+            ("part.partkey", i(&p.partkey)),
+            ("part.name", fp(&p.name, u64::to_le_bytes)),
+            ("part.brand", b(&p.brand)),
+            ("part.size", i(&p.size)),
+            ("part.container", b(&p.container)),
+            ("part.retailprice", f(&p.retailprice)),
+            ("supplier.suppkey", i(&s.suppkey)),
+            ("supplier.nationkey", i(&s.nationkey)),
+            ("supplier.acctbal", f(&s.acctbal)),
+            ("partsupp.partkey", i(&ps.partkey)),
+            ("partsupp.suppkey", i(&ps.suppkey)),
+            ("partsupp.availqty", i(&ps.availqty)),
+            ("partsupp.supplycost", f(&ps.supplycost)),
+            ("customer.custkey", i(&c.custkey)),
+            ("customer.nationkey", i(&c.nationkey)),
+            ("customer.mktsegment", b(&c.mktsegment)),
+            ("customer.acctbal", f(&c.acctbal)),
+            ("nation.nationkey", i(&d.nation.nationkey)),
+            ("nation.regionkey", i(&d.nation.regionkey)),
+        ]
+    }
+
+    /// Every column of the sf-0.01 data, pinned for two seeds: a generator
+    /// edit that moves any value (a reordered RNG draw, a changed formula)
+    /// fails here by the column's name, before any query pin notices.
+    #[test]
+    fn generated_columns_are_pinned() {
+        #[rustfmt::skip]
+        const PINS: &[(&str, u64, u64)] = &[
+            ("lineitem.orderkey", 0x679124ff25f83c0f, 0xdd2af4742183f4e5),
+            ("lineitem.partkey", 0x49e97aa0ad1b339e, 0xf71cf6f4d0d59d6d),
+            ("lineitem.suppkey", 0xf8ee0ca02d660de1, 0x6054297f2505eb74),
+            ("lineitem.linenumber", 0xfcf57671b7b47286, 0x30386e7d54fee287),
+            ("lineitem.quantity", 0xf9cb06655cf68790, 0x72c9bdc95f368630),
+            ("lineitem.extendedprice", 0x8b7c1c9aed58b00b, 0xcf1e23ce48b59927),
+            ("lineitem.discount", 0x0a158615f2b32ab4, 0xec137994f0b899d6),
+            ("lineitem.tax", 0x986d2762d018aaf3, 0x9523a59e0aabec90),
+            ("lineitem.returnflag", 0x0a4098dc08713df8, 0xfc1e405995d880e1),
+            ("lineitem.linestatus", 0xd9d6af7cf099b895, 0x3408882ffb7f57c0),
+            ("lineitem.shipdate", 0xfc7a41b57e0d2b40, 0xde2a3b7bd01ad693),
+            ("lineitem.commitdate", 0xc116a1853b97416e, 0x71770c4a077dc320),
+            ("lineitem.receiptdate", 0x30d634bc0a4f2f0b, 0xe848da1f6bf706bb),
+            ("lineitem.shipmode", 0x2cba7b981449d70e, 0x78b01e776b85124b),
+            ("orders.orderkey", 0x7ad3dfe24b8b9b07, 0x7ad3dfe24b8b9b07),
+            ("orders.custkey", 0x477030e538f83aa4, 0x20e56c15410af204),
+            ("orders.orderstatus", 0x02763c549314c56d, 0x02763c549314c56d),
+            ("orders.totalprice", 0xcb732d4a5df763ad, 0x5f4ada28182d6d28),
+            ("orders.orderdate", 0x2d4969fe82179879, 0x9dc251e6925200a6),
+            ("orders.orderpriority", 0xc53763c39be68e0a, 0x9147800f23fe5041),
+            ("orders.shippriority", 0xe94d157b19346225, 0xe94d157b19346225),
+            ("part.partkey", 0x10c2067d6afe5fd8, 0x10c2067d6afe5fd8),
+            ("part.name", 0x79d1a842c9b78c16, 0x35028bebf9f7d0d2),
+            ("part.brand", 0x499a701285262a60, 0x0119c542ef831ce3),
+            ("part.size", 0xdfd6c046bd217362, 0xa8bc892ad2273b51),
+            ("part.container", 0xf29400bd9a45858a, 0x0bd14d4819a64a2a),
+            ("part.retailprice", 0xd9243f36a5359008, 0xd9243f36a5359008),
+            ("supplier.suppkey", 0xb95b5467b0b22341, 0xb95b5467b0b22341),
+            ("supplier.nationkey", 0x3b998f7aa437db36, 0xa67cb69748a3f241),
+            ("supplier.acctbal", 0xaf4b339669c1a2c7, 0xe4a742b3aa218bf6),
+            ("partsupp.partkey", 0x13da237a1a1ce565, 0x13da237a1a1ce565),
+            ("partsupp.suppkey", 0x61c7bd879b141d25, 0x61c7bd879b141d25),
+            ("partsupp.availqty", 0x5315049ab7932d13, 0xf449c5f56c8a6142),
+            ("partsupp.supplycost", 0x8bde660dc2d757b4, 0xe5e13dfc5f983f91),
+            ("customer.custkey", 0x512418fce70d2386, 0x512418fce70d2386),
+            ("customer.nationkey", 0x6eb1c4889a484eca, 0x6d5d27f086fadb99),
+            ("customer.mktsegment", 0xd83ca85e478ea19b, 0x6d4d12585b2ddec5),
+            ("customer.acctbal", 0xc2c44afc54e7a989, 0x2f64a8a39a4c45f9),
+            ("nation.nationkey", 0x6173f8c60ed7dcdd, 0x6173f8c60ed7dcdd),
+            ("nation.regionkey", 0x8fdc36a295d1dec1, 0x8fdc36a295d1dec1),
+        ];
+        let a = column_fingerprints(&TpchData::generate(0.01, 42));
+        let b = column_fingerprints(&TpchData::generate(0.01, 20220612));
+        assert_eq!(a.len(), PINS.len(), "one pin a column");
+        for (((name, x), (_, y)), &(pin, px, py)) in a.iter().zip(&b).zip(PINS) {
+            assert_eq!(*name, pin, "pin order");
+            assert_eq!((*x, *y), (px, py), "{name}: seed 42 / 20220612 moved");
+        }
     }
 
     #[test]
