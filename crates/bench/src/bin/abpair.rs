@@ -87,7 +87,7 @@ impl Run {
 
     /// The machine speed the run's timed iterations were measured at.
     fn speed(&self) -> Option<f64> {
-        Some(self.iterations.or(self.setups)?.speed)
+        Some(self.iterations?.speed)
     }
 }
 

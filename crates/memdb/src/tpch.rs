@@ -293,7 +293,8 @@ impl Supplier {
 
 #[derive(Debug, Clone, Default)]
 pub struct PartSupp {
-    /// Sorted by (partkey, suppkey): four suppliers per part.
+    /// Sorted by partkey: four suppliers per part, in
+    /// [`supplier_for_part`]'s order (not ascending where it wraps).
     pub partkey: Vec<i64>,
     pub suppkey: Vec<i64>,
     pub availqty: Vec<i64>,
