@@ -2,15 +2,17 @@
 //! append what it measured to `BENCH_rackbench.json`, won or lost.
 //!
 //! ```text
-//! abpair <parent> <change> --workload <w> [--seed N] [--pairs N] [--seconds S]
+//! abpair <parent> <change> --workload <w> [--seed N] [--pairs N]
 //! ```
 //!
 //! Each commit is checked out with `git worktree add --detach` under
 //! `target/ab/<sha>` and built with `BENCHMARK.json`'s own command (its
 //! `cargo run` made a `cargo build`, in the worktree's own target
-//! directory). The two binaries must differ. Pair `i` runs parent then
-//! change when `i` is even and change then parent when it is odd (ABBA), each
-//! run being `run --workload <w> --seed <N> [--seconds S]`.
+//! directory). The two binaries must differ, and the two `BENCHMARK.json`s
+//! must give one `run_seconds`. Pair `i` runs parent then change when `i` is
+//! even and change then parent when it is odd (ABBA), each run being
+//! `run --workload <w> --seed <N> --seconds <run_seconds>`, the run length
+//! the benchmark itself uses.
 //!
 //! From every run it reads the end-to-end lines (`setup_s`, `ops_per_s`,
 //! `peak_rss_mb`, `sim_s`) and the "timed iterations" and "set-ups" lines
@@ -37,8 +39,7 @@ mod stats;
 use json::Json;
 use stats::{median, quartiles, Quartiles};
 
-const USAGE: &str =
-    "usage: abpair <parent> <change> --workload <w> [--seed N] [--pairs N] [--seconds S]";
+const USAGE: &str = "usage: abpair <parent> <change> --workload <w> [--seed N] [--pairs N]";
 
 const METRICS: [&str; 4] = ["setup_s", "ops_per_s", "peak_rss_mb", "sim_s"];
 
@@ -202,7 +203,7 @@ struct Setting<'a> {
     workload: &'a str,
     seed: u64,
     held_out: bool,
-    seconds: Option<f64>,
+    seconds: f64,
     host: String,
     shas: [String; 2],
     hash_one: [Option<usize>; 2],
@@ -256,7 +257,7 @@ fn row(set: &Setting, metric: &str, unit: &str, lower: bool, runs: &[(Run, Run)]
         ("unit", Json::Str(unit.to_string())),
         ("seed", Json::Num(set.seed as f64)),
         ("held_out", Json::Bool(set.held_out)),
-        ("seconds", set.seconds.map_or(Json::Null, Json::Num)),
+        ("seconds", Json::Num(set.seconds)),
         ("host", Json::Str(set.host.clone())),
         ("parent_sha", Json::Str(set.shas[0].clone())),
         ("change_sha", Json::Str(set.shas[1].clone())),
@@ -317,9 +318,15 @@ fn git(root: &Path, args: &[&str]) -> Result<String, String> {
     Ok(String::from_utf8_lossy(&out.stdout).trim().to_string())
 }
 
+/// A built benchmark and the run length its `BENCHMARK.json` sets.
+struct Build {
+    bin: PathBuf,
+    seconds: f64,
+}
+
 /// Checks `sha` out under `target/ab/` (once) and builds the benchmark
-/// there with `BENCHMARK.json`'s command; returns the binary.
-fn build(root: &Path, sha: &str) -> Result<PathBuf, String> {
+/// there with `BENCHMARK.json`'s command.
+fn build(root: &Path, sha: &str) -> Result<Build, String> {
     let tree = root.join("target/ab").join(sha);
     if !tree.exists() {
         let dir = tree.to_string_lossy().to_string();
@@ -329,6 +336,10 @@ fn build(root: &Path, sha: &str) -> Result<PathBuf, String> {
     let spec = std::fs::read_to_string(&spec_path)
         .map_err(|e| format!("{}: {e}", spec_path.display()))
         .and_then(|t| Json::parse(&t))?;
+    let seconds = spec
+        .get("run_seconds")
+        .and_then(Json::as_f64)
+        .ok_or("BENCHMARK.json has no run_seconds")?;
     let command: Vec<&str> = spec
         .get("command")
         .and_then(Json::as_arr)
@@ -364,7 +375,10 @@ fn build(root: &Path, sha: &str) -> Result<PathBuf, String> {
     let name = dir
         .file_name()
         .ok_or("--manifest-path has no directory name")?;
-    Ok(dir.join("target/release").join(name))
+    Ok(Build {
+        bin: dir.join("target/release").join(name),
+        seconds,
+    })
 }
 
 /// Out-of-line `hash_one` calls in the first 3 000 bytes of
@@ -390,13 +404,15 @@ fn hash_one_calls(bin: &Path) -> Option<usize> {
     })
 }
 
-fn run_once(bin: &Path, workload: &str, seed: u64, seconds: Option<f64>) -> Result<Run, String> {
-    let mut cmd = Command::new(bin);
-    cmd.args(["run", "--workload", workload, "--seed", &seed.to_string()]);
-    if let Some(s) = seconds {
-        cmd.args(["--seconds", &s.to_string()]);
-    }
-    let out = cmd
+fn run_once(bin: &Path, workload: &str, seed: u64, seconds: f64) -> Result<Run, String> {
+    let out = Command::new(bin)
+        .args(["run", "--workload", workload])
+        .args([
+            "--seed",
+            &seed.to_string(),
+            "--seconds",
+            &seconds.to_string(),
+        ])
         .output()
         .map_err(|e| format!("{}: {e}", bin.display()))?;
     if !out.status.success() {
@@ -410,12 +426,11 @@ struct Args {
     workload: String,
     seed: u64,
     pairs: usize,
-    seconds: Option<f64>,
 }
 
 fn parse_args(args: &[String]) -> Result<Args, String> {
     let mut positional = Vec::new();
-    let (mut workload, mut seed, mut pairs, mut seconds) = (None, DEFAULT_SEED, 10, None);
+    let (mut workload, mut seed, mut pairs) = (None, DEFAULT_SEED, 10);
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut value = || it.next().ok_or_else(|| format!("{a} needs a value"));
@@ -427,7 +442,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             "--workload" => workload = Some(value()?.clone()),
             "--seed" => seed = number(value()?)? as u64,
             "--pairs" => pairs = number(value()?)? as usize,
-            "--seconds" => seconds = Some(number(value()?)?),
             flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
             _ => positional.push(a.clone()),
         }
@@ -438,7 +452,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         workload: workload.ok_or(USAGE)?,
         seed,
         pairs: pairs.max(1),
-        seconds,
     })
 }
 
@@ -457,7 +470,14 @@ fn run(args: &Args) -> Result<(), String> {
     let root = PathBuf::from(git(Path::new("."), &["rev-parse", "--show-toplevel"])?);
     let short = |rev: &str| git(&root, &["rev-parse", "--short", rev]);
     let shas = [short(&args.shas[0])?, short(&args.shas[1])?];
-    let bins = [build(&root, &shas[0])?, build(&root, &shas[1])?];
+    let [a, b] = [build(&root, &shas[0])?, build(&root, &shas[1])?];
+    if a.seconds != b.seconds {
+        return Err(format!(
+            "{} and {} set run_seconds {} and {}",
+            shas[0], shas[1], a.seconds, b.seconds
+        ));
+    }
+    let bins = [a.bin, b.bin];
     let read = |p: &Path| std::fs::read(p).map_err(|e| format!("{}: {e}", p.display()));
     if read(&bins[0])? == read(&bins[1])? {
         return Err(format!(
@@ -473,7 +493,7 @@ fn run(args: &Args) -> Result<(), String> {
         workload: &args.workload,
         seed: args.seed,
         held_out: args.seed != DEFAULT_SEED,
-        seconds: args.seconds,
+        seconds: a.seconds,
         host: format!(
             "{}-vCPU {}",
             std::thread::available_parallelism().map_or(0, |n| n.get()),
@@ -484,7 +504,7 @@ fn run(args: &Args) -> Result<(), String> {
     };
     let mut runs = Vec::with_capacity(args.pairs);
     for i in 0..args.pairs {
-        let once = |b: &Path| run_once(b, &args.workload, args.seed, args.seconds);
+        let once = |b: &Path| run_once(b, &args.workload, args.seed, set.seconds);
         let (p, c) = if i % 2 == 0 {
             let p = once(&bins[0])?;
             (p, once(&bins[1])?)
@@ -580,6 +600,28 @@ sim_s          tpch                 0.567964 sim_s
     }
 
     #[test]
+    fn args_are_two_shas_a_workload_a_seed_and_a_pair_count() {
+        let args = |line: &str| {
+            let words: Vec<String> = line.split_whitespace().map(String::from).collect();
+            parse_args(&words)
+        };
+        let a = args("aaa bbb --workload tpch --seed 7 --pairs 6").unwrap();
+        assert_eq!(a.shas, ["aaa".to_string(), "bbb".to_string()]);
+        assert_eq!((a.workload.as_str(), a.seed, a.pairs), ("tpch", 7, 6));
+        let a = args("aaa bbb --workload tpch").unwrap();
+        assert_eq!((a.seed, a.pairs), (DEFAULT_SEED, 10));
+        assert!(args("aaa --workload tpch").is_err());
+        assert!(args("aaa bbb").is_err());
+        // The run length is BENCHMARK.json's, not a flag.
+        assert_eq!(
+            args("aaa bbb --workload tpch --seconds 12")
+                .err()
+                .as_deref(),
+            Some("unknown flag --seconds")
+        );
+    }
+
+    #[test]
     fn verdict_needs_nine_of_ten_and_a_gap_past_the_parents_spread() {
         // Lower is better; the parent spreads 1.0 ± 0.05.
         let parent = [0.95, 1.0, 1.05, 0.97, 1.03, 1.0, 0.96, 1.04, 1.01, 0.99];
@@ -642,7 +684,7 @@ sim_s          tpch                 0.567964 sim_s
             workload: "tpch",
             seed: 42,
             held_out: false,
-            seconds: Some(12.0),
+            seconds: 12.0,
             host: "2-vCPU x86-64".to_string(),
             shas: ["aaaaaaa".to_string(), "bbbbbbb".to_string()],
             hash_one: [Some(1), Some(1)],

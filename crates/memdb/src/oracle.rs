@@ -20,16 +20,23 @@ use crate::tpch::TpchData;
 use crate::types::{name_contains, Date};
 
 /// A column re-indexed by its key: `out[keys[i]] == value(i)` (the last row
-/// wins, as a map built from the rows would), `fill` where no row has that
-/// key. TPC-H keys are dense `1..=n`, so `out` is one slot longer than the
-/// relation.
+/// wins, as a map built from the rows would). TPC-H keys are dense (`1..=n`,
+/// nations `0..n`), so `out` is one slot longer than the relation and the
+/// slots below the smallest key hold `fill`. A key between the smallest and
+/// the largest that no row has panics, as the map lookup it replaces did.
 fn by_key<T: Clone>(keys: &[i64], fill: T, value: impl Fn(usize) -> T) -> Vec<T> {
     let len = keys.iter().max().map_or(0, |&k| k as usize + 1);
-    let mut out = vec![fill; len];
+    let first = keys.iter().min().map_or(0, |&k| k as usize);
+    let mut out = vec![None; len];
     for (i, &k) in keys.iter().enumerate() {
-        out[k as usize] = value(i);
+        out[k as usize] = Some(value(i));
     }
-    out
+    let gap = |k: usize| {
+        assert!(k < first, "no row has key {k} (keys {first}..{len})");
+        fill.clone()
+    };
+    let slots = out.into_iter().enumerate();
+    slots.map(|(k, v)| v.unwrap_or_else(|| gap(k))).collect()
 }
 
 /// `Q_filter`: `SELECT SUM(l_quantity) WHERE l_shipdate < $DATE`.
@@ -162,27 +169,16 @@ pub fn q9(data: &TpchData, params: &QueryParams) -> Vec<Q9Row> {
     let color = data.colors.code_of(params.q9_color).expect("color exists");
     let part = &data.part;
     let green_parts = by_key(&part.partkey, false, |i| name_contains(part.name[i], color));
-    // partsupp's rows grouped by part: `ps_rows[ps_start[p]..ps_start[p + 1]]`
-    // are part `p`'s, in row order.
+    // partsupp is grouped by partkey: part `p`'s rows end at `ps_last[p]`.
     let ps = &data.partsupp;
-    let mut ps_start = vec![0u32; green_parts.len() + 1];
-    for &p in &ps.partkey {
-        ps_start[p as usize + 1] += 1;
-    }
-    for p in 1..ps_start.len() {
-        ps_start[p] += ps_start[p - 1];
-    }
-    let mut ps_rows = vec![0u32; ps.len()];
-    let mut next = ps_start.clone();
-    for (i, &p) in ps.partkey.iter().enumerate() {
-        ps_rows[next[p as usize] as usize] = i as u32;
-        next[p as usize] += 1;
-    }
+    let ps_last = by_key(&ps.partkey, 0, |i| i);
     let supplycost = |p: i64, s: i64| -> f64 {
-        let rows = &ps_rows[ps_start[p as usize] as usize..ps_start[p as usize + 1] as usize];
         // The last matching row, as a map built from the rows would keep.
-        let r = rows.iter().rev().find(|&&r| ps.suppkey[r as usize] == s);
-        ps.supplycost[*r.expect("lineitem's (partkey, suppkey) is in partsupp") as usize]
+        let r = (0..=ps_last[p as usize])
+            .rev()
+            .take_while(|&r| ps.partkey[r] == p)
+            .find(|&r| ps.suppkey[r] == s);
+        ps.supplycost[r.expect("lineitem's (partkey, suppkey) is in partsupp")]
     };
     let supp_nation = by_key(&data.supplier.suppkey, 0, |i| data.supplier.nationkey[i]);
     let order_date = by_key(&data.orders.orderkey, 0, |i| data.orders.orderdate[i]);
@@ -675,5 +671,19 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn by_key_fills_only_below_the_smallest_key() {
+        let keys = [3, 1, 2, 3];
+        assert_eq!(by_key(&keys, 0, |i| i + 10), vec![0, 11, 12, 13]);
+        assert_eq!(by_key(&[0, 1], 9, |i| i), vec![0, 1]);
+        assert!(by_key(&[], 0, |i| i).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "no row has key 2")]
+    fn by_key_refuses_a_key_with_no_row() {
+        by_key(&[1, 3], 0, |i| i);
     }
 }
