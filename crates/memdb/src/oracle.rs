@@ -23,7 +23,8 @@ use crate::types::{name_contains, Date};
 /// wins, as a map built from the rows would). TPC-H keys are dense (`1..=n`,
 /// nations `0..n`), so `out` is one slot longer than the relation and the
 /// slots below the smallest key hold `fill`. A key between the smallest and
-/// the largest that no row has panics, as the map lookup it replaces did.
+/// the largest that no row has panics: a lookup of it would otherwise read a
+/// made-up row, and the oracle would check a query against a wrong answer.
 fn by_key<T: Clone>(keys: &[i64], fill: T, value: impl Fn(usize) -> T) -> Vec<T> {
     let len = keys.iter().max().map_or(0, |&k| k as usize + 1);
     let first = keys.iter().min().map_or(0, |&k| k as usize);
