@@ -60,10 +60,13 @@
 //! - [`serve`] — the multi-tenant open-loop serving plane: seeded arrival
 //!   schedules, QoS-class admission, DRR fairness, latency percentiles;
 //! - [`microbench`] — the two-thread ablation and contention workloads
-//!   (paper Figs 6, 7, 21, 22).
+//!   (paper Figs 6, 7, 21, 22);
+//! - [`for_each_ahead`] — the host look-ahead loop a kernel uses to
+//!   prefetch its next items' bytes on the host, invisibly to the model.
 
 #![deny(unsafe_code)]
 
+mod ahead;
 pub mod breakdown;
 pub mod coherence;
 pub mod fault;
@@ -79,6 +82,7 @@ pub mod serve;
 /// application needs no `ddc-os` dependency of its own to call them.
 pub use ddc_os::Pattern;
 
+pub use ahead::for_each_ahead;
 pub use breakdown::Breakdown;
 pub use coherence::{CoherenceStats, Perm, PushdownSession, TieBreak};
 pub use fault::{CancelOutcome, PushdownError};

@@ -15,19 +15,18 @@
 //! The map-shuffle is also the simulator's own largest host cost: each
 //! pair's two bucket writes land at scattered positions over megabytes of
 //! reduce buffers, so the host CPU waits on a cache miss per write — on
-//! `Local`, which pages nothing, as much as anywhere. The shuffle is
-//! therefore software-pipelined: a second cursor running
-//! `PREFETCH_AHEAD` = 8 pairs ahead of the writes places each pair (its
-//! reducer and bucket position), prefetches the two slots through
-//! [`Mem::host_span`], and hands the placement to the write loop through a
-//! ring. A prefetch is a hint to the host only, so every simulated access,
-//! charge and trace record is the plain loop's, in the same order.
+//! `Local`, which pages nothing, as much as anywhere. The shuffle therefore
+//! runs through [`teleport::for_each_ahead`]: its `place` puts a pair in
+//! its reducer and bucket position and prefetches the two slots through
+//! [`Mem::host_span`], eight pairs before the `body` that writes them. A
+//! prefetch is a hint to the host only, so every simulated access, charge
+//! and trace record is the plain loop's, in the same order.
 
 use std::collections::HashMap;
 
 use ddc_os::{HostSpan, Pattern};
 use ddc_sim::SimDuration;
-use teleport::{Arm, Mem, PushdownOpts, Region, Runtime, Scalar};
+use teleport::{for_each_ahead, Arm, Mem, PushdownOpts, Region, Runtime, Scalar};
 
 use crate::textgen::{Corpus, END_OF_COMMENT};
 
@@ -188,19 +187,6 @@ pub fn run_with_combiner<A: MapReduceApp>(
     plan: &MrPlan,
     combine: bool,
 ) -> (Vec<(u32, u64)>, MrReport) {
-    execute::<A, Pipelined>(rt, input, app, map_tasks, reduce_tasks, plan, combine)
-}
-
-/// [`run_with_combiner`] with the shuffle and fold bodies of `B`.
-fn execute<A: MapReduceApp, B: Bodies>(
-    rt: &mut Runtime,
-    input: &LoadedCorpus,
-    app: &A,
-    map_tasks: usize,
-    reduce_tasks: usize,
-    plan: &MrPlan,
-    combine: bool,
-) -> (Vec<(u32, u64)>, MrReport) {
     assert!(map_tasks >= 1 && reduce_tasks >= 1);
     let mut rep = MrReport::default();
     let input = *input;
@@ -301,7 +287,7 @@ fn execute<A: MapReduceApp, B: Bodies>(
             .into_iter()
             .map(|task| {
                 let n = task.len() as u64;
-                let folded = B::fold(app, task.iter().map(|&(k, v, _)| (k, v)));
+                let folded = fold(app, task.iter().map(|&(k, v, _)| (k, v)));
                 // Charged like a reduce pass over the task's pairs, on the
                 // compute side (it runs inside the map task).
                 rt.run_local(|m| m.charge_cycles(cost::REDUCE_PAIR * n));
@@ -338,7 +324,7 @@ fn execute<A: MapReduceApp, B: Bodies>(
     // buffer.
     let (pairs_ref, buffers_ref) = (&pairs, &buffers);
     run_phase(rt, &mut rep, plan, MrPhase::MapShuffle, |m| {
-        B::shuffle(m, pairs_ref, buffers_ref);
+        shuffle(m, pairs_ref, buffers_ref);
         m.charge_cycles(cost::SHUFFLE_PAIR * total_pairs as u64);
     });
 
@@ -353,7 +339,7 @@ fn execute<A: MapReduceApp, B: Bodies>(
                     m.read_range(&buf.keys, 0, n, &mut keys);
                     m.read_range(&buf.vals, 0, n, &mut vals);
                 }
-                let out = B::fold(app, keys.iter().copied().zip(vals.iter().copied()));
+                let out = fold(app, keys.iter().copied().zip(vals.iter().copied()));
                 m.charge_cycles(cost::REDUCE_PAIR * n as u64);
                 out
             })
@@ -411,94 +397,62 @@ struct ReduceBuffer {
     payload_words: usize,
 }
 
-/// The host bodies of the map-shuffle and of the key fold that the
-/// combiner and every reduce task run. [`run_with_combiner`] runs
-/// [`Pipelined`]; the tests run plain copies of the loops through the same
-/// engine and compare everything the two runs show.
-trait Bodies {
-    /// Insert every pair into its reduce task's buffer.
-    fn shuffle(m: &mut Arm<'_>, pairs: &[Vec<Pair>], buffers: &[ReduceBuffer]);
-    /// Fold each key's values, in the order given, into one accumulator;
-    /// the result is sorted by key.
-    fn fold<A: MapReduceApp>(app: &A, pairs: impl Iterator<Item = (u32, u64)>) -> Vec<(u32, u64)>;
+/// Insert every pair into its reduce task's buffer. Phoenix inserts into
+/// hash buckets inside each buffer, so the writes scatter across the whole
+/// buffer (modeled with a coprime-stride position permutation); any payload
+/// rides along. The look-ahead loop's `place` puts a pair (reducer and
+/// bucket position, each computed once) and prefetches both slots on the
+/// host; its `body` does every `set` and `write_raw` of the plain loop, in
+/// its order.
+fn shuffle(m: &mut Arm<'_>, pairs: &[Vec<Pair>], buffers: &[ReduceBuffer]) {
+    let spans: Vec<(HostSpan, HostSpan)> = buffers
+        .iter()
+        .map(|buf| (m.host_span(&buf.keys), m.host_span(&buf.vals)))
+        .collect();
+    let mut positions: Vec<Positions> = buffers
+        .iter()
+        .map(|buf| Positions::new(buf.count))
+        .collect();
+    let place = |&(k, _, _): &Pair| {
+        let r = partition(k, buffers.len());
+        let pos = positions[r].next();
+        spans[r].0.prefetch(pos * u32::BYTES);
+        spans[r].1.prefetch(pos * u64::BYTES);
+        (r, pos)
+    };
+    let mut payload_cursors = vec![0usize; buffers.len()];
+    let payload_scratch = [0u8; 256];
+    for_each_ahead(pairs.iter().flatten(), place, |&(k, v, pw), (r, pos)| {
+        let buf = &buffers[r];
+        m.set(&buf.keys, pos, k, Pattern::Rand);
+        m.set(&buf.vals, pos, v, Pattern::Rand);
+        // Payload (e.g. the matched comment) streams into the reduce
+        // buffer as well.
+        let mut left = pw as usize * 4;
+        while left > 0 {
+            let chunk = left.min(payload_scratch.len());
+            m.write_raw(
+                buf.payload.at(payload_cursors[r]),
+                &payload_scratch[..chunk / 4 * 4],
+                Pattern::Seq,
+            );
+            payload_cursors[r] += chunk / 4;
+            left -= chunk;
+        }
+    });
 }
 
-/// How many pairs ahead of the one being written the shuffle prefetches
-/// its bucket slots: far enough for a DRAM miss to land before the pair
-/// comes up, near enough that the line is still cached then.
-const PREFETCH_AHEAD: usize = 8;
-
-/// The engine's bodies: a software-pipelined shuffle, and a fold into a
-/// hash map whose order the final sort hides.
-struct Pipelined;
-
-impl Bodies for Pipelined {
-    /// Phoenix inserts into hash buckets inside each buffer, so the writes
-    /// scatter across the whole buffer (modeled with a coprime-stride
-    /// position permutation); any payload rides along. A second cursor
-    /// runs [`PREFETCH_AHEAD`] pairs ahead of the writes: it places its
-    /// pair (reducer and bucket position, each computed once), prefetches
-    /// both slots on the host, and hands the placement to the write loop
-    /// through a ring. Every `set` and `write_raw` is the plain loop's, in
-    /// its order.
-    fn shuffle(m: &mut Arm<'_>, pairs: &[Vec<Pair>], buffers: &[ReduceBuffer]) {
-        let spans: Vec<(HostSpan, HostSpan)> = buffers
-            .iter()
-            .map(|buf| (m.host_span(&buf.keys), m.host_span(&buf.vals)))
-            .collect();
-        let mut positions: Vec<Positions> = buffers
-            .iter()
-            .map(|buf| Positions::new(buf.count))
-            .collect();
-        let mut place = |key: u32| {
-            let r = partition(key, buffers.len());
-            let pos = positions[r].next();
-            spans[r].0.prefetch(pos * u32::BYTES);
-            spans[r].1.prefetch(pos * u64::BYTES);
-            (r, pos)
-        };
-        let mut ahead = pairs.iter().flatten();
-        let mut ring = [(0usize, 0usize); PREFETCH_AHEAD];
-        for (slot, &(k, _, _)) in ring.iter_mut().zip(ahead.by_ref()) {
-            *slot = place(k);
-        }
-        let mut payload_cursors = vec![0usize; buffers.len()];
-        let payload_scratch = [0u8; 256];
-        for (i, &(k, v, pw)) in pairs.iter().flatten().enumerate() {
-            let slot = &mut ring[i % PREFETCH_AHEAD];
-            let (r, pos) = *slot;
-            if let Some(&(next, _, _)) = ahead.next() {
-                *slot = place(next);
-            }
-            let buf = &buffers[r];
-            m.set(&buf.keys, pos, k, Pattern::Rand);
-            m.set(&buf.vals, pos, v, Pattern::Rand);
-            // Payload (e.g. the matched comment) streams into the reduce
-            // buffer as well.
-            let mut left = pw as usize * 4;
-            while left > 0 {
-                let chunk = left.min(payload_scratch.len());
-                m.write_raw(
-                    buf.payload.at(payload_cursors[r]),
-                    &payload_scratch[..chunk / 4 * 4],
-                    Pattern::Seq,
-                );
-                payload_cursors[r] += chunk / 4;
-                left -= chunk;
-            }
-        }
+/// Fold each key's values, in the order given, into one accumulator; the
+/// result is sorted by key (so the hash map's order never shows).
+fn fold<A: MapReduceApp>(app: &A, pairs: impl Iterator<Item = (u32, u64)>) -> Vec<(u32, u64)> {
+    let mut agg: HashMap<u32, u64> = HashMap::new();
+    for (k, v) in pairs {
+        let acc = agg.entry(k).or_insert_with(|| app.reduce_init());
+        *acc = app.reduce(*acc, v);
     }
-
-    fn fold<A: MapReduceApp>(app: &A, pairs: impl Iterator<Item = (u32, u64)>) -> Vec<(u32, u64)> {
-        let mut agg: HashMap<u32, u64> = HashMap::new();
-        for (k, v) in pairs {
-            let acc = agg.entry(k).or_insert_with(|| app.reduce_init());
-            *acc = app.reduce(*acc, v);
-        }
-        let mut out: Vec<(u32, u64)> = agg.into_iter().collect();
-        out.sort_unstable_by_key(|&(k, _)| k);
-        out
-    }
+    let mut out: Vec<(u32, u64)> = agg.into_iter().collect();
+    out.sort_unstable_by_key(|&(k, _)| k);
+    out
 }
 
 /// A reduce buffer's bucket positions in insertion order: `c * stride %
@@ -578,59 +532,6 @@ fn run_phase<R>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apps::{Grep, LengthHistogram, MaxCommentLength, WordCount};
-    use crate::textgen::Corpus;
-    use ddc_sim::{DdcConfig, MetricsRegistry, MonolithicConfig};
-    use teleport::PlatformKind;
-
-    /// The shuffle the engine ran before the pipeline (positions by `%`,
-    /// no prefetch) and the fold it runs: each key's values in row order.
-    struct Plain;
-
-    impl Bodies for Plain {
-        fn shuffle(m: &mut Arm<'_>, pairs: &[Vec<Pair>], buffers: &[ReduceBuffer]) {
-            let reduce_tasks = buffers.len();
-            let strides: Vec<usize> = buffers.iter().map(|b| coprime_stride(b.count)).collect();
-            let mut cursors = vec![0usize; reduce_tasks];
-            let mut payload_cursors = vec![0usize; reduce_tasks];
-            let payload_scratch = vec![0u8; 256];
-            for task in pairs {
-                for &(k, v, pw) in task {
-                    let r = partition(k, reduce_tasks);
-                    let buf = &buffers[r];
-                    let pos = cursors[r] * strides[r] % buf.count.max(1);
-                    m.set(&buf.keys, pos, k, Pattern::Rand);
-                    m.set(&buf.vals, pos, v, Pattern::Rand);
-                    cursors[r] += 1;
-                    let mut left = pw as usize * 4;
-                    while left > 0 {
-                        let chunk = left.min(payload_scratch.len());
-                        m.write_raw(
-                            buf.payload.at(payload_cursors[r]),
-                            &payload_scratch[..chunk / 4 * 4],
-                            Pattern::Seq,
-                        );
-                        payload_cursors[r] += chunk / 4;
-                        left -= chunk;
-                    }
-                }
-            }
-        }
-
-        fn fold<A: MapReduceApp>(
-            app: &A,
-            pairs: impl Iterator<Item = (u32, u64)>,
-        ) -> Vec<(u32, u64)> {
-            let mut agg: HashMap<u32, u64> = HashMap::new();
-            for (k, v) in pairs {
-                let acc = agg.entry(k).or_insert_with(|| app.reduce_init());
-                *acc = app.reduce(*acc, v);
-            }
-            let mut out: Vec<(u32, u64)> = agg.into_iter().collect();
-            out.sort_unstable_by_key(|&(k, _)| k);
-            out
-        }
-    }
 
     /// An app whose reduce depends on the order it sees a key's values in,
     /// so a fold that reorders them shows in the output.
@@ -650,132 +551,19 @@ mod tests {
         fn reduce(&self, acc: u64, value: u64) -> u64 {
             acc.wrapping_mul(31).wrapping_add(value)
         }
-
-        fn combinable(&self) -> bool {
-            true
-        }
     }
 
-    /// Everything a run shows of itself.
-    struct Seen {
-        values: Vec<(u32, u64)>,
-        pairs: u64,
-        elapsed_ns: u64,
-        paging: ddc_os::PagingStats,
-        metrics: MetricsRegistry,
-        /// Digest and length.
-        trace: (u64, u64),
-    }
-
-    /// One engine run of `B`'s bodies on a fresh traced rack, cold, with
-    /// the shuffle pushed on Teleport.
-    fn run_on<A: MapReduceApp, B: Bodies>(
-        kind: PlatformKind,
-        corpus: &Corpus,
-        app: &A,
-        tasks: (usize, usize),
-        combine: bool,
-    ) -> Seen {
-        let ws = corpus.bytes() * 3;
-        let ddc = DdcConfig::with_cache_ratio(ws, 0.05);
-        let mut rt = match kind {
-            PlatformKind::Local => Runtime::local(MonolithicConfig {
-                dram_bytes: ws * 4 + (32 << 20),
-                ..Default::default()
-            }),
-            PlatformKind::BaseDdc => Runtime::base_ddc(ddc),
-            PlatformKind::Teleport => Runtime::teleport(ddc),
-        };
-        rt.enable_tracing();
-        let input = LoadedCorpus::load(&mut rt, corpus);
-        if kind != PlatformKind::Local {
-            rt.drop_cache();
-        }
-        rt.begin_timing();
-        let plan = match kind {
-            PlatformKind::Teleport => MrPlan::paper(),
-            _ => MrPlan::none(),
-        };
-        let (values, rep) = execute::<A, B>(&mut rt, &input, app, tasks.0, tasks.1, &plan, combine);
-        Seen {
-            values,
-            pairs: rep.pairs_shuffled,
-            elapsed_ns: rt.elapsed().as_nanos(),
-            paging: rt.paging_stats(),
-            metrics: rt.metrics(),
-            trace: (rt.trace().digest(), rt.trace().len()),
-        }
-    }
-
-    /// The pipeline against the plain loops for one app: the same values,
-    /// virtual time, paging counters, metrics and trace, with the combiner
-    /// off and on. Returns the pairs each run shuffled.
-    fn compare<A: MapReduceApp>(
-        kinds: &[PlatformKind],
-        corpus: &Corpus,
-        app: &A,
-        tasks: (usize, usize),
-    ) -> Vec<u64> {
-        let mut shuffled = Vec::new();
-        for &kind in kinds {
-            for combine in [false, true] {
-                let got = run_on::<A, Pipelined>(kind, corpus, app, tasks, combine);
-                let want = run_on::<A, Plain>(kind, corpus, app, tasks, combine);
-                let case = format!(
-                    "{}, {} comments, tasks {tasks:?}, combine {combine}, {kind:?}",
-                    app.name(),
-                    corpus.comments
-                );
-                assert!(got.values == want.values, "{case}: values differ");
-                assert_eq!(got.pairs, want.pairs, "{case}: pairs shuffled");
-                assert_eq!(got.elapsed_ns, want.elapsed_ns, "{case}: elapsed_ns");
-                assert_eq!(got.paging, want.paging, "{case}: paging_stats");
-                assert!(got.metrics == want.metrics, "{case}: metrics differ");
-                assert_eq!(got.trace, want.trace, "{case}: trace");
-                shuffled.push(got.pairs);
-            }
-        }
-        shuffled
-    }
-
-    /// The pipelined shuffle and the engine's fold against plain copies of
-    /// the loops, through the whole engine: every app, the combiner off
-    /// and on, three platforms with the shuffle pushed on Teleport. The edge cases: fewer pairs than the prefetch distance,
-    /// reducers that get no pair (Grep has one key), one reducer, more map
-    /// tasks than comments, and one run over 4 MiB of reduce buffers, so
-    /// the last prefetches land near the buffers' ends past the host's L2.
+    /// The fold keeps each key's values in the order given: `RowOrder`'s
+    /// reduce (`acc * 31 + v`) tells any other order apart.
     #[test]
-    fn pipelined_shuffle_and_keyed_reduce_equal_the_plain_loops() {
-        let all = [
-            PlatformKind::Local,
-            PlatformKind::BaseDdc,
-            PlatformKind::Teleport,
-        ];
-        let corpus = Corpus::generate(300, 400, 5);
-        for tasks in [(8, 4), (3, 1)] {
-            compare(&all, &corpus, &WordCount, tasks);
-            compare(&all, &corpus, &Grep { pattern: 3 }, tasks);
-            compare(&all, &corpus, &LengthHistogram, tasks);
-            compare(&all, &corpus, &MaxCommentLength, tasks);
-            compare(&all, &corpus, &RowOrder, tasks);
-        }
-
-        // Three comments over eight map tasks; a rare word's Grep shuffles
-        // fewer pairs than the ring holds, and leaves three reducers empty.
-        let tiny = Corpus::generate(3, 40, 9);
-        compare(&all, &tiny, &WordCount, (8, 4));
-        compare(&all, &tiny, &RowOrder, (8, 2));
-        let few = compare(&all, &tiny, &Grep { pattern: 2 }, (8, 4));
-        assert!(
-            few.iter().all(|&n| (1..PREFETCH_AHEAD as u64).contains(&n)),
-            "the short case shuffles 1..{PREFETCH_AHEAD} pairs: {few:?}"
+    fn fold_keeps_each_keys_values_in_order() {
+        let pairs = [(5, 1), (3, 2), (5, 3), (9, 7), (3, 4), (5, 2)];
+        let want = vec![(3, 2 * 31 + 4), (5, (31 + 3) * 31 + 2), (9, 7)];
+        assert_eq!(
+            fold(&RowOrder, pairs.into_iter()),
+            want,
+            "RowOrder folds each key's values in row order"
         );
-
-        // Twelve bytes of bucket slots a pair.
-        let big = Corpus::generate(13_000, 80_000, 11);
-        let kinds = [PlatformKind::Local, PlatformKind::Teleport];
-        let shuffled = compare(&kinds, &big, &WordCount, (8, 4));
-        assert!(shuffled[0] * 12 >= 4 << 20, "{} pairs", shuffled[0]);
     }
 
     /// The running positions are `c * stride % count`, for every count up
