@@ -4,7 +4,7 @@ use graphproc::algos::sssp;
 use graphproc::{social_graph, ConnectedComponents, GasEngine, GasPlan, Phase, Reach, Sssp};
 use mapred::{run as mr_run, Corpus, Grep, LoadedCorpus, MrPlan, WordCount};
 use memdb::queries::ops;
-use teleport::PlatformKind;
+use teleport::{PlatformKind, WorkStat};
 
 use super::{db_three_way, QUERIES};
 use crate::{fmt_t, fmt_x, runtime_for, Out, Scale, CACHE_RATIO};
@@ -23,10 +23,10 @@ pub fn fig10(scale: &Scale, out: &mut Out) {
         let d = &three.base[0].ops[i];
         rows.push(vec![
             name.to_string(),
-            fmt_t(l.time),
-            fmt_t(d.time),
-            format!("{:.1} MB", d.remote_bytes as f64 / 1e6),
-            format!("{:.0}K RM/s", d.memory_intensity() / 1e3),
+            fmt_t(l.stat.time),
+            fmt_t(d.stat.time),
+            format!("{:.1} MB", d.stat.remote_bytes as f64 / 1e6),
+            format!("{:.0}K RM/s", d.stat.memory_intensity() / 1e3),
         ]);
     }
     out.table(
@@ -78,7 +78,7 @@ pub fn fig10(scale: &Scale, out: &mut Out) {
         reports.push(rep);
     }
     out.line("\n**WordCount (Phoenix stand-in)**");
-    let mk = |name: &str, l: mapred::engine::PhaseStat, d: mapred::engine::PhaseStat| {
+    let mk = |name: &str, l: WorkStat, d: WorkStat| {
         vec![
             name.to_string(),
             fmt_t(l.time),
@@ -130,7 +130,7 @@ pub fn fig11(_scale: &Scale, out: &mut Out) {
         }
     };
     // "Code change" to TELEPORT an operator in this codebase: wrap the
-    // existing kernel call in `rt.pushdown(...)` and add the operator to
+    // existing kernel call in `teleport::run_placed` and add the operator to
     // the plan — 3 lines each, matching the paper's "selective wrapping".
     let rows = vec![
         ("memdb", "Projection", "crates/memdb/src/exec/project.rs"),
@@ -183,20 +183,16 @@ pub fn fig12(scale: &Scale, out: &mut Out) {
     ] {
         let mut rt = runtime_for(kind, ws, CACHE_RATIO);
         let db = crate::load_db(&mut rt, &data);
-        let plan = if kind == PlatformKind::Teleport {
-            PushdownPlan::of(ops::QFILTER)
-        } else {
-            PushdownPlan::none()
-        };
+        let plan = PushdownPlan::of(ops::QFILTER);
         let (_, rep) = q_filter(&mut rt, &db, &plan, &params);
         reports.push(rep);
     }
 
     let mut rows = Vec::new();
     for (i, name) in ops::QFILTER.iter().enumerate() {
-        let l = reports[0].ops[i].time;
-        let b = reports[1].ops[i].time;
-        let t = reports[2].ops[i].time;
+        let l = reports[0].ops[i].stat.time;
+        let b = reports[1].ops[i].stat.time;
+        let t = reports[2].ops[i].stat.time;
         rows.push(vec![
             name.to_string(),
             fmt_t(l),
@@ -254,11 +250,7 @@ pub fn fig13(scale: &Scale, out: &mut Out) {
                 rt.drop_cache();
             }
             rt.begin_timing();
-            let plan = if kind == PlatformKind::Teleport {
-                GasPlan::paper()
-            } else {
-                GasPlan::none()
-            };
+            let plan = GasPlan::paper();
             let rep = match algo {
                 Algo::Sssp => eng.run(&mut rt, &Sssp { source: 0 }, &plan).1,
                 Algo::Re => eng.run(&mut rt, &Reach { source: 0 }, &plan).1,
@@ -290,11 +282,7 @@ pub fn fig13(scale: &Scale, out: &mut Out) {
                 rt.drop_cache();
             }
             rt.begin_timing();
-            let plan = if kind == PlatformKind::Teleport {
-                MrPlan::paper()
-            } else {
-                MrPlan::none()
-            };
+            let plan = MrPlan::paper();
             let rep = match pattern {
                 None => mr_run(&mut rt, &input, &WordCount, 8, 4, &plan).1,
                 Some(p) => mr_run(&mut rt, &input, &Grep { pattern: p }, 8, 4, &plan).1,

@@ -62,7 +62,9 @@
 //! - [`microbench`] — the two-thread ablation and contention workloads
 //!   (paper Figs 6, 7, 21, 22);
 //! - [`for_each_ahead`] — the host look-ahead loop a kernel uses to
-//!   prefetch its next items' bytes on the host, invisibly to the model.
+//!   prefetch its next items' bytes on the host, invisibly to the model;
+//! - [`run_placed`] — the one placement wrap an application runs each
+//!   operator or phase through, measuring it into a [`WorkStat`] (§7.4).
 
 #![deny(unsafe_code)]
 
@@ -72,6 +74,7 @@ pub mod coherence;
 pub mod fault;
 pub mod flags;
 pub mod microbench;
+mod placed;
 pub mod resilience;
 pub mod rle;
 pub mod rpc;
@@ -87,6 +90,7 @@ pub use breakdown::Breakdown;
 pub use coherence::{CoherenceStats, Perm, PushdownSession, TieBreak};
 pub use fault::{CancelOutcome, PushdownError};
 pub use flags::{CoherenceMode, PushdownOpts, SyncStrategy};
+pub use placed::{run_placed, WorkStat};
 pub use resilience::{ExecutionVia, Recovered, ResiliencePolicy, RetryPolicy};
 pub use rle::{ResidentList, UnsortedResidentList};
 pub use rpc::{AdmissionPolicy, RpcServer};

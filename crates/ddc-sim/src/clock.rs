@@ -35,31 +35,9 @@ impl Clock {
         self.now.set(self.now.get() + d.0);
     }
 
-    /// Move the clock forward to `t` if `t` is later than now; otherwise do
-    /// nothing. Used when a lane blocks on a resource that frees at `t`.
-    #[inline]
-    pub fn advance_to(&self, t: SimTime) {
-        if t.0 > self.now.get() {
-            self.now.set(t.0);
-        }
-    }
-
     /// Reset to zero. Only used by test and benchmark setup.
     pub fn reset(&self) {
         self.now.set(0);
-    }
-
-    /// Elapsed time since `start`.
-    #[inline]
-    pub fn elapsed_since(&self, start: SimTime) -> SimDuration {
-        self.now().since(start)
-    }
-
-    /// Run `f` and return its result along with the virtual time it charged.
-    pub fn measure<R>(&self, f: impl FnOnce() -> R) -> (R, SimDuration) {
-        let start = self.now();
-        let r = f();
-        (r, self.elapsed_since(start))
     }
 }
 
@@ -76,27 +54,6 @@ mod tests {
         assert_eq!(a.now().as_nanos(), 15);
         assert_eq!(b.now().as_nanos(), 15);
         assert_eq!(Clock::new().now().as_nanos(), 0, "a new clock is its own");
-    }
-
-    #[test]
-    fn advance_to_is_monotonic() {
-        let c = Clock::new();
-        c.advance(SimDuration::from_nanos(100));
-        c.advance_to(SimTime(50));
-        assert_eq!(c.now().as_nanos(), 100, "never moves backwards");
-        c.advance_to(SimTime(150));
-        assert_eq!(c.now().as_nanos(), 150);
-    }
-
-    #[test]
-    fn measure_reports_charged_time() {
-        let c = Clock::new();
-        let (val, dur) = c.measure(|| {
-            c.advance(SimDuration::from_micros(2));
-            42
-        });
-        assert_eq!(val, 42);
-        assert_eq!(dur.as_nanos(), 2_000);
     }
 
     #[test]

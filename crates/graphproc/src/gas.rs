@@ -8,15 +8,18 @@
 //! that dominates SSSP in Fig 10), gather drains the accumulator, apply
 //! updates the vertex value.
 //!
-//! Each phase is a function call the application can wrap in `pushdown` —
-//! the paper TELEPORTs finalize, gather, and scatter with <100 lines each
-//! (Fig 11).
+//! Each phase is a closure run through [`teleport::run_placed`], the one
+//! placement wrap memdb's operators and mapred's phases share: pushed when
+//! the [`GasPlan`] names it and the runtime is Teleport, compute-side
+//! otherwise, its time and remote traffic summed into the phase's
+//! [`WorkStat`]. The paper TELEPORTs finalize, gather, and scatter with
+//! <100 lines each (Fig 11).
 
 use std::collections::HashSet;
 
 use ddc_os::Pattern;
 use ddc_sim::SimDuration;
-use teleport::{Arm, Mem, PushdownOpts, Region, Runtime};
+use teleport::{run_placed, Mem, Region, Runtime, WorkStat};
 
 use crate::graph::HostGraph;
 
@@ -95,34 +98,13 @@ impl GasPlan {
     }
 }
 
-/// Accumulated measurements of one phase across all iterations.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PhaseStat {
-    pub time: SimDuration,
-    pub remote_accesses: u64,
-    pub remote_bytes: u64,
-    pub invocations: u64,
-}
-
-impl PhaseStat {
-    /// The §7.4 memory-intensity metric (remote accesses per second).
-    pub fn memory_intensity(&self) -> f64 {
-        let s = self.time.as_secs_f64();
-        if s <= 0.0 {
-            0.0
-        } else {
-            self.remote_accesses as f64 / s
-        }
-    }
-}
-
 /// Per-phase report of one algorithm run (the Fig 10 middle panel).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GasReport {
-    pub finalize: PhaseStat,
-    pub gather: PhaseStat,
-    pub apply: PhaseStat,
-    pub scatter: PhaseStat,
+    pub finalize: WorkStat,
+    pub gather: WorkStat,
+    pub apply: WorkStat,
+    pub scatter: WorkStat,
     pub iterations: u64,
     /// Average vertex replicas produced by finalize's vertex-cut
     /// partitioning (PowerGraph's placement quality metric).
@@ -134,7 +116,7 @@ impl GasReport {
         self.finalize.time + self.gather.time + self.apply.time + self.scatter.time
     }
 
-    pub fn stat(&self, p: Phase) -> PhaseStat {
+    pub fn stat(&self, p: Phase) -> WorkStat {
         match p {
             Phase::Finalize => self.finalize,
             Phase::Gather => self.gather,
@@ -143,7 +125,7 @@ impl GasReport {
         }
     }
 
-    fn stat_mut(&mut self, p: Phase) -> &mut PhaseStat {
+    fn stat_mut(&mut self, p: Phase) -> &mut WorkStat {
         match p {
             Phase::Finalize => &mut self.finalize,
             Phase::Gather => &mut self.gather,
@@ -191,7 +173,8 @@ impl GasEngine {
 
         // ---- Finalize: partition + shuffle the graph into the engine's
         // working state; also materializes values, degrees, accumulators.
-        let state = run_phase(rt, &mut rep, plan, Phase::Finalize, move |m| {
+        let ph = Phase::Finalize;
+        let state = run_placed(rt, plan.is_pushed(ph), ph, rep.stat_mut(ph), move |m| {
             // Shuffle: stream the CSR arrays and write the working copies
             // (the partitioned layout the workers execute against).
             let mut offs: Vec<u32> = Vec::new();
@@ -257,7 +240,8 @@ impl GasEngine {
             // Scatter: every changed vertex combines a message into each
             // neighbor's accumulator (random reads + writes).
             let changed_in = changed.clone();
-            let active = run_phase(rt, &mut rep, plan, Phase::Scatter, |m| {
+            let ph = Phase::Scatter;
+            let active = run_placed(rt, plan.is_pushed(ph), ph, rep.stat_mut(ph), |m| {
                 let mut active: Vec<u32> = Vec::new();
                 let mut nbrs: Vec<u32> = Vec::new();
                 for &u in &changed_in {
@@ -284,7 +268,8 @@ impl GasEngine {
 
             // Gather: drain accumulators of the activated vertices.
             let active_in = active.clone();
-            let gathered = run_phase(rt, &mut rep, plan, Phase::Gather, |m| {
+            let ph = Phase::Gather;
+            let gathered = run_placed(rt, plan.is_pushed(ph), ph, rep.stat_mut(ph), |m| {
                 let mut out: Vec<(u32, f64)> = Vec::with_capacity(active_in.len());
                 for &w in &active_in {
                     let acc = m.get(&msg_acc, w as usize, Pattern::Rand);
@@ -296,7 +281,8 @@ impl GasEngine {
             });
 
             // Apply: fold accumulators into vertex values.
-            changed = run_phase(rt, &mut rep, plan, Phase::Apply, |m| {
+            let ph = Phase::Apply;
+            changed = run_placed(rt, plan.is_pushed(ph), ph, rep.stat_mut(ph), |m| {
                 let mut changed: Vec<u32> = Vec::new();
                 for &(w, acc) in &gathered {
                     let old = m.get(&values, w as usize, Pattern::Rand);
@@ -317,32 +303,4 @@ impl GasEngine {
         rt.run_local(|m| m.read_range(&values, 0, n, &mut result));
         (result, rep)
     }
-}
-
-/// Run one phase invocation under the plan's placement, accumulating its
-/// measurements into the report.
-fn run_phase<R>(
-    rt: &mut Runtime,
-    rep: &mut GasReport,
-    plan: &GasPlan,
-    phase: Phase,
-    f: impl FnOnce(&mut Arm<'_>) -> R,
-) -> R {
-    let t0 = rt.elapsed();
-    let l0 = rt.net_ledger();
-    let pushed = plan.is_pushed(phase) && rt.kind() == teleport::PlatformKind::Teleport;
-    let r = if pushed {
-        rt.pushdown(PushdownOpts::new(), f)
-            .unwrap_or_else(|e| panic!("pushdown of {phase:?} failed: {e}"))
-    } else {
-        rt.run_local(f)
-    };
-    let l1 = rt.net_ledger();
-    let stat = rep.stat_mut(phase);
-    stat.time += rt.elapsed() - t0;
-    stat.remote_accesses +=
-        (l1.page_in.messages + l1.page_out.messages) - (l0.page_in.messages + l0.page_out.messages);
-    stat.remote_bytes += l1.page_bytes() - l0.page_bytes();
-    stat.invocations += 1;
-    r
 }

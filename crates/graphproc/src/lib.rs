@@ -25,7 +25,7 @@ pub use algos::cc::ConnectedComponents;
 pub use algos::pagerank::PageRank;
 pub use algos::reach::Reach;
 pub use algos::sssp::Sssp;
-pub use gas::{GasEngine, GasPlan, GasReport, Phase, PhaseStat, VertexProgram};
+pub use gas::{GasEngine, GasPlan, GasReport, Phase, VertexProgram};
 pub use gen::{social_graph, uniform_graph};
 pub use graph::HostGraph;
 pub use partition::{greedy_vertex_cut, hash_partition, Partitioning};

@@ -36,23 +36,13 @@ fn load(rt: &mut Runtime, g: &graphproc::HostGraph) -> GasEngine {
     eng
 }
 
-/// The paper's plan on Teleport; no pushdown elsewhere.
-fn plan_for(rt: &Runtime) -> GasPlan {
-    if rt.kind() == teleport::PlatformKind::Teleport {
-        GasPlan::paper()
-    } else {
-        GasPlan::none()
-    }
-}
-
 #[test]
 fn sssp_matches_bfs_oracle_on_all_platforms() {
     let g = graph();
     let expected = sssp::oracle(&g, 0);
     for (name, mut rt) in platforms(&g) {
         let eng = load(&mut rt, &g);
-        let plan = plan_for(&rt);
-        let (got, rep) = eng.run(&mut rt, &Sssp { source: 0 }, &plan);
+        let (got, rep) = eng.run(&mut rt, &Sssp { source: 0 }, &GasPlan::paper());
         assert_eq!(got, expected, "{name}");
         assert!(rep.iterations > 1, "{name}: multi-round BFS");
     }
@@ -64,8 +54,7 @@ fn reachability_matches_oracle() {
     let expected = reach::oracle(&g, 5);
     for (name, mut rt) in platforms(&g) {
         let eng = load(&mut rt, &g);
-        let plan = plan_for(&rt);
-        let (got, _) = eng.run(&mut rt, &Reach { source: 5 }, &plan);
+        let (got, _) = eng.run(&mut rt, &Reach { source: 5 }, &GasPlan::paper());
         assert_eq!(got, expected, "{name}");
     }
 }
@@ -91,8 +80,7 @@ fn connected_components_matches_union_find() {
 
     for (name, mut rt) in platforms(&g) {
         let eng = load(&mut rt, &g);
-        let plan = plan_for(&rt);
-        let (got, _) = eng.run(&mut rt, &ConnectedComponents, &plan);
+        let (got, _) = eng.run(&mut rt, &ConnectedComponents, &GasPlan::paper());
         assert_eq!(got, expected, "{name}");
         // Isolated vertices keep their own label.
         assert_eq!(got[1_005], 1_005.0, "{name}");
@@ -105,8 +93,7 @@ fn pagerank_matches_power_iteration() {
     let expected = pagerank::oracle(&g, 20);
     for (name, mut rt) in platforms(&g) {
         let eng = load(&mut rt, &g);
-        let plan = plan_for(&rt);
-        let (got, rep) = eng.run(&mut rt, &PageRank::default(), &plan);
+        let (got, rep) = eng.run(&mut rt, &PageRank::default(), &GasPlan::paper());
         assert_eq!(rep.iterations, 20, "{name}");
         for v in 0..g.n() {
             assert!(

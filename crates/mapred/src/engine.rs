@@ -12,6 +12,11 @@
 //! - **merge** — per-reducer outputs are merged into the final sorted
 //!   result.
 //!
+//! Each phase runs through [`teleport::run_placed`], the one placement wrap
+//! memdb's operators and graphproc's phases share: pushed when the
+//! [`MrPlan`] names it and the runtime is Teleport, compute-side otherwise,
+//! its time and remote traffic summed into the phase's [`WorkStat`].
+//!
 //! The map-shuffle is also the simulator's own largest host cost: each
 //! pair's two bucket writes land at scattered positions over megabytes of
 //! reduce buffers, so the host CPU waits on a cache miss per write — on
@@ -26,7 +31,7 @@ use std::collections::HashMap;
 
 use ddc_os::{HostSpan, Pattern};
 use ddc_sim::SimDuration;
-use teleport::{for_each_ahead, Arm, Mem, PushdownOpts, Region, Runtime, Scalar};
+use teleport::{for_each_ahead, run_placed, Arm, Mem, Region, Runtime, Scalar, WorkStat};
 
 use crate::textgen::{Corpus, END_OF_COMMENT};
 
@@ -105,21 +110,13 @@ impl MrPlan {
     }
 }
 
-/// Accumulated measurements of one phase.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PhaseStat {
-    pub time: SimDuration,
-    pub remote_accesses: u64,
-    pub remote_bytes: u64,
-}
-
 /// Per-phase report (the Fig 10 right panel).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MrReport {
-    pub map_compute: PhaseStat,
-    pub map_shuffle: PhaseStat,
-    pub reduce: PhaseStat,
-    pub merge: PhaseStat,
+    pub map_compute: WorkStat,
+    pub map_shuffle: WorkStat,
+    pub reduce: WorkStat,
+    pub merge: WorkStat,
     pub pairs_shuffled: u64,
 }
 
@@ -134,7 +131,7 @@ impl MrReport {
         self.map_compute.time + self.map_shuffle.time
     }
 
-    fn stat_mut(&mut self, p: MrPhase) -> &mut PhaseStat {
+    fn stat_mut(&mut self, p: MrPhase) -> &mut WorkStat {
         match p {
             MrPhase::MapCompute => &mut self.map_compute,
             MrPhase::MapShuffle => &mut self.map_shuffle,
@@ -192,7 +189,8 @@ pub fn run_with_combiner<A: MapReduceApp>(
     let input = *input;
 
     // ---- Map-compute: stream each split, run the map function.
-    let pairs: Vec<Vec<Pair>> = run_phase(rt, &mut rep, plan, MrPhase::MapCompute, |m| {
+    let ph = MrPhase::MapCompute;
+    let pairs: Vec<Vec<Pair>> = run_placed(rt, plan.is_pushed(ph), ph, rep.stat_mut(ph), |m| {
         let mut all: Vec<Vec<Pair>> = Vec::with_capacity(map_tasks);
         let split = input.len.div_ceil(map_tasks);
         let mut buf: Vec<u32> = Vec::new();
@@ -323,13 +321,15 @@ pub fn run_with_combiner<A: MapReduceApp>(
     // ---- Map-shuffle: insert every pair into its reduce task's keyed
     // buffer.
     let (pairs_ref, buffers_ref) = (&pairs, &buffers);
-    run_phase(rt, &mut rep, plan, MrPhase::MapShuffle, |m| {
+    let ph = MrPhase::MapShuffle;
+    run_placed(rt, plan.is_pushed(ph), ph, rep.stat_mut(ph), |m| {
         shuffle(m, pairs_ref, buffers_ref);
         m.charge_cycles(cost::SHUFFLE_PAIR * total_pairs as u64);
     });
 
     // ---- Reduce: aggregate each buffer.
-    let partials: Vec<Vec<(u32, u64)>> = run_phase(rt, &mut rep, plan, MrPhase::Reduce, |m| {
+    let ph = MrPhase::Reduce;
+    let partials = run_placed(rt, plan.is_pushed(ph), ph, rep.stat_mut(ph), |m| {
         buffers_ref
             .iter()
             .map(|buf| {
@@ -343,12 +343,13 @@ pub fn run_with_combiner<A: MapReduceApp>(
                 m.charge_cycles(cost::REDUCE_PAIR * n as u64);
                 out
             })
-            .collect()
+            .collect::<Vec<_>>()
     });
 
     // ---- Merge: combine the sorted partial outputs.
     let partials_ref = &partials;
-    let result = run_phase(rt, &mut rep, plan, MrPhase::Merge, |m| {
+    let ph = MrPhase::Merge;
+    let result = run_placed(rt, plan.is_pushed(ph), ph, rep.stat_mut(ph), |m| {
         let total: usize = partials_ref.iter().map(|p| p.len()).sum();
         let mut merged: Vec<(u32, u64)> = Vec::with_capacity(total);
         for p in partials_ref {
@@ -502,31 +503,6 @@ fn coprime_stride(n: usize) -> usize {
         s += 2;
     }
     s
-}
-
-fn run_phase<R>(
-    rt: &mut Runtime,
-    rep: &mut MrReport,
-    plan: &MrPlan,
-    phase: MrPhase,
-    f: impl FnOnce(&mut Arm<'_>) -> R,
-) -> R {
-    let t0 = rt.elapsed();
-    let l0 = rt.net_ledger();
-    let pushed = plan.is_pushed(phase) && rt.kind() == teleport::PlatformKind::Teleport;
-    let r = if pushed {
-        rt.pushdown(PushdownOpts::new(), f)
-            .unwrap_or_else(|e| panic!("pushdown of {phase:?} failed: {e}"))
-    } else {
-        rt.run_local(f)
-    };
-    let l1 = rt.net_ledger();
-    let stat = rep.stat_mut(phase);
-    stat.time += rt.elapsed() - t0;
-    stat.remote_accesses +=
-        (l1.page_in.messages + l1.page_out.messages) - (l0.page_in.messages + l0.page_out.messages);
-    stat.remote_bytes += l1.page_bytes() - l0.page_bytes();
-    r
 }
 
 #[cfg(test)]

@@ -40,12 +40,7 @@ fn wordcount_matches_oracle_on_all_platforms() {
     let expected = wordcount_oracle(&c);
     for (name, mut rt) in platforms(&c) {
         let input = load(&mut rt, &c);
-        let plan = if rt.kind() == teleport::PlatformKind::Teleport {
-            MrPlan::paper()
-        } else {
-            MrPlan::none()
-        };
-        let (got, rep) = run(&mut rt, &input, &WordCount, 8, 4, &plan);
+        let (got, rep) = run(&mut rt, &input, &WordCount, 8, 4, &MrPlan::paper());
         assert_eq!(got, expected, "{name}");
         assert!(rep.pairs_shuffled > 0);
     }

@@ -87,7 +87,7 @@ pub fn estimate(local_report: &QueryReport, cfg: &DistConfig) -> SimDuration {
     let mut total = SimDuration::ZERO;
     let mut prev_rows: u64 = 0;
     for op in &local_report.ops {
-        total += op.time * ef_num / ef_den;
+        total += op.stat.time * ef_num / ef_den;
 
         if is_exchange(op.name) && cfg.nodes > 1 {
             // An exchange repartitions the operator's *input*, which the
@@ -122,16 +122,17 @@ pub fn cost_of_scaling(local_report: &QueryReport, cfg: &DistConfig) -> f64 {
 mod tests {
     use super::*;
     use crate::report::OpReport;
+    use teleport::WorkStat;
 
     fn fake_report() -> QueryReport {
         let mut rep = QueryReport::new("fake");
         let mk = |name: &'static str, ms: u64, rows: u64| OpReport {
             name,
-            time: SimDuration::from_millis(ms),
-            remote_accesses: 0,
-            remote_bytes: 0,
+            stat: WorkStat {
+                time: SimDuration::from_millis(ms),
+                ..WorkStat::default()
+            },
             rows_out: rows,
-            pushed: false,
         };
         rep.ops.push(mk("Selection", 400, 3_000_000));
         rep.ops.push(mk("HashJoin(part)", 600, 150_000));

@@ -1,42 +1,24 @@
 //! Per-operator instrumentation of query execution.
 //!
-//! Every operator of a plan records its virtual time, remote memory traffic
-//! and output cardinality — exactly the quantities the paper's Fig 10
-//! annotates per operator, and the raw input to the memory-intensity metric
-//! of §7.4.
+//! Every operator runs through [`teleport::run_placed`], the placement wrap
+//! graphproc's and mapred's phases share, and records its [`WorkStat`] (the
+//! per-operator quantities of Fig 10 and the input to §7.4's
+//! memory-intensity metric) beside its output cardinality.
 
 use std::collections::HashSet;
 use std::fmt;
 
 use ddc_sim::SimDuration;
-use teleport::{Arm, PushdownOpts, Runtime};
+use teleport::{run_placed, Arm, Runtime, WorkStat};
 
 /// Measurements for one operator instance.
 #[derive(Debug, Clone)]
 pub struct OpReport {
     pub name: &'static str,
-    pub time: SimDuration,
-    /// Remote page movements (in + out) attributed to this operator.
-    pub remote_accesses: u64,
-    /// Bytes of page traffic attributed to this operator.
-    pub remote_bytes: u64,
+    /// Time, remote traffic and placement of the operator's one run.
+    pub stat: WorkStat,
     /// Output cardinality, when the operator has one.
     pub rows_out: u64,
-    /// Whether the operator executed in the memory pool.
-    pub pushed: bool,
-}
-
-impl OpReport {
-    /// The §7.4 memory-intensity metric: remote memory accesses per second
-    /// of execution. Operators above the threshold are pushdown candidates.
-    pub fn memory_intensity(&self) -> f64 {
-        let secs = self.time.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.remote_accesses as f64 / secs
-        }
-    }
 }
 
 /// Measurements for a whole query.
@@ -55,7 +37,7 @@ impl QueryReport {
     }
 
     pub fn total(&self) -> SimDuration {
-        self.ops.iter().map(|o| o.time).sum()
+        self.ops.iter().map(|o| o.stat.time).sum()
     }
 
     pub fn op(&self, name: &str) -> Option<&OpReport> {
@@ -67,8 +49,9 @@ impl QueryReport {
     pub fn rank_by_intensity(&self) -> Vec<&'static str> {
         let mut ranked: Vec<&OpReport> = self.ops.iter().collect();
         ranked.sort_by(|a, b| {
-            b.memory_intensity()
-                .total_cmp(&a.memory_intensity())
+            b.stat
+                .memory_intensity()
+                .total_cmp(&a.stat.memory_intensity())
                 .then(a.name.cmp(b.name))
         });
         ranked.iter().map(|o| o.name).collect()
@@ -89,11 +72,11 @@ impl fmt::Display for QueryReport {
             writeln!(
                 f,
                 "  {}{:<24} {:>12}  remote {:>8} pages / {:>6.1} MB  rows {}",
-                if op.pushed { "*" } else { " " },
+                if op.stat.pushed > 0 { "*" } else { " " },
                 op.name,
-                op.time.to_string(),
-                op.remote_accesses,
-                op.remote_bytes as f64 / 1e6,
+                op.stat.time.to_string(),
+                op.stat.remote_accesses,
+                op.stat.remote_bytes as f64 / 1e6,
                 op.rows_out,
             )?;
         }
@@ -134,7 +117,7 @@ impl PushdownPlan {
         let pushed = profile
             .ops
             .iter()
-            .filter(|o| o.memory_intensity() > threshold_rm_per_sec)
+            .filter(|o| o.stat.memory_intensity() > threshold_rm_per_sec)
             .map(|o| o.name)
             .collect();
         PushdownPlan { pushed }
@@ -165,24 +148,12 @@ pub fn op<R>(
     name: &'static str,
     f: impl FnOnce(&mut Arm<'_>) -> R,
 ) -> R {
-    let t0 = rt.elapsed();
-    let l0 = rt.net_ledger();
-    let pushed = plan.is_pushed(name) && rt.kind() == teleport::PlatformKind::Teleport;
-    let r = if pushed {
-        rt.pushdown(PushdownOpts::new(), f)
-            .unwrap_or_else(|e| panic!("pushdown of {name} failed: {e}"))
-    } else {
-        rt.run_local(f)
-    };
-    let l1 = rt.net_ledger();
+    let mut stat = WorkStat::default();
+    let r = run_placed(rt, plan.is_pushed(name), name, &mut stat, f);
     rep.ops.push(OpReport {
         name,
-        time: rt.elapsed() - t0,
-        remote_accesses: (l1.page_in.messages + l1.page_out.messages)
-            - (l0.page_in.messages + l0.page_out.messages),
-        remote_bytes: l1.page_bytes() - l0.page_bytes(),
+        stat,
         rows_out: 0,
-        pushed,
     });
     r
 }
@@ -192,13 +163,16 @@ mod tests {
     use super::*;
 
     fn mk(name: &'static str, ms: u64, accesses: u64) -> OpReport {
-        OpReport {
-            name,
+        let stat = WorkStat {
             time: SimDuration::from_millis(ms),
             remote_accesses: accesses,
             remote_bytes: accesses * 4096,
+            ..WorkStat::default()
+        };
+        OpReport {
+            name,
+            stat,
             rows_out: 0,
-            pushed: false,
         }
     }
 
@@ -209,7 +183,7 @@ mod tests {
         rep.ops.push(mk("hot", 100, 10_000));
         rep.ops.push(mk("warm", 100, 1_000));
         assert_eq!(rep.rank_by_intensity(), vec!["hot", "warm", "cheap"]);
-        assert!(rep.op("hot").unwrap().memory_intensity() > 1e4);
+        assert!(rep.op("hot").unwrap().stat.memory_intensity() > 1e4);
     }
 
     #[test]

@@ -45,13 +45,9 @@ fn main() {
         }
         rt.begin_timing();
 
-        // The paper pushes finalize, gather, and scatter (§5.2).
-        let plan = if kind == PlatformKind::Teleport {
-            GasPlan::paper()
-        } else {
-            GasPlan::none()
-        };
-        let (dist, rep) = eng.run(&mut rt, &Sssp { source: 0 }, &plan);
+        // The paper pushes finalize, gather, and scatter (§5.2); off
+        // TELEPORT the same plan runs every phase compute-side.
+        let (dist, rep) = eng.run(&mut rt, &Sssp { source: 0 }, &GasPlan::paper());
         assert_eq!(dist, expected, "{kind:?} distances must match BFS");
 
         println!(

@@ -33,9 +33,9 @@ fn main() {
         println!(
             "  {:<22} {:>10}  {:>8.0}K RM/s {}",
             op.name,
-            op.time.to_string(),
-            op.memory_intensity() / 1e3,
-            if op.memory_intensity() > PushdownPlan::PAPER_THRESHOLD_RM_S {
+            op.stat.time.to_string(),
+            op.stat.memory_intensity() / 1e3,
+            if op.stat.memory_intensity() > PushdownPlan::PAPER_THRESHOLD_RM_S {
                 "  <- push (above 80K)"
             } else {
                 ""

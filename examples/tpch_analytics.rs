@@ -64,7 +64,7 @@ fn main() {
                 let op = prof.op(name).unwrap();
                 println!(
                     "  {name:<22} {:>10.0} remote accesses/s",
-                    op.memory_intensity()
+                    op.stat.memory_intensity()
                 );
             }
             println!();

@@ -44,11 +44,8 @@ fn main() {
         }
         rt.begin_timing();
 
-        let plan = if kind == PlatformKind::Teleport {
-            MrPlan::paper() // push map-shuffle only
-        } else {
-            MrPlan::none()
-        };
+        // Push map-shuffle only; off TELEPORT it runs compute-side.
+        let plan = MrPlan::paper();
 
         let (wc, rep) = run(&mut rt, &input, &WordCount, 8, 4, &plan);
         assert_eq!(wc, expected_wc, "{kind:?} WordCount must match oracle");

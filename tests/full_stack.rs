@@ -59,11 +59,7 @@ fn fig13_shape_database() {
             Box::new(|rt: &mut Runtime| {
                 let db = Database::load(rt, &data);
                 prepare(rt);
-                let plan = if rt.kind() == PlatformKind::Teleport {
-                    PushdownPlan::of(ops::Q6)
-                } else {
-                    PushdownPlan::none()
-                };
+                let plan = PushdownPlan::of(ops::Q6);
                 let (r, rep) = q6(rt, &db, &plan, &params);
                 assert!((r - expected_q6).abs() < 1e-6 * expected_q6.abs());
                 rep.total()
@@ -74,11 +70,7 @@ fn fig13_shape_database() {
             Box::new(|rt: &mut Runtime| {
                 let db = Database::load(rt, &data);
                 prepare(rt);
-                let plan = if rt.kind() == PlatformKind::Teleport {
-                    PushdownPlan::top_k(ops::Q9, 4)
-                } else {
-                    PushdownPlan::none()
-                };
+                let plan = PushdownPlan::top_k(ops::Q9, 4);
                 let (r, rep) = q9(rt, &db, &plan, &params);
                 assert_eq!(r.len(), expected_q9.len());
                 rep.total()
@@ -107,11 +99,7 @@ fn fig13_shape_graph() {
     let [_, base, tele] = three_way(ws, |rt| {
         let eng = GasEngine::load(rt, &g);
         prepare(rt);
-        let plan = if rt.kind() == PlatformKind::Teleport {
-            GasPlan::paper()
-        } else {
-            GasPlan::none()
-        };
+        let plan = GasPlan::paper();
         let (d, rep) = eng.run(rt, &Sssp { source: 0 }, &plan);
         assert_eq!(d, expected_sssp);
         let (c, rep2) = eng.run(rt, &ConnectedComponents, &plan);
@@ -135,11 +123,7 @@ fn fig13_shape_mapreduce() {
     let [_, base, tele] = three_way(ws, |rt| {
         let input = LoadedCorpus::load(rt, &corpus);
         prepare(rt);
-        let plan = if rt.kind() == PlatformKind::Teleport {
-            MrPlan::paper()
-        } else {
-            MrPlan::none()
-        };
+        let plan = MrPlan::paper();
         let (wc, rep) = run(rt, &input, &WordCount, 4, 2, &plan);
         assert_eq!(wc, expected_wc);
         let (gr, rep2) = run(rt, &input, &Grep { pattern: 7 }, 4, 2, &plan);
