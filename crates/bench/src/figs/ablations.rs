@@ -22,7 +22,7 @@ pub fn planner(scale: &Scale, out: &mut Out) {
     let base = profile.total();
     let ranking = profile.rank_by_intensity();
 
-    let auto_plan = PushdownPlan::auto(&profile, PushdownPlan::PAPER_THRESHOLD_RM_S);
+    let auto_plan = PushdownPlan::auto(profile.units(), PushdownPlan::PAPER_THRESHOLD_RM_S);
     let auto_k = auto_plan.len();
     let mut rows = Vec::new();
     let plans: Vec<(String, PushdownPlan)> = vec![

@@ -129,9 +129,6 @@ pub fn fig11(_scale: &Scale, out: &mut Out) {
             Err(_) => 0,
         }
     };
-    // "Code change" to TELEPORT an operator in this codebase: wrap the
-    // existing kernel call in `teleport::run_placed` and add the operator to
-    // the plan — 3 lines each, matching the paper's "selective wrapping".
     let rows = vec![
         ("memdb", "Projection", "crates/memdb/src/exec/project.rs"),
         ("memdb", "Aggregation", "crates/memdb/src/exec/aggregate.rs"),
@@ -146,19 +143,9 @@ pub fn fig11(_scale: &Scale, out: &mut Out) {
         ("mapred", "MapShuffle", "crates/mapred/src/engine.rs"),
     ]
     .into_iter()
-    .map(|(system, op, path)| {
-        vec![
-            system.to_string(),
-            op.to_string(),
-            format!("{}", loc(path)),
-            "3 (wrap call + plan entry)".to_string(),
-        ]
-    })
+    .map(|(system, op, path)| vec![system.to_string(), op.to_string(), format!("{}", loc(path))])
     .collect::<Vec<_>>();
-    out.table(
-        &["system", "operator", "kernel LoC (measured)", "code change"],
-        &rows,
-    );
+    out.table(&["system", "operator", "kernel LoC (measured)"], &rows);
     out.line(
         "Paper: all MonetDB/PowerGraph/Phoenix pushdowns need <100 pushed LoC and \
          <310 changed LoC each; here placement is a 3-line wrap because kernels are \

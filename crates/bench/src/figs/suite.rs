@@ -50,7 +50,7 @@ pub fn suite(scale: &Scale, out: &mut Out) {
         let db = load_db(&mut base_rt, &data);
         let base = run_one(name, &mut base_rt, &db, &PushdownPlan::none(), &p, &e);
 
-        let plan = PushdownPlan::auto(&base, PushdownPlan::PAPER_THRESHOLD_RM_S);
+        let plan = PushdownPlan::auto(base.units(), PushdownPlan::PAPER_THRESHOLD_RM_S);
         let pushed = plan.len();
         let mut tele_rt = runtime_for(PlatformKind::Teleport, ws, CACHE_RATIO);
         let db = load_db(&mut tele_rt, &data);

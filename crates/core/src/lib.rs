@@ -64,7 +64,10 @@
 //! - [`for_each_ahead`] — the host look-ahead loop a kernel uses to
 //!   prefetch its next items' bytes on the host, invisibly to the model;
 //! - [`run_placed`] — the one placement wrap an application runs each
-//!   operator or phase through, measuring it into a [`WorkStat`] (§7.4).
+//!   operator or phase through: it pushes the unit when the [`Plan`] names
+//!   it (on Teleport only) and measures it into a [`WorkStat`]; one
+//!   [`rank_by_intensity`] and [`Plan::auto`] apply §7.4's rule to any
+//!   application's units.
 
 #![deny(unsafe_code)]
 
@@ -90,7 +93,7 @@ pub use breakdown::Breakdown;
 pub use coherence::{CoherenceStats, Perm, PushdownSession, TieBreak};
 pub use fault::{CancelOutcome, PushdownError};
 pub use flags::{CoherenceMode, PushdownOpts, SyncStrategy};
-pub use placed::{run_placed, WorkStat};
+pub use placed::{rank_by_intensity, run_placed, PaperUnits, Plan, WorkStat};
 pub use resilience::{ExecutionVia, Recovered, ResiliencePolicy, RetryPolicy};
 pub use rle::{ResidentList, UnsortedResidentList};
 pub use rpc::{AdmissionPolicy, RpcServer};

@@ -15,11 +15,9 @@
 //! [`WorkStat`]. The paper TELEPORTs finalize, gather, and scatter with
 //! <100 lines each (Fig 11).
 
-use std::collections::HashSet;
-
 use ddc_os::Pattern;
 use ddc_sim::SimDuration;
-use teleport::{run_placed, Mem, Region, Runtime, WorkStat};
+use teleport::{run_placed, Mem, PaperUnits, Plan, Region, Runtime, WorkStat};
 
 use crate::graph::HostGraph;
 
@@ -61,7 +59,7 @@ pub trait VertexProgram {
 }
 
 /// The phases that can be pushed to the memory pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Phase {
     Finalize,
     Gather,
@@ -69,34 +67,14 @@ pub enum Phase {
     Scatter,
 }
 
+/// The paper's choice: push the data-intensive finalize, gather, and
+/// scatter phases (§5.2).
+impl PaperUnits for Phase {
+    const PAPER: &'static [Phase] = &[Phase::Finalize, Phase::Gather, Phase::Scatter];
+}
+
 /// Which phases run in the memory pool.
-#[derive(Debug, Clone, Default)]
-pub struct GasPlan {
-    pushed: HashSet<Phase>,
-}
-
-impl GasPlan {
-    /// Nothing pushed (base DDC / local execution).
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// The paper's choice: push the data-intensive finalize, gather, and
-    /// scatter phases (§5.2).
-    pub fn paper() -> Self {
-        Self::of(&[Phase::Finalize, Phase::Gather, Phase::Scatter])
-    }
-
-    pub fn of(phases: &[Phase]) -> Self {
-        GasPlan {
-            pushed: phases.iter().copied().collect(),
-        }
-    }
-
-    pub fn is_pushed(&self, p: Phase) -> bool {
-        self.pushed.contains(&p)
-    }
-}
+pub type GasPlan = Plan<Phase>;
 
 /// Per-phase report of one algorithm run (the Fig 10 middle panel).
 #[derive(Debug, Clone, Copy, Default)]
@@ -116,13 +94,8 @@ impl GasReport {
         self.finalize.time + self.gather.time + self.apply.time + self.scatter.time
     }
 
-    pub fn stat(&self, p: Phase) -> WorkStat {
-        match p {
-            Phase::Finalize => self.finalize,
-            Phase::Gather => self.gather,
-            Phase::Apply => self.apply,
-            Phase::Scatter => self.scatter,
-        }
+    pub fn stat(mut self, p: Phase) -> WorkStat {
+        *self.stat_mut(p)
     }
 
     fn stat_mut(&mut self, p: Phase) -> &mut WorkStat {
@@ -174,7 +147,7 @@ impl GasEngine {
         // ---- Finalize: partition + shuffle the graph into the engine's
         // working state; also materializes values, degrees, accumulators.
         let ph = Phase::Finalize;
-        let state = run_placed(rt, plan.is_pushed(ph), ph, rep.stat_mut(ph), move |m| {
+        let state = run_placed(rt, plan, ph, rep.stat_mut(ph), move |m| {
             // Shuffle: stream the CSR arrays and write the working copies
             // (the partitioned layout the workers execute against).
             let mut offs: Vec<u32> = Vec::new();
@@ -241,7 +214,7 @@ impl GasEngine {
             // neighbor's accumulator (random reads + writes).
             let changed_in = changed.clone();
             let ph = Phase::Scatter;
-            let active = run_placed(rt, plan.is_pushed(ph), ph, rep.stat_mut(ph), |m| {
+            let active = run_placed(rt, plan, ph, rep.stat_mut(ph), |m| {
                 let mut active: Vec<u32> = Vec::new();
                 let mut nbrs: Vec<u32> = Vec::new();
                 for &u in &changed_in {
@@ -269,7 +242,7 @@ impl GasEngine {
             // Gather: drain accumulators of the activated vertices.
             let active_in = active.clone();
             let ph = Phase::Gather;
-            let gathered = run_placed(rt, plan.is_pushed(ph), ph, rep.stat_mut(ph), |m| {
+            let gathered = run_placed(rt, plan, ph, rep.stat_mut(ph), |m| {
                 let mut out: Vec<(u32, f64)> = Vec::with_capacity(active_in.len());
                 for &w in &active_in {
                     let acc = m.get(&msg_acc, w as usize, Pattern::Rand);
@@ -282,7 +255,7 @@ impl GasEngine {
 
             // Apply: fold accumulators into vertex values.
             let ph = Phase::Apply;
-            changed = run_placed(rt, plan.is_pushed(ph), ph, rep.stat_mut(ph), |m| {
+            changed = run_placed(rt, plan, ph, rep.stat_mut(ph), |m| {
                 let mut changed: Vec<u32> = Vec::new();
                 for &(w, acc) in &gathered {
                     let old = m.get(&values, w as usize, Pattern::Rand);

@@ -31,7 +31,9 @@ use std::collections::HashMap;
 
 use ddc_os::{HostSpan, Pattern};
 use ddc_sim::SimDuration;
-use teleport::{for_each_ahead, run_placed, Arm, Mem, Region, Runtime, Scalar, WorkStat};
+use teleport::{
+    for_each_ahead, run_placed, Arm, Mem, PaperUnits, Plan, Region, Runtime, Scalar, WorkStat,
+};
 
 use crate::textgen::{Corpus, END_OF_COMMENT};
 
@@ -75,7 +77,7 @@ pub trait MapReduceApp {
 }
 
 /// The engine phases.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MrPhase {
     MapCompute,
     MapShuffle,
@@ -83,32 +85,13 @@ pub enum MrPhase {
     Merge,
 }
 
+/// The paper's choice: push only map-shuffle (§5.3).
+impl PaperUnits for MrPhase {
+    const PAPER: &'static [MrPhase] = &[MrPhase::MapShuffle];
+}
+
 /// Which phases run in the memory pool.
-#[derive(Debug, Clone, Default)]
-pub struct MrPlan {
-    pushed: std::collections::HashSet<MrPhase>,
-}
-
-impl MrPlan {
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// The paper's choice: push only map-shuffle (§5.3).
-    pub fn paper() -> Self {
-        Self::of(&[MrPhase::MapShuffle])
-    }
-
-    pub fn of(phases: &[MrPhase]) -> Self {
-        MrPlan {
-            pushed: phases.iter().copied().collect(),
-        }
-    }
-
-    pub fn is_pushed(&self, p: MrPhase) -> bool {
-        self.pushed.contains(&p)
-    }
-}
+pub type MrPlan = Plan<MrPhase>;
 
 /// Per-phase report (the Fig 10 right panel).
 #[derive(Debug, Clone, Copy, Default)]
@@ -190,7 +173,7 @@ pub fn run_with_combiner<A: MapReduceApp>(
 
     // ---- Map-compute: stream each split, run the map function.
     let ph = MrPhase::MapCompute;
-    let pairs: Vec<Vec<Pair>> = run_placed(rt, plan.is_pushed(ph), ph, rep.stat_mut(ph), |m| {
+    let pairs: Vec<Vec<Pair>> = run_placed(rt, plan, ph, rep.stat_mut(ph), |m| {
         let mut all: Vec<Vec<Pair>> = Vec::with_capacity(map_tasks);
         let split = input.len.div_ceil(map_tasks);
         let mut buf: Vec<u32> = Vec::new();
@@ -322,14 +305,14 @@ pub fn run_with_combiner<A: MapReduceApp>(
     // buffer.
     let (pairs_ref, buffers_ref) = (&pairs, &buffers);
     let ph = MrPhase::MapShuffle;
-    run_placed(rt, plan.is_pushed(ph), ph, rep.stat_mut(ph), |m| {
+    run_placed(rt, plan, ph, rep.stat_mut(ph), |m| {
         shuffle(m, pairs_ref, buffers_ref);
         m.charge_cycles(cost::SHUFFLE_PAIR * total_pairs as u64);
     });
 
     // ---- Reduce: aggregate each buffer.
     let ph = MrPhase::Reduce;
-    let partials = run_placed(rt, plan.is_pushed(ph), ph, rep.stat_mut(ph), |m| {
+    let partials = run_placed(rt, plan, ph, rep.stat_mut(ph), |m| {
         buffers_ref
             .iter()
             .map(|buf| {
@@ -349,7 +332,7 @@ pub fn run_with_combiner<A: MapReduceApp>(
     // ---- Merge: combine the sorted partial outputs.
     let partials_ref = &partials;
     let ph = MrPhase::Merge;
-    let result = run_placed(rt, plan.is_pushed(ph), ph, rep.stat_mut(ph), |m| {
+    let result = run_placed(rt, plan, ph, rep.stat_mut(ph), |m| {
         let total: usize = partials_ref.iter().map(|p| p.len()).sum();
         let mut merged: Vec<(u32, u64)> = Vec::with_capacity(total);
         for p in partials_ref {

@@ -11,8 +11,9 @@
 //! - [`exec`] — selection, projection, aggregation, hash/merge join,
 //!   expressions, sort;
 //! - [`queries`] — `Q_filter`, Q3, Q6, Q9 as instrumented physical plans;
-//! - [`report`] — per-operator measurements, the §7.4 memory-intensity
-//!   metric, and [`report::PushdownPlan`] (None / Top-k / All);
+//! - [`report`] — per-operator measurements, their §7.4 intensity ranking,
+//!   and [`report::PushdownPlan`], `teleport`'s shared [`teleport::Plan`]
+//!   over operator names (none, top-k, auto by the 80 K RM/s rule, or all);
 //! - [`oracle`] — host-memory reference evaluation for validation;
 //! - [`dist`] — the distributed-DBMS cost model behind Fig 1b's
 //!   SparkSQL/Vertica reference points.

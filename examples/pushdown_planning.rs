@@ -56,9 +56,9 @@ fn main() {
         (
             format!(
                 "auto >80K RM/s ({} ops)",
-                PushdownPlan::auto(&profile, PushdownPlan::PAPER_THRESHOLD_RM_S).len()
+                PushdownPlan::auto(profile.units(), PushdownPlan::PAPER_THRESHOLD_RM_S).len()
             ),
-            PushdownPlan::auto(&profile, PushdownPlan::PAPER_THRESHOLD_RM_S),
+            PushdownPlan::auto(profile.units(), PushdownPlan::PAPER_THRESHOLD_RM_S),
         ),
         ("all".to_string(), PushdownPlan::top_k(&ranking, 8)),
     ] {
