@@ -15,10 +15,10 @@
 
 use std::process::ExitCode;
 
-use teleport_bench::figs::{ablations, apps, intro, micro, sensitivity, suite};
+use teleport_bench::figs::{ablations, apps, intro, micro, sensitivity, suite, RunTable};
 use teleport_bench::{Out, Scale};
 
-type FigFn = fn(&Scale, &mut Out);
+type FigFn = fn(&mut RunTable, &mut Out);
 
 const FIGURES: &[(&str, FigFn, &str)] = &[
     (
@@ -111,20 +111,22 @@ fn main() -> ExitCode {
     ));
 
     let started = std::time::Instant::now();
+    let mut runs = RunTable::new(scale);
     if which == "all" {
         for (name, f, _) in FIGURES {
             eprintln!("[repro] running {name}...");
-            f(&scale, &mut out);
+            f(&mut runs, &mut out);
         }
     } else {
         match FIGURES.iter().find(|(name, ..)| *name == which) {
-            Some((_, f, _)) => f(&scale, &mut out),
+            Some((_, f, _)) => f(&mut runs, &mut out),
             None => return usage(),
         }
     }
     eprintln!(
-        "[repro] done in {:.1}s wall time",
-        started.elapsed().as_secs_f64()
+        "[repro] done in {:.1}s wall time, {} application runs executed",
+        started.elapsed().as_secs_f64(),
+        runs.executed()
     );
 
     if let Some(path) = out_file {

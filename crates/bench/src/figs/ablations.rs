@@ -2,22 +2,22 @@
 //! threshold planner, the §4.1 tie-break direction, and the §6 RLE
 //! compression of resident-page lists.
 
-use memdb::{q9, PushdownPlan, QueryParams, TpchData};
+use memdb::{q9, PushdownPlan, QueryParams};
 use teleport::microbench::{run_contention, ContentionPlatform, ContentionSpec};
 use teleport::{CoherenceMode, Mem, PlatformKind, ResidentList, TieBreak};
 
-use crate::{fmt_t, fmt_x, load_db, runtime_for, Out, Scale, CACHE_RATIO};
+use crate::{figs::RunTable, fmt_t, fmt_x, load_db, runtime_for, Out, CACHE_RATIO};
 
 /// Ablation A — the §7.4 automatic planner: push operators whose profiled
 /// memory intensity exceeds 80 K RM/s, vs fixed top-k levels.
-pub fn planner(scale: &Scale, out: &mut Out) {
+pub fn planner(runs: &mut RunTable, out: &mut Out) {
     out.section("Ablation A — Automatic pushdown planning (80K RM/s rule, §7.4)");
-    let data = TpchData::generate(scale.sf, scale.seed);
+    let data = runs.tpch(runs.scale().sf);
     let ws = data.working_set_bytes();
     let params = QueryParams::default();
 
     let mut base_rt = runtime_for(PlatformKind::BaseDdc, ws, CACHE_RATIO);
-    let db = load_db(&mut base_rt, &data);
+    let db = load_db(&mut base_rt, data);
     let (_, profile) = q9(&mut base_rt, &db, &PushdownPlan::none(), &params);
     let base = profile.total();
     let ranking = profile.rank_by_intensity();
@@ -37,7 +37,7 @@ pub fn planner(scale: &Scale, out: &mut Out) {
             base
         } else {
             let mut rt = runtime_for(PlatformKind::Teleport, ws, CACHE_RATIO);
-            let db = load_db(&mut rt, &data);
+            let db = load_db(&mut rt, data);
             let (_, rep) = q9(&mut rt, &db, &plan, &params);
             rep.total()
         };
@@ -52,9 +52,9 @@ pub fn planner(scale: &Scale, out: &mut Out) {
 
 /// Ablation B — tie-break direction (§4.1/§7.6): favoring the memory pool
 /// completes the pushdown faster under contention.
-pub fn tiebreak(scale: &Scale, out: &mut Out) {
+pub fn tiebreak(runs: &mut RunTable, out: &mut Out) {
     out.section("Ablation B — Concurrent-fault tie-break direction (§4.1)");
-    let factor = (scale.sf / 0.01).clamp(0.1, 10.0);
+    let factor = (runs.scale().sf / 0.01).clamp(0.1, 10.0);
     let mut rows = Vec::new();
     for rate in [0.001, 0.01] {
         let mk = |tb: TieBreak| ContentionSpec {
@@ -91,12 +91,12 @@ pub fn tiebreak(scale: &Scale, out: &mut Out) {
 
 /// Ablation C — RLE compression of the resident-page list (§6): measured
 /// on the real cache state of a warmed DB runtime.
-pub fn rle(scale: &Scale, out: &mut Out) {
+pub fn rle(runs: &mut RunTable, out: &mut Out) {
     out.section("Ablation C — Resident-list RLE compression (§6)");
-    let data = TpchData::generate(scale.sf, scale.seed);
+    let data = runs.tpch(runs.scale().sf);
     let ws = data.working_set_bytes();
     let mut rt = runtime_for(PlatformKind::Teleport, ws, CACHE_RATIO);
-    let db = load_db(&mut rt, &data);
+    let db = load_db(&mut rt, data);
     // Warm the cache the way a query would: stream two columns.
     let mut buf: Vec<f64> = Vec::new();
     let n = db.li.n.min(200_000);
@@ -131,11 +131,11 @@ pub fn rle(scale: &Scale, out: &mut Out) {
 /// Ablation D — OS-level prefetching (§2.2): LegoOS-style sequential
 /// prefetch helps the base DDC's streaming operators but cannot rescue the
 /// random-access ones; pushdown still wins by a wide margin.
-pub fn prefetch(scale: &Scale, out: &mut Out) {
+pub fn prefetch(runs: &mut RunTable, out: &mut Out) {
     out.section("Ablation D — OS prefetching alone is insufficient (§2.2)");
     use ddc_sim::DdcConfig;
     use teleport::Runtime;
-    let data = TpchData::generate(scale.sf, scale.seed);
+    let data = runs.tpch(runs.scale().sf);
     let ws = data.working_set_bytes();
     let params = QueryParams::default();
 
@@ -143,7 +143,7 @@ pub fn prefetch(scale: &Scale, out: &mut Out) {
         let mut cfg = DdcConfig::with_cache_ratio(ws, CACHE_RATIO);
         cfg.prefetch_pages = prefetch;
         let mut rt = Runtime::base_ddc(cfg);
-        let db = load_db(&mut rt, &data);
+        let db = load_db(&mut rt, data);
         let (_, rep) = q9(&mut rt, &db, &PushdownPlan::none(), &params);
         rep
     };
@@ -152,7 +152,7 @@ pub fn prefetch(scale: &Scale, out: &mut Out) {
     let plan = PushdownPlan::top_k(&plain.rank_by_intensity(), 4);
     let tele = {
         let mut rt = runtime_for(PlatformKind::Teleport, ws, CACHE_RATIO);
-        let db = load_db(&mut rt, &data);
+        let db = load_db(&mut rt, data);
         let (_, rep) = q9(&mut rt, &db, &plan, &params);
         rep.total()
     };
@@ -181,14 +181,14 @@ pub fn prefetch(scale: &Scale, out: &mut Out) {
 /// Ablation E — finalize's vertex-cut partitioning (PowerGraph §5.2):
 /// greedy placement replicates far less than hash placement on power-law
 /// graphs, which is why finalize is worth its shuffle.
-pub fn vertex_cut(scale: &Scale, out: &mut Out) {
+pub fn vertex_cut(runs: &mut RunTable, out: &mut Out) {
     out.section("Ablation E — Vertex-cut vs hash edge partitioning (finalize)");
-    use graphproc::{greedy_vertex_cut, hash_partition, social_graph};
-    let g = social_graph(scale.graph_n, scale.graph_deg, scale.seed);
+    use graphproc::{greedy_vertex_cut, hash_partition};
+    let g = runs.graph();
     let mut rows = Vec::new();
     for workers in [4usize, 8, 16, 32] {
-        let greedy = greedy_vertex_cut(&g, workers);
-        let hashed = hash_partition(&g, workers);
+        let greedy = greedy_vertex_cut(g, workers);
+        let hashed = hash_partition(g, workers);
         rows.push(vec![
             workers.to_string(),
             format!("{:.2}", greedy.replication_factor()),
@@ -209,10 +209,10 @@ pub fn vertex_cut(scale: &Scale, out: &mut Out) {
 }
 
 /// Run every ablation.
-pub fn all(scale: &Scale, out: &mut Out) {
-    planner(scale, out);
-    tiebreak(scale, out);
-    rle(scale, out);
-    prefetch(scale, out);
-    vertex_cut(scale, out);
+pub fn all(runs: &mut RunTable, out: &mut Out) {
+    planner(runs, out);
+    tiebreak(runs, out);
+    rle(runs, out);
+    prefetch(runs, out);
+    vertex_cut(runs, out);
 }

@@ -1,26 +1,28 @@
 //! Figures 10–13: the three pushdown-optimized systems.
 
-use graphproc::algos::sssp;
-use graphproc::{social_graph, ConnectedComponents, GasEngine, GasPlan, Phase, Reach, Sssp};
-use mapred::{run as mr_run, Corpus, Grep, LoadedCorpus, MrPlan, WordCount};
+use graphproc::Phase;
 use memdb::queries::ops;
 use teleport::{PlatformKind, WorkStat};
 
-use super::{db_three_way, QUERIES};
-use crate::{fmt_t, fmt_x, runtime_for, Out, Scale, CACHE_RATIO};
+use super::{Algo, App, Push, Ratio, RunTable, Workload, EIGHT, PLATFORMS};
+use crate::{fmt_t, fmt_x, runtime_for, Out, CACHE_RATIO};
 
 /// Fig 10 — per-operator/per-phase breakdown of the most expensive query
 /// in each system, local vs DDC, with remote memory traffic annotations.
-pub fn fig10(scale: &Scale, out: &mut Out) {
+pub fn fig10(runs: &mut RunTable, out: &mut Out) {
     out.section("Fig 10 — Per-operator breakdown (local vs DDC, remote traffic)");
+    let both = [PlatformKind::Local, PlatformKind::BaseDdc];
 
     // --- TPC-H Q9 in the columnar DBMS.
-    let three = db_three_way(scale, CACHE_RATIO, 0);
+    let [local, ddc] = both.map(|p| {
+        runs.run(Workload::Tpch(Ratio::Headline), p, Push::Nothing)
+            .tpch()
+    });
     out.line("\n**TPC-H Q9 (MonetDB stand-in)**");
     let mut rows = Vec::new();
     for (i, name) in ops::Q9.iter().enumerate() {
-        let l = &three.local[0].ops[i];
-        let d = &three.base[0].ops[i];
+        let l = &local[0].ops[i];
+        let d = &ddc[0].ops[i];
         rows.push(vec![
             name.to_string(),
             fmt_t(l.stat.time),
@@ -35,25 +37,12 @@ pub fn fig10(scale: &Scale, out: &mut Out) {
     );
 
     // --- SSSP in the GAS engine.
-    let g = social_graph(scale.graph_n, scale.graph_deg, scale.seed);
-    let ws = g.bytes() + g.n() * 16;
-    let mut reports = Vec::new();
-    for kind in [PlatformKind::Local, PlatformKind::BaseDdc] {
-        let mut rt = runtime_for(kind, ws, CACHE_RATIO);
-        let eng = GasEngine::load(&mut rt, &g);
-        if kind != PlatformKind::Local {
-            rt.drop_cache();
-        }
-        rt.begin_timing();
-        let (d, rep) = eng.run(&mut rt, &Sssp { source: 0 }, &GasPlan::none());
-        assert_eq!(d, sssp::oracle(&g, 0));
-        reports.push(rep);
-    }
+    let [local, ddc] = both.map(|p| runs.run(Workload::Gas(Algo::Sssp), p, Push::Nothing).gas());
     out.line("\n**SSSP (PowerGraph stand-in)**");
     let mut rows = Vec::new();
     for phase in [Phase::Finalize, Phase::Scatter, Phase::Apply, Phase::Gather] {
-        let l = reports[0].stat(phase);
-        let d = reports[1].stat(phase);
+        let l = local.stat(phase);
+        let d = ddc.stat(phase);
         rows.push(vec![
             format!("{phase:?}"),
             fmt_t(l.time),
@@ -64,19 +53,7 @@ pub fn fig10(scale: &Scale, out: &mut Out) {
     out.table(&["phase", "local", "DDC", "remote traffic"], &rows);
 
     // --- WordCount in MapReduce.
-    let corpus = Corpus::generate(scale.comments, scale.vocab, scale.seed);
-    let ws = corpus.bytes() * 3;
-    let mut reports = Vec::new();
-    for kind in [PlatformKind::Local, PlatformKind::BaseDdc] {
-        let mut rt = runtime_for(kind, ws, CACHE_RATIO);
-        let input = LoadedCorpus::load(&mut rt, &corpus);
-        if kind != PlatformKind::Local {
-            rt.drop_cache();
-        }
-        rt.begin_timing();
-        let (_, rep) = mr_run(&mut rt, &input, &WordCount, 8, 4, &MrPlan::none());
-        reports.push(rep);
-    }
+    let [local, ddc] = both.map(|p| runs.run(Workload::Mr(App::Wc), p, Push::Nothing).mr());
     out.line("\n**WordCount (Phoenix stand-in)**");
     let mk = |name: &str, l: WorkStat, d: WorkStat| {
         vec![
@@ -87,22 +64,13 @@ pub fn fig10(scale: &Scale, out: &mut Out) {
         ]
     };
     let rows = vec![
-        mk(
-            "Map-compute",
-            reports[0].map_compute,
-            reports[1].map_compute,
-        ),
-        mk(
-            "Map-shuffle",
-            reports[0].map_shuffle,
-            reports[1].map_shuffle,
-        ),
-        mk("Reduce", reports[0].reduce, reports[1].reduce),
-        mk("Merge", reports[0].merge, reports[1].merge),
+        mk("Map-compute", local.map_compute, ddc.map_compute),
+        mk("Map-shuffle", local.map_shuffle, ddc.map_shuffle),
+        mk("Reduce", local.reduce, ddc.reduce),
+        mk("Merge", local.merge, ddc.merge),
     ];
     out.table(&["phase", "local", "DDC", "remote traffic"], &rows);
-    let shuffle_share =
-        reports[1].map_shuffle.time.as_secs_f64() / reports[1].map_time().as_secs_f64() * 100.0;
+    let shuffle_share = ddc.map_shuffle.time.as_secs_f64() / ddc.map_time().as_secs_f64() * 100.0;
     out.line(&format!(
         "Map-shuffle is {shuffle_share:.0}% of DDC map time (paper: 95%)."
     ));
@@ -110,7 +78,7 @@ pub fn fig10(scale: &Scale, out: &mut Out) {
 
 /// Fig 11 — the code-change table: what it takes to push each operator.
 /// LoC of the pushed kernels is measured from this repository's sources.
-pub fn fig11(_scale: &Scale, out: &mut Out) {
+pub fn fig11(_runs: &mut RunTable, out: &mut Out) {
     out.section("Fig 11 — Pushdown flexibility: code changes per operator");
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
     let loc = |rel: &str| -> usize {
@@ -148,28 +116,23 @@ pub fn fig11(_scale: &Scale, out: &mut Out) {
     out.table(&["system", "operator", "kernel LoC (measured)"], &rows);
     out.line(
         "Paper: all MonetDB/PowerGraph/Phoenix pushdowns need <100 pushed LoC and \
-         <310 changed LoC each; here placement is a 3-line wrap because kernels are \
-         written against the `Mem` trait.",
+         <310 changed LoC each.",
     );
 }
 
 /// Fig 12 — pushing `Q_filter`'s operators (paper: projection 5.5×,
 /// selection 2.4×, aggregation 2.1× over the base DDC).
-pub fn fig12(scale: &Scale, out: &mut Out) {
+pub fn fig12(runs: &mut RunTable, out: &mut Out) {
     out.section("Fig 12 — Q_filter operator pushdown");
-    use memdb::{q_filter, PushdownPlan, QueryParams, TpchData};
-    let data = TpchData::generate(scale.sf, scale.seed);
+    use memdb::{q_filter, PushdownPlan, QueryParams};
+    let data = runs.tpch(runs.scale().sf);
     let ws = data.working_set_bytes();
     let params = QueryParams::default();
 
     let mut reports = Vec::new();
-    for kind in [
-        PlatformKind::Local,
-        PlatformKind::BaseDdc,
-        PlatformKind::Teleport,
-    ] {
+    for kind in PLATFORMS {
         let mut rt = runtime_for(kind, ws, CACHE_RATIO);
-        let db = crate::load_db(&mut rt, &data);
+        let db = crate::load_db(&mut rt, data);
         let plan = PushdownPlan::of(ops::QFILTER);
         let (_, rep) = q_filter(&mut rt, &db, &plan, &params);
         reports.push(rep);
@@ -197,93 +160,23 @@ pub fn fig12(scale: &Scale, out: &mut Out) {
 
 /// Fig 13 — all eight workloads, normalized to local execution (paper:
 /// TELEPORT speedups over the base DDC of 29.1/3.2/3.8 for Q9/Q3/Q6,
-/// 3/2.8/2 for SSSP/RE/CC, 2.5/4.7 for WC/Grep).
-pub fn fig13(scale: &Scale, out: &mut Out) {
+/// 3/2.8/2 for SSSP/RE/CC, 2.5/4.7 for WC/Grep). TELEPORT pushes the
+/// top-4 intensity-ranked operators (§7.4), finalize + gather + scatter
+/// (§5.2) and map-shuffle (§5.3).
+pub fn fig13(runs: &mut RunTable, out: &mut Out) {
     out.section("Fig 13 — TELEPORT across all eight workloads (normalized to local)");
     let mut rows = Vec::new();
-
-    // Database (top-4 intensity-ranked operators pushed, §7.4).
-    let three = db_three_way(scale, CACHE_RATIO, 4);
-    for (i, q) in QUERIES.iter().enumerate() {
-        let local = three.local[i].total();
-        let base = three.base[i].total();
-        let tele = three.tele[i].total();
-        rows.push(vec![
-            q.to_string(),
-            fmt_x(base.ratio(local)),
-            fmt_x(tele.ratio(local)),
-            fmt_x(base.ratio(tele)),
-        ]);
-    }
-
-    // Graph (finalize + gather + scatter pushed, §5.2).
-    let g = social_graph(scale.graph_n, scale.graph_deg, scale.seed);
-    let ws = g.bytes() + g.n() * 16;
-    enum Algo {
-        Sssp,
-        Re,
-        Cc,
-    }
-    for (name, algo) in [("SSSP", Algo::Sssp), ("RE", Algo::Re), ("CC", Algo::Cc)] {
-        let mut t = Vec::new();
-        for kind in [
-            PlatformKind::Local,
-            PlatformKind::BaseDdc,
-            PlatformKind::Teleport,
-        ] {
-            let mut rt = runtime_for(kind, ws, CACHE_RATIO);
-            let eng = GasEngine::load(&mut rt, &g);
-            if kind != PlatformKind::Local {
-                rt.drop_cache();
-            }
-            rt.begin_timing();
-            let plan = GasPlan::paper();
-            let rep = match algo {
-                Algo::Sssp => eng.run(&mut rt, &Sssp { source: 0 }, &plan).1,
-                Algo::Re => eng.run(&mut rt, &Reach { source: 0 }, &plan).1,
-                Algo::Cc => eng.run(&mut rt, &ConnectedComponents, &plan).1,
-            };
-            t.push(rep.total());
+    for w in EIGHT {
+        let [local, base, tele] = PLATFORMS.map(|p| runs.run(w, p, Push::Paper).totals());
+        for (i, name) in w.labels().1.iter().enumerate() {
+            rows.push(vec![
+                name.to_string(),
+                fmt_x(base[i].ratio(local[i])),
+                fmt_x(tele[i].ratio(local[i])),
+                fmt_x(base[i].ratio(tele[i])),
+            ]);
         }
-        rows.push(vec![
-            name.to_string(),
-            fmt_x(t[1].ratio(t[0])),
-            fmt_x(t[2].ratio(t[0])),
-            fmt_x(t[1].ratio(t[2])),
-        ]);
     }
-
-    // MapReduce (map-shuffle pushed, §5.3).
-    let corpus = Corpus::generate(scale.comments, scale.vocab, scale.seed);
-    let ws = corpus.bytes() * 3;
-    for (name, pattern) in [("WC", None), ("Grep", Some(3u32))] {
-        let mut t = Vec::new();
-        for kind in [
-            PlatformKind::Local,
-            PlatformKind::BaseDdc,
-            PlatformKind::Teleport,
-        ] {
-            let mut rt = runtime_for(kind, ws, CACHE_RATIO);
-            let input = LoadedCorpus::load(&mut rt, &corpus);
-            if kind != PlatformKind::Local {
-                rt.drop_cache();
-            }
-            rt.begin_timing();
-            let plan = MrPlan::paper();
-            let rep = match pattern {
-                None => mr_run(&mut rt, &input, &WordCount, 8, 4, &plan).1,
-                Some(p) => mr_run(&mut rt, &input, &Grep { pattern: p }, 8, 4, &plan).1,
-            };
-            t.push(rep.total());
-        }
-        rows.push(vec![
-            name.to_string(),
-            fmt_x(t[1].ratio(t[0])),
-            fmt_x(t[2].ratio(t[0])),
-            fmt_x(t[1].ratio(t[2])),
-        ]);
-    }
-
     out.table(
         &[
             "workload",

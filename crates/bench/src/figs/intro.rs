@@ -1,35 +1,36 @@
 //! Figures 1a, 1b, and 3: the paper's motivation numbers.
 
 use ddc_sim::geometric_mean;
-use graphproc::algos::{cc, reach, sssp};
-use graphproc::{social_graph, ConnectedComponents, GasEngine, GasPlan, Reach, Sssp};
-use mapred::{run as mr_run, Corpus, Grep, LoadedCorpus, MrPlan, WordCount};
 use memdb::dist::{cost_of_scaling, DistConfig, DistProfile};
-use teleport::{PlatformKind, Runtime};
+use teleport::PlatformKind;
 
-use super::{db_linux_ssd, db_three_way, DbThreeWay, QUERIES};
-use crate::{fmt_t, fmt_x, runtime_for, Out, Scale, CACHE_RATIO};
+use super::{Push, Ratio, RunTable, Workload, EIGHT, QUERIES};
+use crate::{fmt_t, fmt_x, Out};
 
 /// Fig 1a — the benefit of DDCs: query speedup over an SSD-spilling
 /// monolithic server when memory is constrained (paper: Base DDC 9.3×,
 /// TELEPORT 39.5×; geometric mean over memory-intensive TPC-H queries).
-pub fn fig1a(scale: &Scale, out: &mut Out) {
+pub fn fig1a(runs: &mut RunTable, out: &mut Out) {
     out.section("Fig 1a — The benefits of DDCs (speedup over NVMe-SSD spill)");
-    let ssd = db_linux_ssd(scale);
-    let three = db_three_way(scale, CACHE_RATIO, 4);
+    let ssd = runs
+        .run(Workload::TpchSsd, PlatformKind::Local, Push::Nothing)
+        .totals();
+    let [base, tele] = [PlatformKind::BaseDdc, PlatformKind::Teleport].map(|p| {
+        runs.run(Workload::Tpch(Ratio::Headline), p, Push::Paper)
+            .totals()
+    });
 
     let mut rows = Vec::new();
     let mut base_speedups = Vec::new();
     let mut tele_speedups = Vec::new();
     for i in 0..3 {
-        let t_ssd = ssd[i].total();
-        let s_base = t_ssd.ratio(three.base[i].total());
-        let s_tele = t_ssd.ratio(three.tele[i].total());
+        let s_base = ssd[i].ratio(base[i]);
+        let s_tele = ssd[i].ratio(tele[i]);
         base_speedups.push(s_base);
         tele_speedups.push(s_tele);
         rows.push(vec![
             QUERIES[i].to_string(),
-            fmt_t(t_ssd),
+            fmt_t(ssd[i]),
             fmt_x(s_base),
             fmt_x(s_tele),
         ]);
@@ -48,10 +49,13 @@ pub fn fig1a(scale: &Scale, out: &mut Out) {
 /// local run with the same total resources (paper: SparkSQL 1.2×, Vertica
 /// 2.3×, MonetDB on the base DDC 5.4×, MonetDB+TELEPORT 1.8×; 10%
 /// compute-local memory).
-pub fn fig1b(scale: &Scale, out: &mut Out) {
+pub fn fig1b(runs: &mut RunTable, out: &mut Out) {
     out.section("Fig 1b — The cost of scaling (normalized to local execution)");
     // The paper configures 10% compute-local memory for this figure.
-    let three = db_three_way(scale, 0.10, 4);
+    let db = Workload::Tpch(Ratio::Tenth);
+    let local = runs.run(db, PlatformKind::Local, Push::Paper).tpch();
+    let [base_t, tele_t] = [PlatformKind::BaseDdc, PlatformKind::Teleport]
+        .map(|p| runs.run(db, p, Push::Paper).totals());
 
     let spark_cfg = DistConfig::new(4, DistProfile::StageMaterializing);
     let vertica_cfg = DistConfig::new(4, DistProfile::PipelinedMpp);
@@ -61,50 +65,23 @@ pub fn fig1b(scale: &Scale, out: &mut Out) {
     let mut base = Vec::new();
     let mut tele = Vec::new();
     for i in 0..3 {
-        let local = three.local[i].total();
-        spark.push(cost_of_scaling(&three.local[i], &spark_cfg));
-        vertica.push(cost_of_scaling(&three.local[i], &vertica_cfg));
-        base.push(three.base[i].total().ratio(local));
-        tele.push(three.tele[i].total().ratio(local));
+        spark.push(cost_of_scaling(&local[i], &spark_cfg));
+        vertica.push(cost_of_scaling(&local[i], &vertica_cfg));
+        base.push(base_t[i].ratio(local[i].total()));
+        tele.push(tele_t[i].ratio(local[i].total()));
     }
-    let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
+    let row = |system: &str, v: &[f64]| {
+        let avg = v.iter().sum::<f64>() / v.len() as f64;
+        let each = v.iter().map(|&x| fmt_x(x)).collect::<Vec<_>>();
+        vec![system.to_string(), fmt_x(avg), each.join(" / ")]
+    };
     out.table(
         &["system", "avg cost of scaling", "per query (Q9/Q3/Q6)"],
         &[
-            vec![
-                "SparkSQL (modeled)".into(),
-                fmt_x(avg(&spark)),
-                spark
-                    .iter()
-                    .map(|&x| fmt_x(x))
-                    .collect::<Vec<_>>()
-                    .join(" / "),
-            ],
-            vec![
-                "Vertica (modeled)".into(),
-                fmt_x(avg(&vertica)),
-                vertica
-                    .iter()
-                    .map(|&x| fmt_x(x))
-                    .collect::<Vec<_>>()
-                    .join(" / "),
-            ],
-            vec![
-                "MonetDB (Base DDC)".into(),
-                fmt_x(avg(&base)),
-                base.iter()
-                    .map(|&x| fmt_x(x))
-                    .collect::<Vec<_>>()
-                    .join(" / "),
-            ],
-            vec![
-                "MonetDB (TELEPORT)".into(),
-                fmt_x(avg(&tele)),
-                tele.iter()
-                    .map(|&x| fmt_x(x))
-                    .collect::<Vec<_>>()
-                    .join(" / "),
-            ],
+            row("SparkSQL (modeled)", &spark),
+            row("Vertica (modeled)", &vertica),
+            row("MonetDB (Base DDC)", &base),
+            row("MonetDB (TELEPORT)", &tele),
         ],
     );
     out.line("Paper: SparkSQL 1.2x, Vertica 2.3x, Base DDC 5.4x, TELEPORT 1.8x.");
@@ -112,93 +89,22 @@ pub fn fig1b(scale: &Scale, out: &mut Out) {
 
 /// Fig 3 — DDC overhead vs a monolithic server for all eight workloads
 /// (paper: slowdowns from 5× up to 52.4×).
-pub fn fig3(scale: &Scale, out: &mut Out) {
+pub fn fig3(runs: &mut RunTable, out: &mut Out) {
     out.section("Fig 3 — DDC performance overhead vs a monolithic server");
     let mut rows = Vec::new();
-
-    // Database.
-    let three: DbThreeWay = db_three_way(scale, CACHE_RATIO, 0);
-    for (i, q) in QUERIES.iter().enumerate() {
-        let local = three.local[i].total();
-        let ddc = three.base[i].total();
-        rows.push(vec![
-            format!("MonetDB {q}"),
-            fmt_t(local),
-            fmt_t(ddc),
-            fmt_x(ddc.ratio(local)),
-        ]);
-    }
-
-    // Graph processing.
-    let g = social_graph(scale.graph_n, scale.graph_deg, scale.seed);
-    let ws = g.bytes() + g.n() * 16;
-    for (name, which) in [("SSSP", 0usize), ("RE", 1), ("CC", 2)] {
-        let mut times = Vec::new();
-        for kind in [PlatformKind::Local, PlatformKind::BaseDdc] {
-            let mut rt = runtime_for(kind, ws, CACHE_RATIO);
-            let eng = GasEngine::load(&mut rt, &g);
-            if kind != PlatformKind::Local {
-                rt.drop_cache();
-            }
-            rt.begin_timing();
-            let rep = match which {
-                0 => {
-                    let (d, rep) = eng.run(&mut rt, &Sssp { source: 0 }, &GasPlan::none());
-                    assert_eq!(d, sssp::oracle(&g, 0));
-                    rep
-                }
-                1 => {
-                    let (d, rep) = eng.run(&mut rt, &Reach { source: 0 }, &GasPlan::none());
-                    assert_eq!(d, reach::oracle(&g, 0));
-                    rep
-                }
-                _ => {
-                    let (d, rep) = eng.run(&mut rt, &ConnectedComponents, &GasPlan::none());
-                    assert_eq!(d, cc::oracle(&g));
-                    rep
-                }
-            };
-            times.push(rep.total());
+    for w in EIGHT {
+        let [local, ddc] = [PlatformKind::Local, PlatformKind::BaseDdc]
+            .map(|p| runs.run(w, p, Push::Nothing).totals());
+        let (system, names) = w.labels();
+        for (i, name) in names.iter().enumerate() {
+            rows.push(vec![
+                format!("{system} {name}"),
+                fmt_t(local[i]),
+                fmt_t(ddc[i]),
+                fmt_x(ddc[i].ratio(local[i])),
+            ]);
         }
-        rows.push(vec![
-            format!("PowerGraph {name}"),
-            fmt_t(times[0]),
-            fmt_t(times[1]),
-            fmt_x(times[1].ratio(times[0])),
-        ]);
     }
-
-    // MapReduce.
-    let corpus = Corpus::generate(scale.comments, scale.vocab, scale.seed);
-    let ws = corpus.bytes() * 3;
-    for pattern in [None, Some(3u32)] {
-        let mut times = Vec::new();
-        for kind in [PlatformKind::Local, PlatformKind::BaseDdc] {
-            let mut rt = runtime_for(kind, ws, CACHE_RATIO);
-            let input = LoadedCorpus::load(&mut rt, &corpus);
-            if kind != PlatformKind::Local {
-                rt.drop_cache();
-            }
-            rt.begin_timing();
-            let rep = match pattern {
-                None => mr_run(&mut rt, &input, &WordCount, 8, 4, &MrPlan::none()).1,
-                Some(p) => mr_run(&mut rt, &input, &Grep { pattern: p }, 8, 4, &MrPlan::none()).1,
-            };
-            times.push(rep.total());
-        }
-        rows.push(vec![
-            format!("Phoenix {}", if pattern.is_none() { "WC" } else { "Grep" }),
-            fmt_t(times[0]),
-            fmt_t(times[1]),
-            fmt_x(times[1].ratio(times[0])),
-        ]);
-    }
-
     out.table(&["workload", "local", "DDC", "slowdown"], &rows);
     out.line("Paper: slowdowns range from 5x to 52.4x.");
-}
-
-/// Run one runtime's worth of platform label; helper kept for symmetry.
-pub fn _platform_label(rt: &Runtime) -> &'static str {
-    rt.kind().label()
 }

@@ -8,7 +8,7 @@ use teleport::microbench::{
 };
 use teleport::{CoherenceMode, Mem, PushdownOpts, Runtime, SyncStrategy};
 
-use crate::{fmt_t, fmt_x, Out, Scale};
+use crate::{figs::RunTable, fmt_t, fmt_x, Out, Scale};
 
 fn two_thread_spec(scale: &Scale) -> TwoThreadSpec {
     // Scale the region with the standard scale factor band.
@@ -23,9 +23,9 @@ fn two_thread_spec(scale: &Scale) -> TwoThreadSpec {
 
 /// Fig 6 — the data-synchronization ablation (paper: naive full-process
 /// 2.9×, per-thread eager 3.8×, on-demand coherence 11× over base DDC).
-pub fn fig6(scale: &Scale, out: &mut Out) {
+pub fn fig6(runs: &mut RunTable, out: &mut Out) {
     out.section("Fig 6 — Data synchronization ablation (two-thread microbenchmark)");
-    let spec = two_thread_spec(scale);
+    let spec = two_thread_spec(runs.scale());
     let base = run_fig6(&spec, Fig6Strategy::BaseDdc);
     let rows: Vec<Vec<String>> = [
         ("Local execution", Fig6Strategy::Local),
@@ -47,7 +47,7 @@ pub fn fig6(scale: &Scale, out: &mut Out) {
 /// Fig 7 — false sharing: the default protocol ping-pongs pages; disabling
 /// coherence and syncing manually with `syncmem` wins (paper: 4.6× vs 11×
 /// speedup over base DDC).
-pub fn fig7(_scale: &Scale, out: &mut Out) {
+pub fn fig7(_runs: &mut RunTable, out: &mut Out) {
     out.section("Fig 7 — False sharing: default coherence vs manual syncmem");
     let spec = FalseSharingSpec {
         pages: 128,
@@ -77,9 +77,9 @@ pub fn fig7(_scale: &Scale, out: &mut Out) {
 /// Fig 19 — the components of a pushdown request and what determines each
 /// (the paper's table), annotated with this implementation's measured
 /// values for a representative on-demand call.
-pub fn fig19(scale: &Scale, out: &mut Out) {
+pub fn fig19(runs: &mut RunTable, out: &mut Out) {
     out.section("Fig 19 — Components of executing a pushdown request");
-    let factor = (scale.sf / 0.01).clamp(0.1, 10.0);
+    let factor = (runs.scale().sf / 0.01).clamp(0.1, 10.0);
     let region_pages = ((32_768.0 * factor) as usize).max(2_048);
     let cfg = DdcConfig {
         compute_cache_bytes: region_pages / 8 * PAGE_SIZE,
@@ -142,9 +142,9 @@ pub fn fig19(scale: &Scale, out: &mut Out) {
 /// Fig 20 — the six-part breakdown of one pushdown call under eager vs
 /// on-demand synchronization (paper: ~3.5 s vs ~0.3 s per call with a 1 GB
 /// cache; user-function time excluded).
-pub fn fig20(scale: &Scale, out: &mut Out) {
+pub fn fig20(runs: &mut RunTable, out: &mut Out) {
     out.section("Fig 20 — Pushdown cost breakdown: eager vs on-demand sync");
-    let factor = (scale.sf / 0.01).clamp(0.1, 10.0);
+    let factor = (runs.scale().sf / 0.01).clamp(0.1, 10.0);
     let region_pages = ((32_768.0 * factor) as usize).max(2_048);
 
     let run = |sync: SyncStrategy| -> teleport::Breakdown {
@@ -220,11 +220,11 @@ fn contention_spec(scale: &Scale, rate: f64) -> ContentionSpec {
 /// Fig 21 — application performance under increasing write contention
 /// (paper: local and base DDC flat; TELEPORT default degrades gently —
 /// 2.1 s → 3.7 s from 0.0001% to 1%; the relaxation stays flat).
-pub fn fig21(scale: &Scale, out: &mut Out) {
+pub fn fig21(runs: &mut RunTable, out: &mut Out) {
     out.section("Fig 21 — Execution time vs contention rate");
     let mut rows = Vec::new();
     for rate in RATES {
-        let spec = contention_spec(scale, rate);
+        let spec = contention_spec(runs.scale(), rate);
         let local = run_contention(&spec, ContentionPlatform::Local);
         let base = run_contention(&spec, ContentionPlatform::BaseDdc);
         let dflt = run_contention(
@@ -259,11 +259,11 @@ pub fn fig21(scale: &Scale, out: &mut Out) {
 /// Fig 22 — coherence message counts for the same sweep (paper: the
 /// default protocol's messages grow with contention; the relaxation's do
 /// not).
-pub fn fig22(scale: &Scale, out: &mut Out) {
+pub fn fig22(runs: &mut RunTable, out: &mut Out) {
     out.section("Fig 22 — Coherence messages vs contention rate");
     let mut rows = Vec::new();
     for rate in RATES {
-        let spec = contention_spec(scale, rate);
+        let spec = contention_spec(runs.scale(), rate);
         let dflt = run_contention(
             &spec,
             ContentionPlatform::Teleport(CoherenceMode::WriteInvalidate),

@@ -2,24 +2,27 @@
 //! sweeps.
 
 use ddc_sim::{multiplex_makespan, DdcConfig, SimDuration, PAGE_SIZE};
-use memdb::{q9, PushdownPlan, QueryParams, TpchData};
+use memdb::{q9, PushdownPlan, QueryParams};
 use teleport::{Mem, PlatformKind, PushdownOpts, Runtime};
 
-use super::{db_linux_ssd, db_three_way, QUERIES};
-use crate::{constrained_local, fmt_t, fmt_x, load_db, Out, Scale, CACHE_RATIO};
+use super::{Push, Ratio, RunTable, Workload, QUERIES};
+use crate::{constrained_local, fmt_t, fmt_x, load_db, Out, CACHE_RATIO};
 
 /// Fig 14 — absolute query times with constrained local memory: spilling
 /// to NVMe vs paging to the remote memory pool (paper: LegoOS 10–80×
 /// faster than Linux+SSD; TELEPORT 210–330×).
-pub fn fig14(scale: &Scale, out: &mut Out) {
+pub fn fig14(runs: &mut RunTable, out: &mut Out) {
     out.section("Fig 14 — Disaggregated memory vs NVMe SSD spill (absolute)");
-    let ssd = db_linux_ssd(scale);
-    let three = db_three_way(scale, CACHE_RATIO, 4);
+    let ssd = runs
+        .run(Workload::TpchSsd, PlatformKind::Local, Push::Nothing)
+        .totals();
+    let [base, tele] = [PlatformKind::BaseDdc, PlatformKind::Teleport].map(|p| {
+        runs.run(Workload::Tpch(Ratio::Headline), p, Push::Paper)
+            .totals()
+    });
     let mut rows = Vec::new();
     for i in 0..3 {
-        let t_ssd = ssd[i].total();
-        let t_base = three.base[i].total();
-        let t_tele = three.tele[i].total();
+        let (t_ssd, t_base, t_tele) = (ssd[i], base[i], tele[i]);
         rows.push(vec![
             QUERIES[i].to_string(),
             fmt_t(t_ssd),
@@ -42,10 +45,10 @@ pub fn fig14(scale: &Scale, out: &mut Out) {
 /// Fig 15 — varying the memory pool size for a workload bigger than any
 /// single server (paper: Q9 at SF 200; TELEPORT tracks Linux until Linux
 /// runs out of machine, then wins 2.3×; 31.7× over LegoOS at 128 GB).
-pub fn fig15(scale: &Scale, out: &mut Out) {
+pub fn fig15(runs: &mut RunTable, out: &mut Out) {
     out.section("Fig 15 — Performance vs total memory size (Q9, oversized workload)");
     // A workload 2x the standard scale, as the paper bumps SF 50 -> 200.
-    let data = TpchData::generate(scale.sf * 2.0, scale.seed);
+    let data = runs.tpch(runs.scale().sf * 2.0);
     let ws = data.working_set_bytes();
     let params = QueryParams::default();
     let cache = ((ws as f64 * 0.005) as usize / PAGE_SIZE).max(4) * PAGE_SIZE;
@@ -61,7 +64,7 @@ pub fn fig15(scale: &Scale, out: &mut Out) {
         // Linux: all memory on one server, capped at server capacity.
         let linux = if frac <= server_cap {
             let mut rt = constrained_local(mem_bytes);
-            let db = load_db(&mut rt, &data);
+            let db = load_db(&mut rt, data);
             let (_, rep) = q9(&mut rt, &db, &PushdownPlan::none(), &params);
             Some(rep.total())
         } else {
@@ -74,11 +77,11 @@ pub fn fig15(scale: &Scale, out: &mut Out) {
             ..Default::default()
         };
         let mut base_rt = Runtime::base_ddc(ddc_cfg.clone());
-        let db = load_db(&mut base_rt, &data);
+        let db = load_db(&mut base_rt, data);
         let (_, base_rep) = q9(&mut base_rt, &db, &PushdownPlan::none(), &params);
         let plan = PushdownPlan::top_k(&base_rep.rank_by_intensity(), 4);
         let mut tele_rt = Runtime::teleport(ddc_cfg);
-        let db = load_db(&mut tele_rt, &data);
+        let db = load_db(&mut tele_rt, data);
         let (_, tele_rep) = q9(&mut tele_rt, &db, &plan, &params);
 
         rows.push(vec![
@@ -97,15 +100,15 @@ pub fn fig15(scale: &Scale, out: &mut Out) {
 
 /// Fig 16 — memory-pool CPU clock sweep (paper: 17× speedup even at
 /// 0.4 GHz, leveling off at 29× above 1.7 GHz).
-pub fn fig16(scale: &Scale, out: &mut Out) {
+pub fn fig16(runs: &mut RunTable, out: &mut Out) {
     out.section("Fig 16 — Pushdown speedup vs memory-pool CPU clock (Q9)");
-    let data = TpchData::generate(scale.sf, scale.seed);
+    let data = runs.tpch(runs.scale().sf);
     let ws = data.working_set_bytes();
     let params = QueryParams::default();
 
     // Baseline: the unmodified DDC (memory-pool clock is irrelevant).
     let mut base_rt = crate::runtime_for(PlatformKind::BaseDdc, ws, CACHE_RATIO);
-    let db = load_db(&mut base_rt, &data);
+    let db = load_db(&mut base_rt, data);
     let (_, base_rep) = q9(&mut base_rt, &db, &PushdownPlan::none(), &params);
     let base = base_rep.total();
     let plan = PushdownPlan::top_k(&base_rep.rank_by_intensity(), 4);
@@ -115,7 +118,7 @@ pub fn fig16(scale: &Scale, out: &mut Out) {
         let mut cfg = DdcConfig::with_cache_ratio(ws, CACHE_RATIO);
         cfg.memory_cpu.clock_ghz = clock;
         let mut rt = Runtime::teleport(cfg);
-        let db = load_db(&mut rt, &data);
+        let db = load_db(&mut rt, data);
         let (_, rep) = q9(&mut rt, &db, &plan, &params);
         rows.push(vec![
             format!("{clock:.1} GHz"),
@@ -133,16 +136,14 @@ pub fn fig16(scale: &Scale, out: &mut Out) {
 /// Fig 17 — parallel pushdown contexts (paper: 8 compute threads issuing
 /// concurrent aggregations; 2 physical cores in the memory pool; speedup
 /// grows to ~2.5x then flattens from context-switch overhead).
-pub fn fig17(scale: &Scale, out: &mut Out) {
+pub fn fig17(runs: &mut RunTable, out: &mut Out) {
     out.section("Fig 17 — Concurrent pushdowns vs parallel user contexts");
-    let data = TpchData::generate(scale.sf, scale.seed);
+    let data = runs.tpch(runs.scale().sf);
     let ws = data.working_set_bytes();
-    let params = QueryParams::default();
-    let _ = params;
 
     // Measure one aggregation pushdown over 1/8 of lineitem.
     let mut rt = Runtime::teleport(DdcConfig::with_cache_ratio(ws, CACHE_RATIO));
-    let db = load_db(&mut rt, &data);
+    let db = load_db(&mut rt, data);
     let li = db.li;
     let slice = li.n / 8;
     let t0 = rt.elapsed();
@@ -191,15 +192,15 @@ pub fn fig17(scale: &Scale, out: &mut Out) {
 /// Fig 18 — the level of pushdown under constrained memory-pool compute
 /// (paper: top-1 3.3×, top-4 27×, top-6 26×, all 24× at 50% clock; being
 /// too aggressive backfires, more so at 75% throttle).
-pub fn fig18(scale: &Scale, out: &mut Out) {
+pub fn fig18(runs: &mut RunTable, out: &mut Out) {
     out.section("Fig 18 — Level of pushdown under throttled memory-pool CPU (Q9)");
-    let data = TpchData::generate(scale.sf, scale.seed);
+    let data = runs.tpch(runs.scale().sf);
     let ws = data.working_set_bytes();
     let params = QueryParams::default();
 
     // Profile on the base DDC to rank operators by memory intensity.
     let mut base_rt = crate::runtime_for(PlatformKind::BaseDdc, ws, CACHE_RATIO);
-    let db = load_db(&mut base_rt, &data);
+    let db = load_db(&mut base_rt, data);
     let (_, base_rep) = q9(&mut base_rt, &db, &PushdownPlan::none(), &params);
     let ranking = base_rep.rank_by_intensity();
     let base = base_rep.total();
@@ -222,7 +223,7 @@ pub fn fig18(scale: &Scale, out: &mut Out) {
                 let mut cfg = DdcConfig::with_cache_ratio(ws, CACHE_RATIO);
                 cfg.memory_cpu.clock_ghz = 2.1 * clock_frac;
                 let mut rt = Runtime::teleport(cfg);
-                let db = load_db(&mut rt, &data);
+                let db = load_db(&mut rt, data);
                 let (_, rep) = q9(&mut rt, &db, &PushdownPlan::top_k(&ranking, k), &params);
                 rep.total()
             };

@@ -4,12 +4,10 @@
 
 use ddc_sim::SimDuration;
 use memdb::queries_ext::ExtParams;
-use memdb::{
-    q1, q10, q12, q4, q5, q_filter, Database, PushdownPlan, QueryParams, QueryReport, TpchData,
-};
+use memdb::{q1, q10, q12, q4, q5, q_filter, Database, PushdownPlan, QueryParams, QueryReport};
 use teleport::{PlatformKind, Runtime};
 
-use crate::{fmt_t, fmt_x, load_db, runtime_for, Out, Scale, CACHE_RATIO};
+use crate::{figs::RunTable, fmt_t, fmt_x, load_db, runtime_for, Out, CACHE_RATIO};
 
 fn run_one(
     name: &str,
@@ -31,9 +29,9 @@ fn run_one(
 }
 
 /// The full extended suite, three ways, with auto-planned pushdown.
-pub fn suite(scale: &Scale, out: &mut Out) {
+pub fn suite(runs: &mut RunTable, out: &mut Out) {
     out.section("Extended suite — remaining TPC-H queries (auto-planned pushdown)");
-    let data = TpchData::generate(scale.sf, scale.seed);
+    let data = runs.tpch(runs.scale().sf);
     let ws = data.working_set_bytes();
     let p = QueryParams::default();
     let e = ExtParams::default();
@@ -43,17 +41,17 @@ pub fn suite(scale: &Scale, out: &mut Out) {
     let mut totals = [SimDuration::ZERO; 3];
     for name in queries {
         let mut local_rt = runtime_for(PlatformKind::Local, ws, CACHE_RATIO);
-        let db = load_db(&mut local_rt, &data);
+        let db = load_db(&mut local_rt, data);
         let local = run_one(name, &mut local_rt, &db, &PushdownPlan::none(), &p, &e);
 
         let mut base_rt = runtime_for(PlatformKind::BaseDdc, ws, CACHE_RATIO);
-        let db = load_db(&mut base_rt, &data);
+        let db = load_db(&mut base_rt, data);
         let base = run_one(name, &mut base_rt, &db, &PushdownPlan::none(), &p, &e);
 
         let plan = PushdownPlan::auto(base.units(), PushdownPlan::PAPER_THRESHOLD_RM_S);
         let pushed = plan.len();
         let mut tele_rt = runtime_for(PlatformKind::Teleport, ws, CACHE_RATIO);
-        let db = load_db(&mut tele_rt, &data);
+        let db = load_db(&mut tele_rt, data);
         let tele = run_one(name, &mut tele_rt, &db, &plan, &p, &e);
 
         totals[0] += local.total();

@@ -1,7 +1,9 @@
 //! # teleport-bench — the experiment harness
 //!
 //! Regenerates every table and figure of the TELEPORT paper's evaluation.
-//! The `repro` binary dispatches to one module per figure group:
+//! The `repro` binary hands one [`figs::RunTable`] to every figure it runs:
+//! the figures read their application runs from it, so a run two figures
+//! share executes once. It dispatches to one module per figure group:
 //!
 //! - [`figs::intro`] — Fig 1a, Fig 1b, Fig 3 (the motivation numbers);
 //! - [`figs::micro`] — Fig 6, Fig 7, Fig 20, Fig 21, Fig 22 (the
@@ -91,13 +93,19 @@ pub fn constrained_local(dram_bytes: usize) -> Runtime {
     })
 }
 
-/// Load the TPC-H database and reset timing (cold cache on DDC platforms).
-pub fn load_db(rt: &mut Runtime, data: &TpchData) -> Database {
-    let db = Database::load(rt, data);
+/// Reset timing after a workload's input is loaded, with a cold cache on
+/// the DDC platforms.
+pub(crate) fn begin_cold(rt: &mut Runtime) {
     if rt.kind() != PlatformKind::Local {
         rt.drop_cache();
     }
     rt.begin_timing();
+}
+
+/// Load the TPC-H database and reset timing (cold cache on DDC platforms).
+pub fn load_db(rt: &mut Runtime, data: &TpchData) -> Database {
+    let db = Database::load(rt, data);
+    begin_cold(rt);
     db
 }
 
