@@ -19,15 +19,17 @@
 //! (reference seconds, raw seconds, machine speed). It appends one row per
 //! metric with the parent's and the change's quartiles and pairs in reference units, the same on raw seconds
 //! where the metric has them, each build's machine-speed median, each
-//! binary's count of out-of-line `hash_one` calls in `Calibrator::sample`
-//! (`null` without `nm` / `objdump`), a calibrator-drift flag, and a
-//! verdict: `claimed` when the change is ahead in at least nine pairs of
-//! ten and its median is ahead of the parent's by more than the parent's
-//! q1–q3 distance, else `not claimed`. A seed other than rackbench's
-//! default (42) is recorded as held out.
+//! binary's count of out-of-line `hash_one` calls in `Calibrator::sample`,
+//! whether the two builds' `sample`s disassemble to the same instructions
+//! once addresses are taken out (both `null` without `nm`, `objdump` or
+//! `sed`), a calibrator-drift flag, and a verdict: `claimed` when the
+//! change is ahead in at least nine pairs of ten and its median is ahead of
+//! the parent's by more than the parent's q1–q3 distance, else `not
+//! claimed`. A seed other than rackbench's default (42) is recorded as held
+//! out.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, ExitCode};
+use std::process::{Command, ExitCode, Stdio};
 
 #[allow(dead_code)]
 #[path = "rackbench/json.rs"]
@@ -207,6 +209,7 @@ struct Setting<'a> {
     host: String,
     shas: [String; 2],
     hash_one: [Option<usize>; 2],
+    calibrator_identical: Option<bool>,
 }
 
 /// One `BENCH_rackbench.json` row for `metric`, or `None` when a run did
@@ -225,7 +228,7 @@ fn row(set: &Setting, metric: &str, unit: &str, lower: bool, runs: &[(Run, Run)]
         .map(|(p, c)| Some((p.speed()?, c.speed()?)))
         .collect();
     let (parent, change) = split(&pairs);
-    let drift = set.hash_one[0] != set.hash_one[1]
+    let drift = set.calibrator_identical == Some(false)
         || speeds.as_ref().is_some_and(|s| {
             let (a, b) = split(s);
             drifted(&quartiles(&a), &quartiles(&b))
@@ -274,6 +277,10 @@ fn row(set: &Setting, metric: &str, unit: &str, lower: bool, runs: &[(Run, Run)]
                 ("parent", count_json(set.hash_one[0])),
                 ("change", count_json(set.hash_one[1])),
             ]),
+        ),
+        (
+            "calibrator_identical",
+            set.calibrator_identical.map_or(Json::Null, Json::Bool),
         ),
         ("calibrator_drift", Json::Bool(drift)),
         ("verdict", Json::Str(verdict.to_string())),
@@ -381,27 +388,69 @@ fn build(root: &Path, sha: &str) -> Result<Build, String> {
     })
 }
 
-/// Out-of-line `hash_one` calls in the first 3 000 bytes of
-/// `Calibrator::sample`, or `None` when `nm` / `objdump` are missing or the
-/// symbol is not found.
-fn hash_one_calls(bin: &Path) -> Option<usize> {
-    let nm = Command::new("nm").arg("-C").arg(bin).output().ok()?;
-    let listing = String::from_utf8_lossy(&nm.stdout);
-    let line = listing.lines().find(|l| l.contains("Calibrator::sample"))?;
-    let start = u64::from_str_radix(line.split_whitespace().next()?, 16).ok()?;
-    let dump = Command::new("objdump")
-        .args(["-d", "--no-show-raw-insn", "-C"])
-        .arg(format!("--start-address={start:#x}"))
-        .arg(format!("--stop-address={:#x}", start + 3000))
+/// The verify recipe's `sed -E` program: it takes out of an `objdump` line
+/// what moves when the same code lands elsewhere — the address prefix, a
+/// target's address and `+0x` offset, `%rip`-relative displacements and
+/// `#` comments.
+const NORMALIZE: &str = r"s/^ *[0-9a-f]+:\t//; s/[0-9a-f]+ <([^+>]*)(\+0x[0-9a-f]+)?>/<\1>/g; s/0x[0-9a-f]+\(%rip\)/X(%rip)/g; s/# .*//";
+
+/// Start and size of the sized symbol whose demangled name ends in `name`,
+/// from an `nm -C -S` listing.
+fn symbol_extent(nm: &str, name: &str) -> Option<(u64, u64)> {
+    nm.lines().find_map(|l| {
+        let [addr, size, _kind, sym] =
+            <[&str; 4]>::try_from(l.splitn(4, ' ').collect::<Vec<_>>()).ok()?;
+        let hex = |h| u64::from_str_radix(h, 16).ok();
+        sym.ends_with(name).then_some((hex(addr)?, hex(size)?))
+    })
+}
+
+/// `Calibrator::sample`'s instructions, from the start and size `nm -C -S`
+/// gives, through [`NORMALIZE`]; `None` when `nm`, `objdump` or `sed` is
+/// missing or the symbol is not found.
+fn calibrator(bin: &Path) -> Option<Vec<String>> {
+    let nm = Command::new("nm")
+        .args(["-C", "-S"])
         .arg(bin)
         .output()
         .ok()?;
-    dump.status.success().then(|| {
-        String::from_utf8_lossy(&dump.stdout)
-            .lines()
-            .filter(|l| l.contains("call") && l.contains("hash_one"))
-            .count()
-    })
+    let (start, size) = symbol_extent(&String::from_utf8_lossy(&nm.stdout), "Calibrator::sample")?;
+    let mut dump = Command::new("objdump")
+        .args(["-d", "--no-show-raw-insn", "-C"])
+        .arg(format!("--start-address={start:#x}"))
+        .arg(format!("--stop-address={:#x}", start + size))
+        .arg(bin)
+        .stdout(Stdio::piped())
+        .spawn()
+        .ok()?;
+    let sed = Command::new("sed")
+        .args(["-E", NORMALIZE])
+        .stdin(dump.stdout.take()?)
+        .output()
+        .ok()?;
+    (dump.wait().ok()?.success() && sed.status.success())
+        .then(|| body(&String::from_utf8_lossy(&sed.stdout)))
+        .filter(|b| !b.is_empty())
+}
+
+/// The lines after the symbol's `<name>:` label in normalized `objdump`
+/// output (above it: the binary's path and the section header).
+fn body(listing: &str) -> Vec<String> {
+    listing
+        .lines()
+        .skip_while(|l| !l.ends_with(">:"))
+        .skip(1)
+        .filter(|l| !l.trim().is_empty())
+        .map(str::to_string)
+        .collect()
+}
+
+/// Out-of-line `hash_one` calls in a listing.
+fn hash_one_calls(listing: &[String]) -> usize {
+    listing
+        .iter()
+        .filter(|l| l.contains("call") && l.contains("hash_one"))
+        .count()
 }
 
 fn run_once(bin: &Path, workload: &str, seed: u64, seconds: f64) -> Result<Run, String> {
@@ -489,6 +538,7 @@ fn run(args: &Args) -> Result<(), String> {
         .map_err(|e| format!("BENCHMARK.json: {e}"))?;
     let spec = Json::parse(&spec_text)?;
     let defs = spec.get("end_to_end").and_then(Json::as_arr).unwrap_or(&[]);
+    let kernels = [calibrator(&bins[0]), calibrator(&bins[1])];
     let set = Setting {
         workload: &args.workload,
         seed: args.seed,
@@ -499,7 +549,11 @@ fn run(args: &Args) -> Result<(), String> {
             std::thread::available_parallelism().map_or(0, |n| n.get()),
             std::env::consts::ARCH.replace('_', "-")
         ),
-        hash_one: [hash_one_calls(&bins[0]), hash_one_calls(&bins[1])],
+        hash_one: kernels.each_ref().map(|k| k.as_deref().map(hash_one_calls)),
+        calibrator_identical: match &kernels {
+            [Some(a), Some(b)] => Some(a == b),
+            _ => None,
+        },
         shas,
     };
     let mut runs = Vec::with_capacity(args.pairs);
@@ -688,11 +742,13 @@ sim_s          tpch                 0.567964 sim_s
             host: "2-vCPU x86-64".to_string(),
             shas: ["aaaaaaa".to_string(), "bbbbbbb".to_string()],
             hash_one: [Some(1), Some(1)],
+            calibrator_identical: Some(true),
         };
         let r = row(&set, "setup_s", "s", true, &runs).unwrap();
         assert_eq!(r.get("verdict").and_then(Json::as_str), Some("claimed"));
         assert_eq!(r.get("pairs_won").and_then(Json::as_f64), Some(10.0));
         assert_eq!(r.get("calibrator_drift"), Some(&Json::Bool(false)));
+        assert_eq!(r.get("calibrator_identical"), Some(&Json::Bool(true)));
         let raw = r.get("raw").unwrap();
         assert_eq!(
             raw.get("pairs_won").and_then(Json::as_f64),
@@ -702,12 +758,95 @@ sim_s          tpch                 0.567964 sim_s
         let r = row(&set, "sim_s", "sim_s", true, &runs).unwrap();
         assert_eq!(r.get("raw"), Some(&Json::Null));
         assert_eq!(r.get("verdict").and_then(Json::as_str), Some("not claimed"));
+        // The kernel compiled differently: drift, whatever `hash_one` says.
         let drift = Setting {
-            hash_one: [Some(1), Some(0)],
+            calibrator_identical: Some(false),
             ..set
         };
         let r = row(&drift, "setup_s", "s", true, &runs).unwrap();
         assert_eq!(r.get("calibrator_drift"), Some(&Json::Bool(true)));
-        assert!(row(&drift, "setup_s", "s", true, &[(run(0.5), Run::default())]).is_none());
+        // Unequal `hash_one` counts alone are not drift: the kernels are.
+        let counts = Setting {
+            hash_one: [Some(1), Some(4)],
+            calibrator_identical: Some(true),
+            ..drift
+        };
+        let r = row(&counts, "setup_s", "s", true, &runs).unwrap();
+        assert_eq!(r.get("calibrator_drift"), Some(&Json::Bool(false)));
+        let unknown = Setting {
+            hash_one: [None, None],
+            calibrator_identical: None,
+            ..counts
+        };
+        let r = row(&unknown, "setup_s", "s", true, &runs).unwrap();
+        assert_eq!(r.get("calibrator_identical"), Some(&Json::Null));
+        assert_eq!(r.get("calibrator_drift"), Some(&Json::Bool(false)));
+        assert!(row(
+            &unknown,
+            "setup_s",
+            "s",
+            true,
+            &[(run(0.5), Run::default())]
+        )
+        .is_none());
+    }
+
+    /// `nm -C -S` lines: address, size, kind, name; a symbol with no size
+    /// (three fields) is skipped, and the name must end the line.
+    #[test]
+    fn the_calibrator_is_found_with_its_size() {
+        let nm = "\
+0000000000051e90 t rackbench::calib::Calibrator::sample
+0000000000051e90 000000000000004a t rackbench::calib::Calibrator::sample::{{closure}}
+0000000000052000 000000000000046a t rackbench::calib::Calibrator::sample
+";
+        let ext = symbol_extent(nm, "Calibrator::sample");
+        assert_eq!(ext, Some((0x52000, 0x46a)));
+        assert_eq!(symbol_extent(nm, "Calibrator::other"), None);
+    }
+
+    /// Two builds that placed the same instructions at other addresses
+    /// normalize alike; a changed instruction does not. Only what lies in
+    /// the symbol's extent is counted.
+    #[test]
+    fn normalized_listings_ignore_addresses_only() {
+        let dump = |base: u64, callee: u64, insn: &str| {
+            format!(
+                "\n/x/rackbench:     file format elf64-x86-64\n\n\nDisassembly of section .text:\n\n\
+                 {base:016x} <rackbench::calib::Calibrator::sample>:\n\
+                 \x20{:x}:\tpush   %rbp\n\
+                 \x20{:x}:\tlea    0x{:x}(%rip),%rdi        # {:x} <anon.1+0x8>\n\
+                 \x20{:x}:\tcall   {callee:x} <core::hash::BuildHasher::hash_one>\n\
+                 \x20{:x}:\t{insn}\n",
+                base,
+                base + 1,
+                base * 3,
+                base * 4,
+                base + 8,
+                base + 13,
+            )
+        };
+        let run = |text: String| {
+            let mut sed = Command::new("sed")
+                .args(["-E", NORMALIZE])
+                .stdin(Stdio::piped())
+                .stdout(Stdio::piped())
+                .spawn()
+                .expect("sed runs");
+            let mut stdin = sed.stdin.take().unwrap();
+            std::io::Write::write_all(&mut stdin, text.as_bytes()).unwrap();
+            drop(stdin);
+            let out = sed.wait_with_output().unwrap();
+            body(&String::from_utf8_lossy(&out.stdout))
+        };
+        let a = run(dump(0x52000, 0x9000, "jmp    52010 <foo+0x10>"));
+        let b = run(dump(0x61230, 0x9100, "jmp    61240 <foo+0x10>"));
+        assert_eq!(a.len(), 4, "{a:?}");
+        assert_eq!(a, b);
+        assert_eq!(a[1].trim_end(), "lea    X(%rip),%rdi");
+        assert_eq!(a[3], "jmp    <foo>");
+        assert_eq!(hash_one_calls(&a), 1);
+        let c = run(dump(0x52000, 0x9000, "jmp    52010 <bar+0x10>"));
+        assert_ne!(a, c);
     }
 }

@@ -84,9 +84,6 @@ pub struct GasReport {
     pub apply: WorkStat,
     pub scatter: WorkStat,
     pub iterations: u64,
-    /// Average vertex replicas produced by finalize's vertex-cut
-    /// partitioning (PowerGraph's placement quality metric).
-    pub replication_factor: f64,
 }
 
 impl GasReport {
@@ -113,8 +110,6 @@ impl GasReport {
 pub struct GasEngine {
     pub n: usize,
     pub m: usize,
-    /// Worker count used by finalize's vertex-cut partitioning.
-    pub workers: usize,
     offsets: Region<u32>,
     edges: Region<u32>,
 }
@@ -126,7 +121,6 @@ impl GasEngine {
         GasEngine {
             n: g.n(),
             m: g.m(),
-            workers: 8,
             offsets: m.alloc_region_from(&g.offsets),
             edges: m.alloc_region_from(&g.edges),
         }
@@ -156,7 +150,6 @@ impl GasEngine {
 
             let mut w_edges = m.region_writer::<u32>(eng.m);
             let chunk = 16_384;
-            let mut all_edges: Vec<u32> = Vec::with_capacity(eng.m);
             let mut buf: Vec<u32> = Vec::new();
             let mut base = 0usize;
             while base < eng.m {
@@ -164,32 +157,25 @@ impl GasEngine {
                 buf.clear();
                 m.read_range(&eng.edges, base, take, &mut buf);
                 w_edges.push(m, &buf);
-                all_edges.extend_from_slice(&buf);
                 base += take;
             }
             let w_edges = w_edges.finish(m);
             m.charge_cycles(cost::FINALIZE_EDGE * eng.m as u64);
 
             // Vertex-cut placement of the edges over the workers
-            // (PowerGraph's greedy heuristic); the assignment itself is
-            // scheduler metadata, its quality is reported.
-            let host_graph = HostGraph {
-                offsets: offs.clone(),
-                edges: all_edges,
-            };
-            let cut = crate::partition::greedy_vertex_cut(&host_graph, eng.workers.clamp(1, 64));
+            // (PowerGraph's greedy heuristic), billed by formula: the
+            // assignment is scheduler metadata nothing here reads, so the
+            // host does not compute it.
             m.charge_cycles(cost::FINALIZE_EDGE * eng.m as u64 / 2);
-            let replication = cut.replication_factor();
 
             // Degrees, initial values, message accumulators.
             let degs: Vec<u32> = offs.windows(2).map(|w| w[1] - w[0]).collect();
             let degrees = m.alloc_region_from(&degs);
 
             let values = m.alloc_region::<f64>(n);
-            (w_offsets, w_edges, degrees, values, offs, degs, replication)
+            (w_offsets, w_edges, degrees, values, offs, degs)
         });
-        let (_w_offsets, w_edges, degrees, values, host_offsets, host_degs, replication) = state;
-        rep.replication_factor = replication;
+        let (_w_offsets, w_edges, degrees, values, host_offsets, host_degs) = state;
         let _ = degrees; // degree reads use the host copy below; region kept for fidelity
 
         // Value/accumulator initialization (cheap, sequential writes).
@@ -203,21 +189,21 @@ impl GasEngine {
         };
 
         // ---- Iterate.
-        let mut changed: Vec<u32> = prog.start_frontier(n);
-        changed.sort_unstable();
-        changed.dedup();
+        let mut frontier = Frontier(vec![0; n.div_ceil(64)]);
+        for v in prog.start_frontier(n) {
+            frontier.mark(v);
+        }
+        let mut changed = frontier.drain();
         let mut iter = 0usize;
         while !changed.is_empty() && iter < prog.max_iters() {
             iter += 1;
 
             // Scatter: every changed vertex combines a message into each
             // neighbor's accumulator (random reads + writes).
-            let changed_in = changed.clone();
             let ph = Phase::Scatter;
             let active = run_placed(rt, plan, ph, rep.stat_mut(ph), |m| {
-                let mut active: Vec<u32> = Vec::new();
                 let mut nbrs: Vec<u32> = Vec::new();
-                for &u in &changed_in {
+                for &u in &changed {
                     let val = m.get(&values, u as usize, Pattern::Rand);
                     let deg = host_degs[u as usize];
                     let lo = host_offsets[u as usize] as usize;
@@ -230,26 +216,23 @@ impl GasEngine {
                     for &w in nbrs.iter() {
                         let acc = m.get(&msg_acc, w as usize, Pattern::Rand);
                         m.set(&msg_acc, w as usize, prog.combine(acc, msg), Pattern::Rand);
-                        active.push(w);
+                        frontier.mark(w);
                     }
                     m.charge_cycles(cost::SCATTER_EDGE * cnt as u64);
                 }
-                active.sort_unstable();
-                active.dedup();
-                active
+                frontier.drain()
             });
 
             // Gather: drain accumulators of the activated vertices.
-            let active_in = active.clone();
             let ph = Phase::Gather;
             let gathered = run_placed(rt, plan, ph, rep.stat_mut(ph), |m| {
-                let mut out: Vec<(u32, f64)> = Vec::with_capacity(active_in.len());
-                for &w in &active_in {
+                let mut out: Vec<(u32, f64)> = Vec::with_capacity(active.len());
+                for &w in &active {
                     let acc = m.get(&msg_acc, w as usize, Pattern::Rand);
                     m.set(&msg_acc, w as usize, prog.gather_init(), Pattern::Rand);
                     out.push((w, acc));
                 }
-                m.charge_cycles(cost::GATHER_VERTEX * active_in.len() as u64);
+                m.charge_cycles(cost::GATHER_VERTEX * active.len() as u64);
                 out
             });
 
@@ -275,5 +258,81 @@ impl GasEngine {
         let mut result: Vec<f64> = Vec::with_capacity(n);
         rt.run_local(|m| m.read_range(&values, 0, n, &mut result));
         (result, rep)
+    }
+}
+
+/// A set of vertices as a bitmap over `0..n`: marking is one `or`, and
+/// [`Frontier::drain`] emits the marked vertices in order, each once (the
+/// sorted, duplicate-free list a sort and dedup of the marks would give),
+/// leaving the set empty. Linear in the marks plus `n / 64`.
+struct Frontier(Vec<u64>);
+
+impl Frontier {
+    fn mark(&mut self, v: u32) {
+        self.0[v as usize / 64] |= 1 << (v % 64);
+    }
+
+    fn drain(&mut self) -> Vec<u32> {
+        let mut out = Vec::new();
+        for (i, word) in self.0.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                out.push(i as u32 * 64 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+        out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A drawn `(kind, raw)` as a vertex below `n`, favouring the bitmap's
+    /// edges: vertex 0, `n - 1`, and either side of a word boundary.
+    fn vertex(n: usize, kind: u8, raw: u32) -> u32 {
+        let boundary = 64 * (raw as usize % n.div_ceil(64) + 1);
+        let v = match kind {
+            0 => 0,
+            1 => n - 1,
+            2 => boundary - 1,
+            3 => boundary,
+            4 => boundary + 1,
+            _ => raw as usize,
+        };
+        (v % n) as u32
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Draining the bitmap gives what `sort_unstable` + `dedup` of the
+        /// same marks gives, every vertex marked up to five times, and
+        /// leaves it empty for the next round.
+        #[test]
+        fn frontier_drains_the_sorted_deduplicated_marks(
+            n in prop_oneof![1usize..200, (1usize..40).prop_map(|k| 64 * k), 1usize..5_000],
+            rounds in prop::collection::vec(
+                prop::collection::vec((0u8..6, any::<u32>(), 1usize..6), 0..120),
+                1..4,
+            ),
+        ) {
+            let mut frontier = Frontier(vec![0; n.div_ceil(64)]);
+            for picks in &rounds {
+                let mut want = Vec::new();
+                for &(kind, raw, copies) in picks {
+                    let v = vertex(n, kind, raw);
+                    for _ in 0..copies {
+                        frontier.mark(v);
+                        want.push(v);
+                    }
+                }
+                want.sort_unstable();
+                want.dedup();
+                prop_assert_eq!(frontier.drain(), want, "n {}", n);
+            }
+        }
     }
 }

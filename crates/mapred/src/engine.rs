@@ -27,7 +27,7 @@
 //! prefetch is a hint to the host only, so every simulated access, charge
 //! and trace record is the plain loop's, in the same order.
 
-use std::collections::HashMap;
+use std::{collections::HashMap, hash::BuildHasherDefault, hash::Hasher};
 
 use ddc_os::{HostSpan, Pattern};
 use ddc_sim::SimDuration;
@@ -333,13 +333,11 @@ pub fn run_with_combiner<A: MapReduceApp>(
     let partials_ref = &partials;
     let ph = MrPhase::Merge;
     let result = run_placed(rt, plan, ph, rep.stat_mut(ph), |m| {
-        let total: usize = partials_ref.iter().map(|p| p.len()).sum();
-        let mut merged: Vec<(u32, u64)> = Vec::with_capacity(total);
-        for p in partials_ref {
-            merged.extend_from_slice(p);
-        }
-        merged.sort_unstable_by_key(|&(k, _)| k);
-        m.charge_cycles(cost::MERGE_RECORD * total as u64);
+        let mut merged = partials_ref.concat();
+        // Each partial is sorted and the reducers hold disjoint keys, so
+        // this is a merge of sorted runs, which the stable sort detects.
+        merged.sort_by_key(|&(k, _)| k);
+        m.charge_cycles(cost::MERGE_RECORD * merged.len() as u64);
         // Stream any shuffled payloads into the final output (Grep's
         // matched lines).
         for buf in buffers_ref {
@@ -349,10 +347,9 @@ pub fn run_with_combiner<A: MapReduceApp>(
             }
         }
         // Materialize the final output as a real table in memory.
-        let mut kout = m.region_writer::<u32>(total);
-        let mut vout = m.region_writer::<u64>(total);
-        let ks: Vec<u32> = merged.iter().map(|&(k, _)| k).collect();
-        let vs: Vec<u64> = merged.iter().map(|&(_, v)| v).collect();
+        let mut kout = m.region_writer::<u32>(merged.len());
+        let mut vout = m.region_writer::<u64>(merged.len());
+        let (ks, vs): (Vec<u32>, Vec<u64>) = merged.iter().copied().unzip();
         kout.push(m, &ks);
         vout.push(m, &vs);
         kout.finish(m);
@@ -426,10 +423,31 @@ fn shuffle(m: &mut Arm<'_>, pairs: &[Vec<Pair>], buffers: &[ReduceBuffer]) {
     });
 }
 
+/// The fold's key hasher: one multiply by 2^64/φ, the high half xored into
+/// the low. Every key one reducer holds shares its low two bits (that is
+/// how [`partition`] splits them), and the multiply keeps them, so without
+/// the xor the map's bucket index would cluster.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the fold hashes u32 keys only")
+    }
+
+    fn write_u32(&mut self, key: u32) {
+        self.0 = u64::from(key).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
 /// Fold each key's values, in the order given, into one accumulator; the
 /// result is sorted by key (so the hash map's order never shows).
 fn fold<A: MapReduceApp>(app: &A, pairs: impl Iterator<Item = (u32, u64)>) -> Vec<(u32, u64)> {
-    let mut agg: HashMap<u32, u64> = HashMap::new();
+    let mut agg: HashMap<u32, u64, BuildHasherDefault<KeyHasher>> = HashMap::default();
     for (k, v) in pairs {
         let acc = agg.entry(k).or_insert_with(|| app.reduce_init());
         *acc = app.reduce(*acc, v);
@@ -491,6 +509,7 @@ fn coprime_stride(n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// An app whose reduce depends on the order it sees a key's values in,
     /// so a fold that reorders them shows in the output.
@@ -523,6 +542,38 @@ mod tests {
             want,
             "RowOrder folds each key's values in row order"
         );
+    }
+
+    /// `fold` by a `BTreeMap`: each key's values in the order given.
+    fn btree_fold(pairs: &[(u32, u64)]) -> Vec<(u32, u64)> {
+        let mut agg = std::collections::BTreeMap::new();
+        for &(k, v) in pairs {
+            let acc = agg.entry(k).or_insert_with(|| RowOrder.reduce_init());
+            *acc = RowOrder.reduce(*acc, v);
+        }
+        agg.into_iter().collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The fixed-hash fold equals a `BTreeMap` fold under the
+        /// order-sensitive `RowOrder`: over keys from the whole `u32` range,
+        /// and over keys all ≡ r (mod 4), the low bits every key of one
+        /// reducer shares. Half the draws come from 64 values, so keys
+        /// repeat.
+        #[test]
+        fn fold_equals_a_btree_fold(
+            r in 0u32..4,
+            pairs in prop::collection::vec((prop_oneof![0u32..64, any::<u32>()], any::<u64>()), 0..2_000),
+        ) {
+            let one_reducer: Vec<(u32, u64)> =
+                pairs.iter().map(|&(k, v)| (k / 4 * 4 + r, v)).collect();
+            for pairs in [pairs, one_reducer] {
+                let got = fold(&RowOrder, pairs.iter().copied());
+                prop_assert_eq!(got, btree_fold(&pairs));
+            }
+        }
     }
 
     /// The running positions are `c * stride % count`, for every count up
