@@ -255,7 +255,7 @@ fn bench_resident_list_shuffled(c: &mut Criterion) {
             for i in 0..pages {
                 dos.read_u64(a.offset((walk(i, span) * PAGE_SIZE) as u64), Pattern::Rand);
             }
-            assert_eq!(dos.cache_len(), pages);
+            assert_eq!(dos.resident_view().len, pages);
             (dos, a)
         };
         g.throughput(Throughput::Elements(pages as u64));

@@ -49,7 +49,7 @@ fn bench_noop_pushdown_shuffled(c: &mut Criterion) {
                 ddc_os::Pattern::Rand,
             );
         }
-        assert_eq!(rt.dos().cache_len(), pages);
+        assert_eq!(rt.dos().resident_view().len, pages);
         rt.begin_timing();
         b.iter(|| {
             rt.pushdown(PushdownOpts::new(), |_m| black_box(0u64))

@@ -6,41 +6,49 @@ use memdb::{q9, PushdownPlan, QueryParams};
 use teleport::microbench::{run_contention, ContentionPlatform, ContentionSpec};
 use teleport::{CoherenceMode, Mem, PlatformKind, ResidentList, TieBreak};
 
-use crate::{figs::RunTable, fmt_t, fmt_x, load_db, runtime_for, Out, CACHE_RATIO};
+use crate::figs::{Push, RunTable};
+use crate::{fmt_t, fmt_x, load_db, runtime_for, Out, CACHE_RATIO};
 
 /// Ablation A — the §7.4 automatic planner: push operators whose profiled
 /// memory intensity exceeds 80 K RM/s, vs fixed top-k levels.
 pub fn planner(runs: &mut RunTable, out: &mut Out) {
     out.section("Ablation A — Automatic pushdown planning (80K RM/s rule, §7.4)");
+    let profile = runs.headline_q9(PlatformKind::BaseDdc, Push::Nothing);
+    let base = profile.total();
+    let ranking = profile.rank_by_intensity();
+    // Top-4 is the paper's plan, so its run is the table's Teleport run.
+    let top4 = runs
+        .headline_q9(PlatformKind::Teleport, Push::Paper)
+        .total();
     let data = runs.tpch(runs.scale().sf);
     let ws = data.working_set_bytes();
     let params = QueryParams::default();
-
-    let mut base_rt = runtime_for(PlatformKind::BaseDdc, ws, CACHE_RATIO);
-    let db = load_db(&mut base_rt, data);
-    let (_, profile) = q9(&mut base_rt, &db, &PushdownPlan::none(), &params);
-    let base = profile.total();
-    let ranking = profile.rank_by_intensity();
+    let q9_under = |plan: PushdownPlan| {
+        if plan.is_empty() {
+            return base;
+        }
+        let mut rt = runtime_for(PlatformKind::Teleport, ws, CACHE_RATIO);
+        let db = load_db(&mut rt, data);
+        q9(&mut rt, &db, &plan, &params).1.total()
+    };
 
     let auto_plan = PushdownPlan::auto(profile.units(), PushdownPlan::PAPER_THRESHOLD_RM_S);
     let auto_k = auto_plan.len();
-    let mut rows = Vec::new();
-    let plans: Vec<(String, PushdownPlan)> = vec![
-        ("None".into(), PushdownPlan::none()),
-        ("Top-1".into(), PushdownPlan::top_k(&ranking, 1)),
-        ("Top-4".into(), PushdownPlan::top_k(&ranking, 4)),
-        (format!("Auto >80K RM/s ({auto_k} ops)"), auto_plan),
-        ("All".into(), PushdownPlan::top_k(&ranking, ranking.len())),
+    let times = [
+        ("None".into(), base),
+        ("Top-1".into(), q9_under(PushdownPlan::top_k(&ranking, 1))),
+        ("Top-4".into(), top4),
+        (
+            format!("Auto >80K RM/s ({auto_k} ops)"),
+            q9_under(auto_plan),
+        ),
+        (
+            "All".into(),
+            q9_under(PushdownPlan::top_k(&ranking, ranking.len())),
+        ),
     ];
-    for (name, plan) in plans {
-        let time = if plan.is_empty() {
-            base
-        } else {
-            let mut rt = runtime_for(PlatformKind::Teleport, ws, CACHE_RATIO);
-            let db = load_db(&mut rt, data);
-            let (_, rep) = q9(&mut rt, &db, &plan, &params);
-            rep.total()
-        };
+    let mut rows = Vec::new();
+    for (name, time) in times {
         rows.push(vec![name, fmt_t(time), fmt_x(base.ratio(time))]);
     }
     out.table(&["plan", "Q9 time", "speedup vs none"], &rows);
@@ -135,26 +143,20 @@ pub fn prefetch(runs: &mut RunTable, out: &mut Out) {
     out.section("Ablation D — OS prefetching alone is insufficient (§2.2)");
     use ddc_sim::DdcConfig;
     use teleport::Runtime;
+    // Without prefetch the base DDC is the table's run, and TELEPORT's
+    // top-4 by that run's ranking is the table's Teleport run.
+    let plain = runs.headline_q9(PlatformKind::BaseDdc, Push::Nothing);
+    let tele = runs
+        .headline_q9(PlatformKind::Teleport, Push::Paper)
+        .total();
     let data = runs.tpch(runs.scale().sf);
-    let ws = data.working_set_bytes();
-    let params = QueryParams::default();
-
-    let run_base = |prefetch: usize| {
-        let mut cfg = DdcConfig::with_cache_ratio(ws, CACHE_RATIO);
-        cfg.prefetch_pages = prefetch;
+    let prefetched = {
+        let mut cfg = DdcConfig::with_cache_ratio(data.working_set_bytes(), CACHE_RATIO);
+        cfg.prefetch_pages = 8;
         let mut rt = Runtime::base_ddc(cfg);
         let db = load_db(&mut rt, data);
-        let (_, rep) = q9(&mut rt, &db, &PushdownPlan::none(), &params);
+        let (_, rep) = q9(&mut rt, &db, &PushdownPlan::none(), &QueryParams::default());
         rep
-    };
-    let plain = run_base(0);
-    let prefetched = run_base(8);
-    let plan = PushdownPlan::top_k(&plain.rank_by_intensity(), 4);
-    let tele = {
-        let mut rt = runtime_for(PlatformKind::Teleport, ws, CACHE_RATIO);
-        let db = load_db(&mut rt, data);
-        let (_, rep) = q9(&mut rt, &db, &plan, &params);
-        rep.total()
     };
     out.table(
         &["system", "Q9 time", "vs plain base DDC"],

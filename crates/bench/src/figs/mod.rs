@@ -5,7 +5,9 @@
 //! (on Teleport only) plan, executes the first time a figure asks for it and
 //! never again in the process. The sweeps with configurations of their own
 //! (Figs 12 and 15–18, the ablations, the suite) build their racks but take
-//! their inputs from the table too.
+//! their inputs from the table too, and the points of Figs 16 and 18 and
+//! Ablations A and D that are a headline rack read its Q9 report
+//! (`RunTable::headline_q9`).
 
 pub mod ablations;
 pub mod apps;
@@ -238,6 +240,16 @@ impl RunTable {
         let report = self.execute(key);
         self.reports.push((key, report.clone()));
         report
+    }
+
+    /// Q9's report from the headline TPC-H run on `platform` under `push`.
+    /// Q9 is the first query on a freshly loaded rack, so this is what a
+    /// rack built at [`CACHE_RATIO`] for Q9 alone reports.
+    pub(crate) fn headline_q9(&mut self, platform: PlatformKind, push: Push) -> QueryReport {
+        let [q9, _, _] = self
+            .run(Workload::Tpch(Ratio::Headline), platform, push)
+            .tpch();
+        q9
     }
 
     /// Build the run's rack, load its input with a cold cache, run it, and

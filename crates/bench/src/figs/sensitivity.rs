@@ -102,28 +102,33 @@ pub fn fig15(runs: &mut RunTable, out: &mut Out) {
 /// 0.4 GHz, leveling off at 29× above 1.7 GHz).
 pub fn fig16(runs: &mut RunTable, out: &mut Out) {
     out.section("Fig 16 — Pushdown speedup vs memory-pool CPU clock (Q9)");
+    // Baseline: the unmodified DDC (memory-pool clock is irrelevant).
+    let base_rep = runs.headline_q9(PlatformKind::BaseDdc, Push::Nothing);
+    let base = base_rep.total();
+    let plan = PushdownPlan::top_k(&base_rep.rank_by_intensity(), 4);
+    // The default 2.1 GHz rack under that plan is the table's Teleport run.
+    let default_clock = runs
+        .headline_q9(PlatformKind::Teleport, Push::Paper)
+        .total();
     let data = runs.tpch(runs.scale().sf);
     let ws = data.working_set_bytes();
     let params = QueryParams::default();
 
-    // Baseline: the unmodified DDC (memory-pool clock is irrelevant).
-    let mut base_rt = crate::runtime_for(PlatformKind::BaseDdc, ws, CACHE_RATIO);
-    let db = load_db(&mut base_rt, data);
-    let (_, base_rep) = q9(&mut base_rt, &db, &PushdownPlan::none(), &params);
-    let base = base_rep.total();
-    let plan = PushdownPlan::top_k(&base_rep.rank_by_intensity(), 4);
-
     let mut rows = Vec::new();
     for clock in [0.4, 0.8, 1.2, 1.7, 2.1, 2.5] {
         let mut cfg = DdcConfig::with_cache_ratio(ws, CACHE_RATIO);
-        cfg.memory_cpu.clock_ghz = clock;
-        let mut rt = Runtime::teleport(cfg);
-        let db = load_db(&mut rt, data);
-        let (_, rep) = q9(&mut rt, &db, &plan, &params);
+        let time = if clock == cfg.memory_cpu.clock_ghz {
+            default_clock
+        } else {
+            cfg.memory_cpu.clock_ghz = clock;
+            let mut rt = Runtime::teleport(cfg);
+            let db = load_db(&mut rt, data);
+            q9(&mut rt, &db, &plan, &params).1.total()
+        };
         rows.push(vec![
             format!("{clock:.1} GHz"),
-            fmt_t(rep.total()),
-            fmt_x(base.ratio(rep.total())),
+            fmt_t(time),
+            fmt_x(base.ratio(time)),
         ]);
     }
     out.table(
@@ -194,16 +199,13 @@ pub fn fig17(runs: &mut RunTable, out: &mut Out) {
 /// too aggressive backfires, more so at 75% throttle).
 pub fn fig18(runs: &mut RunTable, out: &mut Out) {
     out.section("Fig 18 — Level of pushdown under throttled memory-pool CPU (Q9)");
+    // Profile on the base DDC to rank operators by memory intensity.
+    let base_rep = runs.headline_q9(PlatformKind::BaseDdc, Push::Nothing);
+    let ranking = base_rep.rank_by_intensity();
+    let base = base_rep.total();
     let data = runs.tpch(runs.scale().sf);
     let ws = data.working_set_bytes();
     let params = QueryParams::default();
-
-    // Profile on the base DDC to rank operators by memory intensity.
-    let mut base_rt = crate::runtime_for(PlatformKind::BaseDdc, ws, CACHE_RATIO);
-    let db = load_db(&mut base_rt, data);
-    let (_, base_rep) = q9(&mut base_rt, &db, &PushdownPlan::none(), &params);
-    let ranking = base_rep.rank_by_intensity();
-    let base = base_rep.total();
 
     for (label, clock_frac) in [
         ("50% clock (1.05 GHz)", 0.5),

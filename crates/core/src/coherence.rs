@@ -119,24 +119,15 @@ impl PushdownSession {
     /// out (past [`ResidentTable::MAX_PAGES`]) is refused by name
     /// ([`PushdownSession::over_shipped`] takes the compute cache's shared
     /// table without copying it).
+    ///
+    /// The session favors the memory pool on a tie; a pushdown's session
+    /// takes `TeleportConfig::tiebreak` through `over_shipped` instead.
     pub fn new(mode: CoherenceMode, resident: &[(PageId, bool)], backoff_t: SimDuration) -> Self {
-        Self::with_tiebreak(mode, resident, backoff_t, TieBreak::FavorMemory)
-    }
-
-    /// [`PushdownSession::new`] with an explicit tie-break policy. A
-    /// pushdown's session takes `TeleportConfig::tiebreak` through
-    /// [`PushdownSession::over_shipped`] instead.
-    pub fn with_tiebreak(
-        mode: CoherenceMode,
-        resident: &[(PageId, bool)],
-        backoff_t: SimDuration,
-        tiebreak: TieBreak,
-    ) -> Self {
         let mut shipped = ResidentTable::default();
         for &(page, writable) in resident {
             shipped.set(page, Some(writable));
         }
-        Self::over_shipped(mode, Rc::new(shipped), backoff_t, tiebreak)
+        Self::over_shipped(mode, Rc::new(shipped), backoff_t, TieBreak::FavorMemory)
     }
 
     /// The temporary context over the compute cache's shared table, as

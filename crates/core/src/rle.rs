@@ -118,11 +118,6 @@ impl ResidentList {
         &self.runs
     }
 
-    /// Number of pages described.
-    pub fn page_count(&self) -> usize {
-        self.entries
-    }
-
     /// Encoded wire size in bytes.
     pub fn encoded_bytes(&self) -> usize {
         self.runs.len() * RUN_WIRE_BYTES
@@ -141,14 +136,6 @@ impl ResidentList {
         } else {
             self.uncompressed_bytes() as f64 / self.encoded_bytes() as f64
         }
-    }
-
-    /// Iterate pages with their permissions without materializing the flat
-    /// list.
-    pub fn iter_pages(&self) -> impl Iterator<Item = (PageId, bool)> + '_ {
-        self.runs
-            .iter()
-            .flat_map(|r| (0..r.len as u64).map(move |i| (r.start.offset(i), r.writable)))
     }
 }
 
@@ -175,7 +162,7 @@ mod tests {
         assert_eq!(list.runs()[1].len, 2);
         assert!(list.runs()[1].writable);
         assert_eq!(list.runs()[2].start, PageId(20));
-        assert_eq!(list.page_count(), 6);
+        assert_eq!(list.decode().len(), 6);
     }
 
     #[test]
@@ -189,7 +176,6 @@ mod tests {
         let input = pages(&[(1, true), (2, true), (4, false), (9, true), (10, false)]);
         let list = ResidentList::encode(&input);
         assert_eq!(list.decode(), input);
-        assert_eq!(list.iter_pages().collect::<Vec<_>>(), input);
     }
 
     #[test]
@@ -204,7 +190,6 @@ mod tests {
     #[test]
     fn empty_list() {
         let list = ResidentList::encode(&[]);
-        assert_eq!(list.page_count(), 0);
         assert_eq!(list.encoded_bytes(), 0);
         assert_eq!(list.compression_ratio(), 1.0);
         assert!(list.decode().is_empty());

@@ -120,20 +120,8 @@ impl TenantReport {
     /// plane has drained (the shed-ledger invariant
     /// `arrived == completed + shed + failed + in_flight` is
     /// property-tested in `tests/serve_props.rs`).
-    pub fn in_flight(&self) -> u64 {
+    fn in_flight(&self) -> u64 {
         self.admitted - self.completed - self.failed
-    }
-
-    /// The completed sessions' values, in session order (for oracle
-    /// comparison).
-    pub fn completed_values(&self) -> Vec<u64> {
-        self.outcomes
-            .iter()
-            .filter_map(|o| match o {
-                SessionOutcome::Completed { value, .. } => Some(*value),
-                _ => None,
-            })
-            .collect()
     }
 }
 

@@ -8,7 +8,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use ddc_os::{pages_spanned, Dos, PageId, Pattern, VAddr};
 use ddc_sim::{CoherenceTransition, DdcConfig, Lane, MsgClass, SimDuration, TraceEvent, PAGE_SIZE};
 use proptest::prelude::*;
-use teleport::rle::RUN_WIRE_BYTES;
+use teleport::rle::{ENTRY_WIRE_BYTES, RUN_WIRE_BYTES};
 use teleport::rpc::REQUEST_HEADER_BYTES;
 use teleport::{
     CoherenceMode, CoherenceStats, Mem, Perm, PushdownOpts, PushdownSession, Region, ResidentList,
@@ -113,8 +113,7 @@ proptest! {
             raw.iter().map(|(&p, &w)| (PageId(p), w)).collect();
         let enc = ResidentList::encode(&list);
         prop_assert_eq!(enc.decode(), list.clone());
-        prop_assert_eq!(enc.page_count(), list.len());
-        prop_assert_eq!(enc.iter_pages().count(), list.len());
+        prop_assert_eq!(enc.uncompressed_bytes(), list.len() * ENTRY_WIRE_BYTES);
         // Runs never overlap or touch: merging is maximal.
         for w in enc.runs().windows(2) {
             prop_assert!(
@@ -493,7 +492,8 @@ proptest! {
                 let (mut dos, a) = model_world(&warm);
                 let (mut ref_dos, _) = model_world(&warm);
                 let resident = dos.resident_list();
-                let mut s = PushdownSession::with_tiebreak(mode, &resident, backoff, tiebreak);
+                let shipped = dos.resident_view().table;
+                let mut s = PushdownSession::over_shipped(mode, shipped, backoff, tiebreak);
                 let mut r = RefSession::new(mode, &resident, backoff, tiebreak);
                 for (i, (acc, roll)) in steps.iter().enumerate() {
                     // One access in four reaches over into the next page.
@@ -603,7 +603,7 @@ proptest! {
                     .collect();
                 let listed = view.to_list();
                 prop_assert_eq!(&listed, &probed, "{:?} step {} {:?}", mode, i, steps[i]);
-                prop_assert_eq!(view.len, rt.dos().cache_len());
+                prop_assert_eq!(view.len, listed.len());
                 let encoded = ResidentList::try_encode(&listed)
                     .expect("the resident view walks in page order");
                 prop_assert_eq!(

@@ -962,7 +962,7 @@ fn compute_thread_beside_a_pushdown_is_a_compute_access() {
     }
 
     let cfg = DdcConfig {
-        memory_cpu: CpuConfig::new(1.0, 2),
+        memory_cpu: CpuConfig::new(1.0),
         ..small_ddc()
     };
     let want = cfg.compute_cpu.cycles(1_000_000);

@@ -348,7 +348,7 @@ impl Dos {
     /// Replication activity so far, summed across shards: live counters
     /// while a replica stands by, the final pre-promotion counters after a
     /// failover. `None` when replication was never configured.
-    pub fn replication_counters(&self) -> Option<ReplicationCounters> {
+    fn replication_counters(&self) -> Option<ReplicationCounters> {
         let mut total: Option<ReplicationCounters> = None;
         for live in self.lives() {
             let c = match (&live.replica, &live.failover) {

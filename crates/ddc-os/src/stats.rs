@@ -31,12 +31,6 @@ impl PagingStats {
         self.cache_misses
     }
 
-    /// Hit rate in [0, 1]; `None` before any access.
-    pub fn hit_rate(&self) -> Option<f64> {
-        let total = self.cache_hits + self.cache_misses;
-        (total > 0).then(|| self.cache_hits as f64 / total as f64)
-    }
-
     /// Total remote (fabric) page movements, the paper's "remote memory
     /// accesses".
     pub fn remote_accesses(&self) -> u64 {
@@ -75,14 +69,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hit_rate_and_totals() {
-        let mut s = PagingStats::default();
-        assert!(s.hit_rate().is_none());
-        s.cache_hits = 3;
-        s.cache_misses = 1;
-        s.remote_page_in = 1;
-        s.remote_page_out = 2;
-        assert_eq!(s.hit_rate(), Some(0.75));
+    fn totals() {
+        let s = PagingStats {
+            cache_hits: 3,
+            cache_misses: 1,
+            remote_page_in: 1,
+            remote_page_out: 2,
+            ..Default::default()
+        };
         assert_eq!(s.faults(), 1);
         assert_eq!(s.remote_accesses(), 3);
     }

@@ -87,7 +87,7 @@ proptest! {
         });
         let final_state = run_trace(&mut dos, &ops);
         let stats = dos.stats();
-        prop_assert!(dos.cache_len() <= 2, "cache over capacity");
+        prop_assert!(dos.resident_view().len <= 2, "cache over capacity");
         prop_assert!(stats.cache_hits + stats.cache_misses > 0);
         // Every miss moved a page in.
         prop_assert!(stats.remote_page_in >= stats.cache_misses);
@@ -338,6 +338,6 @@ proptest! {
         let a = run_trace(&mut plain, &ops);
         let b = run_trace(&mut prefetched, &ops);
         prop_assert_eq!(a, b);
-        prop_assert!(prefetched.cache_len() <= 4);
+        prop_assert!(prefetched.resident_view().len <= 4);
     }
 }

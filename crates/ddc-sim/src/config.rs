@@ -4,7 +4,7 @@
 //! Mellanox ConnectX-3 InfiniBand at 56 Gbps with 1.2 µs latency, 1.6 µs
 //! coherence-message latency, Xeon E5-2630L cores at 2.1 GHz, a 1 GB
 //! compute-local cache in front of a 128 GB memory pool, and a 1 TB NVMe SSD
-//! (3 GB/s sequential, 600 K IOPS random). Experiments scale the *capacities*
+//! (3 GB/s sequential). Experiments scale the *capacities*
 //! down while keeping the paper's ratios (e.g. cache ≈ 2% of the working
 //! set), which preserves paging behavior.
 
@@ -57,8 +57,6 @@ pub struct SsdConfig {
     pub qd1_latency: SimDuration,
     /// Sequential throughput in bytes per second (paper: 3 GB/s).
     pub seq_bandwidth_bytes_per_sec: f64,
-    /// Random 4 KB operations per second (paper: 600 K IOPS).
-    pub random_iops: f64,
 }
 
 impl Default for SsdConfig {
@@ -66,7 +64,6 @@ impl Default for SsdConfig {
         SsdConfig {
             qd1_latency: SimDuration::from_micros(70),
             seq_bandwidth_bytes_per_sec: 3.0e9,
-            random_iops: 600_000.0,
         }
     }
 }
@@ -113,13 +110,11 @@ pub struct CpuConfig {
     /// Core clock in GHz. The paper's testbed runs 2.1 GHz; §7.3 throttles
     /// the memory pool down to 0.4 GHz.
     pub clock_ghz: f64,
-    /// Number of physical cores available to user work in this pool.
-    pub cores: usize,
 }
 
 impl CpuConfig {
-    pub fn new(clock_ghz: f64, cores: usize) -> Self {
-        CpuConfig { clock_ghz, cores }
+    pub fn new(clock_ghz: f64) -> Self {
+        CpuConfig { clock_ghz }
     }
 
     /// Time to retire `cycles` cycles on one core of this pool, rounded to
@@ -323,8 +318,8 @@ impl Default for DdcConfig {
             memory_pool_bytes: 8 << 30,    // scaled-down "128 GB"
             pools: 1,
             placement: PlacementPolicy::FirstFit,
-            compute_cpu: CpuConfig::new(2.1, 8),
-            memory_cpu: CpuConfig::new(2.1, 2),
+            compute_cpu: CpuConfig::new(2.1),
+            memory_cpu: CpuConfig::new(2.1),
             memory_contexts: 1,
             fault_overhead: SimDuration::from_nanos(1_500),
             prefetch_pages: 0,
@@ -413,7 +408,7 @@ impl Default for MonolithicConfig {
     fn default() -> Self {
         MonolithicConfig {
             dram_bytes: 4 << 30,
-            cpu: CpuConfig::new(2.1, 8),
+            cpu: CpuConfig::new(2.1),
             ssd: SsdConfig::default(),
             dram_cost: DramConfig::default(),
             fault_overhead: SimDuration::from_nanos(500),
@@ -452,8 +447,8 @@ mod tests {
 
     #[test]
     fn cpu_cycles_scale_with_clock() {
-        let fast = CpuConfig::new(2.1, 8);
-        let slow = CpuConfig::new(0.42, 1); // 20% of compute clock (Fig 16)
+        let fast = CpuConfig::new(2.1);
+        let slow = CpuConfig::new(0.42); // 20% of compute clock (Fig 16)
         assert_eq!(fast.cycles(2_100).as_nanos(), 1_000);
         assert_eq!(slow.cycles(2_100).as_nanos(), 5_000);
     }
@@ -476,7 +471,7 @@ mod tests {
 
     fn assert_cycles_round_like_libm(cycles: u64, clock_ghz: f64) {
         let expect = (cycles as f64 / clock_ghz).round() as u64;
-        let got = CpuConfig::new(clock_ghz, 1).cycles(cycles).as_nanos();
+        let got = CpuConfig::new(clock_ghz).cycles(cycles).as_nanos();
         assert_eq!(got, expect, "{cycles} cycles at {clock_ghz} GHz");
     }
 
@@ -527,7 +522,10 @@ mod tests {
     fn default_config_is_self_consistent() {
         let cfg = DdcConfig::default();
         assert!(cfg.compute_cache_bytes < cfg.memory_pool_bytes);
-        assert!(cfg.memory_cpu.cores <= cfg.compute_cpu.cores);
+        assert_eq!(
+            cfg.memory_cpu, cfg.compute_cpu,
+            "one CPU model in both pools (§7)"
+        );
         assert_eq!(cfg.memory_contexts, 1, "paper default serializes pushdowns");
         assert_eq!(cfg.pools, 1, "paper default is a single memory pool");
         cfg.validate().expect("default config validates");

@@ -68,10 +68,6 @@ impl Interleaver {
         self.lanes[lane].done = true;
     }
 
-    pub fn is_finished(&self, lane: usize) -> bool {
-        self.lanes[lane].done
-    }
-
     /// The completion time of the whole run: the latest lane clock.
     pub fn makespan(&self) -> SimDuration {
         SimDuration(self.lanes.iter().map(|l| l.clock.0).max().unwrap_or(0))

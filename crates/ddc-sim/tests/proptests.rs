@@ -28,8 +28,10 @@ proptest! {
             bytes += sz as u64;
         }
         let ledger = fab.ledger();
-        prop_assert_eq!(ledger.total_messages(), sizes.len() as u64);
-        prop_assert_eq!(ledger.total_bytes(), bytes);
+        let [pi, po, rq] = [ledger.page_in, ledger.page_out, ledger.rpc_request];
+        prop_assert_eq!(pi.messages + po.messages + rq.messages, sizes.len() as u64);
+        prop_assert_eq!(pi.bytes + po.bytes + rq.bytes, bytes);
+        prop_assert_eq!(ledger.coherence.messages + ledger.control.messages, 0);
     }
 
     /// The interleaver always steps the lane with the minimum clock, and
@@ -46,16 +48,20 @@ proptest! {
             durations.iter().map(|d| d.iter().copied().collect()).collect();
         let mut expected_totals: Vec<u64> =
             durations.iter().map(|d| d.iter().sum()).collect();
+        let mut finished = vec![false; durations.len()];
         while let Some(lane) = il.next_lane() {
             // The chosen lane's clock is minimal among unfinished lanes.
-            for other in 0..durations.len() {
-                if !il.is_finished(other) {
+            for (other, &done) in finished.iter().enumerate() {
+                if !done {
                     prop_assert!(il.clock_of(lane) <= il.clock_of(other));
                 }
             }
             match queues[lane].pop_front() {
                 Some(d) => il.advance(lane, SimDuration::from_nanos(d)),
-                None => il.finish(lane),
+                None => {
+                    il.finish(lane);
+                    finished[lane] = true;
+                }
             }
         }
         let max_total = expected_totals.iter().copied().max().unwrap_or(0);

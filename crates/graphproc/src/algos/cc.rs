@@ -11,7 +11,7 @@ impl VertexProgram for ConnectedComponents {
         "ConnectedComponents"
     }
 
-    fn init(&self, v: u32, _n: usize) -> f64 {
+    fn init(&self, v: u32) -> f64 {
         v as f64
     }
 
@@ -23,11 +23,11 @@ impl VertexProgram for ConnectedComponents {
         a.min(b)
     }
 
-    fn scatter_msg(&self, val: f64, _deg: u32) -> f64 {
+    fn scatter_msg(&self, val: f64) -> f64 {
         val
     }
 
-    fn apply(&self, _v: u32, old: f64, acc: f64, _n: usize) -> f64 {
+    fn apply(&self, old: f64, acc: f64) -> f64 {
         old.min(acc)
     }
 
@@ -85,7 +85,7 @@ mod tests {
     fn program_starts_with_all_vertices() {
         let p = ConnectedComponents;
         assert_eq!(p.start_frontier(4), vec![0, 1, 2, 3]);
-        assert_eq!(p.init(9, 100), 9.0);
+        assert_eq!(p.init(9), 9.0);
         assert_eq!(p.combine(3.0, 7.0), 3.0);
     }
 }

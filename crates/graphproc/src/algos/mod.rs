@@ -1,8 +1,6 @@
-//! The paper's graph workloads: SSSP, Reachability (RE), Connected
-//! Components (CC) — plus PageRank as the fixed-iteration gather-heavy
-//! case — each with a host-memory oracle.
+//! The paper's graph workloads: SSSP, Reachability (RE) and Connected
+//! Components (CC), each with a host-memory oracle.
 
 pub mod cc;
-pub mod pagerank;
 pub mod reach;
 pub mod sssp;

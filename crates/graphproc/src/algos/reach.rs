@@ -13,7 +13,7 @@ impl VertexProgram for Reach {
         "Reachability"
     }
 
-    fn init(&self, v: u32, _n: usize) -> f64 {
+    fn init(&self, v: u32) -> f64 {
         if v == self.source {
             1.0
         } else {
@@ -29,11 +29,11 @@ impl VertexProgram for Reach {
         a.max(b)
     }
 
-    fn scatter_msg(&self, val: f64, _deg: u32) -> f64 {
+    fn scatter_msg(&self, val: f64) -> f64 {
         val
     }
 
-    fn apply(&self, _v: u32, old: f64, acc: f64, _n: usize) -> f64 {
+    fn apply(&self, old: f64, acc: f64) -> f64 {
         old.max(acc)
     }
 

@@ -17,7 +17,7 @@ impl VertexProgram for Sssp {
         "SSSP"
     }
 
-    fn init(&self, v: u32, _n: usize) -> f64 {
+    fn init(&self, v: u32) -> f64 {
         if v == self.source {
             0.0
         } else {
@@ -33,11 +33,11 @@ impl VertexProgram for Sssp {
         a.min(b)
     }
 
-    fn scatter_msg(&self, val: f64, _deg: u32) -> f64 {
+    fn scatter_msg(&self, val: f64) -> f64 {
         val + 1.0
     }
 
-    fn apply(&self, _v: u32, old: f64, acc: f64, _n: usize) -> f64 {
+    fn apply(&self, old: f64, acc: f64) -> f64 {
         old.min(acc)
     }
 
@@ -84,10 +84,10 @@ mod tests {
     #[test]
     fn program_semantics() {
         let p = Sssp { source: 3 };
-        assert_eq!(p.init(3, 10), 0.0);
-        assert_eq!(p.init(0, 10), INF);
+        assert_eq!(p.init(3), 0.0);
+        assert_eq!(p.init(0), INF);
         assert_eq!(p.combine(4.0, 2.0), 2.0);
-        assert_eq!(p.scatter_msg(2.0, 7), 3.0);
+        assert_eq!(p.scatter_msg(2.0), 3.0);
         assert!(p.changed(5.0, 4.0));
         assert!(!p.changed(4.0, 4.0));
         assert_eq!(p.start_frontier(10), vec![3]);

@@ -38,24 +38,19 @@ pub mod cost {
 pub trait VertexProgram {
     fn name(&self) -> &'static str;
     /// Initial value of vertex `v`.
-    fn init(&self, v: u32, n: usize) -> f64;
+    fn init(&self, v: u32) -> f64;
     /// Identity element of the message combiner.
     fn gather_init(&self) -> f64;
     /// Combine two messages.
     fn combine(&self, a: f64, b: f64) -> f64;
-    /// The message a vertex with value `val` and degree `deg` sends along
-    /// each of its edges.
-    fn scatter_msg(&self, val: f64, deg: u32) -> f64;
+    /// The message a vertex with value `val` sends along each of its edges.
+    fn scatter_msg(&self, val: f64) -> f64;
     /// New value from the old value and the gathered accumulator.
-    fn apply(&self, v: u32, old: f64, acc: f64, n: usize) -> f64;
+    fn apply(&self, old: f64, acc: f64) -> f64;
     /// Does this update activate the vertex's neighbors?
     fn changed(&self, old: f64, new: f64) -> bool;
     /// The initially active vertices.
     fn start_frontier(&self, n: usize) -> Vec<u32>;
-    /// Iteration cap (for fixed-point programs like PageRank).
-    fn max_iters(&self) -> usize {
-        usize::MAX
-    }
 }
 
 /// The phases that can be pushed to the memory pool.
@@ -173,14 +168,14 @@ impl GasEngine {
             let degrees = m.alloc_region_from(&degs);
 
             let values = m.alloc_region::<f64>(n);
-            (w_offsets, w_edges, degrees, values, offs, degs)
+            (w_offsets, w_edges, degrees, values, offs)
         });
-        let (_w_offsets, w_edges, degrees, values, host_offsets, host_degs) = state;
-        let _ = degrees; // degree reads use the host copy below; region kept for fidelity
+        let (_w_offsets, w_edges, degrees, values, host_offsets) = state;
+        let _ = degrees; // neighbour counts come from the host offsets below; region kept for fidelity
 
         // Value/accumulator initialization (cheap, sequential writes).
         {
-            let init_vals: Vec<f64> = (0..n as u32).map(|v| prog.init(v, n)).collect();
+            let init_vals: Vec<f64> = (0..n as u32).map(|v| prog.init(v)).collect();
             rt.run_local(|m| m.write_range(&values, 0, &init_vals));
         }
         let msg_acc = {
@@ -194,8 +189,8 @@ impl GasEngine {
             frontier.mark(v);
         }
         let mut changed = frontier.drain();
-        let mut iter = 0usize;
-        while !changed.is_empty() && iter < prog.max_iters() {
+        let mut iter = 0u64;
+        while !changed.is_empty() {
             iter += 1;
 
             // Scatter: every changed vertex combines a message into each
@@ -205,14 +200,13 @@ impl GasEngine {
                 let mut nbrs: Vec<u32> = Vec::new();
                 for &u in &changed {
                     let val = m.get(&values, u as usize, Pattern::Rand);
-                    let deg = host_degs[u as usize];
                     let lo = host_offsets[u as usize] as usize;
-                    let cnt = deg as usize;
+                    let cnt = host_offsets[u as usize + 1] as usize - lo;
                     nbrs.clear();
                     if cnt > 0 {
                         m.read_range(&w_edges, lo, cnt, &mut nbrs);
                     }
-                    let msg = prog.scatter_msg(val, deg);
+                    let msg = prog.scatter_msg(val);
                     for &w in nbrs.iter() {
                         let acc = m.get(&msg_acc, w as usize, Pattern::Rand);
                         m.set(&msg_acc, w as usize, prog.combine(acc, msg), Pattern::Rand);
@@ -242,7 +236,7 @@ impl GasEngine {
                 let mut changed: Vec<u32> = Vec::new();
                 for &(w, acc) in &gathered {
                     let old = m.get(&values, w as usize, Pattern::Rand);
-                    let new = prog.apply(w, old, acc, n);
+                    let new = prog.apply(old, acc);
                     if prog.changed(old, new) {
                         m.set(&values, w as usize, new, Pattern::Rand);
                         changed.push(w);
@@ -252,7 +246,7 @@ impl GasEngine {
                 changed
             });
         }
-        rep.iterations = iter as u64;
+        rep.iterations = iter;
 
         // Ship the result back (not attributed to any GAS phase).
         let mut result: Vec<f64> = Vec::with_capacity(n);

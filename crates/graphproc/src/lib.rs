@@ -10,8 +10,8 @@
 //!   paper's ground-truth community graphs);
 //! - [`gas`] — the engine, [`gas::VertexProgram`], per-phase pushdown
 //!   plans, and the Fig 10 per-phase report;
-//! - [`algos`] — SSSP, Reachability, Connected Components, PageRank, each
-//!   with a host-memory oracle.
+//! - [`algos`] — SSSP, Reachability and Connected Components, each with a
+//!   host-memory oracle.
 
 #![deny(unsafe_code)]
 
@@ -22,7 +22,6 @@ pub mod graph;
 pub mod partition;
 
 pub use algos::cc::ConnectedComponents;
-pub use algos::pagerank::PageRank;
 pub use algos::reach::Reach;
 pub use algos::sssp::Sssp;
 pub use gas::{GasEngine, GasPlan, GasReport, Phase, VertexProgram};

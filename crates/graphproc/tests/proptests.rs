@@ -2,8 +2,8 @@
 //! random graphs, under arbitrary pushdown plans.
 
 use ddc_sim::DdcConfig;
-use graphproc::algos::{cc, pagerank, sssp};
-use graphproc::{uniform_graph, ConnectedComponents, GasEngine, GasPlan, PageRank, Phase, Sssp};
+use graphproc::algos::{cc, sssp};
+use graphproc::{uniform_graph, ConnectedComponents, GasEngine, GasPlan, Phase, Sssp};
 use proptest::prelude::*;
 use teleport::Runtime;
 
@@ -63,25 +63,6 @@ proptest! {
         rt.begin_timing();
         let (got, _) = eng.run(&mut rt, &ConnectedComponents, &GasPlan::paper());
         prop_assert_eq!(got, expected);
-    }
-
-    /// PageRank mass stays conserved (within float error) on connected
-    /// random graphs and matches power iteration.
-    #[test]
-    fn pagerank_matches_power_iteration(n in 4usize..120, seed in any::<u64>()) {
-        // Dense-ish so the graph has no isolated vertices with high odds.
-        let g = uniform_graph(n, n * 3, seed);
-        let iters = 10;
-        let expected = pagerank::oracle(&g, iters);
-        let mut rt = rt_for(&g);
-        let eng = GasEngine::load(&mut rt, &g);
-        rt.begin_timing();
-        let prog = PageRank { iters, tolerance: None };
-        let (got, rep) = eng.run(&mut rt, &prog, &GasPlan::none());
-        prop_assert_eq!(rep.iterations, iters as u64);
-        for v in 0..n {
-            prop_assert!((got[v] - expected[v]).abs() < 1e-9, "vertex {}", v);
-        }
     }
 
     /// Phase times are additive: the report's total is the sum of its

@@ -20,11 +20,6 @@ impl MapReduceApp for WordCount {
     fn reduce(&self, acc: u64, value: u64) -> u64 {
         acc + value
     }
-
-    /// Counting is associative: per-map-task combining applies.
-    fn combinable(&self) -> bool {
-        true
-    }
 }
 
 /// Grep: emit `(pattern, 1)` for every comment containing the pattern
@@ -151,86 +146,4 @@ mod tests {
         assert!(hits > 0);
         assert!(hits <= corpus.comments as u64);
     }
-}
-
-/// Histogram: distribution of comment lengths (Phoenix's histogram app
-/// shape — small fixed key domain, count aggregation).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LengthHistogram;
-
-impl MapReduceApp for LengthHistogram {
-    fn name(&self) -> &'static str {
-        "LengthHistogram"
-    }
-
-    fn map(&self, comment: &[u32], emit: &mut Vec<(u32, u64)>) {
-        emit.push((comment.len() as u32, 1));
-    }
-
-    fn reduce(&self, acc: u64, value: u64) -> u64 {
-        acc + value
-    }
-
-    fn combinable(&self) -> bool {
-        true
-    }
-}
-
-/// MaxOccurrence: for each word, the longest comment it appears in —
-/// exercises a non-additive (max) reduction.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MaxCommentLength;
-
-impl MapReduceApp for MaxCommentLength {
-    fn name(&self) -> &'static str {
-        "MaxCommentLength"
-    }
-
-    fn map(&self, comment: &[u32], emit: &mut Vec<(u32, u64)>) {
-        let len = comment.len() as u64;
-        // One pair per distinct word in the comment.
-        let mut seen: Vec<u32> = comment.to_vec();
-        seen.sort_unstable();
-        seen.dedup();
-        for w in seen {
-            emit.push((w, len));
-        }
-    }
-
-    fn reduce(&self, acc: u64, value: u64) -> u64 {
-        acc.max(value)
-    }
-
-    fn combinable(&self) -> bool {
-        true
-    }
-}
-
-/// Host-memory histogram oracle.
-pub fn histogram_oracle(corpus: &crate::textgen::Corpus) -> Vec<(u32, u64)> {
-    let mut counts = std::collections::HashMap::new();
-    for c in corpus.iter_comments() {
-        *counts.entry(c.len() as u32).or_insert(0u64) += 1;
-    }
-    let mut out: Vec<(u32, u64)> = counts.into_iter().collect();
-    out.sort_unstable_by_key(|&(k, _)| k);
-    out
-}
-
-/// Host-memory max-comment-length oracle.
-pub fn max_len_oracle(corpus: &crate::textgen::Corpus) -> Vec<(u32, u64)> {
-    let mut maxes = std::collections::HashMap::new();
-    for c in corpus.iter_comments() {
-        let len = c.len() as u64;
-        let mut seen: Vec<u32> = c.to_vec();
-        seen.sort_unstable();
-        seen.dedup();
-        for w in seen {
-            let e = maxes.entry(w).or_insert(0u64);
-            *e = (*e).max(len);
-        }
-    }
-    let mut out: Vec<(u32, u64)> = maxes.into_iter().collect();
-    out.sort_unstable_by_key(|&(k, _)| k);
-    out
 }

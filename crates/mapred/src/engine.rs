@@ -55,24 +55,13 @@ pub trait MapReduceApp {
     fn name(&self) -> &'static str;
     /// Emit key–value pairs for one comment.
     fn map(&self, comment: &[u32], emit: &mut Vec<(u32, u64)>);
-    /// Fold a value into a key's accumulator.
+    /// Fold a value into a key's accumulator, which starts at 0.
     fn reduce(&self, acc: u64, value: u64) -> u64;
-    /// The accumulator's initial value.
-    fn reduce_init(&self) -> u64 {
-        0
-    }
     /// Words of payload each emitted pair drags through the shuffle.
     /// WordCount pairs are bare counters (0); Grep ships the matching
     /// comment itself, which is what makes its shuffle data-intensive.
     fn payload_words(&self, _comment: &[u32]) -> u32 {
         0
-    }
-    /// Whether per-map-task combining applies (Phoenix's combiner: fold
-    /// same-key pairs with `reduce` before the shuffle, cutting shuffle
-    /// volume for aggregating apps like WordCount). Apps whose pairs carry
-    /// payloads should leave this off.
-    fn combinable(&self) -> bool {
-        false
     }
 }
 
@@ -153,20 +142,6 @@ pub fn run<A: MapReduceApp>(
     reduce_tasks: usize,
     plan: &MrPlan,
 ) -> (Vec<(u32, u64)>, MrReport) {
-    run_with_combiner(rt, input, app, map_tasks, reduce_tasks, plan, false)
-}
-
-/// [`run`] with Phoenix's combiner optimization toggled on or off (applies
-/// only to apps reporting [`MapReduceApp::combinable`]).
-pub fn run_with_combiner<A: MapReduceApp>(
-    rt: &mut Runtime,
-    input: &LoadedCorpus,
-    app: &A,
-    map_tasks: usize,
-    reduce_tasks: usize,
-    plan: &MrPlan,
-    combine: bool,
-) -> (Vec<(u32, u64)>, MrReport) {
     assert!(map_tasks >= 1 && reduce_tasks >= 1);
     let mut rep = MrReport::default();
     let input = *input;
@@ -179,6 +154,15 @@ pub fn run_with_combiner<A: MapReduceApp>(
         let mut buf: Vec<u32> = Vec::new();
         let mut comment: Vec<u32> = Vec::new();
         let mut scratch: Vec<(u32, u64)> = Vec::new();
+        // Map one whole comment, tag its pairs with its payload, append
+        // them to the task's output and clear the comment for the next.
+        let mut map_comment = |comment: &mut Vec<u32>, emitted: &mut Vec<Pair>| {
+            scratch.clear();
+            app.map(comment, &mut scratch);
+            let payload = app.payload_words(comment);
+            emitted.extend(scratch.iter().map(|&(k, v)| (k, v, payload)));
+            comment.clear();
+        };
         for t in 0..map_tasks {
             let lo = t * split;
             let hi = ((t + 1) * split).min(input.len);
@@ -210,24 +194,17 @@ pub fn run_with_combiner<A: MapReduceApp>(
                 }
                 for w in iter {
                     if w == END_OF_COMMENT {
-                        scratch.clear();
-                        app.map(&comment, &mut scratch);
-                        let payload = app.payload_words(&comment);
-                        emitted.extend(scratch.iter().map(|&(k, v)| (k, v, payload)));
-                        comment.clear();
+                        map_comment(&mut comment, &mut emitted);
                     } else {
                         comment.push(w);
                     }
                 }
-                // Finish a comment that spills past the split boundary.
-                if !comment.is_empty() && hi < input.len {
+                if !comment.is_empty() {
+                    // Finish a comment that spills past the split boundary.
                     let mut pos = hi;
                     let mut tail: Vec<u32> = Vec::new();
-                    loop {
+                    while pos < input.len {
                         let take = 64.min(input.len - pos);
-                        if take == 0 {
-                            break;
-                        }
                         tail.clear();
                         m.read_range(&input.words, pos, take, &mut tail);
                         let mut done = false;
@@ -243,17 +220,7 @@ pub fn run_with_combiner<A: MapReduceApp>(
                         }
                         pos += take;
                     }
-                    scratch.clear();
-                    app.map(&comment, &mut scratch);
-                    let payload = app.payload_words(&comment);
-                    emitted.extend(scratch.iter().map(|&(k, v)| (k, v, payload)));
-                    comment.clear();
-                } else if !comment.is_empty() {
-                    scratch.clear();
-                    app.map(&comment, &mut scratch);
-                    let payload = app.payload_words(&comment);
-                    emitted.extend(scratch.iter().map(|&(k, v)| (k, v, payload)));
-                    comment.clear();
+                    map_comment(&mut comment, &mut emitted);
                 }
                 m.charge_cycles(cost::MAP_WORD * (hi - lo) as u64);
             }
@@ -261,23 +228,6 @@ pub fn run_with_combiner<A: MapReduceApp>(
         }
         all
     });
-    // Optional combining: fold same-key pairs inside each map task before
-    // they hit the shuffle (Phoenix's combiner optimization).
-    let pairs: Vec<Vec<Pair>> = if combine && app.combinable() {
-        pairs
-            .into_iter()
-            .map(|task| {
-                let n = task.len() as u64;
-                let folded = fold(app, task.iter().map(|&(k, v, _)| (k, v)));
-                // Charged like a reduce pass over the task's pairs, on the
-                // compute side (it runs inside the map task).
-                rt.run_local(|m| m.charge_cycles(cost::REDUCE_PAIR * n));
-                folded.into_iter().map(|(k, v)| (k, v, 0)).collect()
-            })
-            .collect()
-    } else {
-        pairs
-    };
     let total_pairs: usize = pairs.iter().map(|p| p.len()).sum();
     rep.pairs_shuffled = total_pairs as u64;
 
@@ -449,7 +399,7 @@ impl Hasher for KeyHasher {
 fn fold<A: MapReduceApp>(app: &A, pairs: impl Iterator<Item = (u32, u64)>) -> Vec<(u32, u64)> {
     let mut agg: HashMap<u32, u64, BuildHasherDefault<KeyHasher>> = HashMap::default();
     for (k, v) in pairs {
-        let acc = agg.entry(k).or_insert_with(|| app.reduce_init());
+        let acc = agg.entry(k).or_insert(0);
         *acc = app.reduce(*acc, v);
     }
     let mut out: Vec<(u32, u64)> = agg.into_iter().collect();
@@ -548,7 +498,7 @@ mod tests {
     fn btree_fold(pairs: &[(u32, u64)]) -> Vec<(u32, u64)> {
         let mut agg = std::collections::BTreeMap::new();
         for &(k, v) in pairs {
-            let acc = agg.entry(k).or_insert_with(|| RowOrder.reduce_init());
+            let acc = agg.entry(k).or_insert(0);
             *acc = RowOrder.reduce(*acc, v);
         }
         agg.into_iter().collect()

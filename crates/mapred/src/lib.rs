@@ -19,9 +19,6 @@ pub mod apps;
 pub mod engine;
 pub mod textgen;
 
-pub use apps::{
-    grep_oracle, histogram_oracle, max_len_oracle, wordcount_oracle, Grep, LengthHistogram,
-    MaxCommentLength, WordCount,
-};
-pub use engine::{run, run_with_combiner, LoadedCorpus, MapReduceApp, MrPhase, MrPlan, MrReport};
+pub use apps::{grep_oracle, wordcount_oracle, Grep, WordCount};
+pub use engine::{run, LoadedCorpus, MapReduceApp, MrPhase, MrPlan, MrReport};
 pub use textgen::Corpus;

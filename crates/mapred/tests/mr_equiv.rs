@@ -124,57 +124,3 @@ fn tiny_corpora_and_degenerate_tasks() {
     let (got, _) = run(&mut rt, &input, &WordCount, 1, 1, &MrPlan::none());
     assert_eq!(got, expected);
 }
-
-#[test]
-fn combiner_preserves_results_and_cuts_shuffle_volume() {
-    // Phoenix's combiner: per-map-task aggregation before the shuffle.
-    let c = corpus();
-    let ws = c.bytes() * 3;
-    let expected = wordcount_oracle(&c);
-
-    let mut rt = Runtime::base_ddc(DdcConfig::with_cache_ratio(ws, 0.02));
-    let input = load(&mut rt, &c);
-    let (plain, rep_plain) =
-        mapred::run_with_combiner(&mut rt, &input, &WordCount, 8, 4, &MrPlan::none(), false);
-    let (combined, rep_combined) =
-        mapred::run_with_combiner(&mut rt, &input, &WordCount, 8, 4, &MrPlan::none(), true);
-    assert_eq!(plain, expected);
-    assert_eq!(combined, expected, "combining never changes the answer");
-    assert!(
-        rep_combined.pairs_shuffled < rep_plain.pairs_shuffled / 2,
-        "combiner should cut shuffle pairs: {} vs {}",
-        rep_combined.pairs_shuffled,
-        rep_plain.pairs_shuffled
-    );
-    assert!(
-        rep_combined.map_shuffle.time < rep_plain.map_shuffle.time,
-        "and shuffle time with it"
-    );
-}
-
-#[test]
-fn histogram_and_max_length_match_oracles() {
-    use mapred::{histogram_oracle, max_len_oracle, LengthHistogram, MaxCommentLength};
-    let c = Corpus::generate(800, 400, 12);
-    let (_, mut rt) = platforms(&c).pop().unwrap();
-    let input = load(&mut rt, &c);
-
-    let (hist, _) = run(&mut rt, &input, &LengthHistogram, 6, 3, &MrPlan::paper());
-    assert_eq!(hist, histogram_oracle(&c));
-    // Lengths stay in the generator's 5..=50 band.
-    assert!(hist.iter().all(|&(k, _)| (5..=50).contains(&k)));
-
-    let (maxes, _) = run(&mut rt, &input, &MaxCommentLength, 6, 3, &MrPlan::paper());
-    assert_eq!(maxes, max_len_oracle(&c));
-    // The combiner path must agree for the max-reduction too.
-    let (combined, _) = mapred::run_with_combiner(
-        &mut rt,
-        &input,
-        &MaxCommentLength,
-        6,
-        3,
-        &MrPlan::paper(),
-        true,
-    );
-    assert_eq!(combined, maxes);
-}

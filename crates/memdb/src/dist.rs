@@ -48,7 +48,7 @@ impl DistConfig {
         DistConfig {
             nodes,
             net: NetConfig::default(),
-            cpu: CpuConfig::new(2.1, 8),
+            cpu: CpuConfig::new(2.1),
             profile,
         }
     }

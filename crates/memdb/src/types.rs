@@ -18,7 +18,7 @@ impl Date {
     /// ```
     /// use memdb::Date;
     /// let d = Date::from_ymd(1995, 3, 15);
-    /// assert_eq!(d.to_ymd(), (1995, 3, 15));
+    /// assert_eq!(d.to_string(), "1995-03-15");
     /// assert_eq!(d.year(), 1995);
     /// assert!(d < Date::from_ymd(1995, 3, 16));
     /// ```
@@ -36,7 +36,7 @@ impl Date {
     }
 
     /// Decompose into (year, month, day).
-    pub fn to_ymd(self) -> (i32, u32, u32) {
+    fn to_ymd(self) -> (i32, u32, u32) {
         let z = self.0 as i64 + 719_468;
         let era = if z >= 0 { z } else { z - 146_096 } / 146_097;
         let doe = z - era * 146_097; // [0, 146096]
@@ -128,6 +128,7 @@ pub fn name_contains(packed: u64, code: u8) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn date_roundtrips_epoch_and_tpch_range() {
@@ -142,6 +143,25 @@ mod tests {
         ] {
             let date = Date::from_ymd(y, m, d);
             assert_eq!(date.to_ymd(), (y, m, d), "roundtrip {y}-{m}-{d}");
+        }
+    }
+
+    proptest! {
+        /// Civil-calendar dates round-trip across the whole TPC-H window
+        /// and stay ordered.
+        #[test]
+        fn dates_roundtrip_and_order(days in prop::collection::vec(7000i32..11_000, 2..50)) {
+            for &d in &days {
+                let date = Date(d);
+                let (y, m, dd) = date.to_ymd();
+                prop_assert_eq!(Date::from_ymd(y, m, dd), date);
+                prop_assert!((1989..=2000).contains(&y));
+            }
+            let mut sorted = days.clone();
+            sorted.sort_unstable();
+            for w in sorted.windows(2) {
+                prop_assert!(Date(w[0]) <= Date(w[1]));
+            }
         }
     }
 

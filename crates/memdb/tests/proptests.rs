@@ -103,23 +103,6 @@ proptest! {
         }
     }
 
-    /// Civil-calendar dates round-trip across the whole TPC-H window and
-    /// stay ordered.
-    #[test]
-    fn dates_roundtrip_and_order(days in prop::collection::vec(7000i32..11_000, 2..50)) {
-        for &d in &days {
-            let date = Date(d);
-            let (y, m, dd) = date.to_ymd();
-            prop_assert_eq!(Date::from_ymd(y, m, dd), date);
-            prop_assert!((1989..=2000).contains(&y));
-        }
-        let mut sorted = days.clone();
-        sorted.sort_unstable();
-        for w in sorted.windows(2) {
-            prop_assert!(Date(w[0]) <= Date(w[1]));
-        }
-    }
-
     /// Q6 on the simulator equals the oracle for arbitrary generator seeds
     /// and date parameters.
     #[test]

@@ -4,10 +4,10 @@
 //! and statistics. This is what makes every number in EXPERIMENTS.md
 //! reproducible on any machine.
 
-use ddc_sim::DdcConfig;
+use ddc_sim::{DdcConfig, NetLedger};
 use teleport::Runtime;
 
-fn db_run() -> (u64, u64, u64) {
+fn db_run() -> (u64, NetLedger, u64) {
     use memdb::{q9, Database, PushdownPlan, QueryParams, TpchData};
     let data = TpchData::generate(0.002, 99);
     let mut rt = Runtime::teleport(DdcConfig::with_cache_ratio(data.working_set_bytes(), 0.02));
@@ -16,10 +16,9 @@ fn db_run() -> (u64, u64, u64) {
     rt.begin_timing();
     let plan = PushdownPlan::top_k(memdb::queries::ops::Q9, 4);
     let (_, rep) = q9(&mut rt, &db, &plan, &QueryParams::default());
-    let ledger = rt.net_ledger();
     (
         rep.total().as_nanos(),
-        ledger.total_messages(),
+        rt.net_ledger(),
         rt.paging_stats().cache_misses,
     )
 }

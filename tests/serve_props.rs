@@ -7,7 +7,7 @@
 use ddc_os::DrrQueue;
 use ddc_sim::{env_seed, ArrivalProcess, DdcConfig, QosClass, SimDuration, QOS_CLASSES};
 use proptest::prelude::*;
-use teleport::{AdmissionPolicy, Runtime, ServeConfig, ServePlane, ServeReport};
+use teleport::{AdmissionPolicy, Runtime, ServeConfig, ServePlane, ServeReport, SessionOutcome};
 
 const KV_KEYS: usize = 256;
 
@@ -57,7 +57,7 @@ fn kv_serve(
 
 /// The rerun-comparable surface of a report: counters, outcomes, and
 /// latency samples per tenant (admission decisions are visible through
-/// `shed`/`admitted`; values through `completed_values`).
+/// `shed`/`admitted`; values through the completed outcomes).
 type TenantFingerprint = (String, u64, u64, u64, u64, u64, Vec<u64>);
 
 fn fingerprint(rep: &ServeReport) -> Vec<TenantFingerprint> {
@@ -73,7 +73,14 @@ fn fingerprint(rep: &ServeReport) -> Vec<TenantFingerprint> {
                 tr.shed,
                 tr.failed,
                 {
-                    let mut vals = tr.completed_values();
+                    let mut vals: Vec<u64> = tr
+                        .outcomes
+                        .iter()
+                        .filter_map(|o| match o {
+                            SessionOutcome::Completed { value, .. } => Some(*value),
+                            _ => None,
+                        })
+                        .collect();
                     vals.push(rep.latency.count(t) as u64);
                     vals
                 },
@@ -160,7 +167,12 @@ proptest! {
             "arrived sessions must be fully accounted at drain"
         );
         for tr in &rep.tenants {
-            prop_assert_eq!(tr.in_flight(), 0, "tenant {} left sessions in flight", tr.name);
+            prop_assert_eq!(
+                tr.completed + tr.failed,
+                tr.admitted,
+                "tenant {} left sessions in flight",
+                tr.name
+            );
             prop_assert_eq!(tr.arrived, sessions);
         }
         // No faults installed: nothing may fail, only complete or shed.

@@ -12,6 +12,7 @@ use ddc_sim::{
 };
 use teleport::{
     AdmissionPolicy, Mem, PushdownOpts, ResiliencePolicy, Runtime, ServeConfig, ServePlane,
+    SessionOutcome,
 };
 
 const ELEMS_PER_PAGE: usize = PAGE_SIZE / 8;
@@ -514,9 +515,14 @@ fn metrics_registry_agrees_with_ledgers_and_trace() {
     assert_eq!(m.get("pushdown.calls"), Some(1));
     // The trace's own per-kind counts are part of the registry and agree
     // with the underlying ledgers.
+    let fabric_msgs = m
+        .iter()
+        .filter(|(n, _)| n.starts_with("net.") && n.ends_with(".messages"))
+        .map(|(_, v)| v)
+        .sum();
     assert_eq!(
         m.get("trace.net_msgs"),
-        Some(ledger.total_messages()),
+        Some(fabric_msgs),
         "every fabric message traced"
     );
     assert_eq!(m.get("trace.pushdown_steps"), Some(8));
@@ -578,8 +584,10 @@ fn serve_two_tenant_contention_golden_event_sequence() {
         let rep = plane.run(&mut rt);
 
         let expected_sum = vals.iter().sum::<u64>();
-        for out in rep.tenants[0].completed_values() {
-            assert_eq!(out, expected_sum, "front-end session summed wrong");
+        for out in &rep.tenants[0].outcomes {
+            if let SessionOutcome::Completed { value, .. } = out {
+                assert_eq!(*value, expected_sum, "front-end session summed wrong");
+            }
         }
         assert_eq!(rep.tenants[0].completed, 2, "guaranteed completes both");
         assert_eq!(
