@@ -244,7 +244,9 @@ impl RunTable {
 
     /// Q9's report from the headline TPC-H run on `platform` under `push`.
     /// Q9 is the first query on a freshly loaded rack, so this is what a
-    /// rack built at [`CACHE_RATIO`] for Q9 alone reports.
+    /// rack built at [`CACHE_RATIO`] for Q9 alone reports. A figure run on
+    /// its own (`repro fig16`) therefore pays for Q3 and Q6 as well, which
+    /// only `repro all`'s other figures read.
     pub(crate) fn headline_q9(&mut self, platform: PlatformKind, push: Push) -> QueryReport {
         let [q9, _, _] = self
             .run(Workload::Tpch(Ratio::Headline), platform, push)

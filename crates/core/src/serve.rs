@@ -120,7 +120,7 @@ impl TenantReport {
     /// plane has drained (the shed-ledger invariant
     /// `arrived == completed + shed + failed + in_flight` is
     /// property-tested in `tests/serve_props.rs`).
-    fn in_flight(&self) -> u64 {
+    pub fn in_flight(&self) -> u64 {
         self.admitted - self.completed - self.failed
     }
 }

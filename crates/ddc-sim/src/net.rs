@@ -261,6 +261,14 @@ mod tests {
         assert_eq!(ledger.rpc_request.messages, 1);
         assert_eq!(ledger.rpc_response.messages, 1);
         assert_eq!(ledger.rpc_request.bytes + ledger.rpc_response.bytes, 150);
+        assert_eq!(
+            ledger,
+            NetLedger {
+                rpc_request: ledger.rpc_request,
+                rpc_response: ledger.rpc_response,
+                ..NetLedger::default()
+            }
+        );
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Property tests for the simulation substrate.
 
-use ddc_sim::{multiplex_makespan, Fabric, Interleaver, MsgClass, NetConfig, SimDuration, SimTime};
+use ddc_sim::{
+    multiplex_makespan, Fabric, Interleaver, MsgClass, NetConfig, NetLedger, SimDuration, SimTime,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -31,7 +33,11 @@ proptest! {
         let [pi, po, rq] = [ledger.page_in, ledger.page_out, ledger.rpc_request];
         prop_assert_eq!(pi.messages + po.messages + rq.messages, sizes.len() as u64);
         prop_assert_eq!(pi.bytes + po.bytes + rq.bytes, bytes);
-        prop_assert_eq!(ledger.coherence.messages + ledger.control.messages, 0);
+        // No other class holds a message or a byte.
+        prop_assert_eq!(
+            ledger,
+            NetLedger { page_in: pi, page_out: po, rpc_request: rq, ..NetLedger::default() }
+        );
     }
 
     /// The interleaver always steps the lane with the minimum clock, and

@@ -1062,8 +1062,8 @@ fn assert_chaos_baseline(cell: &str, data: &kvapp::KvData, out: &ChaosServeOutco
     );
     for (t, trep) in out.rep.tenants.iter().enumerate() {
         assert_eq!(
-            trep.completed + trep.failed,
-            trep.admitted,
+            trep.in_flight(),
+            0,
             "{cell}: tenant {} did not drain",
             trep.name
         );

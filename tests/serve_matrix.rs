@@ -119,11 +119,7 @@ fn serve_matrix_cells_drain_and_match_the_oracle() {
                         "{cell}: a drained plane completed nothing"
                     );
                     for (t, trep) in rep.tenants.iter().enumerate() {
-                        assert_eq!(
-                            trep.completed + trep.failed,
-                            trep.admitted,
-                            "{cell}: tenant {t} did not drain"
-                        );
+                        assert_eq!(trep.in_flight(), 0, "{cell}: tenant {t} did not drain");
                         for (s, out) in trep.outcomes.iter().enumerate() {
                             match out {
                                 SessionOutcome::Completed { value, .. } => assert_eq!(
@@ -453,12 +449,7 @@ fn acceptance_sixteen_mixed_tenants_over_four_pools() {
         "retries absorb the failover; no session surfaces an error"
     );
     for trep in &rep_c.tenants {
-        assert_eq!(
-            trep.completed + trep.failed,
-            trep.admitted,
-            "tenant {} did not drain",
-            trep.name
-        );
+        assert_eq!(trep.in_flight(), 0, "tenant {} did not drain", trep.name);
     }
     assert_eq!(
         rep_c.class_shed(QosClass::Guaranteed),

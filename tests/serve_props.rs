@@ -57,8 +57,8 @@ fn kv_serve(
 
 /// The rerun-comparable surface of a report: counters, outcomes, and
 /// latency samples per tenant (admission decisions are visible through
-/// `shed`/`admitted`; values through the completed outcomes).
-type TenantFingerprint = (String, u64, u64, u64, u64, u64, Vec<u64>);
+/// `shed`/`admitted`; values, latencies and errors through the outcomes).
+type TenantFingerprint = (String, u64, u64, u64, u64, u64, Vec<SessionOutcome>, usize);
 
 fn fingerprint(rep: &ServeReport) -> Vec<TenantFingerprint> {
     rep.tenants
@@ -72,18 +72,8 @@ fn fingerprint(rep: &ServeReport) -> Vec<TenantFingerprint> {
                 tr.completed,
                 tr.shed,
                 tr.failed,
-                {
-                    let mut vals: Vec<u64> = tr
-                        .outcomes
-                        .iter()
-                        .filter_map(|o| match o {
-                            SessionOutcome::Completed { value, .. } => Some(*value),
-                            _ => None,
-                        })
-                        .collect();
-                    vals.push(rep.latency.count(t) as u64);
-                    vals
-                },
+                tr.outcomes.clone(),
+                rep.latency.count(t),
             )
         })
         .collect()
@@ -167,12 +157,7 @@ proptest! {
             "arrived sessions must be fully accounted at drain"
         );
         for tr in &rep.tenants {
-            prop_assert_eq!(
-                tr.completed + tr.failed,
-                tr.admitted,
-                "tenant {} left sessions in flight",
-                tr.name
-            );
+            prop_assert_eq!(tr.in_flight(), 0, "tenant {} left sessions in flight", tr.name);
             prop_assert_eq!(tr.arrived, sessions);
         }
         // No faults installed: nothing may fail, only complete or shed.

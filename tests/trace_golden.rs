@@ -584,11 +584,12 @@ fn serve_two_tenant_contention_golden_event_sequence() {
         let rep = plane.run(&mut rt);
 
         let expected_sum = vals.iter().sum::<u64>();
-        for out in &rep.tenants[0].outcomes {
-            if let SessionOutcome::Completed { value, .. } = out {
-                assert_eq!(*value, expected_sum, "front-end session summed wrong");
-            }
-        }
+        assert!(
+            rep.tenants[0].outcomes.iter().all(
+                |o| matches!(o, SessionOutcome::Completed { value, .. } if *value == expected_sum)
+            ),
+            "front-end session failed or summed wrong"
+        );
         assert_eq!(rep.tenants[0].completed, 2, "guaranteed completes both");
         assert_eq!(
             rep.tenants[1].shed, 2,
