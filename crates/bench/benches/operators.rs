@@ -91,8 +91,27 @@ fn bench_hash_join(c: &mut Criterion) {
             })
         });
     });
+    // Q9's semi-join shape (lineitem ⋉ green parts) scaled down: 2 048
+    // keys in the index, one slice of 16 384 probes of which about 5 % hit,
+    // through the arm a compute-side operator runs in. The index stays
+    // resident, so each call is one batch of hits.
+    g.throughput(Throughput::Elements(SEMI_PROBES as u64));
+    g.bench_function("probe_all_semijoin", |b| {
+        let (mut rt, ..) = runtime_with_column();
+        let keys: Vec<i64> = (1..=2_048).map(|k| k * 20).collect();
+        let rows: Vec<u32> = (0..2_048).collect();
+        let idx = hashjoin::HashIndex::build(&mut rt, &keys, &rows);
+        let probes: Vec<i64> = (0..SEMI_PROBES as i64)
+            .map(|i| (i * 0x9E37_79B9 % 40_960) + 1)
+            .collect();
+        b.iter(|| rt.run_local(|arm| black_box(idx.probe_all(arm, black_box(&probes)))));
+    });
     g.finish();
 }
+
+/// Probes a `probe_all_semijoin` call makes: the slice Q9's semi-join
+/// probes at a time.
+const SEMI_PROBES: usize = 16_384;
 
 criterion_group!(benches, bench_selection, bench_aggregation, bench_hash_join);
 criterion_main!(benches);

@@ -43,9 +43,7 @@ pub fn for_each_ahead<I, P>(
     let items = items.into_iter();
     let mut ahead = items.clone();
     let mut ring = [P::default(); AHEAD];
-    for (slot, x) in ring.iter_mut().zip(ahead.by_ref()) {
-        *slot = place(x);
-    }
+    fill(&mut ring, &mut ahead, &mut place);
     for (i, x) in items.enumerate() {
         let slot = &mut ring[i % AHEAD];
         let p = *slot;
@@ -53,6 +51,20 @@ pub fn for_each_ahead<I, P>(
             *slot = place(next);
         }
         body(x, p);
+    }
+}
+
+/// The ring's first `AHEAD` placements, out of line: LLVM unrolls this
+/// fixed-length loop, `place` inlined into each of the eight copies, and
+/// inlined it would do so in every caller.
+#[inline(never)]
+fn fill<I: Iterator, P>(
+    ring: &mut [P; AHEAD],
+    ahead: &mut I,
+    place: &mut impl FnMut(I::Item) -> P,
+) {
+    for (slot, x) in ring.iter_mut().zip(ahead) {
+        *slot = place(x);
     }
 }
 

@@ -76,6 +76,7 @@ pub mod breakdown;
 pub mod coherence;
 pub mod fault;
 pub mod flags;
+mod hits;
 pub mod microbench;
 mod placed;
 pub mod resilience;
@@ -93,6 +94,7 @@ pub use breakdown::Breakdown;
 pub use coherence::{CoherenceStats, Perm, PushdownSession, TieBreak};
 pub use fault::{CancelOutcome, PushdownError};
 pub use flags::{CoherenceMode, PushdownOpts, SyncStrategy};
+pub use hits::{HitBatch, RandReads};
 pub use placed::{rank_by_intensity, run_placed, PaperUnits, Plan, WorkStat};
 pub use resilience::{ExecutionVia, Recovered, ResiliencePolicy, RetryPolicy};
 pub use rle::{ResidentList, UnsortedResidentList};

@@ -39,6 +39,7 @@ use crate::page::{for_each_page, pages_spanned, PageId, PageTable, VAddr};
 use crate::pool::{MemoryPool, PoolFault};
 use crate::replica::ReplOp;
 use crate::stats::{PagingStats, RoutingWindow};
+use crate::work::count;
 
 use integrity::{Integrity, PoolIntegrity};
 use liveness::{Liveness, ShardLiveness};
@@ -597,6 +598,41 @@ impl Dos {
         self.stats.cache_hits += hits;
         self.charge(self.dram_cost(pat, len) * hits);
         true
+    }
+
+    /// Whether every compute-side read of the pages `spans` cover, `(start,
+    /// bytes)` each, would be a pure cache hit: each page resident in the
+    /// compute cache, and no plane checking a page on a hit. A hit then
+    /// changes only its page's LRU place, `cache_hits` and the clock, so a
+    /// caller may read those pages' bytes, note the order of its reads, and
+    /// bill them all with one [`Dos::settle_hits`].
+    pub fn hits_only(&self, spans: &[(VAddr, usize)]) -> bool {
+        self.allows_batched_rereads()
+            && spans.iter().all(|&(start, len)| {
+                pages_spanned(start, len).all(|pid| self.cache.probe(pid).is_some())
+            })
+    }
+
+    /// Bill `reads` random compute-side reads of pages [`Dos::hits_only`]
+    /// accepted, plus `cycles` of CPU time, leaving what those reads and
+    /// charges made one by one leave: `touched` is every page read, ordered
+    /// by its last read (the page read last comes last), and each moves to
+    /// the head of the LRU in that order, since after a series of moves to
+    /// the front the order depends on each page's last move alone; `reads`
+    /// cache hits; and one clock advance of `reads × dram.random_access +
+    /// cycles`, the integer sum of the advances. Only random reads batch: a
+    /// sequential read's cost depends on its length.
+    pub fn settle_hits(&mut self, touched: &[PageId], reads: u64, cycles: SimDuration) {
+        for &pid in touched {
+            let hit = self.cache.access(pid, false);
+            assert!(hit, "settle_hits: {pid} is not resident");
+        }
+        self.stats.cache_hits += reads;
+        self.charge(self.dram_cost(Pattern::Rand, 0) * reads + cycles);
+        count(|w| {
+            w.hit_batches += 1;
+            w.batched_reads += reads;
+        });
     }
 
     /// LegoOS-style sequential prefetch: after a sequential-pattern fault

@@ -36,6 +36,12 @@ pub struct WorkCounters {
     /// page noted twice counts twice): a table read each, and a word write
     /// for those that changed.
     pub view_notes_reconciled: u64,
+    /// Runs of compute-side reads billed as one batch of cache hits
+    /// (`Dos::settle_hits`), each in one settle instead of a cache lookup,
+    /// an LRU move, a hit count and a clock add a read.
+    pub hit_batches: u64,
+    /// The reads those batches billed.
+    pub batched_reads: u64,
 }
 
 impl WorkCounters {
@@ -48,6 +54,8 @@ impl WorkCounters {
         pool_victim_orders: 0,
         view_rebuilds: 0,
         view_notes_reconciled: 0,
+        hit_batches: 0,
+        batched_reads: 0,
     };
 
     /// Field-wise difference `self - earlier`: the work between two
@@ -62,6 +70,8 @@ impl WorkCounters {
             pool_victim_orders: self.pool_victim_orders - earlier.pool_victim_orders,
             view_rebuilds: self.view_rebuilds - earlier.view_rebuilds,
             view_notes_reconciled: self.view_notes_reconciled - earlier.view_notes_reconciled,
+            hit_batches: self.hit_batches - earlier.hit_batches,
+            batched_reads: self.batched_reads - earlier.batched_reads,
         }
     }
 }

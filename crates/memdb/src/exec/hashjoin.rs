@@ -16,8 +16,16 @@
 //! probes from that slot. A prefetch is a hint to the host CPU only, so
 //! every simulated access, charge and trace record is the one a plain loop
 //! of [`HashIndex::probe`] makes, in the same order.
+//!
+//! A probe only reads, so its body is written once against
+//! [`RandReads`]. When every page of the index is resident in the compute
+//! cache and a compute-side read of it is a pure hit, [`HashIndex::probe_all`]
+//! runs it through a [`teleport::HitBatch`] ([`Mem::hit_batch`]), which reads
+//! the slots' host bytes and bills the batch's hits, LRU moves and cycles in
+//! one settle; otherwise through `m` itself, read by read. The two leave the
+//! same state.
 
-use teleport::{for_each_ahead, Mem, Region, Scalar};
+use teleport::{for_each_ahead, Mem, RandReads, Region, Scalar};
 
 use super::cost;
 
@@ -90,15 +98,15 @@ impl HashIndex {
     }
 
     /// [`probe`](Self::probe) from `key`'s home slot `slot`.
-    fn probe_from<M: Mem>(&self, m: &mut M, key: i64, mut slot: usize) -> Option<u32> {
-        m.charge_cycles(cost::HASH_PROBE);
+    fn probe_from<R: RandReads>(&self, m: &mut R, key: i64, mut slot: usize) -> Option<u32> {
+        m.bill_cycles(cost::HASH_PROBE);
         if key == 0 {
             return None;
         }
         loop {
-            let k = m.get(&self.keys, slot, ddc_os::Pattern::Rand);
+            let k = m.read(&self.keys, slot);
             if k == key {
-                return Some(m.get(&self.vals, slot, ddc_os::Pattern::Rand));
+                return Some(m.read(&self.vals, slot));
             }
             if k == 0 {
                 return None;
@@ -112,6 +120,22 @@ impl HashIndex {
     /// unique-key inner relation).
     pub fn probe_all<M: Mem>(&self, m: &mut M, probe_keys: &[i64]) -> Vec<(u32, u32)> {
         let home = self.placer(m);
+        let spans = [
+            (self.keys.addr(), self.keys.byte_len()),
+            (self.vals.addr(), self.vals.byte_len()),
+        ];
+        m.hit_batch(&spans, |batch| self.probe_each(batch, probe_keys, &home))
+            .unwrap_or_else(|| self.probe_each(m, probe_keys, &home))
+    }
+
+    /// [`probe_all`](Self::probe_all)'s loop, through `m`, with `home`
+    /// placing each key.
+    fn probe_each<R: RandReads>(
+        &self,
+        m: &mut R,
+        probe_keys: &[i64],
+        home: &impl Fn(i64) -> usize,
+    ) -> Vec<(u32, u32)> {
         let place = |i: usize| home(probe_keys[i]);
         let mut out = Vec::new();
         for_each_ahead(0..probe_keys.len(), place, |i, slot| {

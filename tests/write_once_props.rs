@@ -21,11 +21,12 @@
 use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use ddc_os::{AddressSpace, PagingStats, Pattern, VAddr};
+use ddc_os::{work_counters, AddressSpace, PagingStats, Pattern, VAddr};
 use ddc_sim::{
     DdcConfig, FaultPlan, MetricsRegistry, MonolithicConfig, PlacementPolicy, ReplicationMode,
     SimTime, FOREVER, PAGE_SIZE,
 };
+use memdb::exec::hashjoin::HashIndex;
 use proptest::prelude::*;
 use proptest::TestCaseError;
 use teleport::{
@@ -351,6 +352,194 @@ fn an_out_of_range_row_panics_as_get_does() {
             let (get_panicked, looped) = run(false);
             assert!(get_panicked && gather_panicked, "{kind:?}, rows {bad:?}");
             assert_eq!(gathered, looped, "{kind:?}, rows {bad:?}");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Hash probes
+// ---------------------------------------------------------------------------
+
+/// Pages of the region a probe run reads after its probes: more than any
+/// drawn cache holds, so its faults evict every index page the cache still
+/// has, in LRU order, and the `Evict` records put that order in the digest.
+const SWEEP_PAGES: usize = 64;
+
+#[derive(Debug, Clone)]
+struct ProbeCase {
+    rack: Rack,
+    via: Via,
+    /// Keys in the index; its two regions span up to twelve pages.
+    keys: usize,
+    /// One probe a draw: a key of the index, a key it lacks, or the empty
+    /// sentinel 0.
+    probe_draws: Vec<u64>,
+}
+
+/// The `i`th index key: distinct and non-zero.
+fn index_key(i: u64) -> i64 {
+    (i * 7 + 3) as i64
+}
+
+fn probe_keys(case: &ProbeCase) -> Vec<i64> {
+    let n = case.keys as u64;
+    case.probe_draws
+        .iter()
+        .map(|&d| match d % 8 {
+            0 => 0,
+            1 | 2 => index_key(n + d % 97) + 1,
+            _ => index_key(d / 8 % n),
+        })
+        .collect()
+}
+
+/// Build an index on the compute side, set the rack up for `case`, probe it
+/// with `probe_all` or a loop of `probe`, then sweep a region larger than
+/// the cache.
+fn probe_run(case: &ProbeCase, probes: &[i64], batched: bool) -> Outcome<Vec<(u32, u32)>> {
+    let mut rt = build(&case.rack);
+    let sweep = rt.alloc_region::<u64>(SWEEP_PAGES * PAGE_SIZE / 8);
+    let keys: Vec<i64> = (0..case.keys as u64).map(index_key).collect();
+    let rows: Vec<u32> = (0..case.keys as u32).collect();
+    let idx = HashIndex::build(&mut rt, &keys, &rows);
+    match case.rack.plane {
+        // Flushing the index's dirty pages lets pool scribbles land on
+        // pages the cache still holds, so the probes' hits meet them.
+        Plane::Integrity => {
+            rt.syncmem();
+        }
+        Plane::Stale if case.rack.kind == PlatformKind::Teleport => {
+            // Empty the index's first page memory-side behind the compute
+            // cache's back: the compute view keeps its stale snapshot.
+            let space = rt.dos().space();
+            let sweep_end = sweep.addr().offset((SWEEP_PAGES * PAGE_SIZE) as u64);
+            let first = space
+                .mapped_pages()
+                .into_iter()
+                .find(|p| p.base() >= sweep_end);
+            let page = first.expect("the index is mapped after the sweep region");
+            // The key region's bytes: its capacity of 8-byte slots.
+            let key_bytes = (case.keys * 2).next_power_of_two() * 8;
+            let zeros = vec![0; key_bytes.min(PAGE_SIZE)];
+            let opts = PushdownOpts::new().coherence(CoherenceMode::Disabled);
+            rt.pushdown(opts, |m| m.write_raw(page.base(), &zeros, Pattern::Seq))
+                .expect("pushdown");
+        }
+        _ => {}
+    }
+    let values = match case.via {
+        Via::Runtime => probe_with(&mut rt, &idx, probes, batched),
+        Via::LocalArm => rt.run_local(|m| probe_with(m, &idx, probes, batched)),
+        Via::Pushdown => rt
+            .pushdown(PushdownOpts::new(), |m| {
+                probe_with(m, &idx, probes, batched)
+            })
+            .expect("pushdown"),
+    };
+    for page in 0..SWEEP_PAGES {
+        rt.get(&sweep, page * PAGE_SIZE / 8, Pattern::Rand);
+    }
+    outcome(&rt, values)
+}
+
+/// `(position, row)` of each probe that hits, through `probe_all` or a loop
+/// of `probe`.
+fn probe_with<M: Mem>(
+    m: &mut M,
+    idx: &HashIndex,
+    probes: &[i64],
+    batched: bool,
+) -> Vec<(u32, u32)> {
+    if batched {
+        return idx.probe_all(m, probes);
+    }
+    let hits = probes.iter().enumerate();
+    hits.filter_map(|(i, &k)| idx.probe(m, k).map(|row| (i as u32, row)))
+        .collect()
+}
+
+fn probe_strategy() -> impl Strategy<Value = ProbeCase> {
+    (
+        rack_strategy(),
+        1usize..48,
+        0u8..3,
+        1usize..1200,
+        prop::collection::vec(any::<u64>(), 0..600),
+    )
+        .prop_map(|(mut rack, cache_pages, via, keys, probe_draws)| {
+            rack.cache_pages = cache_pages;
+            ProbeCase {
+                rack,
+                via: [Via::Runtime, Via::LocalArm, Via::Pushdown][via as usize],
+                keys,
+                probe_draws,
+            }
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn probe_all_charges_what_a_loop_of_probe_charges(case in probe_strategy()) {
+        let probes = probe_keys(&case);
+        let l = probe_run(&case, &probes, false);
+        let b = probe_run(&case, &probes, true);
+        for (what, same) in [
+            ("pin", b.pin == l.pin),
+            ("paging stats", b.stats == l.stats),
+            ("coherence stats", b.coherence == l.coherence),
+            ("metrics", b.metrics == l.metrics),
+            ("values", b.values == l.values),
+        ] {
+            prop_assert!(same, "probe_all against a loop of probe: {} differ; {:?}", what, case);
+        }
+    }
+}
+
+/// The property above is not vacuous: over an index the cache holds, a
+/// compute-side `probe_all` is one batch of every read its probes make, on
+/// every platform; inside a Teleport pushdown, and while a stale snapshot
+/// is held, it batches nothing.
+#[test]
+fn probe_all_batches_over_a_resident_index_only() {
+    for kind in PLATFORMS {
+        for (via, plane) in [
+            (Via::Runtime, Plane::None),
+            (Via::LocalArm, Plane::None),
+            (Via::Pushdown, Plane::None),
+            (Via::Runtime, Plane::Stale),
+            (Via::Runtime, Plane::Integrity),
+        ] {
+            let case = ProbeCase {
+                rack: Rack {
+                    kind,
+                    cache_pages: 40,
+                    pools: 1,
+                    plane,
+                    seed: 7,
+                },
+                via,
+                keys: 900,
+                probe_draws: (0..500u64)
+                    .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                    .collect(),
+            };
+            let before = work_counters();
+            probe_run(&case, &probe_keys(&case), true);
+            let work = work_counters().delta_since(&before);
+            let batches = match (kind, via, plane) {
+                (_, _, Plane::Integrity) => 0,
+                (PlatformKind::Teleport, Via::Pushdown, _) => 0,
+                (PlatformKind::Teleport, _, Plane::Stale) => 0,
+                _ => 1,
+            };
+            assert_eq!(work.hit_batches, batches, "{kind:?} {via:?} {plane:?}");
+            assert_eq!(
+                work.batched_reads > 0,
+                batches > 0,
+                "{kind:?} {via:?} {plane:?}"
+            );
         }
     }
 }
