@@ -145,8 +145,9 @@ impl Dos {
         }
     }
 
-    /// Whether repeated reads may be charged as one batch: not while the
-    /// plane checks the page on every access.
+    /// Whether reads of cached pages may be charged as one batch
+    /// (`Dos::repeat_reads`, `Dos::hits_only`): not while the plane checks
+    /// the page on every access.
     #[inline]
     pub(super) fn allows_batched_rereads(&self) -> bool {
         !self.integrity_enabled()
